@@ -27,9 +27,10 @@ fragments
 
 :mod:`repro.monet.fragments` adds horizontal fragmentation on top of
 the kernel: a :class:`~repro.monet.fragments.FragmentedBAT` holds one
-logical BAT as an ordered list of horizontal fragments (range or
-round-robin split, controlled by a
-:class:`~repro.monet.fragments.FragmentationPolicy`), and the hot
+logical BAT as an ordered list of horizontal fragments (contiguous
+BUN ranges, sized by a
+:class:`~repro.monet.fragments.FragmentationPolicy`; fragment order is
+BUN order), and the hot
 operators (``select``/``uselect``/``likeselect``, ``fetchjoin``,
 ``join``, ``semijoin``/``antijoin``, ``mark``, the scalar and grouped
 aggregates) fan out over fragments on a shared thread pool -- numpy

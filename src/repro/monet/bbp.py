@@ -42,7 +42,6 @@ from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import (
     BBPError,
     InvalidMutationBatch,
-    KernelError,
     MonetError,
     UnknownMutationTarget,
 )
@@ -534,26 +533,17 @@ class BATBufferPool:
             if pairs is not None:
                 heads = (int(h) for h, _ in pairs if h is not None)
                 top = max(max(heads, default=-1), top)
-            elif isinstance(value, FragmentedBAT):
-                last = value.fragments[-1]
+            else:
+                last = (
+                    value.fragments[-1]
+                    if isinstance(value, FragmentedBAT)
+                    else value
+                )
                 if last.head.is_void:
-                    # Dense void-head extension of the tail fragment.
+                    # Dense void-head extension (of the tail fragment):
+                    # the head ends at the new count, so the top head
+                    # oid is seqbase + count - 1.
                     top = max(last.head.seqbase + len(last) + batch_size - 1, top)
-                else:
-                    # Round-robin layouts carry materialized dense
-                    # heads; append(tails=...) synthesized head oids
-                    # seqbase + total + i from the same recovered
-                    # seqbase.
-                    try:
-                        seqbase = value._dense_seqbase()
-                    except KernelError:  # pragma: no cover - append raised first
-                        pass
-                    else:
-                        top = max(seqbase + len(value) + batch_size - 1, top)
-            elif value.head.is_void:
-                # Dense void-head extension: the head ends at the new
-                # count, so the top head oid is seqbase + count - 1.
-                top = max(value.head.seqbase + len(value) + batch_size - 1, top)
         if value.ttype == "oid":
             batch = [t for _, t in pairs] if pairs is not None else list(tails or [])
             top = max(max((int(t) for t in batch if t is not None), default=-1), top)
@@ -574,10 +564,11 @@ class BATBufferPool:
     ) -> int:
         """One synchronous merge pass over the fragmented registrations:
         fold oversized append-tail deltas back to policy-sized
-        fragments, compact starved tombstone residue, and re-partition
-        skewed round-robin splits
-        (:func:`repro.monet.fragments.rebalance`, which prefers the
-        non-coalescing :func:`~repro.monet.fragments.fold_tail`).
+        fragments, compact starved tombstone residue, and re-split a
+        registration whose fragment count has drifted
+        (:func:`repro.monet.fragments.refragment` with
+        ``compact=True``, which prefers the non-coalescing
+        :func:`~repro.monet.fragments.fold_tail`).
 
         Reorganization happens *outside* the lock on the immutable
         fragment lists; the swap-in is a per-name compare-and-swap --
@@ -590,8 +581,8 @@ class BATBufferPool:
             work = list(self._fragmented.items())
         merged = 0
         for name, fragmented in work:
-            reorganized = _fragments.rebalance(
-                fragmented, policy or fragmented.policy
+            reorganized = _fragments.refragment(
+                fragmented, policy or fragmented.policy, compact=True
             )
             if reorganized is fragmented:
                 continue
@@ -740,7 +731,6 @@ class BATBufferPool:
                 fragmented = self._fragmented[name]
                 entry = {
                     "fragmented": True,
-                    "strategy": fragmented.policy.strategy,
                     "target_size": fragmented.policy.target_size,
                     "workers": fragmented.policy.workers,
                     "fragments": [],
@@ -748,9 +738,6 @@ class BATBufferPool:
                 for findex, fragment in enumerate(fragmented.fragments):
                     filename = f"bat_g{generation:04d}_{index:05d}_f{findex:03d}.npz"
                     sub_entry, arrays = _bat_entry(fragment, filename)
-                    if fragmented.positions is not None:
-                        arrays["positions"] = fragmented.positions[findex]
-                        sub_entry["has_positions"] = True
                     _write_npz_atomic(directory, filename, arrays)
                     entry["fragments"].append(sub_entry)
             catalog["bats"][name] = entry
@@ -922,30 +909,29 @@ class BATBufferPool:
                 continue
             if entry.get("fragmented"):
                 fragments: List[BAT] = []
-                positions: List[np.ndarray] = []
-                has_positions = False
+                legacy_positions: List[np.ndarray] = []
                 for sub_entry in entry["fragments"]:
                     with np.load(
                         directory / sub_entry["file"], allow_pickle=True
                     ) as data:
                         fragments.append(_restore_bat(sub_entry, data, name=None))
                         if sub_entry.get("has_positions"):
-                            has_positions = True
-                            positions.append(np.asarray(data["positions"], np.int64))
+                            legacy_positions.append(
+                                np.asarray(data["positions"], np.int64)
+                            )
                 policy = FragmentationPolicy(
                     # Legacy catalogs without a stored size pick up the
                     # current (possibly calibrated) default at load time.
                     target_size=entry.get("target_size")
                     or _fragments.DEFAULT_FRAGMENT_SIZE,
-                    strategy=entry.get("strategy", "range"),
                     workers=entry.get("workers"),
                 )
-                pool._fragmented[name] = FragmentedBAT(
-                    fragments,
-                    positions if has_positions else None,
-                    policy=policy,
-                    name=name,
-                )
+                fragmented = FragmentedBAT(fragments, policy=policy, name=name)
+                if legacy_positions:
+                    fragmented = _from_legacy_positions(
+                        fragmented, legacy_positions
+                    )
+                pool._fragmented[name] = fragmented
             else:
                 with np.load(directory / entry["file"], allow_pickle=True) as data:
                     pool._bats[name] = _restore_bat(entry, data, name=name)
@@ -1488,6 +1474,25 @@ def _restore_bat(entry: dict, data, name: Optional[str]) -> BAT:
         tkey=entry["tkey"],
         name=name,
     )
+
+
+def _from_legacy_positions(
+    fragmented: FragmentedBAT, positions: List[np.ndarray]
+) -> FragmentedBAT:
+    """The logical BAT of a catalog entry written before fragment order
+    became BUN order: such an entry may hold a round-robin split, each
+    fragment's npz carrying the global BUN positions of its rows.  The
+    rows are gathered into BUN order once (stable argsort of the
+    concatenated positions) and re-split by the stored target size."""
+    if [len(p) for p in positions] != fragmented.fragment_sizes():
+        raise BBPError(
+            f"legacy catalog entry {fragmented.name!r}: per-fragment "
+            "positions do not match the fragment sizes"
+        )
+    order = np.argsort(np.concatenate(positions), kind="stable")
+    restored = _fragments._rows_in_order(fragmented, order)
+    restored.name = fragmented.name
+    return restored
 
 
 def _storable(values: np.ndarray) -> np.ndarray:

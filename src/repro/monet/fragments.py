@@ -37,16 +37,13 @@ backend axis.  The process pool spawns on first use, survives only in
 the process that created it (fork resets it), and shuts down cleanly
 at exit without leaking shared-memory segments or semaphores.
 
-Two split strategies are supported through
-:class:`FragmentationPolicy`:
-
-``range``
-    contiguous BUN ranges of at most ``target_size`` BUNs.  Fragment
-    order *is* BUN order, so recombination is plain concatenation.
-``roundrobin``
-    BUN ``i`` goes to fragment ``i % n_fragments``.  Each fragment
-    remembers the global BUN positions of its rows so results can be
-    merged back into BUN order.
+**One physical layout.**  A BAT splits into contiguous BUN ranges of
+at most ``FragmentationPolicy.target_size`` BUNs, and *fragment order
+is BUN order* is an invariant of every :class:`FragmentedBAT`, input
+or derived: fragment ``k`` holds the global BUN positions
+``offset_k + arange(len_k)`` (:meth:`FragmentedBAT.fragment_offsets`),
+so recombination is plain concatenation and a fragment's range is
+meaningful to anything that prunes or places fragments by position.
 
 Every operator here is the exact fragment-parallel counterpart of a
 :mod:`repro.monet.kernel`, :mod:`repro.monet.groups` or
@@ -90,6 +87,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -331,8 +329,8 @@ def default_tuning() -> dict:
 
 @dataclass(frozen=True)
 class FragmentationPolicy:
-    """How a BAT is split: fragment size, strategy, worker count and
-    executor backend.
+    """How a BAT is split: fragment size, worker count and executor
+    backend.
 
     ``target_size=None`` (the default) resolves to the current module
     default at construction time, so policies made after a
@@ -343,7 +341,6 @@ class FragmentationPolicy:
     an explicit ``backend`` pins the plan to one executor."""
 
     target_size: Optional[int] = None
-    strategy: str = "range"
     workers: Optional[int] = None
     backend: Optional[str] = None
 
@@ -352,11 +349,6 @@ class FragmentationPolicy:
             object.__setattr__(self, "target_size", DEFAULT_FRAGMENT_SIZE)
         if self.target_size < 1:
             raise KernelError("fragment target_size must be at least 1")
-        if self.strategy not in ("range", "roundrobin"):
-            raise KernelError(
-                f"unknown fragmentation strategy {self.strategy!r}; "
-                "expected 'range' or 'roundrobin'"
-            )
         if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise KernelError(
                 f"unknown executor backend {self.backend!r}; expected one of "
@@ -625,44 +617,51 @@ if hasattr(os, "register_at_fork"):
 class FragmentedBAT:
     """An ordered list of horizontal fragments of one logical BAT.
 
-    ``positions`` is ``None`` when fragment order is BUN order (range
-    split); otherwise it holds, per fragment, the global BUN positions
-    of that fragment's rows (round-robin split and results derived from
-    one).
+    Fragment order is BUN order: fragment ``k`` holds the global BUN
+    positions ``fragment_offsets()[k] + arange(len(fragments[k]))``.
+    Handles are immutable (mutators return new handles), which is what
+    lets :meth:`to_bat` and :meth:`fragment_offsets` cache.
     """
 
-    __slots__ = ("fragments", "positions", "policy", "name", "_coalesced")
+    __slots__ = ("fragments", "policy", "name", "_coalesced", "_offsets")
 
     def __init__(
         self,
         fragments: Sequence[BAT],
-        positions: Optional[Sequence[np.ndarray]] = None,
+        positions: None = None,
         *,
         policy: Optional[FragmentationPolicy] = None,
         name: Optional[str] = None,
     ):
+        if positions is not None:
+            raise KernelError(
+                "FragmentedBAT takes no per-fragment positions: "
+                "fragment order is BUN order"
+            )
         policy = policy or _default_policy()
         fragments = list(fragments)
         if not fragments:
             raise KernelError("a FragmentedBAT needs at least one fragment")
         if len({f.htype for f in fragments}) > 1 or len({f.ttype for f in fragments}) > 1:
             raise KernelError("all fragments must share head/tail atom types")
-        if positions is not None:
-            positions = [np.asarray(p, dtype=np.int64) for p in positions]
-            if len(positions) != len(fragments):
-                raise KernelError("one position array per fragment required")
-            for frag, pos in zip(fragments, positions):
-                if len(frag) != len(pos):
-                    raise KernelError("fragment/position length mismatch")
         self.fragments = fragments
-        self.positions = positions
         self.policy = policy
         self.name = name
         self._coalesced: Optional[BAT] = None
+        self._offsets: Optional[List[int]] = None
+
+    @property
+    def positions(self) -> None:
+        # Vestige, always None.  It and the constructor's second
+        # parameter survive only because the frozen benchmark
+        # (benchmarks/mirrorbench/layers.py, under BENCHMARK.json
+        # ``paths``) rebuilds a handle as
+        # ``FragmentedBAT(x.fragments, x.positions, policy=...)``.
+        return None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(f) for f in self.fragments)
+        return self.fragment_offsets()[-1]
 
     @property
     def count(self) -> int:
@@ -683,12 +682,17 @@ class FragmentedBAT:
     def fragment_sizes(self) -> List[int]:
         return [len(f) for f in self.fragments]
 
+    def fragment_offsets(self) -> List[int]:
+        """Global BUN position at which each fragment starts, plus the
+        total count as the final entry (cached, like :meth:`to_bat`)."""
+        if self._offsets is None:
+            self._offsets = [0, *accumulate(len(f) for f in self.fragments)]
+        return self._offsets
+
     def global_positions(self, index: int) -> np.ndarray:
         """Global BUN positions of fragment *index*'s rows."""
-        if self.positions is not None:
-            return self.positions[index]
-        offset = sum(len(f) for f in self.fragments[:index])
-        return np.arange(offset, offset + len(self.fragments[index]), dtype=np.int64)
+        offsets = self.fragment_offsets()
+        return np.arange(offsets[index], offsets[index + 1], dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "tmp"
@@ -707,23 +711,12 @@ class FragmentedBAT:
         return self._coalesced
 
     def _build_monolithic(self) -> BAT:
-        frags = self.fragments
-        if len(frags) == 1 and self.positions is None:
-            single = frags[0]
+        if len(self.fragments) == 1:
+            single = self.fragments[0]
             if self.name is not None and single.name is None:
                 single.name = self.name
             return single
-        head_atom = frags[0].head.atom_type
-        tail_atom = frags[0].tail.atom_type
-        if self.positions is None:
-            order = None
-        else:
-            all_positions = np.concatenate(self.positions)
-            order = np.argsort(all_positions, kind="stable")
-        head = _concat_columns([f.head for f in frags], head_atom, order)
-        tail = _concat_columns([f.tail for f in frags], tail_atom, order)
-        flags = _concat_flags(frags, order is None)
-        return BAT(head, tail, name=self.name, **flags)
+        return _concat_fragments(self.fragments, name=self.name)
 
     # Convenience delegates used by catalog/reconstruction code that
     # does not care about fragment boundaries.  They all go through the
@@ -762,26 +755,19 @@ class FragmentedBAT:
         below the policy target size the batch is folded into it;
         a full tail starts a fresh delta fragment instead (the merge
         daemon later splits any oversized delta back to policy size,
-        see :func:`fold_tail`).  Works for both layouts: range splits
-        extend BUN order, round-robin splits extend the tail fragment's
-        global position list with the new trailing positions.
+        see :func:`fold_tail`).
         """
         if (pairs is None) == (tails is None):
             raise KernelError("append takes pairs or tails=, not both/neither")
         last = self.fragments[-1]
         if tails is not None and not last.head.is_void:
-            # Round-robin fragments carry materialized oid heads
-            # (seqbase + global position); recover the seqbase and
-            # append explicit pairs continuing the dense sequence.
-            seqbase = self._dense_seqbase()
-            total = len(self)
-            pairs = [(seqbase + total + i, v) for i, v in enumerate(tails)]
-            tails = None
+            raise KernelError(
+                "append(tails=...) needs a void head; pass explicit pairs"
+            )
         batch = len(pairs) if pairs is not None else len(tails)  # type: ignore[arg-type]
         if batch == 0:
             return self
-        grow_tail = len(last) < self.policy.target_size
-        if grow_tail:
+        if len(last) < self.policy.target_size:
             if tails is not None:
                 delta = last.append(tails=tails)
             else:
@@ -797,41 +783,7 @@ class FragmentedBAT:
             else:
                 delta = bat_from_pairs(self.htype, self.ttype, list(pairs))
             new_fragments = [*self.fragments, delta]
-        new_positions = None
-        if self.positions is not None:
-            total = len(self)
-            appended = np.arange(total, total + batch, dtype=np.int64)
-            if grow_tail:
-                new_positions = [
-                    *self.positions[:-1],
-                    np.concatenate([self.positions[-1], appended]),
-                ]
-            else:
-                new_positions = [*self.positions, appended]
-        return FragmentedBAT(
-            new_fragments, new_positions, policy=self.policy, name=self.name
-        )
-
-    def _dense_seqbase(self) -> int:
-        """Seqbase of a logically dense oid head carried as materialized
-        fragment heads (round-robin layout); raises when the head is not
-        recoverably dense."""
-        if self.htype != "oid":
-            raise KernelError(
-                "append(tails=...) needs a dense oid head; pass explicit pairs"
-            )
-        for index, fragment in enumerate(self.fragments):
-            if len(fragment) == 0:
-                continue
-            heads = fragment.head.materialize()
-            positions = self.global_positions(index)
-            seqbase = int(heads[0]) - int(positions[0])
-            if not np.array_equal(heads, seqbase + positions):
-                break
-            return seqbase
-        raise KernelError(
-            "append(tails=...) needs a dense oid head; pass explicit pairs"
-        )
+        return FragmentedBAT(new_fragments, policy=self.policy, name=self.name)
 
     # ------------------------------------------------------------------
     # Copy-on-write delete / update: tombstone and patch delta kinds
@@ -849,11 +801,10 @@ class FragmentedBAT:
         tombstone bitmap to consult on the read path.
 
         Logically dense oid heads are *re-densified* across the whole
-        BAT so Moa's positional-fetchjoin discipline survives: range
-        layouts shift each untouched fragment's void seqbase (O(1) per
-        fragment), round-robin layouts renumber the surviving global
-        positions through one searchsorted shift.  Heads that carry
-        data (non-dense) are left untouched.  Fragments emptied by the
+        BAT so Moa's positional-fetchjoin discipline survives: each
+        untouched fragment's void seqbase shifts by the tombstones
+        before it (O(1) per fragment).  Heads that carry data
+        (non-dense) are left untouched.  Fragments emptied by the
         delete are dropped, so operators never dispatch on
         tombstone-only fragments; :func:`fold_tail` later compacts runs
         of starved survivors back to policy size.
@@ -861,14 +812,7 @@ class FragmentedBAT:
         deleted = _normalize_positions(positions, len(self))
         if len(deleted) == 0:
             return self
-        if self.positions is None:
-            return self._delete_range(deleted)
-        return self._delete_roundrobin(deleted)
-
-    def _delete_range(self, deleted: np.ndarray) -> "FragmentedBAT":
-        offsets = [0]
-        for frag in self.fragments:
-            offsets.append(offsets[-1] + len(frag))
+        offsets = self.fragment_offsets()
         dense_heads = all(f.head.is_void for f in self.fragments)
         out: List[BAT] = []
         for index, frag in enumerate(self.fragments):
@@ -898,95 +842,35 @@ class FragmentedBAT:
                     np.empty(0, dtype=np.int64)
                 )
             ]
-        return FragmentedBAT(out, None, policy=self.policy, name=self.name)
-
-    def _delete_roundrobin(self, deleted: np.ndarray) -> "FragmentedBAT":
-        try:
-            seqbase: Optional[int] = self._dense_seqbase()
-        except KernelError:
-            seqbase = None
-        out_frags: List[BAT] = []
-        out_pos: List[np.ndarray] = []
-        for index, frag in enumerate(self.fragments):
-            pos = self.positions[index]
-            idx = np.searchsorted(deleted, pos)
-            hit = np.zeros(len(pos), dtype=bool)
-            in_range = idx < len(deleted)
-            hit[in_range] = deleted[idx[in_range]] == pos[in_range]
-            keep = np.nonzero(~hit)[0]
-            if len(keep) == 0:
-                continue
-            new_pos = pos[keep] - np.searchsorted(deleted, pos[keep])
-            survivor = frag if len(keep) == len(pos) else frag.take_positions(keep)
-            if seqbase is not None:
-                # Re-densify: heads are seqbase + global position by
-                # contract, and the surviving positions just shifted.
-                survivor = BAT(
-                    Column(atom("oid"), seqbase + new_pos),
-                    survivor.tail,
-                    hsorted=True,  # positions arrays are sorted unique
-                    hkey=True,
-                    tsorted=survivor.tsorted,
-                    tkey=survivor.tkey,
-                )
-            out_frags.append(survivor)
-            out_pos.append(new_pos)
-        if not out_frags:
-            out_frags = [
-                self.fragments[0].take_positions(np.empty(0, dtype=np.int64))
-            ]
-            out_pos = [np.empty(0, dtype=np.int64)]
-        return FragmentedBAT(
-            out_frags, out_pos, policy=self.policy, name=self.name
-        )
+        return FragmentedBAT(out, policy=self.policy, name=self.name)
 
     def update(self, positions, values) -> "FragmentedBAT":
         """A new FragmentedBAT with the tail values at the given
         *global* positions replaced -- the patch delta kind.
 
-        Copy-on-write at fragment granularity: untouched fragments
-        (heads, tails, positions) are shared by reference; each touched
-        fragment patches its tail through
-        :meth:`repro.monet.bat.BAT.update_positions` (O(changed) flag
-        maintenance; ``tkey`` conservatively cleared, ``tsorted``
-        rechecked only on the patched pairs).  Heads and global
-        positions never change, so the fragmentation -- and any
-        same-fragmentation alignment with sibling BATs -- survives.
+        Copy-on-write at fragment granularity: untouched fragments are
+        shared by reference; each touched fragment patches its tail
+        through :meth:`repro.monet.bat.BAT.update_positions`
+        (O(changed) flag maintenance; ``tkey`` conservatively cleared,
+        ``tsorted`` rechecked only on the patched pairs).  Heads and
+        fragment boundaries never change, so the fragmentation -- and
+        any same-fragmentation alignment with sibling BATs -- survives.
         Duplicate positions resolve last-wins.
         """
         final_pos, final_vals = _aligned_updates(positions, values, len(self))
         if len(final_pos) == 0:
             return self
-        if self.positions is None:
-            offsets = [0]
-            for frag in self.fragments:
-                offsets.append(offsets[-1] + len(frag))
-            out: List[BAT] = []
-            for index, frag in enumerate(self.fragments):
-                lo = int(np.searchsorted(final_pos, offsets[index]))
-                hi = int(np.searchsorted(final_pos, offsets[index + 1]))
-                if lo == hi:
-                    out.append(frag)
-                    continue
-                local = final_pos[lo:hi] - offsets[index]
-                out.append(frag.update_positions(local, final_vals[lo:hi]))
-            return FragmentedBAT(out, None, policy=self.policy, name=self.name)
-        out_frags: List[BAT] = []
+        offsets = self.fragment_offsets()
+        out: List[BAT] = []
         for index, frag in enumerate(self.fragments):
-            pos = self.positions[index]
-            idx = np.searchsorted(final_pos, pos)
-            hit = np.zeros(len(pos), dtype=bool)
-            in_range = idx < len(final_pos)
-            hit[in_range] = final_pos[idx[in_range]] == pos[in_range]
-            rows = np.nonzero(hit)[0]
-            if len(rows) == 0:
-                out_frags.append(frag)
+            lo = int(np.searchsorted(final_pos, offsets[index]))
+            hi = int(np.searchsorted(final_pos, offsets[index + 1]))
+            if lo == hi:
+                out.append(frag)
                 continue
-            vals = [final_vals[i] for i in idx[rows]]
-            out_frags.append(frag.update_positions(rows, vals))
-        return FragmentedBAT(
-            out_frags, self.positions, policy=self.policy, name=self.name
-        )
+            local = final_pos[lo:hi] - offsets[index]
+            out.append(frag.update_positions(local, final_vals[lo:hi]))
+        return FragmentedBAT(out, policy=self.policy, name=self.name)
 
     def items(self):
         return self.to_bat().items()
@@ -1003,7 +887,7 @@ def _aligned_updates(
 ) -> Tuple[np.ndarray, List[Any]]:
     """Normalize an update batch: positions validated against *count*,
     values aligned, duplicates resolved last-wins, result sorted by
-    position (the shape both layouts' searchsorted mapping needs)."""
+    position (the shape the per-fragment searchsorted mapping needs)."""
     arr = _normalize_positions(positions, count, unique=False)
     value_list = list(values)
     if len(value_list) != len(arr):
@@ -1052,8 +936,8 @@ def _concat_columns(
         out = np.concatenate(arrays) if arrays else atom_type.make_array([])
     if order is not None:
         out = out[order]
-        # A position-merge can land back on a dense sequence; detect it
-        # so voidness survives a round-robin round-trip.
+        # A gather can land back on a dense sequence (a sort that
+        # restores oid order); detect it so voidness survives.
         if (
             atom_type.name == "oid"
             and out.dtype == np.dtype(np.int64)
@@ -1063,13 +947,16 @@ def _concat_columns(
     return Column(atom_type, out)
 
 
-def _concat_flags(frags: Sequence[BAT], ordered: bool) -> dict:
-    """Conservative property flags for a fragment concatenation."""
-    if not ordered:
-        # Position-merged rows: nothing is guaranteed (voidness is
-        # re-detected in _concat_columns and re-asserts its own flags).
-        return dict(hsorted=False, tsorted=False, hkey=False, tkey=False)
-    return dict(
+def _concat_fragments(frags: Sequence[BAT], name: Optional[str] = None) -> BAT:
+    """One BAT holding the BUNs of *frags* in order, with conservative
+    property flags: the whole-BAT coalesce and the bounded local merge
+    of a starved run are the same concatenation."""
+    head = _concat_columns([f.head for f in frags], frags[0].head.atom_type, None)
+    tail = _concat_columns([f.tail for f in frags], frags[0].tail.atom_type, None)
+    return BAT(
+        head,
+        tail,
+        name=name,
         hsorted=all(f.hsorted for f in frags)
         and _boundaries_nondecreasing(frags, head=True),
         tsorted=all(f.tsorted for f in frags)
@@ -1107,25 +994,17 @@ def _boundaries_nondecreasing(frags: Sequence[BAT], *, head: bool) -> bool:
 
 
 def fragment_bat(bat: BAT, policy: Optional[FragmentationPolicy] = None) -> FragmentedBAT:
-    """Split *bat* horizontally according to *policy*."""
+    """Split *bat* into contiguous BUN ranges of at most
+    ``policy.target_size`` BUNs (zero-copy views)."""
     policy = policy or _default_policy()
     n = len(bat)
     if n <= policy.target_size:
         return FragmentedBAT([bat], policy=policy, name=bat.name)
-    if policy.strategy == "range":
-        fragments = [
-            _slice_view(bat, start, min(n, start + policy.target_size))
-            for start in range(0, n, policy.target_size)
-        ]
-        return FragmentedBAT(fragments, policy=policy, name=bat.name)
-    nfrag = -(-n // policy.target_size)  # ceil division
-    fragments = []
-    positions = []
-    for k in range(nfrag):
-        pos = np.arange(k, n, nfrag, dtype=np.int64)
-        fragments.append(bat.take_positions(pos))
-        positions.append(pos)
-    return FragmentedBAT(fragments, positions, policy=policy, name=bat.name)
+    fragments = [
+        _slice_view(bat, start, min(n, start + policy.target_size))
+        for start in range(0, n, policy.target_size)
+    ]
+    return FragmentedBAT(fragments, policy=policy, name=bat.name)
 
 
 def _slice_view(bat: BAT, start: int, stop: int) -> BAT:
@@ -1162,18 +1041,12 @@ def _subset_op(
     """Generic row-subset operator: evaluate a predicate mask per
     fragment in parallel and keep the qualifying BUNs."""
 
-    def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, Optional[np.ndarray]]:
-        index, frag = indexed
-        keep = np.nonzero(mask_fn(frag))[0]
-        out = frag.take_positions(keep)
-        if fb.positions is None:
-            return out, None
-        return out, fb.positions[index][keep]
+    def one(frag: BAT) -> BAT:
+        return frag.take_positions(np.nonzero(mask_fn(frag))[0])
 
-    results = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    fragments = [r[0] for r in results]
-    positions = None if fb.positions is None else [r[1] for r in results]
-    return FragmentedBAT(fragments, positions, policy=fb.policy)
+    return FragmentedBAT(
+        map_fragments(one, fb.fragments, workers), policy=fb.policy
+    )
 
 
 def _offload_subset(
@@ -1202,15 +1075,8 @@ def _offload_subset(
     )
     if keeps is None:
         return None
-    fragments: List[BAT] = []
-    positions: List[np.ndarray] = []
-    for index, (frag, keep) in enumerate(zip(fb.fragments, keeps)):
-        fragments.append(frag.take_positions(keep))
-        if fb.positions is not None:
-            positions.append(fb.positions[index][keep])
     return FragmentedBAT(
-        fragments,
-        positions if fb.positions is not None else None,
+        [frag.take_positions(keep) for frag, keep in zip(fb.fragments, keeps)],
         policy=fb.policy,
     )
 
@@ -1321,12 +1187,10 @@ def _probe_dtype(fb: FragmentedBAT) -> bool:
 
 def _dense_window_starts(right: FragmentedBAT) -> Optional[List[int]]:
     """Per-fragment seqbase starts (plus the global end) of a
-    range-partitioned fragmented right operand whose void heads form
-    one contiguous ascending sequence -- exactly the case where its
-    coalesced head would fuse back into a single void column -- or
-    ``None`` when seqbase routing does not apply."""
-    if right.positions is not None:
-        return None
+    fragmented right operand whose void heads form one contiguous
+    ascending sequence -- exactly the case where its coalesced head
+    would fuse back into a single void column -- or ``None`` when
+    seqbase routing does not apply."""
     starts: List[int] = []
     expected: Optional[int] = None
     for frag in right.fragments:
@@ -1348,36 +1212,32 @@ def fetchjoin(
     workers: Optional[int] = None,
 ) -> FragmentedBAT:
     """Fragment-parallel positional join against a shared void-headed
-    right operand.  A range-partitioned fragmented dense right stays
-    fragmented: seqbase arithmetic routes every probe to its owning
-    right fragment, so neither side coalesces."""
+    right operand.  A fragmented dense right stays fragmented: seqbase
+    arithmetic routes every probe to its owning right fragment, so
+    neither side coalesces."""
     if isinstance(right, FragmentedBAT):
         starts = _dense_window_starts(right)
         if starts is not None:
             return _fetchjoin_fragmented(fb, right, starts, workers)
-        # Round-robin or non-contiguous rights coalesce (and may then
-        # legitimately fail the voidness check below), as before.
+        # Non-contiguous rights coalesce (and may then legitimately
+        # fail the voidness check below).
         right = right.to_bat()
     if not right.hdense:
         raise KernelError("fetchjoin requires a void-headed right operand")
     workers = _resolve_workers(fb, workers)
 
-    def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, Optional[np.ndarray]]:
-        index, frag = indexed
+    def one(frag: BAT) -> BAT:
         tails = frag.tail_values()
         targets = tails - right.head.seqbase
         valid = (targets >= 0) & (targets < len(right))
         keep = np.nonzero(valid)[0]
         head = frag.head.take(keep)
         tail = right.tail.take(targets[keep])
-        out = BAT(head, tail, hkey=frag.hkey)
-        if fb.positions is None:
-            return out, None
-        return out, fb.positions[index][keep]
+        return BAT(head, tail, hkey=frag.hkey)
 
-    results = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    positions = None if fb.positions is None else [r[1] for r in results]
-    return FragmentedBAT([r[0] for r in results], positions, policy=fb.policy)
+    return FragmentedBAT(
+        map_fragments(one, fb.fragments, workers), policy=fb.policy
+    )
 
 
 def _fetchjoin_fragmented(
@@ -1396,8 +1256,7 @@ def _fetchjoin_fragmented(
     tail_values = [frag.tail_values() for frag in right.fragments]
     tail_atom = right.ttype
 
-    def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, Optional[np.ndarray]]:
-        index, frag = indexed
+    def one(frag: BAT) -> BAT:
         probes = frag.tail_values()
         valid = (probes >= offsets[0]) & (probes < offsets[-1])
         keep = np.nonzero(valid)[0]
@@ -1422,14 +1281,11 @@ def _fetchjoin_fragmented(
                 if tails_object
                 else tail_values[0][:0]
             )
-        out = BAT(frag.head.take(keep), Column(tail_atom, values), hkey=frag.hkey)
-        if fb.positions is None:
-            return out, None
-        return out, fb.positions[index][keep]
+        return BAT(frag.head.take(keep), Column(tail_atom, values), hkey=frag.hkey)
 
-    results = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    positions = None if fb.positions is None else [r[1] for r in results]
-    return FragmentedBAT([r[0] for r in results], positions, policy=fb.policy)
+    return FragmentedBAT(
+        map_fragments(one, fb.fragments, workers), policy=fb.policy
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1443,9 +1299,11 @@ def _fetchjoin_fragmented(
 # process backend); every probe fragment probes partition-locally; and
 # a build side past JOIN_SPILL_BUNS spills its partitions through the
 # BBP scratch directory as npz units and is processed one partition at
-# a time, capping the resident build state.  A key lives in exactly one
-# partition, so a stable per-fragment sort on probe position
-# reassembles the exact monolithic kernel.join order.
+# a time, capping the resident build state.  Build fragments arrive in
+# BUN order, so every partition indexes its rows in BUN order like the
+# monolithic kernel; a key lives in exactly one partition, so a stable
+# per-fragment sort on probe position reassembles the exact monolithic
+# kernel.join order.
 # ----------------------------------------------------------------------
 
 
@@ -1470,18 +1328,6 @@ def _join_fanout(build_n: int) -> int:
     builds never shatter, capped at the live :data:`JOIN_FANOUT`."""
     by_floor = -(-build_n // max(1, JOIN_PARTITION_MIN_BUNS))
     return max(1, min(JOIN_FANOUT, by_floor))
-
-
-def _build_side(
-    right: Union[BAT, FragmentedBAT],
-) -> Tuple[List[BAT], List[np.ndarray]]:
-    """The build side as (fragments, per-fragment global BUN
-    positions), monolithic rights being one fragment of themselves."""
-    if isinstance(right, FragmentedBAT):
-        return list(right.fragments), [
-            right.global_positions(index) for index in range(right.nfragments)
-        ]
-    return [right], [np.arange(len(right), dtype=np.int64)]
 
 
 def _join_partition_lists(
@@ -1514,24 +1360,17 @@ def _join_partition_lists(
 
 def _assemble_join_partition(
     key_chunks: List[np.ndarray],
-    gpos_chunks: List[np.ndarray],
     tail_chunks: List[np.ndarray],
     keys_object: bool,
     tails_object: bool,
 ):
-    """One resident build partition: rows restored to global BUN order
-    (round-robin fragments arrive permuted; the probe output must match
-    the monolithic kernel, which builds in BUN order), then indexed via
-    the shared match-index machinery.  ``None`` for an empty partition."""
+    """One resident build partition, its per-fragment chunks
+    concatenated in fragment (= BUN) order and indexed via the shared
+    match-index machinery.  ``None`` for an empty partition."""
     if not key_chunks:
         return None
     keys = _concat_raw(key_chunks, keys_object)
-    gpos = np.concatenate(gpos_chunks)
     tails = _concat_raw(tail_chunks, tails_object)
-    if len(gpos) > 1 and not bool(np.all(np.diff(gpos) >= 0)):
-        order = np.argsort(gpos, kind="stable")
-        keys = keys[order]
-        tails = tails[order]
     return _kernel.build_match_index(keys, keys_object), tails
 
 
@@ -1547,7 +1386,7 @@ def _grace_matches(
     BUN, matches in ascending build BUN order)."""
     keyspace = _kernel.set_keyspace(fb.fragments[0].tail, _head_columns(right)[0])
     object_dtype = keyspace == "object"
-    build_frags, build_gpos = _build_side(right)
+    build_frags = right.fragments if isinstance(right, FragmentedBAT) else [right]
     tails_object = _kernel._is_object_column(build_frags[0].tail)
     build_n = sum(len(frag) for frag in build_frags)
     fanout = _join_fanout(build_n)
@@ -1575,7 +1414,6 @@ def _grace_matches(
         matches = _grace_matches_spilled(
             fb,
             build_frags,
-            build_gpos,
             keyspace,
             fanout,
             probe_parts,
@@ -1592,17 +1430,14 @@ def _grace_matches(
         )
 
         def one_partition(partition: int):
-            key_chunks, gpos_chunks, tail_chunks = [], [], []
-            for keys, gpos, tails, parts in zip(
-                build_keys, build_gpos, build_tails, build_parts
-            ):
+            key_chunks, tail_chunks = [], []
+            for keys, tails, parts in zip(build_keys, build_tails, build_parts):
                 sel = parts[partition]
                 if len(sel):
                     key_chunks.append(keys[sel])
-                    gpos_chunks.append(gpos[sel])
                     tail_chunks.append(tails[sel])
             return _assemble_join_partition(
-                key_chunks, gpos_chunks, tail_chunks, object_dtype, tails_object
+                key_chunks, tail_chunks, object_dtype, tails_object
             )
 
         partitions = map_fragments(one_partition, list(range(fanout)), workers)
@@ -1641,7 +1476,6 @@ def _grace_matches(
 def _grace_matches_spilled(
     fb: FragmentedBAT,
     build_frags: List[BAT],
-    build_gpos: List[np.ndarray],
     keyspace: str,
     fanout: int,
     probe_parts,
@@ -1662,7 +1496,7 @@ def _grace_matches_spilled(
     )
     units: List[List] = [[] for _ in range(fanout)]
     try:
-        for frag, gpos in zip(build_frags, build_gpos):
+        for frag in build_frags:
             keys, valid = _kernel.join_keys(frag.head, keyspace)
             positions = np.nonzero(valid)[0]
             ids = _kernel.join_partition_ids(keys, fanout, object_dtype)[positions]
@@ -1674,7 +1508,6 @@ def _grace_matches_spilled(
                 path = _bbp.write_spill_unit(
                     _bbp.new_spill_tag(f"join-p{partition:03d}"),
                     keys=keys[sel],
-                    gpos=gpos[sel],
                     tails=tails[sel],
                 )
                 units[partition].append(path)
@@ -1686,16 +1519,15 @@ def _grace_matches_spilled(
         for partition in range(fanout):
             if not units[partition]:
                 continue
-            key_chunks, gpos_chunks, tail_chunks = [], [], []
+            key_chunks, tail_chunks = [], []
             for path in units[partition]:
                 data = _bbp.read_spill_unit(path)
                 key_chunks.append(data["keys"])
-                gpos_chunks.append(data["gpos"])
                 tail_chunks.append(data["tails"])
             part = _assemble_join_partition(
-                key_chunks, gpos_chunks, tail_chunks, object_dtype, tails_object
+                key_chunks, tail_chunks, object_dtype, tails_object
             )
-            del key_chunks, gpos_chunks, tail_chunks
+            del key_chunks, tail_chunks
             index, part_tails = part
 
             def probe_into(fragment_index: int):
@@ -1763,20 +1595,15 @@ def join(
     right_hkey = _right_hkey(right)
     tail_atom = right.ttype
 
-    results = []
-    for index, frag in enumerate(fb.fragments):
-        probe_positions, tail_values = matches[index]
-        out = BAT(
+    fragments = [
+        BAT(
             frag.head.take(probe_positions),
             Column(tail_atom, tail_values),
             hkey=frag.hkey and right_hkey,
         )
-        positions = (
-            None if fb.positions is None else fb.positions[index][probe_positions]
-        )
-        results.append((out, positions))
-    positions = None if fb.positions is None else [r[1] for r in results]
-    return FragmentedBAT([r[0] for r in results], positions, policy=fb.policy)
+        for frag, (probe_positions, tail_values) in zip(fb.fragments, matches)
+    ]
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 # ----------------------------------------------------------------------
@@ -2013,51 +1840,21 @@ def kunion(
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, right.fragments[0].head)
     members = _member_build(fb, keyspace, workers)
 
-    def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, np.ndarray]:
-        index, frag = indexed
+    def one(frag: BAT) -> BAT:
         mask = _kernel.probe_member_set(
             _kernel.member_keys(frag.head, keyspace),
             members,
             keyspace,
             nil_member=True,
         )
-        keep = np.nonzero(~mask)[0]
-        return frag.take_positions(keep), right.global_positions(index)[keep]
+        return frag.take_positions(np.nonzero(~mask)[0])
 
-    results = map_fragments(one, list(enumerate(right.fragments)), workers)
-    if sum(len(r[0]) for r in results) == 0:
+    survivors = [
+        frag for frag in map_fragments(one, right.fragments, workers) if len(frag)
+    ]
+    if not survivors:
         return fb
-    if fb.positions is None and right.positions is None:
-        fragments = fb.fragments + [r[0] for r in results if len(r[0])]
-        return FragmentedBAT(fragments, policy=fb.policy)
-    # A round-robin side is involved: result positions are the left rows
-    # at their global BUN *ranks* (0..len(left)-1), survivors at
-    # len(left) + rank among survivors (ordered by right BUN position).
-    # Ranks, not raw positions, on both sides: a *derived* subset has
-    # sparse position values that would collide with the appended block.
-    base = len(fb)
-    survivor_rpos = np.concatenate([r[1] for r in results])
-    ranks = np.empty(len(survivor_rpos), dtype=np.int64)
-    ranks[np.argsort(survivor_rpos, kind="stable")] = np.arange(
-        len(survivor_rpos), dtype=np.int64
-    )
-    fragments = list(fb.fragments)
-    if fb.positions is None:
-        positions = [fb.global_positions(i) for i in range(fb.nfragments)]
-    else:
-        left_ranks = _global_ranks(fb)
-        positions = []
-        left_at = 0
-        for fragment in fb.fragments:
-            positions.append(left_ranks[left_at: left_at + len(fragment)])
-            left_at += len(fragment)
-    at = 0
-    for frag, rpos in results:
-        if len(frag):
-            fragments.append(frag)
-            positions.append(base + ranks[at: at + len(rpos)])
-        at += len(rpos)
-    return FragmentedBAT(fragments, positions, policy=fb.policy)
+    return FragmentedBAT(fb.fragments + survivors, policy=fb.policy)
 
 
 # ----------------------------------------------------------------------
@@ -2073,117 +1870,60 @@ def mark(fb: FragmentedBAT, base: int = 0) -> FragmentedBAT:
 
 
 def _renumber_tails(fb: FragmentedBAT, base: int) -> FragmentedBAT:
-    fragments: List[BAT] = []
-    if fb.positions is None:
-        offset = base
-        for frag in fb.fragments:
-            fragments.append(
-                BAT(
-                    frag.head,
-                    VoidColumn(offset, len(frag)),
-                    hsorted=frag.hsorted,
-                    hkey=frag.hkey,
-                )
-            )
-            offset += len(frag)
-        return FragmentedBAT(fragments, policy=fb.policy)
-    # Round-robin rows: ranks of the global positions are the BUN-order
-    # indexes.  When the FragmentedBAT covers a whole input the
-    # positions are already 0..n-1; for derived subsets we rank.
-    ranks = _global_ranks(fb)
-    at = 0
-    for frag in fb.fragments:
-        tail = Column("oid", base + ranks[at: at + len(frag)])
-        fragments.append(BAT(frag.head, tail, hsorted=frag.hsorted, hkey=frag.hkey))
-        at += len(frag)
-    return FragmentedBAT(fragments, fb.positions, policy=fb.policy)
+    fragments = [
+        BAT(
+            frag.head,
+            VoidColumn(base + offset, len(frag)),
+            hsorted=frag.hsorted,
+            hkey=frag.hkey,
+        )
+        for frag, offset in zip(fb.fragments, fb.fragment_offsets())
+    ]
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def number(fb: FragmentedBAT, base: int = 0) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.number`: the head
     becomes ``base + global BUN position`` (``mark`` flipped)."""
     base = int(base)
-    fragments: List[BAT] = []
-    if fb.positions is None:
-        offset = base
-        for frag in fb.fragments:
-            fragments.append(
-                BAT(
-                    VoidColumn(offset, len(frag)),
-                    frag.tail,
-                    tsorted=frag.tsorted,
-                    tkey=frag.tkey,
-                )
-            )
-            offset += len(frag)
-        return FragmentedBAT(fragments, policy=fb.policy)
-    ranks = _global_ranks(fb)
-    at = 0
-    for frag in fb.fragments:
-        head = Column("oid", base + ranks[at: at + len(frag)])
-        fragments.append(BAT(head, frag.tail, tsorted=frag.tsorted, tkey=frag.tkey))
-        at += len(frag)
-    return FragmentedBAT(fragments, fb.positions, policy=fb.policy)
-
-
-def _global_ranks(fb: FragmentedBAT) -> np.ndarray:
-    """BUN-order ranks of all rows, concatenated in fragment order."""
-    all_positions = np.concatenate(fb.positions)
-    ranks = np.empty(len(all_positions), dtype=np.int64)
-    ranks[np.argsort(all_positions, kind="stable")] = np.arange(
-        len(all_positions), dtype=np.int64
-    )
-    return ranks
+    fragments = [
+        BAT(
+            VoidColumn(base + offset, len(frag)),
+            frag.tail,
+            tsorted=frag.tsorted,
+            tkey=frag.tkey,
+        )
+        for frag, offset in zip(fb.fragments, fb.fragment_offsets())
+    ]
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def reverse(fb: FragmentedBAT) -> FragmentedBAT:
     """Per-fragment :meth:`repro.monet.bat.BAT.reverse` (O(1) views);
     fragment boundaries are head/tail-agnostic, so no data moves."""
-    return FragmentedBAT(
-        [frag.reverse() for frag in fb.fragments], fb.positions, policy=fb.policy
-    )
+    return FragmentedBAT([frag.reverse() for frag in fb.fragments], policy=fb.policy)
 
 
 def mirror(fb: FragmentedBAT) -> FragmentedBAT:
     """Per-fragment :meth:`repro.monet.bat.BAT.mirror` (O(1) views)."""
-    return FragmentedBAT(
-        [frag.mirror() for frag in fb.fragments], fb.positions, policy=fb.policy
-    )
+    return FragmentedBAT([frag.mirror() for frag in fb.fragments], policy=fb.policy)
 
 
 def slice_(fb: FragmentedBAT, start: int, stop: int) -> FragmentedBAT:
     """Fragment-aware :func:`repro.monet.kernel.slice_bat`: the global
-    BUN window [start, stop).  Range fragments intersect the window per
-    fragment (zero-copy views); round-robin fragments keep the rows
-    whose global BUN rank falls inside the window."""
-    n = len(fb)
+    BUN window [start, stop), intersected with every fragment's range
+    (zero-copy views)."""
     start = max(0, int(start))
-    stop = min(n, int(stop))
-    if stop < start:
-        stop = start
-    if fb.positions is None:
-        fragments: List[BAT] = []
-        offset = 0
-        for frag in fb.fragments:
-            lo = max(start - offset, 0)
-            hi = min(stop - offset, len(frag))
-            if lo < hi:
-                fragments.append(_slice_view(frag, lo, hi))
-            offset += len(frag)
-        if not fragments:
-            fragments = [_slice_view(fb.fragments[0], 0, 0)]
-        return FragmentedBAT(fragments, policy=fb.policy)
-    ranks = _global_ranks(fb)
-    at = 0
-    fragments = []
-    positions: List[np.ndarray] = []
-    for index, frag in enumerate(fb.fragments):
-        fragment_ranks = ranks[at: at + len(frag)]
-        keep = np.nonzero((fragment_ranks >= start) & (fragment_ranks < stop))[0]
-        fragments.append(frag.take_positions(keep))
-        positions.append(fb.positions[index][keep])
-        at += len(frag)
-    return FragmentedBAT(fragments, positions, policy=fb.policy)
+    stop = max(start, min(len(fb), int(stop)))
+    fragments: List[BAT] = []
+    for frag, offset in zip(fb.fragments, fb.fragment_offsets()):
+        lo = max(start - offset, 0)
+        hi = min(stop - offset, len(frag))
+        if lo < hi:
+            fragments.append(_slice_view(frag, lo, hi))
+    if not fragments:
+        fragments = [_slice_view(fb.fragments[0], 0, 0)]
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def topn(
@@ -2209,15 +1949,13 @@ def topn(
         return _kernel.topn(fb.to_bat(), n, descending=descending)
     workers = _resolve_workers(fb, workers)
 
-    def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, np.ndarray]:
-        index, frag = indexed
+    def one(frag: BAT) -> BAT:
         pos = _kernel.topn_positions(frag, min(n, len(frag)), descending=descending)
-        return frag.take_positions(pos), fb.global_positions(index)[pos]
+        # Candidates back in BUN order: the final topn's tie-break is
+        # positional.
+        return frag.take_positions(np.sort(pos))
 
-    results = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    candidates = FragmentedBAT(
-        [r[0] for r in results], [r[1] for r in results], policy=fb.policy
-    ).to_bat()
+    candidates = _concat_fragments(map_fragments(one, fb.fragments, workers))
     return _kernel.topn(candidates, n, descending=descending)
 
 
@@ -2231,7 +1969,7 @@ def const(
         fb.fragments,
         workers,
     )
-    return FragmentedBAT(fragments, fb.positions, policy=fb.policy)
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def outerjoin(
@@ -2251,26 +1989,21 @@ def outerjoin(
     workers = _resolve_workers(fb, workers)
     if isinstance(right, BAT) and right.hdense:
 
-        def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, Optional[np.ndarray]]:
-            index, frag = indexed
+        def one(frag: BAT) -> BAT:
             left_positions, tail = _kernel.outerjoin_parts(frag, right)
-            out = BAT(
+            return BAT(
                 frag.head.take(left_positions), tail, hkey=frag.hkey and right.hkey
             )
-            if fb.positions is None:
-                return out, None
-            return out, fb.positions[index][left_positions]
 
-        results = map_fragments(one, list(enumerate(fb.fragments)), workers)
-        positions = None if fb.positions is None else [r[1] for r in results]
-        return FragmentedBAT([r[0] for r in results], positions, policy=fb.policy)
+        return FragmentedBAT(
+            map_fragments(one, fb.fragments, workers), policy=fb.policy
+        )
 
     matches = _grace_matches(fb, right, workers)
     right_hkey = _right_hkey(right)
     tail_atom = atom(right.ttype)
-    results = []
-    for index, frag in enumerate(fb.fragments):
-        probe_positions, tail_values = matches[index]
+    fragments = []
+    for frag, (probe_positions, tail_values) in zip(fb.fragments, matches):
         matched = np.zeros(len(frag), dtype=bool)
         matched[probe_positions] = True
         unmatched = np.nonzero(~matched)[0]
@@ -2281,22 +2014,14 @@ def outerjoin(
             combined = tail_atom.make_array([])
         else:
             combined = np.concatenate((tail_values, nil_tail))
-        left_positions = all_positions[order]
-        out = BAT(
-            frag.head.take(left_positions),
-            Column(tail_atom, combined[order]),
-            hkey=frag.hkey and right_hkey,
-        )
-        results.append(
-            (
-                out,
-                None
-                if fb.positions is None
-                else fb.positions[index][left_positions],
+        fragments.append(
+            BAT(
+                frag.head.take(all_positions[order]),
+                Column(tail_atom, combined[order]),
+                hkey=frag.hkey and right_hkey,
             )
         )
-    positions = None if fb.positions is None else [r[1] for r in results]
-    return FragmentedBAT([r[0] for r in results], positions, policy=fb.policy)
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 # ----------------------------------------------------------------------
@@ -2376,7 +2101,7 @@ def group(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
         return BAT(frag.head, Column("oid", ids), hsorted=frag.hsorted, hkey=frag.hkey)
 
     fragments = map_fragments(assign, fb.fragments, workers)
-    return FragmentedBAT(fragments, fb.positions, policy=fb.policy)
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 # ----------------------------------------------------------------------
@@ -2397,7 +2122,7 @@ def _merge_two_runs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Merge two key-sorted (keys, global positions) runs.
 
-    ``side='right'`` makes the left run win ties; since range fragments
+    ``side='right'`` makes the left run win ties; since fragments
     hold strictly increasing global position blocks, that is exactly
     the monolithic stable sort's tie-break by BUN position.
     ``searchsorted`` gallops, so merging two runs costs
@@ -2608,17 +2333,12 @@ def sort(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
     merge phase, and the plan around it stays fragment-parallel.  Equal
     heads keep global BUN order, exactly like the monolithic stable
     sort.  Already-sorted inputs (flagged or detected, fragment
-    boundaries included) return unchanged.  Round-robin inputs scatter
-    stably to BUN order first and sort the range-partitioned copy --
-    run-order merging cannot break their interleaved ties correctly;
-    object (str) heads merge via per-partition ``heapq``, parallel
-    across partitions."""
+    boundaries included) return unchanged.  Object (str) heads merge
+    via per-partition ``heapq``, parallel across partitions."""
     if len(fb) == 0:
         return fb
     if _kernel._is_object_column(fb.fragments[0].head):
         return _sort_object(fb, _resolve_workers(fb, workers))
-    if fb.positions is not None:
-        return _sort_scatter(fb, workers)
     if all(f.hsorted for f in fb.fragments) and _boundaries_nondecreasing(
         fb.fragments, head=True
     ):
@@ -2652,20 +2372,8 @@ def _nondecreasing(values: np.ndarray) -> bool:
     return bool(np.all(values[1:] >= values[:-1]))
 
 
-def _sort_scatter(fb: FragmentedBAT, workers: Optional[int]) -> FragmentedBAT:
-    """Sort a round-robin split: stably scatter the rows back into BUN
-    order (a range-partitioned copy) and sort that.  The range
-    sample-sort then breaks equal-key ties by position in the scattered
-    copy, which *is* global BUN order -- exactly the monolithic stable
-    sort -- while run-order merging over the original interleaved runs
-    could not.  Positions of derived subsets are sparse, so the scatter
-    goes through their ranks, not through the position values."""
-    bun_order = np.argsort(np.concatenate(fb.positions), kind="stable")
-    return sort(_rows_in_order(fb, bun_order), workers=workers)
-
-
 def _object_pivots(
-    runs: List[List[Tuple[bool, Any, int, int]]], partitions: int,
+    runs: List[List[Tuple[bool, Any, int]]], partitions: int,
     *, oversample: int = 4,
 ) -> List[Tuple[bool, Any]]:
     """Sampled (is-NIL, value) pivot prefixes for the object merge:
@@ -2702,30 +2410,24 @@ def _sort_object(fb: FragmentedBAT, workers: Optional[int]) -> FragmentedBAT:
     sampled pivots, every partition ``heapq``-merged in its own worker.
     The (is-NIL, value, global position) entry key reproduces the
     monolithic object sort exactly -- NILs last, ties in BUN order --
-    and because the global position is *inside* the comparison key, the
-    per-partition merges are order-correct for interleaved (round-robin)
-    runs too."""
+    and the global position doubles as the gather index into the
+    fragment concatenation."""
     import bisect
 
-    offsets = np.concatenate(([0], np.cumsum(fb.fragment_sizes())))
-
-    def one(indexed: Tuple[int, BAT]) -> List[Tuple[bool, Any, int, int]]:
-        index, frag = indexed
-        gpos = fb.global_positions(index)
-        base = int(offsets[index])
+    def one(pair: Tuple[int, BAT]) -> List[Tuple[bool, Any, int]]:
+        offset, frag = pair
         return sorted(
-            (value is None, "" if value is None else value, int(position),
-             base + local)
-            for local, (value, position) in enumerate(
-                zip(frag.head_values().tolist(), gpos.tolist())
-            )
+            (value is None, "" if value is None else value, position)
+            for position, value in enumerate(frag.head_values().tolist(), offset)
         )
 
-    runs = map_fragments(one, list(enumerate(fb.fragments)), workers)
+    runs = map_fragments(
+        one, list(zip(fb.fragment_offsets(), fb.fragments)), workers
+    )
     pivots = _object_pivots(runs, _merge_partition_count(len(fb), fb.policy))
     if not pivots:
         gather = np.fromiter(
-            (entry[3] for entry in heapq.merge(*runs)), dtype=np.int64,
+            (entry[2] for entry in heapq.merge(*runs)), dtype=np.int64,
             count=len(fb),
         )
         return _rows_in_order(fb, gather, hsorted=True)
@@ -2740,7 +2442,7 @@ def _sort_object(fb: FragmentedBAT, workers: Optional[int]) -> FragmentedBAT:
             for r, run in enumerate(runs)
         ]
         return np.fromiter(
-            (entry[3] for entry in heapq.merge(*slices)), dtype=np.int64
+            (entry[2] for entry in heapq.merge(*slices)), dtype=np.int64
         )
 
     gathers = map_fragments(build, list(range(len(pivots) + 1)), workers)
@@ -2772,7 +2474,7 @@ def kunique(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBA
             tkey=f.tkey)
         for f in result.fragments
     ]
-    return FragmentedBAT(fragments, result.positions, policy=fb.policy)
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def tunique(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
@@ -2854,33 +2556,16 @@ def _keep_positions(
 ) -> FragmentedBAT:
     """Filter *fb* to the rows whose global BUN positions are in the
     sorted *keep* array, fragment-parallel and shape-preserving."""
-    if fb.positions is None:
-        offsets = np.concatenate(([0], np.cumsum(fb.fragment_sizes())))
+    offsets = fb.fragment_offsets()
 
-        def one(indexed: Tuple[int, BAT]) -> BAT:
-            index, frag = indexed
-            lo = np.searchsorted(keep, offsets[index], side="left")
-            hi = np.searchsorted(keep, offsets[index + 1], side="left")
-            return frag.take_positions(keep[lo:hi] - offsets[index])
-
-        fragments = map_fragments(one, list(enumerate(fb.fragments)), workers)
-        return FragmentedBAT(fragments, policy=fb.policy)
-
-    def one(indexed: Tuple[int, BAT]) -> Tuple[BAT, np.ndarray]:
+    def one(indexed: Tuple[int, BAT]) -> BAT:
         index, frag = indexed
-        mine = fb.positions[index]
-        found = np.searchsorted(keep, mine, side="left")
-        hits = np.nonzero(found < len(keep))[0]
-        member = np.zeros(len(mine), dtype=bool)
-        if len(hits):
-            member[hits] = keep[found[hits]] == mine[hits]
-        local = np.nonzero(member)[0]
-        return frag.take_positions(local), mine[local]
+        lo = np.searchsorted(keep, offsets[index], side="left")
+        hi = np.searchsorted(keep, offsets[index + 1], side="left")
+        return frag.take_positions(keep[lo:hi] - offsets[index])
 
-    results = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    return FragmentedBAT(
-        [r[0] for r in results], [r[1] for r in results], policy=fb.policy
-    )
+    fragments = map_fragments(one, list(enumerate(fb.fragments)), workers)
+    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def refine(
@@ -2892,16 +2577,13 @@ def refine(
     """Fragment-parallel :func:`repro.monet.groups.refine`: the same
     two parallel passes around a tiny serial merge as :func:`group`,
     over (old group id, value) pairs.  A monolithic *bat* operand is
-    window-sliced to the grouping's fragments (range splits); anything
-    misaligned falls back to the monolithic refine over coalesced
-    views."""
+    window-sliced to the grouping's fragments; anything misaligned
+    falls back to the monolithic refine over coalesced views."""
     from repro.monet import groups as _groups
 
     if isinstance(bat, BAT):
-        if grouping.positions is None and len(bat) == len(grouping):
-            offsets = [0]
-            for size in grouping.fragment_sizes():
-                offsets.append(offsets[-1] + size)
+        if len(bat) == len(grouping):
+            offsets = grouping.fragment_offsets()
             bat = FragmentedBAT(
                 [
                     _slice_view(bat, offsets[k], offsets[k + 1])
@@ -2989,7 +2671,7 @@ def refine(
     fragments = map_fragments(
         assign, list(zip(grouping.fragments, per_fragment)), workers
     )
-    return FragmentedBAT(fragments, grouping.positions, policy=grouping.policy)
+    return FragmentedBAT(fragments, policy=grouping.policy)
 
 
 # ----------------------------------------------------------------------
@@ -3001,15 +2683,7 @@ def same_fragmentation(a: FragmentedBAT, b: FragmentedBAT) -> bool:
     """True when *a* and *b* cover the same BUNs with identical
     fragment boundaries (the precondition for per-fragment positional
     alignment)."""
-    if a.fragment_sizes() != b.fragment_sizes():
-        return False
-    if (a.positions is None) != (b.positions is None):
-        return False
-    if a.positions is not None:
-        return all(
-            np.array_equal(pa, pb) for pa, pb in zip(a.positions, b.positions)
-        )
-    return True
+    return a.fragment_offsets() == b.fragment_offsets()
 
 
 def coalesce(value: Any) -> Any:
@@ -3022,8 +2696,8 @@ def multiplex(op: str, *operands: Any, workers: Optional[int] = None):
 
     Runs per fragment when every FragmentedBAT operand shares one
     fragmentation; monolithic BAT operands are positionally sliced to
-    the fragment windows (range splits only).  Any misalignment falls
-    back to the monolithic multiplex over coalesced operands."""
+    the fragment windows.  Any misalignment falls back to the
+    monolithic multiplex over coalesced operands."""
     from repro.monet.multiplex import multiplex as monolithic_multiplex
 
     fbs = [x for x in operands if isinstance(x, FragmentedBAT)]
@@ -3033,18 +2707,14 @@ def multiplex(op: str, *operands: Any, workers: Optional[int] = None):
     aligned = all(same_fragmentation(ref, fb) for fb in fbs[1:])
     plain_bats = [x for x in operands if isinstance(x, BAT)]
     # Monolithic operands are positionally window-sliced, which is only
-    # meaningful for range splits and equal lengths; anything else
-    # coalesces so the monolithic multiplex applies its own alignment
-    # guards (length/seqbase mismatches must keep raising).
-    sliceable = ref.positions is None and all(
-        len(x) == len(ref) for x in plain_bats
-    )
-    if not aligned or (plain_bats and not sliceable):
+    # meaningful for equal lengths; anything else coalesces so the
+    # monolithic multiplex applies its own alignment guards
+    # (length/seqbase mismatches must keep raising).
+    sliceable = all(len(x) == len(ref) for x in plain_bats)
+    if not aligned or not sliceable:
         return monolithic_multiplex(op, *(coalesce(x) for x in operands))
     workers = _resolve_workers(ref, workers)
-    offsets = [0]
-    for size in ref.fragment_sizes():
-        offsets.append(offsets[-1] + size)
+    offsets = ref.fragment_offsets()
 
     def one(k: int) -> BAT:
         frag_operands = []
@@ -3058,7 +2728,7 @@ def multiplex(op: str, *operands: Any, workers: Optional[int] = None):
         return monolithic_multiplex(op, *frag_operands)
 
     fragments = map_fragments(one, list(range(ref.nfragments)), workers)
-    return FragmentedBAT(fragments, ref.positions, policy=ref.policy)
+    return FragmentedBAT(fragments, policy=ref.policy)
 
 
 # ----------------------------------------------------------------------
@@ -3088,7 +2758,7 @@ def fold_tail(
       Compaction is opt-in because plan intermediates routinely carry
       small fragments (every selection shrinks them) and must not pay
       a copy per operator; only the merge daemon's registered-BAT pass
-      (:func:`rebalance`) asks for it.
+      (``refragment(..., compact=True)``) asks for it.
 
     This is the cheap half of reorganization: the merge daemon runs it
     continuously so deltas of both kinds fold back to the policy size
@@ -3100,142 +2770,44 @@ def fold_tail(
     starved = compact and len(sizes) > 1 and min(sizes) * 2 < target
     if not oversized and not starved:
         return fb
-    out_fragments: List[BAT] = []
-    out_positions: List[np.ndarray] = []
-    for index, fragment in enumerate(fb.fragments):
+    out: List[BAT] = []
+    for fragment in fb.fragments:
         if len(fragment) <= 2 * target:
-            out_fragments.append(fragment)
-            if fb.positions is not None:
-                out_positions.append(fb.positions[index])
+            out.append(fragment)
             continue
         for start in range(0, len(fragment), target):
-            stop = min(start + target, len(fragment))
-            out_fragments.append(_slice_view(fragment, start, stop))
-            if fb.positions is not None:
-                out_positions.append(fb.positions[index][start:stop])
+            out.append(
+                _slice_view(fragment, start, min(start + target, len(fragment)))
+            )
     if starved:
-        out_fragments, out_positions = _compact_starved(
-            out_fragments,
-            out_positions if fb.positions is not None else None,
-            target,
-        )
-    return FragmentedBAT(
-        out_fragments,
-        out_positions if fb.positions is not None else None,
-        policy=policy,
-        name=fb.name,
-    )
+        out = _compact_starved(out, target)
+    return FragmentedBAT(out, policy=policy, name=fb.name)
 
 
-def _compact_starved(
-    fragments: List[BAT],
-    positions: Optional[List[np.ndarray]],
-    target: int,
-) -> Tuple[List[BAT], List[np.ndarray]]:
+def _compact_starved(fragments: List[BAT], target: int) -> List[BAT]:
     """Greedily merge runs of adjacent fragments whose combined size
     stays within *target*; empty fragments are dropped outright.  Each
-    merge is one bounded concatenation (round-robin runs re-sort their
-    merged positions so the sorted-positions invariant survives)."""
-    out_frags: List[BAT] = []
-    out_pos: List[np.ndarray] = []
-    group: List[BAT] = []
-    group_pos: List[np.ndarray] = []
-    group_size = 0
-
-    def flush() -> None:
-        nonlocal group, group_pos, group_size
-        if not group:
-            return
-        if len(group) == 1:
-            out_frags.append(group[0])
-            if positions is not None:
-                out_pos.append(group_pos[0])
-        else:
-            merged, merged_positions = _merge_fragment_run(
-                group, group_pos if positions is not None else None
-            )
-            out_frags.append(merged)
-            if positions is not None:
-                out_pos.append(merged_positions)
-        group, group_pos, group_size = [], [], 0
-
-    for index, fragment in enumerate(fragments):
+    merge is one bounded concatenation."""
+    runs: List[List[BAT]] = []
+    size = 0
+    for fragment in fragments:
         if len(fragment) == 0:
             continue
-        if group and group_size + len(fragment) > target:
-            flush()
-        group.append(fragment)
-        if positions is not None:
-            group_pos.append(positions[index])
-        group_size += len(fragment)
-    flush()
-    if not out_frags:
-        out_frags = [
-            fragments[0].take_positions(np.empty(0, dtype=np.int64))
-        ]
-        out_pos = [np.empty(0, dtype=np.int64)]
-    return out_frags, out_pos
-
-
-def _merge_fragment_run(
-    frags: List[BAT], poss: Optional[List[np.ndarray]]
-) -> Tuple[BAT, Optional[np.ndarray]]:
-    """Concatenate an adjacent run of fragments into one (the local
-    mirror of :meth:`FragmentedBAT._build_monolithic`, bounded by the
-    run size)."""
-    if poss is None:
-        order = None
-        merged_positions = None
-    else:
-        all_positions = np.concatenate(poss)
-        order = np.argsort(all_positions, kind="stable")
-        merged_positions = all_positions[order]
-    head = _concat_columns(
-        [f.head for f in frags], frags[0].head.atom_type, order
-    )
-    tail = _concat_columns(
-        [f.tail for f in frags], frags[0].tail.atom_type, order
-    )
-    flags = _concat_flags(frags, order is None)
-    return BAT(head, tail, **flags), merged_positions
-
-
-def rebalance(
-    fb: FragmentedBAT, policy: Optional[FragmentationPolicy] = None
-) -> FragmentedBAT:
-    """The merge daemon's reorganization pass for registered BATs:
-    fold and compact locally, then re-partition when the balance has
-    skewed beyond what local passes can repair.
-
-    ``fold_tail`` fixes oversized fragments and *adjacent* starved
-    runs, but a round-robin split whose delta tail keeps absorbing
-    appends drifts into a persistent skew it cannot see: every
-    fragment stays under twice the target and no starved run is
-    adjacent, yet one fragment holds many times the rows of another,
-    so fragment-parallel operators tail on the big one.  When the
-    max/min spread exceeds one target unit -- or the fragment count has
-    drifted past four times what the cardinality warrants -- this
-    re-splits once through :func:`fragment_bat`, the one reorganization
-    that *does* coalesce, which is why only the merge daemon calls it,
-    under the same per-name CAS swap-in as the fold."""
-    policy = policy or fb.policy
-    folded = fold_tail(fb, policy, compact=True)
-    sizes = folded.fragment_sizes()
-    n = len(folded)
-    ideal = max(1, -(-n // policy.target_size))
-    count_drift = folded.nfragments > max(4, 4 * ideal)
-    skew = (
-        folded.positions is not None
-        and len(sizes) > 1
-        and max(sizes) - min(sizes) > policy.target_size
-    )
-    if not count_drift and not skew:
-        return folded
-    return fragment_bat(folded.to_bat(), policy)
+        if not runs or size + len(fragment) > target:
+            runs.append([])
+            size = 0
+        runs[-1].append(fragment)
+        size += len(fragment)
+    if not runs:
+        return [fragments[0].take_positions(np.empty(0, dtype=np.int64))]
+    return [run[0] if len(run) == 1 else _concat_fragments(run) for run in runs]
 
 
 def refragment(
-    fb: FragmentedBAT, policy: Optional[FragmentationPolicy] = None
+    fb: FragmentedBAT,
+    policy: Optional[FragmentationPolicy] = None,
+    *,
+    compact: bool = False,
 ) -> FragmentedBAT:
     """Re-split *fb* when its fragmentation has drifted far from
     *policy* (defaults to the BAT's own policy).
@@ -3244,24 +2816,22 @@ def refragment(
     is harmless, so this only rebuilds when a fragment exceeds twice the
     target size (losing cache residency) or the fragment count exceeds
     four times what the current cardinality warrants (dispatch overhead
-    dominating).  Oversized fragments are first folded by
-    :func:`fold_tail` (slice views, no coalesce) -- the append path's
-    delta tails resolve there; only when the fragment *count* has
-    drifted does this coalesce once and re-split.  The MIL dispatch
-    layer calls this on intermediates so whole pipelines keep a healthy
-    fragmentation without per-operator tuning."""
+    dominating).  Oversized fragments -- and, with ``compact=True``,
+    runs of starved ones -- are first folded by :func:`fold_tail`
+    (slice views and bounded local concats, no coalesce); the append
+    and tombstone deltas resolve there.  Only when the fragment *count*
+    is still past its bound does this coalesce once and re-split.  The
+    MIL dispatch layer calls this on intermediates so whole pipelines
+    keep a healthy fragmentation without per-operator tuning; the merge
+    daemon calls it with ``compact=True`` on registered BATs, under a
+    per-name CAS swap-in.  An input already in shape is returned
+    itself."""
     policy = policy or fb.policy
-    n = len(fb)
-    ideal = max(1, -(-n // policy.target_size))
-    count_bound = max(4, 4 * ideal)
-    if max(fb.fragment_sizes()) > 2 * policy.target_size:
-        folded = fold_tail(fb, policy)
-        if folded.nfragments <= count_bound:
-            return folded
-        fb = folded
-    if fb.nfragments <= count_bound:
-        return fb
-    return fragment_bat(fb.to_bat(), policy)
+    ideal = max(1, -(-len(fb) // policy.target_size))
+    folded = fold_tail(fb, policy, compact=compact)
+    if folded.nfragments <= max(4, 4 * ideal):
+        return folded
+    return fragment_bat(folded.to_bat(), policy)
 
 
 # ----------------------------------------------------------------------
@@ -3325,19 +2895,11 @@ def avg(fb: FragmentedBAT, *, workers: Optional[int] = None) -> Optional[float]:
 
 
 def _check_aligned(values: FragmentedBAT, grouping: FragmentedBAT) -> None:
-    if values.fragment_sizes() != grouping.fragment_sizes():
+    if not same_fragmentation(values, grouping):
         raise KernelError(
             "fragmented pump aggregate requires identically fragmented "
             "values and grouping"
         )
-    if (values.positions is None) != (grouping.positions is None):
-        raise KernelError("fragmented pump aggregate: mismatched split strategies")
-    if values.positions is not None:
-        for a, b in zip(values.positions, grouping.positions):
-            if not np.array_equal(a, b):
-                raise KernelError(
-                    "fragmented pump aggregate: fragments cover different BUNs"
-                )
 
 
 def _global_n_groups(

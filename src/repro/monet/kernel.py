@@ -763,9 +763,9 @@ def fetchjoin(left: BAT, right: BAT) -> BAT:
 
 def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, Column]:
     """The (left BUN positions, tail column) of the left outer join in
-    output order.  Exposed separately so fragmented execution can map
-    result rows back to their left rows (for round-robin position
-    bookkeeping); :func:`outerjoin` is the plain packaging.
+    output order.  Exposed separately so fragmented execution can
+    gather each fragment's result heads from its left rows;
+    :func:`outerjoin` is the plain packaging.
 
     NIL probes (NaN/None left tails) never match and therefore survive
     with NIL tails, like any other unmatched left BUN.

@@ -6,7 +6,43 @@ import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.moa.structures.contrep import ContentRepresentation
+from repro.monet.bat import BAT
 from repro.monet.bbp import BATBufferPool
+from repro.monet.fragments import (
+    FragmentationPolicy,
+    FragmentedBAT,
+    _slice_view,
+    fragment_bat,
+)
+
+#: The layout axis of the fragment differential suites.  Both are BUN
+#: ranges in BUN order (the only layout the kernel has): ``range`` is
+#: :func:`fragment_bat`'s even split, ``ragged`` the uneven shape that
+#: selects, tombstones and delta tails really leave behind.
+STRATEGIES = ("range", "ragged")
+
+
+def fragment_layout(
+    bat: BAT, strategy: str, policy: FragmentationPolicy
+) -> FragmentedBAT:
+    """Fragment *bat* under one of :data:`STRATEGIES`.  ``ragged`` cuts
+    a 1-BUN fragment, an empty one, one of more than twice the target
+    size, then target-sized ones (all slice views, clipped to the BAT's
+    length)."""
+    if strategy == "range":
+        return fragment_bat(bat, policy)
+    assert strategy == "ragged", strategy
+    n, target = len(bat), policy.target_size
+    bounds = [0]
+    for width in (1, 0, 2 * target + 1):
+        bounds.append(min(n, bounds[-1] + width))
+    while bounds[-1] < n:
+        bounds.append(min(n, bounds[-1] + target))
+    return FragmentedBAT(
+        [_slice_view(bat, lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        policy=policy,
+        name=bat.name,
+    )
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from repro.monet.fragments import (
     fragment_bat,
     refragment,
 )
+from tests.conftest import STRATEGIES, fragment_layout
 
 
 # ----------------------------------------------------------------------
@@ -104,11 +105,11 @@ def test_bat_append_materialized_head_pairs():
 
 
 def _fragmented(values, strategy, target=4):
-    policy = FragmentationPolicy(target_size=target, strategy=strategy)
-    return fragment_bat(dense_bat("int", values), policy), policy
+    policy = FragmentationPolicy(target_size=target)
+    return fragment_layout(dense_bat("int", values), strategy, policy), policy
 
 
-@pytest.mark.parametrize("strategy", ["range", "roundrobin"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fragmented_append_shares_prefix_fragments(strategy):
     fb, _ = _fragmented(list(range(16)), strategy)
     grown = fb.append(tails=[100, 101])
@@ -121,7 +122,7 @@ def test_fragmented_append_shares_prefix_fragments(strategy):
 
 
 def test_fragmented_append_grows_tail_then_opens_delta():
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     fb = fragment_bat(dense_bat("int", list(range(6))), policy)
     sizes = fb.fragment_sizes()
     grown = fb.append(tails=[90])
@@ -135,15 +136,7 @@ def test_fragmented_append_grows_tail_then_opens_delta():
     assert grown.to_bat().tail_list() == list(range(6)) + list(range(90, 99))
 
 
-def test_fragmented_append_roundrobin_positions_stay_global():
-    fb, _ = _fragmented(list(range(9)), "roundrobin")
-    grown = fb.append(tails=[200, 201, 202])
-    coalesced = grown.to_bat()
-    assert coalesced.tail_list() == list(range(9)) + [200, 201, 202]
-    assert coalesced.head_values().tolist() == list(range(12))
-
-
-@pytest.mark.parametrize("strategy", ["range", "roundrobin"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fragmented_append_pairs(strategy):
     fb, _ = _fragmented(list(range(8)), strategy)
     grown = fb.append([(8, 50), (9, 51)])
@@ -157,7 +150,7 @@ def test_fragmented_append_pairs(strategy):
 
 
 def test_fold_tail_splits_oversized_fragments_without_coalescing():
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     fb = fragment_bat(dense_bat("int", list(range(8))), policy)
     # One bulk batch lands in a single delta far beyond the target.
     fb = fb.append(tails=list(range(100, 120)))
@@ -170,13 +163,13 @@ def test_fold_tail_splits_oversized_fragments_without_coalescing():
 
 
 def test_fold_tail_noop_when_within_bound():
-    policy = FragmentationPolicy(target_size=8, strategy="range")
+    policy = FragmentationPolicy(target_size=8)
     fb = fragment_bat(dense_bat("int", list(range(16))), policy)
     assert fold_tail(fb, policy) is fb
 
 
 def test_refragment_restores_policy_size_after_append_storm():
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     fb = fragment_bat(dense_bat("int", list(range(4))), policy)
     for start in range(0, 50, 10):
         fb = fb.append(tails=list(range(start, start + 10)))
@@ -238,7 +231,7 @@ def test_pool_snapshot_write_through():
 
 def test_pool_append_fragmented_registration():
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     pool.register_fragmented(
         "x", fragment_bat(dense_bat("int", list(range(8))), policy)
     )
@@ -254,23 +247,6 @@ def test_pool_append_advances_oid_generator():
     assert pool.new_oids(1) > 500
 
 
-def test_roundrobin_tails_append_bumps_past_synthesized_heads():
-    # Round-robin fragments carry materialized dense oid heads;
-    # append(tails=...) synthesizes head oids seqbase + total + i, and
-    # the pool's oid sequence must advance past them or new_oids() can
-    # later hand out colliding head oids.
-    pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=2, strategy="roundrobin")
-    pool.register_fragmented(
-        "x", fragment_bat(dense_bat("int", [10, 20, 30, 40]), policy)
-    )
-    pool.append("x", tails=[50, 60, 70])
-    appended = pool.lookup("x")
-    top_head = max(int(h) for h in appended.head_list())
-    assert top_head == 6  # seqbase 0, seven rows
-    assert pool.new_oids(1) > top_head
-
-
 # ----------------------------------------------------------------------
 # merge_deltas and the daemon
 # ----------------------------------------------------------------------
@@ -284,7 +260,7 @@ def _storm(pool, name, n):
 
 def test_merge_deltas_folds_oversized_tails():
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     pool.register_fragmented(
         "x", fragment_bat(dense_bat("int", list(range(4))), policy)
     )
@@ -299,7 +275,7 @@ def test_merge_deltas_folds_oversized_tails():
 
 def test_merge_daemon_runs_in_background():
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     pool.register_fragmented(
         "x", fragment_bat(dense_bat("int", list(range(4))), policy)
     )
@@ -329,7 +305,7 @@ def test_merge_daemon_does_not_clobber_concurrent_appends():
     import threading
 
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=8, strategy="range")
+    policy = FragmentationPolicy(target_size=8)
     pool.register_fragmented(
         "x", fragment_bat(dense_bat("int", list(range(8))), policy)
     )

@@ -267,20 +267,6 @@ def test_no_resource_tracker_warnings_on_clean_exit():
 # ----------------------------------------------------------------------
 
 
-def test_roundrobin_offload_preserves_positions(monkeypatch):
-    _require_process_backend()
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    bat = _str_bat(601)
-    thread_fb = fragment_bat(
-        bat, FragmentationPolicy(target_size=64, workers=2, strategy="roundrobin")
-    )
-    process_fb = fragment_bat(bat, _process_policy(strategy="roundrobin"))
-    expected = fr.likeselect(thread_fb, "an").to_bat().to_pairs()
-    got = fr.likeselect(process_fb, "an")
-    assert isinstance(got, FragmentedBAT)
-    assert got.to_bat().to_pairs() == expected
-
-
 def test_str_equality_and_range_select_offload(monkeypatch):
     _require_process_backend()
     monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)

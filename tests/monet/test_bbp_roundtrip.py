@@ -2,17 +2,22 @@
 
 Covers the property-flag and NIL corners the coarse npz layout must
 preserve exactly: ``hsorted``/``tkey``/``hdense`` flags, object (str)
-columns with NILs, and fragmented BATs under both split strategies.
+columns with NILs, fragmented BATs (even and ragged fragmentations),
+and catalogs written by builds that still had a round-robin layout.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
+from repro.monet.errors import BBPError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
+from tests.conftest import STRATEGIES, fragment_layout
 
 
 def _roundtrip(pool: BATBufferPool, tmp_path) -> BATBufferPool:
@@ -89,7 +94,7 @@ def test_register_fragmented_renames_cached_coalesce(pool):
     assert pool.lookup("named").name == "named"
 
 
-@pytest.mark.parametrize("strategy", ["range", "roundrobin"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fragmented_roundtrip(pool, tmp_path, strategy):
     rng = np.random.default_rng(11)
     n = 257
@@ -97,14 +102,13 @@ def test_fragmented_roundtrip(pool, tmp_path, strategy):
     for i in range(n):
         strs[i] = None if i % 11 == 0 else f"w{int(rng.integers(0, 40))}"
     bat = BAT(VoidColumn(2, n), Column("str", strs))
-    policy = FragmentationPolicy(target_size=50, strategy=strategy)
-    pool.register_fragmented("lib.words", fragment_bat(bat, policy))
+    policy = FragmentationPolicy(target_size=50)
+    pool.register_fragmented("lib.words", fragment_layout(bat, strategy, policy))
     pool.register("plain", dense_bat("int", [1, 2, 3]))
     loaded = _roundtrip(pool, tmp_path)
 
     assert loaded.is_fragmented("lib.words")
     fb = loaded.lookup_fragments("lib.words")
-    assert fb.policy.strategy == strategy
     assert fb.policy.target_size == 50
     assert fb.policy.workers == policy.workers
     assert fb.nfragments == pool.lookup_fragments("lib.words").nfragments
@@ -118,6 +122,122 @@ def test_fragmented_roundtrip_preserves_oid_sequence(pool, tmp_path):
     pool.register_fragmented("f", fragment_bat(bat, FragmentationPolicy(target_size=6)))
     loaded = _roundtrip(pool, tmp_path)
     assert loaded.oid_generator.current >= 120
+
+
+# ----------------------------------------------------------------------
+# Catalogs written before fragment order became BUN order
+# ----------------------------------------------------------------------
+
+
+def _write_legacy_roundrobin(directory, bat: BAT, target: int, wal=()):
+    """Hand-write the directory an earlier build's ``save`` produced for
+    a round-robin registration of *bat*: BUN ``i`` in fragment
+    ``i % nfragments``, materialized heads, and each fragment's global
+    BUN positions beside its columns -- plus WAL records on top."""
+    directory.mkdir()
+    n = len(bat)
+    nfragments = -(-n // target)
+    entry = {
+        "fragmented": True,
+        "strategy": "roundrobin",
+        "target_size": target,
+        "workers": None,
+        "fragments": [],
+    }
+    for k in range(nfragments):
+        positions = np.arange(k, n, nfragments, dtype=np.int64)
+        filename = f"bat_g0001_00000_f{k:03d}.npz"
+        np.savez(
+            directory / filename,
+            head=bat.head_values()[positions],
+            tail=bat.tail_values()[positions],
+            positions=positions,
+        )
+        entry["fragments"].append(
+            {
+                "file": filename,
+                "htype": bat.htype,
+                "ttype": bat.ttype,
+                "hsorted": True,
+                "tsorted": False,
+                "hkey": True,
+                "tkey": False,
+                "hvoid": False,
+                "tvoid": False,
+                "has_positions": True,
+            }
+        )
+    catalog = {"oid_next": n, "generation": 1, "bats": {"legacy": entry}}
+    (directory / "catalog.json").write_text(json.dumps(catalog))
+    (directory / "wal.jsonl").write_text(
+        "".join(
+            json.dumps({"name": "legacy", "generation": 1, **record}) + "\n"
+            for record in wal
+        )
+    )
+
+
+def _legacy_bat(n=23):
+    rng = np.random.default_rng(3)
+    return BAT(VoidColumn(0, n), Column("int", rng.integers(0, 99, n)))
+
+
+def test_legacy_roundrobin_catalog_loads_as_the_same_bat(tmp_path):
+    """Outside input: a round-robin catalog (per-fragment ``positions``
+    arrays) loads as the same logical BAT in BUN order, re-split by the
+    stored target size, and its WAL -- whose positions are global,
+    hence layout-agnostic -- replays on top."""
+    bat = _legacy_bat()
+    wal = [
+        {"delete": [1, 7, 22], "renumber": False},
+        {"update": [0, 5], "values": [1000, 1005]},
+        {"tails": [2000, 2001]},
+    ]
+    _write_legacy_roundrobin(tmp_path / "db", bat, 5, wal)
+    loaded = BATBufferPool.load(tmp_path / "db")
+
+    reference = BATBufferPool()
+    reference.register("legacy", bat)
+    reference.delete("legacy", wal[0]["delete"])
+    reference.update("legacy", wal[1]["update"], wal[1]["values"])
+    reference.append("legacy", tails=wal[2]["tails"])
+    assert loaded.lookup("legacy").to_pairs() == reference.lookup("legacy").to_pairs()
+    assert loaded.lookup("legacy").hdense
+    fb = loaded.lookup_fragments("legacy")
+    assert fb.policy.target_size == 5
+    assert max(fb.fragment_sizes()) <= 5 + len(wal[2]["tails"])
+
+
+def test_legacy_roundrobin_catalog_resaves_in_the_one_layout(tmp_path):
+    bat = _legacy_bat()
+    _write_legacy_roundrobin(tmp_path / "db", bat, 5)
+    loaded = BATBufferPool.load(tmp_path / "db")
+    fb = loaded.lookup_fragments("legacy")
+    assert fb.fragment_sizes() == [5, 5, 5, 5, 3]
+    assert [f.head.seqbase for f in fb.fragments] == [0, 5, 10, 15, 20]
+    loaded.save(tmp_path / "db")
+
+    catalog = json.loads((tmp_path / "db" / "catalog.json").read_text())
+    entry = catalog["bats"]["legacy"]
+    assert "strategy" not in entry
+    for sub_entry in entry["fragments"]:
+        assert "has_positions" not in sub_entry
+        with np.load(tmp_path / "db" / sub_entry["file"]) as data:
+            assert "positions" not in data.files
+    again = BATBufferPool.load(tmp_path / "db")
+    assert again.lookup("legacy").to_pairs() == bat.to_pairs()
+
+
+def test_legacy_catalog_with_mismatched_positions_is_rejected(tmp_path):
+    _write_legacy_roundrobin(tmp_path / "db", _legacy_bat(), 5)
+    np.savez(
+        tmp_path / "db" / "bat_g0001_00000_f000.npz",
+        head=np.arange(5),
+        tail=np.arange(5),
+        positions=np.arange(4),
+    )
+    with pytest.raises(BBPError):
+        BATBufferPool.load(tmp_path / "db")
 
 
 def _tuning_state(fragments):

@@ -32,7 +32,7 @@ def _seed_pool() -> BATBufferPool:
     pool = BATBufferPool()
     pool.register("a", dense_bat("int", [1, 2, 3]))
     pool.register("b", dense_bat("str", ["x", None, "y"]))
-    policy = FragmentationPolicy(target_size=2, strategy="range")
+    policy = FragmentationPolicy(target_size=2)
     pool.register_fragmented(
         "f", fragment_bat(dense_bat("int", [10, 20, 30, 40, 50]), policy)
     )

@@ -7,8 +7,9 @@ operator:
 1. the monolithic kernel matches a naive pure-Python reference
    evaluated over the *stored* column values (NIL sentinels included,
    so sentinel arithmetic is part of the contract), and
-2. fragmented execution over >= 3 fragments (both range and
-   round-robin splits) is BUN-for-BUN identical to the monolithic
+2. fragmented execution over >= 3 fragments (both the even range
+   split and a ragged one: a 1-BUN fragment, an empty one, one past
+   twice the target) is BUN-for-BUN identical to the monolithic
    kernel, and
 3. the property flags of every produced BAT are *sound* (a flag is
    only ever True when the property actually holds).
@@ -29,11 +30,12 @@ from repro.monet import aggregates as agg
 from repro.monet import fragments as fr
 from repro.monet import kernel
 from repro.monet.bat import BAT, Column, VoidColumn
+from repro.monet.errors import KernelError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
 from repro.monet.groups import group
+from tests.conftest import STRATEGIES, fragment_layout
 
 N_CASES = 60
-STRATEGIES = ("range", "roundrobin")
 BACKENDS = ("thread", "process")
 
 
@@ -102,9 +104,22 @@ def _fragment(bat: BAT, strategy: str) -> FragmentedBAT:
     differential comparison covers the parallel code path.
     """
     target = max(1, -(-len(bat) // 4))  # ceil(n/4) -> 4 fragments
-    return fragment_bat(
-        bat, FragmentationPolicy(target_size=target, strategy=strategy, workers=2)
+    return fragment_layout(
+        bat, strategy, FragmentationPolicy(target_size=target, workers=2)
     )
+
+
+def test_ragged_layout_is_uneven_and_in_bun_order():
+    """The layout axis keeps stressing what it claims to: a 1-BUN
+    fragment, an empty one and one past twice the target, all slice
+    views in BUN order."""
+    rng = np.random.default_rng(1)
+    bat = _random_nonvoid_head_bat(rng, 200)
+    fb = _fragment(bat, "ragged")
+    target = fb.policy.target_size
+    assert fb.fragment_sizes()[:3] == [1, 0, 2 * target + 1]
+    assert fb.fragments[2].tail.values.base is bat.tail.values
+    assert_pairs_equal(fb.to_bat(), _raw_pairs(bat))
 
 
 # ----------------------------------------------------------------------
@@ -542,11 +557,9 @@ def test_grouped_aggregates_differential(seed):
     }
     _assert_grouped(mono, ref_sum, ref_count, ref_max, ref_min, ref_avg)
     for strategy in STRATEGIES:
-        policy = FragmentationPolicy(
-            target_size=max(1, -(-n // 4)), strategy=strategy
-        )
-        fv = fragment_bat(values, policy)
-        fg = fragment_bat(grouping, policy)
+        policy = FragmentationPolicy(target_size=max(1, -(-n // 4)))
+        fv = fragment_layout(values, strategy, policy)
+        fg = fragment_layout(grouping, strategy, policy)
         frag = {
             "sum": fr.grouped_sum(fv, fg),
             "count": fr.grouped_count(fv, fg),
@@ -576,9 +589,9 @@ def test_nan_extremes_match_monolithic():
     keys = BAT(VoidColumn(0, 4), Column("int", np.array([0, 1, 0, 1], dtype=np.int64)))
     grouping = group(keys)
     for strategy in STRATEGIES:
-        policy = FragmentationPolicy(target_size=2, strategy=strategy, workers=2)
-        fv = fragment_bat(values, policy)
-        fg = fragment_bat(grouping, policy)
+        policy = FragmentationPolicy(target_size=2, workers=2)
+        fv = fragment_layout(values, strategy, policy)
+        fg = fragment_layout(grouping, strategy, policy)
         for mono_fn, frag_fn in (
             (agg.grouped_max, fr.grouped_max),
             (agg.grouped_min, fr.grouped_min),
@@ -826,11 +839,10 @@ def test_refine_differential(seed):
     assert mono.tail_values().tolist() == expected
 
     for strategy in STRATEGIES:
-        policy = FragmentationPolicy(
-            target_size=max(1, -(-n // 4)), strategy=strategy, workers=2
-        )
+        policy = FragmentationPolicy(target_size=max(1, -(-n // 4)), workers=2)
         fragmented = fr.refine(
-            fragment_bat(grouping, policy), fragment_bat(values, policy)
+            fragment_layout(grouping, strategy, policy),
+            fragment_layout(values, strategy, policy),
         )
         coalesced = fragmented.to_bat()
         assert coalesced.to_pairs() == mono.to_pairs()
@@ -839,10 +851,9 @@ def test_refine_differential(seed):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sort_after_subset_chain(strategy):
-    """Sorting a *derived* fragmented subset (whose round-robin
-    positions are sparse global BUN positions, not 0..n-1) must rank by
-    position, not index by it -- regression for the unique -> sort
-    chain."""
+    """Sorting a *derived* fragmented subset (uneven fragments, some
+    possibly empty) must break ties by global BUN position --
+    regression for the unique -> sort chain."""
     rng = np.random.default_rng(9)
     bat = _headed_bat(rng, "oid", 120, nils=False)
     fb = _fragment(bat, strategy)
@@ -859,12 +870,11 @@ def test_sort_output_stays_fragmented(strategy):
     plan fragment-parallel."""
     rng = np.random.default_rng(5)
     bat = _headed_bat(rng, "oid", 200, nils=False)
-    fb = fragment_bat(
-        bat, FragmentationPolicy(target_size=32, strategy=strategy, workers=2)
+    fb = fragment_layout(
+        bat, strategy, FragmentationPolicy(target_size=32, workers=2)
     )
     result = fr.sort(fb)
     assert isinstance(result, FragmentedBAT)
-    assert result.positions is None  # range-partitioned output
     assert max(result.fragment_sizes()) <= 32
     deduped = fr.unique(fb)
     assert isinstance(deduped, FragmentedBAT)
@@ -888,9 +898,8 @@ def test_fragment_roundtrip_identity(seed, strategy):
     assert len(fb) == len(bat)
     assert_pairs_equal(fb.to_bat(), _raw_pairs(bat))
     assert_flags_sound(fb.to_bat())
-    # Coalescing a range split of a void-headed BAT restores voidness.
-    if strategy == "range":
-        assert fb.to_bat().hdense == bat.hdense
+    # Coalescing a split of a void-headed BAT restores voidness.
+    assert fb.to_bat().hdense == bat.hdense
 
 
 # ----------------------------------------------------------------------
@@ -951,8 +960,8 @@ def test_set_operators_differential(seed, exec_backend):
     def variants(op):
         out = [op(fb, right) for fb in left_fbs]
         out += [op(lf, rf) for lf, rf in zip(left_fbs, right_fbs)]
-        out.append(op(left_fbs[0], right_fbs[1]))  # range left, rr right
-        out.append(op(left_fbs[1], right_fbs[0]))  # rr left, range right
+        out.append(op(left_fbs[0], right_fbs[1]))  # range left, ragged right
+        out.append(op(left_fbs[1], right_fbs[0]))  # ragged left, range right
         return out
 
     _check_op(
@@ -998,23 +1007,6 @@ def test_setops_nil_identity_rule_fragmented(strategy):
     intersection = fr.kintersect(lf, rf).to_bat()
     assert_pairs_equal(intersection, _raw_pairs(kernel.kintersect(left, right)))
     assert _raw_pairs(intersection)[1] == (2.0, 3)
-
-
-def test_kunion_derived_roundrobin_subset_positions():
-    """kunion over *derived* round-robin subsets (sparse positions):
-    survivor positions must rank, not reuse raw right positions."""
-    rng = np.random.default_rng(7)
-    left = _headed_bat(rng, "oid", 90)
-    right = _headed_bat(rng, "oid", 84)
-    lf = fr.select(_fragment(left, "roundrobin"), -3, 3)
-    rf = fr.select(_fragment(right, "roundrobin"), -3, 3)
-    mono = kernel.kunion(
-        kernel.select(left, -3, 3), kernel.select(right, -3, 3)
-    )
-    out = fr.kunion(lf, rf)
-    assert_pairs_equal(out.to_bat(), _raw_pairs(mono))
-    # ... and the result keeps working fragment-parallel downstream.
-    assert_pairs_equal(fr.sort(out).to_bat(), _raw_pairs(kernel.sort(mono)))
 
 
 # ----------------------------------------------------------------------
@@ -1107,7 +1099,6 @@ def test_sample_sort_output_feeds_fragment_parallel_ops(strategy):
     bat = _headed_bat(rng, "int", 150)
     fb = _fragment(bat, strategy)
     sorted_fb = fr.sort(fb)
-    assert sorted_fb.positions is None  # range-partitioned output
     got = fr.select(sorted_fb, -2, 4).to_bat()
     expected = kernel.select(kernel.sort(bat), -2, 4)
     assert_pairs_equal(got, _raw_pairs(expected))
@@ -1152,7 +1143,7 @@ def _join_case(rng, flavor: str, n: int, m: int):
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_join_fragmented_right_differential(seed, exec_backend):
     """The grace hash join with fragmented *right* operands: range x
-    round-robin splits of both sides, under both executor backends
+    ragged splits of both sides, under both executor backends
     (the fixture), over NIL-heavy bases -- BUN-identical to the
     monolithic kernel for join and outerjoin alike, with no coalesce
     of either operand."""
@@ -1263,17 +1254,18 @@ def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
-    """A range-partitioned fragmented dense right operand routes by
-    seqbase windows (no coalesce); a round-robin one still coalesces
-    and keeps the monolithic error behaviour."""
+    """A fragmented dense right operand routes by seqbase windows (no
+    coalesce), ragged windows (empty and 1-BUN) included; one whose
+    windows are not contiguous coalesces and keeps the monolithic
+    error behaviour."""
     rng = np.random.default_rng(55)
     n = 160
     left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, 90, n)))
     dense = BAT(VoidColumn(10, 60), Column("dbl", np.round(rng.random(60), 3)))
     expected = kernel.fetchjoin(left, dense)
     fleft = _fragment(left, strategy)
-    fdense = fragment_bat(
-        dense, FragmentationPolicy(target_size=16, workers=2)
+    fdense = fragment_layout(
+        dense, strategy, FragmentationPolicy(target_size=16, workers=2)
     )
     # FragmentedBAT uses __slots__, so the no-coalesce tripwire patches
     # the class; undo before coalescing the *results* for comparison.
@@ -1286,10 +1278,7 @@ def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
     monkeypatch.undo()
     for result in results:
         assert_pairs_equal(result.to_bat(), _raw_pairs(expected))
-    # Round-robin dense rights have no contiguous windows: they fall
-    # back to the coalescing path and must still agree.
-    rr = fragment_bat(
-        dense,
-        FragmentationPolicy(target_size=16, workers=2, strategy="roundrobin"),
-    )
-    assert_pairs_equal(fr.fetchjoin(fleft, rr).to_bat(), _raw_pairs(expected))
+    # Void windows with a gap between them are not one dense head.
+    gapped = FragmentedBAT([fdense.fragments[0], fdense.fragments[-1]])
+    with pytest.raises(KernelError):
+        fr.fetchjoin(fleft, gapped)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.monet.fragments import (
     FragmentedBAT,
     fragment_bat,
 )
+from tests.conftest import STRATEGIES, fragment_layout
 
 
 def _ints(n, *, distinct=50, seed=0):
@@ -32,8 +35,14 @@ def _ints(n, *, distinct=50, seed=0):
 def test_policy_validation():
     with pytest.raises(KernelError):
         FragmentationPolicy(target_size=0)
-    with pytest.raises(KernelError):
-        FragmentationPolicy(strategy="hash")
+
+
+def test_policy_has_no_layout_option():
+    assert [f.name for f in dataclasses.fields(FragmentationPolicy)] == [
+        "target_size", "workers", "backend",
+    ]
+    with pytest.raises(TypeError):
+        FragmentationPolicy(strategy="roundrobin")
 
 
 def test_range_split_shapes_and_voidness():
@@ -47,17 +56,6 @@ def test_range_split_shapes_and_voidness():
     assert fb.fragments[0].tail.values.base is bat.tail.values
 
 
-def test_roundrobin_split_tracks_positions():
-    bat = _ints(10)
-    fb = fragment_bat(bat, FragmentationPolicy(target_size=4, strategy="roundrobin"))
-    assert fb.nfragments == 3
-    assert fb.positions is not None
-    assert fb.global_positions(0).tolist() == [0, 3, 6, 9]
-    assert fb.to_bat().to_pairs() == bat.to_pairs()
-    # Round-robin coalesce re-detects the dense head.
-    assert fb.to_bat().hdense
-
-
 def test_small_bat_stays_single_fragment():
     bat = _ints(10)
     fb = fragment_bat(bat, FragmentationPolicy(target_size=100))
@@ -67,8 +65,8 @@ def test_small_bat_stays_single_fragment():
 
 def test_empty_bat_fragments():
     bat = _ints(0)
-    for strategy in ("range", "roundrobin"):
-        fb = fragment_bat(bat, FragmentationPolicy(target_size=4, strategy=strategy))
+    for strategy in STRATEGIES:
+        fb = fragment_layout(bat, strategy, FragmentationPolicy(target_size=4))
         assert len(fb) == 0
         assert fb.to_bat().to_pairs() == []
 
@@ -80,8 +78,33 @@ def test_fragmented_bat_validation():
     b = dense_bat("str", ["x"])
     with pytest.raises(KernelError):
         FragmentedBAT([a, b])
+
+
+def test_fragmented_bat_takes_no_positions():
+    """Fragment order is BUN order: the vestigial second parameter (kept
+    for the frozen benchmark's ``FragmentedBAT(frags, fb.positions)``)
+    accepts only ``None``, which is also all ``positions`` ever reads."""
+    a = dense_bat("int", [1, 2])
     with pytest.raises(KernelError):
-        FragmentedBAT([a], positions=[np.arange(1)])
+        FragmentedBAT([a], [np.arange(2)])
+    fb = FragmentedBAT([a], None)
+    assert fb.positions is None
+    with pytest.raises(AttributeError):
+        fb.positions = [np.arange(2)]
+
+
+def test_fragment_offsets_are_the_cached_prefix_sums():
+    bat = _ints(23)
+    fb = fragment_layout(bat, "ragged", FragmentationPolicy(target_size=4))
+    assert fb.fragment_sizes() == [1, 0, 9, 4, 4, 4, 1]
+    offsets = fb.fragment_offsets()
+    assert offsets == [0, 1, 1, 10, 14, 18, 22, 23]
+    assert fb.fragment_offsets() is offsets  # computed once per handle
+    assert len(fb) == 23
+    assert fb.global_positions(2).tolist() == list(range(1, 10))
+    assert fb.global_positions(1).tolist() == []
+    assert fb.to_bat().to_pairs() == bat.to_pairs()
+    assert fb.to_bat().hdense
 
 
 def test_grouped_aggregate_requires_aligned_layout():

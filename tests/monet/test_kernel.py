@@ -428,14 +428,14 @@ class TestTopnBoundaryTies:
 
     def test_fragmented_matches_monolithic_on_ties(self):
         from repro.monet import fragments as fr
-        from repro.monet.fragments import FragmentationPolicy, fragment_bat
+        from repro.monet.fragments import FragmentationPolicy
+        from tests.conftest import STRATEGIES, fragment_layout
 
         rng = np.random.default_rng(5)
         bat = dense_bat("int", rng.integers(0, 4, 100).tolist())
-        for strategy in ("range", "roundrobin"):
-            fb = fragment_bat(
-                bat,
-                FragmentationPolicy(target_size=13, strategy=strategy, workers=2),
+        for strategy in STRATEGIES:
+            fb = fragment_layout(
+                bat, strategy, FragmentationPolicy(target_size=13, workers=2)
             )
             for descending in (True, False):
                 assert (

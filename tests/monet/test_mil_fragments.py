@@ -26,9 +26,9 @@ from repro.monet.fragments import (
     fragment_bat,
 )
 from repro.monet.mil import MILInterpreter, run_program
+from tests.conftest import STRATEGIES, fragment_layout
 
 N = 120
-STRATEGIES = ("range", "roundrobin")
 
 #: Ops whose results accumulate floating point partials in a different
 #: order on the fragmented path; values compare with tolerance.
@@ -95,8 +95,7 @@ _SCRIPTS = [
 ]
 
 
-def _policy(strategy: str) -> FragmentationPolicy:
-    return FragmentationPolicy(target_size=16, strategy=strategy, workers=2)
+_POLICY = FragmentationPolicy(target_size=16, workers=2)
 
 
 def _data():
@@ -130,14 +129,25 @@ def _data():
 
 
 def _pools(strategy: str):
-    """(monolithic pool, fully fragmented pool) over identical data."""
+    """(monolithic pool, fully fragmented pool) over identical data.
+
+    The ragged arm is cut at half the plan policy's target: its
+    oversized fragment (> 2x the cut size) then still fits the plan's
+    2x bound.  Past that bound the dispatch layer folds the first
+    intermediate (``refragment``) out of alignment with its unfolded
+    sibling registrations, and ``refine``/pump legitimately fall back
+    to coalescing -- the never-coalesce tripwires below describe plans
+    over registrations the merge daemon has folded.  (The fuzz suite
+    runs the unfolded shape.)"""
     mono = BATBufferPool()
     frag = BATBufferPool()
-    policy = _policy(strategy)
+    cut = _POLICY
+    if strategy == "ragged":
+        cut = FragmentationPolicy(target_size=_POLICY.target_size // 2, workers=2)
     for name, bat in _data().items():
         mono.register(name, bat)
         frag.register_fragmented(
-            name, fragment_bat(bat, policy), replace=True
+            name, fragment_layout(bat, strategy, cut), replace=True
         )
     return mono, frag
 
@@ -172,7 +182,7 @@ def _assert_same_value(got, expected, context: str) -> None:
 def test_mil_differential(script, strategy):
     mono_pool, frag_pool = _pools(strategy)
     mono = run_program(script, mono_pool)
-    frag = run_program(script, frag_pool, fragment_policy=_policy(strategy))
+    frag = run_program(script, frag_pool, fragment_policy=_POLICY)
     _assert_same_value(frag.value, mono.value, script)
     assert frag.printed == mono.printed
 
@@ -191,7 +201,7 @@ def test_pipeline_never_coalesces_via_pool_lookup(strategy, monkeypatch):
         )
 
     monkeypatch.setattr(frag_pool, "lookup", forbidden)
-    interpreter = MILInterpreter(frag_pool, fragment_policy=_policy(strategy))
+    interpreter = MILInterpreter(frag_pool, fragment_policy=_POLICY)
     result = interpreter.run(
         """
         s := bat("keys").select(oid(2), oid(8));
@@ -238,7 +248,7 @@ def test_sort_unique_pipeline_never_coalesces(strategy, monkeypatch):
 
     monkeypatch.setattr(frag_pool, "lookup", forbidden_lookup)
     monkeypatch.setattr(fragments_module, "coalesce", forbidden_coalesce)
-    interpreter = MILInterpreter(frag_pool, fragment_policy=_policy(strategy))
+    interpreter = MILInterpreter(frag_pool, fragment_policy=_POLICY)
     result = interpreter.run(
         """
         s := bat("headed").sort;
@@ -286,7 +296,7 @@ def test_setops_pipeline_never_coalesces(strategy, monkeypatch):
 
     monkeypatch.setattr(frag_pool, "lookup", forbidden_lookup)
     monkeypatch.setattr(fragments_module, "coalesce", forbidden_coalesce)
-    interpreter = MILInterpreter(frag_pool, fragment_policy=_policy(strategy))
+    interpreter = MILInterpreter(frag_pool, fragment_policy=_POLICY)
     result = interpreter.run(
         """
         u := kunion(bat("headed"), bat("headed2"));
@@ -336,7 +346,7 @@ def test_join_pipeline_never_coalesces(strategy, monkeypatch):
     monkeypatch.setattr(frag_pool, "lookup", forbidden_lookup)
     monkeypatch.setattr(fragments_module, "coalesce", forbidden_coalesce)
     monkeypatch.setattr(FragmentedBAT, "to_bat", forbidden_to_bat)
-    interpreter = MILInterpreter(frag_pool, fragment_policy=_policy(strategy))
+    interpreter = MILInterpreter(frag_pool, fragment_policy=_POLICY)
     result = interpreter.run(
         """
         s := bat("keys").select(oid(1), oid(8));
@@ -375,7 +385,7 @@ def test_final_result_is_coalesced_once(strategy):
     """A fragmented plan's final BAT value coalesces exactly at result
     return (and the coalesce is cached on the handle)."""
     _, frag_pool = _pools(strategy)
-    interpreter = MILInterpreter(frag_pool, fragment_policy=_policy(strategy))
+    interpreter = MILInterpreter(frag_pool, fragment_policy=_POLICY)
     result = interpreter.run('x := bat("nums").select(10, 60); x;')
     assert isinstance(result.value, BAT)
     assert isinstance(result.env["x"], FragmentedBAT)
@@ -389,7 +399,7 @@ def test_persists_keeps_fragmentation():
     run_program(
         'persists("out", bat("nums").select(10, 60));',
         frag_pool,
-        fragment_policy=_policy("range"),
+        fragment_policy=_POLICY,
     )
     assert frag_pool.is_fragmented("out")
     mono_pool, _ = _pools("range")

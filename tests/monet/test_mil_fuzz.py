@@ -29,15 +29,11 @@ import pytest
 
 from repro.monet.bat import BAT, Column
 from repro.monet.bbp import BATBufferPool
-from repro.monet.fragments import (
-    FragmentationPolicy,
-    FragmentedBAT,
-    fragment_bat,
-)
+from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.mil import run_program
+from tests.conftest import STRATEGIES, fragment_layout
 
 N_SEEDS = 50
-STRATEGIES = ("range", "roundrobin")
 NUMERIC = ("int", "oid", "dbl")
 
 #: Base BATs: two interchangeable partners per (head, tail) signature
@@ -275,14 +271,12 @@ def _assert_flags_sound(bat: BAT, context: str) -> None:
 
 
 def _pools(data: dict, strategy: str, backend: str = "thread"):
-    policy = FragmentationPolicy(
-        target_size=16, strategy=strategy, workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     mono = BATBufferPool()
     frag = BATBufferPool()
     for name, bat in data.items():
         mono.register(name, bat)
-        frag.register_fragmented(name, fragment_bat(bat, policy))
+        frag.register_fragmented(name, fragment_layout(bat, strategy, policy))
     return mono, frag, policy
 
 
@@ -389,17 +383,19 @@ def test_mil_snapshot_isolation_fuzz(seed, strategy, monkeypatch):
     data = _make_data(rng)
     script = _gen_pipeline(rng)
     names = [n for n in _BASE_TYPES if n != "dim"]
-    policy = FragmentationPolicy(
-        target_size=16, strategy=strategy, workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
 
     for fragmented in (False, True):
         live = BATBufferPool()
         frozen = BATBufferPool()
         for name, bat in data.items():
             if fragmented:
-                live.register_fragmented(name, fragment_bat(bat, policy))
-                frozen.register_fragmented(name, fragment_bat(bat, policy))
+                live.register_fragmented(
+                    name, fragment_layout(bat, strategy, policy)
+                )
+                frozen.register_fragmented(
+                    name, fragment_layout(bat, strategy, policy)
+                )
             else:
                 live.register(name, bat)
                 frozen.register(name, bat)

@@ -5,9 +5,10 @@ Covers the mutation machinery layer by layer, mirroring
 ``BAT.delete_positions``/``update_positions`` (copy-on-write survivors,
 O(changed) flag maintenance, dense-tail renumbering),
 ``FragmentedBAT.delete``/``update`` (fragment-granular tombstones and
-patches, prefix sharing, dense-head re-densification on both split
-strategies), ``fold_tail(compact=True)``/``rebalance`` (starved-run
-compaction and round-robin skew repair), ``BATBufferPool.delete``/
+patches, prefix sharing, dense-head re-densification on even and
+ragged fragmentations), ``fold_tail(compact=True)`` and
+``refragment(compact=True)`` (starved-run compaction, the merge
+daemon's pass), ``BATBufferPool.delete``/
 ``update`` (epoch bumps, snapshot isolation), the group-commit WAL
 (one fsync per batch of concurrent mutators), and the acceptance
 tripwire: a spill-free 1M-BUN pipeline over a BAT carrying live
@@ -36,11 +37,10 @@ from repro.monet.fragments import (
     FragmentedBAT,
     fold_tail,
     fragment_bat,
-    rebalance,
+    same_fragmentation,
 )
 from repro.monet.mil import MILInterpreter, run_program
-
-STRATEGIES = ("range", "roundrobin")
+from tests.conftest import STRATEGIES, fragment_layout
 
 
 def _backends():
@@ -175,8 +175,8 @@ def test_bat_update_misaligned_values_raise():
 
 
 def _fragmented(values, strategy, target=4):
-    policy = FragmentationPolicy(target_size=target, strategy=strategy)
-    return fragment_bat(dense_bat("int", values), policy)
+    policy = FragmentationPolicy(target_size=target)
+    return fragment_layout(dense_bat("int", values), strategy, policy)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -243,15 +243,16 @@ def test_fragmented_update_touches_only_hit_fragments(strategy):
 
 
 def test_fragmented_update_preserves_fragmentation_and_heads():
-    fb = _fragmented(list(range(16)), "roundrobin")
+    fb = _fragmented(list(range(16)), "ragged")
     patched = fb.update([0, 15], [100, 115])
-    for before, after in zip(fb.positions, patched.positions):
-        assert after is before  # alignment survives by reference
+    assert same_fragmentation(fb, patched)  # alignment survives
+    for before, after in zip(fb.fragments, patched.fragments):
+        assert after.head is before.head
     assert patched.to_bat().head_values().tolist() == list(range(16))
 
 
 # ----------------------------------------------------------------------
-# fold_tail(compact=True) / rebalance
+# fold_tail(compact=True) / the merge daemon's pass
 # ----------------------------------------------------------------------
 
 
@@ -269,63 +270,39 @@ def test_fold_tail_compaction_is_opt_in():
     assert max(compacted.fragment_sizes()) <= 8
 
 
-def test_fold_tail_compacts_roundrobin_runs():
-    policy = FragmentationPolicy(target_size=8, strategy="roundrobin")
-    fb = fragment_bat(dense_bat("int", list(range(32))), policy)
-    kept = [0, 1, 16, 17]
-    starved = fb.delete([p for p in range(32) if p not in kept])
-    assert starved.nfragments > 1
-    assert min(starved.fragment_sizes()) * 2 < policy.target_size
-    compacted = fold_tail(starved, policy, compact=True)
-    assert compacted.nfragments < starved.nfragments
-    assert sorted(compacted.to_bat().tail_list()) == kept
-    # Global positions stay sorted per fragment (the invariant every
-    # round-robin operator's searchsorted mapping leans on).
-    for positions in compacted.positions:
-        assert np.all(np.diff(positions) > 0)
-
-
-def test_rebalance_repairs_roundrobin_delta_skew():
-    # The merge-daemon bugfix: a tombstoned round-robin split whose
-    # delta tail keeps absorbing appends skews without any fragment
-    # crossing the fold threshold -- fold_tail alone cannot see it.
-    policy = FragmentationPolicy(target_size=8, strategy="roundrobin")
-    fb = fragment_bat(dense_bat("int", list(range(16))), policy)
-    fb = fb.delete([p for p in range(16) if p not in (0, 1)])
-    fb = fb.append(tails=list(range(100, 110)))
-    sizes = fb.fragment_sizes()
-    assert max(sizes) <= 2 * policy.target_size  # fold has nothing to slice
-    assert max(sizes) - min(sizes) > policy.target_size
-    assert fold_tail(fb, policy, compact=True).fragment_sizes() == sizes
-    balanced = rebalance(fb, policy)
-    sizes = balanced.fragment_sizes()
-    assert max(sizes) - min(sizes) <= policy.target_size
-    assert sorted(balanced.to_bat().tail_list()) == sorted(
-        fb.to_bat().tail_list()
-    )
+def test_refragment_compact_is_the_merge_pass():
+    fb = _fragmented(list(range(32)), "range", target=8)
+    # In shape already: the very handle comes back, which is how the
+    # merge daemon knows there is nothing to swap in.
+    assert fr.refragment(fb, fb.policy, compact=True) is fb
+    starved = fb.delete([p for p in range(32) if p % 8 not in (0, 1)])
+    # Plan intermediates (compact=False) keep their starved fragments.
+    assert fr.refragment(starved, fb.policy) is starved
+    merged = fr.refragment(starved, fb.policy, compact=True)
+    assert merged.fragment_sizes() == [8]
+    assert merged.to_bat().to_pairs() == starved.to_bat().to_pairs()
 
 
 def test_pool_merge_deltas_rebalances_skewed_registration():
+    # A ragged registration is one merge pass away from policy shape:
+    # the oversized fragment folds to target-sized views and the empty
+    # one drops, without disturbing BUN order.
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=8, strategy="roundrobin")
+    policy = FragmentationPolicy(target_size=8)
     pool.register_fragmented(
-        "x", fragment_bat(dense_bat("int", list(range(16))), policy)
+        "x", fragment_layout(dense_bat("int", list(range(40))), "ragged", policy)
     )
-    pool.delete("x", [p for p in range(16) if p not in (0, 1)])
-    pool.append("x", tails=list(range(100, 110)))
     before = pool.lookup_fragments("x").fragment_sizes()
-    assert max(before) - min(before) > policy.target_size
-    assert pool.merge_deltas(policy) >= 1
+    assert max(before) > 2 * policy.target_size and 0 in before
+    assert pool.merge_deltas(policy) == 1
     after = pool.lookup_fragments("x").fragment_sizes()
-    assert max(after) - min(after) <= policy.target_size
-    assert sorted(pool.lookup("x").tail_list()) == sorted(
-        [0, 1] + list(range(100, 110))
-    )
+    assert max(after) <= policy.target_size and 0 not in after
+    assert pool.lookup("x").tail_list() == list(range(40))
 
 
 def test_pool_merge_deltas_compacts_tombstoned_fragments():
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=8, strategy="range")
+    policy = FragmentationPolicy(target_size=8)
     pool.register_fragmented(
         "x", fragment_bat(dense_bat("int", list(range(64))), policy)
     )
@@ -366,7 +343,7 @@ def test_pool_delete_update_unknown_name_raise():
 
 def test_pool_delete_renumber_rejected_for_fragmented():
     pool = BATBufferPool()
-    policy = FragmentationPolicy(target_size=4, strategy="range")
+    policy = FragmentationPolicy(target_size=4)
     pool.register_fragmented(
         "x", fragment_bat(dense_bat("int", list(range(8))), policy)
     )
@@ -421,7 +398,7 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
         "oid", "dbl", [(i, float(i) * 0.5) for i in rng.permutation(1000)]
     )
     policy = FragmentationPolicy(
-        target_size=128 * 1024, strategy="range", workers=2, backend=backend
+        target_size=128 * 1024, workers=2, backend=backend
     )
     deleted = np.unique(rng.choice(n, 5_000, replace=False))
     patched = np.unique(rng.choice(n - len(deleted), 5_000, replace=False))

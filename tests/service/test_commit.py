@@ -74,7 +74,7 @@ def test_commit_preserves_fragmentation(db):
     from repro.monet.fragments import FragmentationPolicy, fragment_bat
 
     session = Session("sA", db)
-    policy = FragmentationPolicy(target_size=2, strategy="range")
+    policy = FragmentationPolicy(target_size=2)
     session.namespace.register_fragmented(
         "t", fragment_bat(dense_bat("int", [1, 2, 3, 4, 5]), policy)
     )

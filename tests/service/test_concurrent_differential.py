@@ -32,6 +32,7 @@ from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
 from repro.monet.mil import run_program
 from repro.service.session import Session
+from tests.conftest import fragment_layout
 
 _FUZZ_PATH = Path(__file__).parent.parent / "monet" / "test_mil_fuzz.py"
 _spec = importlib.util.spec_from_file_location("mil_fuzz_corpus", _FUZZ_PATH)
@@ -96,9 +97,7 @@ def test_concurrent_sessions_match_serial(backend, monkeypatch):
 
     if backend == "process":
         monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    policy = FragmentationPolicy(
-        target_size=16, strategy="range", workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     data, scripts = _corpus(77_000)
     expected = _serial_results(data, scripts)
 
@@ -165,9 +164,7 @@ def test_concurrent_identical_script_single_bat(backend, monkeypatch):
 
     if backend == "process":
         monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    policy = FragmentationPolicy(
-        target_size=16, strategy="roundrobin", workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     rng = np.random.default_rng(88_001)
     data = fuzz._make_data(rng)
     script = fuzz._gen_pipeline(np.random.default_rng(88_002))
@@ -179,7 +176,7 @@ def test_concurrent_identical_script_single_bat(backend, monkeypatch):
 
     db = MirrorDBMS(fragment_policy=policy)
     for name, bat in data.items():
-        db.pool.register_fragmented(name, fragment_bat(bat, policy))
+        db.pool.register_fragmented(name, fragment_layout(bat, "ragged", policy))
     sessions = [Session(f"t{i}", db) for i in range(N_SESSIONS)]
     outputs: list = [None] * N_SESSIONS
     errors: list = []

@@ -148,9 +148,7 @@ def _run_differential(backend, monkeypatch, mutations, seed):
 
     if backend == "process":
         monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
-    policy = FragmentationPolicy(
-        target_size=16, strategy="range", workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     rng = np.random.default_rng(seed)
     data = fuzz._make_data(rng)
     names = [n for n in fuzz._BASE_TYPES if n != "dim"]
