@@ -9,8 +9,8 @@ interpreter, at 10^5 .. 10^7 BUNs.
 
 A calibration pass measures real operator timings at several fragment
 sizes and serial/parallel floors and installs the winners via
-:func:`repro.monet.fragments.set_default_tuning`, replacing the static
-constants of the seed with cores-plus-measurement-derived values.
+:func:`repro.monet.tuning.install`, replacing the cores-derived
+defaults with measured values.
 
 The calibration also decides the *executor backend* per dtype: numeric
 operators keep the thread pool (numpy releases the GIL), while the
@@ -18,7 +18,7 @@ GIL-bound object-dtype (str) predicates -- likeselect, str selects,
 string membership -- are timed under both the thread and the process
 backend (:mod:`repro.monet.fragments` ``ProcessBackend``) and the
 winner, plus the measured BUN crossover, is installed via
-``set_default_tuning(backend=..., process_min=...)``.
+``tuning.install(backend=..., process_min=...)``.
 
 Every section records machine-readable rows (op, size, backend, dtype,
 median wall ms); ``--json PATH`` writes them as a JSON document that
@@ -49,7 +49,7 @@ import pytest
 
 from repro.ir.index import InvertedIndex
 from repro.monet import fragments as fr
-from repro.monet import kernel
+from repro.monet import kernel, tuning
 from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
@@ -65,7 +65,7 @@ def _policy(n):
     keeps per-fragment dispatch overhead negligible relative to the
     numpy work while still saturating the shared pool (>= 2 threads)."""
     return FragmentationPolicy(
-        target_size=max(fr.DEFAULT_FRAGMENT_SIZE, -(-n // (2 * WORKERS)))
+        target_size=max(tuning.current().fragment_size, -(-n // (2 * WORKERS)))
     )
 
 
@@ -432,9 +432,7 @@ def _report_strings(sizes, verbose_header=True):
             f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'thread ms':>11}"
             f"{'process ms':>12}{'t/p':>7}"
         )
-    saved_min = fr.PROCESS_MIN_BUNS
-    fr.PROCESS_MIN_BUNS = 0
-    try:
+    with tuning.override(process_min=0):
         for n in sizes:
             repeats = 3
             target = _policy(n).target_size
@@ -496,8 +494,6 @@ def _report_strings(sizes, verbose_header=True):
                     f"{n:>12,}  {name:<18}{mono_stats['best_ms']:>10.2f}"
                     f"{thread_stats['best_ms']:>11.2f}{tail}"
                 )
-    finally:
-        fr.PROCESS_MIN_BUNS = saved_min
 
 
 # ----------------------------------------------------------------------
@@ -533,16 +529,14 @@ def _report_join(sizes, verbose_header=True):
     if verbose_header:
         print(
             "E15: grace join, fragmented build side "
-            f"(workers={WORKERS}, fanout={fr.JOIN_FANOUT}, process backend "
+            f"(workers={WORKERS}, fanout={tuning.current().join_fanout}, process backend "
             f"{'available' if process_ok else 'UNAVAILABLE -- thread fallback'})"
         )
         print(
             f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'thread ms':>11}"
             f"{'process ms':>12}{'t/p':>7}"
         )
-    saved_min = fr.PROCESS_MIN_BUNS
-    fr.PROCESS_MIN_BUNS = 0
-    try:
+    with tuning.override(process_min=0):
         for n in sizes:
             repeats = 2 if n >= 10**6 else 3
             target = _policy(n).target_size
@@ -600,9 +594,7 @@ def _report_join(sizes, verbose_header=True):
             # Spill-forced: every build partition round-trips through a
             # BBP spill unit, bounding resident build memory to one
             # partition.  Output must stay BUN-identical.
-            saved_spill = fr.JOIN_SPILL_BUNS
-            fr.JOIN_SPILL_BUNS = 0
-            try:
+            with tuning.override(join_spill=0):
                 fl_thread = fragment_bat(left, thread_policy)
                 fb_thread = fragment_bat(right, thread_policy)
                 expected = kernel.join(left, right).to_pairs()
@@ -610,16 +602,12 @@ def _report_join(sizes, verbose_header=True):
                 spill_stats = _measure(
                     lambda: fr.join(fl_thread, fb_thread, workers=WORKERS), repeats
                 )
-            finally:
-                fr.JOIN_SPILL_BUNS = saved_spill
             _record("join-spill", n, "thread", "oid", spill_stats)
             print(
                 f"{n:>12,}  {'join-spill(oid)':<18}"
                 f"{oid_mono_stats['best_ms']:>10.2f}"
                 f"{spill_stats['best_ms']:>11.2f}{'n/a':>12}{'':>7}"
             )
-    finally:
-        fr.PROCESS_MIN_BUNS = saved_min
 
 
 # ----------------------------------------------------------------------
@@ -772,12 +760,8 @@ def _report_group_commit(n):
     import tempfile
     import threading
 
-    from repro.monet import bbp as bbp_module
-
     payload = list(range(APPEND_BATCH))
-    saved_window = bbp_module.WAL_GROUP_MS
-    bbp_module.WAL_GROUP_MS = 4.0
-    try:
+    with tuning.override(wal_group_ms=4.0):
         for writers in (1, 8):
             with tempfile.TemporaryDirectory() as wal_dir:
                 pool = BATBufferPool()
@@ -824,8 +808,6 @@ def _report_group_commit(n):
                 f"{pool.wal_fsyncs:>7}/{pool.wal_records:<3}"
                 f"{fsync_ratio:>7.2f}"
             )
-    finally:
-        bbp_module.WAL_GROUP_MS = saved_window
 
 
 # ----------------------------------------------------------------------
@@ -835,14 +817,14 @@ def _report_group_commit(n):
 
 def calibrate(verbose=True):
     """Measure operator cost across fragment sizes and the
-    serial/parallel crossover, then install the winners as the module
-    defaults (:func:`repro.monet.fragments.set_default_tuning`),
-    including the per-dtype executor backend (threads for numeric,
-    processes for object-dtype predicates above a measured BUN
-    threshold -- see :func:`_calibrate_backend`).
+    serial/parallel crossover, then install the winners
+    (:func:`repro.monet.tuning.install`), including the per-dtype
+    executor backend (threads for numeric, processes for object-dtype
+    predicates above a measured BUN threshold -- see
+    :func:`_calibrate_backend`).  A knob pinned by its ``REPRO_*``
+    variable is measured and reported at the pinned value.
 
-    Returns ``(fragment_size, parallel_min, merge_fanout, backend,
-    process_min, join_fanout, join_spill)``.
+    Returns the resulting live :class:`repro.monet.tuning.Tuning`.
     """
     n = 200_000 if FAST else 2_000_000
     candidates = [16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024]
@@ -872,9 +854,9 @@ def calibrate(verbose=True):
         if frag_ms <= mono_ms * 1.05:
             parallel_min = 2 * floor
             break
-    fr.set_default_tuning(fragment_size=best_size, parallel_min=parallel_min)
+    tuning.install(fragment_size=best_size, parallel_min=parallel_min)
     # Merge fan-out: time the fragmented (sample-sort) sort under a few
-    # partition caps and keep the fastest.  MERGE_FANOUT is read live by
+    # partition caps and keep the fastest.  merge_fanout is read live by
     # the merge phase, so installing a candidate is enough to measure it.
     sort_n = min(n, 1_000_000)
     headed = _headed_bat(sort_n, distinct_heads=max(1000, sort_n // 4))
@@ -885,15 +867,15 @@ def calibrate(verbose=True):
         print(f"{'merge fanout':>16}{'sort ms':>12}")
     best_fanout, best_sort_ms = fanouts[0], float("inf")
     for fanout in fanouts:
-        fr.set_default_tuning(merge_fanout=fanout)
+        tuning.install(merge_fanout=fanout)
         ms = _timed(lambda: fr.sort(fheaded, workers=WORKERS), repeats)
         if verbose:
             print(f"{fanout:>16,}{ms:>12.2f}")
         if ms < best_sort_ms:
             best_fanout, best_sort_ms = fanout, ms
-    fr.set_default_tuning(merge_fanout=best_fanout)
+    tuning.install(merge_fanout=best_fanout)
     # Join radix fan-out: time the grace join (fragmented build side)
-    # under a few widths and keep the fastest.  JOIN_FANOUT is read
+    # under a few widths and keep the fastest.  join_fanout is read
     # live by the partitioner, so installing a candidate is enough to
     # measure it.  The spill threshold has no in-memory crossover to
     # measure, so the current (env- or persistence-derived) value is
@@ -903,13 +885,13 @@ def calibrate(verbose=True):
     join_policy = FragmentationPolicy(target_size=best_size)
     fjleft = fragment_bat(jleft, join_policy)
     fjright = fragment_bat(jright, join_policy)
-    join_fanouts = list(dict.fromkeys([1, 4, fr.JOIN_FANOUT]))
+    join_fanouts = list(dict.fromkeys([1, 4, tuning.current().join_fanout]))
     if verbose:
         print(f"calibration: join over {join_n:,} BUNs")
         print(f"{'join fanout':>16}{'join ms':>12}")
     best_join_fanout, best_join_ms = join_fanouts[0], float("inf")
     for fanout in join_fanouts:
-        fr.set_default_tuning(join_fanout=fanout)
+        tuning.install(join_fanout=fanout)
         ms = _timed(
             lambda: fr.join(fjleft, fjright, workers=WORKERS), repeats
         )
@@ -917,27 +899,20 @@ def calibrate(verbose=True):
             print(f"{fanout:>16,}{ms:>12.2f}")
         if ms < best_join_ms:
             best_join_fanout, best_join_ms = fanout, ms
-    fr.set_default_tuning(join_fanout=best_join_fanout)
+    tuning.install(join_fanout=best_join_fanout)
     backend, process_min = _calibrate_backend(repeats, best_size, verbose=verbose)
-    fr.set_default_tuning(backend=backend, process_min=process_min)
+    live = tuning.install(backend=backend, process_min=process_min)
     if verbose:
         print(
-            f"calibrated: fragment_size={best_size:,} "
-            f"parallel_min={parallel_min:,} merge_fanout={best_fanout} "
-            f"backend={backend} process_min={process_min:,} "
-            f"join_fanout={best_join_fanout} "
-            f"join_spill={fr.JOIN_SPILL_BUNS:,} "
-            "(installed as defaults)"
+            f"calibrated: fragment_size={live.fragment_size:,} "
+            f"parallel_min={live.parallel_min:,} "
+            f"merge_fanout={live.merge_fanout} "
+            f"backend={live.backend} process_min={live.process_min:,} "
+            f"join_fanout={live.join_fanout} "
+            f"join_spill={live.join_spill:,} "
+            "(installed)"
         )
-    return (
-        best_size,
-        parallel_min,
-        best_fanout,
-        backend,
-        process_min,
-        best_join_fanout,
-        fr.JOIN_SPILL_BUNS,
-    )
+    return live
 
 
 def _calibrate_backend(repeats, fragment_size, *, verbose=True):
@@ -954,11 +929,10 @@ def _calibrate_backend(repeats, fragment_size, *, verbose=True):
     if not fr.get_backend("process").available():
         if verbose:
             print("calibration: process backend unavailable; keeping threads")
-        return "thread", fr.PROCESS_MIN_BUNS
+        return "thread", tuning.current().process_min
     n = 100_000 if FAST else 1_000_000
-    saved_min = fr.PROCESS_MIN_BUNS
-    fr.PROCESS_MIN_BUNS = 0
-    try:
+    saved_min = tuning.current().process_min
+    with tuning.override(process_min=0):
         if verbose:
             print(f"calibration: str likeselect over {n:,} BUNs")
             print(f"{'n':>16}{'thread ms':>12}{'process ms':>12}")
@@ -995,8 +969,6 @@ def _calibrate_backend(repeats, fragment_size, *, verbose=True):
                 process_min = size
                 break
         return "process", process_min
-    finally:
-        fr.PROCESS_MIN_BUNS = saved_min
 
 
 # ----------------------------------------------------------------------

@@ -373,38 +373,20 @@ class MirrorDBMS:
             self._executor.load(name, ty, list(values))
         return len(values)
 
-    def delete(self, name: str, predicate: Optional[str] = None, *,
+    def delete(self, name: str, predicate: Any = None, *,
                where: Where = None) -> int:
-        """Delete tuples of *name*; returns how many were removed.
-
-        The primary form is ``where=`` -- ``None`` (all), a
-        ``{field: literal}`` equality dict, a bare literal for
-        ``SET<Atomic>`` elements, or a Python predicate -- which is an
-        auto-commit delegate over the :class:`Transaction` path and
-        takes the O(changed) tombstone-delta route when the type tree
-        supports it.
-
-        The positional *predicate* form (a Moa boolean expression
-        against ``THIS``) is the legacy surface, kept for callers that
-        predate the unified mutation API; it recomputes the survivors
-        with a compiled ``select[not(...)]`` and reloads.  Prefer
-        ``where=``.
-        """
+        """Delete the tuples of *name* matching *where* -- ``None``
+        (all), a ``{field: literal}`` equality dict, a bare literal for
+        ``SET<Atomic>`` elements, or a Python predicate -- and return
+        how many were removed.  Auto-commit delegate over the
+        :class:`Transaction` path; takes the O(changed) tombstone-delta
+        route when the type tree supports it.  (The positional
+        Moa-string predicate form is gone: it raises.)"""
         if predicate is not None:
-            if where is not None:
-                raise InvalidMutationBatch(
-                    "delete takes a Moa predicate or where=, not both"
-                )
-            if not isinstance(predicate, str):
-                where = predicate
-            else:
-                with self.write_lock:
-                    before = self.count(name)
-                    survivors = self.query(
-                        f"select[not ({predicate})]({name});"
-                    ).value
-                    self.replace(name, survivors)
-                return before - len(survivors)
+            raise InvalidMutationBatch(
+                f"delete({name!r}, {predicate!r}): pass the predicate as "
+                "where= (a dict, a literal or a Python callable)"
+            )
         txn = self.begin()
         txn.delete(name, where=where)
         result = txn.commit()

@@ -24,7 +24,7 @@ from repro.ir.beliefs import BeliefParameters, DEFAULT_PARAMETERS, beliefs_array
 from repro.ir.stats import CollectionStats
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.bbp import BATBufferPool
-from repro.monet import fragments
+from repro.monet import tuning
 from repro.monet.fragments import map_fragments
 
 
@@ -146,9 +146,8 @@ class InvertedIndex:
     ) -> np.ndarray:
         """:meth:`score_sum` over horizontal posting fragments scored in
         parallel; partial per-document score vectors are summed.
-        ``fragment_size=None`` resolves the module default at call time
-        (so a :func:`repro.monet.fragments.set_default_tuning`
-        calibration is picked up).
+        ``fragment_size=None`` resolves the live tuning record at call
+        time (so a calibration is picked up).
 
         Equivalent to :meth:`score_sum` up to floating-point addition
         order (each posting contributes exactly once).
@@ -156,7 +155,7 @@ class InvertedIndex:
         if self.posting_count == 0 or not query_terms:
             return np.zeros(self.document_count)
         if fragment_size is None:
-            fragment_size = fragments.DEFAULT_FRAGMENT_SIZE
+            fragment_size = tuning.current().fragment_size
         if fragment_size < 1:
             raise ValueError("fragment_size must be at least 1")
         chunks = [

@@ -64,16 +64,6 @@ _FRAGMENTATION: ContextVar[Tuple[Optional[int], FragmentationPolicy]] = ContextV
 )
 
 
-def set_fragment_threshold(
-    threshold: Optional[int], policy: Optional[FragmentationPolicy] = None
-) -> Optional[int]:
-    """Set the fragmentation threshold (and optionally the policy) for
-    the current thread/context; returns the previous threshold."""
-    previous_threshold, previous_policy = _FRAGMENTATION.get()
-    _FRAGMENTATION.set((threshold, policy if policy is not None else previous_policy))
-    return previous_threshold
-
-
 def get_fragment_threshold() -> Optional[int]:
     return _FRAGMENTATION.get()[0]
 

@@ -40,7 +40,8 @@ and persists fragmented BATs natively (``register_fragmented`` /
 ``lookup_fragments``), while plain ``lookup`` stays transparent by
 coalescing lazily; the Moa mapping layer fragments large attributes
 automatically past a configurable threshold
-(:func:`repro.moa.mapping.set_fragment_threshold`).
+(``MirrorDBMS(fragment_threshold=...)``, scoped per load by
+:func:`repro.moa.mapping.fragmentation`).
 
 The public surface mirrors Monet's vocabulary so that the flattening
 rules of [BWK98] translate almost verbatim.

@@ -27,10 +27,9 @@ cached blobs, and only qualifying positions come back.  Everything
 without a registered task -- all the GIL-releasing numeric work --
 keeps fanning out on threads even under the process backend: that is
 the **per-dtype calibration rule** (threads for numeric, processes for
-object-dtype predicates above :data:`PROCESS_MIN_BUNS` BUNs), measured
-by ``bench_fragments.calibrate()``.  Selection threads through
-``REPRO_EXECUTOR_BACKEND`` / :func:`set_default_tuning` (persisted
-with the other tuning fields in the BBP catalog) or per-plan via
+object-dtype predicates above ``process_min`` BUNs), measured by
+``bench_fragments.calibrate()``.  Selection threads through the
+``backend`` tuning knob (:mod:`repro.monet.tuning`) or per-plan via
 ``FragmentationPolicy(backend=...)``; both backends are BUN-identical
 by contract, which the differential and fuzz suites assert over the
 backend axis.  The process pool spawns on first use, survives only in
@@ -65,12 +64,14 @@ path), which probe a shared head-membership build
 (:func:`_member_build`) per fragment -- so a pipeline like
 ``select -> kunion -> sort -> unique -> aggregate`` runs
 fragment-parallel end-to-end with at most one coalesce at result
-return.  The tuning defaults (fragment size, serial-execution floor,
-merge fan-out) derive from the live core count and can be replaced by
-measured values (:func:`set_default_tuning`; see the calibration pass
-in ``benchmarks/bench_fragments.py``), which persist next to the BBP
-catalog (:meth:`repro.monet.bbp.BATBufferPool.save`) so a restarted
-server skips the measurement pass.
+return.
+
+**Tuning.**  Every physical knob read here (fragment size, serial and
+process floors, merge/join fan-outs, spill threshold, backend, task
+timeout) is a field of the one live :class:`repro.monet.tuning.Tuning`
+record, read at use as ``tuning.current().<field>``; how a knob gets
+its value (environment > persisted > calibrated > cores-derived
+default) is that module's business alone.
 
 Property flags on recombined results are maintained *conservatively*:
 a flag is only ``True`` when the concatenation provably preserves it
@@ -86,7 +87,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -95,6 +96,7 @@ import numpy as np
 from repro.monet import aggregates as _agg
 from repro.monet import kernel as _kernel
 from repro.monet import shm as _shm
+from repro.monet import tuning as _tuning
 from repro.monet.atoms import atom
 from repro.monet.bat import (
     BAT,
@@ -106,225 +108,31 @@ from repro.monet.bat import (
     dense_bat,
 )
 from repro.monet.errors import InvalidMutationBatch, KernelError
+from repro.monet.tuning import BACKEND_NAMES
 
 try:
     from concurrent.futures.process import BrokenProcessPool
 except ImportError:  # pragma: no cover - ancient stdlib layout
     BrokenProcessPool = OSError
 
-def _derive_fragment_size(cores: Optional[int] = None) -> int:
-    """Default BUN count per fragment, derived from the live core count.
-
-    Two pressures: a fragment of int64 tails should stay inside an
-    L2-sized working set (64Ki BUNs ~ 0.5 MB), and a moderately large
-    BAT (1M BUNs) should still yield at least two fragments per core so
-    the pool saturates.  Many-core hosts therefore get smaller
-    fragments; the floor keeps per-fragment dispatch overhead
-    negligible.  ``REPRO_FRAGMENT_SIZE`` overrides the derivation, and
-    :func:`set_default_tuning` installs measured values (see the
-    calibration pass in ``benchmarks/bench_fragments.py``).
-    """
-    cores = cores or os.cpu_count() or 1
-    cache_resident = 64 * 1024
-    saturating = (1 << 20) // max(1, 2 * cores)
-    return max(8 * 1024, min(cache_resident, saturating))
-
-
-def _derive_parallel_min(fragment_size: int, cores: Optional[int] = None) -> int:
-    """Serial-execution floor, derived from the fragment size and core
-    count: parallel dispatch starts paying off once a BAT spans a few
-    fragments; with more cores the thread-pool cost amortizes earlier.
-    ``REPRO_PARALLEL_MIN_BUNS`` overrides."""
-    cores = cores or os.cpu_count() or 1
-    return fragment_size * max(2, 8 // max(1, cores))
-
-
-def _derive_merge_fanout(cores: Optional[int] = None) -> int:
-    """Upper bound on the number of range partitions the sample-sort
-    merge phase builds in parallel.  The cap is cache-driven at least
-    as much as core-driven: even on one core, partition merges whose
-    key+position working set stays L2-resident beat the old streaming
-    tournament (measured ~1.37x -> ~1.17x single-core overhead on
-    duplicate-heavy 1M-BUN sorts), so the floor is generous; extra
-    cores raise it further for genuine parallelism.  The actual
-    partition count also respects a ~64k-BUN-per-partition floor
-    (:func:`_merge_partition_count`), so small BATs never shatter.
-    ``REPRO_MERGE_FANOUT`` overrides the derivation, and
-    :func:`set_default_tuning` installs measured values."""
-    cores = cores or os.cpu_count() or 1
-    return max(16, 4 * cores)
-
-
-#: Default BUN count per fragment (cores-derived; see
-#: :func:`_derive_fragment_size`).
-DEFAULT_FRAGMENT_SIZE = (
-    int(os.environ.get("REPRO_FRAGMENT_SIZE", 0)) or _derive_fragment_size()
-)
-
 #: Worker floor: even on a single-core host we keep two threads so the
 #: fragment fan-out code path is always exercised.
 DEFAULT_WORKERS = max(2, os.cpu_count() or 1)
 
-#: Below this many total BUNs an operator runs its fragments serially
-#: (unless a worker count is pinned): the numpy work is in the tens of
-#: microseconds there and thread dispatch would dominate it.
-PARALLEL_MIN_BUNS = (
-    int(os.environ.get("REPRO_PARALLEL_MIN_BUNS", 0))
-    or _derive_parallel_min(DEFAULT_FRAGMENT_SIZE)
-)
-
-#: Cap on sample-sort merge partitions (cores-derived; see
-#: :func:`_derive_merge_fanout`).
-MERGE_FANOUT = (
-    int(os.environ.get("REPRO_MERGE_FANOUT", 0)) or _derive_merge_fanout()
-)
-
-
-def _derive_join_fanout(cores: Optional[int] = None) -> int:
-    """Upper bound on the number of radix partitions of the grace hash
-    join.  Same two pressures as the merge fan-out: enough partitions
-    that the per-partition builds saturate the pool and their key
-    working sets stay cache-resident, but not so many that dispatch
-    and gather overhead dominate.  ``REPRO_JOIN_FANOUT`` overrides the
-    derivation, and :func:`set_default_tuning` installs measured
-    values (the ``--calibrate`` pass sweeps a few candidates)."""
-    cores = cores or os.cpu_count() or 1
-    return max(16, 4 * cores)
-
-
-#: Cap on grace-join radix partitions (cores-derived; see
-#: :func:`_derive_join_fanout`).  Read live, like ``MERGE_FANOUT``.
-JOIN_FANOUT = int(os.environ.get("REPRO_JOIN_FANOUT", 0)) or _derive_join_fanout()
-
 #: Partition floor of the grace join: roughly one radix partition per
 #: this many build-side BUNs, so small builds never shatter into
-#: per-partition dispatch overhead.  A module constant (not an env
+#: per-partition dispatch overhead.  A module constant (not a tuning
 #: knob): tests monkeypatch it to force multi-partition execution on
 #: tiny inputs.
 JOIN_PARTITION_MIN_BUNS = 64 * 1024
 
-#: Build sides above this many BUNs spill their radix partitions to
-#: disk as npz units through the BBP scratch directory
-#: (:func:`repro.monet.bbp.write_spill_unit`) and are then processed
-#: one partition at a time, so a BAT-x-BAT join's resident build state
-#: is capped near this threshold instead of the whole build side.
-#: ``REPRO_JOIN_SPILL_BUNS`` overrides -- ``0`` forces every
-#: partitioned build to spill (what the spill-forced differential
-#: tests pin); an unset/empty variable keeps the static default.
-_JOIN_SPILL_ENV = os.environ.get("REPRO_JOIN_SPILL_BUNS")
-JOIN_SPILL_BUNS = int(_JOIN_SPILL_ENV) if _JOIN_SPILL_ENV else 4 * 1024 * 1024
-
-#: The executor backends an operator fan-out can run on.
-BACKEND_NAMES = ("thread", "process")
-
-#: Default executor backend.  ``thread`` is the historical behavior
-#: and right for numpy's GIL-releasing numeric kernels; ``process``
-#: additionally offloads the registered object-dtype (str) predicate
-#: tasks to worker processes (see the module docstring).
-#: ``REPRO_EXECUTOR_BACKEND`` overrides, and
-#: :func:`set_default_tuning` installs calibrated values.
-DEFAULT_BACKEND = os.environ.get("REPRO_EXECUTOR_BACKEND") or "thread"
-
-#: Below this many total BUNs an object-dtype predicate stays on the
-#: thread backend even when the process backend is selected: the
-#: shared-memory export plus task dispatch has a fixed per-call cost
-#: that only the larger Python-level scans amortize.
-#: ``REPRO_PROCESS_MIN_BUNS`` overrides -- ``0`` disables the floor
-#: (every eligible predicate offloads, which is what the differential
-#: tests pin); an unset/empty variable keeps the static default until
-#: ``bench_fragments.calibrate()`` measures the real crossover.
-_PROCESS_MIN_ENV = os.environ.get("REPRO_PROCESS_MIN_BUNS")
-PROCESS_MIN_BUNS = int(_PROCESS_MIN_ENV) if _PROCESS_MIN_ENV else 64 * 1024
-
-#: Per-task result timeout (seconds) of the process backend; a worker
-#: stuck past it degrades the backend to threads instead of hanging
-#: the plan (and CI) forever.
-PROCESS_TASK_TIMEOUT = float(os.environ.get("REPRO_PROCESS_TASK_TIMEOUT", 0) or 120.0)
-
-#: True once :func:`set_default_tuning` installed measured values (as
-#: opposed to the cores-derived defaults above).  Measured tuning is
-#: worth persisting: :meth:`repro.monet.bbp.BATBufferPool.save` writes
-#: it next to the catalog and ``load`` reinstalls it, so a restarted
-#: server skips the measurement pass.
-_TUNING_MEASURED = False
-
-
-def set_default_tuning(
-    *,
-    fragment_size: Optional[int] = None,
-    parallel_min: Optional[int] = None,
-    merge_fanout: Optional[int] = None,
-    backend: Optional[str] = None,
-    process_min: Optional[int] = None,
-    join_fanout: Optional[int] = None,
-    join_spill: Optional[int] = None,
-) -> None:
-    """Install measured tuning values for the module defaults.
-
-    The calibration pass of ``benchmarks/bench_fragments.py`` calls this
-    after timing real operators; policies built afterwards (including
-    the per-call defaults of every operator here) pick the new values
-    up.  Explicitly constructed policies are unaffected.
-    ``merge_fanout``, ``backend``, ``process_min``, ``join_fanout``
-    and ``join_spill`` are read live (not captured by policies), so
-    they take effect on in-flight handles too."""
-    global DEFAULT_FRAGMENT_SIZE, PARALLEL_MIN_BUNS, MERGE_FANOUT
-    global DEFAULT_BACKEND, PROCESS_MIN_BUNS
-    global JOIN_FANOUT, JOIN_SPILL_BUNS
-    global _TUNING_MEASURED
-    if fragment_size is not None:
-        if fragment_size < 1:
-            raise KernelError("fragment_size must be at least 1")
-        DEFAULT_FRAGMENT_SIZE = int(fragment_size)
-        _TUNING_MEASURED = True
-    if parallel_min is not None:
-        if parallel_min < 0:
-            raise KernelError("parallel_min must be non-negative")
-        PARALLEL_MIN_BUNS = int(parallel_min)
-        _TUNING_MEASURED = True
-    if merge_fanout is not None:
-        if merge_fanout < 1:
-            raise KernelError("merge_fanout must be at least 1")
-        MERGE_FANOUT = int(merge_fanout)
-        _TUNING_MEASURED = True
-    if backend is not None:
-        if backend not in BACKEND_NAMES:
-            raise KernelError(
-                f"unknown executor backend {backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}"
-            )
-        DEFAULT_BACKEND = backend
-        _TUNING_MEASURED = True
-    if process_min is not None:
-        if process_min < 0:
-            raise KernelError("process_min must be non-negative")
-        PROCESS_MIN_BUNS = int(process_min)
-        _TUNING_MEASURED = True
-    if join_fanout is not None:
-        if join_fanout < 1:
-            raise KernelError("join_fanout must be at least 1")
-        JOIN_FANOUT = int(join_fanout)
-        _TUNING_MEASURED = True
-    if join_spill is not None:
-        if join_spill < 0:
-            raise KernelError("join_spill must be non-negative")
-        JOIN_SPILL_BUNS = int(join_spill)
-        _TUNING_MEASURED = True
-
 
 def default_tuning() -> dict:
-    """The current module tuning plus whether it came from measurement
-    (the persistence layer only writes measured values to disk)."""
-    return {
-        "fragment_size": DEFAULT_FRAGMENT_SIZE,
-        "parallel_min": PARALLEL_MIN_BUNS,
-        "merge_fanout": MERGE_FANOUT,
-        "backend": DEFAULT_BACKEND,
-        "process_min": PROCESS_MIN_BUNS,
-        "join_fanout": JOIN_FANOUT,
-        "join_spill": JOIN_SPILL_BUNS,
-        "measured": _TUNING_MEASURED,
-    }
+    # Forced vestige: the frozen benchmark's fingerprint
+    # (benchmarks/mirrorbench/harness.py, under BENCHMARK.json
+    # ``paths``) calls this.  Everything else reads
+    # ``repro.monet.tuning.current()``.
+    return asdict(_tuning.current())
 
 
 @dataclass(frozen=True)
@@ -332,13 +140,13 @@ class FragmentationPolicy:
     """How a BAT is split: fragment size, worker count and executor
     backend.
 
-    ``target_size=None`` (the default) resolves to the current module
-    default at construction time, so policies made after a
-    :func:`set_default_tuning` calibration see the measured value.
-    ``backend=None`` stays unresolved and reads the live module default
-    at every operator call (like ``MERGE_FANOUT``), so calibrating or
-    setting ``REPRO_EXECUTOR_BACKEND`` affects in-flight handles too;
-    an explicit ``backend`` pins the plan to one executor."""
+    ``target_size=None`` (the default) resolves to the live
+    ``tuning.current().fragment_size`` at construction time, so
+    policies made after a calibration or a catalog load see the
+    measured value.  ``backend=None`` stays unresolved and reads the
+    live record at every operator call (like ``merge_fanout``), so
+    calibrating affects in-flight handles too; an explicit ``backend``
+    pins the plan to one executor."""
 
     target_size: Optional[int] = None
     workers: Optional[int] = None
@@ -346,7 +154,9 @@ class FragmentationPolicy:
 
     def __post_init__(self):
         if self.target_size is None:
-            object.__setattr__(self, "target_size", DEFAULT_FRAGMENT_SIZE)
+            object.__setattr__(
+                self, "target_size", _tuning.current().fragment_size
+            )
         if self.target_size < 1:
             raise KernelError("fragment target_size must be at least 1")
         if self.backend is not None and self.backend not in BACKEND_NAMES:
@@ -355,15 +165,6 @@ class FragmentationPolicy:
                 f"{', '.join(BACKEND_NAMES)}"
             )
 
-
-def _default_policy() -> FragmentationPolicy:
-    """A fresh policy carrying the *current* module defaults.
-
-    Always constructed at use, never cached at import: a frozen policy
-    resolves ``target_size`` at construction, so a module-level
-    constant would silently pin pre-calibration values after
-    :func:`set_default_tuning`."""
-    return FragmentationPolicy()
 
 # ----------------------------------------------------------------------
 # Executor backends
@@ -450,7 +251,7 @@ class ProcessBackend:
     per-fragment results; broadcast objects (shared build sides) are
     exported once and cached per worker.  Any *infrastructure* failure
     -- shared memory unusable, pool unspawnable, a worker crash or a
-    task timing out (:data:`PROCESS_TASK_TIMEOUT`) -- degrades the
+    task timing out (``process_task_timeout``) -- degrades the
     backend: the call returns ``None`` and the caller recomputes on
     threads, so a broken environment costs performance, never
     correctness.  Exceptions raised by the task itself (e.g. a type
@@ -538,7 +339,7 @@ class ProcessBackend:
             results: List[Any] = []
             try:
                 for future in futures:
-                    results.append(future.result(timeout=PROCESS_TASK_TIMEOUT))
+                    results.append(future.result(timeout=_tuning.current().process_task_timeout))
             except (_FutureTimeout, BrokenProcessPool, OSError):
                 for future in futures:
                     future.cancel()
@@ -567,10 +368,9 @@ Backend = Union[ThreadBackend, ProcessBackend]
 
 
 def get_backend(name: Optional[str] = None) -> Backend:
-    """The backend registered under *name* (default: the module-level
-    :data:`DEFAULT_BACKEND`, i.e. ``REPRO_EXECUTOR_BACKEND`` /
-    calibrated tuning)."""
-    name = name or DEFAULT_BACKEND
+    """The backend registered under *name* (default: the live
+    ``tuning.current().backend``)."""
+    name = name or _tuning.current().backend
     try:
         return _BACKENDS[name]
     except KeyError:
@@ -638,7 +438,7 @@ class FragmentedBAT:
                 "FragmentedBAT takes no per-fragment positions: "
                 "fragment order is BUN order"
             )
-        policy = policy or _default_policy()
+        policy = policy or FragmentationPolicy()
         fragments = list(fragments)
         if not fragments:
             raise KernelError("a FragmentedBAT needs at least one fragment")
@@ -996,7 +796,7 @@ def _boundaries_nondecreasing(frags: Sequence[BAT], *, head: bool) -> bool:
 def fragment_bat(bat: BAT, policy: Optional[FragmentationPolicy] = None) -> FragmentedBAT:
     """Split *bat* into contiguous BUN ranges of at most
     ``policy.target_size`` BUNs (zero-copy views)."""
-    policy = policy or _default_policy()
+    policy = policy or FragmentationPolicy()
     n = len(bat)
     if n <= policy.target_size:
         return FragmentedBAT([bat], policy=policy, name=bat.name)
@@ -1060,15 +860,15 @@ def _offload_subset(
 ) -> Optional[FragmentedBAT]:
     """Row-subset via the resolved backend's process offload.
 
-    Only object-dtype predicate work at or above
-    :data:`PROCESS_MIN_BUNS` is eligible (the per-dtype rule: numeric
+    Only object-dtype predicate work at or above the live
+    ``process_min`` is eligible (the per-dtype rule: numeric
     predicates release the GIL and are faster on threads), and the
     backend itself may still decline (thread backend, shared memory
     unusable).  ``None`` means "not offloaded" -- the caller runs the
     thread path.  On success the workers return each fragment's
     qualifying local positions and the parent gathers the surviving
     rows, exactly mirroring :func:`_subset_op`'s combine."""
-    if not object_work or len(fb) < PROCESS_MIN_BUNS:
+    if not object_work or len(fb) < _tuning.current().process_min:
         return None
     keeps = _resolve_backend(fb).run_column_tasks(
         task, columns, args, broadcast=broadcast
@@ -1086,7 +886,7 @@ def _resolve_workers(fb: FragmentedBAT, workers: Optional[int]) -> Optional[int]
         return workers
     if fb.policy.workers is not None:
         return fb.policy.workers
-    if len(fb) < PARALLEL_MIN_BUNS:
+    if len(fb) < _tuning.current().parallel_min:
         return 1
     return None
 
@@ -1297,7 +1097,7 @@ def _fetchjoin_fragmented(
 # fragmented right operand never coalesces; per-partition match indexes
 # build in parallel (the object-dtype radix split offloads to the
 # process backend); every probe fragment probes partition-locally; and
-# a build side past JOIN_SPILL_BUNS spills its partitions through the
+# a build side past ``join_spill`` spills its partitions through the
 # BBP scratch directory as npz units and is processed one partition at
 # a time, capping the resident build state.  Build fragments arrive in
 # BUN order, so every partition indexes its rows in BUN order like the
@@ -1325,9 +1125,9 @@ def _concat_raw(chunks: List[np.ndarray], object_dtype: bool) -> np.ndarray:
 def _join_fanout(build_n: int) -> int:
     """Radix partition count for a *build_n*-BUN build side: enough
     partitions to parallelize and stay cache-resident, floored so small
-    builds never shatter, capped at the live :data:`JOIN_FANOUT`."""
+    builds never shatter, capped at the live ``join_fanout``."""
     by_floor = -(-build_n // max(1, JOIN_PARTITION_MIN_BUNS))
-    return max(1, min(JOIN_FANOUT, by_floor))
+    return max(1, min(_tuning.current().join_fanout, by_floor))
 
 
 def _join_partition_lists(
@@ -1340,7 +1140,7 @@ def _join_partition_lists(
     """Per-fragment radix splits (NIL-free local positions grouped by
     partition), offloaded to the process backend for the GIL-bound
     object-dtype hashing loops."""
-    if keyspace == "object" and sum(len(c) for c in columns) >= PROCESS_MIN_BUNS:
+    if keyspace == "object" and sum(len(c) for c in columns) >= _tuning.current().process_min:
         backend = (
             _resolve_backend(source)
             if isinstance(source, FragmentedBAT)
@@ -1390,12 +1190,13 @@ def _grace_matches(
     tails_object = _kernel._is_object_column(build_frags[0].tail)
     build_n = sum(len(frag) for frag in build_frags)
     fanout = _join_fanout(build_n)
-    spill = build_n > JOIN_SPILL_BUNS
+    join_spill = _tuning.current().join_spill
+    spill = build_n > join_spill
     if spill:
         # Partitions sized to the spill threshold, so the resident
         # build state stays near the cap (bounded fanout keeps the
         # unit count sane when the threshold is tiny).
-        per_partition = max(1, JOIN_SPILL_BUNS)
+        per_partition = max(1, join_spill)
         fanout = max(fanout, min(256, -(-build_n // per_partition)))
     empty_positions = np.empty(0, dtype=np.int64)
     empty_tails = (
@@ -1635,7 +1436,7 @@ def _member_build(
     (the per-value ``nil_dedup_key`` loop is GIL-bound), on threads
     otherwise."""
     columns = _head_columns(source)
-    if keyspace == "object" and sum(len(c) for c in columns) >= PROCESS_MIN_BUNS:
+    if keyspace == "object" and sum(len(c) for c in columns) >= _tuning.current().process_min:
         backend = (
             _resolve_backend(source)
             if isinstance(source, FragmentedBAT)
@@ -2171,12 +1972,11 @@ def _merge_partition_count(n: int, policy: FragmentationPolicy) -> int:
     the data outgrows a cache-resident working set (~64k BUNs per
     partition keeps each merge's key+position arrays in L2, which is
     where the single-core win over the old streaming tournament comes
-    from) -- capped at the merge fan-out (:data:`MERGE_FANOUT` is read
-    live, so calibrated values apply to in-flight handles
-    immediately)."""
+    from) -- capped at the live ``merge_fanout`` (so calibrated values
+    apply to in-flight handles immediately)."""
     by_target = -(-n // policy.target_size)
     by_cache = n // (64 * 1024)
-    return max(1, min(MERGE_FANOUT, max(by_target, by_cache)))
+    return max(1, min(_tuning.current().merge_fanout, max(by_target, by_cache)))
 
 
 def _concat_values(columns: Sequence[AnyColumn], atom_type) -> np.ndarray:
@@ -2762,7 +2562,8 @@ def fold_tail(
 
     This is the cheap half of reorganization: the merge daemon runs it
     continuously so deltas of both kinds fold back to the policy size
-    while readers keep their snapshots."""
+    while readers keep their snapshots.  When neither pass changes a
+    fragment the input handle itself is returned."""
     policy = policy or fb.policy
     target = policy.target_size
     sizes = fb.fragment_sizes()
@@ -2781,6 +2582,13 @@ def fold_tail(
             )
     if starved:
         out = _compact_starved(out, target)
+    if len(out) == len(fb.fragments) and all(
+        new is old for new, old in zip(out, fb.fragments)
+    ):
+        # Nothing was sliced or merged (an unmergeable starved tail):
+        # a new handle would make the merge daemon re-swap, bump the
+        # epoch and invalidate views on every pass.
+        return fb
     return FragmentedBAT(out, policy=policy, name=fb.name)
 
 

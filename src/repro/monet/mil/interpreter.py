@@ -204,7 +204,15 @@ class MILInterpreter:
             if len(args) != 1 or not isinstance(args[0], str):
                 raise MILRuntimeError('bat() takes one string name')
             if pool.is_fragmented(args[0]):
-                return pool.lookup_fragments(args[0], self.fragment_policy)
+                # Fold an oversized registration to the plan's policy
+                # here, at name resolution (slice views, identity when
+                # in shape): folding it on the first intermediate
+                # instead would misalign e.g. group(bat(a)) with its
+                # sibling bat(b) and make refine/pump coalesce.
+                return fragments.fold_tail(
+                    pool.lookup_fragments(args[0], self.fragment_policy),
+                    self.fragment_policy,
+                )
             return pool.lookup(args[0])
         if name == "persists":
             if len(args) != 2 or not isinstance(args[0], str):

@@ -19,13 +19,11 @@ numeric column
     ``(name, atom, dtype, length)`` and the worker maps the array
     **zero-copy** with ``np.frombuffer`` over the shared buffer.
 str (object) column
-    a length-prefixed encoded heap of UTF-8 strings.  The *format* is
-    modeled by :func:`repro.monet.heap.encode_str_heap` (one length
-    word per value, NIL marked, then the concatenated UTF-8 bytes);
-    the *transport* writes it via the pickle protocol, whose
-    ``BINUNICODE`` framing is exactly that layout -- an opcode, the
-    byte length, the UTF-8 payload per string -- produced and parsed
-    by one C-level pass.  That pass is what makes the backend viable:
+    a length-prefixed encoded heap of UTF-8 strings, written via the
+    pickle protocol: its ``BINUNICODE`` framing is exactly that layout
+    -- an opcode, the byte length, the UTF-8 payload per string (NIL
+    is pickle's ``None`` opcode) -- produced and parsed by one C-level
+    pass.  That pass is what makes the backend viable:
     at 1M values the C codec round-trips in ~25 ms where a Python-loop
     heap codec costs ~600 ms, ten times the very scan the offload is
     trying to parallelize (measured; see ``bench_fragments

@@ -1,0 +1,280 @@
+"""The physical tuning knobs: one record, one table, one resolution.
+
+This module alone knows how a knob gets its value.  :data:`KNOBS` has
+one row per field of the frozen :class:`Tuning` record (environment
+variable, kind, bound, cores-derived default, persisted or not), and
+:func:`resolve` applies one precedence knob by knob: **environment >
+persisted > installed (calibrated) > derived default**.  The
+environment is read and validated once, at import;
+:func:`load_persisted` adopts ``catalog["tuning"]``; :func:`install`
+takes calibrated values (``bench_fragments.calibrate()``);
+:func:`persistable` is the catalog serializer; one validator serves
+all three inputs.  Everything else reads the live record --
+``tuning.current().merge_fanout`` -- and tests and benchmarks force
+values with :func:`override`.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import os
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+
+from repro.monet.errors import KernelError
+
+#: The executor backends an operator fan-out can run on.
+BACKEND_NAMES = ("thread", "process")
+
+
+@dataclass(frozen=True)
+class Tuning:
+    """One resolved physical configuration (fields in :data:`KNOBS`
+    order).  ``measured`` is true once a persisted-class knob came from
+    a calibration or a catalog rather than the environment or the
+    cores-derived defaults; only measured tuning is written to disk."""
+
+    fragment_size: int
+    parallel_min: int
+    merge_fanout: int
+    backend: str
+    process_min: int
+    join_fanout: int
+    join_spill: int
+    process_task_timeout: float
+    wal_group_ms: float
+    measured: bool
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One row of the knob table.  Numeric knobs are bounded below by
+    zero (exclusive when ``positive``), ``str`` knobs by ``choices``.
+    ``default`` is a value, or ``f(cores, resolved)`` seeing the knobs
+    of earlier rows."""
+
+    field: str
+    env: str
+    kind: type
+    default: Any
+    positive: bool = False
+    choices: Tuple[str, ...] = ()
+    persisted: bool = True
+
+    @property
+    def expects(self) -> str:
+        if self.kind is str:
+            return "one of " + ", ".join(self.choices)
+        noun = "an integer" if self.kind is int else "a number"
+        return f"{noun} {'>' if self.positive else '>='} 0"
+
+
+KNOBS: Tuple[Knob, ...] = (
+    # BUNs per fragment.  Two pressures: a fragment of int64 tails
+    # should stay inside an L2-sized working set (64Ki BUNs ~ 0.5 MB),
+    # and a moderately large BAT (1M BUNs) should still yield at least
+    # two fragments per core so the pool saturates.  Many-core hosts
+    # therefore get smaller fragments; the 8Ki floor keeps per-fragment
+    # dispatch overhead negligible.
+    Knob("fragment_size", "REPRO_FRAGMENT_SIZE", int,
+         lambda cores, _: max(8 * 1024, min(64 * 1024, (1 << 20) // (2 * cores))),
+         positive=True),
+    # Serial-execution floor: below this many total BUNs an operator
+    # runs its fragments serially (the numpy work is in the tens of
+    # microseconds there and thread dispatch would dominate it).
+    # Parallel dispatch pays off once a BAT spans a few fragments; with
+    # more cores the thread-pool cost amortizes earlier.
+    Knob("parallel_min", "REPRO_PARALLEL_MIN_BUNS", int,
+         lambda cores, resolved: resolved["fragment_size"] * max(2, 8 // cores)),
+    # Cap on the range partitions the sample-sort merge builds in
+    # parallel.  Cache-driven at least as much as core-driven: even on
+    # one core, partition merges whose key+position working set stays
+    # L2-resident beat a streaming tournament (measured ~1.37x ->
+    # ~1.17x single-core overhead on duplicate-heavy 1M-BUN sorts), so
+    # the floor is generous; extra cores raise it for genuine
+    # parallelism.  The actual count also respects a ~64k-BUN-per-
+    # partition floor (``fragments._merge_partition_count``).
+    Knob("merge_fanout", "REPRO_MERGE_FANOUT", int,
+         lambda cores, _: max(16, 4 * cores), positive=True),
+    # Default executor backend.  ``thread`` is right for numpy's
+    # GIL-releasing numeric kernels; ``process`` additionally offloads
+    # the registered object-dtype (str) predicate tasks to workers.
+    Knob("backend", "REPRO_EXECUTOR_BACKEND", str, "thread", choices=BACKEND_NAMES),
+    # Below this many total BUNs an object-dtype predicate stays on
+    # threads even under the process backend: the shared-memory export
+    # plus task dispatch has a fixed cost only larger Python-level
+    # scans amortize.  0 disables the floor (every eligible predicate
+    # offloads, which is what the differential tests pin).
+    Knob("process_min", "REPRO_PROCESS_MIN_BUNS", int, 64 * 1024),
+    # Cap on grace-join radix partitions.  Same two pressures as the
+    # merge fan-out: enough partitions that the per-partition builds
+    # saturate the pool and stay cache-resident, not so many that
+    # dispatch and gather overhead dominate.
+    Knob("join_fanout", "REPRO_JOIN_FANOUT", int,
+         lambda cores, _: max(16, 4 * cores), positive=True),
+    # Build sides above this many BUNs spill their radix partitions to
+    # disk through the BBP scratch directory and are processed one
+    # partition at a time, capping a join's resident build state near
+    # this threshold.  0 forces every partitioned build to spill.
+    Knob("join_spill", "REPRO_JOIN_SPILL_BUNS", int, 4 * 1024 * 1024),
+    # Per-task result timeout (seconds) of the process backend; a
+    # worker stuck past it degrades the backend to threads instead of
+    # hanging the plan (and CI) forever.
+    Knob("process_task_timeout", "REPRO_PROCESS_TASK_TIMEOUT", float, 120.0,
+         positive=True, persisted=False),
+    # Group-commit window (ms): the WAL leader sleeps this long before
+    # draining the intent queue so concurrent mutators pile onto one
+    # fsync.  Zero still batches: a mutator arriving while a flush is
+    # in flight joins the next batch.
+    Knob("wal_group_ms", "REPRO_WAL_GROUP_MS", float, 0.0, persisted=False),
+)
+
+_BY_FIELD = {knob.field: knob for knob in KNOBS}
+
+
+def _validated(knob: Knob, raw: Any, origin: str, *, text: bool = False) -> Any:
+    """The one validator behind the environment, the catalog and
+    :func:`install`.  *text* marks an environment string, which the
+    knob's kind parses first; everything else must already be typed."""
+    value = raw
+    if text and knob.kind is not str:
+        try:
+            value = knob.kind(raw)
+        except ValueError:
+            value = None
+    if knob.kind is str:
+        valid = isinstance(value, str) and value in knob.choices
+    else:
+        typed = numbers.Integral if knob.kind is int else numbers.Real
+        valid = (
+            isinstance(value, typed)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value > 0 if knob.positive else value >= 0)
+        )
+    if not valid:
+        raise KernelError(f"{origin}={raw!r}: expected {knob.expects}")
+    return knob.kind(value)
+
+
+def _validated_fields(changes: Mapping[str, Any], origin: str) -> Dict[str, Any]:
+    unknown = sorted(set(changes) - set(_BY_FIELD))
+    if unknown:
+        raise KernelError(
+            f"{origin}: unknown tuning knob(s) {', '.join(unknown)}; "
+            f"expected {', '.join(_BY_FIELD)}"
+        )
+    return {
+        field: _validated(_BY_FIELD[field], value, f"{origin}({field})")
+        for field, value in changes.items()
+    }
+
+
+# The layers, in precedence order.  ``_ENV`` is read once, here: an
+# unset or empty variable is "not set", anything malformed or out of
+# range fails the import.  ``_FORCED`` is :func:`override`'s.
+_FORCED: Dict[str, Any] = {}
+_ENV: Dict[str, Any] = {
+    knob.field: _validated(knob, os.environ[knob.env], knob.env, text=True)
+    for knob in KNOBS
+    if os.environ.get(knob.env)
+}
+_PERSISTED: Dict[str, Any] = {}
+_INSTALLED: Dict[str, Any] = {}
+_LAYERS = (_FORCED, _ENV, _PERSISTED, _INSTALLED)
+_LOCK = threading.Lock()
+
+
+def resolve(cores: Optional[int] = None) -> Tuning:
+    """Resolve every knob through the layers (first hit wins), falling
+    back to its default derived from *cores* (default: the live count)."""
+    cores = cores or os.cpu_count() or 1
+    values: Dict[str, Any] = {}
+    for knob in KNOBS:
+        layer = next((layer for layer in _LAYERS if knob.field in layer), None)
+        if layer is not None:
+            values[knob.field] = layer[knob.field]
+        elif callable(knob.default):
+            values[knob.field] = knob.default(cores, values)
+        else:
+            values[knob.field] = knob.default
+    measured = any(
+        knob.persisted and (knob.field in _PERSISTED or knob.field in _INSTALLED)
+        for knob in KNOBS
+    )
+    return Tuning(measured=measured, **values)
+
+
+_live = resolve()
+
+
+def current() -> Tuning:
+    """The live record.  Frozen: read a field per use, never cache one."""
+    return _live
+
+
+def _refresh() -> Tuning:
+    global _live
+    _live = resolve()
+    return _live
+
+
+def install(**changes: Any) -> Tuning:
+    """Install measured (calibrated) values and return the new live
+    record.  A knob pinned by its environment variable, or restored
+    from a catalog, keeps that value."""
+    checked = _validated_fields(changes, "install")
+    with _LOCK:
+        _INSTALLED.update(checked)
+        return _refresh()
+
+
+def load_persisted(entry: Any) -> Tuning:
+    """Adopt a ``catalog["tuning"]`` entry (outside input): persisted
+    knobs are validated and layered under the environment; unknown
+    keys are ignored.  Raises :class:`KernelError` naming the key."""
+    if not isinstance(entry, Mapping):
+        raise KernelError(f'catalog["tuning"]={entry!r}: expected an object')
+    checked = {
+        knob.field: _validated(
+            knob, entry[knob.field], f'catalog["tuning"]["{knob.field}"]'
+        )
+        for knob in KNOBS
+        if knob.persisted and knob.field in entry
+    }
+    with _LOCK:
+        _PERSISTED.update(checked)
+        return _refresh()
+
+
+def persistable() -> Optional[Dict[str, Any]]:
+    """The ``catalog["tuning"]`` entry for the live record, or ``None``
+    while nothing was measured (derived defaults stay local)."""
+    live = current()
+    if not live.measured:
+        return None
+    return {knob.field: getattr(live, knob.field) for knob in KNOBS if knob.persisted}
+
+
+@contextmanager
+def override(**changes: Any) -> Iterator[Tuning]:
+    """Force *changes* over every layer, the environment included, for
+    the duration of the block; on exit also undo whatever the block
+    installed or loaded.  For tests and benchmarks."""
+    checked = _validated_fields(changes, "override")
+    mutable = (_FORCED, _PERSISTED, _INSTALLED)
+    with _LOCK:
+        saved = [dict(layer) for layer in mutable]
+        _FORCED.update(checked)
+        _refresh()
+    try:
+        yield current()
+    finally:
+        with _LOCK:
+            for layer, before in zip(mutable, saved):
+                layer.clear()
+                layer.update(before)
+            _refresh()

@@ -58,7 +58,9 @@ from repro.service.session import Session
 
 @dataclass
 class ServiceConfig:
-    """Service knobs (see ROADMAP.md's tuning-knob table).
+    """Service knobs, set per service by its constructor's caller (see
+    README.md "Quickstart: the query service").  The kernel's physical
+    knobs are a separate record, :mod:`repro.monet.tuning`.
 
     ``rate=None`` disables per-session rate limiting; ``deadline=None``
     disables the default per-query deadline (a request may still set

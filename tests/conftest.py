@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.moa.structures.contrep import ContentRepresentation
+from repro.monet import tuning
 from repro.monet.bat import BAT
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import (
@@ -48,6 +51,22 @@ def fragment_layout(
 @pytest.fixture
 def pool():
     return BATBufferPool()
+
+
+@pytest.fixture
+def tuning_override():
+    """``tuning_override(**changes)`` forces tuning knobs on the single
+    live record (:func:`repro.monet.tuning.override`) until the test
+    ends.  Teardown also undoes whatever the test installed or loaded
+    from a catalog, so requesting the fixture is how a test that calls
+    ``tuning.install`` / loads persisted tuning keeps it from leaking."""
+    with contextlib.ExitStack() as stack:
+
+        def force(**changes):
+            return stack.enter_context(tuning.override(**changes))
+
+        force()
+        yield force
 
 
 ANNOTATED_DOCS = [

@@ -32,25 +32,27 @@ def db():
 
 class TestDelete:
     def test_delete_by_predicate(self, db):
-        removed = db.delete("Rows", "THIS.tag = 'a'")
+        removed = db.delete("Rows", where=lambda r: r["tag"] == "a")
         assert removed == 2
         assert [r["n"] for r in db.contents("Rows")] == [2, 4]
 
     def test_delete_numeric_predicate(self, db):
-        removed = db.delete("Rows", "THIS.n > 2")
+        removed = db.delete("Rows", where=lambda r: r["n"] > 2)
         assert removed == 2
         assert db.count("Rows") == 2
 
     def test_delete_nothing(self, db):
-        assert db.delete("Rows", "THIS.n > 99") == 0
+        assert db.delete("Rows", where=lambda r: r["n"] > 99) == 0
         assert db.count("Rows") == 4
 
     def test_delete_everything(self, db):
-        assert db.delete("Rows", "THIS.n >= 1") == 4
+        assert db.delete("Rows", where=lambda r: r["n"] >= 1) == 4
         assert db.contents("Rows") == []
 
     def test_delete_compound_predicate(self, db):
-        removed = db.delete("Rows", "THIS.tag = 'a' and THIS.n < 2")
+        removed = db.delete(
+            "Rows", where=lambda r: r["tag"] == "a" and r["n"] < 2
+        )
         assert removed == 1
         assert [r["n"] for r in db.contents("Rows")] == [2, 3, 4]
 
@@ -63,7 +65,7 @@ class TestDelete:
             "Docs",
             [{"u": "keep", "c": "red sunset"}, {"u": "drop", "c": "blue"}],
         )
-        db.delete("Docs", "THIS.u = 'drop'")
+        db.delete("Docs", where=lambda r: r["u"] == "drop")
         rows = db.contents("Docs")
         assert len(rows) == 1
         assert rows[0]["c"].terms == {"red": 1, "sunset": 1}

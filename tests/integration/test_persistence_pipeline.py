@@ -73,5 +73,7 @@ class TestReload:
             [{"source": "new", "annotation": "fresh sunset", "image": ["rgb_0"]}],
         )
         assert restored.count("ImageLibraryInternal") == 11
-        removed = restored.delete("ImageLibraryInternal", "THIS.source = 'new'")
+        removed = restored.delete(
+            "ImageLibraryInternal", where=lambda r: r["source"] == "new"
+        )
         assert removed == 1

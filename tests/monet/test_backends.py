@@ -2,8 +2,8 @@
 
 The differential and fuzz suites prove both backends BUN-identical
 operator by operator; this suite covers the machinery around them:
-how a backend is selected (policy pin > module default; env override >
-persisted catalog tuning), when the process pool actually spawns (lazy,
+how a backend is selected (policy pin > live tuning record; the
+record's own precedence is ``test_tuning.py``'s), when the process pool actually spawns (lazy,
 and only above the per-dtype offload threshold), how the process
 backend degrades to threads when shared memory is unusable, and that a
 clean run leaks neither shared-memory segments nor semaphores
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.monet import fragments as fr
-from repro.monet import shm
+from repro.monet import shm, tuning
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
 from repro.monet.fragments import (
@@ -55,13 +55,13 @@ def _require_process_backend():
 # ----------------------------------------------------------------------
 
 
-def test_policy_pin_beats_module_default(monkeypatch):
-    monkeypatch.setattr(fr, "DEFAULT_BACKEND", "thread")
+def test_policy_pin_beats_module_default(tuning_override):
+    tuning_override(backend="thread")
     fb = fragment_bat(_str_bat(), _process_policy())
     assert fr._resolve_backend(fb) is fr.get_backend("process")
     fb_default = fragment_bat(_str_bat(), FragmentationPolicy(target_size=64))
     assert fr._resolve_backend(fb_default) is fr.get_backend("thread")
-    monkeypatch.setattr(fr, "DEFAULT_BACKEND", "process")
+    tuning_override(backend="process")
     # Unpinned policies read the module default live, per call.
     assert fr._resolve_backend(fb_default) is fr.get_backend("process")
 
@@ -72,25 +72,13 @@ def test_unknown_backend_rejected_everywhere():
     with pytest.raises(KernelError):
         fr.get_backend("gpu")
     with pytest.raises(KernelError):
-        fr.set_default_tuning(backend="gpu")
-
-
-def test_env_override_selects_backend_at_import():
-    """REPRO_EXECUTOR_BACKEND seeds the module default (a fresh
-    interpreter, so the import-time read is what is tested)."""
-    code = "import repro.monet.fragments as fr; print(fr.DEFAULT_BACKEND)"
-    env = dict(os.environ, PYTHONPATH=REPO_SRC, REPRO_EXECUTOR_BACKEND="process")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "process"
+        tuning.install(backend="gpu")
 
 
 def test_default_tuning_reports_backend_fields():
-    tuning = fr.default_tuning()
-    assert tuning["backend"] in fr.BACKEND_NAMES
-    assert tuning["process_min"] >= 0
+    reported = fr.default_tuning()
+    assert reported["backend"] in fr.BACKEND_NAMES
+    assert reported["process_min"] >= 0
 
 
 # ----------------------------------------------------------------------
@@ -98,29 +86,29 @@ def test_default_tuning_reports_backend_fields():
 # ----------------------------------------------------------------------
 
 
-def test_process_pool_spawns_lazily_and_respects_threshold(monkeypatch):
+def test_process_pool_spawns_lazily_and_respects_threshold(monkeypatch, tuning_override):
     _require_process_backend()
     fresh = ProcessBackend()
     monkeypatch.setitem(fr._BACKENDS, "process", fresh)
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 10_000)
+    tuning_override(process_min=10_000)
     fb = fragment_bat(_str_bat(600), _process_policy())
     thread_result = fr.likeselect(fb, "ap").to_bat().to_pairs()
     # 600 BUNs < threshold: the predicate ran on threads, no pool.
     assert not fresh.spawned()
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(process_min=0)
     process_result = fr.likeselect(fb, "ap").to_bat().to_pairs()
     assert fresh.spawned()
     assert process_result == thread_result
     fresh.shutdown()
 
 
-def test_numeric_predicates_never_offload(monkeypatch):
+def test_numeric_predicates_never_offload(monkeypatch, tuning_override):
     """The per-dtype rule: numeric selects stay on threads (numpy
     releases the GIL there) even under the process backend."""
     _require_process_backend()
     fresh = ProcessBackend()
     monkeypatch.setitem(fr._BACKENDS, "process", fresh)
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(process_min=0)
     ints = BAT(VoidColumn(0, 500), Column("int", np.arange(500) % 7))
     fb = fragment_bat(ints, _process_policy())
     result = fr.select(fb, 1, 4).to_bat()
@@ -134,7 +122,7 @@ def test_numeric_predicates_never_offload(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_process_backend_falls_back_without_shared_memory(monkeypatch):
+def test_process_backend_falls_back_without_shared_memory(monkeypatch, tuning_override):
     """With multiprocessing.shared_memory unavailable the process
     backend declines every offload and the thread path computes the
     identical result -- correctness never depends on the platform."""
@@ -143,7 +131,7 @@ def test_process_backend_falls_back_without_shared_memory(monkeypatch):
         fragment_bat(_str_bat(), FragmentationPolicy(target_size=64, workers=2)), "ap"
     ).to_bat().to_pairs()
     monkeypatch.setattr(shm, "shared_memory", None)
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(process_min=0)
     assert not fr.get_backend("process").available()
     live_before = set(shm._LIVE_SEGMENTS)
     result = fr.likeselect(fb, "ap").to_bat().to_pairs()
@@ -151,13 +139,13 @@ def test_process_backend_falls_back_without_shared_memory(monkeypatch):
     assert shm._LIVE_SEGMENTS == live_before  # nothing was exported
 
 
-def test_process_backend_degrades_on_export_failure(monkeypatch):
+def test_process_backend_degrades_on_export_failure(monkeypatch, tuning_override):
     """An OSError during shared-memory export (full /dev/shm, seccomp)
     disables the backend for the session and falls back to threads."""
     _require_process_backend()
     fresh = ProcessBackend()
     monkeypatch.setitem(fr._BACKENDS, "process", fresh)
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(process_min=0)
 
     def broken_export(column):
         raise OSError("no shared memory left")
@@ -177,10 +165,9 @@ def test_process_backend_degrades_on_export_failure(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_offload_leaves_no_live_segments(monkeypatch):
+def test_offload_leaves_no_live_segments(tuning_override):
     _require_process_backend()
-    monkeypatch.setattr(fr, "DEFAULT_BACKEND", "process")
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(backend="process", process_min=0)
     fb = fragment_bat(_str_bat(), FragmentationPolicy(target_size=64, workers=2))
     left = BAT(Column("str", _str_bat().tail_values()), Column("int", np.arange(600)))
     fl = fragment_bat(left, FragmentationPolicy(target_size=64, workers=2))
@@ -198,9 +185,9 @@ def test_offload_leaves_no_live_segments(monkeypatch):
         assert leftovers == []
 
 
-def test_shutdown_is_clean_and_backend_respawns(monkeypatch):
+def test_shutdown_is_clean_and_backend_respawns(tuning_override):
     _require_process_backend()
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(process_min=0)
     fb = fragment_bat(_str_bat(), _process_policy())
     first = fr.likeselect(fb, "ap").to_bat().to_pairs()
     fr.shutdown_backends()
@@ -227,7 +214,6 @@ def test_no_resource_tracker_warnings_on_clean_exit():
             from repro.monet.bat import BAT, Column, VoidColumn
             from repro.monet.fragments import FragmentationPolicy, fragment_bat
 
-            fr.PROCESS_MIN_BUNS = 0
             words = np.array(
                 ["apple", "banana", None, "cherry"] * 150, dtype=object
             )
@@ -247,7 +233,7 @@ def test_no_resource_tracker_warnings_on_clean_exit():
             main()
         """
     )
-    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    env = dict(os.environ, PYTHONPATH=REPO_SRC, REPRO_PROCESS_MIN_BUNS="0")
     env.pop("REPRO_EXECUTOR_BACKEND", None)
     out = subprocess.run(
         [sys.executable, "-c", script],
@@ -267,9 +253,9 @@ def test_no_resource_tracker_warnings_on_clean_exit():
 # ----------------------------------------------------------------------
 
 
-def test_str_equality_and_range_select_offload(monkeypatch):
+def test_str_equality_and_range_select_offload(tuning_override):
     _require_process_backend()
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(process_min=0)
     bat = _str_bat()
     thread_fb = fragment_bat(bat, FragmentationPolicy(target_size=64, workers=2))
     process_fb = fragment_bat(bat, _process_policy())

@@ -240,142 +240,43 @@ def test_legacy_catalog_with_mismatched_positions_is_rejected(tmp_path):
         BATBufferPool.load(tmp_path / "db")
 
 
-def _tuning_state(fragments):
-    return (
-        fragments.DEFAULT_FRAGMENT_SIZE,
-        fragments.PARALLEL_MIN_BUNS,
-        fragments.MERGE_FANOUT,
-        fragments.DEFAULT_BACKEND,
-        fragments.PROCESS_MIN_BUNS,
-        fragments.JOIN_FANOUT,
-        fragments.JOIN_SPILL_BUNS,
-        fragments._TUNING_MEASURED,
-    )
-
-
-def _restore_tuning(fragments, state):
-    (
-        fragments.DEFAULT_FRAGMENT_SIZE,
-        fragments.PARALLEL_MIN_BUNS,
-        fragments.MERGE_FANOUT,
-        fragments.DEFAULT_BACKEND,
-        fragments.PROCESS_MIN_BUNS,
-        fragments.JOIN_FANOUT,
-        fragments.JOIN_SPILL_BUNS,
-        fragments._TUNING_MEASURED,
-    ) = state
-
-
 def test_calibrated_tuning_roundtrip(pool, tmp_path):
-    """Measured fragment tuning persists next to the catalog and is
-    reinstalled on load, so a restarted server skips the measurement
-    pass.  Cores-derived (unmeasured) defaults are never written."""
-    from repro.monet import fragments
+    """Measured tuning persists next to the catalog and is reinstalled
+    on load, so a restarted server skips the measurement pass.
+    Cores-derived (unmeasured) defaults are never written.  (Knob-by-
+    knob precedence and validation: ``test_tuning.py``.)"""
+    import json
 
-    saved_state = _tuning_state(fragments)
-    try:
+    from repro.monet import tuning
+
+    measured = {
+        "fragment_size": 12345,
+        "parallel_min": 67890,
+        "merge_fanout": 24,
+        "backend": "process",
+        "process_min": 4096,
+        "join_fanout": 12,
+        "join_spill": 2_000_000,
+    }
+    with tuning.override():
         pool.register("x", dense_bat("int", [1, 2, 3]))
         pool.save(tmp_path / "db")
-        import json
-
         catalog = json.loads((tmp_path / "db" / "catalog.json").read_text())
         assert "tuning" not in catalog  # unmeasured defaults stay local
 
-        fragments.set_default_tuning(
-            fragment_size=12345,
-            parallel_min=67890,
-            merge_fanout=24,
-            backend="process",
-            process_min=4096,
-            join_fanout=12,
-            join_spill=2_000_000,
-        )
+        tuning.install(**measured)
         pool.save(tmp_path / "db2")
         catalog = json.loads((tmp_path / "db2" / "catalog.json").read_text())
-        assert catalog["tuning"] == {
-            "fragment_size": 12345,
-            "parallel_min": 67890,
-            "merge_fanout": 24,
-            "backend": "process",
-            "process_min": 4096,
-            "join_fanout": 12,
-            "join_spill": 2_000_000,
-        }
-
-        # A "restart": reset the module defaults, then load the pool.
-        _restore_tuning(fragments, saved_state)
+        assert catalog["tuning"] == measured
+    # Leaving the block is the "restart": nothing installed survives.
+    assert not tuning.current().measured
+    with tuning.override():
         BATBufferPool.load(tmp_path / "db2")
-        assert fragments.DEFAULT_FRAGMENT_SIZE == 12345
-        assert fragments.PARALLEL_MIN_BUNS == 67890
-        assert fragments.MERGE_FANOUT == 24
-        assert fragments.DEFAULT_BACKEND == "process"
-        assert fragments.PROCESS_MIN_BUNS == 4096
-        assert fragments.JOIN_FANOUT == 12
-        assert fragments.JOIN_SPILL_BUNS == 2_000_000
-        assert fragments.default_tuning()["measured"]
+        live = tuning.current()
+        assert {field: getattr(live, field) for field in measured} == measured
+        assert live.measured
         # Policies made after the load pick the persisted value up.
         assert FragmentationPolicy().target_size == 12345
-    finally:
-        _restore_tuning(fragments, saved_state)
-
-
-def test_persisted_tuning_yields_to_env_overrides(pool, tmp_path, monkeypatch):
-    from repro.monet import fragments
-
-    saved_state = _tuning_state(fragments)
-    try:
-        pool.register("x", dense_bat("int", [1]))
-        fragments.set_default_tuning(fragment_size=11111, parallel_min=22222)
-        pool.save(tmp_path / "db")
-        _restore_tuning(fragments, saved_state)
-        monkeypatch.setenv("REPRO_FRAGMENT_SIZE", "9999")
-        BATBufferPool.load(tmp_path / "db")
-        # The env-pinned knob is untouched; the other one installs.
-        assert fragments.DEFAULT_FRAGMENT_SIZE == saved_state[0]
-        assert fragments.PARALLEL_MIN_BUNS == 22222
-    finally:
-        _restore_tuning(fragments, saved_state)
-
-
-def test_persisted_join_tuning_yields_to_env_overrides(pool, tmp_path, monkeypatch):
-    """REPRO_JOIN_FANOUT / REPRO_JOIN_SPILL_BUNS beat persisted values
-    knob by knob, like every other tuning field."""
-    from repro.monet import fragments
-
-    saved_state = _tuning_state(fragments)
-    try:
-        pool.register("x", dense_bat("int", [1]))
-        fragments.set_default_tuning(join_fanout=48, join_spill=7777)
-        pool.save(tmp_path / "db")
-        _restore_tuning(fragments, saved_state)
-        monkeypatch.setenv("REPRO_JOIN_FANOUT", "8")
-        BATBufferPool.load(tmp_path / "db")
-        # The env-pinned fanout is untouched; the spill knob installs.
-        assert fragments.JOIN_FANOUT == saved_state[5]
-        assert fragments.JOIN_SPILL_BUNS == 7777
-    finally:
-        _restore_tuning(fragments, saved_state)
-
-
-def test_persisted_backend_yields_to_env_override(pool, tmp_path, monkeypatch):
-    """REPRO_EXECUTOR_BACKEND beats a persisted (calibrated) backend:
-    the operator can always pin the executor of a restarted server."""
-    from repro.monet import fragments
-
-    saved_state = _tuning_state(fragments)
-    try:
-        pool.register("x", dense_bat("int", [1]))
-        fragments.set_default_tuning(backend="process", process_min=1234)
-        pool.save(tmp_path / "db")
-        _restore_tuning(fragments, saved_state)
-        fragments.DEFAULT_BACKEND = "thread"
-        monkeypatch.setenv("REPRO_EXECUTOR_BACKEND", "thread")
-        BATBufferPool.load(tmp_path / "db")
-        # The env-pinned backend is untouched; process_min installs.
-        assert fragments.DEFAULT_BACKEND == "thread"
-        assert fragments.PROCESS_MIN_BUNS == 1234
-    finally:
-        _restore_tuning(fragments, saved_state)
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ BACKENDS = ("thread", "process")
 
 
 @pytest.fixture(params=BACKENDS)
-def exec_backend(request, monkeypatch):
+def exec_backend(request, tuning_override):
     """Run the decorated differential test under both executor
     backends.  The offload threshold drops to zero so even the tiny
     differential BATs take the process path (object-dtype predicates
@@ -48,8 +48,7 @@ def exec_backend(request, monkeypatch):
     per-dtype rule) -- both backends must be BUN-identical."""
     if request.param == "process" and not fr.get_backend("process").available():
         pytest.skip("process backend unavailable on this platform")
-    monkeypatch.setattr(fr, "DEFAULT_BACKEND", request.param)
-    monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+    tuning_override(backend=request.param, process_min=0)
     return request.param
 
 
@@ -1077,12 +1076,12 @@ def test_sample_sort_empty_and_single_fragments(htype):
 
 @pytest.mark.parametrize("fanout", [1, 3, 64])
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_sample_sort_fanout_extremes(fanout, strategy, monkeypatch):
+def test_sample_sort_fanout_extremes(fanout, strategy, tuning_override):
     """MERGE_FANOUT=1 falls back to the serial tournament merge; a
     fan-out far beyond the data yields many tiny (some empty)
     partitions.  Both ends must be BUN-identical to the monolithic
     sort, for numeric and object heads."""
-    monkeypatch.setattr(fr, "MERGE_FANOUT", fanout)
+    tuning_override(merge_fanout=fanout)
     rng = np.random.default_rng(101 + fanout)
     for htype in ("dbl", "str"):
         bat = _headed_bat(rng, htype, 120)
@@ -1173,13 +1172,13 @@ def test_join_fragmented_right_differential(seed, exec_backend):
 
 
 @pytest.mark.parametrize("seed", range(0, N_CASES, 5))
-def test_join_spill_forced_differential(seed, monkeypatch):
+def test_join_spill_forced_differential(seed, monkeypatch, tuning_override):
     """JOIN_SPILL_BUNS=0 forces every partitioned build through the
     BBP npz spill units; results stay BUN-identical and no spill unit
     outlives its join."""
     from repro.monet import bbp
 
-    monkeypatch.setattr(fr, "JOIN_SPILL_BUNS", 0)
+    tuning_override(join_spill=0)
     monkeypatch.setattr(fr, "JOIN_PARTITION_MIN_BUNS", 1)
     rng = np.random.default_rng(1400 + seed)
     n = int(rng.choice([1, 30, 90]))
@@ -1206,12 +1205,12 @@ def test_join_spill_forced_differential(seed, monkeypatch):
 
 @pytest.mark.parametrize("fanout", [1, 64])
 @pytest.mark.parametrize("flavor", ["oid", "str"])
-def test_join_fanout_extremes(fanout, flavor, monkeypatch):
+def test_join_fanout_extremes(fanout, flavor, monkeypatch, tuning_override):
     """JOIN_FANOUT extremes, with the partition floor disabled so the
     cap actually binds: one partition (a plain shared-index join) and
     more partitions than distinct keys must both reproduce the
     monolithic join."""
-    monkeypatch.setattr(fr, "JOIN_FANOUT", fanout)
+    tuning_override(join_fanout=fanout)
     monkeypatch.setattr(fr, "JOIN_PARTITION_MIN_BUNS", 1)
     rng = np.random.default_rng(99 + fanout)
     left, right = _join_case(rng, flavor, 120, 30)

@@ -1,18 +1,11 @@
 """String heap and the BAT buffer pool (catalog + persistence)."""
 
-import numpy as np
 import pytest
 
 from repro.monet.bat import bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BATError, BBPError
-from repro.monet.heap import (
-    StringHeap,
-    decode_bat,
-    decode_str_heap,
-    encode_column,
-    encode_str_heap,
-)
+from repro.monet.heap import StringHeap, decode_bat, encode_column
 
 
 class TestStringHeap:
@@ -66,22 +59,6 @@ class TestStringHeap:
         encoded, heap2 = encode_column(["red", "blue"], heap)
         assert heap2 is heap
         assert encoded.tail_list() == [0, 1]
-
-    def test_str_heap_wire_codec_roundtrip(self):
-        """The length-prefixed wire codec: NILs mark as -1 lengths,
-        multi-byte UTF-8 survives, and any bytes-like buffer decodes
-        (the shm transport hands over shared-memory views)."""
-        values = ["red", None, "", "grün", "日本語", None]
-        lengths, data = encode_str_heap(values)
-        assert lengths.tolist() == [3, -1, 0, 5, 9, -1]
-        decoded = decode_str_heap(lengths, memoryview(data))
-        assert decoded.tolist() == values
-        assert decoded.dtype == np.dtype(object)
-
-    def test_str_heap_wire_codec_empty(self):
-        lengths, data = encode_str_heap([])
-        assert len(lengths) == 0 and data == b""
-        assert decode_str_heap(lengths, data).tolist() == []
 
 
 class TestCatalog:

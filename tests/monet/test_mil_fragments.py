@@ -130,24 +130,15 @@ def _data():
 
 def _pools(strategy: str):
     """(monolithic pool, fully fragmented pool) over identical data.
-
-    The ragged arm is cut at half the plan policy's target: its
-    oversized fragment (> 2x the cut size) then still fits the plan's
-    2x bound.  Past that bound the dispatch layer folds the first
-    intermediate (``refragment``) out of alignment with its unfolded
-    sibling registrations, and ``refine``/pump legitimately fall back
-    to coalescing -- the never-coalesce tripwires below describe plans
-    over registrations the merge daemon has folded.  (The fuzz suite
-    runs the unfolded shape.)"""
+    The ragged arm registers the full ragged shape, oversized fragment
+    included: ``bat("name")`` folds it to the plan policy at name
+    resolution, so sibling registrations stay aligned."""
     mono = BATBufferPool()
     frag = BATBufferPool()
-    cut = _POLICY
-    if strategy == "ragged":
-        cut = FragmentationPolicy(target_size=_POLICY.target_size // 2, workers=2)
     for name, bat in _data().items():
         mono.register(name, bat)
         frag.register_fragmented(
-            name, fragment_layout(bat, strategy, cut), replace=True
+            name, fragment_layout(bat, strategy, _POLICY), replace=True
         )
     return mono, frag
 

@@ -295,12 +295,10 @@ def _fuzz_backend(seed: int) -> str:
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", range(N_SEEDS))
-def test_mil_pipeline_fuzz(seed, strategy, monkeypatch):
-    from repro.monet import fragments as fr
-
+def test_mil_pipeline_fuzz(seed, strategy, tuning_override):
     backend = _fuzz_backend(seed)
     if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+        tuning_override(process_min=0)
     rng = np.random.default_rng(10_000 + seed)
     data = _make_data(rng)
     script = _gen_pipeline(rng)
@@ -367,18 +365,16 @@ def _make_mutator(rng, pool, names):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", range(N_WRITE_SEEDS))
-def test_mil_snapshot_isolation_fuzz(seed, strategy, monkeypatch):
+def test_mil_snapshot_isolation_fuzz(seed, strategy, tuning_override):
     """A plan whose statements interleave with concurrent appends,
     drops, and re-registrations must produce exactly what a run against
     the frozen pre-plan catalog produces: the per-plan snapshot pin
     means no pipeline ever sees a torn append.  Runs on both the
     monolithic and the fragmented registration (thread/process backend
     by seed parity)."""
-    from repro.monet import fragments as fr
-
     backend = _fuzz_backend(seed)
     if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+        tuning_override(process_min=0)
     rng = np.random.default_rng(77_000 + seed)
     data = _make_data(rng)
     script = _gen_pipeline(rng)

@@ -315,6 +315,27 @@ def test_pool_merge_deltas_compacts_tombstoned_fragments():
     ]
 
 
+def test_merge_deltas_is_idempotent_on_an_unmergeable_starved_tail():
+    """Sizes [2048, 4] at target 2048: the tail is starved but cannot
+    merge into its full neighbour.  The fold must hand the very handle
+    back, or the merge daemon re-swaps the registration (epoch bump,
+    view invalidation) on every pass forever."""
+    policy = FragmentationPolicy(target_size=2048)
+    pool = BATBufferPool()
+    pool.register_fragmented(
+        "x", fragment_bat(dense_bat("int", list(range(2052))), policy)
+    )
+    fb = pool.lookup_fragments("x")
+    assert fb.fragment_sizes() == [2048, 4]
+    assert fold_tail(fb, policy, compact=True) is fb
+    assert fr.refragment(fb, policy, compact=True) is fb
+    epoch = pool.epoch
+    assert pool.merge_deltas() == 0
+    assert pool.merge_deltas() == 0
+    assert pool.epoch == epoch
+    assert pool.lookup_fragments("x") is fb
+
+
 # ----------------------------------------------------------------------
 # BATBufferPool.delete / update: epochs, snapshots, errors
 # ----------------------------------------------------------------------
@@ -381,7 +402,7 @@ sum(j);
 
 
 @pytest.mark.parametrize("backend", _backends())
-def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
+def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch, tuning_override):
     """The PR acceptance property: a spill-free 1M-BUN pipeline
     (select -> join -> aggregate) over a fragmented BAT carrying *live*
     tombstone and patch deltas -- deleted and updated through the pool,
@@ -389,7 +410,7 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
     ``FragmentedBAT.to_bat`` and ``fragments.coalesce`` are both
     tripwired) and matches the monolithic reference BUN for BUN."""
     if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+        tuning_override(process_min=0)
     n = 1_000_000
     rng = np.random.default_rng(77)
     tails = rng.integers(0, 1000, n)
@@ -425,8 +446,6 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
     interpreter = MILInterpreter(frag_pool, fragment_policy=policy)
     result = interpreter.run(PIPELINE)
     monkeypatch.undo()
-    if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
     assert isinstance(result.env["s"], FragmentedBAT)
     assert isinstance(result.env["j"], FragmentedBAT)
     # Spill-free: the partitioned join build left no spill unit behind.
@@ -452,8 +471,8 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_wal_counters_track_serial_mutations(tmp_path, monkeypatch):
-    monkeypatch.setattr(bbp_module, "WAL_GROUP_MS", 0.0)
+def test_wal_counters_track_serial_mutations(tmp_path, tuning_override):
+    tuning_override(wal_group_ms=0.0)
     pool = BATBufferPool()
     pool.register("x", dense_bat("int", [1, 2, 3]))
     pool.save(tmp_path)
@@ -466,12 +485,12 @@ def test_wal_counters_track_serial_mutations(tmp_path, monkeypatch):
 
 
 def test_group_commit_fewer_fsyncs_than_records_at_8_writers(
-    tmp_path, monkeypatch
+    tmp_path, tuning_override
 ):
     """The PR acceptance property for the WAL: 8 concurrent writers
     issuing 160 mutations between them group-commit into measurably
     fewer fsyncs than records -- and every record still replays."""
-    monkeypatch.setattr(bbp_module, "WAL_GROUP_MS", 10.0)
+    tuning_override(wal_group_ms=10.0)
     pool = BATBufferPool()
     writers, per_writer = 8, 20
     for i in range(writers):

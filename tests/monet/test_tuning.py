@@ -1,0 +1,353 @@
+"""The one tuning record (:mod:`repro.monet.tuning`), table-driven.
+
+Every per-knob test is parametrized over the rows of ``tuning.KNOBS``,
+so a tenth knob is covered by adding its row: precedence (environment >
+persisted > installed > derived default), the bound rejected through
+all three inputs, and the catalog format.  The environment is read once
+at import, so its leg runs in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from dataclasses import asdict, fields
+from pathlib import Path
+
+import pytest
+
+from repro.monet import bbp, fragments, tuning
+from repro.monet.bbp import BATBufferPool
+from repro.monet.errors import BBPError, KernelError
+from repro.monet.tuning import KNOBS
+
+REPO = Path(__file__).resolve().parents[2]
+PERSISTED = [knob for knob in KNOBS if knob.persisted]
+BY_FIELD = pytest.mark.parametrize("knob", KNOBS, ids=lambda knob: knob.field)
+BY_PERSISTED_FIELD = pytest.mark.parametrize(
+    "knob", PERSISTED, ids=lambda knob: knob.field
+)
+
+#: ``catalog.json`` exactly as the parent commit (PR 13) wrote it after
+#: ``set_default_tuning`` of all seven knobs: the on-disk contract.
+PRE_PR_CATALOG = """{
+ "oid_next": 0,
+ "generation": 1,
+ "bats": {},
+ "tuning": {
+  "fragment_size": 12345,
+  "parallel_min": 67890,
+  "merge_fanout": 24,
+  "backend": "process",
+  "process_min": 4096,
+  "join_fanout": 12,
+  "join_spill": 2000000
+ }
+}"""
+PRE_PR_TUNING = json.loads(PRE_PR_CATALOG)["tuning"]
+
+
+def samples(knob):
+    """Three valid values, each differing from the next and from the
+    derived default -- one per layer above it."""
+    if knob.kind is str:
+        default = knob.default
+        other = next(choice for choice in knob.choices if choice != default)
+        return [other, default, other]
+    return [knob.kind(3), knob.kind(5), knob.kind(7)]
+
+
+def bad_values(knob):
+    """Typed values outside the knob's bound or of the wrong type."""
+    if knob.kind is str:
+        return ["gpu", "", 5, None]
+    bad = [-1, "8", None, True, math.nan] + ([0] if knob.positive else [])
+    return bad + ([1.5] if knob.kind is int else [math.inf])
+
+
+def bad_texts(knob):
+    """Environment strings the knob must refuse."""
+    if knob.kind is str:
+        return ["gpu", "Thread"]
+    bad = ["abc", "-1", "nan"] + (["0"] if knob.positive else [])
+    return bad + (["1.5"] if knob.kind is int else ["inf"])
+
+
+def write_catalog(directory: Path, entry) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    catalog = {"oid_next": 0, "generation": 1, "bats": {}, "tuning": entry}
+    (directory / "catalog.json").write_text(json.dumps(catalog))
+    return directory
+
+
+def run_python(code: str, **env_changes: str):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(REPO / "src"), **env_changes)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+# ----------------------------------------------------------------------
+# The table itself
+# ----------------------------------------------------------------------
+
+
+def test_record_fields_are_the_table_rows():
+    assert [f.name for f in fields(tuning.Tuning)] == [
+        knob.field for knob in KNOBS
+    ] + ["measured"]
+    envs = [knob.env for knob in KNOBS]
+    assert len(set(envs)) == len(envs)
+    assert all(env.startswith("REPRO_") for env in envs)
+
+
+def test_catalog_keys_are_the_parents_seven():
+    assert [knob.field for knob in PERSISTED] == list(PRE_PR_TUNING)
+    with tuning.override():
+        assert tuning.persistable() is None  # nothing measured, nothing written
+        tuning.install(**PRE_PR_TUNING)
+        assert json.dumps(tuning.persistable(), indent=1) == json.dumps(
+            PRE_PR_TUNING, indent=1
+        )
+
+
+def test_derived_defaults_follow_the_core_count():
+    with tuning.override():
+        one, many = tuning.resolve(cores=1), tuning.resolve(cores=64)
+    if "fragment_size" not in tuning._ENV:
+        assert (one.fragment_size, many.fragment_size) == (64 * 1024, 8 * 1024)
+    if not {"fragment_size", "parallel_min"} & set(tuning._ENV):
+        assert one.parallel_min == 8 * one.fragment_size
+        assert many.parallel_min == 2 * many.fragment_size
+    if "merge_fanout" not in tuning._ENV:
+        assert (one.merge_fanout, many.merge_fanout) == (16, 256)
+    assert not one.measured
+
+
+# ----------------------------------------------------------------------
+# Precedence, knob by knob
+# ----------------------------------------------------------------------
+
+
+@BY_FIELD
+def test_installed_beats_derived_and_persisted_beats_installed(knob, tmp_path):
+    _, persisted, installed = samples(knob)
+    with tuning.override():
+        if knob.field in tuning._ENV:
+            pytest.skip(f"{knob.env} pins this knob in the test environment")
+        derived = getattr(tuning.current(), knob.field)
+        assert installed != derived
+        live = tuning.install(**{knob.field: installed})
+        assert getattr(live, knob.field) == installed
+        assert live.measured == knob.persisted
+        BATBufferPool.load(write_catalog(tmp_path, {knob.field: persisted}))
+        expected = persisted if knob.persisted else installed
+        assert getattr(tuning.current(), knob.field) == expected
+    assert getattr(tuning.current(), knob.field) == derived
+
+
+@BY_FIELD
+def test_env_beats_persisted_and_installed(knob, tmp_path):
+    """Only *knob* is pinned by its variable; every knob is then both
+    installed and (if persisted) loaded from a catalog.  The pinned one
+    keeps the environment's value, the others take the next layer."""
+    values = {k.field: samples(k) for k in KNOBS}
+    catalog = write_catalog(
+        tmp_path, {k.field: values[k.field][1] for k in PERSISTED}
+    )
+    code = (
+        "import json\n"
+        "from dataclasses import asdict\n"
+        "from repro.monet import tuning\n"
+        "from repro.monet.bbp import BATBufferPool\n"
+        f"tuning.install(**{ {f: v[2] for f, v in values.items()}!r})\n"
+        f"BATBufferPool.load({str(catalog)!r})\n"
+        "print(json.dumps(asdict(tuning.current())))\n"
+    )
+    out = run_python(code, **{knob.env: str(values[knob.field][0])})
+    assert out.returncode == 0, out.stderr
+    live = json.loads(out.stdout)
+    for other in KNOBS:
+        layer = 0 if other is knob else (1 if other.persisted else 2)
+        assert live[other.field] == values[other.field][layer], other.field
+
+
+def test_unset_and_empty_variables_are_not_set():
+    out = run_python(
+        "from repro.monet import tuning; print(tuning._ENV)",
+        REPRO_MERGE_FANOUT="", REPRO_PARALLEL_MIN_BUNS="0",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "{'parallel_min': 0}"
+
+
+# ----------------------------------------------------------------------
+# One validator, three inputs
+# ----------------------------------------------------------------------
+
+
+@BY_FIELD
+def test_bound_rejected_through_install_and_override(knob):
+    before = tuning.current()
+    for bad in bad_values(knob):
+        with pytest.raises(KernelError, match=knob.field):
+            tuning.install(**{knob.field: bad})
+        with pytest.raises(KernelError, match=knob.field):
+            with tuning.override(**{knob.field: bad}):
+                pass
+    assert tuning.current() is before
+
+
+@BY_PERSISTED_FIELD
+def test_bound_rejected_from_the_catalog(knob, tmp_path):
+    before = tuning.current()
+    for index, bad in enumerate(bad_values(knob)):
+        entry = dict(PRE_PR_TUNING, **{knob.field: bad})
+        with pytest.raises(BBPError, match=rf'\["{knob.field}"\]'):
+            BATBufferPool.load(write_catalog(tmp_path / str(index), entry))
+    # All-or-nothing: the valid sibling keys were not adopted either.
+    assert tuning.current() is before
+
+
+@BY_FIELD
+def test_bound_rejected_from_the_environment_text(knob):
+    for text in bad_texts(knob):
+        with pytest.raises(KernelError) as caught:
+            tuning._validated(knob, text, knob.env, text=True)
+        message = str(caught.value)
+        assert knob.env in message and repr(text) in message
+        assert knob.expects in message
+
+
+@pytest.mark.parametrize(
+    "variable, value",
+    [
+        ("REPRO_FRAGMENT_SIZE", "abc"),
+        ("REPRO_FRAGMENT_SIZE", "-5"),
+        ("REPRO_EXECUTOR_BACKEND", "gpu"),
+        ("REPRO_MERGE_FANOUT", "-1"),
+        ("REPRO_PROCESS_TASK_TIMEOUT", "-3"),
+        ("REPRO_WAL_GROUP_MS", "abc"),
+    ],
+)
+def test_malformed_environment_fails_the_import(variable, value):
+    out = run_python("import repro.monet.fragments", **{variable: value})
+    assert out.returncode != 0
+    assert "KernelError" in out.stderr
+    assert f"{variable}={value!r}" in out.stderr
+
+
+def test_catalog_ignores_unknown_and_unpersisted_keys(tmp_path):
+    entry = dict(PRE_PR_TUNING, wal_group_ms=-1, process_task_timeout="x", zzz=1)
+    with tuning.override():
+        before = tuning.current()
+        BATBufferPool.load(write_catalog(tmp_path, entry))
+        live = tuning.current()
+        assert live.wal_group_ms == before.wal_group_ms
+        assert live.process_task_timeout == before.process_task_timeout
+        assert tuning.persistable() == {
+            field: getattr(live, field) for field in PRE_PR_TUNING
+        }
+
+
+@pytest.mark.parametrize("entry", [[1, 2], "fast", 7, None])
+def test_catalog_tuning_must_be_an_object(entry, tmp_path):
+    with pytest.raises(BBPError, match="tuning"):
+        BATBufferPool.load(write_catalog(tmp_path, entry))
+
+
+def test_install_rejects_unknown_knobs():
+    with pytest.raises(KernelError, match="warp_factor"):
+        tuning.install(warp_factor=9)
+
+
+# ----------------------------------------------------------------------
+# The on-disk contract
+# ----------------------------------------------------------------------
+
+
+def test_pre_pr_catalog_loads_unchanged_and_resaves_the_same_keys(tmp_path):
+    (tmp_path / "catalog.json").write_text(PRE_PR_CATALOG)
+    with tuning.override():
+        pool = BATBufferPool.load(tmp_path)
+        reported = fragments.default_tuning()
+        for field, value in PRE_PR_TUNING.items():
+            if field not in tuning._ENV:
+                assert reported[field] == value
+        assert reported["measured"]
+        pool.save(tmp_path / "again")
+    resaved = json.loads((tmp_path / "again" / "catalog.json").read_text())
+    assert list(resaved["tuning"]) == list(PRE_PR_TUNING)
+
+
+# ----------------------------------------------------------------------
+# The live record and its seams
+# ----------------------------------------------------------------------
+
+
+def test_override_forces_then_restores_everything(tuning_override):
+    before = tuning.current()
+    with tuning.override(merge_fanout=3) as forced:
+        assert forced is tuning.current() and forced.merge_fanout == 3
+        tuning.install(merge_fanout=5, join_fanout=5)
+        live = tuning.current()
+        assert (live.merge_fanout, live.join_fanout) == (3, 5)  # forced wins
+        with tuning.override(merge_fanout=4):
+            assert tuning.current().merge_fanout == 4
+        assert tuning.current().merge_fanout == 3
+    assert tuning.current() == before
+    # The conftest fixture is the same seam, scoped to the test.
+    assert tuning_override(wal_group_ms=2.5).wal_group_ms == 2.5
+    assert bbp.WAL_GROUP_MS == 2.5
+
+
+def test_forced_vestiges_mirror_the_live_record(tuning_override):
+    tuning_override(fragment_size=777, wal_group_ms=1.5)
+    assert fragments.default_tuning() == asdict(tuning.current())
+    assert fragments.default_tuning()["fragment_size"] == 777
+    assert fragments.FragmentationPolicy().target_size == 777
+    assert bbp.WAL_GROUP_MS == 1.5
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(fragments, name) for name in (
+        "DEFAULT_FRAGMENT_SIZE", "PARALLEL_MIN_BUNS", "MERGE_FANOUT",
+        "JOIN_FANOUT", "JOIN_SPILL_BUNS", "DEFAULT_BACKEND",
+        "PROCESS_MIN_BUNS", "PROCESS_TASK_TIMEOUT", "_TUNING_MEASURED",
+        "_JOIN_SPILL_ENV", "_PROCESS_MIN_ENV", "set_default_tuning",
+        "_default_policy",
+    )] + [(bbp, "_wal_group_window_ms"), (bbp, "_install_persisted_tuning")],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_old_surface_is_deleted_not_aliased(module, name):
+    assert not hasattr(module, name)
+
+
+def test_environment_is_read_only_in_the_tuning_module():
+    readers = [
+        str(path.relative_to(REPO / "src"))
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if re.search(r"\benviron\b|\bgetenv\b", path.read_text())
+    ]
+    assert readers == ["repro/monet/tuning.py"]
+
+
+def test_readme_tuning_table_lists_every_knob():
+    readme = (REPO / "README.md").read_text()
+    section = readme[readme.index("## Tuning"):]
+    section = section[: section.index("\n## ", 1)]
+    for knob in KNOBS:
+        row = next(
+            (line for line in section.splitlines() if f"`{knob.field}`" in line),
+            None,
+        )
+        assert row is not None, knob.field
+        assert f"`{knob.env}`" in row
+        assert ("yes" if knob.persisted else "no") in row.rsplit("|", 2)[-2]

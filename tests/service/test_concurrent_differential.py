@@ -92,11 +92,9 @@ def _assert_env_equal(got_env, expected_env, context: str):
 
 
 @pytest.mark.parametrize("backend", _backends())
-def test_concurrent_sessions_match_serial(backend, monkeypatch):
-    from repro.monet import fragments as fr
-
+def test_concurrent_sessions_match_serial(backend, tuning_override):
     if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+        tuning_override(process_min=0)
     policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     data, scripts = _corpus(77_000)
     expected = _serial_results(data, scripts)
@@ -157,13 +155,11 @@ def test_concurrent_sessions_match_serial(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", _backends())
-def test_concurrent_identical_script_single_bat(backend, monkeypatch):
+def test_concurrent_identical_script_single_bat(backend, tuning_override):
     """All sessions race the *same* script -- maximum contention on the
     shared coalesced-view cache and on one base BAT."""
-    from repro.monet import fragments as fr
-
     if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+        tuning_override(process_min=0)
     policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     rng = np.random.default_rng(88_001)
     data = fuzz._make_data(rng)

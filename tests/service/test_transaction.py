@@ -156,11 +156,14 @@ class TestTransaction:
             txn.delete("People", where={"salary": 1})
         txn.abort()
 
-    def test_legacy_predicate_delete_still_works(self):
+    def test_moa_string_delete_is_gone_use_where(self):
         db = MirrorDBMS()
         db.define("define Nums as SET<Atomic<int>>;")
         db.insert("Nums", [1, 5, 9])
-        assert db.delete("Nums", "THIS > 4") == 2
+        with pytest.raises(InvalidMutationBatch, match="where="):
+            db.delete("Nums", "THIS > 4")
+        assert db.contents("Nums") == [1, 5, 9]
+        assert db.delete("Nums", where=lambda v: v > 4) == 2
         assert db.contents("Nums") == [1]
 
 

@@ -139,15 +139,13 @@ def _assert_env_equal(got_env, expected_env, context: str):
             )
 
 
-def _run_differential(backend, monkeypatch, mutations, seed):
+def _run_differential(backend, tuning_override, mutations, seed):
     """The shared harness: N sessions race one writer applying
     *mutations* in order; every session's result must equal the serial
     replay of exactly the batches committed at or before its pinned
     epoch."""
-    from repro.monet import fragments as fr
-
     if backend == "process":
-        monkeypatch.setattr(fr, "PROCESS_MIN_BUNS", 0)
+        tuning_override(process_min=0)
     policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
     rng = np.random.default_rng(seed)
     data = fuzz._make_data(rng)
@@ -236,14 +234,14 @@ def _run_differential(backend, monkeypatch, mutations, seed):
 
 
 @pytest.mark.parametrize("backend", _backends())
-def test_concurrent_appends_match_epoch_replay(backend, monkeypatch):
+def test_concurrent_appends_match_epoch_replay(backend, tuning_override):
     names = [n for n in fuzz._BASE_TYPES if n != "dim"]
     mutations = _make_mutations(np.random.default_rng(91_001), names)
-    _run_differential(backend, monkeypatch, mutations, 91_000)
+    _run_differential(backend, tuning_override, mutations, 91_000)
 
 
 @pytest.mark.parametrize("backend", _backends())
-def test_concurrent_mixed_mutations_match_epoch_replay(backend, monkeypatch):
+def test_concurrent_mixed_mutations_match_epoch_replay(backend, tuning_override):
     """The delete/update arm of the 8-session race: tombstone and patch
     batches interleave with appends under the write lock, and every
     pinned plan still reads a prefix-closed committed state."""
@@ -255,4 +253,4 @@ def test_concurrent_mixed_mutations_match_epoch_replay(backend, monkeypatch):
     )
     kinds = {op for op, _, _ in mutations}
     assert kinds == {"append", "delete", "update"}
-    _run_differential(backend, monkeypatch, mutations, 92_000)
+    _run_differential(backend, tuning_override, mutations, 92_000)
