@@ -95,13 +95,9 @@ class MoaExecutor:
     fragment-aware: plans over fragmented attributes run their hot
     operators fragment-parallel end-to-end (``fragment_policy`` is
     threaded through to govern intermediate re-fragmentation), and only
-    the final result reconstruction materializes.  The policy also
-    carries the *executor backend* choice: ``FragmentationPolicy
-    (backend="process")`` pins this executor's plans to the
-    process-pool backend for GIL-bound object-dtype (str) predicates,
-    while ``backend=None`` (the default) follows the live module
-    default (``REPRO_EXECUTOR_BACKEND`` / calibrated tuning persisted
-    in the BBP catalog).
+    the final result reconstruction materializes.  The policy holds
+    fragment size and worker count only; all plans share the one
+    thread pool of :mod:`repro.monet.fragments`.
 
     One executor is safe to share across threads: compilation
     snapshots the schema dict, each run builds its own environment, and

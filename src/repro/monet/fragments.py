@@ -8,33 +8,17 @@ kernel operators fan out over fragments on a shared
 :class:`~concurrent.futures.ThreadPoolExecutor` (numpy releases the GIL
 on its bulk paths) and the results are recombined in BUN order.
 
-**Executor backends.**  The fan-out itself is pluggable through the
-:class:`Backend` protocol.  :class:`ThreadBackend` (the default) is
-the thread pool described above.  :class:`ProcessBackend` adds a lazy
-``ProcessPoolExecutor`` (spawn context; fork-safe by construction) for
-the operators threads cannot speed up: object-dtype (str) predicates
--- ``likeselect``, str equality/range selects, and the head-membership
-probes and builds of ``semijoin``/``kdiff``/``kintersect``/``kunion``
--- hold the GIL for their whole Python-level scan, so under the thread
-backend they serialize no matter how many fragments fan out.  Under
-the process backend those *registered, picklable* per-fragment tasks
-(:data:`repro.monet.kernel.FRAGMENT_TASKS`) run in worker processes:
-the predicate column travels through :mod:`repro.monet.shm` (numeric
-fragments map zero-copy out of ``multiprocessing.shared_memory``
-segments; str fragments ship as length-prefixed encoded heaps and are
-reconstructed in the worker), shared build sides broadcast once as
-cached blobs, and only qualifying positions come back.  Everything
-without a registered task -- all the GIL-releasing numeric work --
-keeps fanning out on threads even under the process backend: that is
-the **per-dtype calibration rule** (threads for numeric, processes for
-object-dtype predicates above ``process_min`` BUNs), measured by
-``bench_fragments.calibrate()``.  Selection threads through the
-``backend`` tuning knob (:mod:`repro.monet.tuning`) or per-plan via
-``FragmentationPolicy(backend=...)``; both backends are BUN-identical
-by contract, which the differential and fuzz suites assert over the
-backend axis.  The process pool spawns on first use, survives only in
-the process that created it (fork resets it), and shuts down cleanly
-at exit without leaking shared-memory segments or semaphores.
+**One executor.**  Every operator fans out through
+:func:`map_fragments` over one lazily created, shared thread pool:
+numpy releases the GIL on its bulk paths, so the numeric work runs in
+parallel, while object-dtype (str) scans hold the GIL and serialize on
+it.  There is no second executor for those scans because the one
+tried did not pay: on the 2-core reference host a process pool over
+shared-memory column exports measured thread ms / process ms (above 1
+= processes ahead) of 0.92 (``likeselect``), 0.82 (``select(str=)``),
+1.14 (``kintersect(str)``), 1.07 (``join(oid)``) and 0.98
+(``join(str)``) at 1M BUNs and 0.44-0.62 at 50k -- a wash at best,
+twice as slow on small inputs; many-core hosts are unmeasured.
 
 **One physical layout.**  A BAT splits into contiguous BUN ranges of
 at most ``FragmentationPolicy.target_size`` BUNs, and *fragment order
@@ -66,12 +50,12 @@ path), which probe a shared head-membership build
 fragment-parallel end-to-end with at most one coalesce at result
 return.
 
-**Tuning.**  Every physical knob read here (fragment size, serial and
-process floors, merge/join fan-outs, spill threshold, backend, task
-timeout) is a field of the one live :class:`repro.monet.tuning.Tuning`
-record, read at use as ``tuning.current().<field>``; how a knob gets
-its value (environment > persisted > calibrated > cores-derived
-default) is that module's business alone.
+**Tuning.**  Every physical knob read here (fragment size, serial
+floor, merge/join fan-outs, spill threshold) is a field of the one
+live :class:`repro.monet.tuning.Tuning` record, read at use as
+``tuning.current().<field>``; how a knob gets its value (environment >
+persisted > calibrated > cores-derived default) is that module's
+business alone.
 
 Property flags on recombined results are maintained *conservatively*:
 a flag is only ``True`` when the concatenation provably preserves it
@@ -82,11 +66,9 @@ from __future__ import annotations
 
 import atexit
 import heapq
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
@@ -95,7 +77,6 @@ import numpy as np
 
 from repro.monet import aggregates as _agg
 from repro.monet import kernel as _kernel
-from repro.monet import shm as _shm
 from repro.monet import tuning as _tuning
 from repro.monet.atoms import atom
 from repro.monet.bat import (
@@ -108,12 +89,6 @@ from repro.monet.bat import (
     dense_bat,
 )
 from repro.monet.errors import InvalidMutationBatch, KernelError
-from repro.monet.tuning import BACKEND_NAMES
-
-try:
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - ancient stdlib layout
-    BrokenProcessPool = OSError
 
 #: Worker floor: even on a single-core host we keep two threads so the
 #: fragment fan-out code path is always exercised.
@@ -137,20 +112,15 @@ def default_tuning() -> dict:
 
 @dataclass(frozen=True)
 class FragmentationPolicy:
-    """How a BAT is split: fragment size, worker count and executor
-    backend.
+    """How a BAT is split: fragment size and worker count.
 
     ``target_size=None`` (the default) resolves to the live
     ``tuning.current().fragment_size`` at construction time, so
     policies made after a calibration or a catalog load see the
-    measured value.  ``backend=None`` stays unresolved and reads the
-    live record at every operator call (like ``merge_fanout``), so
-    calibrating affects in-flight handles too; an explicit ``backend``
-    pins the plan to one executor."""
+    measured value."""
 
     target_size: Optional[int] = None
     workers: Optional[int] = None
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.target_size is None:
@@ -159,25 +129,10 @@ class FragmentationPolicy:
             )
         if self.target_size < 1:
             raise KernelError("fragment target_size must be at least 1")
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise KernelError(
-                f"unknown executor backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}"
-            )
 
 
 # ----------------------------------------------------------------------
-# Executor backends
-#
-# The Backend protocol has two capabilities: `map` is the generic
-# closure fan-out every operator uses (always thread-based -- closures
-# do not cross process boundaries), and `run_column_tasks` offloads a
-# *registered* picklable per-fragment task
-# (repro.monet.kernel.FRAGMENT_TASKS) over shared-memory column
-# exports, returning None to decline (the caller then takes the thread
-# path).  ThreadBackend declines every offload; ProcessBackend accepts
-# them when shared memory is usable, owning a lazily spawned process
-# pool.
+# The executor: one shared thread pool
 # ----------------------------------------------------------------------
 
 _EXECUTOR: Optional[ThreadPoolExecutor] = None
@@ -213,200 +168,31 @@ def map_fragments(
         return list(pool.map(fn, items))
 
 
-class ThreadBackend:
-    """The default executor backend: the shared thread pool.  Offload
-    requests are declined -- the thread path computes everything via
-    :func:`map_fragments` closures."""
-
-    name = "thread"
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any],
-        workers: Optional[int] = None,
-    ) -> List[Any]:
-        return map_fragments(fn, items, workers)
-
-    def run_column_tasks(
-        self, task: str, columns: Sequence[AnyColumn], args: tuple = (),
-        broadcast: Any = None,
-    ) -> Optional[List[Any]]:
-        return None
-
-    def shutdown(self) -> None:
-        global _EXECUTOR
-        with _EXECUTOR_LOCK:
-            executor, _EXECUTOR = _EXECUTOR, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
-class ProcessBackend:
-    """Process-pool executor backend over shared-memory column exports.
-
-    The pool (``spawn`` context: no forked locks, no inherited thread
-    state) starts lazily on the first accepted offload and is reused
-    for the life of the process.  ``run_column_tasks`` exports every
-    predicate column through :mod:`repro.monet.shm`, ships only
-    ``(task name, handle, args)`` per fragment, and collects the
-    per-fragment results; broadcast objects (shared build sides) are
-    exported once and cached per worker.  Any *infrastructure* failure
-    -- shared memory unusable, pool unspawnable, a worker crash or a
-    task timing out (``process_task_timeout``) -- degrades the
-    backend: the call returns ``None`` and the caller recomputes on
-    threads, so a broken environment costs performance, never
-    correctness.  Exceptions raised by the task itself (e.g. a type
-    error from the operator) propagate unchanged, exactly like the
-    thread path.  The generic closure ``map`` stays thread-based: only
-    registered picklable tasks cross the process boundary."""
-
-    name = "process"
-
-    def __init__(self):
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
-        self._disabled = False
-
-    def available(self) -> bool:
-        """True when offloads can currently be accepted (shared memory
-        importable and no prior infrastructure failure)."""
-        return not self._disabled and _shm.available()
-
-    def spawned(self) -> bool:
-        """True once the worker pool has actually been started."""
-        return self._pool is not None
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any],
-        workers: Optional[int] = None,
-    ) -> List[Any]:
-        return map_fragments(fn, items, workers)
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None and not self._disabled:
-                    try:
-                        self._pool = ProcessPoolExecutor(
-                            max_workers=DEFAULT_WORKERS,
-                            mp_context=multiprocessing.get_context("spawn"),
-                        )
-                    except (OSError, ValueError):  # pragma: no cover
-                        self._disabled = True
-        return self._pool
-
-    def _degrade(self) -> None:
-        """Permanently fall back to threads after an infrastructure
-        failure (wedged or crashed worker); never blocks on the pool."""
-        self._disabled = True
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def run_column_tasks(
-        self, task: str, columns: Sequence[AnyColumn], args: tuple = (),
-        broadcast: Any = None,
-    ) -> Optional[List[Any]]:
-        if not self.available():
-            return None
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        columns = list(columns)
-        if not columns:
-            return []
-        segments: List[Any] = []
-        try:
-            try:
-                handles = []
-                for column in columns:
-                    handle, owned = _shm.export_column(column)
-                    segments.extend(owned)
-                    handles.append(handle)
-                blob_handle = None
-                if broadcast is not None:
-                    blob_handle, owned = _shm.export_blob(broadcast)
-                    segments.extend(owned)
-            except OSError:
-                # No usable shared memory (full or unwritable /dev/shm,
-                # seccomp, ...): decline, callers recompute on threads.
-                self._disabled = True
-                return None
-            futures = [
-                pool.submit(_shm.run_column_task, task, handle, tuple(args), blob_handle)
-                for handle in handles
-            ]
-            results: List[Any] = []
-            try:
-                for future in futures:
-                    results.append(future.result(timeout=_tuning.current().process_task_timeout))
-            except (_FutureTimeout, BrokenProcessPool, OSError):
-                for future in futures:
-                    future.cancel()
-                self._degrade()
-                return None
-            return results
-        finally:
-            _shm.release_segments(segments)
-
-    def shutdown(self) -> None:
-        """Join the worker pool cleanly (no leaked semaphores or
-        shared-memory segments); the backend stays usable and will
-        respawn lazily on the next offload."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-_THREAD_BACKEND = ThreadBackend()
-_PROCESS_BACKEND = ProcessBackend()
-_BACKENDS = {"thread": _THREAD_BACKEND, "process": _PROCESS_BACKEND}
-
-#: Union of the backend implementations (the informal protocol).
-Backend = Union[ThreadBackend, ProcessBackend]
-
-
-def get_backend(name: Optional[str] = None) -> Backend:
-    """The backend registered under *name* (default: the live
-    ``tuning.current().backend``)."""
-    name = name or _tuning.current().backend
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KernelError(
-            f"unknown executor backend {name!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}"
-        ) from None
-
-
-def _resolve_backend(fb: "FragmentedBAT") -> Backend:
-    """Backend for an operator over *fb*: the policy's pinned backend
-    if any, else the live module default."""
-    return get_backend(fb.policy.backend)
-
-
 def shutdown_backends() -> None:
-    """Shut down both shared executors (thread and process pools).
-    Registered at exit; safe to call eagerly -- pools respawn lazily."""
-    _THREAD_BACKEND.shutdown()
-    _PROCESS_BACKEND.shutdown()
+    """Shut down the shared thread pool.  Registered at exit; safe to
+    call eagerly -- the pool respawns lazily."""
+    # The plural name is a forced vestige: the frozen benchmark
+    # (benchmarks/mirrorbench/harness.py, server_child.py) imports it.
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        executor, _EXECUTOR = _EXECUTOR, None
+    if executor is not None:
+        executor.shutdown(wait=True)
 
 
 atexit.register(shutdown_backends)
 
 
-def _forget_pools_after_fork() -> None:  # pragma: no cover - fork timing
-    """A forked child must not touch pools it shares with its parent:
-    drop the handles (without joining) so the child lazily builds its
-    own executors."""
+def _forget_pool_after_fork() -> None:  # pragma: no cover - fork timing
+    """A forked child must not touch the pool it shares with its
+    parent: drop the handle (without joining) so the child lazily
+    builds its own executor."""
     global _EXECUTOR
     _EXECUTOR = None
-    _PROCESS_BACKEND._pool = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools_after_fork)
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 # ----------------------------------------------------------------------
@@ -706,6 +492,21 @@ def _aligned_updates(
     return arr[kept], [value_list[i] for i in kept]
 
 
+def _concat_raw(chunks: List[np.ndarray], object_dtype: bool) -> np.ndarray:
+    """Concatenate raw value arrays (object-dtype aware)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    if object_dtype:
+        total = sum(len(chunk) for chunk in chunks)
+        out = np.empty(total, dtype=object)
+        at = 0
+        for chunk in chunks:
+            out[at: at + len(chunk)] = chunk
+            at += len(chunk)
+        return out
+    return np.concatenate(chunks)
+
+
 def _concat_columns(
     columns: Sequence[AnyColumn],
     atom_type,
@@ -724,16 +525,9 @@ def _concat_columns(
             expected += len(column)
         if contiguous:
             return VoidColumn(base, expected - base)
-    arrays = [c.materialize() for c in columns]
-    if atom_type.dtype == np.dtype(object):
-        total = sum(len(a) for a in arrays)
-        out = np.empty(total, dtype=object)
-        at = 0
-        for array in arrays:
-            out[at: at + len(array)] = array
-            at += len(array)
-    else:
-        out = np.concatenate(arrays) if arrays else atom_type.make_array([])
+    out = _concat_raw(
+        [c.materialize() for c in columns], atom_type.dtype == np.dtype(object)
+    )
     if order is not None:
         out = out[order]
         # A gather can land back on a dense sequence (a sort that
@@ -849,38 +643,6 @@ def _subset_op(
     )
 
 
-def _offload_subset(
-    fb: FragmentedBAT,
-    task: str,
-    args: tuple,
-    columns: Sequence[AnyColumn],
-    *,
-    object_work: bool,
-    broadcast: Any = None,
-) -> Optional[FragmentedBAT]:
-    """Row-subset via the resolved backend's process offload.
-
-    Only object-dtype predicate work at or above the live
-    ``process_min`` is eligible (the per-dtype rule: numeric
-    predicates release the GIL and are faster on threads), and the
-    backend itself may still decline (thread backend, shared memory
-    unusable).  ``None`` means "not offloaded" -- the caller runs the
-    thread path.  On success the workers return each fragment's
-    qualifying local positions and the parent gathers the surviving
-    rows, exactly mirroring :func:`_subset_op`'s combine."""
-    if not object_work or len(fb) < _tuning.current().process_min:
-        return None
-    keeps = _resolve_backend(fb).run_column_tasks(
-        task, columns, args, broadcast=broadcast
-    )
-    if keeps is None:
-        return None
-    return FragmentedBAT(
-        [frag.take_positions(keep) for frag, keep in zip(fb.fragments, keeps)],
-        policy=fb.policy,
-    )
-
-
 def _resolve_workers(fb: FragmentedBAT, workers: Optional[int]) -> Optional[int]:
     if workers is not None:
         return workers
@@ -900,28 +662,10 @@ def select(
     include_high: bool = True,
     workers: Optional[int] = None,
 ) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.select`.  Object
-    (str) predicates offload to the process backend when selected --
-    the Python-level scan holds the GIL, so threads cannot help it."""
+    """Fragment-parallel :func:`repro.monet.kernel.select`."""
     workers = _resolve_workers(fb, workers)
-    object_tail = _kernel._is_object_column(fb.fragments[0].tail)
-    tails = [frag.tail for frag in fb.fragments]
     if high is _kernel._UNSET:
-        offloaded = _offload_subset(
-            fb, "equal_positions", (low,), tails, object_work=object_tail
-        )
-        if offloaded is not None:
-            return offloaded
         return _subset_op(fb, lambda frag: _kernel.equal_mask(frag, low), workers)
-    offloaded = _offload_subset(
-        fb,
-        "range_positions",
-        (low, high, include_low, include_high),
-        tails,
-        object_work=object_tail,
-    )
-    if offloaded is not None:
-        return offloaded
     return _subset_op(
         fb,
         lambda frag: _kernel.range_mask(frag, low, high, include_low, include_high),
@@ -953,20 +697,8 @@ def uselect(
 def likeselect(
     fb: FragmentedBAT, pattern: str, *, workers: Optional[int] = None
 ) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.likeselect`.  The
-    canonical process-backend beneficiary: the substring scan is pure
-    GIL-bound Python, so worker processes give the speedup fragments
-    promise and threads cannot deliver."""
+    """Fragment-parallel :func:`repro.monet.kernel.likeselect`."""
     workers = _resolve_workers(fb, workers)
-    offloaded = _offload_subset(
-        fb,
-        "like_positions",
-        (pattern,),
-        [frag.tail for frag in fb.fragments],
-        object_work=fb.ttype == "str",
-    )
-    if offloaded is not None:
-        return offloaded
     return _subset_op(fb, lambda frag: _kernel.like_mask(frag, pattern), workers)
 
 
@@ -1095,8 +827,7 @@ def _fetchjoin_fragmented(
 # (kernel.join_partition_ids; NIL BUNs drop first, comparison rule):
 # per-fragment key extraction fans out like the membership builds, so a
 # fragmented right operand never coalesces; per-partition match indexes
-# build in parallel (the object-dtype radix split offloads to the
-# process backend); every probe fragment probes partition-locally; and
+# build in parallel; every probe fragment probes partition-locally; and
 # a build side past ``join_spill`` spills its partitions through the
 # BBP scratch directory as npz units and is processed one partition at
 # a time, capping the resident build state.  Build fragments arrive in
@@ -1105,21 +836,6 @@ def _fetchjoin_fragmented(
 # per-fragment sort on probe position reassembles the exact monolithic
 # kernel.join order.
 # ----------------------------------------------------------------------
-
-
-def _concat_raw(chunks: List[np.ndarray], object_dtype: bool) -> np.ndarray:
-    """Concatenate raw value arrays (object-dtype aware)."""
-    if len(chunks) == 1:
-        return chunks[0]
-    if object_dtype:
-        total = sum(len(chunk) for chunk in chunks)
-        out = np.empty(total, dtype=object)
-        at = 0
-        for chunk in chunks:
-            out[at: at + len(chunk)] = chunk
-            at += len(chunk)
-        return out
-    return np.concatenate(chunks)
 
 
 def _join_fanout(build_n: int) -> int:
@@ -1131,28 +847,15 @@ def _join_fanout(build_n: int) -> int:
 
 
 def _join_partition_lists(
-    source: Union[BAT, FragmentedBAT],
     columns: List[AnyColumn],
     keyspace: str,
     fanout: int,
     workers: Optional[int],
 ) -> List[List[np.ndarray]]:
     """Per-fragment radix splits (NIL-free local positions grouped by
-    partition), offloaded to the process backend for the GIL-bound
-    object-dtype hashing loops."""
-    if keyspace == "object" and sum(len(c) for c in columns) >= _tuning.current().process_min:
-        backend = (
-            _resolve_backend(source)
-            if isinstance(source, FragmentedBAT)
-            else get_backend()
-        )
-        parts = backend.run_column_tasks(
-            "join_partition_positions", columns, (keyspace, fanout)
-        )
-        if parts is not None:
-            return parts
+    partition)."""
     return map_fragments(
-        lambda column: _kernel.task_join_partition_positions(column, keyspace, fanout),
+        lambda column: _kernel.join_partition_positions(column, keyspace, fanout),
         columns,
         workers,
     )
@@ -1227,7 +930,7 @@ def _grace_matches(
         ]
         build_tails = [frag.tail_values() for frag in build_frags]
         build_parts = _join_partition_lists(
-            right, [frag.head for frag in build_frags], keyspace, fanout, workers
+            [frag.head for frag in build_frags], keyspace, fanout, workers
         )
 
         def one_partition(partition: int):
@@ -1431,30 +1134,14 @@ def _member_build(
 ):
     """Identity-key membership set over *source*'s heads
     (:func:`kernel.build_member_set`), built once and shared by every
-    probe fragment; the per-fragment key extraction fans out -- on
-    worker processes for object keyspaces under the process backend
-    (the per-value ``nil_dedup_key`` loop is GIL-bound), on threads
-    otherwise."""
-    columns = _head_columns(source)
-    if keyspace == "object" and sum(len(c) for c in columns) >= _tuning.current().process_min:
-        backend = (
-            _resolve_backend(source)
-            if isinstance(source, FragmentedBAT)
-            else get_backend()
-        )
-        key_sets = backend.run_column_tasks("member_key_set", columns, (keyspace,))
-        if key_sets is not None:
-            members: set = set()
-            for keys in key_sets:
-                members.update(keys)
-            return members
+    probe fragment; the per-fragment key extraction fans out."""
     per_fragment = map_fragments(
         lambda column: _kernel.member_keys(column, keyspace),
-        columns,
+        _head_columns(source),
         workers,
     )
     if keyspace == "object":
-        members = set()
+        members: set = set()
         for keys in per_fragment:
             members.update(keys)
         return members
@@ -1470,20 +1157,7 @@ def _member_subset(
     invert: bool,
     workers: Optional[int],
 ) -> FragmentedBAT:
-    """Row subset of *fb* by head membership in the shared build.  For
-    object keyspaces under the process backend, the build broadcasts
-    once as a cached blob and every probe fragment tests against it in
-    a worker process (the per-key hash probes are GIL-bound Python)."""
-    offloaded = _offload_subset(
-        fb,
-        "member_positions",
-        (keyspace, nil_member, invert),
-        [frag.head for frag in fb.fragments],
-        object_work=keyspace == "object",
-        broadcast=members,
-    )
-    if offloaded is not None:
-        return offloaded
+    """Row subset of *fb* by head membership in the shared build."""
 
     def mask_fn(frag: BAT) -> np.ndarray:
         mask = _kernel.probe_member_set(
@@ -1510,8 +1184,7 @@ def semijoin(
     Numeric keyspaces route through the grace-join radix split: the
     right side's head keys partition per fragment, each partition
     dedupes in parallel, and probe fragments test partition-locally.
-    Object keyspaces keep the broadcast-membership path, whose probe
-    loops offload to the process backend."""
+    Object keyspaces keep the shared-membership path."""
     workers = _resolve_workers(fb, workers)
     if isinstance(right, BAT) and right.hdense:
         return _subset_op(
@@ -1979,24 +1652,6 @@ def _merge_partition_count(n: int, policy: FragmentationPolicy) -> int:
     return max(1, min(_tuning.current().merge_fanout, max(by_target, by_cache)))
 
 
-def _concat_values(columns: Sequence[AnyColumn], atom_type) -> np.ndarray:
-    """Materialized concatenation of fragment columns -- the shared
-    gather source the per-partition merge workers index by global BUN
-    position."""
-    arrays = [column.materialize() for column in columns]
-    if atom_type.dtype == np.dtype(object):
-        total = sum(len(a) for a in arrays)
-        out = np.empty(total, dtype=object)
-        at = 0
-        for array in arrays:
-            out[at: at + len(array)] = array
-            at += len(array)
-        return out
-    if not arrays:
-        return atom_type.make_array([])
-    return np.concatenate(arrays)
-
-
 def _sample_sort_merge(
     fb: FragmentedBAT,
     runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -2042,7 +1697,11 @@ def _sample_sort_merge(
         )
         for keys, pkeys, _ in runs
     ]
-    tails_concat = _concat_values([f.tail for f in fb.fragments], tail_atom)
+    # The shared gather source the per-partition merge workers index by
+    # global BUN position.
+    tails_concat = _concat_raw(
+        [f.tail.materialize() for f in fb.fragments], _probe_dtype(fb)
+    )
 
     def build(partition: int) -> List[BAT]:
         slices = [

@@ -85,7 +85,7 @@ NIL semantics (two rules, both Monet-faithful):
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -453,11 +453,10 @@ def join_partition_ids(keys: np.ndarray, fanout: int, object_dtype: bool) -> np.
 
     Numeric keys mix through a Fibonacci multiplier before the modulo;
     object (str) keys hash with ``zlib.crc32`` over their UTF-8 bytes,
-    which -- unlike Python's per-process randomized ``hash()`` -- is
-    deterministic across interpreter processes, so the parent and the
-    process-backend workers always agree on a key's partition.  NIL
-    entries get partition 0; callers drop them beforehand via the
-    :func:`join_keys` mask.
+    which -- unlike Python's ``hash()``, salted per interpreter run --
+    puts a key in the same partition every run, so partition sizes,
+    spill-unit counts and timings reproduce.  NIL entries get partition
+    0; callers drop them beforehand via the :func:`join_keys` mask.
     """
     n = len(keys)
     if fanout <= 1:
@@ -479,6 +478,18 @@ def join_partition_ids(keys: np.ndarray, fanout: int, object_dtype: bool) -> np.
     unsigned = keys.view(np.uint64) if keys.dtype == np.dtype(np.int64) else keys
     mixed = unsigned.astype(np.uint64, copy=False) * _RADIX_MULTIPLIER
     return (mixed % np.uint64(fanout)).astype(np.int64)
+
+
+def join_partition_positions(
+    column: AnyColumn, keyspace: str, fanout: int
+) -> List[np.ndarray]:
+    """Grace-join radix split of one fragment: the fragment's local BUN
+    positions grouped by join-key partition, NIL keys dropped up front
+    (comparison rule)."""
+    keys, valid = join_keys(column, keyspace)
+    positions = np.nonzero(valid)[0].astype(np.int64)
+    ids = join_partition_ids(keys, fanout, keyspace == "object")[positions]
+    return [positions[ids == partition] for partition in range(fanout)]
 
 
 # ----------------------------------------------------------------------
@@ -581,95 +592,6 @@ def semijoin_mask(left: BAT, right: BAT) -> np.ndarray:
             heads < right.head.seqbase + len(right)
         )
     return member_mask(left.head, right.head, nil_member=False)
-
-
-# ----------------------------------------------------------------------
-# Picklable per-fragment task functions
-#
-# The process-pool executor backend (:mod:`repro.monet.fragments` /
-# :mod:`repro.monet.shm`) cannot ship the closures the thread backend
-# fans out with, so the offloadable per-fragment computations are
-# registered here as module-level functions, addressable by name.  Each
-# takes the fragment's predicate *column* (reconstructed in the worker
-# from a shared-memory segment) plus plain picklable arguments, and
-# returns a compact picklable result (qualifying local positions, or a
-# membership key set) -- never a BAT, so only the small result crosses
-# the process boundary.
-# ----------------------------------------------------------------------
-
-
-def _column_bat(column: AnyColumn) -> BAT:
-    """A void-headed BAT over *column*, the shape the mask predicates
-    expect (they only ever read the tail)."""
-    return BAT(VoidColumn(0, len(column)), column)
-
-
-def task_equal_positions(column: AnyColumn, value: Any) -> np.ndarray:
-    """Local positions whose value equals *value* (equality select)."""
-    return np.nonzero(equal_mask(_column_bat(column), value))[0].astype(np.int64)
-
-
-def task_range_positions(
-    column: AnyColumn, low: Any, high: Any, include_low: bool, include_high: bool
-) -> np.ndarray:
-    """Local positions whose value lies in the given range."""
-    mask = range_mask(_column_bat(column), low, high, include_low, include_high)
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
-def task_like_positions(column: AnyColumn, pattern: str) -> np.ndarray:
-    """Local positions whose str value contains *pattern*."""
-    return np.nonzero(like_mask(_column_bat(column), pattern))[0].astype(np.int64)
-
-
-def task_member_positions(
-    column: AnyColumn, members, keyspace: str, nil_member: bool, invert: bool
-) -> np.ndarray:
-    """Local positions whose membership key occurs (or, inverted, does
-    not occur) in the broadcast *members* build."""
-    mask = probe_member_set(
-        member_keys(column, keyspace), members, keyspace, nil_member=nil_member
-    )
-    if invert:
-        mask = ~mask
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
-def task_member_key_set(column: AnyColumn, keyspace: str):
-    """This fragment's contribution to a shared membership build: a set
-    of identity-rule keys (object keyspace) or a deduplicated key array
-    (numeric keyspaces)."""
-    keys = member_keys(column, keyspace)
-    if keyspace == "object":
-        return set(keys)
-    return np.unique(keys)
-
-
-def task_join_partition_positions(
-    column: AnyColumn, keyspace: str, fanout: int
-) -> List[np.ndarray]:
-    """Grace-join radix split of one fragment: the fragment's local BUN
-    positions grouped by join-key partition, NIL keys dropped up front
-    (comparison rule).  Shared by build and probe sides; the object
-    (str) variant is a GIL-bound hashing loop, which is exactly the
-    shape the process backend offloads."""
-    fanout = int(fanout)
-    keys, valid = join_keys(column, keyspace)
-    positions = np.nonzero(valid)[0].astype(np.int64)
-    ids = join_partition_ids(keys, fanout, keyspace == "object")[positions]
-    return [positions[ids == partition] for partition in range(fanout)]
-
-
-#: Name -> task function, the registry worker processes resolve task
-#: names against (names pickle; module-level functions need not).
-FRAGMENT_TASKS: Dict[str, Callable[..., Any]] = {
-    "equal_positions": task_equal_positions,
-    "range_positions": task_range_positions,
-    "like_positions": task_like_positions,
-    "member_positions": task_member_positions,
-    "member_key_set": task_member_key_set,
-    "join_partition_positions": task_join_partition_positions,
-}
 
 
 def _select_equal(bat: BAT, value: Any) -> BAT:

@@ -5,7 +5,9 @@ one row per field of the frozen :class:`Tuning` record (environment
 variable, kind, bound, cores-derived default, persisted or not), and
 :func:`resolve` applies one precedence knob by knob: **environment >
 persisted > installed (calibrated) > derived default**.  The
-environment is read and validated once, at import;
+environment is read and validated once, at import, and the whole
+``REPRO_`` prefix is this module's namespace: a set ``REPRO_*``
+variable that is not a knob fails the import like a malformed value;
 :func:`load_persisted` adopts ``catalog["tuning"]``; :func:`install`
 takes calibrated values (``bench_fragments.calibrate()``);
 :func:`persistable` is the catalog serializer; one validator serves
@@ -26,9 +28,6 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.monet.errors import KernelError
 
-#: The executor backends an operator fan-out can run on.
-BACKEND_NAMES = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class Tuning:
@@ -40,19 +39,16 @@ class Tuning:
     fragment_size: int
     parallel_min: int
     merge_fanout: int
-    backend: str
-    process_min: int
     join_fanout: int
     join_spill: int
-    process_task_timeout: float
     wal_group_ms: float
     measured: bool
 
 
 @dataclass(frozen=True)
 class Knob:
-    """One row of the knob table.  Numeric knobs are bounded below by
-    zero (exclusive when ``positive``), ``str`` knobs by ``choices``.
+    """One row of the knob table.  Knobs are numbers (``kind`` int or
+    float) bounded below by zero, exclusive when ``positive``.
     ``default`` is a value, or ``f(cores, resolved)`` seeing the knobs
     of earlier rows."""
 
@@ -61,13 +57,10 @@ class Knob:
     kind: type
     default: Any
     positive: bool = False
-    choices: Tuple[str, ...] = ()
     persisted: bool = True
 
     @property
     def expects(self) -> str:
-        if self.kind is str:
-            return "one of " + ", ".join(self.choices)
         noun = "an integer" if self.kind is int else "a number"
         return f"{noun} {'>' if self.positive else '>='} 0"
 
@@ -99,16 +92,6 @@ KNOBS: Tuple[Knob, ...] = (
     # partition floor (``fragments._merge_partition_count``).
     Knob("merge_fanout", "REPRO_MERGE_FANOUT", int,
          lambda cores, _: max(16, 4 * cores), positive=True),
-    # Default executor backend.  ``thread`` is right for numpy's
-    # GIL-releasing numeric kernels; ``process`` additionally offloads
-    # the registered object-dtype (str) predicate tasks to workers.
-    Knob("backend", "REPRO_EXECUTOR_BACKEND", str, "thread", choices=BACKEND_NAMES),
-    # Below this many total BUNs an object-dtype predicate stays on
-    # threads even under the process backend: the shared-memory export
-    # plus task dispatch has a fixed cost only larger Python-level
-    # scans amortize.  0 disables the floor (every eligible predicate
-    # offloads, which is what the differential tests pin).
-    Knob("process_min", "REPRO_PROCESS_MIN_BUNS", int, 64 * 1024),
     # Cap on grace-join radix partitions.  Same two pressures as the
     # merge fan-out: enough partitions that the per-partition builds
     # saturate the pool and stay cache-resident, not so many that
@@ -120,11 +103,6 @@ KNOBS: Tuple[Knob, ...] = (
     # partition at a time, capping a join's resident build state near
     # this threshold.  0 forces every partitioned build to spill.
     Knob("join_spill", "REPRO_JOIN_SPILL_BUNS", int, 4 * 1024 * 1024),
-    # Per-task result timeout (seconds) of the process backend; a
-    # worker stuck past it degrades the backend to threads instead of
-    # hanging the plan (and CI) forever.
-    Knob("process_task_timeout", "REPRO_PROCESS_TASK_TIMEOUT", float, 120.0,
-         positive=True, persisted=False),
     # Group-commit window (ms): the WAL leader sleeps this long before
     # draining the intent queue so concurrent mutators pile onto one
     # fsync.  Zero still batches: a mutator arriving while a flush is
@@ -140,21 +118,18 @@ def _validated(knob: Knob, raw: Any, origin: str, *, text: bool = False) -> Any:
     :func:`install`.  *text* marks an environment string, which the
     knob's kind parses first; everything else must already be typed."""
     value = raw
-    if text and knob.kind is not str:
+    if text:
         try:
             value = knob.kind(raw)
         except ValueError:
             value = None
-    if knob.kind is str:
-        valid = isinstance(value, str) and value in knob.choices
-    else:
-        typed = numbers.Integral if knob.kind is int else numbers.Real
-        valid = (
-            isinstance(value, typed)
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and (value > 0 if knob.positive else value >= 0)
-        )
+    typed = numbers.Integral if knob.kind is int else numbers.Real
+    valid = (
+        isinstance(value, typed)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if knob.positive else value >= 0)
+    )
     if not valid:
         raise KernelError(f"{origin}={raw!r}: expected {knob.expects}")
     return knob.kind(value)
@@ -173,15 +148,27 @@ def _validated_fields(changes: Mapping[str, Any], origin: str) -> Dict[str, Any]
     }
 
 
-# The layers, in precedence order.  ``_ENV`` is read once, here: an
-# unset or empty variable is "not set", anything malformed or out of
-# range fails the import.  ``_FORCED`` is :func:`override`'s.
+def _environment() -> Dict[str, Any]:
+    """The knobs the environment sets.  An unset or empty variable is
+    "not set"; a ``REPRO_*`` name that is no knob's (a typo, a knob
+    since removed) or a malformed or out-of-range value raises."""
+    by_env = {knob.env: knob for knob in KNOBS}
+    values: Dict[str, Any] = {}
+    for name, raw in os.environ.items():
+        if not name.startswith("REPRO_") or not raw:
+            continue
+        if name not in by_env:
+            raise KernelError(
+                f"{name}={raw!r}: not a tuning variable; known: {', '.join(by_env)}"
+            )
+        values[by_env[name].field] = _validated(by_env[name], raw, name, text=True)
+    return values
+
+
+# The layers, in precedence order.  ``_ENV`` is read once, here, so a
+# bad environment fails the import.  ``_FORCED`` is :func:`override`'s.
 _FORCED: Dict[str, Any] = {}
-_ENV: Dict[str, Any] = {
-    knob.field: _validated(knob, os.environ[knob.env], knob.env, text=True)
-    for knob in KNOBS
-    if os.environ.get(knob.env)
-}
+_ENV: Dict[str, Any] = _environment()
 _PERSISTED: Dict[str, Any] = {}
 _INSTALLED: Dict[str, Any] = {}
 _LAYERS = (_FORCED, _ENV, _PERSISTED, _INSTALLED)

@@ -253,8 +253,6 @@ def test_calibrated_tuning_roundtrip(pool, tmp_path):
         "fragment_size": 12345,
         "parallel_min": 67890,
         "merge_fanout": 24,
-        "backend": "process",
-        "process_min": 4096,
         "join_fanout": 12,
         "join_spill": 2_000_000,
     }

@@ -36,20 +36,13 @@ from repro.monet.groups import group
 from tests.conftest import STRATEGIES, fragment_layout
 
 N_CASES = 60
-BACKENDS = ("thread", "process")
-
-
-@pytest.fixture(params=BACKENDS)
-def exec_backend(request, tuning_override):
-    """Run the decorated differential test under both executor
-    backends.  The offload threshold drops to zero so even the tiny
-    differential BATs take the process path (object-dtype predicates
-    ship through shared memory; numeric work stays on threads by the
-    per-dtype rule) -- both backends must be BUN-identical."""
-    if request.param == "process" and not fr.get_backend("process").available():
-        pytest.skip("process backend unavailable on this platform")
-    tuning_override(backend=request.param, process_min=0)
-    return request.param
+#: The seeds of the three suites that also ran on the process backend
+#: while it existed.  Their ids keep the ``thread-`` prefix of that
+#: axis so each case's history (and the tier-1 floor list, which names
+#: tests by id) carries across its removal.
+BY_THREAD_SEED = pytest.mark.parametrize(
+    "seed", range(N_CASES), ids="thread-{}".format
+)
 
 
 # ----------------------------------------------------------------------
@@ -271,8 +264,8 @@ def _check_op(monolithic: BAT, reference, fragmented_results) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_select_family_differential(seed, exec_backend):
+@BY_THREAD_SEED
+def test_select_family_differential(seed):
     rng = np.random.default_rng(seed)
     ttype = ("int", "dbl", "oid", "str")[seed % 4]
     bat = _random_bat(rng, ttype)
@@ -937,15 +930,13 @@ def _ref_kdiff_comparison(pairs, right_pairs):
     return [(h, t) for h, t in pairs if _comparison_nil(h) or h not in members]
 
 
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_set_operators_differential(seed, exec_backend):
+@BY_THREAD_SEED
+def test_set_operators_differential(seed):
     """kunion/kintersect (identity rule) and semijoin/kdiff (comparison
     rule) over NIL-heavy heads: monolithic vs identity/comparison
     references vs fragmented execution -- fragmented left against
     monolithic, same-strategy fragmented, and cross-strategy fragmented
-    right operands.  Parametrized over the executor backends: the str
-    head seeds drive the membership builds and probes through the
-    process pool."""
+    right operands."""
     rng = np.random.default_rng(1500 + seed)
     htype = ("int", "dbl", "str", "oid")[seed % 4]
     n_left = int(rng.choice([0, 1, 2, 17, 64, 120]))
@@ -1139,11 +1130,10 @@ def _join_case(rng, flavor: str, n: int, m: int):
     return left, right
 
 
-@pytest.mark.parametrize("seed", range(N_CASES))
-def test_join_fragmented_right_differential(seed, exec_backend):
+@BY_THREAD_SEED
+def test_join_fragmented_right_differential(seed):
     """The grace hash join with fragmented *right* operands: range x
-    ragged splits of both sides, under both executor backends
-    (the fixture), over NIL-heavy bases -- BUN-identical to the
+    ragged splits of both sides, over NIL-heavy bases -- BUN-identical to the
     monolithic kernel for join and outerjoin alike, with no coalesce
     of either operand."""
     rng = np.random.default_rng(1300 + seed)

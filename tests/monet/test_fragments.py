@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core.mirror import MirrorDBMS
 from repro.ir.index import InvertedIndex
 from repro.moa import mapping
 from repro.monet import fragments as fr
+from repro.monet import kernel
 from repro.monet.bat import BAT, Column, VoidColumn, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BBPError, KernelError
@@ -39,10 +41,39 @@ def test_policy_validation():
 
 def test_policy_has_no_layout_option():
     assert [f.name for f in dataclasses.fields(FragmentationPolicy)] == [
-        "target_size", "workers", "backend",
+        "target_size", "workers",
     ]
     with pytest.raises(TypeError):
         FragmentationPolicy(strategy="roundrobin")
+    with pytest.raises(TypeError):
+        FragmentationPolicy(backend="thread")
+
+
+def _fragment_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("fragment")]
+
+
+def test_thread_pool_shuts_down_clean_and_respawns_lazily(tuning_override):
+    """The one executor's lifecycle: ``shutdown_backends`` joins every
+    pool thread and is idempotent, and the next multi-fragment operator
+    rebuilds the pool on demand with BUN-identical output."""
+    tuning_override(parallel_min=0)
+    bat = _ints(400)
+    fb = fragment_bat(bat, FragmentationPolicy(target_size=50))
+    assert fb.nfragments == 8 and fb.policy.workers is None
+    expected = kernel.select(bat, 7)
+
+    before = fr.select(fb, 7)
+    assert _fragment_threads()
+    fr.shutdown_backends()
+    assert fr._EXECUTOR is None and not _fragment_threads()
+    fr.shutdown_backends()
+    assert fr._EXECUTOR is None and not _fragment_threads()
+
+    after = fr.select(fb, 7)
+    assert fr._EXECUTOR is not None and _fragment_threads()
+    for result in (before, after):
+        assert result.to_bat().to_pairs() == expected.to_pairs()
 
 
 def test_range_split_shapes_and_voidness():

@@ -270,8 +270,8 @@ def _assert_flags_sound(bat: BAT, context: str) -> None:
         )
 
 
-def _pools(data: dict, strategy: str, backend: str = "thread"):
-    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
+def _pools(data: dict, strategy: str):
+    policy = FragmentationPolicy(target_size=16, workers=2)
     mono = BATBufferPool()
     frag = BATBufferPool()
     for name, bat in data.items():
@@ -280,29 +280,13 @@ def _pools(data: dict, strategy: str, backend: str = "thread"):
     return mono, frag, policy
 
 
-def _fuzz_backend(seed: int) -> str:
-    """The executor-backend axis rides the seed parity: half the corpus
-    runs its fragmented side on the thread backend, half pins the
-    process backend through the policy (exercising the str-predicate
-    offloads mid-pipeline) -- same corpus size, both executors must be
-    BUN-identical to the monolithic run either way."""
-    from repro.monet import fragments as fr
-
-    if seed % 2 and fr.get_backend("process").available():
-        return "process"
-    return "thread"
-
-
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", range(N_SEEDS))
-def test_mil_pipeline_fuzz(seed, strategy, tuning_override):
-    backend = _fuzz_backend(seed)
-    if backend == "process":
-        tuning_override(process_min=0)
+def test_mil_pipeline_fuzz(seed, strategy):
     rng = np.random.default_rng(10_000 + seed)
     data = _make_data(rng)
     script = _gen_pipeline(rng)
-    mono_pool, frag_pool, policy = _pools(data, strategy, backend)
+    mono_pool, frag_pool, policy = _pools(data, strategy)
     mono = run_program(script, mono_pool)
     frag = run_program(script, frag_pool, fragment_policy=policy)
     assert frag.printed == mono.printed, script
@@ -365,21 +349,17 @@ def _make_mutator(rng, pool, names):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", range(N_WRITE_SEEDS))
-def test_mil_snapshot_isolation_fuzz(seed, strategy, tuning_override):
+def test_mil_snapshot_isolation_fuzz(seed, strategy):
     """A plan whose statements interleave with concurrent appends,
     drops, and re-registrations must produce exactly what a run against
     the frozen pre-plan catalog produces: the per-plan snapshot pin
     means no pipeline ever sees a torn append.  Runs on both the
-    monolithic and the fragmented registration (thread/process backend
-    by seed parity)."""
-    backend = _fuzz_backend(seed)
-    if backend == "process":
-        tuning_override(process_min=0)
+    monolithic and the fragmented registration."""
     rng = np.random.default_rng(77_000 + seed)
     data = _make_data(rng)
     script = _gen_pipeline(rng)
     names = [n for n in _BASE_TYPES if n != "dim"]
-    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
+    policy = FragmentationPolicy(target_size=16, workers=2)
 
     for fragmented in (False, True):
         live = BATBufferPool()

@@ -13,7 +13,7 @@ daemon's pass), ``BATBufferPool.delete``/
 (one fsync per batch of concurrent mutators), and the acceptance
 tripwire: a spill-free 1M-BUN pipeline over a BAT carrying live
 tombstone *and* patch deltas never coalesces mid-plan and matches the
-monolithic reference BUN for BUN on both executor backends.
+monolithic reference BUN for BUN.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ from repro.monet.fragments import (
 )
 from repro.monet.mil import MILInterpreter, run_program
 from tests.conftest import STRATEGIES, fragment_layout
-
-
-def _backends():
-    backends = ["thread"]
-    if fr.get_backend("process").available():
-        backends.append("process")
-    return backends
 
 
 # ----------------------------------------------------------------------
@@ -401,16 +394,13 @@ sum(j);
 """
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch, tuning_override):
+def test_live_delta_pipeline_never_coalesces_1m(monkeypatch):
     """The PR acceptance property: a spill-free 1M-BUN pipeline
     (select -> join -> aggregate) over a fragmented BAT carrying *live*
     tombstone and patch deltas -- deleted and updated through the pool,
     never rebalanced -- runs without a single coalesce (class-level
     ``FragmentedBAT.to_bat`` and ``fragments.coalesce`` are both
     tripwired) and matches the monolithic reference BUN for BUN."""
-    if backend == "process":
-        tuning_override(process_min=0)
     n = 1_000_000
     rng = np.random.default_rng(77)
     tails = rng.integers(0, 1000, n)
@@ -418,9 +408,7 @@ def test_live_delta_pipeline_never_coalesces_1m(backend, monkeypatch, tuning_ove
     dim = bat_from_pairs(
         "oid", "dbl", [(i, float(i) * 0.5) for i in rng.permutation(1000)]
     )
-    policy = FragmentationPolicy(
-        target_size=128 * 1024, workers=2, backend=backend
-    )
+    policy = FragmentationPolicy(target_size=128 * 1024, workers=2)
     deleted = np.unique(rng.choice(n, 5_000, replace=False))
     patched = np.unique(rng.choice(n - len(deleted), 5_000, replace=False))
     patch_values = rng.integers(0, 1000, len(patched)).tolist()

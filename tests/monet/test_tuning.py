@@ -1,7 +1,7 @@
 """The one tuning record (:mod:`repro.monet.tuning`), table-driven.
 
 Every per-knob test is parametrized over the rows of ``tuning.KNOBS``,
-so a tenth knob is covered by adding its row: precedence (environment >
+so a new knob is covered by adding its row: precedence (environment >
 persisted > installed > derived default), the bound rejected through
 all three inputs, and the catalog format.  The environment is read once
 at import, so its leg runs in a fresh interpreter.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.monet import bbp, fragments, tuning
+from repro.monet import bbp, fragments, kernel, tuning
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BBPError, KernelError
 from repro.monet.tuning import KNOBS
@@ -32,8 +32,10 @@ BY_PERSISTED_FIELD = pytest.mark.parametrize(
     "knob", PERSISTED, ids=lambda knob: knob.field
 )
 
-#: ``catalog.json`` exactly as the parent commit (PR 13) wrote it after
-#: ``set_default_tuning`` of all seven knobs: the on-disk contract.
+#: ``catalog.json`` exactly as the commits before the process backend
+#: was deleted wrote it, with all seven persisted knobs of the time: the
+#: on-disk contract.  The two executor keys are no longer knobs, so a
+#: load ignores them and a re-save drops them.
 PRE_PR_CATALOG = """{
  "oid_next": 0,
  "generation": 1,
@@ -49,30 +51,34 @@ PRE_PR_CATALOG = """{
  }
 }"""
 PRE_PR_TUNING = json.loads(PRE_PR_CATALOG)["tuning"]
+EXECUTOR_KEYS = ("backend", "process_min")
+KEPT_TUNING = {
+    field: value for field, value in PRE_PR_TUNING.items()
+    if field not in EXECUTOR_KEYS
+}
+#: Variables the deleted process backend read, with values that were
+#: valid while they existed.
+REMOVED_VARIABLES = [
+    ("REPRO_EXECUTOR_BACKEND", "process"),
+    ("REPRO_PROCESS_MIN_BUNS", "4096"),
+    ("REPRO_PROCESS_TASK_TIMEOUT", "30"),
+]
 
 
 def samples(knob):
     """Three valid values, each differing from the next and from the
     derived default -- one per layer above it."""
-    if knob.kind is str:
-        default = knob.default
-        other = next(choice for choice in knob.choices if choice != default)
-        return [other, default, other]
     return [knob.kind(3), knob.kind(5), knob.kind(7)]
 
 
 def bad_values(knob):
     """Typed values outside the knob's bound or of the wrong type."""
-    if knob.kind is str:
-        return ["gpu", "", 5, None]
     bad = [-1, "8", None, True, math.nan] + ([0] if knob.positive else [])
     return bad + ([1.5] if knob.kind is int else [math.inf])
 
 
 def bad_texts(knob):
     """Environment strings the knob must refuse."""
-    if knob.kind is str:
-        return ["gpu", "Thread"]
     bad = ["abc", "-1", "nan"] + (["0"] if knob.positive else [])
     return bad + (["1.5"] if knob.kind is int else ["inf"])
 
@@ -105,15 +111,20 @@ def test_record_fields_are_the_table_rows():
     envs = [knob.env for knob in KNOBS]
     assert len(set(envs)) == len(envs)
     assert all(env.startswith("REPRO_") for env in envs)
+    assert len(KNOBS) == 6
 
 
-def test_catalog_keys_are_the_parents_seven():
-    assert [knob.field for knob in PERSISTED] == list(PRE_PR_TUNING)
+def test_catalog_keys_are_the_parents_seven_minus_the_two_executor_keys():
+    assert list(KEPT_TUNING) == [
+        "fragment_size", "parallel_min", "merge_fanout", "join_fanout",
+        "join_spill",
+    ]
+    assert [knob.field for knob in PERSISTED] == list(KEPT_TUNING)
     with tuning.override():
         assert tuning.persistable() is None  # nothing measured, nothing written
-        tuning.install(**PRE_PR_TUNING)
+        tuning.install(**KEPT_TUNING)
         assert json.dumps(tuning.persistable(), indent=1) == json.dumps(
-            PRE_PR_TUNING, indent=1
+            KEPT_TUNING, indent=1
         )
 
 
@@ -182,9 +193,25 @@ def test_unset_and_empty_variables_are_not_set():
     out = run_python(
         "from repro.monet import tuning; print(tuning._ENV)",
         REPRO_MERGE_FANOUT="", REPRO_PARALLEL_MIN_BUNS="0",
+        # Empty is "not set" for every REPRO_ name, knob or not.
+        REPRO_EXECUTOR_BACKEND="", REPRO_FRAGMENT_SZIE="",
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "{'parallel_min': 0}"
+
+
+@pytest.mark.parametrize(
+    "variable, value", [("REPRO_FRAGMENT_SZIE", "8192")] + REMOVED_VARIABLES
+)
+def test_repro_variable_that_is_no_knob_fails_the_import(variable, value):
+    """The ``REPRO_`` prefix is the tuning namespace: a typo, or a
+    variable whose knob was deleted, must not be silently ignored."""
+    out = run_python("import repro.monet.fragments", **{variable: value})
+    assert out.returncode != 0
+    assert "KernelError" in out.stderr
+    assert f"{variable}={value!r}: not a tuning variable; known: " in out.stderr
+    for knob in KNOBS:
+        assert knob.env in out.stderr
 
 
 # ----------------------------------------------------------------------
@@ -230,10 +257,12 @@ def test_bound_rejected_from_the_environment_text(knob):
     [
         ("REPRO_FRAGMENT_SIZE", "abc"),
         ("REPRO_FRAGMENT_SIZE", "-5"),
-        ("REPRO_EXECUTOR_BACKEND", "gpu"),
         ("REPRO_MERGE_FANOUT", "-1"),
-        ("REPRO_PROCESS_TASK_TIMEOUT", "-3"),
         ("REPRO_WAL_GROUP_MS", "abc"),
+        # No longer knobs: refused by name, whatever the value (the CI
+        # "Tuning environment smoke" step runs the first probe too).
+        ("REPRO_EXECUTOR_BACKEND", "gpu"),
+        ("REPRO_PROCESS_TASK_TIMEOUT", "-3"),
     ],
 )
 def test_malformed_environment_fails_the_import(variable, value):
@@ -250,9 +279,8 @@ def test_catalog_ignores_unknown_and_unpersisted_keys(tmp_path):
         BATBufferPool.load(write_catalog(tmp_path, entry))
         live = tuning.current()
         assert live.wal_group_ms == before.wal_group_ms
-        assert live.process_task_timeout == before.process_task_timeout
         assert tuning.persistable() == {
-            field: getattr(live, field) for field in PRE_PR_TUNING
+            field: getattr(live, field) for field in KEPT_TUNING
         }
 
 
@@ -272,18 +300,34 @@ def test_install_rejects_unknown_knobs():
 # ----------------------------------------------------------------------
 
 
-def test_pre_pr_catalog_loads_unchanged_and_resaves_the_same_keys(tmp_path):
-    (tmp_path / "catalog.json").write_text(PRE_PR_CATALOG)
+@pytest.mark.parametrize(
+    "executor_keys",
+    [{}, {"backend": 7, "process_min": "lots"}],
+    ids=["verbatim", "malformed"],
+)
+def test_pre_pr_catalog_loads_and_resaves_without_the_executor_keys(
+    executor_keys, tmp_path
+):
+    """A catalog written while ``backend``/``process_min`` were knobs
+    still loads: those two keys are ignored like any unknown key (even
+    malformed), the other five are adopted, and a re-save writes the
+    five in the old order."""
+    catalog = json.loads(PRE_PR_CATALOG)
+    catalog["tuning"].update(executor_keys)
+    text = json.dumps(catalog, indent=1)
+    assert executor_keys or text == PRE_PR_CATALOG
+    (tmp_path / "catalog.json").write_text(text)
     with tuning.override():
         pool = BATBufferPool.load(tmp_path)
         reported = fragments.default_tuning()
-        for field, value in PRE_PR_TUNING.items():
+        assert not set(EXECUTOR_KEYS) & set(reported)
+        for field, value in KEPT_TUNING.items():
             if field not in tuning._ENV:
                 assert reported[field] == value
         assert reported["measured"]
         pool.save(tmp_path / "again")
     resaved = json.loads((tmp_path / "again" / "catalog.json").read_text())
-    assert list(resaved["tuning"]) == list(PRE_PR_TUNING)
+    assert list(resaved["tuning"]) == list(KEPT_TUNING)
 
 
 # ----------------------------------------------------------------------
@@ -323,11 +367,24 @@ def test_forced_vestiges_mirror_the_live_record(tuning_override):
         "PROCESS_MIN_BUNS", "PROCESS_TASK_TIMEOUT", "_TUNING_MEASURED",
         "_JOIN_SPILL_ENV", "_PROCESS_MIN_ENV", "set_default_tuning",
         "_default_policy",
-    )] + [(bbp, "_wal_group_window_ms"), (bbp, "_install_persisted_tuning")],
+        # The process backend and everything that selected it.
+        "ProcessBackend", "ThreadBackend", "Backend", "get_backend",
+        "_resolve_backend", "_BACKENDS", "_offload_subset", "_concat_values",
+    )] + [(bbp, "_wal_group_window_ms"), (bbp, "_install_persisted_tuning")]
+    + [(kernel, name) for name in (
+        "FRAGMENT_TASKS", "task_equal_positions", "task_range_positions",
+        "task_like_positions", "task_member_positions", "task_member_key_set",
+        "task_join_partition_positions", "_column_bat",
+    )] + [(tuning, "BACKEND_NAMES")],
     ids=lambda value: value if isinstance(value, str) else value.__name__,
 )
 def test_old_surface_is_deleted_not_aliased(module, name):
     assert not hasattr(module, name)
+
+
+def test_the_shared_memory_transport_module_is_gone():
+    with pytest.raises(ImportError):
+        import repro.monet.shm  # noqa: F401
 
 
 def test_environment_is_read_only_in_the_tuning_module():
@@ -337,6 +394,15 @@ def test_environment_is_read_only_in_the_tuning_module():
         if re.search(r"\benviron\b|\bgetenv\b", path.read_text())
     ]
     assert readers == ["repro/monet/tuning.py"]
+
+
+def test_no_process_pool_machinery_anywhere_in_the_source():
+    users = [
+        str(path.relative_to(REPO / "src"))
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if re.search(r"multiprocessing|ProcessPool|shared_memory", path.read_text())
+    ]
+    assert users == []
 
 
 def test_readme_tuning_table_lists_every_knob():

@@ -12,8 +12,7 @@ each other.
 The pipeline corpus and comparison helpers are reused from
 ``tests/monet/test_mil_fuzz.py`` (loaded by path; the test tree is not
 a package), so this suite inherits the fuzzer's nasty inputs: NIL-heavy
-columns, all-equal keys, empty BATs, fragmented joins.  Both executor
-backends run: threads always, the process pool when available.
+columns, all-equal keys, empty BATs, fragmented joins.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.monet.bat import BAT
@@ -42,15 +40,6 @@ _spec.loader.exec_module(fuzz)
 
 N_SESSIONS = 8
 ROUNDS = 2
-
-
-def _backends():
-    from repro.monet import fragments as fr
-
-    backends = ["thread"]
-    if fr.get_backend("process").available():
-        backends.append("process")
-    return backends
 
 
 def _corpus(base_seed: int):
@@ -91,11 +80,8 @@ def _assert_env_equal(got_env, expected_env, context: str):
             )
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_concurrent_sessions_match_serial(backend, tuning_override):
-    if backend == "process":
-        tuning_override(process_min=0)
-    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
+def test_concurrent_sessions_match_serial():
+    policy = FragmentationPolicy(target_size=16, workers=2)
     data, scripts = _corpus(77_000)
     expected = _serial_results(data, scripts)
 
@@ -128,7 +114,7 @@ def test_concurrent_sessions_match_serial(backend, tuning_override):
         assert not errors, errors[:3]
 
         for i, (got, exp) in enumerate(zip(outputs, expected)):
-            context = f"[{backend}] round {round_no} session {i}\n{scripts[i]}"
+            context = f"round {round_no} session {i}\n{scripts[i]}"
             _assert_env_equal(got.env, exp.env, context)
             assert got.printed == exp.printed, context
             if isinstance(exp.value, BAT):
@@ -154,13 +140,10 @@ def test_concurrent_sessions_match_serial(backend, tuning_override):
         assert len(db.pool.lookup(name)) == len(bat)
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_concurrent_identical_script_single_bat(backend, tuning_override):
+def test_concurrent_identical_script_single_bat():
     """All sessions race the *same* script -- maximum contention on the
     shared coalesced-view cache and on one base BAT."""
-    if backend == "process":
-        tuning_override(process_min=0)
-    policy = FragmentationPolicy(target_size=16, workers=2, backend=backend)
+    policy = FragmentationPolicy(target_size=16, workers=2)
     rng = np.random.default_rng(88_001)
     data = fuzz._make_data(rng)
     script = fuzz._gen_pipeline(np.random.default_rng(88_002))
@@ -193,5 +176,5 @@ def test_concurrent_identical_script_single_bat(backend, tuning_override):
     assert not errors, errors[:3]
     for i, got in enumerate(outputs):
         _assert_env_equal(
-            got.env, expected.env, f"[{backend}] racer {i}\n{script}"
+            got.env, expected.env, f"racer {i}\n{script}"
         )
