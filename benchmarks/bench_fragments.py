@@ -50,7 +50,6 @@ from repro.monet.mil import MILInterpreter
 
 FAST = bool(os.environ.get("BENCH_FAST"))
 N = 100_000 if not FAST else 20_000
-WORKERS = max(2, os.cpu_count() or 1)
 
 
 def _policy(n):
@@ -58,7 +57,7 @@ def _policy(n):
     keeps per-fragment dispatch overhead negligible relative to the
     numpy work while still saturating the shared pool (>= 2 threads)."""
     return FragmentationPolicy(
-        target_size=max(tuning.current().fragment_size, -(-n // (2 * WORKERS)))
+        target_size=max(tuning.current().fragment_size, -(-n // (2 * fr.DEFAULT_WORKERS)))
     )
 
 
@@ -114,7 +113,7 @@ def write_json(path):
         "mode": "smoke" if FAST else "full",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "workers": WORKERS,
+        "workers": fr.DEFAULT_WORKERS,
         "rows": _JSON_ROWS,
     }
     with open(path, "w") as handle:
@@ -242,7 +241,7 @@ def _print_pair(name, n, mono_stats, frag_stats):
 
 def _report_sort(sizes, verbose_header=True):
     if verbose_header:
-        print(f"E12: fragment-parallel sort/unique (workers={WORKERS})")
+        print(f"E12: fragment-parallel sort/unique (workers={fr.DEFAULT_WORKERS})")
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
     for n in sizes:
         repeats = 2 if n >= 10**7 else 5
@@ -253,12 +252,12 @@ def _report_sort(sizes, verbose_header=True):
             (
                 "unique",
                 lambda: kernel.unique(headed),
-                lambda: fr.unique(fheaded, workers=WORKERS),
+                lambda: fr.unique(fheaded),
             ),
             (
                 "sort",
                 lambda: kernel.sort(headed),
-                lambda: fr.sort(fheaded, workers=WORKERS),
+                lambda: fr.sort(fheaded),
             ),
         ]
         for name, mono_case, frag_case in cases:
@@ -326,7 +325,7 @@ def _setops_pools(n, *, seed=11):
 
 def _report_setops(sizes, verbose_header=True):
     if verbose_header:
-        print(f"E13: fragment-parallel set operators (workers={WORKERS})")
+        print(f"E13: fragment-parallel set operators (workers={fr.DEFAULT_WORKERS})")
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
     for n in sizes:
         repeats = 2 if n >= 10**7 else 5
@@ -338,17 +337,17 @@ def _report_setops(sizes, verbose_header=True):
             (
                 "kunion",
                 lambda: kernel.kunion(a, b),
-                lambda: fr.kunion(fa, fb, workers=WORKERS),
+                lambda: fr.kunion(fa, fb),
             ),
             (
                 "kintersect",
                 lambda: kernel.kintersect(a, b),
-                lambda: fr.kintersect(fa, fb, workers=WORKERS),
+                lambda: fr.kintersect(fa, fb),
             ),
             (
                 "kdiff",
                 lambda: kernel.kdiff(a, b),
-                lambda: fr.kdiff(fa, fb, workers=WORKERS),
+                lambda: fr.kdiff(fa, fb),
             ),
         ]
         for name, mono_case, frag_case in cases:
@@ -417,7 +416,7 @@ def _report_strings(sizes, verbose_header=True):
     fragmented.  Expect a ratio near or above 1: these scans hold the
     GIL, so fragments buy them no parallelism."""
     if verbose_header:
-        print(f"E14: object-dtype operators (workers={WORKERS})")
+        print(f"E14: object-dtype operators (workers={fr.DEFAULT_WORKERS})")
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
     for n in sizes:
         repeats = 3
@@ -431,17 +430,17 @@ def _report_strings(sizes, verbose_header=True):
             (
                 "likeselect",
                 lambda: kernel.likeselect(bat, "ing"),
-                lambda: fr.likeselect(fb, "ing", workers=WORKERS),
+                lambda: fr.likeselect(fb, "ing"),
             ),
             (
                 "select(str=)",
                 lambda: kernel.select(bat, "rivers"),
-                lambda: fr.select(fb, "rivers", workers=WORKERS),
+                lambda: fr.select(fb, "rivers"),
             ),
             (
                 "kintersect(str)",
                 lambda: kernel.kintersect(left, right),
-                lambda: fr.kintersect(fl, right, workers=WORKERS),
+                lambda: fr.kintersect(fl, right),
             ),
         ]
         for name, mono_case, frag_case in cases:
@@ -480,7 +479,7 @@ def _report_join(sizes, verbose_header=True):
     if verbose_header:
         print(
             "E15: grace join, fragmented build side "
-            f"(workers={WORKERS}, fanout={tuning.current().join_fanout})"
+            f"(workers={fr.DEFAULT_WORKERS}, fanout={tuning.current().join_fanout})"
         )
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
     for n in sizes:
@@ -503,7 +502,7 @@ def _report_join(sizes, verbose_header=True):
                 n,
                 dtype,
                 lambda: kernel.join(probe, build),
-                lambda: fr.join(fl, fb, workers=WORKERS),
+                lambda: fr.join(fl, fb),
                 repeats,
             )
         # Spill-forced: every build partition round-trips through a
@@ -514,9 +513,7 @@ def _report_join(sizes, verbose_header=True):
             fb = fragment_bat(right, policy)
             expected = kernel.join(left, right).to_pairs()
             assert fr.join(fl, fb).to_bat().to_pairs() == expected
-            spill_stats = _measure(
-                lambda: fr.join(fl, fb, workers=WORKERS), repeats
-            )
+            spill_stats = _measure(lambda: fr.join(fl, fb), repeats)
         _record("join-spill", n, "thread", "oid", spill_stats)
         _print_pair("join-spill(oid)", n, mono_stats["join(oid)"], spill_stats)
 
@@ -540,7 +537,7 @@ def _report_append(sizes, verbose_header=True):
     import threading
 
     if verbose_header:
-        print(f"E16: append-tail write path (workers={WORKERS})")
+        print(f"E16: append-tail write path (workers={fr.DEFAULT_WORKERS})")
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
     for n in sizes:
         repeats = 3
@@ -576,9 +573,7 @@ def _report_append(sizes, verbose_header=True):
         snapshot = pool.read_snapshot()
 
         def snapshot_select():
-            return fr.select(
-                snapshot.lookup_fragments("fact"), 100, 200, workers=WORKERS
-            )
+            return fr.select(snapshot.lookup_fragments("fact"), 100, 200)
 
         quiet_stats = _measure(snapshot_select, repeats)
         stop = threading.Event()
@@ -741,27 +736,32 @@ def calibrate(verbose=True):
     repeats = 2 if FAST else 3
     ints = _int_bat(n)
     if verbose:
-        print(f"calibration: select over {n:,} BUNs (workers={WORKERS})")
+        print(f"calibration: select over {n:,} BUNs (workers={fr.DEFAULT_WORKERS})")
         print(f"{'fragment size':>16}{'select ms':>12}")
     best_size, best_ms = candidates[0], float("inf")
-    for size in candidates:
-        fb = fragment_bat(ints, FragmentationPolicy(target_size=size))
-        ms = _timed(lambda: fr.select(fb, 100, 200, workers=WORKERS), repeats)
-        if verbose:
-            print(f"{size:>16,}{ms:>12.2f}")
-        if ms < best_ms:
-            best_size, best_ms = size, ms
-    # Parallel floor: smallest BAT where fragment fan-out is not slower
-    # than the monolithic operator (bounded by [best_size, 8x]).
-    parallel_min = 8 * best_size
-    for floor in (best_size, 2 * best_size, 4 * best_size):
-        small = _int_bat(2 * floor)
-        fb = fragment_bat(small, FragmentationPolicy(target_size=floor))
-        mono_ms = _timed(lambda: kernel.select(small, 100, 200), repeats)
-        frag_ms = _timed(lambda: fr.select(fb, 100, 200, workers=WORKERS), repeats)
-        if frag_ms <= mono_ms * 1.05:
-            parallel_min = 2 * floor
-            break
+    # Both select passes time the shared pool itself: with the serial
+    # floor forced to zero every candidate fans out, whatever floor is
+    # live -- the floor is what the second pass is measuring.
+    with tuning.override(parallel_min=0):
+        for size in candidates:
+            fb = fragment_bat(ints, FragmentationPolicy(target_size=size))
+            ms = _timed(lambda: fr.select(fb, 100, 200), repeats)
+            if verbose:
+                print(f"{size:>16,}{ms:>12.2f}")
+            if ms < best_ms:
+                best_size, best_ms = size, ms
+        # Parallel floor: smallest BAT where fragment fan-out is not
+        # slower than the monolithic operator (bounded by [best_size,
+        # 8x]).
+        parallel_min = 8 * best_size
+        for floor in (best_size, 2 * best_size, 4 * best_size):
+            small = _int_bat(2 * floor)
+            fb = fragment_bat(small, FragmentationPolicy(target_size=floor))
+            mono_ms = _timed(lambda: kernel.select(small, 100, 200), repeats)
+            frag_ms = _timed(lambda: fr.select(fb, 100, 200), repeats)
+            if frag_ms <= mono_ms * 1.05:
+                parallel_min = 2 * floor
+                break
     tuning.install(fragment_size=best_size, parallel_min=parallel_min)
     # Merge fan-out: time the fragmented (sample-sort) sort under a few
     # partition caps and keep the fastest.  merge_fanout is read live by
@@ -769,14 +769,14 @@ def calibrate(verbose=True):
     sort_n = min(n, 1_000_000)
     headed = _headed_bat(sort_n, distinct_heads=max(1000, sort_n // 4))
     fheaded = fragment_bat(headed, FragmentationPolicy(target_size=best_size))
-    fanouts = list(dict.fromkeys([4, 8, 16, 32, max(16, 4 * WORKERS)]))
+    fanouts = list(dict.fromkeys([4, 8, 16, 32, max(16, 4 * fr.DEFAULT_WORKERS)]))
     if verbose:
         print(f"calibration: sort over {sort_n:,} BUNs")
         print(f"{'merge fanout':>16}{'sort ms':>12}")
     best_fanout, best_sort_ms = fanouts[0], float("inf")
     for fanout in fanouts:
         tuning.install(merge_fanout=fanout)
-        ms = _timed(lambda: fr.sort(fheaded, workers=WORKERS), repeats)
+        ms = _timed(lambda: fr.sort(fheaded), repeats)
         if verbose:
             print(f"{fanout:>16,}{ms:>12.2f}")
         if ms < best_sort_ms:
@@ -800,9 +800,7 @@ def calibrate(verbose=True):
     best_join_fanout, best_join_ms = join_fanouts[0], float("inf")
     for fanout in join_fanouts:
         tuning.install(join_fanout=fanout)
-        ms = _timed(
-            lambda: fr.join(fjleft, fjright, workers=WORKERS), repeats
-        )
+        ms = _timed(lambda: fr.join(fjleft, fjright), repeats)
         if verbose:
             print(f"{fanout:>16,}{ms:>12.2f}")
         if ms < best_join_ms:
@@ -922,7 +920,7 @@ def test_sort_fragmented(benchmark, headed_fragmented):
 
 def _report_mil(sizes, verbose_header=True):
     if verbose_header:
-        print(f"E11: fragment-aware MIL pipeline (workers={WORKERS})")
+        print(f"E11: fragment-aware MIL pipeline (workers={fr.DEFAULT_WORKERS})")
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
     for n in sizes:
         repeats = 2 if n >= 10**7 else 5
@@ -943,7 +941,7 @@ def _report_mil(sizes, verbose_header=True):
 def report():
     calibrate()
     sizes = [10**4, 10**5] if FAST else [10**5, 10**6, 10**7]
-    print(f"E11: monolithic vs fragmented execution (workers={WORKERS})")
+    print(f"E11: monolithic vs fragmented execution (workers={fr.DEFAULT_WORKERS})")
     print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
 
     for n in sizes:

@@ -142,7 +142,6 @@ class InvertedIndex:
         params: BeliefParameters = DEFAULT_PARAMETERS,
         *,
         fragment_size: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> np.ndarray:
         """:meth:`score_sum` over horizontal posting fragments scored in
         parallel; partial per-document score vectors are summed.
@@ -167,7 +166,7 @@ class InvertedIndex:
                 chunk[0], chunk[1], query_terms, params
             ),
             chunks,
-            workers,
+            self.posting_count,
         )
         return np.sum(partials, axis=0)
 

@@ -32,7 +32,7 @@ BUN ranges, sized by a
 :class:`~repro.monet.fragments.FragmentationPolicy`; fragment order is
 BUN order), and the hot
 operators (``select``/``uselect``/``likeselect``, ``fetchjoin``,
-``join``, ``semijoin``/``antijoin``, ``mark``, the scalar and grouped
+``join``, ``semijoin``/``kdiff``, ``mark``, the scalar and grouped
 aggregates) fan out over fragments on a shared thread pool -- numpy
 releases the GIL on its bulk paths -- and recombine in BUN order with
 conservatively maintained property flags.  The buffer pool registers

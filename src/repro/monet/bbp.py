@@ -722,7 +722,6 @@ class BATBufferPool:
                 entry = {
                     "fragmented": True,
                     "target_size": fragmented.policy.target_size,
-                    "workers": fragmented.policy.workers,
                     "fragments": [],
                 }
                 for findex, fragment in enumerate(fragmented.fragments):
@@ -916,7 +915,6 @@ class BATBufferPool:
                     # current (possibly calibrated) default at load time.
                     target_size=entry.get("target_size")
                     or _tuning.current().fragment_size,
-                    workers=entry.get("workers"),
                 )
                 fragmented = FragmentedBAT(fragments, policy=policy, name=name)
                 if legacy_positions:

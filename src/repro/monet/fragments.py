@@ -8,14 +8,18 @@ kernel operators fan out over fragments on a shared
 :class:`~concurrent.futures.ThreadPoolExecutor` (numpy releases the GIL
 on its bulk paths) and the results are recombined in BUN order.
 
-**One executor.**  Every operator fans out through
-:func:`map_fragments` over one lazily created, shared thread pool:
-numpy releases the GIL on its bulk paths, so the numeric work runs in
-parallel, while object-dtype (str) scans hold the GIL and serialize on
-it.  There is no second executor for those scans because the one
-tried did not pay: on the 2-core reference host a process pool over
-shared-memory column exports measured thread ms / process ms (above 1
-= processes ahead) of 0.92 (``likeselect``), 0.82 (``select(str=)``),
+**One executor, one fan-out rule.**  Every operator fans out through
+:func:`map_fragments` over one lazily created, shared thread pool, and
+that function alone decides serial or parallel: the pool runs the tasks
+when the operator's receiver holds at least
+``tuning.current().parallel_min`` BUNs, the calling thread otherwise.
+No operator takes a worker count.  numpy releases the GIL on its bulk
+paths, so the numeric work runs in parallel, while object-dtype (str)
+scans hold the GIL and serialize on it.  There is no second executor
+for those scans because the one tried did not pay: on the 2-core
+reference host a process pool over shared-memory column exports
+measured thread ms / process ms (above 1 = processes ahead) of 0.92
+(``likeselect``), 0.82 (``select(str=)``),
 1.14 (``kintersect(str)``), 1.07 (``join(oid)``) and 0.98
 (``join(str)``) at 1M BUNs and 0.44-0.62 at 50k -- a wash at best,
 twice as slow on small inputs; many-core hosts are unmeasured.
@@ -36,7 +40,7 @@ identity against the monolithic kernel and against naive pure-Python
 references, ``tests/monet/test_mil_fragments.py`` does the same for
 whole MIL programs, and ``tests/monet/test_mil_fuzz.py`` fuzzes the
 composition space with randomized pipelines.  The operator set covers
-everything the MIL dispatch layer (:mod:`repro.monet.mil.builtins`)
+everything the MIL builtin table (:mod:`repro.monet.mil.builtins`)
 routes here -- including the order-sensitive operators
 (``sort``/``tsort``, ``unique``/``kunique``/``tunique``, ``refine``),
 whose per-fragment parallel passes meet in a **sample-sort merge**
@@ -71,7 +75,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,7 +116,7 @@ def default_tuning() -> dict:
 
 @dataclass(frozen=True)
 class FragmentationPolicy:
-    """How a BAT is split: fragment size and worker count.
+    """How a BAT is split: the fragment size.
 
     ``target_size=None`` (the default) resolves to the live
     ``tuning.current().fragment_size`` at construction time, so
@@ -120,7 +124,6 @@ class FragmentationPolicy:
     measured value."""
 
     target_size: Optional[int] = None
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if self.target_size is None:
@@ -151,21 +154,21 @@ def _shared_executor() -> ThreadPoolExecutor:
 
 
 def map_fragments(
-    fn: Callable[[Any], Any], items: Sequence[Any], workers: Optional[int] = None
+    fn: Callable[[Any], Any], items: Iterable[Any], buns: int
 ) -> List[Any]:
-    """Apply *fn* to every item, fanning out on the shared thread pool.
+    """Apply *fn* to every item, in item order.
 
-    ``workers=0``/``workers=1`` forces serial execution; an explicit
-    ``workers >= 2`` uses a dedicated pool of that size (benchmarks pin
-    worker counts this way); ``None`` uses the shared pool.
+    The one fan-out rule: the shared thread pool runs the tasks when
+    there is more than one and the operator's receiver holds *buns* >=
+    ``tuning.current().parallel_min`` BUNs; below that floor dispatch
+    costs more than it buys and the calling thread runs them.  *fn*
+    must not call back into this function: a task waiting on the
+    bounded pool it occupies would deadlock.
     """
     items = list(items)
-    if len(items) <= 1 or (workers is not None and workers <= 1):
+    if len(items) <= 1 or buns < _tuning.current().parallel_min:
         return [fn(item) for item in items]
-    if workers is None:
-        return list(_shared_executor().map(fn, items))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return list(_shared_executor().map(fn, items))
 
 
 def shutdown_backends() -> None:
@@ -627,30 +630,28 @@ def _slice_column(column: AnyColumn, start: int, stop: int) -> AnyColumn:
 # ----------------------------------------------------------------------
 
 
-def _subset_op(
+def _per_fragment(
     fb: FragmentedBAT,
-    mask_fn: Callable[[BAT], np.ndarray],
-    workers: Optional[int],
+    one: Callable[[Any], BAT],
+    items: Optional[Iterable[Any]] = None,
 ) -> FragmentedBAT:
-    """Generic row-subset operator: evaluate a predicate mask per
-    fragment in parallel and keep the qualifying BUNs."""
-
-    def one(frag: BAT) -> BAT:
-        return frag.take_positions(np.nonzero(mask_fn(frag))[0])
-
+    """The per-fragment map shape: *one* builds one output fragment
+    per input fragment of *fb* (or per entry of *items*, when the task
+    needs more than the fragment itself), under the receiver's policy."""
     return FragmentedBAT(
-        map_fragments(one, fb.fragments, workers), policy=fb.policy
+        map_fragments(one, fb.fragments if items is None else items, len(fb)),
+        policy=fb.policy,
     )
 
 
-def _resolve_workers(fb: FragmentedBAT, workers: Optional[int]) -> Optional[int]:
-    if workers is not None:
-        return workers
-    if fb.policy.workers is not None:
-        return fb.policy.workers
-    if len(fb) < _tuning.current().parallel_min:
-        return 1
-    return None
+def _subset_op(
+    fb: FragmentedBAT, mask_fn: Callable[[BAT], np.ndarray]
+) -> FragmentedBAT:
+    """Generic row-subset operator: evaluate a predicate mask per
+    fragment in parallel and keep the qualifying BUNs."""
+    return _per_fragment(
+        fb, lambda frag: frag.take_positions(np.nonzero(mask_fn(frag))[0])
+    )
 
 
 def select(
@@ -660,16 +661,13 @@ def select(
     *,
     include_low: bool = True,
     include_high: bool = True,
-    workers: Optional[int] = None,
 ) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.select`."""
-    workers = _resolve_workers(fb, workers)
     if high is _kernel._UNSET:
-        return _subset_op(fb, lambda frag: _kernel.equal_mask(frag, low), workers)
+        return _subset_op(fb, lambda frag: _kernel.equal_mask(frag, low))
     return _subset_op(
         fb,
         lambda frag: _kernel.range_mask(frag, low, high, include_low, include_high),
-        workers,
     )
 
 
@@ -678,28 +676,20 @@ def uselect(
     low: Any,
     high: Any = _kernel._UNSET,
     *,
-    workers: Optional[int] = None,
-    **flags,
+    include_low: bool = True,
+    include_high: bool = True,
 ) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.uselect`: qualifying
     heads with the tail replaced by a dense oid sequence in BUN order."""
     selected = select(
-        fb,
-        low,
-        high,
-        include_low=flags.get("include_low", True),
-        include_high=flags.get("include_high", True),
-        workers=workers,
+        fb, low, high, include_low=include_low, include_high=include_high
     )
     return _renumber_tails(selected, 0)
 
 
-def likeselect(
-    fb: FragmentedBAT, pattern: str, *, workers: Optional[int] = None
-) -> FragmentedBAT:
+def likeselect(fb: FragmentedBAT, pattern: str) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.likeselect`."""
-    workers = _resolve_workers(fb, workers)
-    return _subset_op(fb, lambda frag: _kernel.like_mask(frag, pattern), workers)
+    return _subset_op(fb, lambda frag: _kernel.like_mask(frag, pattern))
 
 
 # ----------------------------------------------------------------------
@@ -738,10 +728,7 @@ def _dense_window_starts(right: FragmentedBAT) -> Optional[List[int]]:
 
 
 def fetchjoin(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
+    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> FragmentedBAT:
     """Fragment-parallel positional join against a shared void-headed
     right operand.  A fragmented dense right stays fragmented: seqbase
@@ -750,13 +737,12 @@ def fetchjoin(
     if isinstance(right, FragmentedBAT):
         starts = _dense_window_starts(right)
         if starts is not None:
-            return _fetchjoin_fragmented(fb, right, starts, workers)
+            return _fetchjoin_fragmented(fb, right, starts)
         # Non-contiguous rights coalesce (and may then legitimately
         # fail the voidness check below).
         right = right.to_bat()
     if not right.hdense:
         raise KernelError("fetchjoin requires a void-headed right operand")
-    workers = _resolve_workers(fb, workers)
 
     def one(frag: BAT) -> BAT:
         tails = frag.tail_values()
@@ -767,22 +753,16 @@ def fetchjoin(
         tail = right.tail.take(targets[keep])
         return BAT(head, tail, hkey=frag.hkey)
 
-    return FragmentedBAT(
-        map_fragments(one, fb.fragments, workers), policy=fb.policy
-    )
+    return _per_fragment(fb, one)
 
 
 def _fetchjoin_fragmented(
-    fb: FragmentedBAT,
-    right: FragmentedBAT,
-    starts: List[int],
-    workers: Optional[int],
+    fb: FragmentedBAT, right: FragmentedBAT, starts: List[int]
 ) -> FragmentedBAT:
     """Positional join against a fragmented dense right operand: each
     probe resolves to (owning right fragment, local offset) by binary
     search over the seqbase windows, gathers fan out per owner, and a
     stable scatter restores probe order."""
-    workers = _resolve_workers(fb, workers)
     offsets = np.asarray(starts, dtype=np.int64)
     tails_object = _kernel._is_object_column(right.fragments[0].tail)
     tail_values = [frag.tail_values() for frag in right.fragments]
@@ -815,9 +795,7 @@ def _fetchjoin_fragmented(
             )
         return BAT(frag.head.take(keep), Column(tail_atom, values), hkey=frag.hkey)
 
-    return FragmentedBAT(
-        map_fragments(one, fb.fragments, workers), policy=fb.policy
-    )
+    return _per_fragment(fb, one)
 
 
 # ----------------------------------------------------------------------
@@ -846,21 +824,6 @@ def _join_fanout(build_n: int) -> int:
     return max(1, min(_tuning.current().join_fanout, by_floor))
 
 
-def _join_partition_lists(
-    columns: List[AnyColumn],
-    keyspace: str,
-    fanout: int,
-    workers: Optional[int],
-) -> List[List[np.ndarray]]:
-    """Per-fragment radix splits (NIL-free local positions grouped by
-    partition)."""
-    return map_fragments(
-        lambda column: _kernel.join_partition_positions(column, keyspace, fanout),
-        columns,
-        workers,
-    )
-
-
 def _assemble_join_partition(
     key_chunks: List[np.ndarray],
     tail_chunks: List[np.ndarray],
@@ -878,9 +841,7 @@ def _assemble_join_partition(
 
 
 def _grace_matches(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    workers: Optional[int],
+    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The grace-join core shared by :func:`join` and
     :func:`outerjoin`: per probe fragment, the matching
@@ -916,21 +877,21 @@ def _grace_matches(
 
     if spill:
         matches = _grace_matches_spilled(
-            fb,
-            build_frags,
-            keyspace,
-            fanout,
-            probe_parts,
-            tails_object,
-            workers,
+            fb, build_frags, keyspace, fanout, probe_parts, tails_object
         )
     else:
         build_keys = [
             _kernel.join_keys(frag.head, keyspace)[0] for frag in build_frags
         ]
         build_tails = [frag.tail_values() for frag in build_frags]
-        build_parts = _join_partition_lists(
-            [frag.head for frag in build_frags], keyspace, fanout, workers
+        # Per-fragment radix splits: NIL-free local positions grouped
+        # by partition.
+        build_parts = map_fragments(
+            lambda frag: _kernel.join_partition_positions(
+                frag.head, keyspace, fanout
+            ),
+            build_frags,
+            len(fb),
         )
 
         def one_partition(partition: int):
@@ -944,7 +905,7 @@ def _grace_matches(
                 key_chunks, tail_chunks, object_dtype, tails_object
             )
 
-        partitions = map_fragments(one_partition, list(range(fanout)), workers)
+        partitions = map_fragments(one_partition, range(fanout), len(fb))
 
         def probe_one(frag: BAT) -> Tuple[np.ndarray, np.ndarray]:
             if len(frag) == 0 or build_n == 0:
@@ -973,7 +934,7 @@ def _grace_matches(
             order = np.argsort(probe_positions, kind="stable")
             return probe_positions[order], values[order]
 
-        matches = map_fragments(probe_one, list(fb.fragments), workers)
+        matches = map_fragments(probe_one, fb.fragments, len(fb))
     return matches
 
 
@@ -984,7 +945,6 @@ def _grace_matches_spilled(
     fanout: int,
     probe_parts,
     tails_object: bool,
-    workers: Optional[int],
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Out-of-core grace join: build partitions stream to npz spill
     units fragment by fragment, then load back one partition at a time
@@ -1016,7 +976,7 @@ def _grace_matches_spilled(
                 )
                 units[partition].append(path)
             del keys, valid, positions, ids, tails
-        probe_data = map_fragments(probe_parts, list(fb.fragments), workers)
+        probe_data = map_fragments(probe_parts, fb.fragments, len(fb))
         accum: List[Tuple[List[np.ndarray], List[np.ndarray]]] = [
             ([], []) for _ in fb.fragments
         ]
@@ -1044,9 +1004,7 @@ def _grace_matches_spilled(
                     return None
                 return sel[pp], part_tails[bp]
 
-            probed = map_fragments(
-                probe_into, list(range(len(fb.fragments))), workers
-            )
+            probed = map_fragments(probe_into, range(fb.nfragments), len(fb))
             for fragment_index, result in enumerate(probed):
                 if result is not None:
                     accum[fragment_index][0].append(result[0])
@@ -1076,12 +1034,7 @@ def _right_hkey(right: Union[BAT, FragmentedBAT]) -> bool:
     return right.nfragments == 1 and right.fragments[0].hkey
 
 
-def join(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
-) -> FragmentedBAT:
+def join(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.join`, executed as a
     radix-partitioned (grace) hash join: both sides partition by a
     radix of the join key, per-partition match indexes build in
@@ -1091,11 +1044,10 @@ def join(
     exactly like the membership builds."""
     _kernel.check_join_types(fb.ttype, right.htype)
     if isinstance(right, BAT) and right.hdense:
-        return fetchjoin(fb, right, workers=workers)
+        return fetchjoin(fb, right)
     if isinstance(right, FragmentedBAT) and _dense_window_starts(right) is not None:
-        return fetchjoin(fb, right, workers=workers)
-    workers = _resolve_workers(fb, workers)
-    matches = _grace_matches(fb, right, workers)
+        return fetchjoin(fb, right)
+    matches = _grace_matches(fb, right)
     right_hkey = _right_hkey(right)
     tail_atom = right.ttype
 
@@ -1129,16 +1081,16 @@ def _head_columns(value: Union[BAT, FragmentedBAT]) -> List[AnyColumn]:
     return [value.head]
 
 
-def _member_build(
-    source: Union[BAT, FragmentedBAT], keyspace: str, workers: Optional[int]
-):
+def _member_build(source: Union[BAT, FragmentedBAT], keyspace: str, buns: int):
     """Identity-key membership set over *source*'s heads
     (:func:`kernel.build_member_set`), built once and shared by every
-    probe fragment; the per-fragment key extraction fans out."""
+    probe fragment; the per-fragment key extraction fans out by the
+    *buns* of the operator's receiver, like that operator's other
+    passes."""
     per_fragment = map_fragments(
         lambda column: _kernel.member_keys(column, keyspace),
         _head_columns(source),
-        workers,
+        buns,
     )
     if keyspace == "object":
         members: set = set()
@@ -1155,7 +1107,6 @@ def _member_subset(
     *,
     nil_member: bool,
     invert: bool,
-    workers: Optional[int],
 ) -> FragmentedBAT:
     """Row subset of *fb* by head membership in the shared build."""
 
@@ -1168,15 +1119,10 @@ def _member_subset(
         )
         return ~mask if invert else mask
 
-    return _subset_op(fb, mask_fn, workers)
+    return _subset_op(fb, mask_fn)
 
 
-def semijoin(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
-) -> FragmentedBAT:
+def semijoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.semijoin`
     (comparison NIL rule; a fragmented right operand contributes its
     head keys without coalescing).
@@ -1185,25 +1131,17 @@ def semijoin(
     right side's head keys partition per fragment, each partition
     dedupes in parallel, and probe fragments test partition-locally.
     Object keyspaces keep the shared-membership path."""
-    workers = _resolve_workers(fb, workers)
     if isinstance(right, BAT) and right.hdense:
-        return _subset_op(
-            fb, lambda frag: _kernel.semijoin_mask(frag, right), workers
-        )
+        return _subset_op(fb, lambda frag: _kernel.semijoin_mask(frag, right))
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
     if keyspace != "object":
-        return _partitioned_semijoin(fb, right, keyspace, workers)
-    members = _member_build(right, keyspace, workers)
-    return _member_subset(
-        fb, members, keyspace, nil_member=False, invert=False, workers=workers
-    )
+        return _partitioned_semijoin(fb, right, keyspace)
+    members = _member_build(right, keyspace, len(fb))
+    return _member_subset(fb, members, keyspace, nil_member=False, invert=False)
 
 
 def _partitioned_semijoin(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    keyspace: str,
-    workers: Optional[int],
+    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT], keyspace: str
 ) -> FragmentedBAT:
     """Numeric semijoin through the grace-join partitioned build.  NIL
     build and probe keys drop with the :func:`kernel.join_keys` mask
@@ -1219,7 +1157,7 @@ def _partitioned_semijoin(
         ids = _kernel.join_partition_ids(keys, fanout, False)[positions]
         return keys, [positions[ids == partition] for partition in range(fanout)]
 
-    per_fragment = map_fragments(keyed_parts, columns, workers)
+    per_fragment = map_fragments(keyed_parts, columns, len(fb))
     empty_keys = per_fragment[0][0][:0] if per_fragment else np.empty(0, np.int64)
 
     def one_partition(partition: int) -> np.ndarray:
@@ -1232,7 +1170,7 @@ def _partitioned_semijoin(
             return empty_keys
         return np.unique(np.concatenate(chunks))
 
-    members = map_fragments(one_partition, list(range(fanout)), workers)
+    members = map_fragments(one_partition, range(fanout), len(fb))
 
     def mask_fn(frag: BAT) -> np.ndarray:
         mask = np.zeros(len(frag), dtype=bool)
@@ -1248,57 +1186,33 @@ def _partitioned_semijoin(
                 mask[sel[hits]] = True
         return mask
 
-    return _subset_op(fb, mask_fn, workers)
+    return _subset_op(fb, mask_fn)
 
 
-def antijoin(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
-) -> FragmentedBAT:
+def kdiff(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.kdiff`
     (anti-semijoin, comparison NIL rule: NIL heads always survive, so
     the shared build is probed with NIL probes masked out)."""
-    workers = _resolve_workers(fb, workers)
     if isinstance(right, BAT) and right.hdense:
-        return _subset_op(
-            fb, lambda frag: ~_kernel.semijoin_mask(frag, right), workers
-        )
+        return _subset_op(fb, lambda frag: ~_kernel.semijoin_mask(frag, right))
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
-    members = _member_build(right, keyspace, workers)
-    return _member_subset(
-        fb, members, keyspace, nil_member=False, invert=True, workers=workers
-    )
-
-
-kdiff = antijoin
+    members = _member_build(right, keyspace, len(fb))
+    return _member_subset(fb, members, keyspace, nil_member=False, invert=True)
 
 
 def kintersect(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
+    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.kintersect`: keep
     the left BUNs whose head is in the shared right-head build, under
     the **identity** NIL rule (a NIL head is a member of a head set
     containing any NIL)."""
-    workers = _resolve_workers(fb, workers)
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
-    members = _member_build(right, keyspace, workers)
-    return _member_subset(
-        fb, members, keyspace, nil_member=True, invert=False, workers=workers
-    )
+    members = _member_build(right, keyspace, len(fb))
+    return _member_subset(fb, members, keyspace, nil_member=True, invert=False)
 
 
-def kunion(
-    fb: FragmentedBAT,
-    right: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
-) -> FragmentedBAT:
+def kunion(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.kunion`: the left
     fragments pass through untouched, the right side filters
     fragment-parallel against a shared membership build of the *left*
@@ -1310,9 +1224,8 @@ def kunion(
     if isinstance(right, BAT):
         right = fragment_bat(right, fb.policy)
     _kernel.check_kunion_types(fb.fragments[0], right.fragments[0])
-    workers = _resolve_workers(fb, workers)
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, right.fragments[0].head)
-    members = _member_build(fb, keyspace, workers)
+    members = _member_build(fb, keyspace, len(fb))
 
     def one(frag: BAT) -> BAT:
         mask = _kernel.probe_member_set(
@@ -1324,7 +1237,7 @@ def kunion(
         return frag.take_positions(np.nonzero(~mask)[0])
 
     survivors = [
-        frag for frag in map_fragments(one, right.fragments, workers) if len(frag)
+        frag for frag in map_fragments(one, right.fragments, len(fb)) if len(frag)
     ]
     if not survivors:
         return fb
@@ -1400,10 +1313,7 @@ def slice_(fb: FragmentedBAT, start: int, stop: int) -> FragmentedBAT:
     return FragmentedBAT(fragments, policy=fb.policy)
 
 
-def topn(
-    fb: FragmentedBAT, n: int, *, descending: bool = True,
-    workers: Optional[int] = None,
-) -> BAT:
+def topn(fb: FragmentedBAT, n: int, descending: bool = True) -> BAT:
     """Fragment-parallel :func:`repro.monet.kernel.topn`.
 
     Every global top-*n* BUN is a top-*n* BUN of its own fragment, so
@@ -1421,7 +1331,6 @@ def topn(
         # candidate selection cannot compose with; topn returns a small
         # monolithic BAT anyway, so take the coalesced path.
         return _kernel.topn(fb.to_bat(), n, descending=descending)
-    workers = _resolve_workers(fb, workers)
 
     def one(frag: BAT) -> BAT:
         pos = _kernel.topn_positions(frag, min(n, len(frag)), descending=descending)
@@ -1429,29 +1338,16 @@ def topn(
         # positional.
         return frag.take_positions(np.sort(pos))
 
-    candidates = _concat_fragments(map_fragments(one, fb.fragments, workers))
+    candidates = _concat_fragments(map_fragments(one, fb.fragments, len(fb)))
     return _kernel.topn(candidates, n, descending=descending)
 
 
-def const(
-    fb: FragmentedBAT, atom_name: str, value: Any, *, workers: Optional[int] = None
-) -> FragmentedBAT:
+def const(fb: FragmentedBAT, atom_name: str, value: Any) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.const_bat`."""
-    workers = _resolve_workers(fb, workers)
-    fragments = map_fragments(
-        lambda frag: _kernel.const_bat(frag, str(atom_name), value),
-        fb.fragments,
-        workers,
-    )
-    return FragmentedBAT(fragments, policy=fb.policy)
+    return _per_fragment(fb, lambda frag: _kernel.const_bat(frag, atom_name, value))
 
 
-def outerjoin(
-    fb: FragmentedBAT,
-    right: Union[BAT, "FragmentedBAT"],
-    *,
-    workers: Optional[int] = None,
-) -> FragmentedBAT:
+def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.outerjoin`:
     unmatched left BUNs keep NIL tails per fragment, with the matches
     coming from the shared grace-join build.  The build is partitioned
@@ -1460,7 +1356,6 @@ def outerjoin(
     once per probe fragment), and a fragmented right never coalesces.
     A monolithic dense right keeps the direct seqbase path: it has no
     build to share."""
-    workers = _resolve_workers(fb, workers)
     if isinstance(right, BAT) and right.hdense:
 
         def one(frag: BAT) -> BAT:
@@ -1469,11 +1364,9 @@ def outerjoin(
                 frag.head.take(left_positions), tail, hkey=frag.hkey and right.hkey
             )
 
-        return FragmentedBAT(
-            map_fragments(one, fb.fragments, workers), policy=fb.policy
-        )
+        return _per_fragment(fb, one)
 
-    matches = _grace_matches(fb, right, workers)
+    matches = _grace_matches(fb, right)
     right_hkey = _right_hkey(right)
     tail_atom = atom(right.ttype)
     fragments = []
@@ -1512,7 +1405,27 @@ def _group_key(value: Any):
     return value
 
 
-def group(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
+def _ids_by_first_appearance(per_fragment) -> dict:
+    """key -> dense id in order of first global appearance, from every
+    fragment's ``(key, global BUN position)`` reports: the monolithic
+    first-appearance group-oid assignment, reproduced exactly."""
+    firsts = _first_positions(per_fragment)
+    return {key: gid for gid, key in enumerate(sorted(firsts, key=firsts.get))}
+
+
+def _first_positions(per_fragment) -> dict:
+    """key -> minimal global BUN position over every fragment's
+    ``(key, position)`` reports."""
+    firsts: dict = {}
+    for entries in per_fragment:
+        for key, position in entries:
+            previous = firsts.get(key)
+            if previous is None or position < previous:
+                firsts[key] = position
+    return firsts
+
+
+def group(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.groups.group`.
 
     Two parallel passes around one tiny serial merge: (1) each fragment
@@ -1522,7 +1435,6 @@ def group(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
     assignment exactly -- and (3) each fragment relabels its tails with
     the global ids.  The result is fragmented identically to the input,
     so a following pump aggregate stays fragment-parallel."""
-    workers = _resolve_workers(fb, workers)
     object_dtype = _probe_dtype(fb)
 
     def local_uniques(indexed: Tuple[int, BAT]) -> List[Tuple[Any, int]]:
@@ -1546,17 +1458,9 @@ def group(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
             for value, position in zip(uniq.tolist(), gpos[first_idx].tolist())
         ]
 
-    per_fragment = map_fragments(local_uniques, list(enumerate(fb.fragments)), workers)
-    firsts: dict = {}
-    for entries in per_fragment:
-        for key, position in entries:
-            previous = firsts.get(key)
-            if previous is None or position < previous:
-                firsts[key] = position
-    gid_by_key = {
-        key: gid
-        for gid, (key, _) in enumerate(sorted(firsts.items(), key=lambda kv: kv[1]))
-    }
+    gid_by_key = _ids_by_first_appearance(
+        map_fragments(local_uniques, enumerate(fb.fragments), len(fb))
+    )
 
     def assign(frag: BAT) -> BAT:
         tails = frag.tail_values()
@@ -1574,8 +1478,7 @@ def group(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
             ids = local_gids[inverse.astype(np.int64).ravel()]
         return BAT(frag.head, Column("oid", ids), hsorted=frag.hsorted, hkey=frag.hkey)
 
-    fragments = map_fragments(assign, fb.fragments, workers)
-    return FragmentedBAT(fragments, policy=fb.policy)
+    return _per_fragment(fb, assign)
 
 
 # ----------------------------------------------------------------------
@@ -1653,9 +1556,7 @@ def _merge_partition_count(n: int, policy: FragmentationPolicy) -> int:
 
 
 def _sample_sort_merge(
-    fb: FragmentedBAT,
-    runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    workers: Optional[int],
+    fb: FragmentedBAT, runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> FragmentedBAT:
     """Parallel merge of key-sorted per-fragment runs by sample-sort
     partitioning.
@@ -1726,7 +1627,7 @@ def _sample_sort_merge(
             for start in range(0, len(keys_p), target)
         ]
 
-    parts = map_fragments(build, list(range(len(pivots) + 1)), workers)
+    parts = map_fragments(build, range(len(pivots) + 1), len(fb))
     fragments = [fragment for part in parts for fragment in part]
     return FragmentedBAT(fragments, policy=fb.policy)
 
@@ -1782,7 +1683,7 @@ def _rows_in_order(
     return _output_fragments(head, tail, fb.policy, hsorted=hsorted)
 
 
-def sort(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
+def sort(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.sort`: every
     fragment sorts its head in its own thread (numpy's sorts release
     the GIL), then a **sample-sort merge** combines the runs: pivots
@@ -1797,12 +1698,11 @@ def sort(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
     if len(fb) == 0:
         return fb
     if _kernel._is_object_column(fb.fragments[0].head):
-        return _sort_object(fb, _resolve_workers(fb, workers))
+        return _sort_object(fb)
     if all(f.hsorted for f in fb.fragments) and _boundaries_nondecreasing(
         fb.fragments, head=True
     ):
         return fb
-    workers = _resolve_workers(fb, workers)
 
     def one(indexed: Tuple[int, BAT]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         index, frag = indexed
@@ -1813,14 +1713,14 @@ def sort(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
             keys, gpos = keys[order], gpos[order]
         return keys, _kernel.partition_keys(keys), gpos
 
-    runs = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    return _sample_sort_merge(fb, runs, workers)
+    runs = map_fragments(one, enumerate(fb.fragments), len(fb))
+    return _sample_sort_merge(fb, runs)
 
 
-def tsort(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
+def tsort(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.tsort`
     (``reverse . sort . reverse``; the reverses are O(1) views)."""
-    return reverse(sort(reverse(fb), workers=workers))
+    return reverse(sort(reverse(fb)))
 
 
 def _nondecreasing(values: np.ndarray) -> bool:
@@ -1864,7 +1764,7 @@ def _object_pivots(
     )
 
 
-def _sort_object(fb: FragmentedBAT, workers: Optional[int]) -> FragmentedBAT:
+def _sort_object(fb: FragmentedBAT) -> FragmentedBAT:
     """Object (str) heads: per-fragment Python sorts partitioned at
     sampled pivots, every partition ``heapq``-merged in its own worker.
     The (is-NIL, value, global position) entry key reproduces the
@@ -1880,9 +1780,7 @@ def _sort_object(fb: FragmentedBAT, workers: Optional[int]) -> FragmentedBAT:
             for position, value in enumerate(frag.head_values().tolist(), offset)
         )
 
-    runs = map_fragments(
-        one, list(zip(fb.fragment_offsets(), fb.fragments)), workers
-    )
+    runs = map_fragments(one, zip(fb.fragment_offsets(), fb.fragments), len(fb))
     pivots = _object_pivots(runs, _merge_partition_count(len(fb), fb.policy))
     if not pivots:
         gather = np.fromiter(
@@ -1904,30 +1802,26 @@ def _sort_object(fb: FragmentedBAT, workers: Optional[int]) -> FragmentedBAT:
             (entry[2] for entry in heapq.merge(*slices)), dtype=np.int64
         )
 
-    gathers = map_fragments(build, list(range(len(pivots) + 1)), workers)
+    gathers = map_fragments(build, range(len(pivots) + 1), len(fb))
     return _rows_in_order(fb, np.concatenate(gathers), hsorted=True)
 
 
-def unique(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
+def unique(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.unique`: each
     fragment dedupes locally in its thread, the merge resolves
     cross-fragment duplicates on the reduced candidate set only
     (winner = smallest global BUN position, preserving first-seen
     order), and a parallel filter drops the losers in place -- the
     fragmentation shape survives."""
-    workers = _resolve_workers(fb, workers)
-    keep = _first_global_occurrences(fb, workers, heads=True, tails=True)
-    return _keep_positions(fb, keep, workers)
+    return _keep_positions(fb, _first_global_occurrences(fb, heads=True, tails=True))
 
 
-def kunique(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
+def kunique(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.kunique` (duplicate
     *head* elimination, first BUN per head wins)."""
     if fb.nfragments == 1 and fb.fragments[0].hkey:
         return fb
-    workers = _resolve_workers(fb, workers)
-    keep = _first_global_occurrences(fb, workers, heads=True, tails=False)
-    result = _keep_positions(fb, keep, workers)
+    result = _keep_positions(fb, _first_global_occurrences(fb, heads=True, tails=False))
     fragments = [
         BAT(f.head, f.tail, hsorted=f.hsorted, tsorted=f.tsorted, hkey=True,
             tkey=f.tkey)
@@ -1936,14 +1830,14 @@ def kunique(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBA
     return FragmentedBAT(fragments, policy=fb.policy)
 
 
-def tunique(fb: FragmentedBAT, *, workers: Optional[int] = None) -> FragmentedBAT:
+def tunique(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.tunique`
     (``reverse . kunique . reverse``)."""
-    return reverse(kunique(reverse(fb), workers=workers))
+    return reverse(kunique(reverse(fb)))
 
 
 def _first_global_occurrences(
-    fb: FragmentedBAT, workers: Optional[int], *, heads: bool, tails: bool
+    fb: FragmentedBAT, *, heads: bool, tails: bool
 ) -> np.ndarray:
     """Sorted global BUN positions of the first occurrence of every
     distinct key (head, tail, or both).  NILs dedupe under the identity
@@ -1955,7 +1849,7 @@ def _first_global_occurrences(
     )
     if object_dtype:
 
-        def candidates(indexed: Tuple[int, BAT]) -> dict:
+        def candidates(indexed: Tuple[int, BAT]):
             index, frag = indexed
             gpos = fb.global_positions(index)
             head_values = frag.head_list() if heads else None
@@ -1969,17 +1863,11 @@ def _first_global_occurrences(
                     key += (_kernel.nil_dedup_key(tail_values[position]),)
                 if key not in firsts:
                     firsts[key] = int(gpos[position])
-            return firsts
+            return firsts.items()
 
-        per_fragment = map_fragments(
-            candidates, list(enumerate(fb.fragments)), workers
+        winners = _first_positions(
+            map_fragments(candidates, enumerate(fb.fragments), len(fb))
         )
-        winners: dict = {}
-        for firsts in per_fragment:
-            for key, position in firsts.items():
-                previous = winners.get(key)
-                if previous is None or position < previous:
-                    winners[key] = position
         return np.sort(np.asarray(list(winners.values()), dtype=np.int64))
 
     def candidates(indexed: Tuple[int, BAT]) -> List[np.ndarray]:
@@ -1993,7 +1881,7 @@ def _first_global_occurrences(
         gpos = fb.global_positions(index)
         return [key[firsts] for key in keys] + [gpos[firsts]]
 
-    per_fragment = map_fragments(candidates, list(enumerate(fb.fragments)), workers)
+    per_fragment = map_fragments(candidates, enumerate(fb.fragments), len(fb))
     merged = [
         np.concatenate([p[i] for p in per_fragment])
         for i in range(len(per_fragment[0]))
@@ -2010,9 +1898,7 @@ def _first_global_occurrences(
     return np.sort(gpos_concat[order[new_block]])
 
 
-def _keep_positions(
-    fb: FragmentedBAT, keep: np.ndarray, workers: Optional[int]
-) -> FragmentedBAT:
+def _keep_positions(fb: FragmentedBAT, keep: np.ndarray) -> FragmentedBAT:
     """Filter *fb* to the rows whose global BUN positions are in the
     sorted *keep* array, fragment-parallel and shape-preserving."""
     offsets = fb.fragment_offsets()
@@ -2023,15 +1909,11 @@ def _keep_positions(
         hi = np.searchsorted(keep, offsets[index + 1], side="left")
         return frag.take_positions(keep[lo:hi] - offsets[index])
 
-    fragments = map_fragments(one, list(enumerate(fb.fragments)), workers)
-    return FragmentedBAT(fragments, policy=fb.policy)
+    return _per_fragment(fb, one, enumerate(fb.fragments))
 
 
 def refine(
-    grouping: FragmentedBAT,
-    bat: Union[BAT, FragmentedBAT],
-    *,
-    workers: Optional[int] = None,
+    grouping: FragmentedBAT, bat: Union[BAT, FragmentedBAT]
 ) -> Union[BAT, FragmentedBAT]:
     """Fragment-parallel :func:`repro.monet.groups.refine`: the same
     two parallel passes around a tiny serial merge as :func:`group`,
@@ -2054,7 +1936,6 @@ def refine(
             return _groups.refine(coalesce(grouping), bat)
     if not same_fragmentation(grouping, bat):
         return _groups.refine(coalesce(grouping), coalesce(bat))
-    workers = _resolve_workers(grouping, workers)
     object_dtype = _kernel._is_object_column(bat.fragments[0].tail)
 
     def local(indexed: Tuple[int, Tuple[BAT, BAT]]):
@@ -2100,18 +1981,11 @@ def refine(
         return rep_keys, gpos[order[starts]], codes
 
     per_fragment = map_fragments(
-        local, list(enumerate(zip(grouping.fragments, bat.fragments))), workers
+        local, enumerate(zip(grouping.fragments, bat.fragments)), len(grouping)
     )
-    firsts: dict = {}
-    for rep_keys, rep_gpos, _ in per_fragment:
-        for key, position in zip(rep_keys, rep_gpos.tolist()):
-            previous = firsts.get(key)
-            if previous is None or position < previous:
-                firsts[key] = position
-    gid_by_key = {
-        key: gid
-        for gid, (key, _) in enumerate(sorted(firsts.items(), key=lambda kv: kv[1]))
-    }
+    gid_by_key = _ids_by_first_appearance(
+        zip(rep_keys, rep_gpos.tolist()) for rep_keys, rep_gpos, _ in per_fragment
+    )
 
     def assign(pair: Tuple[BAT, Tuple[list, np.ndarray, np.ndarray]]) -> BAT:
         group_frag, (rep_keys, _, codes) = pair
@@ -2127,10 +2001,7 @@ def refine(
             hkey=group_frag.hkey,
         )
 
-    fragments = map_fragments(
-        assign, list(zip(grouping.fragments, per_fragment)), workers
-    )
-    return FragmentedBAT(fragments, policy=grouping.policy)
+    return _per_fragment(grouping, assign, zip(grouping.fragments, per_fragment))
 
 
 # ----------------------------------------------------------------------
@@ -2150,7 +2021,7 @@ def coalesce(value: Any) -> Any:
     return value.to_bat() if isinstance(value, FragmentedBAT) else value
 
 
-def multiplex(op: str, *operands: Any, workers: Optional[int] = None):
+def multiplex(op: str, *operands: Any):
     """Fragment-parallel :func:`repro.monet.multiplex.multiplex`.
 
     Runs per fragment when every FragmentedBAT operand shares one
@@ -2172,7 +2043,6 @@ def multiplex(op: str, *operands: Any, workers: Optional[int] = None):
     sliceable = all(len(x) == len(ref) for x in plain_bats)
     if not aligned or not sliceable:
         return monolithic_multiplex(op, *(coalesce(x) for x in operands))
-    workers = _resolve_workers(ref, workers)
     offsets = ref.fragment_offsets()
 
     def one(k: int) -> BAT:
@@ -2186,8 +2056,7 @@ def multiplex(op: str, *operands: Any, workers: Optional[int] = None):
                 frag_operands.append(x)
         return monolithic_multiplex(op, *frag_operands)
 
-    fragments = map_fragments(one, list(range(ref.nfragments)), workers)
-    return FragmentedBAT(fragments, policy=ref.policy)
+    return _per_fragment(ref, one, range(ref.nfragments))
 
 
 # ----------------------------------------------------------------------
@@ -2288,7 +2157,7 @@ def refragment(
     (slice views and bounded local concats, no coalesce); the append
     and tombstone deltas resolve there.  Only when the fragment *count*
     is still past its bound does this coalesce once and re-split.  The
-    MIL dispatch layer calls this on intermediates so whole pipelines
+    MIL builtin driver calls this on intermediates so whole pipelines
     keep a healthy fragmentation without per-operator tuning; the merge
     daemon calls it with ``compact=True`` on registered BATs, under a
     per-name CAS swap-in.  An input already in shape is returned
@@ -2311,28 +2180,27 @@ def count(fb: FragmentedBAT) -> int:
     return len(fb)
 
 
-def sum_(fb: FragmentedBAT, *, workers: Optional[int] = None) -> Any:
+def sum_(fb: FragmentedBAT) -> Any:
     """Fragment-parallel :func:`repro.monet.aggregates.sum_`."""
-    workers = _resolve_workers(fb, workers)
-    partials = map_fragments(_agg.sum_, fb.fragments, workers)
-    total = sum(partials)
+    total = sum(map_fragments(_agg.sum_, fb.fragments, len(fb)))
     return float(total) if fb.ttype == "dbl" else int(total)
 
 
-def max_(fb: FragmentedBAT, *, workers: Optional[int] = None) -> Any:
+def max_(fb: FragmentedBAT) -> Any:
     """Fragment-parallel :func:`repro.monet.aggregates.max_`."""
-    return _scalar_extreme(fb, workers, maximum=True)
+    return _scalar_extreme(fb, maximum=True)
 
 
-def min_(fb: FragmentedBAT, *, workers: Optional[int] = None) -> Any:
+def min_(fb: FragmentedBAT) -> Any:
     """Fragment-parallel :func:`repro.monet.aggregates.min_`."""
-    return _scalar_extreme(fb, workers, maximum=False)
+    return _scalar_extreme(fb, maximum=False)
 
 
-def _scalar_extreme(fb: FragmentedBAT, workers: Optional[int], *, maximum: bool) -> Any:
-    workers = _resolve_workers(fb, workers)
+def _scalar_extreme(fb: FragmentedBAT, *, maximum: bool) -> Any:
     monolithic = _agg.max_ if maximum else _agg.min_
-    partials = [p for p in map_fragments(monolithic, fb.fragments, workers) if p is not None]
+    partials = [
+        p for p in map_fragments(monolithic, fb.fragments, len(fb)) if p is not None
+    ]
     if not partials:
         return None
     if fb.ttype == "dbl":
@@ -2345,155 +2213,138 @@ def _scalar_extreme(fb: FragmentedBAT, workers: Optional[int], *, maximum: bool)
     return max(partials) if maximum else min(partials)
 
 
-def avg(fb: FragmentedBAT, *, workers: Optional[int] = None) -> Optional[float]:
+def avg(fb: FragmentedBAT) -> Optional[float]:
     """Fragment-parallel :func:`repro.monet.aggregates.avg` via partial
     (sum, count) pairs."""
     _agg._require_numeric(fb.fragments[0], "avg")
-    workers = _resolve_workers(fb, workers)
 
     def one(frag: BAT) -> Tuple[float, int]:
         tails = frag.tail_values()
         return (float(tails.sum()) if len(tails) else 0.0, len(tails))
 
-    partials = map_fragments(one, fb.fragments, workers)
+    partials = map_fragments(one, fb.fragments, len(fb))
     total = sum(p[0] for p in partials)
     n = sum(p[1] for p in partials)
     return total / n if n else None
 
 
-def _check_aligned(values: FragmentedBAT, grouping: FragmentedBAT) -> None:
+def _pump(
+    values: FragmentedBAT,
+    grouping: FragmentedBAT,
+    n_groups: Optional[int],
+    partial: Callable[[BAT, BAT, int], Any],
+    combine: Callable[[List[Any]], np.ndarray],
+    atom_name: Optional[str] = None,
+) -> BAT:
+    """The partial-and-combine shape of the pump aggregates:
+    ``partial(value fragment, group fragment, n_groups)`` per aligned
+    fragment pair, ``combine(partials)`` into one value per group.
+    The result tail is *atom_name*, by default the values' own kind
+    (``int`` stays ``int`` -- a NaN, the empty group, becomes the int
+    NIL -- anything else is ``dbl``)."""
     if not same_fragmentation(values, grouping):
         raise KernelError(
             "fragmented pump aggregate requires identically fragmented "
             "values and grouping"
         )
-
-
-def _global_n_groups(
-    grouping: FragmentedBAT, explicit: Optional[int], workers: Optional[int]
-) -> int:
-    if explicit is not None:
-        return explicit
-    maxima = map_fragments(
-        lambda frag: int(frag.tail_values().max()) if len(frag) else -1,
-        grouping.fragments,
-        workers,
+    size = n_groups
+    if size is None:
+        size = 1 + max(
+            map_fragments(
+                lambda frag: int(frag.tail_values().max()) if len(frag) else -1,
+                grouping.fragments,
+                len(values),
+            )
+        )
+    out = combine(
+        map_fragments(
+            lambda pair: partial(*pair, size),
+            zip(values.fragments, grouping.fragments),
+            len(values),
+        )
     )
-    return max(maxima) + 1 if maxima else 0
+    if (atom_name or values.ttype) == "int":
+        ints = np.where(np.isnan(out), np.iinfo(np.int64).min, out).astype(np.int64)
+        return BAT(VoidColumn(0, size), Column("int", ints))
+    return BAT(VoidColumn(0, size), Column("dbl", np.asarray(out, dtype=np.float64)))
+
+
+def _add(partials: List[np.ndarray]) -> np.ndarray:
+    return np.sum(partials, axis=0)
 
 
 def grouped_sum(
-    values: FragmentedBAT,
-    grouping: FragmentedBAT,
-    n_groups: Optional[int] = None,
-    *,
-    workers: Optional[int] = None,
+    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
 ) -> BAT:
     """Fragment-parallel ``{sum}``: per-fragment partial sums combined
     by addition."""
-    _check_aligned(values, grouping)
-    workers = _resolve_workers(values, workers)
-    size = _global_n_groups(grouping, n_groups, workers)
-    partials = map_fragments(
-        lambda pair: _agg.grouped_sum(pair[0], pair[1], n_groups=size).tail_values(),
-        list(zip(values.fragments, grouping.fragments)),
-        workers,
+    return _pump(
+        values,
+        grouping,
+        n_groups,
+        lambda v, g, size: _agg.grouped_sum(v, g, size).tail_values(),
+        _add,
     )
-    combined = np.sum(partials, axis=0) if partials else np.zeros(0)
-    if values.ttype == "int":
-        return BAT(VoidColumn(0, size), Column("int", combined.astype(np.int64)))
-    return BAT(VoidColumn(0, size), Column("dbl", np.asarray(combined, dtype=np.float64)))
 
 
 def grouped_count(
-    values: FragmentedBAT,
-    grouping: FragmentedBAT,
-    n_groups: Optional[int] = None,
-    *,
-    workers: Optional[int] = None,
+    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
 ) -> BAT:
     """Fragment-parallel ``{count}``."""
-    _check_aligned(values, grouping)
-    workers = _resolve_workers(values, workers)
-    size = _global_n_groups(grouping, n_groups, workers)
-    partials = map_fragments(
-        lambda pair: _agg.grouped_count(pair[0], pair[1], n_groups=size).tail_values(),
-        list(zip(values.fragments, grouping.fragments)),
-        workers,
+    return _pump(
+        values,
+        grouping,
+        n_groups,
+        lambda v, g, size: _agg.grouped_count(v, g, size).tail_values(),
+        _add,
+        "int",
     )
-    combined = np.sum(partials, axis=0).astype(np.int64) if partials else np.zeros(0, np.int64)
-    return BAT(VoidColumn(0, size), Column("int", combined))
 
 
 def grouped_max(
-    values: FragmentedBAT,
-    grouping: FragmentedBAT,
-    n_groups: Optional[int] = None,
-    *,
-    workers: Optional[int] = None,
+    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
 ) -> BAT:
     """Fragment-parallel ``{max}``; empty groups keep their NIL."""
-    return _grouped_extreme(values, grouping, n_groups, workers, maximum=True)
+    return _grouped_extreme(values, grouping, n_groups, np.maximum, -np.inf)
 
 
 def grouped_min(
-    values: FragmentedBAT,
-    grouping: FragmentedBAT,
-    n_groups: Optional[int] = None,
-    *,
-    workers: Optional[int] = None,
+    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
 ) -> BAT:
     """Fragment-parallel ``{min}``; empty groups keep their NIL."""
-    return _grouped_extreme(values, grouping, n_groups, workers, maximum=False)
+    return _grouped_extreme(values, grouping, n_groups, np.minimum, np.inf)
 
 
-def _grouped_extreme(values, grouping, n_groups, workers, *, maximum: bool) -> BAT:
-    _check_aligned(values, grouping)
+def _grouped_extreme(values, grouping, n_groups, ufunc, identity) -> BAT:
     _agg._require_numeric(values.fragments[0], "{extreme}")
-    workers = _resolve_workers(values, workers)
-    size = _global_n_groups(grouping, n_groups, workers)
-    ufunc = np.maximum if maximum else np.minimum
-    identity = -np.inf if maximum else np.inf
 
     # Partials mirror the monolithic kernel exactly: an NaN member
     # poisons its group (np.maximum/np.minimum propagate it, unlike
     # fmax/fmin), and a group empty everywhere stays at the +-inf
     # identity, which the monolithic isinf -> NIL rule then catches.
-    def one(pair: Tuple[BAT, BAT]) -> np.ndarray:
-        value_frag, group_frag = pair
+    def partial(value_frag: BAT, group_frag: BAT, size: int) -> np.ndarray:
         ids = _agg._aligned_group_ids(value_frag, group_frag)
         out = np.full(size, identity, dtype=np.float64)
         with np.errstate(invalid="ignore"):  # NaN members poison their group
             ufunc.at(out, ids, value_frag.tail_values().astype(np.float64))
         return out
 
-    partials = map_fragments(one, list(zip(values.fragments, grouping.fragments)), workers)
-    out = np.full(size, identity, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        for partial in partials:
-            out = ufunc(out, partial)
-    out[np.isinf(out)] = np.nan  # empty group -> dbl NIL
-    if values.ttype == "int":
-        ints = np.where(np.isnan(out), np.iinfo(np.int64).min, out).astype(np.int64)
-        return BAT(VoidColumn(0, size), Column("int", ints))
-    return BAT(VoidColumn(0, size), Column("dbl", out))
+    def combine(partials: List[np.ndarray]) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            out = ufunc.reduce(partials, axis=0)
+        out[np.isinf(out)] = np.nan  # empty group -> dbl NIL
+        return out
+
+    return _pump(values, grouping, n_groups, partial, combine)
 
 
 def grouped_avg(
-    values: FragmentedBAT,
-    grouping: FragmentedBAT,
-    n_groups: Optional[int] = None,
-    *,
-    workers: Optional[int] = None,
+    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
 ) -> BAT:
     """Fragment-parallel ``{avg}`` via partial (sum, count) pairs."""
-    _check_aligned(values, grouping)
     _agg._require_numeric(values.fragments[0], "{avg}")
-    workers = _resolve_workers(values, workers)
-    size = _global_n_groups(grouping, n_groups, workers)
 
-    def one(pair: Tuple[BAT, BAT]) -> Tuple[np.ndarray, np.ndarray]:
-        value_frag, group_frag = pair
+    def partial(value_frag: BAT, group_frag: BAT, size: int):
         ids = _agg._aligned_group_ids(value_frag, group_frag)
         tails = value_frag.tail_values().astype(np.float64)
         return (
@@ -2501,9 +2352,10 @@ def grouped_avg(
             np.bincount(ids, minlength=size),
         )
 
-    partials = map_fragments(one, list(zip(values.fragments, grouping.fragments)), workers)
-    sums = np.sum([p[0] for p in partials], axis=0) if partials else np.zeros(0)
-    counts = np.sum([p[1] for p in partials], axis=0) if partials else np.zeros(0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.asarray(sums, dtype=np.float64) / counts
-    return BAT(VoidColumn(0, size), Column("dbl", means))
+    def combine(partials) -> np.ndarray:
+        sums = np.sum([p[0] for p in partials], axis=0)
+        counts = np.sum([p[1] for p in partials], axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return sums / counts
+
+    return _pump(values, grouping, n_groups, partial, combine, "dbl")

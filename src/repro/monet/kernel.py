@@ -16,7 +16,7 @@ Operator vocabulary (Monet names kept):
 ``fetchjoin``      positional join against a void-headed right operand
 ``outerjoin``      left outer variant of ``join`` (NIL-padded)
 ``semijoin``       BUNs of left whose *head* occurs in right's head
-``antijoin``       BUNs of left whose head does *not* occur (``kdiff``)
+``kdiff``          BUNs of left whose head does *not* occur (anti-semijoin)
 ``kintersect``     BUNs of left whose head occurs in right's head
 ``kunion``         left plus the right BUNs with unseen heads
 ``mark``           tail replaced by a fresh dense oid sequence
@@ -606,7 +606,14 @@ def _select_range(
     )
 
 
-def uselect(bat: BAT, low: Any, high: Any = _UNSET, **flags) -> BAT:
+def uselect(
+    bat: BAT,
+    low: Any,
+    high: Any = _UNSET,
+    *,
+    include_low: bool = True,
+    include_high: bool = True,
+) -> BAT:
     """Like :func:`select` but the result tail is void (head-set result).
 
     Monet uses ``uselect`` when only the qualifying heads matter; the
@@ -615,13 +622,7 @@ def uselect(bat: BAT, low: Any, high: Any = _UNSET, **flags) -> BAT:
     if high is _UNSET:
         selected = _select_equal(bat, low)
     else:
-        selected = _select_range(
-            bat,
-            low,
-            high,
-            flags.get("include_low", True),
-            flags.get("include_high", True),
-        )
+        selected = _select_range(bat, low, high, include_low, include_high)
     return BAT(
         selected.head,
         VoidColumn(0, len(selected)),
@@ -963,7 +964,7 @@ def topn_positions(bat: BAT, n: int, *, descending: bool = True) -> np.ndarray:
     return chosen[inner]
 
 
-def topn(bat: BAT, n: int, *, descending: bool = True) -> BAT:
+def topn(bat: BAT, n: int, descending: bool = True) -> BAT:
     """First *n* BUNs after sorting by tail (descending by default).
 
     Not a classical Monet primitive but the standard idiom

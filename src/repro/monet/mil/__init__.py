@@ -20,8 +20,8 @@ Supported surface (a faithful subset of MIL):
 Execution is fragment-aware: programs over fragmented BBP
 registrations run their operators fragment-parallel
 (:mod:`repro.monet.fragments`) and coalesce at most once, at result
-return -- see :mod:`repro.monet.mil.interpreter` and the dispatch
-layer in :mod:`repro.monet.mil.builtins`.
+return -- see :mod:`repro.monet.mil.interpreter` and the builtin
+table and its driver in :mod:`repro.monet.mil.builtins`.
 """
 
 from repro.monet.mil.interpreter import MILInterpreter, run_program

@@ -8,10 +8,10 @@ method calls, scalar arithmetic, ``print``).
 Execution is *fragment-aware*: ``bat("name")`` resolves a fragmented
 registration to its :class:`~repro.monet.fragments.FragmentedBAT`
 handle (``pool.lookup_fragments``) instead of coalescing, and every
-operator call goes through the dispatch layer of
-:mod:`repro.monet.mil.builtins`, which routes to the fragment-parallel
-kernel when the receiver is fragmented.  A whole pipeline
-(``select -> join -> group -> aggregate``) therefore runs
+operator call (pump aggregates included) goes through the one driver
+of :mod:`repro.monet.mil.builtins`, which routes to the
+fragment-parallel kernel when the receiver is fragmented.  A whole
+pipeline (``select -> join -> group -> aggregate``) therefore runs
 fragment-parallel end-to-end; coalescing happens at most once, when the
 final result (or an operator with no fragment-parallel counterpart)
 actually needs the monolithic BAT.
@@ -49,7 +49,7 @@ from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import MILRuntimeError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.mil import ast
-from repro.monet.mil.builtins import has_builtin, invoke_builtin, invoke_pump
+from repro.monet.mil.builtins import has_builtin, invoke_builtin
 from repro.monet.mil.parser import parse_program
 from repro.monet.multiplex import scalar_op
 
@@ -175,14 +175,9 @@ class MILInterpreter:
             return fragments.multiplex(node.op, *args)
         if isinstance(node, ast.Pump):
             args = [self._eval(a, result) for a in node.args]
-            result.stats[f"{{{node.agg}}}"] += 1
-            if len(args) == 3:
-                return invoke_pump(node.agg, args[0], args[1], int(args[2]))
-            if len(args) == 2:
-                return invoke_pump(node.agg, args[0], args[1])
-            raise MILRuntimeError(
-                f"{{{node.agg}}} takes (values, groups[, n_groups])"
-            )
+            name = f"{{{node.agg}}}"
+            result.stats[name] += 1
+            return invoke_builtin(name, args, self.fragment_policy)
         if isinstance(node, ast.Infix):
             left = self._eval(node.left, result)
             right = self._eval(node.right, result)
@@ -199,45 +194,66 @@ class MILInterpreter:
 
     def _call(self, name: str, args: list, result: MILResult, line: int):
         result.stats[name] += 1
-        pool = result.snapshot if result.snapshot is not None else self.pool
-        if name == "bat":
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise MILRuntimeError('bat() takes one string name')
-            if pool.is_fragmented(args[0]):
-                # Fold an oversized registration to the plan's policy
-                # here, at name resolution (slice views, identity when
-                # in shape): folding it on the first intermediate
-                # instead would misalign e.g. group(bat(a)) with its
-                # sibling bat(b) and make refine/pump coalesce.
-                return fragments.fold_tail(
-                    pool.lookup_fragments(args[0], self.fragment_policy),
-                    self.fragment_policy,
-                )
-            return pool.lookup(args[0])
-        if name == "persists":
-            if len(args) != 2 or not isinstance(args[0], str):
-                raise MILRuntimeError("persists(name, bat)")
-            if isinstance(args[1], FragmentedBAT):
-                return pool.register_fragmented(args[0], args[1], replace=True)
-            return pool.register(args[0], args[1], replace=True)
-        if name == "unpersists":
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise MILRuntimeError("unpersists(name)")
-            pool.drop(args[0])
-            return None
-        if name == "newoid":
-            count = int(args[0]) if args else 1
-            return pool.new_oids(count)
-        if name == "print":
-            rendered = _render(args[0]) if args else ""
-            result.printed.append(rendered)
-            return args[0] if args else None
+        special = SPECIALS.get(name)
+        if special is not None:
+            pool = result.snapshot if result.snapshot is not None else self.pool
+            return special(self, pool, args, result)
         if has_builtin(name):
             try:
                 return invoke_builtin(name, args, self.fragment_policy)
             except TypeError as exc:
                 raise MILRuntimeError(f"{name}: {exc} (line {line})") from exc
         raise MILRuntimeError(f"unknown MIL operation {name!r} (line {line})")
+
+
+def _bat(interpreter, pool, args, result):
+    if len(args) != 1 or not isinstance(args[0], str):
+        raise MILRuntimeError('bat() takes one string name')
+    if pool.is_fragmented(args[0]):
+        # Fold an oversized registration to the plan's policy here, at
+        # name resolution (slice views, identity when in shape):
+        # folding it on the first intermediate instead would misalign
+        # e.g. group(bat(a)) with its sibling bat(b) and make
+        # refine/pump coalesce.
+        policy = interpreter.fragment_policy
+        return fragments.fold_tail(pool.lookup_fragments(args[0], policy), policy)
+    return pool.lookup(args[0])
+
+
+def _persists(interpreter, pool, args, result):
+    if len(args) != 2 or not isinstance(args[0], str):
+        raise MILRuntimeError("persists(name, bat)")
+    if isinstance(args[1], FragmentedBAT):
+        return pool.register_fragmented(args[0], args[1], replace=True)
+    return pool.register(args[0], args[1], replace=True)
+
+
+def _unpersists(interpreter, pool, args, result):
+    if len(args) != 1 or not isinstance(args[0], str):
+        raise MILRuntimeError("unpersists(name)")
+    pool.drop(args[0])
+    return None
+
+
+def _newoid(interpreter, pool, args, result):
+    return pool.new_oids(int(args[0]) if args else 1)
+
+
+def _print(interpreter, pool, args, result):
+    result.printed.append(_render(args[0]) if args else "")
+    return args[0] if args else None
+
+
+#: The functions that need the catalog or the run's output rather than
+#: an operator: handled here, outside the builtin table.  The query
+#: guard imports this to know which calls are not unknown operations.
+SPECIALS: Dict[str, Callable[[MILInterpreter, Any, list, MILResult], Any]] = {
+    "bat": _bat,
+    "persists": _persists,
+    "unpersists": _unpersists,
+    "newoid": _newoid,
+    "print": _print,
+}
 
 
 def _render(value) -> str:

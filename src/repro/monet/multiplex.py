@@ -75,6 +75,12 @@ ALIASES = {
 }
 
 
+def has_multiplex_op(op: str) -> bool:
+    """True when ``[op]`` names an operator :func:`multiplex` knows."""
+    op = ALIASES.get(op, op)
+    return op in _UNARY or op in _BINARY or op == "ifthenelse"
+
+
 def _eq(a, b):
     if getattr(a, "dtype", None) == np.dtype(object) or getattr(b, "dtype", None) == np.dtype(object):
         if isinstance(b, np.ndarray):

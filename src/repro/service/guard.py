@@ -31,10 +31,9 @@ from repro.moa.parser import parse_query
 from repro.monet.errors import BBPError, MILError
 from repro.monet.mil import ast as mil_ast
 from repro.monet.mil.builtins import has_builtin
+from repro.monet.mil.interpreter import SPECIALS
 from repro.monet.mil.parser import parse_program
-
-#: Functions the interpreter handles outside the builtin table.
-_INTERPRETER_SPECIALS = {"bat", "persists", "unpersists", "newoid", "print"}
+from repro.monet.multiplex import has_multiplex_op
 
 
 class GuardRejection(Exception):
@@ -88,12 +87,7 @@ class QueryGuard:
                 nodes.append(node.expr)
             elif isinstance(node, mil_ast.Call):
                 ops += 1
-                if not (
-                    has_builtin(node.func) or node.func in _INTERPRETER_SPECIALS
-                ):
-                    raise GuardRejection(
-                        "malformed", f"unknown MIL operation {node.func!r}"
-                    )
+                _require_known(has_builtin(node.func) or node.func in SPECIALS, node.func)
                 if (
                     node.func == "bat"
                     and len(node.args) == 1
@@ -104,17 +98,19 @@ class QueryGuard:
                 nodes.extend(node.args)
             elif isinstance(node, mil_ast.MethodCall):
                 ops += 1
-                if not (
-                    has_builtin(node.method)
-                    or node.method in _INTERPRETER_SPECIALS
-                ):
-                    raise GuardRejection(
-                        "malformed", f"unknown MIL operation {node.method!r}"
-                    )
+                _require_known(
+                    has_builtin(node.method) or node.method in SPECIALS, node.method
+                )
                 nodes.append(node.receiver)
                 nodes.extend(node.args)
-            elif isinstance(node, (mil_ast.Multiplex, mil_ast.Pump)):
+            elif isinstance(node, mil_ast.Multiplex):
                 ops += 1
+                _require_known(has_multiplex_op(node.op), f"[{node.op}]")
+                nodes.extend(node.args)
+            elif isinstance(node, mil_ast.Pump):
+                ops += 1
+                # Pump aggregates are builtin rows under their MIL spelling.
+                _require_known(has_builtin(f"{{{node.agg}}}"), f"{{{node.agg}}}")
                 nodes.extend(node.args)
             elif isinstance(node, mil_ast.Infix):
                 ops += 1
@@ -172,6 +168,11 @@ class QueryGuard:
                 f"plan reads an estimated {input_buns} BUNs; the budget "
                 f"is {self.limits.max_input_buns}",
             )
+
+
+def _require_known(known: bool, name: str) -> None:
+    if not known:
+        raise GuardRejection("malformed", f"unknown MIL operation {name!r}")
 
 
 def _cardinality(namespace, name: str) -> int:

@@ -69,6 +69,16 @@ def tuning_override():
         yield force
 
 
+@pytest.fixture
+def fan_out_on_tiny_inputs(tuning_override):
+    """Serial floor at zero: multi-fragment operators fan out on the
+    shared pool however tiny the input (they would otherwise take the
+    serial shortcut), so a differential comparison covers the parallel
+    code path.  Modules whose every test needs it say
+    ``pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")``."""
+    tuning_override(parallel_min=0)
+
+
 ANNOTATED_DOCS = [
     {"source": "http://img/1", "annotation": "a red sunset over the sea"},
     {"source": "http://img/2", "annotation": "green forest with tall trees"},

@@ -78,14 +78,6 @@ def test_nonvoid_oid_head_roundtrip(pool, tmp_path):
     assert restored.hsorted and restored.hkey and not restored.hdense
 
 
-def test_fragmented_workers_roundtrip(pool, tmp_path):
-    bat = dense_bat("int", list(range(20)))
-    policy = FragmentationPolicy(target_size=5, workers=4)
-    pool.register_fragmented("w", fragment_bat(bat, policy))
-    loaded = _roundtrip(pool, tmp_path)
-    assert loaded.lookup_fragments("w").policy.workers == 4
-
-
 def test_register_fragmented_renames_cached_coalesce(pool):
     bat = dense_bat("int", list(range(12)))
     fb = fragment_bat(bat, FragmentationPolicy(target_size=4))
@@ -110,7 +102,6 @@ def test_fragmented_roundtrip(pool, tmp_path, strategy):
     assert loaded.is_fragmented("lib.words")
     fb = loaded.lookup_fragments("lib.words")
     assert fb.policy.target_size == 50
-    assert fb.policy.workers == policy.workers
     assert fb.nfragments == pool.lookup_fragments("lib.words").nfragments
     assert fb.fragment_sizes() == pool.lookup_fragments("lib.words").fragment_sizes()
     assert loaded.lookup("lib.words").to_pairs() == bat.to_pairs()

@@ -43,6 +43,9 @@ N_CASES = 60
 BY_THREAD_SEED = pytest.mark.parametrize(
     "seed", range(N_CASES), ids="thread-{}".format
 )
+#: Every test of this module fans out on the shared pool, tiny inputs
+#: included.
+pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")
 
 
 # ----------------------------------------------------------------------
@@ -89,16 +92,9 @@ def _random_nonvoid_head_bat(rng: np.random.Generator, n: int) -> BAT:
 
 
 def _fragment(bat: BAT, strategy: str) -> FragmentedBAT:
-    """Split into >= 3 fragments whenever the input has >= 3 BUNs.
-
-    Pinning ``workers=2`` forces the thread-pool fan-out even for tiny
-    inputs (which would otherwise take the serial shortcut), so the
-    differential comparison covers the parallel code path.
-    """
+    """Split into >= 3 fragments whenever the input has >= 3 BUNs."""
     target = max(1, -(-len(bat) // 4))  # ceil(n/4) -> 4 fragments
-    return fragment_layout(
-        bat, strategy, FragmentationPolicy(target_size=target, workers=2)
-    )
+    return fragment_layout(bat, strategy, FragmentationPolicy(target_size=target))
 
 
 def test_ragged_layout_is_uneven_and_in_bun_order():
@@ -304,6 +300,17 @@ def test_select_family_differential(seed):
             for fb in fbs
         ],
     )
+    # The same bounds through uselect: a mistyped flag must not fall
+    # back to the inclusive range silently.
+    flags = {"include_low": include_low, "include_high": include_high}
+    _check_op(
+        kernel.uselect(bat, low, high, **flags),
+        _ref_mark(_ref_select_range(pairs, low, high, include_low, include_high), 0),
+        [fr.uselect(fb, low, high, **flags) for fb in fbs],
+    )
+    for uselect, operand in ((kernel.uselect, bat), (fr.uselect, fbs[0])):
+        with pytest.raises(TypeError, match="inclde_low"):
+            uselect(operand, low, high, inclde_low=False)
     # Open-ended range on one side.
     _check_op(
         kernel.select(bat, low, None),
@@ -475,7 +482,7 @@ def test_semijoin_antijoin_differential(seed):
     _check_op(
         kernel.kdiff(left, right),
         _ref_antijoin(pairs, right_heads),
-        [fr.antijoin(_fragment(left, s), right) for s in STRATEGIES],
+        [fr.kdiff(_fragment(left, s), right) for s in STRATEGIES],
     )
 
 
@@ -581,7 +588,7 @@ def test_nan_extremes_match_monolithic():
     keys = BAT(VoidColumn(0, 4), Column("int", np.array([0, 1, 0, 1], dtype=np.int64)))
     grouping = group(keys)
     for strategy in STRATEGIES:
-        policy = FragmentationPolicy(target_size=2, workers=2)
+        policy = FragmentationPolicy(target_size=2)
         fv = fragment_layout(values, strategy, policy)
         fg = fragment_layout(grouping, strategy, policy)
         for mono_fn, frag_fn in (
@@ -600,7 +607,7 @@ def test_nan_extremes_match_monolithic():
         assert math.isnan(fr.min_(fv))
     # NaN in the *last* fragment too (order dependence of Python max()).
     tail_nan = BAT(VoidColumn(0, 4), Column("dbl", np.array([5.0, 1.0, 2.0, np.nan])))
-    ft = fragment_bat(tail_nan, FragmentationPolicy(target_size=2, workers=2))
+    ft = fragment_bat(tail_nan, FragmentationPolicy(target_size=2))
     assert math.isnan(fr.max_(ft)) and math.isnan(fr.min_(ft))
 
 
@@ -831,7 +838,7 @@ def test_refine_differential(seed):
     assert mono.tail_values().tolist() == expected
 
     for strategy in STRATEGIES:
-        policy = FragmentationPolicy(target_size=max(1, -(-n // 4)), workers=2)
+        policy = FragmentationPolicy(target_size=max(1, -(-n // 4)))
         fragmented = fr.refine(
             fragment_layout(grouping, strategy, policy),
             fragment_layout(values, strategy, policy),
@@ -863,7 +870,7 @@ def test_sort_output_stays_fragmented(strategy):
     rng = np.random.default_rng(5)
     bat = _headed_bat(rng, "oid", 200, nils=False)
     fb = fragment_layout(
-        bat, strategy, FragmentationPolicy(target_size=32, workers=2)
+        bat, strategy, FragmentationPolicy(target_size=32)
     )
     result = fr.sort(fb)
     assert isinstance(result, FragmentedBAT)
@@ -1013,9 +1020,7 @@ def _explicit_range_fragments(bat: BAT, sizes) -> FragmentedBAT:
     for size in sizes:
         fragments.append(bat.slice(at, at + size))
         at += size
-    policy = FragmentationPolicy(
-        target_size=max(1, max(sizes, default=1)), workers=2
-    )
+    policy = FragmentationPolicy(target_size=max(1, max(sizes, default=1)))
     return FragmentedBAT(fragments, policy=policy)
 
 
@@ -1055,7 +1060,7 @@ def test_sample_sort_empty_and_single_fragments(htype):
     pairs = _raw_pairs(bat)
     holey = _explicit_range_fragments(bat, [0, 20, 0, 0, 25, 15, 0])
     single = FragmentedBAT(
-        [bat], policy=FragmentationPolicy(target_size=len(bat), workers=2)
+        [bat], policy=FragmentationPolicy(target_size=len(bat))
     )
     _check_op(kernel.sort(bat), _ref_sort(pairs), [fr.sort(holey), fr.sort(single)])
     _check_op(
@@ -1222,7 +1227,7 @@ def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():
     with pytest.raises(KE):
         FragmentedBAT([])
     empty = BAT(VoidColumn(0, 0), Column("int", np.empty(0, dtype=np.int64)))
-    fb = fragment_bat(empty, FragmentationPolicy(target_size=4, workers=2))
+    fb = fragment_bat(empty, FragmentationPolicy(target_size=4))
     assert fb.nfragments == 1 and len(fb.fragments[0]) == 0
     right = BAT(
         Column("int", np.array([1, 2], dtype=np.int64)),
@@ -1232,7 +1237,7 @@ def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():
     assert fr.topn(fb, 3).to_pairs() == []
     assert fr.group(fb).to_bat().to_pairs() == []
     sempty = BAT(VoidColumn(0, 0), Column("str", np.empty(0, dtype=object)))
-    sfb = fragment_bat(sempty, FragmentationPolicy(target_size=4, workers=2))
+    sfb = fragment_bat(sempty, FragmentationPolicy(target_size=4))
     sright = BAT(
         Column("str", np.array(["a"], dtype=object)),
         Column("int", np.array([1], dtype=np.int64)),
@@ -1254,7 +1259,7 @@ def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
     expected = kernel.fetchjoin(left, dense)
     fleft = _fragment(left, strategy)
     fdense = fragment_layout(
-        dense, strategy, FragmentationPolicy(target_size=16, workers=2)
+        dense, strategy, FragmentationPolicy(target_size=16)
     )
     # FragmentedBAT uses __slots__, so the no-coalesce tripwire patches
     # the class; undo before coalescing the *results* for comparison.

@@ -12,7 +12,7 @@ from repro.core.mirror import MirrorDBMS
 from repro.ir.index import InvertedIndex
 from repro.moa import mapping
 from repro.monet import fragments as fr
-from repro.monet import kernel
+from repro.monet import kernel, tuning
 from repro.monet.bat import BAT, Column, VoidColumn, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BBPError, KernelError
@@ -41,12 +41,14 @@ def test_policy_validation():
 
 def test_policy_has_no_layout_option():
     assert [f.name for f in dataclasses.fields(FragmentationPolicy)] == [
-        "target_size", "workers",
+        "target_size",
     ]
     with pytest.raises(TypeError):
         FragmentationPolicy(strategy="roundrobin")
     with pytest.raises(TypeError):
         FragmentationPolicy(backend="thread")
+    with pytest.raises(TypeError):
+        FragmentationPolicy(workers=2)
 
 
 def _fragment_threads():
@@ -60,7 +62,7 @@ def test_thread_pool_shuts_down_clean_and_respawns_lazily(tuning_override):
     tuning_override(parallel_min=0)
     bat = _ints(400)
     fb = fragment_bat(bat, FragmentationPolicy(target_size=50))
-    assert fb.nfragments == 8 and fb.policy.workers is None
+    assert fb.nfragments == 8
     expected = kernel.select(bat, 7)
 
     before = fr.select(fb, 7)
@@ -148,9 +150,36 @@ def test_grouped_aggregate_requires_aligned_layout():
 def test_explicit_worker_counts_agree():
     bat = _ints(1000, seed=3)
     fb = fragment_bat(bat, FragmentationPolicy(target_size=100))
-    serial = fr.select(fb, 7, workers=1).to_bat().to_pairs()
-    parallel = fr.select(fb, 7, workers=4).to_bat().to_pairs()
+    with tuning.override(parallel_min=len(bat) + 1):
+        serial = fr.select(fb, 7).to_bat().to_pairs()
+    with tuning.override(parallel_min=0):
+        parallel = fr.select(fb, 7).to_bat().to_pairs()
     assert serial == parallel
+
+
+def test_parallel_min_is_the_one_fan_out_switch(monkeypatch):
+    """The serial floor decides where a multi-fragment operator's tasks
+    run, both ways: on ``fragment*`` pool threads at ``parallel_min=0``,
+    on the calling thread under a floor above the input -- with
+    BUN-identical results."""
+    bat = _ints(400)
+    fb = fragment_bat(bat, FragmentationPolicy(target_size=50))
+    ran_on = []
+    equal_mask = kernel.equal_mask
+
+    def recording(frag, value):
+        ran_on.append(threading.current_thread().name)
+        return equal_mask(frag, value)
+
+    monkeypatch.setattr(kernel, "equal_mask", recording)
+    with tuning.override(parallel_min=0):
+        parallel = fr.select(fb, 7).to_bat().to_pairs()
+    assert len(ran_on) == 8 and all(n.startswith("fragment") for n in ran_on)
+    del ran_on[:]
+    with tuning.override(parallel_min=len(bat) + 1):
+        serial = fr.select(fb, 7).to_bat().to_pairs()
+    assert ran_on == [threading.current_thread().name] * 8
+    assert parallel == serial == kernel.select(bat, 7).to_pairs()
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +306,9 @@ def test_score_sum_parallel_matches_serial():
     for fragment_size in (7, 64, 10**6):
         parallel = index.score_sum_parallel(query, fragment_size=fragment_size)
         assert parallel == pytest.approx(serial)
-    with_workers = index.score_sum_parallel(query, fragment_size=16, workers=2)
-    assert with_workers == pytest.approx(serial)
+    with tuning.override(parallel_min=0):
+        fanned_out = index.score_sum_parallel(query, fragment_size=16)
+    assert fanned_out == pytest.approx(serial)
 
 
 def test_score_sum_parallel_empty_cases():

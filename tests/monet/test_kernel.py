@@ -426,7 +426,7 @@ class TestTopnBoundaryTies:
         assert kernel.topn(bat, 3).head_list() == [2, 4, 0]
         assert kernel.topn(bat, 3, descending=False).head_list() == [0, 4, 2]
 
-    def test_fragmented_matches_monolithic_on_ties(self):
+    def test_fragmented_matches_monolithic_on_ties(self, fan_out_on_tiny_inputs):
         from repro.monet import fragments as fr
         from repro.monet.fragments import FragmentationPolicy
         from tests.conftest import STRATEGIES, fragment_layout
@@ -435,7 +435,7 @@ class TestTopnBoundaryTies:
         bat = dense_bat("int", rng.integers(0, 4, 100).tolist())
         for strategy in STRATEGIES:
             fb = fragment_layout(
-                bat, strategy, FragmentationPolicy(target_size=13, workers=2)
+                bat, strategy, FragmentationPolicy(target_size=13)
             )
             for descending in (True, False):
                 assert (
@@ -461,12 +461,12 @@ class TestKunionTypeGuard:
         with pytest.raises(KernelError, match="kunion type mismatch"):
             kernel.kunion(left, right)
 
-    def test_fragmented_kunion_raises_too(self):
+    def test_fragmented_kunion_raises_too(self, fan_out_on_tiny_inputs):
         from repro.monet import fragments as fr
         from repro.monet.fragments import FragmentationPolicy, fragment_bat
 
         left = bat_from_pairs("oid", "int", [(0, 1), (1, 2), (2, 3)])
         right = bat_from_pairs("oid", "str", [(5, "a")])
-        fb = fragment_bat(left, FragmentationPolicy(target_size=1, workers=2))
+        fb = fragment_bat(left, FragmentationPolicy(target_size=1))
         with pytest.raises(KernelError, match="kunion type mismatch"):
             fr.kunion(fb, right)

@@ -19,13 +19,14 @@ import pytest
 
 from repro.monet.bat import BAT, bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
-from repro.monet.errors import BBPError
+from repro.monet.errors import BBPError, MILRuntimeError
 from repro.monet.fragments import (
     FragmentationPolicy,
     FragmentedBAT,
     fragment_bat,
 )
 from repro.monet.mil import MILInterpreter, run_program
+from repro.monet.mil.builtins import BUILTINS
 from tests.conftest import STRATEGIES, fragment_layout
 
 N = 120
@@ -95,7 +96,10 @@ _SCRIPTS = [
 ]
 
 
-_POLICY = FragmentationPolicy(target_size=16, workers=2)
+_POLICY = FragmentationPolicy(target_size=16)
+#: Every test of this module fans out on the shared pool, tiny inputs
+#: included.
+pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")
 
 
 def _data():
@@ -176,6 +180,44 @@ def test_mil_differential(script, strategy):
     frag = run_program(script, frag_pool, fragment_policy=_POLICY)
     _assert_same_value(frag.value, mono.value, script)
     assert frag.printed == mono.printed
+
+
+def _operand_mistakes():
+    """One MIL call per (builtin row with a BAT receiver, operand the
+    row type-checks): that operand wrong -- a scalar where a BAT
+    belongs, a non-numeric string where an int does -- and every other
+    required operand plausible."""
+    valid = {BAT: 'bat("nums")', int: "1", str: '"x"', bool: "1", None: "1"}
+    wrong = {BAT: "3", int: '"x"'}
+    for row in BUILTINS:
+        if row.operands[0] is not BAT:
+            continue
+        for position, kind in enumerate(row.operands):
+            if position == 0 or kind not in wrong:
+                continue
+            kinds = row.operands[: max(row.required, position + 1)]
+            args = [valid[k] for k in kinds]
+            args[position] = wrong[kind]
+            yield pytest.param(
+                f"{row.name}({', '.join(args)});", row.name,
+                id=f"{row.name}-operand{position + 1}",
+            )
+
+
+@pytest.mark.parametrize("script, name", _operand_mistakes())
+def test_same_error_for_the_same_mistake_on_both_paths(script, name):
+    """The one driver checks operands before it chooses a path: a
+    monolithic and a fragmented receiver raise the same
+    ``MILRuntimeError`` naming the builtin -- never an
+    ``AttributeError``/``ValueError``/``TypeError`` from inside an
+    implementation."""
+    errors = []
+    for pool in _pools("range"):
+        with pytest.raises(MILRuntimeError) as raised:
+            run_program(script, pool, fragment_policy=_POLICY)
+        assert type(raised.value) is MILRuntimeError
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"{name} ")
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -432,7 +474,7 @@ def test_fragmented_multiplex_keeps_alignment_guards():
 
     short = fragment_bat(
         dense_bat("int", list(range(100))),
-        FragmentationPolicy(target_size=16, workers=2),
+        FragmentationPolicy(target_size=16),
     )
     long = dense_bat("int", list(range(150)))
     with pytest.raises(KernelError, match="length mismatch"):

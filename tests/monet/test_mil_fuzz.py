@@ -270,8 +270,13 @@ def _assert_flags_sound(bat: BAT, context: str) -> None:
         )
 
 
+#: Every test of this module fans out on the shared pool, tiny inputs
+#: included.
+pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")
+
+
 def _pools(data: dict, strategy: str):
-    policy = FragmentationPolicy(target_size=16, workers=2)
+    policy = FragmentationPolicy(target_size=16)
     mono = BATBufferPool()
     frag = BATBufferPool()
     for name, bat in data.items():
@@ -359,7 +364,7 @@ def test_mil_snapshot_isolation_fuzz(seed, strategy):
     data = _make_data(rng)
     script = _gen_pipeline(rng)
     names = [n for n in _BASE_TYPES if n != "dim"]
-    policy = FragmentationPolicy(target_size=16, workers=2)
+    policy = FragmentationPolicy(target_size=16)
 
     for fragmented in (False, True):
         live = BATBufferPool()

@@ -394,7 +394,7 @@ sum(j);
 """
 
 
-def test_live_delta_pipeline_never_coalesces_1m(monkeypatch):
+def test_live_delta_pipeline_never_coalesces_1m(monkeypatch, fan_out_on_tiny_inputs):
     """The PR acceptance property: a spill-free 1M-BUN pipeline
     (select -> join -> aggregate) over a fragmented BAT carrying *live*
     tombstone and patch deltas -- deleted and updated through the pool,
@@ -408,7 +408,7 @@ def test_live_delta_pipeline_never_coalesces_1m(monkeypatch):
     dim = bat_from_pairs(
         "oid", "dbl", [(i, float(i) * 0.5) for i in rng.permutation(1000)]
     )
-    policy = FragmentationPolicy(target_size=128 * 1024, workers=2)
+    policy = FragmentationPolicy(target_size=128 * 1024)
     deleted = np.unique(rng.choice(n, 5_000, replace=False))
     patched = np.unique(rng.choice(n - len(deleted), 5_000, replace=False))
     patch_values = rng.integers(0, 1000, len(patched)).tolist()

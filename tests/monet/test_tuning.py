@@ -9,6 +9,7 @@ at import, so its leg runs in a fresh interpreter.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -21,9 +22,13 @@ from pathlib import Path
 import pytest
 
 from repro.monet import bbp, fragments, kernel, tuning
+from repro.monet.bat import dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BBPError, KernelError
+from repro.monet.fragments import FragmentationPolicy, fragment_bat
+from repro.monet.mil import builtins
 from repro.monet.tuning import KNOBS
+from repro.service import guard
 
 REPO = Path(__file__).resolve().parents[2]
 PERSISTED = [knob for knob in KNOBS if knob.persisted]
@@ -330,6 +335,40 @@ def test_pre_pr_catalog_loads_and_resaves_without_the_executor_keys(
     assert list(resaved["tuning"]) == list(KEPT_TUNING)
 
 
+@pytest.mark.parametrize("workers", [None, 4, "x"], ids=["null", "4", "malformed"])
+def test_parent_catalog_workers_key_is_ignored_and_dropped(
+    workers, tmp_path, tuning_override
+):
+    """A fragmented entry as the commits that still had
+    ``FragmentationPolicy.workers`` wrote it -- ``fragmented,
+    target_size, workers, fragments`` -- still loads: the key is ignored
+    like any unknown key (a malformed one used to load and then fail
+    mid-query), the BAT fans out by the one rule, and a re-save writes
+    the other three keys only."""
+    tuning_override(parallel_min=0)
+    pool = BATBufferPool()
+    pool.register_fragmented(
+        "w", fragment_bat(dense_bat("int", list(range(20))), FragmentationPolicy(5))
+    )
+    pool.save(tmp_path / "db")
+    path = tmp_path / "db" / "catalog.json"
+    catalog = json.loads(path.read_text())
+    catalog["bats"]["w"] = {
+        "fragmented": True,
+        "target_size": 5,
+        "workers": workers,
+        "fragments": catalog["bats"]["w"]["fragments"],
+    }
+    path.write_text(json.dumps(catalog, indent=1))
+    loaded = BATBufferPool.load(tmp_path / "db")
+    fb = loaded.lookup_fragments("w")
+    assert fb.nfragments == 4 and fb.policy == FragmentationPolicy(5)
+    assert fragments.select(fb, 7).to_bat().to_pairs() == [(7, 7)]
+    loaded.save(tmp_path / "again")
+    resaved = json.loads((tmp_path / "again" / "catalog.json").read_text())
+    assert list(resaved["bats"]["w"]) == ["fragmented", "target_size", "fragments"]
+
+
 # ----------------------------------------------------------------------
 # The live record and its seams
 # ----------------------------------------------------------------------
@@ -370,7 +409,16 @@ def test_forced_vestiges_mirror_the_live_record(tuning_override):
         # The process backend and everything that selected it.
         "ProcessBackend", "ThreadBackend", "Backend", "get_backend",
         "_resolve_backend", "_BACKENDS", "_offload_subset", "_concat_values",
+        # The worker-count knob and the alias of kdiff.
+        "_resolve_workers", "antijoin",
     )] + [(bbp, "_wal_group_window_ms"), (bbp, "_install_persisted_tuning")]
+    # The six parallel dispatch dicts of the builtin table, their
+    # accessors, and the guard's copy of the interpreter's specials.
+    + [(builtins, name) for name in (
+        "_SIGNATURES", "_PLAIN", "_FRAGMENT", "_FRAGMENT_ANY_OPERAND", "_PUMPS",
+        "_FRAGMENT_PUMPS", "_require_bat", "plain_builtin", "pump_builtin",
+        "invoke_pump",
+    )] + [(guard, "_INTERPRETER_SPECIALS")]
     + [(kernel, name) for name in (
         "FRAGMENT_TASKS", "task_equal_positions", "task_range_positions",
         "task_like_positions", "task_member_positions", "task_member_key_set",
@@ -403,6 +451,52 @@ def test_no_process_pool_machinery_anywhere_in_the_source():
         if re.search(r"multiprocessing|ProcessPool|shared_memory", path.read_text())
     ]
     assert users == []
+
+
+def _functions(path: Path):
+    return [
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+
+
+def _mentions(node: ast.AST, name: str) -> bool:
+    """True when *node*'s code (not its docstring) names *name*."""
+    return any(
+        getattr(inner, "attr", None) == name or getattr(inner, "id", None) == name
+        for inner in ast.walk(node)
+    )
+
+
+def test_one_fan_out_rule_and_one_pool_in_the_source():
+    """No function takes a worker count; the serial floor is read in
+    exactly one function, and the only thread pool under ``monet/`` is
+    the one ``_shared_executor`` builds."""
+    sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+    takers = [
+        f"{path.relative_to(REPO / 'src')}:{node.lineno}"
+        for path in sources
+        for node in _functions(path)
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg == "workers"
+    ]
+    assert takers == []
+    defs = {
+        str(path.relative_to(REPO / "src")): [
+            node for node in _functions(path) if not isinstance(node, ast.Lambda)
+        ]
+        for path in sources
+    }
+    assert [
+        node.name
+        for node in defs["repro/monet/fragments.py"]
+        if _mentions(node, "parallel_min")
+    ] == ["map_fragments"]
+    assert [
+        (name, node.name)
+        for name, nodes in defs.items() if name.startswith("repro/monet/")
+        for node in nodes if _mentions(node, "ThreadPoolExecutor")
+    ] == [("repro/monet/fragments.py", "_shared_executor")]
 
 
 def test_readme_tuning_table_lists_every_knob():

@@ -80,8 +80,8 @@ def _assert_env_equal(got_env, expected_env, context: str):
             )
 
 
-def test_concurrent_sessions_match_serial():
-    policy = FragmentationPolicy(target_size=16, workers=2)
+def test_concurrent_sessions_match_serial(fan_out_on_tiny_inputs):
+    policy = FragmentationPolicy(target_size=16)
     data, scripts = _corpus(77_000)
     expected = _serial_results(data, scripts)
 
@@ -140,10 +140,10 @@ def test_concurrent_sessions_match_serial():
         assert len(db.pool.lookup(name)) == len(bat)
 
 
-def test_concurrent_identical_script_single_bat():
+def test_concurrent_identical_script_single_bat(fan_out_on_tiny_inputs):
     """All sessions race the *same* script -- maximum contention on the
     shared coalesced-view cache and on one base BAT."""
-    policy = FragmentationPolicy(target_size=16, workers=2)
+    policy = FragmentationPolicy(target_size=16)
     rng = np.random.default_rng(88_001)
     data = fuzz._make_data(rng)
     script = fuzz._gen_pipeline(np.random.default_rng(88_002))

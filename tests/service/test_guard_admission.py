@@ -153,6 +153,33 @@ class TestQueryGuard:
         assert info.value.code == "malformed"
         assert "frobnicate" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "source, unknown",
+        [
+            ('{nope}(bat("nums"), bat("nums"));', "{nope}"),
+            ('[nope](bat("nums"));', "[nope]"),
+            ('x := bat("nums").sort; {sum}(x, [frob](x, 2));', "[frob]"),
+        ],
+    )
+    def test_unknown_pump_and_multiplex_are_malformed(self, pool, source, unknown):
+        """Like an unknown call: the plan costs a parse, never an
+        admission slot or an executor thread."""
+        with pytest.raises(GuardRejection) as info:
+            QueryGuard().check_mil(source, pool)
+        assert info.value.code == "malformed"
+        assert unknown in str(info.value)
+
+    def test_every_operator_the_interpreter_knows_is_admitted(self, pool):
+        """The guard asks the interpreter's own tables: builtin rows
+        (pumps included), the catalog specials, and the multiplex
+        operators with their aliases and ``ifthenelse``."""
+        QueryGuard().check_mil(
+            'b := bat("nums"); g := group(b); print({sum}(b, g)); '
+            "{prod}(b, g, newoid(1)); [+](b, 1); [add](b, 1); [log10](b); "
+            "[ifthenelse]([lt](b, 3), b, 0);",
+            pool,
+        )
+
     def test_op_budget(self, pool):
         guard = QueryGuard(GuardLimits(max_ops=3))
         with pytest.raises(GuardRejection) as info:

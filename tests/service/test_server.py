@@ -73,6 +73,16 @@ class TestQueries:
                 c.mil("not mil at all ((;")
             assert info.value.code == "malformed"
 
+    def test_unknown_pump_is_malformed_before_admission(self, service):
+        """``{nope}`` parses, so only the builtin table can refuse it:
+        the guard does, and the plan never takes an admission slot."""
+        with ServiceClient(*service.address) as c:
+            with pytest.raises(ServiceError) as info:
+                c.mil('{nope}(bat("Nums.__value__"), bat("Nums.__value__"));')
+            assert info.value.code == "malformed"
+            status = service.service.status()
+            assert status["queries_served"] == status["peak_inflight"] == 0
+
     def test_async_client(self, service):
         async def scenario():
             async with AsyncServiceClient(*service.address) as c:

@@ -134,7 +134,7 @@ def _run_differential(mutations, seed):
     *mutations* in order; every session's result must equal the serial
     replay of exactly the batches committed at or before its pinned
     epoch."""
-    policy = FragmentationPolicy(target_size=16, workers=2)
+    policy = FragmentationPolicy(target_size=16)
     rng = np.random.default_rng(seed)
     data = fuzz._make_data(rng)
     names = [n for n in fuzz._BASE_TYPES if n != "dim"]
@@ -221,13 +221,13 @@ def _run_differential(mutations, seed):
         )
 
 
-def test_concurrent_appends_match_epoch_replay():
+def test_concurrent_appends_match_epoch_replay(fan_out_on_tiny_inputs):
     names = [n for n in fuzz._BASE_TYPES if n != "dim"]
     mutations = _make_mutations(np.random.default_rng(91_001), names)
     _run_differential(mutations, 91_000)
 
 
-def test_concurrent_mixed_mutations_match_epoch_replay():
+def test_concurrent_mixed_mutations_match_epoch_replay(fan_out_on_tiny_inputs):
     """The delete/update arm of the 8-session race: tombstone and patch
     batches interleave with appends under the write lock, and every
     pinned plan still reads a prefix-closed committed state."""
