@@ -18,7 +18,7 @@ BATs living in a buffer pool (:meth:`CollectionStats.from_pool`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class CollectionStats:
     average_document_length: float
     document_frequency: Dict[str, int] = field(default_factory=dict)
     collection_frequency: Dict[str, int] = field(default_factory=dict)
+    _df_bat: Optional[BAT] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -65,14 +68,18 @@ class CollectionStats:
         document_count = len(doclen)
         lengths = doclen.tail_values()
         avgdl = float(lengths.mean()) if document_count else 0.0
-        df: Dict[str, int] = {}
-        cf: Dict[str, int] = {}
-        terms = term.tail_values()
-        tfs = tf.tail_values()
-        for i in range(len(terms)):
-            t = terms[i]
-            df[t] = df.get(t, 0) + 1
-            cf[t] = cf.get(t, 0) + int(tfs[i])
+        # One posting per (document, term): df counts a term's postings
+        # and cf sums their tf, both per dictionary code of the term
+        # column -- whose encoding this also warms for the first query.
+        codes, dictionary = term.tail.encoding()
+        coded = codes >= 0  # a NIL term has no code and counts nowhere
+        codes = codes[coded]
+        df_counts = np.bincount(codes, minlength=len(dictionary))
+        cf_counts = np.bincount(
+            codes, weights=tf.tail_values()[coded], minlength=len(dictionary)
+        )
+        df = dict(zip(dictionary, df_counts.tolist()))
+        cf = dict(zip(dictionary, cf_counts.astype(np.int64).tolist()))
         return cls(document_count, avgdl, df, cf)
 
     # ------------------------------------------------------------------
@@ -101,9 +108,13 @@ class CollectionStats:
     # Physical bindings (for the flattening compiler)
     # ------------------------------------------------------------------
     def df_bat(self) -> BAT:
-        """[term(str), df(int)] BAT used by compiled getBL plans."""
-        pairs = sorted(self.document_frequency.items())
-        return bat_from_pairs("str", "int", pairs)
+        """[term(str), df(int)] BAT used by compiled getBL plans; built
+        once per snapshot, so every bind shares one BAT (and with it
+        the dictionary encoding of its head)."""
+        if self._df_bat is None:
+            pairs = sorted(self.document_frequency.items())
+            self._df_bat = bat_from_pairs("str", "int", pairs)
+        return self._df_bat
 
     def mil_bindings(self, name: str) -> Dict[str, object]:
         """Environment variables the compiler expects for a stats

@@ -27,11 +27,39 @@ BATs carry the property flags Monet uses for optimization:
     head is a dense (void-representable) sequence.
 
 The kernel maintains these conservatively: a flag is only ``True`` when
-guaranteed by construction.
+guaranteed by construction.  The join family chooses its algorithm from
+them (:attr:`BAT.hseqbase` is the O(1) density proof; the selection
+table is in the :mod:`repro.monet.kernel` docstring).
+
+Besides the flags, a materialized :class:`Column` has one *search
+accelerator* slot: its dictionary encoding (:meth:`Column.encoding`),
+which is what lets a str equi-join run on integers.  Its contract, in
+the shape of Monet's hash accelerator:
+
+* **lazy** -- built by the first operator that asks, never at load;
+* **per Column** -- it describes exactly that column's values, so it is
+  valid for as long as the object is reachable (columns are immutable);
+* **inherited by gathers** -- :meth:`Column.take` and
+  :meth:`Column.window` of a warm column gather/slice the codes and
+  share the dictionary object, so a selection of a persistent column
+  joins without touching a string;
+* **dropped by copy-on-write** -- :meth:`BAT.append`,
+  :meth:`BAT.delete_positions`, :meth:`BAT.update_positions` and every
+  pool mutation above them build *new* columns, which start cold (a
+  delete's survivors are a gather and so stay warm, correctly); nothing
+  ever has to invalidate;
+* **never persisted** -- it is not part of a column's value: the
+  catalog and the ``.npz`` files carry none of it, loaded columns
+  start cold;
+* **published unlocked, by a single attribute store** -- two threads
+  racing to build it compute equal encodings and the last store wins;
+  a reader sees either ``None`` or a complete encoding, never a
+  partial one.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,10 +68,35 @@ from repro.monet.atoms import AtomType, atom, coerce_value
 from repro.monet.errors import BATError, InvalidMutationBatch, InvalidPositions
 
 
-class Column:
-    """A materialized column: numpy array + atom type."""
+def dictionary_codes(values: Sequence[Any], dictionary: dict) -> np.ndarray:
+    """int64 codes of *values* in an existing *dictionary*'s code space:
+    -1 for NIL (``None`` is never a key) and for every value the
+    dictionary lacks.  The dictionary is not extended."""
+    return np.fromiter(
+        map(dictionary.get, values, itertools.repeat(-1)),
+        dtype=np.int64,
+        count=len(values),
+    )
 
-    __slots__ = ("atom_type", "values")
+
+def dictionary_encode(values: np.ndarray) -> Tuple[np.ndarray, dict]:
+    """Dictionary encoding of a value array: ``(codes, dictionary)``
+    with ``dictionary`` mapping each distinct non-NIL value to a dense
+    int code in order of first appearance and ``codes`` the int64 code
+    of every position, NIL (``None``) as -1 -- NIL has no code, which
+    is how "NIL equals nothing" carries over to code space."""
+    plain = values.tolist()
+    distinct = dict.fromkeys(plain)
+    distinct.pop(None, None)
+    dictionary = dict(zip(distinct, range(len(distinct))))
+    return dictionary_codes(plain, dictionary), dictionary
+
+
+class Column:
+    """A materialized column: numpy array + atom type (+ the lazily
+    built dictionary-encoding accelerator, see the module docstring)."""
+
+    __slots__ = ("atom_type", "values", "_encoding")
 
     def __init__(self, atom_type: Union[AtomType, str], values: np.ndarray):
         if isinstance(atom_type, str):
@@ -54,6 +107,7 @@ class Column:
             raise BATError("column values must be one-dimensional")
         self.atom_type = atom_type
         self.values = values
+        self._encoding: Optional[Tuple[np.ndarray, dict]] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -66,9 +120,31 @@ class Column:
         """Return the underlying numpy array (already materialized)."""
         return self.values
 
+    def encoding(self) -> Tuple[np.ndarray, dict]:
+        """This column's :func:`dictionary_encode` result, built on
+        first use and kept on the column (the accelerator)."""
+        encoding = self._encoding
+        if encoding is None:
+            encoding = self._encoding = dictionary_encode(self.values)
+        return encoding
+
+    def _gather(self, index: Union[np.ndarray, slice]) -> "Column":
+        gathered = Column(self.atom_type, self.values[index])
+        if self._encoding is not None:
+            codes, dictionary = self._encoding
+            gathered._encoding = (codes[index], dictionary)
+        return gathered
+
     def take(self, positions: np.ndarray) -> "Column":
         """Positional gather."""
-        return Column(self.atom_type, self.values[positions])
+        return self._gather(positions)
+
+    def window(self, start: int, stop: int) -> "Column":
+        """The contiguous run ``[start, stop)`` as a view sharing this
+        column's array -- the column itself when the run covers it."""
+        if start == 0 and stop == len(self.values):
+            return self
+        return self._gather(slice(start, stop))
 
     def python_value(self, position: int):
         """The Python-level value at *position* (NIL -> None)."""
@@ -107,6 +183,10 @@ class VoidColumn:
 
     def take(self, positions: np.ndarray) -> Column:
         return Column(self.atom_type, np.asarray(positions, dtype=np.int64) + self.seqbase)
+
+    def window(self, start: int, stop: int) -> "VoidColumn":
+        """The contiguous run ``[start, stop)``: void again."""
+        return VoidColumn(self.seqbase + start, stop - start)
 
     def python_value(self, position: int) -> int:
         if position < 0:
@@ -181,6 +261,14 @@ class BAT:
     def hdense(self) -> bool:
         """True when the head is a virtual dense sequence."""
         return self.head.is_void
+
+    @property
+    def hseqbase(self) -> Optional[int]:
+        """The first head value when the head is *provably* the dense
+        run ``first, first+1, ...`` (:func:`dense_seqbase`: void, or
+        materialized but flagged sorted + key with span == count-1),
+        else ``None`` -- what lets a join go positional."""
+        return dense_seqbase(self.head, self.hsorted, self.hkey)
 
     def head_values(self) -> np.ndarray:
         """Materialized head array."""
@@ -514,34 +602,33 @@ class BAT:
         :class:`InvalidMutationBatch` when density cannot be proven O(1)
         from the flags."""
         tail = self.tail
-        if tail.is_void:
-            return Column(
-                atom("oid"),
-                np.arange(
-                    tail.seqbase, tail.seqbase + new_count, dtype=np.int64
-                ),
-            )
-        values = tail.values
-        dense = (
-            self.tsorted
-            and self.tkey
-            and tail.atom_type.name in ("int", "oid")
-            and (
-                len(values) == 0
-                or int(values[-1]) - int(values[0]) == len(values) - 1
-            )
-        )
-        if not dense:
+        seqbase = dense_seqbase(tail, self.tsorted, self.tkey)
+        if seqbase is None:
             raise InvalidMutationBatch(
                 "renumber_dense_tail requires a provably dense integer "
                 "tail (sorted, key, span == count-1)"
             )
-        seqbase = int(values[0]) if len(values) else 0
-        dtype = values.dtype if len(values) else np.int64
+        dtype = tail.values.dtype if not tail.is_void and len(tail) else np.int64
         return Column(
-            tail.atom_type,
-            np.arange(seqbase, seqbase + new_count, dtype=dtype),
+            tail.atom_type, np.arange(seqbase, seqbase + new_count, dtype=dtype)
         )
+
+
+def dense_seqbase(column: AnyColumn, is_sorted: bool, is_key: bool) -> Optional[int]:
+    """The first value of *column* when it is provably -- in O(1), from
+    the property flags -- the dense integer run ``first, first+1, ...``:
+    a void column, or an int/oid column flagged sorted and key whose
+    span equals ``count - 1``.  ``None`` means "not proven", not "not
+    dense"."""
+    if column.is_void:
+        return column.seqbase
+    if not (is_sorted and is_key) or column.atom_type.name not in ("int", "oid"):
+        return None
+    values = column.values
+    if len(values) == 0:
+        return 0
+    first = int(values[0])
+    return first if int(values[-1]) - first == len(values) - 1 else None
 
 
 def _normalize_positions(

@@ -607,22 +607,14 @@ def fragment_bat(bat: BAT, policy: Optional[FragmentationPolicy] = None) -> Frag
 def _slice_view(bat: BAT, start: int, stop: int) -> BAT:
     """Contiguous fragment sharing the parent's arrays (numpy slicing
     views; no copy, unlike ``BAT.slice``'s positional gather)."""
-    head = _slice_column(bat.head, start, stop)
-    tail = _slice_column(bat.tail, start, stop)
     return BAT(
-        head,
-        tail,
+        bat.head.window(start, stop),
+        bat.tail.window(start, stop),
         hsorted=bat.hsorted,
         tsorted=bat.tsorted,
         hkey=bat.hkey,
         tkey=bat.tkey,
     )
-
-
-def _slice_column(column: AnyColumn, start: int, stop: int) -> AnyColumn:
-    if column.is_void:
-        return VoidColumn(column.seqbase + start, stop - start)
-    return Column(column.atom_type, column.values[start:stop])
 
 
 # ----------------------------------------------------------------------
@@ -743,17 +735,7 @@ def fetchjoin(
         right = right.to_bat()
     if not right.hdense:
         raise KernelError("fetchjoin requires a void-headed right operand")
-
-    def one(frag: BAT) -> BAT:
-        tails = frag.tail_values()
-        targets = tails - right.head.seqbase
-        valid = (targets >= 0) & (targets < len(right))
-        keep = np.nonzero(valid)[0]
-        head = frag.head.take(keep)
-        tail = right.tail.take(targets[keep])
-        return BAT(head, tail, hkey=frag.hkey)
-
-    return _per_fragment(fb, one)
+    return _per_fragment(fb, lambda frag: _kernel.fetchjoin(frag, right))
 
 
 def _fetchjoin_fragmented(
@@ -763,16 +745,16 @@ def _fetchjoin_fragmented(
     probe resolves to (owning right fragment, local offset) by binary
     search over the seqbase windows, gathers fan out per owner, and a
     stable scatter restores probe order."""
-    offsets = np.asarray(starts, dtype=np.int64)
+    # Window starts relative to the first seqbase, like the targets.
+    offsets = np.asarray(starts, dtype=np.int64) - starts[0]
     tails_object = _kernel._is_object_column(right.fragments[0].tail)
     tail_values = [frag.tail_values() for frag in right.fragments]
     tail_atom = right.ttype
 
     def one(frag: BAT) -> BAT:
-        probes = frag.tail_values()
-        valid = (probes >= offsets[0]) & (probes < offsets[-1])
-        keep = np.nonzero(valid)[0]
-        targets = probes[keep]
+        keep, targets = _kernel.fetch_positions(
+            frag.tail_values(), starts[0], int(offsets[-1])
+        )
         owners = np.searchsorted(offsets, targets, side="right") - 1
         row_chunks: List[np.ndarray] = []
         value_chunks: List[np.ndarray] = []
@@ -793,7 +775,8 @@ def _fetchjoin_fragmented(
                 if tails_object
                 else tail_values[0][:0]
             )
-        return BAT(frag.head.take(keep), Column(tail_atom, values), hkey=frag.hkey)
+        head = frag.head if keep is None else frag.head.take(keep)
+        return BAT(head, Column(tail_atom, values), hkey=frag.hkey)
 
     return _per_fragment(fb, one)
 
@@ -1043,8 +1026,9 @@ def join(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     coalesces -- a fragmented right contributes per-fragment keys
     exactly like the membership builds."""
     _kernel.check_join_types(fb.ttype, right.htype)
-    if isinstance(right, BAT) and right.hdense:
-        return fetchjoin(fb, right)
+    if isinstance(right, BAT) and right.hseqbase is not None:
+        # Positional per fragment: there is no build to share.
+        return _per_fragment(fb, lambda frag: _kernel.join(frag, right))
     if isinstance(right, FragmentedBAT) and _dense_window_starts(right) is not None:
         return fetchjoin(fb, right)
     matches = _grace_matches(fb, right)
@@ -1356,7 +1340,7 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
     once per probe fragment), and a fragmented right never coalesces.
     A monolithic dense right keeps the direct seqbase path: it has no
     build to share."""
-    if isinstance(right, BAT) and right.hdense:
+    if isinstance(right, BAT) and right.hseqbase is not None:
 
         def one(frag: BAT) -> BAT:
             left_positions, tail = _kernel.outerjoin_parts(frag, right)
@@ -1620,8 +1604,8 @@ def _sample_sort_merge(
         tail = Column(tail_atom, tails_concat[gpos_p])
         return [
             BAT(
-                _slice_column(head, start, min(len(keys_p), start + target)),
-                _slice_column(tail, start, min(len(keys_p), start + target)),
+                head.window(start, min(len(keys_p), start + target)),
+                tail.window(start, min(len(keys_p), start + target)),
                 hsorted=True,
             )
             for start in range(0, len(keys_p), target)
@@ -1650,8 +1634,8 @@ def _output_fragments(
         stop = min(n, start + policy.target_size)
         fragments.append(
             BAT(
-                _slice_column(head, start, stop),
-                _slice_column(tail, start, stop),
+                head.window(start, stop),
+                tail.window(start, stop),
                 hsorted=hsorted,
                 tsorted=tsorted,
                 hkey=hkey,
@@ -1661,8 +1645,8 @@ def _output_fragments(
     if not fragments:
         fragments = [
             BAT(
-                _slice_column(head, 0, 0),
-                _slice_column(tail, 0, 0),
+                head.window(0, 0),
+                tail.window(0, 0),
                 hsorted=hsorted,
                 tsorted=tsorted,
                 hkey=hkey,

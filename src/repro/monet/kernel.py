@@ -28,6 +28,43 @@ Operator vocabulary (Monet names kept):
 ``slice_bat``      positional BUN range
 =================  ====================================================
 
+Join algorithm selection.  ``join`` (and ``outerjoin``, up to the NIL
+padding) picks its algorithm from what the operands already *prove* --
+property flags and column kinds, O(1) to read, plus by-products of work
+the chosen arm does anyway (the range check, the match count) -- never
+from a knob.  First matching row wins:
+
+=======================================  ==================================
+condition                                arm
+=======================================  ==================================
+right head provably dense                positional: ``value - seqbase`` is
+(:attr:`BAT.hseqbase`: void, or          the build position
+int/oid flagged sorted + key with        (:func:`fetch_positions`)
+span == count - 1)
+-- and the left tail is void             no gather: head and tail are
+                                         windows (views); a window that
+                                         covers the right tail is that
+                                         ``Column`` object itself
+-- and every probe is in range           the result head is ``left.head``
+                                         itself (a void head stays void)
+either side str                          code space: the probe column's
+                                         cached dictionary codes against
+                                         the *distinct* build values
+                                         translated into them
+otherwise (numeric)                      stable sort of the build side +
+                                         binary search
+a value arm, right head key, as many     the result head is ``left.head``
+matches as left BUNs                     itself
+=======================================  ==================================
+
+Every arm yields the same BUNs in the same order (left BUN order, then
+right BUN order per probe); the arms differ in cost and in how much of
+the operands the result shares.  On the positional arm a value is a
+position only if it is integral, non-NIL and in range
+(:func:`fetch_positions`), so a dbl probe of ``1.5`` or NaN matches
+nothing there exactly as it matches no oid by value.  ``fetchjoin`` is
+the positional arm demanded explicitly: it insists on a void head.
+
 NIL semantics (two rules, both Monet-faithful):
 
 * *Comparisons* -- select predicates and the join family, including
@@ -37,7 +74,10 @@ NIL semantics (two rules, both Monet-faithful):
   the rule *before* partitioning: :func:`join_keys` masks NIL BUNs
   out ahead of the radix split, so no partition -- resident or
   spilled -- ever carries a NIL key and the partition-local probes
-  need no NIL handling of their own.
+  need no NIL handling of their own.  The rule is unchanged in code
+  space, where str joins run: NIL has no dictionary code (it encodes
+  as -1, like a value the other side's dictionary lacks), and -1
+  matches nothing, not even another -1.
 * *Identity* operators -- ``unique``/``kunique``/``tunique`` here,
   ``group``/``refine`` in :mod:`repro.monet.groups`, **and the set
   operators ``kunion``/``kintersect``** -- treat all NILs of a column
@@ -90,7 +130,14 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.monet.atoms import coerce_value
-from repro.monet.bat import BAT, AnyColumn, Column, VoidColumn
+from repro.monet.bat import (
+    BAT,
+    AnyColumn,
+    Column,
+    VoidColumn,
+    dictionary_codes,
+    dictionary_encode,
+)
 from repro.monet.errors import KernelError
 
 # ----------------------------------------------------------------------
@@ -338,23 +385,57 @@ def run_cut_points(keys: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     return np.searchsorted(keys, pivots, side="left")
 
 
+def _expand_matches(
+    hit: np.ndarray, order: np.ndarray, first: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (probe_position, build_position) pairs of a grouped build
+    side: the probe at ``hit[i]`` matches the ``counts[i] > 0`` build
+    positions ``order[first[i] : first[i] + counts[i]]``.  Ordered by
+    probe position, and per probe in *order*'s order -- the shared tail
+    of the sorted (numeric) and the code-space (str) matcher."""
+    if len(hit) == 0 or int(counts.max()) == 1:
+        return hit, order[first]
+    total = int(counts.sum())
+    offsets = np.cumsum(counts) - counts
+    intra = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    return np.repeat(hit, counts), order[np.repeat(first, counts) + intra]
+
+
+def _code_index(codes: np.ndarray, ncodes: int):
+    """Build-side index in a code space of *ncodes* codes: the coded
+    build positions grouped by code (ascending position within a code:
+    the sort is stable) plus each code's run start and length.  Both
+    tables end in a zero-length sentinel run, so the code -1 -- NIL, or
+    a value the code space lacks -- indexes it and matches nothing
+    without a mask."""
+    positions = np.nonzero(codes >= 0)[0]
+    coded = codes[positions]
+    order = positions[np.argsort(coded, kind="stable")]
+    counts = np.append(np.bincount(coded, minlength=ncodes), 0)
+    return order, np.cumsum(counts) - counts, counts
+
+
+def _probe_code_index(codes: np.ndarray, index) -> Tuple[np.ndarray, np.ndarray]:
+    order, starts, counts = index
+    hit = np.nonzero(counts[codes] > 0)[0]
+    hit_codes = codes[hit]
+    return _expand_matches(hit, order, starts[hit_codes], counts[hit_codes])
+
+
 def build_match_index(build: np.ndarray, object_dtype: bool):
     """One-time index over a join build side, probe-able via
     :func:`probe_match_index`.  Separated from the probe so fragmented
     execution builds it once and shares it across probe fragments.
 
-    Numeric dtypes index by stable sort; object (string) dtypes by a
-    dict of positions.  NIL build values (``None`` for str) are left out
-    of the index: NIL never joins, not even with another NIL (Monet
-    semantics; dbl NIL -- NaN -- is excluded on the probe side instead).
+    Numeric dtypes index by stable sort.  Object (string) dtypes are
+    dictionary-encoded on the fly and indexed in that code space
+    (:func:`_code_index`); NIL build values (``None``) have no code and
+    so never join, not even with another NIL (Monet semantics; dbl NIL
+    -- NaN -- is excluded on the probe side instead).
     """
     if object_dtype:
-        index: dict = {}
-        for position, value in enumerate(build):
-            if value is None:
-                continue
-            index.setdefault(value, []).append(position)
-        return index
+        codes, dictionary = dictionary_encode(build)
+        return dictionary, _code_index(codes, len(dictionary))
     order = np.argsort(build, kind="stable")
     return order, build[order]
 
@@ -365,56 +446,61 @@ def probe_match_index(
     """All (probe_position, build_position) matches of probe values in
     an indexed build side, ordered by probe position (stable).
 
-    NIL probes never match: ``None`` (str NIL) misses the index by
-    construction, and NaN (dbl NIL) probes are masked out -- a sorted
-    build side puts its NaNs in one trailing block, which a vectorized
-    ``searchsorted`` NaN probe would otherwise "equal", diverging from
-    Monet's NIL-never-equals-NIL rule.
+    NIL probes never match: ``None`` (str NIL) translates to no code of
+    the build's dictionary, and NaN (dbl NIL) probes are masked out -- a
+    sorted build side puts its NaNs in one trailing block, which a
+    vectorized ``searchsorted`` NaN probe would otherwise "equal",
+    diverging from Monet's NIL-never-equals-NIL rule.
     """
     if len(probe) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     if object_dtype:
-        probe_positions = []
-        build_positions = []
-        for position, value in enumerate(probe):
-            if value is None:
-                continue
-            hits = index.get(value)
-            if hits:
-                probe_positions.extend([position] * len(hits))
-                build_positions.extend(hits)
-        return (
-            np.asarray(probe_positions, dtype=np.int64),
-            np.asarray(build_positions, dtype=np.int64),
+        dictionary, code_index = index
+        return _probe_code_index(
+            dictionary_codes(probe.tolist(), dictionary), code_index
         )
     order, build_sorted = index
     lo = np.searchsorted(build_sorted, probe, side="left")
-    hi = np.searchsorted(build_sorted, probe, side="right")
-    counts = hi - lo
+    counts = np.searchsorted(build_sorted, probe, side="right") - lo
     if probe.dtype.kind == "f":
         counts[np.isnan(probe)] = 0
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    probe_positions = np.repeat(_positions(len(probe)), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    intra = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    sorted_positions = np.repeat(lo, counts) + intra
-    build_positions = order[sorted_positions]
-    return probe_positions, build_positions
+    hit = np.nonzero(counts > 0)[0]
+    return _expand_matches(hit, order, lo[hit], counts[hit])
 
 
-def _match_positions(
-    probe: np.ndarray, build: np.ndarray, object_dtype: bool
+def _match_columns(
+    probe: AnyColumn, build: AnyColumn
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (probe_position, build_position) matches of probe values in
-    build values, ordered by probe position (stable)."""
-    if len(probe) == 0 or len(build) == 0:
+    """All (probe_position, build_position) matches of *probe*'s values
+    in *build*'s, ordered by probe position (stable), then by build
+    position.
+
+    A str join runs in the probe column's code space: its (cached)
+    dictionary encoding is the probe, and only the *distinct* build
+    values are translated into it -- one dict lookup per distinct build
+    value however long either side is -- before the shared code-space
+    matcher."""
+    probe_object = _is_object_column(probe)
+    if (
+        len(probe) == 0
+        or len(build) == 0
+        # outerjoin checks no types, and a str equals no number
+        or probe_object != _is_object_column(build)
+    ):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    return probe_match_index(probe, build_match_index(build, object_dtype), object_dtype)
+    if not probe_object:
+        build_values = build.materialize()
+        return probe_match_index(
+            probe.materialize(), build_match_index(build_values, False), False
+        )
+    codes, dictionary = probe.encoding()
+    build_codes, build_dictionary = build.encoding()
+    translation = np.append(dictionary_codes(build_dictionary, dictionary), -1)
+    return _probe_code_index(
+        codes, _code_index(translation[build_codes], len(dictionary))
+    )
 
 
 def join_keys(column: AnyColumn, keyspace: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -424,7 +510,7 @@ def join_keys(column: AnyColumn, keyspace: str) -> Tuple[np.ndarray, np.ndarray]
     NIL keys never join (see the NIL-semantics note in the module
     docstring), so the grace hash join drops masked-out BUNs *before*
     radix partitioning.  The ``"object"`` keyspace returns the raw
-    value array (the dict match index consumes values directly); the
+    value array (the match index dictionary-encodes values itself); the
     numeric keyspaces return :func:`partition_keys`-style monotone
     transforms widened to the common keyspace, so an int column joined
     against a dbl column partitions and compares in one key domain.
@@ -651,22 +737,67 @@ def check_join_types(tail_type: str, head_type: str) -> None:
         )
 
 
+def fetch_positions(
+    probe: np.ndarray, seqbase: int, count: int
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """The positional match of *probe* values against the dense run
+    ``seqbase .. seqbase+count-1``: ``(kept, targets)`` with *targets*
+    the int64 build positions of the probes that hit and *kept* their
+    probe positions -- ``None`` when every probe hit, i.e. the kept
+    probes are the probe side itself, in order.
+
+    This is the one place a value becomes a position, for void,
+    provably dense and fragmented dense build heads alike: only an
+    integral, non-NIL, in-range probe hits (a dbl probe of 1.5 or NaN
+    equals no oid)."""
+    targets = probe - seqbase
+    valid = (targets >= 0) & (targets < count)
+    if probe.dtype.kind == "f":
+        valid &= targets == np.floor(targets)
+    kept = None
+    if not valid.all():
+        kept = np.nonzero(valid)[0]
+        targets = targets[kept]
+    return kept, targets.astype(np.int64, copy=False)
+
+
+def _positional_join(left: BAT, right: BAT, seqbase: int) -> BAT:
+    """``left.tail = right.head`` for a right head that is the dense
+    run from *seqbase*: a gather of ``right.tail``, and no gather at all
+    where the operands prove the permutation is an identity or a
+    contiguous run."""
+    if left.tail.is_void:
+        # Run against run: the overlap is a window of both operands.
+        low = max(left.tail.seqbase, seqbase)
+        high = max(low, min(left.tail.seqbase + len(left), seqbase + len(right)))
+        start = low - left.tail.seqbase
+        head = left.head.window(start, start + high - low)
+        return BAT(
+            head, right.tail.window(low - seqbase, high - seqbase), hkey=left.hkey
+        )
+    kept, targets = fetch_positions(left.tail.values, seqbase, len(right))
+    head = left.head if kept is None else left.head.take(kept)
+    return BAT(head, right.tail.take(targets), hkey=left.hkey)
+
+
 def join(left: BAT, right: BAT) -> BAT:
     """Natural join on ``left.tail = right.head`` -> [left.head, right.tail].
 
     Equivalent to Monet's ``join``; preserves left BUN order (stable),
-    which makes it double as ``leftjoin``.  When the right head is void
-    the join degenerates to a positional fetch (``fetchjoin``).
+    which makes it double as ``leftjoin``.  The algorithm follows from
+    the operands' properties (selection table in the module docstring).
     """
     check_join_types(left.ttype, right.htype)
-    if right.hdense:
-        return fetchjoin(left, right)
-    probe = left.tail_values()
-    build = right.head_values()
-    probe_positions, build_positions = _match_positions(
-        probe, build, _is_object_column(left.tail) or _is_object_column(right.head)
-    )
-    head = left.head.take(probe_positions)
+    seqbase = right.hseqbase
+    if seqbase is not None:
+        return _positional_join(left, right, seqbase)
+    probe_positions, build_positions = _match_columns(left.tail, right.head)
+    # A key build head matches each probe at most once, so as many
+    # matches as probes means every probe matched, in order.
+    if right.hkey and len(probe_positions) == len(left):
+        head = left.head
+    else:
+        head = left.head.take(probe_positions)
     tail = right.tail.take(build_positions)
     return BAT(head, tail, hkey=left.hkey and right.hkey)
 
@@ -675,13 +806,7 @@ def fetchjoin(left: BAT, right: BAT) -> BAT:
     """Positional join: right must have a void (dense) head."""
     if not right.hdense:
         raise KernelError("fetchjoin requires a void-headed right operand")
-    tails = left.tail_values()
-    positions = tails - right.head.seqbase
-    valid = (positions >= 0) & (positions < len(right))
-    kept = np.nonzero(valid)[0]
-    head = left.head.take(kept)
-    tail = right.tail.take(positions[valid])
-    return BAT(head, tail, hkey=left.hkey)
+    return _positional_join(left, right, right.head.seqbase)
 
 
 def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, Column]:
@@ -693,17 +818,14 @@ def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, Column]:
     NIL probes (NaN/None left tails) never match and therefore survive
     with NIL tails, like any other unmatched left BUN.
     """
-    probe = left.tail_values()
-    if right.hdense:
-        positions = probe - right.head.seqbase
-        valid = (positions >= 0) & (positions < len(right))
-        probe_positions = np.nonzero(valid)[0]
-        build_positions = positions[valid]
-    else:
-        build = right.head_values()
-        probe_positions, build_positions = _match_positions(
-            probe, build, _is_object_column(left.tail) or _is_object_column(right.head)
+    seqbase = right.hseqbase
+    if seqbase is not None:
+        kept, build_positions = fetch_positions(
+            left.tail_values(), seqbase, len(right)
         )
+        probe_positions = _positions(len(left)) if kept is None else kept
+    else:
+        probe_positions, build_positions = _match_columns(left.tail, right.head)
     matched = np.zeros(len(left), dtype=bool)
     matched[probe_positions] = True
     unmatched = np.nonzero(~matched)[0]

@@ -88,6 +88,26 @@ class TestStats:
             stats.average_document_length
         )
 
+    def test_from_pool_equals_from_documents_on_synthetic_collection(self):
+        """The bincount over term codes counts what the per-document
+        loop counts, with the dicts keyed by first posting."""
+        from repro.workloads import build_text_db, interpreter_data
+
+        db, pooled, rows = build_text_db(300, seed=11)
+        docs = interpreter_data(rows)["TraditionalImgLib"]
+        reference = CollectionStats.from_documents(
+            doc["annotation"].terms for doc in docs
+        )
+        assert pooled == reference
+        postings = db.pool.lookup("TraditionalImgLib.annotation.term").tail_list()
+        by_first_posting = list(dict.fromkeys(postings))
+        assert list(pooled.document_frequency) == by_first_posting
+        assert list(pooled.collection_frequency) == by_first_posting
+        assert all(type(v) is int for v in pooled.collection_frequency.values())
+        # An immutable snapshot binds one df BAT, however often.
+        first = db.executor._bind({"stats": pooled})["stats_df"]
+        assert db.executor._bind({"stats": pooled})["stats_df"] is first
+
 
 class TestBeliefFormula:
     def test_default_belief(self):

@@ -145,8 +145,14 @@ def _ref_likeselect(pairs, pattern):
 
 
 def _ref_fetchjoin(pairs, right_seqbase, right_tails):
+    """A value is a position only when it is integral and not NIL: a
+    dbl probe of 1.5 or NaN equals no oid."""
     out = []
     for h, t in pairs:
+        if isinstance(t, float):
+            if not t.is_integer():  # NaN and inf included
+                continue
+            t = int(t)
         position = t - right_seqbase
         if 0 <= position < len(right_tails):
             out.append((h, right_tails[position]))
@@ -169,6 +175,16 @@ def _ref_join(pairs, right_pairs):
                 continue
             if t == rh:
                 out.append((h, rt))
+    return out
+
+
+def _ref_outerjoin(pairs, right_pairs, nil):
+    """The nested loop of :func:`_ref_join` with every unmatched left
+    BUN kept, NIL-padded with the right tail atom's stored *nil*."""
+    out = []
+    for pair in pairs:
+        matches = _ref_join([pair], right_pairs)
+        out.extend(matches or [(pair[0], nil)])
     return out
 
 
@@ -357,6 +373,25 @@ def test_fetchjoin_differential(seed):
         _ref_fetchjoin(pairs, right_seqbase, right_tails),
         [fr.fetchjoin(_fragment(left, s), right) for s in STRATEGIES],
     )
+    # dbl probes (check_join_types admits dbl <-> oid widening): NaN,
+    # fractional, negative and out-of-range values hit nothing, on a
+    # monolithic and a fragmented receiver, against a monolithic and a
+    # fragmented dense right alike.
+    probes = np.round(rng.random(n) * (right_n + 8) - 3, 0) + right_seqbase
+    if n:
+        probes[rng.random(n) < 0.2] += 0.5
+        probes[rng.random(n) < 0.15] = np.nan
+    dleft = BAT(VoidColumn(0, n), Column("dbl", probes))
+    expected = _ref_fetchjoin(_raw_pairs(dleft), right_seqbase, right_tails)
+    fragmented = [_fragment(dleft, s) for s in STRATEGIES]
+    _check_op(
+        kernel.fetchjoin(dleft, right),
+        expected,
+        [fr.fetchjoin(fb, right) for fb in fragmented]
+        + [fr.fetchjoin(fb, _fragment(right, "range")) for fb in fragmented]
+        + [fr.join(fb, right) for fb in fragmented],
+    )
+    assert_pairs_equal(kernel.join(dleft, right), expected)
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
@@ -364,18 +399,15 @@ def test_join_differential(seed):
     rng = np.random.default_rng(300 + seed)
     n = int(rng.choice([0, 1, 30, 90]))
     if seed % 3 == 2:
-        # Object-dtype (string) join, NILs (None) on both sides: the
-        # dict index skips them, so NIL never matches NIL.
+        # Object-dtype (string) join, NILs (None) on both sides: NIL
+        # has no dictionary code, so NIL never matches NIL.
         words = ["ape", "bat", "cat", "dog", "eel"]
-        probe_vals = np.empty(n, dtype=object)
-        for i in range(n):
-            probe_vals[i] = None if rng.random() < 0.15 else str(rng.choice(words))
-        left = BAT(VoidColumn(0, n), Column("str", probe_vals))
+        left = BAT(VoidColumn(0, n), Column("str", _random_words(rng, n, words)))
         m = int(rng.integers(0, 12))
-        build_vals = np.empty(m, dtype=object)
-        for i in range(m):
-            build_vals[i] = None if rng.random() < 0.15 else str(rng.choice(words))
-        right = BAT(Column("str", build_vals), Column("int", rng.integers(0, 9, m)))
+        right = BAT(
+            Column("str", _random_words(rng, m, words)),
+            Column("int", rng.integers(0, 9, m)),
+        )
     elif seed % 3 == 1:
         # dbl join with NaN (dbl NIL) probes *and* builds: the
         # vectorized path must drop NaN probes (Monet: NIL != NIL).
@@ -402,6 +434,119 @@ def test_join_differential(seed):
         _ref_join(pairs, right_pairs),
         [fr.join(_fragment(left, s), right) for s in STRATEGIES],
     )
+    _check_str_join_arms(np.random.default_rng(330 + seed))
+    _check_positional_join_arms(np.random.default_rng(360 + seed))
+
+
+def _check_join(left: BAT, right: BAT) -> None:
+    """join and outerjoin of one operand pair against the nested-loop
+    oracle (order-sensitive), monolithic and fragmented receiver."""
+    pairs, right_pairs = _raw_pairs(left), _raw_pairs(right)
+    fragmented = [_fragment(left, s) for s in STRATEGIES]
+    _check_op(
+        kernel.join(left, right),
+        _ref_join(pairs, right_pairs),
+        [fr.join(fb, right) for fb in fragmented],
+    )
+    nil = right.tail.atom_type.make_array([None]).tolist()[0]
+    _check_op(
+        kernel.outerjoin(left, right),
+        _ref_outerjoin(pairs, right_pairs, nil),
+        [fr.outerjoin(fb, right) for fb in fragmented],
+    )
+
+
+def _random_words(rng, n: int, words) -> np.ndarray:
+    values = np.empty(n, dtype=object)
+    for i in range(n):
+        values[i] = None if rng.random() < 0.15 else str(rng.choice(words))
+    return values
+
+
+def _check_str_join_arms(rng) -> None:
+    """One str join with the dictionary-encoding accelerator cold,
+    warm, and inherited through ``take``/``window`` from a warm column.
+    Duplicates and ``None`` on both sides, empty sides, a word only the
+    probe side has and one only the build side has."""
+    n = int(rng.choice([0, 1, 30, 90]))
+    m = int(rng.integers(0, 12))
+    left = BAT(
+        VoidColumn(0, n),
+        Column("str", _random_words(rng, n, ["ape", "bat", "cat", "dog", "elk"])),
+    )
+    right = BAT(
+        Column("str", _random_words(rng, m, ["bat", "cat", "dog", "elk", "fox"])),
+        Column("int", rng.integers(0, 9, m)),
+    )
+    assert left.tail._encoding is None and right.head._encoding is None  # cold
+    _check_join(left, right)
+    if n and m:
+        assert left.tail._encoding is not None  # warm: the same columns again
+        assert right.head._encoding is not None
+    _check_join(left, right)
+    # Inherited: gathers and windows of the warm probe and build sides.
+    left.tail.encoding()
+    right.head.encoding()
+    for gathered in (
+        left.take_positions(rng.permutation(n)[: n // 2]),
+        left.slice(n // 4, n),
+        kernel.select(left, "bat", "dog"),
+    ):
+        assert gathered.tail._encoding[1] is left.tail._encoding[1]
+        _check_join(gathered, right)
+        _check_join(gathered, right.slice(1, m))
+    assert right.slice(1, m).head._encoding[1] is right.head._encoding[1]
+    # A cold probe against the warm build, and the other way round.
+    _check_join(BAT(left.head, Column("str", left.tail.values.copy())), right)
+    _check_join(left, BAT(Column("str", right.head.values.copy()), right.tail))
+
+
+def _check_positional_join_arms(rng) -> None:
+    """Build heads that are void, provably dense but materialized,
+    sorted-key-but-gapped (must not go positional) and unsorted, under
+    oid, dbl and void probes that hit everywhere or only partially.
+    The void, the flagged-dense and an unflagged copy of the same head
+    must produce identical BUNs."""
+    n = int(rng.choice([0, 1, 30, 90]))
+    m = int(rng.integers(0, 12))
+    seqbase = int(rng.integers(0, 4))
+    tails = Column("int", rng.integers(-4, 4, m))
+    dense = np.arange(seqbase, seqbase + m, dtype=np.int64)
+    gapped = dense + (np.arange(m) >= m // 2)
+    rights = {
+        "void": BAT(VoidColumn(seqbase, m), tails),
+        "dense": BAT(Column("oid", dense), tails, hsorted=True, hkey=True),
+        "unflagged": BAT(Column("oid", dense.copy()), tails),
+        "gapped": BAT(Column("oid", gapped), tails, hsorted=True, hkey=True),
+        "unsorted": BAT(Column("oid", rng.permutation(gapped)), tails, hkey=True),
+    }
+    assert rights["dense"].hseqbase == (seqbase if m else 0)
+    assert rights["unflagged"].hseqbase is None
+    assert m < 2 or rights["gapped"].hseqbase is None
+    dbl = np.round(rng.random(n) * (m + 8) - 3, 0) + seqbase
+    if n:
+        dbl[rng.random(n) < 0.2] += 0.5
+        dbl[rng.random(n) < 0.15] = np.nan
+    head = Column("oid", rng.integers(0, 50, n).astype(np.int64))
+    lefts = [
+        # partial hits: negative and out-of-range probes
+        BAT(head, Column("oid", rng.integers(seqbase - 3, seqbase + m + 6, n))),
+        BAT(VoidColumn(3, n), Column("dbl", dbl)),
+        BAT(head, VoidColumn(int(rng.integers(0, 6)), n)),
+    ]
+    if m:
+        # every probe hits: the identity / window arms
+        lefts.append(
+            BAT(VoidColumn(0, n), Column("oid", rng.integers(seqbase, seqbase + m, n)))
+        )
+        lefts.append(BAT(VoidColumn(5, m), VoidColumn(seqbase, m)))
+        lefts.append(BAT(Column("oid", dense[::-1].copy()), Column("oid", dense)))
+    for left in lefts:
+        for right in rights.values():
+            _check_join(left, right)
+        reference = _raw_pairs(kernel.join(left, rights["unflagged"]))
+        assert_pairs_equal(kernel.join(left, rights["void"]), reference)
+        assert_pairs_equal(kernel.join(left, rights["dense"]), reference)
 
 
 def test_nil_join_never_matches():

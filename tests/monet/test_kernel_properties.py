@@ -47,7 +47,8 @@ def test_join_matches_nested_loop(left_pairs, right_pairs):
         for rt2, rt in [(t, h) for h, t in right_pairs]
         if lt == rt2
     ]
-    assert sorted(kernel.join(left, right).to_pairs()) == sorted(expected)
+    # Order-sensitive: left BUN order, then right BUN order per probe.
+    assert kernel.join(left, right).to_pairs() == expected
 
 
 @given(_pairs_int, _pairs_int)

@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.monet.bat import BAT, Column
+from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.mil import run_program
@@ -209,6 +209,64 @@ def _gen_pipeline(rng) -> str:
 
 
 # ----------------------------------------------------------------------
+# Join arms every seed also runs
+# ----------------------------------------------------------------------
+
+
+def _join_data(rng) -> dict:
+    """Join build sides whose heads differ only in what they *prove*:
+    one dense oid run as a void head, materialized and flagged
+    sorted + key (provably dense), materialized and unflagged, plus a
+    sorted-key-but-gapped head that must not join positionally.  Kept
+    out of ``_BASE_TYPES`` and built from their own rng, so the
+    grammar's seeded pipelines are unchanged by their presence."""
+    m = int(rng.choice([0, 1, 2, 13, 40]))
+    seqbase = int(rng.integers(0, 4))
+    tails = _tail_column(rng, "dbl", m, "plain")
+    dense = np.arange(seqbase, seqbase + m, dtype=np.int64)
+    gapped = dense + (np.arange(m) >= m // 2)
+    return {
+        "jvoid": BAT(VoidColumn(seqbase, m), tails),
+        "jdense": BAT(Column("oid", dense), tails, hsorted=True, hkey=True),
+        "jplain": BAT(Column("oid", dense.copy()), tails),
+        "jgap": BAT(Column("oid", gapped), tails, hsorted=True, hkey=True),
+    }
+
+
+_DENSE_TWINS = ("jvoid", "jdense", "jplain")
+
+#: Appended to every generated pipeline.  ``s*``: str joins with the
+#: column accelerator cold (``s1``), warm (``s2``: the same columns
+#: again) and inherited through a gather (``s3``, ``s6``), NIL and
+#: duplicates on both sides, each side holding words the other lacks
+#: (the ``x`` suffixes), roles swapped (``s5``).  ``d*``/``i*``: dbl
+#: (NaN, fractional) and int (negative, out-of-range, NIL) probes
+#: against every head shape.  ``h*``/``v*``: probes that all hit -- the
+#: identity and window arms.
+_JOIN_EPILOGUE = "\n".join(
+    [
+        's0 := reverse(bat("aw"));',
+        's1 := join(s0, bat("bw"));',
+        's2 := join(s0, bat("bw"));',
+        's3 := join(slice(s0, 2, 60), bat("bw"));',
+        's4 := outerjoin(s0, bat("bw"));',
+        's5 := join(reverse(bat("bw")), bat("aw"));',
+        's6 := join(likeselect(s0, "a"), bat("bw"));',
+        'd0 := reverse(bat("ad"));',
+        'i0 := reverse(bat("ai"));',
+        'h0 := mirror(bat("jdense"));',
+        'v0 := mark(bat("ai"), 1);',
+    ]
+    + [
+        f'{probe}_{op}_{name} := {op}({probe}0, bat("{name}"));'
+        for probe in "dihv"
+        for op in ("join", "outerjoin")
+        for name in (*_DENSE_TWINS, "jgap", "dim")
+    ]
+)
+
+
+# ----------------------------------------------------------------------
 # Differential comparison
 # ----------------------------------------------------------------------
 
@@ -275,6 +333,20 @@ def _assert_flags_sound(bat: BAT, context: str) -> None:
 pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")
 
 
+def _assert_twins_agree(env: dict, context: str) -> None:
+    """A void, a provably dense and an unflagged head over the same oid
+    run give identical BUNs, and so do the cold and the warm str join."""
+    _assert_bats_equal(env["s2"], env["s1"], f"{context}: warm vs cold str join")
+    for probe in "dihv":
+        for op in ("join", "outerjoin"):
+            reference = env[f"{probe}_{op}_jplain"]
+            for twin in _DENSE_TWINS:
+                _assert_bats_equal(
+                    env[f"{probe}_{op}_{twin}"], reference,
+                    f"{context}: {probe}_{op}_{twin} vs the value join",
+                )
+
+
 def _pools(data: dict, strategy: str):
     policy = FragmentationPolicy(target_size=16)
     mono = BATBufferPool()
@@ -290,11 +362,16 @@ def _pools(data: dict, strategy: str):
 def test_mil_pipeline_fuzz(seed, strategy):
     rng = np.random.default_rng(10_000 + seed)
     data = _make_data(rng)
+    data.update(_join_data(np.random.default_rng(20_000 + seed)))
     script = _gen_pipeline(rng)
+    # The epilogue goes first: the pipeline's last statement stays the
+    # program's value.
+    script = _JOIN_EPILOGUE + "\n" + script
     mono_pool, frag_pool, policy = _pools(data, strategy)
     mono = run_program(script, mono_pool)
     frag = run_program(script, frag_pool, fragment_policy=policy)
     assert frag.printed == mono.printed, script
+    _assert_twins_agree(mono.env, f"seed {seed} [mono]")
     for name, expected in mono.env.items():
         got = frag.env[name]
         context = f"seed {seed} [{strategy}] var {name}\n{script}"

@@ -23,6 +23,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.monet.bat import BAT
@@ -30,6 +31,7 @@ from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
 from repro.monet.mil import run_program
 from repro.service.session import Session
+from repro.workloads import SECTION3_QUERY, build_text_db
 from tests.conftest import fragment_layout
 
 _FUZZ_PATH = Path(__file__).parent.parent / "monet" / "test_mil_fuzz.py"
@@ -178,3 +180,49 @@ def test_concurrent_identical_script_single_bat(fan_out_on_tiny_inputs):
         _assert_env_equal(
             got.env, expected.env, f"racer {i}\n{script}"
         )
+
+
+def test_concurrent_first_query_on_a_cold_collection(tmp_path):
+    """All sessions fire the *first* ranking query at a freshly loaded
+    collection at once: every one may find the term column cold and
+    build its dictionary encoding, which is published by one unlocked
+    attribute store (racing builders compute equal encodings).  Every
+    answer must equal the serial one."""
+    db, stats, _ = build_text_db(400, seed=7)
+    params = {"query": stats.vocabulary()[:4], "stats": stats}
+    expected = db.query(SECTION3_QUERY, params).value
+    db.save(tmp_path)
+    term = "TraditionalImgLib.annotation.term"
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleaving inside the builds
+    try:
+        for round_no in range(ROUNDS):
+            loaded = MirrorDBMS.load(tmp_path)
+            assert loaded.pool.lookup(term).tail._encoding is None  # cold
+            sessions = [Session(f"c{round_no}-{i}", loaded) for i in range(N_SESSIONS)]
+            outputs: list = [None] * N_SESSIONS
+            errors: list = []
+            barrier = threading.Barrier(N_SESSIONS)
+
+            def run(i: int):
+                try:
+                    barrier.wait(timeout=30)
+                    outputs[i] = sessions[i].db.query(SECTION3_QUERY, params).value
+                except Exception as exc:  # pragma: no cover
+                    errors.append((i, exc))
+
+            threads = [
+                threading.Thread(target=run, args=(i,)) for i in range(N_SESSIONS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors, errors[:3]
+            for i, got in enumerate(outputs):
+                assert got == pytest.approx(expected, abs=1e-9), f"session {i}"
+            assert loaded.pool.lookup(term).tail._encoding is not None
+    finally:
+        sys.setswitchinterval(switch_interval)
