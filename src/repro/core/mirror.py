@@ -38,6 +38,7 @@ from repro.moa.ddl import (
 from repro.moa.errors import MoaTypeError
 from repro.moa.executor import MoaExecutor, QueryResult
 from repro.moa.mapping import (
+    EXTENT_SUFFIX,
     VALUE_SUFFIX,
     attribute_bat_names,
     collection_count,
@@ -225,8 +226,10 @@ class MirrorDBMS:
     are stored as fragments (see :mod:`repro.monet.fragments`), and
     compiled query plans execute them fragment-parallel end-to-end (the
     MIL interpreter dispatches to the fragment kernel; the optional
-    ``fragment_policy`` governs intermediate re-fragmentation: fragment
-    size and worker count, on the one thread pool every plan shares).
+    ``fragment_policy`` governs intermediate re-fragmentation by its
+    fragment size, on the one thread pool every plan shares).  Inserts
+    and updates promote an attribute BAT they grow past the same
+    threshold.
 
     One MirrorDBMS is safe to share across threads (the query service
     runs every session against a single instance): the read path --
@@ -306,14 +309,13 @@ class MirrorDBMS:
         (``begin(); insert(...); commit()``) -- prefer :meth:`begin`
         when several mutations or epoch-stable reads belong together.
 
-        When the collection is already loaded and every mapper in its
-        type tree supports incremental append, the commit takes the
-        O(batch) delta path: new tuples get the next dense oids and
-        every attribute BAT grows an append tail through the pool's
-        copy-on-write/WAL machinery, so in-flight snapshot readers keep
-        seeing the pre-insert state.  Otherwise (first load, or an
-        extension structure without an append hook, e.g. CONTREP) it
-        falls back to the bulk reconstruct+reload path."""
+        The first insert creates the collection (a bulk load).  Every
+        later one, whatever the type tree -- nested SET/LIST and CONTREP
+        included -- takes the O(batch) delta path: new tuples get the
+        next dense oids and every attribute BAT grows an append tail
+        through the pool's copy-on-write/WAL machinery, so in-flight
+        snapshot readers keep seeing the pre-insert state and a crash
+        after the call returns loses nothing."""
         txn = self.begin()
         txn.insert(name, values)
         txn.commit()
@@ -375,8 +377,9 @@ class MirrorDBMS:
         (all), a ``{field: literal}`` equality dict, a bare literal for
         ``SET<Atomic>`` elements, or a Python predicate -- and return
         how many were removed.  Auto-commit delegate over the
-        :class:`Transaction` path; takes the O(changed) tombstone-delta
-        route when the type tree supports it.  (The positional
+        :class:`Transaction` path; every type tree takes the O(changed)
+        tombstone-delta route (children and postings of a deleted
+        tuple go with it).  (The positional
         Moa-string predicate form is gone: it raises.)"""
         if predicate is not None:
             raise InvalidMutationBatch(
@@ -403,47 +406,25 @@ class MirrorDBMS:
     # -- commit-time internals (hold write_lock when calling) ----------
     def _insert_locked(self, name: str, ty: MoaType,
                        values: List[Any]) -> int:
-        inserted = len(values)
-        if self.pool.exists(f"{name}.__extent__"):
-            appended = self._executor.append(name, ty, values)
-            if appended is not None:
-                return inserted
-            values = reconstruct_collection(self.pool, name, ty) + values
-        self._executor.load(name, ty, values)
-        return inserted
+        if self.pool.exists(f"{name}.{EXTENT_SUFFIX}"):
+            self._executor.append(name, ty, values)
+        else:  # the first insert creates the collection
+            self._executor.load(name, ty, values)
+        return len(values)
 
     def _delete_locked(self, name: str, ty: MoaType, where: Where) -> int:
         positions = _where_positions(self.pool, name, ty, where)
-        if not positions:
-            return 0
-        if self._executor.delete(name, ty, positions) is None:
-            doomed = set(positions)
-            survivors = [
-                v
-                for i, v in enumerate(
-                    reconstruct_collection(self.pool, name, ty)
-                )
-                if i not in doomed
-            ]
-            self._executor.load(name, ty, survivors)
+        if positions:
+            self._executor.delete(name, ty, positions)
         return len(positions)
 
     def _update_locked(self, name: str, ty: MoaType, assignments: Any,
                        where: Where) -> int:
         positions = _where_positions(self.pool, name, ty, where)
-        if not positions:
-            return 0
-        values = [assignments] * len(positions)
-        if self._executor.update(name, ty, positions, values) is None:
-            existing = reconstruct_collection(self.pool, name, ty)
-            for position in positions:
-                if isinstance(assignments, dict):
-                    existing[position] = {
-                        **existing[position], **assignments
-                    }
-                else:
-                    existing[position] = assignments
-            self._executor.load(name, ty, existing)
+        if positions:
+            self._executor.update(
+                name, ty, positions, [assignments] * len(positions)
+            )
         return len(positions)
 
     def count(self, name: str) -> int:

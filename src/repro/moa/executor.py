@@ -42,6 +42,13 @@ from repro.moa.compiler import (
 )
 from repro.moa.errors import MoaRuntimeError, MoaTypeError
 from repro.moa.interpreter import Interpreter
+from repro.moa.mapping import (
+    append_collection,
+    delete_collection,
+    fragmentation,
+    load_collection,
+    update_collection,
+)
 from repro.moa.optimizer import optimize as optimize_ast
 from repro.moa.parser import parse_query
 from repro.moa.typecheck import typecheck
@@ -88,22 +95,22 @@ class MoaExecutor:
     """Executes Moa queries against a BAT buffer pool.
 
     ``fragment_threshold`` is the executor's physical-layout knob: when
-    set, bulk loads performed through this executor's facade (see
-    :meth:`load` and :class:`repro.core.mirror.MirrorDBMS`) register
-    attribute BATs of at least that many BUNs as horizontal fragments
-    (:mod:`repro.monet.fragments`).  The MIL interpreter executes
-    fragment-aware: plans over fragmented attributes run their hot
-    operators fragment-parallel end-to-end (``fragment_policy`` is
+    set, every write through this executor (:meth:`load`,
+    :meth:`append`, :meth:`delete`, :meth:`update`) registers or
+    promotes attribute BATs of at least that many BUNs as horizontal
+    fragments (:mod:`repro.monet.fragments`).  The MIL interpreter
+    executes fragment-aware: plans over fragmented attributes run their
+    hot operators fragment-parallel end-to-end (``fragment_policy`` is
     threaded through to govern intermediate re-fragmentation), and only
-    the final result reconstruction materializes.  The policy holds
-    fragment size and worker count only; all plans share the one
-    thread pool of :mod:`repro.monet.fragments`.
+    the final result reconstruction materializes.  The policy holds the
+    fragment size only; all plans share the one thread pool of
+    :mod:`repro.monet.fragments`.
 
     One executor is safe to share across threads: compilation
     snapshots the schema dict, each run builds its own environment, and
     the MIL interpreter instance carries no per-run state.  The only
-    caveat is the write path -- :meth:`load` (and the MirrorDBMS DDL /
-    bulk-load facade above it) must be externally serialized, which
+    caveat is the write path -- the four write methods (and the
+    MirrorDBMS facade above them) must be externally serialized, which
     :class:`repro.core.mirror.MirrorDBMS` does with its own lock.
     """
 
@@ -122,51 +129,39 @@ class MoaExecutor:
         self.mil = MILInterpreter(pool, fragment_policy=fragment_policy)
 
     def load(self, name: str, ty: MoaType, values: List[Any]) -> None:
-        """Load a collection under this executor's fragmentation
-        threshold (delegates to :func:`repro.moa.mapping.load_collection`)."""
-        from repro.moa.mapping import fragmentation, load_collection
+        """Load (create or replace) a collection
+        (:func:`repro.moa.mapping.load_collection`)."""
+        self._write(load_collection, name, ty, values)
 
-        if self.fragment_threshold is None:
-            load_collection(self.pool, name, ty, values)
-        else:
-            with fragmentation(self.fragment_threshold, self.fragment_policy):
-                load_collection(self.pool, name, ty, values)
-
-    def append(self, name: str, ty: MoaType, values: List[Any]) -> Optional[int]:
+    def append(self, name: str, ty: MoaType, values: List[Any]) -> int:
         """Append tuples to a loaded collection in O(batch) through the
-        pool's copy-on-write delta path (delegates to
-        :func:`repro.moa.mapping.append_collection`).  Returns the new
-        cardinality, or ``None`` when the type tree has a mapper without
-        an append hook -- the caller must fall back to a full reload.
-        Like :meth:`load`, calls must be externally serialized."""
-        from repro.moa.mapping import append_collection, fragmentation
+        pool's copy-on-write delta path
+        (:func:`repro.moa.mapping.append_collection`); returns the new
+        cardinality."""
+        return self._write(append_collection, name, ty, values)
 
-        if self.fragment_threshold is None:
-            return append_collection(self.pool, name, ty, values)
-        with fragmentation(self.fragment_threshold, self.fragment_policy):
-            return append_collection(self.pool, name, ty, values)
-
-    def delete(self, name: str, ty: MoaType, positions: List[int]) -> Optional[int]:
+    def delete(self, name: str, ty: MoaType, positions: List[int]) -> int:
         """Delete the tuples at extent *positions* through the pool's
-        tombstone-delta path (delegates to
-        :func:`repro.moa.mapping.delete_collection`).  Returns the new
-        cardinality, or ``None`` when the type tree has a mapper without
-        a delete hook -- the caller must fall back to a full reload.
-        Like :meth:`load`, calls must be externally serialized."""
-        from repro.moa.mapping import delete_collection
-
-        return delete_collection(self.pool, name, ty, positions)
+        tombstone-delta path (:func:`repro.moa.mapping.delete_collection`);
+        returns the new cardinality."""
+        return self._write(delete_collection, name, ty, positions)
 
     def update(
         self, name: str, ty: MoaType, positions: List[int], values: List[Any]
-    ) -> Optional[int]:
+    ) -> int:
         """Patch the tuples at extent *positions* through the pool's
-        patch-delta path (delegates to
-        :func:`repro.moa.mapping.update_collection`).  Returns the
-        cardinality, or ``None`` on a type tree without update hooks."""
-        from repro.moa.mapping import update_collection
+        patch-delta path (:func:`repro.moa.mapping.update_collection`);
+        returns the cardinality."""
+        return self._write(update_collection, name, ty, positions, values)
 
-        return update_collection(self.pool, name, ty, positions, values)
+    def _write(self, mutation: Callable[..., Any], *args: Any) -> Any:
+        """Run one write-path mapping call on the pool under this
+        executor's fragmentation threshold -- one layout rule for load,
+        append, delete and update (an update appends children and
+        postings, which may cross the threshold too).  Calls must be
+        externally serialized."""
+        with fragmentation(self.fragment_threshold, self.fragment_policy):
+            return mutation(self.pool, *args)
 
     # ------------------------------------------------------------------
     def prepare(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -113,31 +113,49 @@ def append_attribute(pool: BATBufferPool, name: str, tails: Sequence[Any]) -> No
         )
 
 
+def children_of(pool: BATBufferPool, name: str, parents: Sequence[int]) -> np.ndarray:
+    """Positions in the parent-oid BAT *name* (a ``__nest__`` or CONTREP
+    ``owner``) whose tail names one of *parents*.  The tail's order is
+    not an invariant, so this is a membership scan, not a range."""
+    return np.flatnonzero(np.isin(pool.lookup(name).tail_values(), parents))
+
+
 class StructureMapper:
-    """Load/reconstruct/append hooks for one structure kind.
+    """The physical hooks of one structure kind.
 
-    ``load`` receives the attribute values aligned with parent oids
-    ``0..len(values)-1`` and must register BATs under *prefix*;
-    ``reconstruct`` reads them back into Python values, one per parent.
+    Every mapper implements all six; there are no capability flags and
+    no caller-side fallback, so every mutation of every type tree goes
+    through the logged delta path.  Oids are dense per level: a hook's
+    *parent oids* are the tuple-oids of the level above (for a
+    top-level collection, the extent positions).
 
-    ``append`` is the incremental load path: it receives values aligned
-    with *new* parent oids ``offset..offset+len(values)-1`` and must
-    extend the registered BATs in place via :func:`append_attribute`
-    (O(batch), never a reload).  A mapper advertises support with
-    ``can_append``; callers must check it for the *whole* type tree
-    before appending anything, so an unsupported branch (``False``,
-    e.g. CONTREP's inverted file) falls back to reconstruct+reload
-    without leaving a half-appended collection behind.
+    * ``load(pool, prefix, ty, values)`` -- *values* aligned with parent
+      oids ``0..len(values)-1``; registers the BATs under *prefix*
+      through :func:`register_attribute`.
+    * ``reconstruct(pool, prefix, ty, count)`` -- reads them back into
+      Python values, one per parent.
+    * ``append(pool, prefix, ty, values, offset)`` -- *values* aligned
+      with *new* parent oids ``offset..offset+len(values)-1``; extends
+      the registered BATs in place via :func:`append_attribute`
+      (O(batch), never a reload).
+    * ``delete(pool, prefix, ty, positions)`` -- *positions* are the
+      sorted unique parent oids being removed.  Per-parent rows drop
+      through ``pool.delete``; a structure with children (SET/LIST
+      elements, CONTREP postings) also drops every child naming a
+      deleted parent, recursing into the element with the child
+      positions, and renumbers the survivors' parent oids with
+      ``pool.delete(renumber=positions)``.
+    * ``update(pool, prefix, ty, positions, values)`` -- *positions*
+      unique parent oids aligned with *values*.  Per-parent rows patch
+      through ``pool.update``; children are replaced: the old ones are
+      deleted *without* renumbering (their parents stay), then the new
+      ones are appended with parent oid = position.
+    * ``bat_names(prefix, ty)`` -- every BAT name the hooks maintain.
 
-    ``delete``/``update`` are the in-place mutation paths (tombstone /
-    patch deltas through ``pool.delete``/``pool.update``): *positions*
-    are parent oids, and deletion renumbers the dense oid discipline so
-    survivors stay ``0..n-1``.  As with append, ``can_delete`` /
-    ``can_update`` gate the whole type tree before the first mutation;
-    nested SET/LIST attributes answer ``False`` (child-side compaction
-    would need a value join, not a positional gather), so tuples with
-    nested members fall back to reconstruct+reload at the collection
-    level.
+    A consequence of update: the parent-oid tails (``__nest__``,
+    ``owner``) are *not* sorted by parent in general -- a patched
+    parent's children sit at the end.  Nothing may assume that order;
+    the tails' ``tsorted`` flag says when it holds.
     """
 
     def load(
@@ -154,9 +172,6 @@ class StructureMapper:
     ) -> List[Any]:
         raise NotImplementedError
 
-    def can_append(self, ty: MoaType) -> bool:
-        return False
-
     def append(
         self,
         pool: BATBufferPool,
@@ -167,9 +182,6 @@ class StructureMapper:
     ) -> None:
         raise NotImplementedError
 
-    def can_delete(self, ty: MoaType) -> bool:
-        return False
-
     def delete(
         self,
         pool: BATBufferPool,
@@ -179,9 +191,6 @@ class StructureMapper:
     ) -> None:
         raise NotImplementedError
 
-    def can_update(self, ty: MoaType) -> bool:
-        return False
-
     def update(
         self,
         pool: BATBufferPool,
@@ -190,6 +199,9 @@ class StructureMapper:
         positions: Sequence[int],
         values: Sequence[Any],
     ) -> None:
+        raise NotImplementedError
+
+    def bat_names(self, prefix: str, ty: MoaType) -> List[str]:
         raise NotImplementedError
 
 
@@ -208,6 +220,15 @@ def mapper_for(ty: MoaType) -> StructureMapper:
         if cls in _MAPPERS:
             return _MAPPERS[cls]
     raise MoaTypeError(f"no physical mapper for {ty.render()}")
+
+
+def _element_at(prefix: str, element_ty: MoaType) -> Tuple[StructureMapper, str]:
+    """The mapper and prefix of a SET/LIST element: an atomic element is
+    one ``<prefix>.__value__`` BAT, a structured one maps under
+    *prefix* itself."""
+    if isinstance(element_ty, AtomicType):
+        return mapper_for(element_ty), f"{prefix}.{VALUE_SUFFIX}"
+    return mapper_for(element_ty), prefix
 
 
 # ----------------------------------------------------------------------
@@ -229,23 +250,17 @@ class AtomicMapper(StructureMapper):
             )
         return bat.tail_list()
 
-    def can_append(self, ty: AtomicType) -> bool:
-        return True
-
     def append(self, pool, prefix, ty: AtomicType, values, offset):
         append_attribute(pool, prefix, values)
-
-    def can_delete(self, ty: AtomicType) -> bool:
-        return True
 
     def delete(self, pool, prefix, ty: AtomicType, positions):
         pool.delete(prefix, positions)
 
-    def can_update(self, ty: AtomicType) -> bool:
-        return True
-
     def update(self, pool, prefix, ty: AtomicType, positions, values):
         pool.update(prefix, positions, values)
+
+    def bat_names(self, prefix, ty: AtomicType):
+        return [prefix]
 
 
 class TupleMapper(StructureMapper):
@@ -269,12 +284,6 @@ class TupleMapper(StructureMapper):
             {name: columns[name][i] for name in columns} for i in range(count)
         ]
 
-    def can_append(self, ty: TupleType) -> bool:
-        return all(
-            mapper_for(field_ty).can_append(field_ty)
-            for _, field_ty in ty.fields
-        )
-
     def append(self, pool, prefix, ty: TupleType, values, offset):
         for field_name, field_ty in ty.fields:
             field_values = [_field(v, field_name) for v in values]
@@ -282,23 +291,11 @@ class TupleMapper(StructureMapper):
                 pool, f"{prefix}.{field_name}", field_ty, field_values, offset
             )
 
-    def can_delete(self, ty: TupleType) -> bool:
-        return all(
-            mapper_for(field_ty).can_delete(field_ty)
-            for _, field_ty in ty.fields
-        )
-
     def delete(self, pool, prefix, ty: TupleType, positions):
         for field_name, field_ty in ty.fields:
             mapper_for(field_ty).delete(
                 pool, f"{prefix}.{field_name}", field_ty, positions
             )
-
-    def can_update(self, ty: TupleType) -> bool:
-        return all(
-            mapper_for(field_ty).can_update(field_ty)
-            for _, field_ty in ty.fields
-        )
 
     def update(self, pool, prefix, ty: TupleType, positions, values):
         # Partial updates: only fields present in the value dicts are
@@ -314,6 +311,15 @@ class TupleMapper(StructureMapper):
                 field_values,
             )
 
+    def bat_names(self, prefix, ty: TupleType):
+        return [
+            name
+            for field_name, field_ty in ty.fields
+            for name in mapper_for(field_ty).bat_names(
+                f"{prefix}.{field_name}", field_ty
+            )
+        ]
+
 
 class SetMapper(StructureMapper):
     """Nested SET attribute: __nest__ parent map + element payload."""
@@ -321,42 +327,21 @@ class SetMapper(StructureMapper):
     ordered = False
 
     def load(self, pool, prefix, ty: SetType, values):
-        parents: List[int] = []
-        elements: List[Any] = []
-        indexes: List[int] = []
-        for parent_oid, collection in enumerate(values):
-            items = list(collection) if collection is not None else []
-            for index, item in enumerate(items):
-                parents.append(parent_oid)
-                elements.append(item)
-                indexes.append(index)
+        nest, elements, indexes = _flatten(range(len(values)), values)
         register_attribute(
-            pool, f"{prefix}.{NEST_SUFFIX}", dense_bat("oid", parents)
+            pool, f"{prefix}.{NEST_SUFFIX}", dense_bat("oid", nest)
         )
         if self.ordered:
             register_attribute(
                 pool, f"{prefix}.{INDEX_SUFFIX}", dense_bat("int", indexes)
             )
-        element_ty = ty.element
-        if isinstance(element_ty, AtomicType):
-            register_attribute(
-                pool,
-                f"{prefix}.{VALUE_SUFFIX}",
-                dense_bat(element_ty.atom, elements),
-            )
-        else:
-            mapper_for(element_ty).load(pool, prefix, element_ty, elements)
+        mapper, at = _element_at(prefix, ty.element)
+        mapper.load(pool, at, ty.element, elements)
 
     def reconstruct(self, pool, prefix, ty: SetType, count):
-        nest = pool.lookup(f"{prefix}.{NEST_SUFFIX}")
-        parents = nest.tail_values()
-        element_ty = ty.element
-        if isinstance(element_ty, AtomicType):
-            elements = pool.lookup(f"{prefix}.{VALUE_SUFFIX}").tail_list()
-        else:
-            elements = mapper_for(element_ty).reconstruct(
-                pool, prefix, element_ty, len(nest)
-            )
+        parents = pool.lookup(f"{prefix}.{NEST_SUFFIX}").tail_values()
+        mapper, at = _element_at(prefix, ty.element)
+        elements = mapper.reconstruct(pool, at, ty.element, len(parents))
         out: List[List[Any]] = [[] for _ in range(count)]
         if self.ordered:
             order = pool.lookup(f"{prefix}.{INDEX_SUFFIX}").tail_values()
@@ -372,35 +357,48 @@ class SetMapper(StructureMapper):
                 out[int(parent)].append(elements[child])
         return out
 
-    def can_append(self, ty: SetType) -> bool:
-        element_ty = ty.element
-        if isinstance(element_ty, AtomicType):
-            return True
-        return mapper_for(element_ty).can_append(element_ty)
-
     def append(self, pool, prefix, ty: SetType, values, offset):
+        self._append_children(
+            pool, prefix, ty, range(offset, offset + len(values)), values
+        )
+
+    def delete(self, pool, prefix, ty: SetType, positions):
+        self._drop_children(pool, prefix, ty, positions, renumber=positions)
+
+    def update(self, pool, prefix, ty: SetType, positions, values):
+        self._drop_children(pool, prefix, ty, positions, renumber=None)
+        self._append_children(pool, prefix, ty, positions, values)
+
+    def bat_names(self, prefix, ty: SetType):
+        names = [f"{prefix}.{NEST_SUFFIX}"]
+        if self.ordered:
+            names.append(f"{prefix}.{INDEX_SUFFIX}")
+        mapper, at = _element_at(prefix, ty.element)
+        return names + mapper.bat_names(at, ty.element)
+
+    def _append_children(self, pool, prefix, ty: SetType, parents, collections):
+        """Append one collection of children per explicit parent oid."""
         # New children pick up oids after the existing ones, so the
-        # recursion offset is the current __nest__ cardinality.
+        # element's offset is the current __nest__ cardinality.
         child_base = _attribute_len(pool, f"{prefix}.{NEST_SUFFIX}")
-        parents: List[int] = []
-        elements: List[Any] = []
-        indexes: List[int] = []
-        for i, collection in enumerate(values):
-            items = list(collection) if collection is not None else []
-            for index, item in enumerate(items):
-                parents.append(offset + i)
-                elements.append(item)
-                indexes.append(index)
-        append_attribute(pool, f"{prefix}.{NEST_SUFFIX}", parents)
+        nest, elements, indexes = _flatten(parents, collections)
+        append_attribute(pool, f"{prefix}.{NEST_SUFFIX}", nest)
         if self.ordered:
             append_attribute(pool, f"{prefix}.{INDEX_SUFFIX}", indexes)
-        element_ty = ty.element
-        if isinstance(element_ty, AtomicType):
-            append_attribute(pool, f"{prefix}.{VALUE_SUFFIX}", elements)
-        else:
-            mapper_for(element_ty).append(
-                pool, prefix, element_ty, elements, child_base
-            )
+        mapper, at = _element_at(prefix, ty.element)
+        mapper.append(pool, at, ty.element, elements, child_base)
+
+    def _drop_children(self, pool, prefix, ty: SetType, parents, renumber):
+        """Delete every child naming one of *parents*, element rows
+        (and their own children) included; *renumber* as in
+        ``pool.delete``."""
+        nest_name = f"{prefix}.{NEST_SUFFIX}"
+        children = children_of(pool, nest_name, parents)
+        pool.delete(nest_name, children, renumber=renumber)
+        if self.ordered:
+            pool.delete(f"{prefix}.{INDEX_SUFFIX}", children)
+        mapper, at = _element_at(prefix, ty.element)
+        mapper.delete(pool, at, ty.element, children)
 
 
 class ListMapper(SetMapper):
@@ -420,6 +418,22 @@ def _attribute_len(pool: BATBufferPool, name: str) -> int:
     if pool.is_fragmented(name):
         return len(pool.lookup_fragments(name))
     return len(pool.lookup(name))
+
+
+def _flatten(
+    parents: Iterable[int], collections: Iterable[Any]
+) -> Tuple[List[int], List[Any], List[int]]:
+    """Children columns (parent oid, element, index within its
+    collection) of one collection per parent; ``None`` is empty."""
+    nest: List[int] = []
+    elements: List[Any] = []
+    indexes: List[int] = []
+    for parent, collection in zip(parents, collections):
+        items = list(collection) if collection is not None else []
+        nest.extend([int(parent)] * len(items))
+        elements.extend(items)
+        indexes.extend(range(len(items)))
+    return nest, elements, indexes
 
 
 def _field(value: Any, name: str) -> Any:
@@ -460,122 +474,58 @@ def load_collection(
     # The extent stays monolithic: it is the spine every reconstruction
     # counts against and its tkey/tsorted flags must survive exactly.
     pool.register(f"{name}.{EXTENT_SUFFIX}", extent, replace=True)
-    element_ty = ty.element
-    if isinstance(element_ty, AtomicType):
-        register_attribute(
-            pool,
-            f"{name}.{VALUE_SUFFIX}",
-            dense_bat(element_ty.atom, values),
-        )
-    else:
-        mapper_for(element_ty).load(pool, name, element_ty, values)
-
-
-def can_append_collection(ty: MoaType) -> bool:
-    """Whether a collection of type *ty* supports the incremental
-    append path end to end (every mapper in the type tree implements
-    ``append``)."""
-    if not isinstance(ty, (SetType, ListType)):
-        return False
-    element_ty = ty.element
-    if isinstance(element_ty, AtomicType):
-        return True
-    return mapper_for(element_ty).can_append(element_ty)
+    mapper, at = _element_at(name, ty.element)
+    mapper.load(pool, at, ty.element, values)
 
 
 def append_collection(
     pool: BATBufferPool, name: str, ty: MoaType, values: Sequence[Any]
-) -> Optional[int]:
-    """Append *values* to an already-loaded collection in O(batch).
+) -> int:
+    """Append *values* to an already-loaded collection in O(batch);
+    returns the new cardinality.
 
-    New tuples get the next dense oids; the extent and every attribute
-    BAT grow through the pool's copy-on-write append (delta tails, WAL
-    logged), so concurrent snapshot readers keep seeing the pre-append
-    state.  Returns the new cardinality, or ``None`` when any mapper in
-    the type tree lacks an append hook (e.g. CONTREP's inverted file)
-    -- the caller must then fall back to reconstruct+reload.  Support
-    is checked for the whole tree *before* the first append so the
-    fallback never observes a half-appended collection.
+    New tuples get the next dense oids; every attribute BAT and then the
+    extent grow through the pool's copy-on-write append (delta tails,
+    WAL logged), so concurrent snapshot readers keep seeing the
+    pre-append state.
     """
-    if not can_append_collection(ty):
-        return None
     values = list(values)
     base = collection_count(pool, name)
     count = base + len(values)
     if not values:
         return count
-    # The extent stays monolithic (see load_collection): appending the
-    # next dense oid run keeps its tkey/tsorted flags intact.
+    mapper, at = _element_at(name, ty.element)
+    mapper.append(pool, at, ty.element, values, base)
+    # The extent last: a snapshot pinned between these appends still
+    # sees the old extent, and every gather from it ignores the new
+    # rows.  Appending the next dense oid run keeps its flags intact.
     pool.append(f"{name}.{EXTENT_SUFFIX}", tails=list(range(base, count)))
-    element_ty = ty.element  # type: ignore[union-attr]
-    if isinstance(element_ty, AtomicType):
-        append_attribute(pool, f"{name}.{VALUE_SUFFIX}", values)
-    else:
-        mapper_for(element_ty).append(pool, name, element_ty, values, base)
     return count
-
-
-def can_delete_collection(ty: MoaType) -> bool:
-    """Whether a collection of type *ty* supports positional delete end
-    to end (every mapper in the type tree implements ``delete``)."""
-    if not isinstance(ty, (SetType, ListType)):
-        return False
-    element_ty = ty.element
-    if isinstance(element_ty, AtomicType):
-        return True
-    return mapper_for(element_ty).can_delete(element_ty)
 
 
 def delete_collection(
     pool: BATBufferPool, name: str, ty: MoaType, positions: Sequence[int]
-) -> Optional[int]:
+) -> int:
     """Delete the tuples at extent *positions* (== dense oids) in
-    O(changed fragments).
+    O(changed fragments); returns the new cardinality.
 
     Every attribute BAT drops the same positions through the pool's
     tombstone-delta path (``pool.delete``: copy-on-write, WAL logged),
-    and the extent is renumbered so surviving oids stay the dense run
-    ``0..n-1`` -- the void-head discipline every positional fetchjoin
-    relies on.  Returns the new cardinality, or ``None`` when any
-    mapper in the type tree lacks a delete hook (nested SET/LIST,
-    CONTREP) -- the caller must fall back to reconstruct+reload.
+    children naming a deleted tuple go with it, and every surviving oid
+    -- the extent's tail and each child's parent oid -- is renumbered
+    so the dense ``0..n-1`` discipline every positional fetchjoin
+    relies on holds again.
     """
-    if not can_delete_collection(ty):
-        return None
     positions = sorted({int(p) for p in positions})
     count = collection_count(pool, name)
     if not positions:
         return count
-    element_ty = ty.element  # type: ignore[union-attr]
-    if isinstance(element_ty, AtomicType):
-        pool.delete(f"{name}.{VALUE_SUFFIX}", positions)
-    else:
-        mapper_for(element_ty).delete(pool, name, element_ty, positions)
+    mapper, at = _element_at(name, ty.element)
+    mapper.delete(pool, at, ty.element, positions)
     # The extent last: its tail is renumbered back to the dense run so
     # a crash replaying the WAL reproduces the same final state.
-    pool.delete(
-        f"{name}.{EXTENT_SUFFIX}", positions, renumber_dense_tails=True
-    )
+    pool.delete(f"{name}.{EXTENT_SUFFIX}", positions, renumber=positions)
     return count - len(positions)
-
-
-def can_update_collection(ty: MoaType, fields: Optional[Sequence[str]] = None) -> bool:
-    """Whether a collection of type *ty* supports positional update.
-    With *fields* given (a tuple element's touched field names), only
-    those branches of the type tree are checked, so a partial update
-    that leaves a nested attribute alone still takes the fast path."""
-    if not isinstance(ty, (SetType, ListType)):
-        return False
-    element_ty = ty.element
-    if isinstance(element_ty, AtomicType):
-        return True
-    if fields is not None and isinstance(element_ty, TupleType):
-        by_name = dict(element_ty.fields)
-        return all(
-            f in by_name and mapper_for(by_name[f]).can_update(by_name[f])
-            for f in fields
-        )
-    return mapper_for(element_ty).can_update(element_ty)
 
 
 def update_collection(
@@ -584,30 +534,20 @@ def update_collection(
     ty: MoaType,
     positions: Sequence[int],
     values: Sequence[Any],
-) -> Optional[int]:
+) -> int:
     """Patch the tuples at extent *positions* with *values* (aligned;
     for TUPLE elements each value is a dict of the fields to set, all
-    dicts carrying the same field set).  Attribute tails are patched
-    through the pool's patch-delta path (``pool.update``); untouched
-    attributes and fragments are shared by reference.  Returns the
-    cardinality, or ``None`` when a touched branch lacks an update
-    hook -- the caller must fall back to reconstruct+reload.
+    dicts carrying the same field set; a repeated position keeps its
+    last value).  Atomic tails are patched through the pool's
+    patch-delta path (``pool.update``) and nested children replaced
+    (see :class:`StructureMapper`); untouched attributes and fragments
+    are shared by reference.  Returns the cardinality.
     """
-    element_ty = ty.element if isinstance(ty, (SetType, ListType)) else None
-    fields = None
-    if isinstance(element_ty, TupleType) and values:
-        first = values[0]
-        if isinstance(first, dict):
-            fields = list(first.keys())
-    if not can_update_collection(ty, fields):
-        return None
+    latest = dict(zip(map(int, positions), values, strict=True))
     count = collection_count(pool, name)
-    if not len(positions):
-        return count
-    if isinstance(element_ty, AtomicType):
-        pool.update(f"{name}.{VALUE_SUFFIX}", positions, values)
-    else:
-        mapper_for(element_ty).update(pool, name, element_ty, positions, values)
+    if latest:
+        mapper, at = _element_at(name, ty.element)
+        mapper.update(pool, at, ty.element, list(latest), list(latest.values()))
     return count
 
 
@@ -622,44 +562,11 @@ def reconstruct_collection(
     """Read a loaded collection back into Python values (inverse of
     :func:`load_collection`; round-trip tested)."""
     count = collection_count(pool, name)
-    element_ty = ty.element  # type: ignore[union-attr]
-    if isinstance(element_ty, AtomicType):
-        return pool.lookup(f"{name}.{VALUE_SUFFIX}").tail_list()
-    return mapper_for(element_ty).reconstruct(pool, name, element_ty, count)
+    mapper, at = _element_at(name, ty.element)
+    return mapper.reconstruct(pool, at, ty.element, count)
 
 
 def attribute_bat_names(name: str, ty: MoaType) -> List[str]:
     """All BAT names a collection of type *ty* occupies (catalog tool)."""
-    names: List[str] = [f"{name}.{EXTENT_SUFFIX}"]
-
-    def visit(prefix: str, t: MoaType) -> None:
-        if isinstance(t, AtomicType):
-            names.append(prefix)
-            return
-        if isinstance(t, TupleType):
-            for field_name, field_ty in t.fields:
-                visit(f"{prefix}.{field_name}", field_ty)
-            return
-        if isinstance(t, (SetType, ListType)):
-            names.append(f"{prefix}.{NEST_SUFFIX}")
-            if isinstance(t, ListType):
-                names.append(f"{prefix}.{INDEX_SUFFIX}")
-            if isinstance(t.element, AtomicType):
-                names.append(f"{prefix}.{VALUE_SUFFIX}")
-            else:
-                visit(prefix, t.element)
-            return
-        # Extension structures: ask their mapper if it cooperates.
-        mapper = mapper_for(t)
-        extra = getattr(mapper, "bat_names", None)
-        if extra is not None:
-            names.extend(extra(prefix))
-        else:  # pragma: no cover - defensive
-            names.append(prefix)
-
-    element_ty = ty.element  # type: ignore[union-attr]
-    if isinstance(element_ty, AtomicType):
-        names.append(f"{name}.{VALUE_SUFFIX}")
-    else:
-        visit(name, element_ty)
-    return names
+    mapper, at = _element_at(name, ty.element)
+    return [f"{name}.{EXTENT_SUFFIX}"] + mapper.bat_names(at, ty.element)

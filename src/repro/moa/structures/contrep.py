@@ -8,7 +8,7 @@ This module demonstrates the full extension recipe of the paper:
 1. a new **structure type** ``CONTREP<media>`` registered with the DDL
    parser/type system;
 2. a **physical mapper** laying the structure out as inverted-file BATs
-   (``owner``/``term``/``tf``/``doclen``, see :mod:`repro.ir.index`);
+   (``owner``/``term``/``tf``/``doclen``, see :class:`ContrepMapper`);
 3. a **logical operation** ``getBL(contrep, query, stats)`` registered
    in the function registry with typecheck + interpret hooks;
 4. a **compile hook** emitting the probabilistic operators at the
@@ -22,7 +22,7 @@ through the registries, exactly the open-system claim of section 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.ir.beliefs import DEFAULT_PARAMETERS, belief_list
 from repro.ir.stats import CollectionStats
@@ -36,7 +36,13 @@ from repro.moa.compiler import (
 )
 from repro.moa.errors import MoaCompileError, MoaTypeError
 from repro.moa.functions import register_compile_hook, register_function
-from repro.moa.mapping import StructureMapper, register_attribute, register_mapper
+from repro.moa.mapping import (
+    StructureMapper,
+    append_attribute,
+    children_of,
+    register_attribute,
+    register_mapper,
+)
 from repro.moa.types import (
     AtomicType,
     MoaType,
@@ -137,25 +143,74 @@ class ContentRepresentation:
 # ----------------------------------------------------------------------
 
 
+#: The posting BATs under a CONTREP prefix, in :func:`_postings` order.
+_POSTINGS = ("owner", "term", "tf")
+
+
+def _reps(values, ty: ContrepType) -> List[ContentRepresentation]:
+    return [ContentRepresentation.from_value(v, ty.media) for v in values]
+
+
+def _postings(owners: Iterable[int], reps: Sequence[ContentRepresentation]):
+    """The posting columns ``(owner, term, tf)`` of one representation
+    per owner oid, each document's terms in sorted order."""
+    owner_oids: List[int] = []
+    terms: List[str] = []
+    tfs: List[int] = []
+    for owner, rep in zip(owners, reps):
+        for term in sorted(rep.terms):
+            owner_oids.append(int(owner))
+            terms.append(term)
+            tfs.append(rep.terms[term])
+    return owner_oids, terms, tfs
+
+
 class ContrepMapper(StructureMapper):
-    """CONTREP attribute -> owner/term/tf/doclen BATs under the prefix."""
+    """CONTREP attribute -> owner/term/tf/doclen BATs under the prefix.
+
+    ``owner``/``term``/``tf`` hold one posting per (document, distinct
+    term), ``owner`` naming the document's parent oid; ``doclen`` is
+    per document.  An append adds postings and ``doclen`` rows, a
+    delete drops the documents' postings and renumbers the surviving
+    owners, an update replaces a document's postings (the new ones at
+    the end, so ``owner`` is sorted only until the first update) and
+    patches its ``doclen``.
+    """
 
     def load(self, pool, prefix, ty: ContrepType, values):
-        reps = [ContentRepresentation.from_value(v, ty.media) for v in values]
-        owners: List[int] = []
-        terms: List[str] = []
-        tfs: List[int] = []
-        lengths: List[int] = []
-        for owner_oid, rep in enumerate(reps):
-            for term in sorted(rep.terms):
-                owners.append(owner_oid)
-                terms.append(term)
-                tfs.append(rep.terms[term])
-            lengths.append(rep.length)
-        register_attribute(pool, f"{prefix}.owner", dense_bat("oid", owners))
-        register_attribute(pool, f"{prefix}.term", dense_bat("str", terms))
-        register_attribute(pool, f"{prefix}.tf", dense_bat("int", tfs))
-        register_attribute(pool, f"{prefix}.doclen", dense_bat("int", lengths))
+        reps = _reps(values, ty)
+        for suffix, atom, column in zip(
+            _POSTINGS, ("oid", "str", "int"), _postings(range(len(reps)), reps)
+        ):
+            register_attribute(pool, f"{prefix}.{suffix}", dense_bat(atom, column))
+        register_attribute(
+            pool, f"{prefix}.doclen", dense_bat("int", [r.length for r in reps])
+        )
+
+    def append(self, pool, prefix, ty: ContrepType, values, offset):
+        reps = _reps(values, ty)
+        self._append_postings(pool, prefix, range(offset, offset + len(reps)), reps)
+        append_attribute(pool, f"{prefix}.doclen", [r.length for r in reps])
+
+    def delete(self, pool, prefix, ty: ContrepType, positions):
+        self._drop_postings(pool, prefix, positions, renumber=positions)
+        pool.delete(f"{prefix}.doclen", positions)
+
+    def update(self, pool, prefix, ty: ContrepType, positions, values):
+        reps = _reps(values, ty)
+        self._drop_postings(pool, prefix, positions, renumber=None)
+        self._append_postings(pool, prefix, positions, reps)
+        pool.update(f"{prefix}.doclen", positions, [r.length for r in reps])
+
+    def _append_postings(self, pool, prefix, owners, reps) -> None:
+        for suffix, column in zip(_POSTINGS, _postings(owners, reps)):
+            append_attribute(pool, f"{prefix}.{suffix}", column)
+
+    def _drop_postings(self, pool, prefix, owners, renumber) -> None:
+        doomed = children_of(pool, f"{prefix}.owner", owners)
+        pool.delete(f"{prefix}.owner", doomed, renumber=renumber)
+        pool.delete(f"{prefix}.term", doomed)
+        pool.delete(f"{prefix}.tf", doomed)
 
     def reconstruct(self, pool, prefix, ty: ContrepType, count):
         owner = pool.lookup(f"{prefix}.owner").tail_values()
@@ -174,8 +229,8 @@ class ContrepMapper(StructureMapper):
             for i in range(count)
         ]
 
-    def bat_names(self, prefix: str) -> List[str]:
-        return [f"{prefix}.{s}" for s in ("owner", "term", "tf", "doclen")]
+    def bat_names(self, prefix, ty: ContrepType) -> List[str]:
+        return [f"{prefix}.{s}" for s in (*_POSTINGS, "doclen")]
 
 
 register_mapper(ContrepType, ContrepMapper())

@@ -503,7 +503,7 @@ class BAT:
         self,
         positions: Union[np.ndarray, Sequence[int]],
         *,
-        renumber_dense_tail: bool = False,
+        renumber: Optional[Union[np.ndarray, Sequence[int]]] = None,
     ) -> "BAT":
         """A new BAT with the BUNs at *positions* removed.
 
@@ -518,34 +518,39 @@ class BAT:
         survivors renumber to ``seqbase .. seqbase+m-1`` -- which is what
         keeps Moa's positional-fetchjoin discipline alive across deletes.
 
-        ``renumber_dense_tail=True`` additionally rewrites a tail that is
-        provably a dense integer run (sorted + key + span == count-1:
-        the shape of a Moa extent's oid tail) to the dense run of the new
-        length; any other tail raises :class:`InvalidMutationBatch`.
+        ``renumber`` names the parent oids deleted alongside (a Moa
+        ``__nest__``/``owner`` tail points at its parent's dense oids,
+        an extent's tail at its own positions): every surviving integer
+        tail value ``t`` becomes ``t - |{d in renumber : d < t}|``, NIL
+        stays NIL.  The rule is strictly monotone on survivors, so
+        ``tsorted``/``tkey`` still carry over; for an extent
+        (``renumber=positions``) it yields the dense run of the new
+        length.  It applies even when *positions* is empty (parents
+        without children still shift the survivors), and a survivor that
+        names a deleted parent raises :class:`InvalidMutationBatch`.
         """
         positions = _normalize_positions(positions, len(self))
-        if len(positions) == 0:
+        head, tail = self.head, self.tail
+        if len(positions):
+            mask = np.ones(len(self), dtype=bool)
+            mask[positions] = False
+            keep = np.nonzero(mask)[0]
+            if head.is_void:
+                head = VoidColumn(head.seqbase, len(keep))
+            else:
+                head = head.take(keep)
+            tail = tail.take(keep)
+        if renumber is not None:
+            tail = _renumbered(tail, renumber)
+        if head is self.head and tail is self.tail:
             return self
-        mask = np.ones(len(self), dtype=bool)
-        mask[positions] = False
-        keep = np.nonzero(mask)[0]
-        if self.head.is_void:
-            head: AnyColumn = VoidColumn(self.head.seqbase, len(keep))
-        else:
-            head = self.head.take(keep)
-        if renumber_dense_tail:
-            tail: AnyColumn = self._dense_tail_renumbered(len(keep))
-            tsorted, tkey = True, True
-        else:
-            tail = self.tail.take(keep)
-            tsorted, tkey = self.tsorted, self.tkey
         return BAT(
             head,
             tail,
             hsorted=self.hsorted,
             hkey=self.hkey,
-            tsorted=tsorted,
-            tkey=tkey,
+            tsorted=self.tsorted,
+            tkey=self.tkey,
             name=self.name,
         )
 
@@ -596,22 +601,32 @@ class BAT:
             name=self.name,
         )
 
-    def _dense_tail_renumbered(self, new_count: int) -> Column:
-        """The dense integer run of length *new_count* continuing this
-        BAT's provably-dense tail (extent-oid shape); raises
-        :class:`InvalidMutationBatch` when density cannot be proven O(1)
-        from the flags."""
-        tail = self.tail
-        seqbase = dense_seqbase(tail, self.tsorted, self.tkey)
-        if seqbase is None:
-            raise InvalidMutationBatch(
-                "renumber_dense_tail requires a provably dense integer "
-                "tail (sorted, key, span == count-1)"
-            )
-        dtype = tail.values.dtype if not tail.is_void and len(tail) else np.int64
-        return Column(
-            tail.atom_type, np.arange(seqbase, seqbase + new_count, dtype=dtype)
+
+def _renumbered(column: AnyColumn, deleted) -> AnyColumn:
+    """*column* (survivors' parent oids) renumbered past the *deleted*
+    parents: ``t - |{d < t}|`` per non-NIL value -- *column* itself when
+    no value moves.  The rule behind ``delete_positions(renumber=)``."""
+    if column.atom_type.name not in ("oid", "int"):
+        raise InvalidMutationBatch(
+            f"renumber needs an oid/int tail, not {column.atom_type.name}"
         )
+    deleted = np.unique(np.asarray(deleted, dtype=np.int64))
+    if len(deleted) == 0:
+        return column
+    values = column.materialize()
+    live = values != column.atom_type.nil
+    shift = np.searchsorted(deleted, values)
+    named = live & (shift < len(deleted))
+    named[named] = deleted[shift[named]] == values[named]
+    if named.any():
+        raise InvalidMutationBatch(
+            "renumber: a surviving BUN names deleted parent "
+            f"{int(values[named][0])}"
+        )
+    shift[~live] = 0
+    if not shift.any():
+        return column
+    return Column(column.atom_type, values - shift)
 
 
 def dense_seqbase(column: AnyColumn, is_sorted: bool, is_key: bool) -> Optional[int]:

@@ -43,7 +43,6 @@ from repro.monet.atoms import OidGenerator, atom
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import (
     BBPError,
-    InvalidMutationBatch,
     KernelError,
     MonetError,
     UnknownMutationTarget,
@@ -438,7 +437,7 @@ class BATBufferPool:
         name: str,
         positions,
         *,
-        renumber_dense_tails: bool = False,
+        renumber=None,
         _log: bool = True,
     ):
         """Delete the BUNs at *positions* (0-based BUN positions) from
@@ -453,29 +452,27 @@ class BATBufferPool:
         (``{"delete": [...]}``) group-commits before the publish and is
         generation-fenced at replay.
 
-        ``renumber_dense_tails=True`` additionally rewrites a provably
-        dense integer tail to the dense run of the new length -- the
-        shape of a Moa extent, whose oid tail must stay ``0..n-1``
-        (monolithic registrations only).
+        ``renumber`` (sorted deleted parent oids) shifts every surviving
+        tail value ``t`` to ``t - |{d < t}|`` -- how a Moa ``__nest__``
+        or ``owner`` tail follows its parents' deletion, and, with
+        ``renumber=positions``, how an extent's oid tail stays
+        ``0..n-1``.  Monolithic and fragmented registrations give the
+        same BUNs; the list rides in the record as ``"renumber"`` (a
+        record's ``true`` means its own positions).
         """
         positions = [int(p) for p in positions]
+        if renumber is not None:
+            renumber = sorted({int(d) for d in renumber})
 
         def compute(current):
             if isinstance(current, FragmentedBAT):
-                if renumber_dense_tails:
-                    raise InvalidMutationBatch(
-                        "renumber_dense_tails applies to monolithic "
-                        "registrations (Moa extents stay monolithic)"
-                    )
-                return current.delete(positions)
-            return current.delete_positions(
-                positions, renumber_dense_tail=renumber_dense_tails
-            )
+                return current.delete(positions, renumber=renumber)
+            return current.delete_positions(positions, renumber=renumber)
 
         def record_fields() -> dict:
             record = {"delete": positions}
-            if renumber_dense_tails:
-                record["renumber"] = True
+            if renumber is not None:
+                record["renumber"] = renumber
             return record
 
         return self._mutate(
@@ -1037,10 +1034,8 @@ class PoolSnapshot:
         self._adopt(name, result)
         return result
 
-    def delete(self, name: str, positions, *, renumber_dense_tails: bool = False):
-        result = self._pool.delete(
-            name, positions, renumber_dense_tails=renumber_dense_tails
-        )
+    def delete(self, name: str, positions, *, renumber=None):
+        result = self._pool.delete(name, positions, renumber=renumber)
         self._adopt(name, result)
         return result
 
@@ -1238,12 +1233,10 @@ def _replay_wal(pool: "BATBufferPool", directory: Path) -> int:
                     name, pairs=[tuple(p) for p in record["pairs"]], _log=False
                 )
             elif "delete" in record:
-                pool.delete(
-                    name,
-                    record["delete"],
-                    renumber_dense_tails=bool(record.get("renumber")),
-                    _log=False,
-                )
+                renumber = record.get("renumber")
+                if isinstance(renumber, bool):  # pre-list records
+                    renumber = record["delete"] if renumber else None
+                pool.delete(name, record["delete"], renumber=renumber, _log=False)
             elif "update" in record:
                 pool.update(
                     name, record["update"], record.get("values", []), _log=False

@@ -377,7 +377,7 @@ class FragmentedBAT:
     # ------------------------------------------------------------------
     # Copy-on-write delete / update: tombstone and patch delta kinds
     # ------------------------------------------------------------------
-    def delete(self, positions) -> "FragmentedBAT":
+    def delete(self, positions, *, renumber=None) -> "FragmentedBAT":
         """A new FragmentedBAT with the BUNs at the given *global*
         positions removed -- the tombstone delta kind.
 
@@ -397,9 +397,14 @@ class FragmentedBAT:
         delete are dropped, so operators never dispatch on
         tombstone-only fragments; :func:`fold_tail` later compacts runs
         of starved survivors back to policy size.
+
+        ``renumber`` applies :meth:`BAT.delete_positions`' parent-oid
+        rule to every fragment's survivors (a fragment none of whose
+        values moves is still shared), so the result equals the
+        monolithic delete BUN for BUN.
         """
         deleted = _normalize_positions(positions, len(self))
-        if len(deleted) == 0:
+        if len(deleted) == 0 and renumber is None:
             return self
         offsets = self.fragment_offsets()
         dense_heads = all(f.head.is_void for f in self.fragments)
@@ -409,12 +414,9 @@ class FragmentedBAT:
             hi = int(np.searchsorted(deleted, offsets[index + 1]))
             local = deleted[lo:hi] - offsets[index]
             shift = lo  # tombstones before this fragment's window
-            if len(local) == 0:
-                survivor = frag
-            else:
-                survivor = frag.delete_positions(local)
-                if len(survivor) == 0:
-                    continue
+            survivor = frag.delete_positions(local, renumber=renumber)
+            if len(local) and len(survivor) == 0:
+                continue
             if dense_heads and shift:
                 survivor = BAT(
                     VoidColumn(survivor.head.seqbase - shift, len(survivor)),
@@ -425,12 +427,11 @@ class FragmentedBAT:
                     tkey=survivor.tkey,
                 )
             out.append(survivor)
-        if not out:
-            out = [
-                self.fragments[0].take_positions(
-                    np.empty(0, dtype=np.int64)
-                )
-            ]
+        if out == self.fragments:  # nothing deleted, no parent oid moved
+            return self
+        if not out:  # everything deleted: one empty fragment, head kind kept
+            first = self.fragments[0]
+            out = [first.delete_positions(np.arange(len(first)))]
         return FragmentedBAT(out, policy=self.policy, name=self.name)
 
     def update(self, positions, values) -> "FragmentedBAT":

@@ -1,22 +1,26 @@
-"""The Moa write path: O(batch) insert-appends vs the reload path.
+"""The Moa write path: in-place delta mutations vs reconstruct+reload.
 
-``MirrorDBMS.insert`` now appends through the mapper ``append`` hooks
-when the whole type tree supports it; these tests pin the equivalence:
-whatever the fast path produces must be exactly what the old
-reconstruct+reload path produces -- same contents, same physical names,
-working queries -- across flat tuples, nested SETs/LISTs, fragmentation
-promotion, and the CONTREP fallback.  Plus the ``insert into ... values
-(...)`` DDL statement that rides on top.
+Every insert, delete and update of every type tree goes through the
+mapper hooks and the pool's logged delta path.  The reconstruct+reload
+path that used to be the fallback lives on here only, as the *oracle*:
+whatever the delta path produces must be exactly what reloading the
+mutated Python values produces -- same contents, same physical names,
+the same Section 3 ranking -- across flat tuples, nested SETs/LISTs,
+doubly nested tuples, CONTREP, and fragmentation promotion.  Plus the
+``insert into ... values (...)`` DDL statement that rides on top.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.core.mirror import MirrorDBMS
 from repro.moa.ddl import parse_insert, parse_script, InsertStatement
 from repro.moa.errors import MoaParseError, MoaTypeError
-from repro.moa.mapping import can_append_collection
+from repro.monet.fragments import FragmentationPolicy
+from repro.workloads import SECTION3_QUERY
 
 NESTED_DDL = (
     "define Lib as SET<TUPLE<Atomic<str>: source, Atomic<int>: size, "
@@ -91,26 +95,240 @@ def test_append_is_snapshot_isolated():
     assert db.count("Lib") == 6
 
 
-def test_contrep_falls_back_to_reload():
-    pytest.importorskip("repro.moa.structures.contrep")
-    db = MirrorDBMS()
-    db.define(
-        "define Docs as SET<TUPLE<Atomic<str>: id, CONTREP<Text>: body>>;"
-    )
-    assert not can_append_collection(db.collection_type("Docs"))
-    db.insert("Docs", [{"id": "d1", "body": "a b a"}])
-    db.insert("Docs", [{"id": "d2", "body": "c a c"}])
-    assert db.count("Docs") == 2
-    contents = db.contents("Docs")
-    assert [c["id"] for c in contents] == ["d1", "d2"]
-
-
 def test_atomic_element_append():
     db = MirrorDBMS()
     db.define("define Words as SET<Atomic<str>>;")
     db.insert("Words", ["alpha"])
     db.insert("Words", ["beta", None])
     assert db.contents("Words") == ["alpha", "beta", None]
+
+
+# ----------------------------------------------------------------------
+# Differential: the delta path vs the reconstruct+reload oracle
+# ----------------------------------------------------------------------
+
+COLLECTION = "TraditionalImgLib"
+#: Every mapper in one type tree: the CONTREP attribute the Section 3
+#: ranking reads, a SET and a LIST of atomics, and a doubly nested SET.
+MIXED_DDL = (
+    f"define {COLLECTION} as SET<TUPLE<Atomic<URL>: source, Atomic<int>: n, "
+    "CONTREP<Text>: annotation, SET<Atomic<str>>: tags, "
+    "LIST<Atomic<int>>: seq, "
+    "SET<TUPLE<Atomic<str>: k, SET<TUPLE<Atomic<int>: v>>: inner>>: parts>>;"
+)
+MIXED_FIELDS = ("source", "n", "annotation", "tags", "seq", "parts")
+WORDS = ["sunset", "beach", "sea", "wave", "sand", "storm"]
+QUERY = ["sunset", "sea", "storm"]
+
+
+def _maybe(rng, value):
+    return None if rng.random() < 0.3 else value
+
+
+def _collection(rng, item):
+    """NIL, empty, or a few items."""
+    if rng.random() < 0.15:
+        return None
+    return [item() for _ in range(rng.randint(0, 3))]
+
+
+def _text(rng):
+    """NIL, empty, or a few words with repeats (tf > 1)."""
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.3:
+        return ""
+    return " ".join(rng.choices(WORDS, k=rng.randint(1, 6)))
+
+
+def _row(rng, i):
+    return {
+        "source": _maybe(rng, f"u{i}"),
+        "n": _maybe(rng, rng.randint(0, 3)),
+        "annotation": _text(rng),
+        "tags": _collection(rng, lambda: _maybe(rng, rng.choice(WORDS))),
+        "seq": _collection(rng, lambda: _maybe(rng, rng.randint(-5, 5))),
+        "parts": _collection(
+            rng,
+            lambda: {
+                "k": _maybe(rng, rng.choice(WORDS)),
+                "inner": _collection(
+                    rng, lambda: {"v": _maybe(rng, rng.randint(0, 9))}
+                ),
+            },
+        ),
+    }
+
+
+def _where(rng, values):
+    """Everything, nothing, a field literal (possibly NIL, which
+    matches nothing), or a Python predicate."""
+    roll = rng.randrange(5)
+    if roll == 0:
+        return None
+    if roll == 1:
+        return {"n": 99}
+    if roll == 2:
+        return {"n": rng.randint(0, 3)}
+    if roll == 3:
+        return {"source": rng.choice([v["source"] for v in values] or [None])}
+    parity = rng.randrange(2)
+    return lambda v: v["n"] is not None and v["n"] % 2 == parity
+
+
+def _matches(values, where):
+    if where is None:
+        return list(range(len(values)))
+    if callable(where):
+        return [i for i, v in enumerate(values) if where(v)]
+    return [
+        i
+        for i, v in enumerate(values)
+        if all(lit is not None and v[f] == lit for f, lit in where.items())
+    ]
+
+
+def _reload_oracle(oracle, kind, payload, where):
+    """The deleted fallback, kept as the reference: reconstruct the
+    whole collection, mutate the Python values, reload everything."""
+    values = oracle.contents(COLLECTION)
+    matched = _matches(values, where)
+    if kind == "insert":
+        values += payload
+        matched = payload
+    elif kind == "delete":
+        doomed = set(matched)
+        values = [v for i, v in enumerate(values) if i not in doomed]
+    else:
+        for i in matched:
+            values[i] = {**values[i], **payload}
+    oracle.replace(COLLECTION, values)
+    return len(matched)
+
+
+def _mixed_db(threshold):
+    """A MIXED_DDL database; with a threshold, attribute BATs split into
+    fragments of 4 BUNs, so mutations cross fragment boundaries."""
+    policy = FragmentationPolicy(target_size=4) if threshold else None
+    db = MirrorDBMS(fragment_threshold=threshold, fragment_policy=policy)
+    db.define(MIXED_DDL)
+    return db
+
+
+def _ranking(db):
+    """The compiled Section 3 ranking, with statistics of *db*'s state."""
+    stats = db.stats(COLLECTION, "annotation")
+    return db.query(SECTION3_QUERY, {"query": QUERY, "stats": stats}).value
+
+
+@pytest.mark.parametrize("threshold", [None, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_delta_path_matches_reload_oracle(seed, threshold):
+    rng = random.Random(seed)
+    db, oracle = _mixed_db(threshold), _mixed_db(threshold)
+    rows = [_row(rng, i) for i in range(8)]
+    db.insert(COLLECTION, rows)
+    oracle.insert(COLLECTION, rows)
+    for step in range(14):
+        kind = rng.choice(["insert", "delete", "update", "update"])
+        where = None if kind == "insert" else _where(rng, oracle.contents(COLLECTION))
+        if kind == "insert":
+            payload = [_row(rng, 100 * step + j) for j in range(rng.randint(0, 3))]
+        elif kind == "update":
+            fields = rng.sample(MIXED_FIELDS, rng.randint(1, 3))
+            fresh = _row(rng, 100 * step)
+            payload = {f: fresh[f] for f in fields}
+        else:
+            payload = None
+
+        pinned = db.begin()
+        stats_before = db.stats(COLLECTION, "annotation")
+        old_params = {"query": QUERY, "stats": stats_before}
+        before = (db.count(COLLECTION), db.query(SECTION3_QUERY, old_params).value)
+
+        expected = _reload_oracle(oracle, kind, payload, where)
+        if kind == "insert":
+            db.insert(COLLECTION, payload)
+            got = len(payload)
+        elif kind == "delete":
+            got = db.delete(COLLECTION, where=where)
+        else:
+            got = db.update(COLLECTION, payload, where=where)
+        context = f"seed {seed} step {step}: {kind} {payload!r} where {where!r}"
+        assert got == expected, context
+        assert db.contents(COLLECTION) == oracle.contents(COLLECTION), context
+
+        params = {"query": QUERY, "stats": db.stats(COLLECTION, "annotation")}
+        ranking = db.query(SECTION3_QUERY, params).value
+        assert ranking == pytest.approx(
+            db.query_interpreted(SECTION3_QUERY, params), abs=1e-9
+        ), context
+        assert ranking == pytest.approx(_ranking(oracle), abs=1e-9), context
+
+        # The snapshot pinned before the step still answers the old state.
+        assert pinned.count(COLLECTION) == before[0], context
+        assert pinned.query(SECTION3_QUERY, old_params).value == before[1], context
+        pinned.abort()
+
+
+def _registration(pool, name):
+    if pool.is_fragmented(name):
+        return pool.lookup_fragments(name)
+    return pool.lookup(name)
+
+
+def test_contrep_mutations_extend_in_place():
+    """No reload: a CONTREP insert shares every committed fragment of
+    the posting BATs, and an update of the CONTREP attribute alone
+    leaves every other attribute BAT the very same object."""
+    rng = random.Random(7)
+    db = _mixed_db(4)
+    rows = [_row(rng, i) for i in range(12)]
+    rows[3]["source"] = "target"
+    db.insert(COLLECTION, rows)
+    term = f"{COLLECTION}.annotation.term"
+    first = db.pool.lookup_fragments(term).fragments[0]
+    db.insert(COLLECTION, [{**_row(rng, 99), "annotation": "sea storm sea"}])
+    assert db.pool.lookup_fragments(term).fragments[0] is first
+
+    names = db.bat_names(COLLECTION)
+    before = {name: _registration(db.pool, name) for name in names}
+    assert db.update(
+        COLLECTION, {"annotation": "storm sea sea"}, where={"source": "target"}
+    ) == 1
+    contrep = f"{COLLECTION}.annotation."
+    for name in names:
+        if not name.startswith(contrep):
+            assert _registration(db.pool, name) is before[name], name
+    assert db.contents(COLLECTION)[3]["annotation"].terms == {"storm": 1, "sea": 2}
+
+
+def test_update_promotes_across_threshold_like_insert():
+    """An update that grows the posting BATs past the threshold promotes
+    them to fragments exactly as an insert of the same rows does."""
+    threshold = 8
+    ddl = "define Docs as SET<TUPLE<Atomic<str>: id, CONTREP<Text>: body>>;"
+    wide = " ".join(WORDS + ["river", "valley", "bridge"])
+    grown = {}
+    for how in ("insert", "update"):
+        db = MirrorDBMS(fragment_threshold=threshold)
+        db.define(ddl)
+        db.insert("Docs", [{"id": "a", "body": "sea"}, {"id": "b", "body": "sand"}])
+        assert not db.pool.is_fragmented("Docs.body.owner")
+        if how == "insert":
+            db.insert("Docs", [{"id": "c", "body": wide}])
+            db.delete("Docs", where={"id": "a"})
+        else:
+            db.update("Docs", {"body": wide}, where={"id": "a"})
+            db.update("Docs", {"id": "c"}, where={"id": "a"})
+        grown[how] = {
+            name: db.pool.is_fragmented(name) for name in db.bat_names("Docs")
+        }
+        assert sorted(db.contents("Docs"), key=lambda d: d["id"])[1]["id"] == "c"
+    assert grown["update"] == grown["insert"]
+    for suffix in ("owner", "term", "tf"):
+        assert grown["update"][f"Docs.body.{suffix}"], suffix
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.mirror import MirrorDBMS
 from repro.monet import bbp as bbp_module
-from repro.monet.bat import BAT, Column, bat_from_pairs, dense_bat
+from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import MonetError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
@@ -292,7 +293,7 @@ def test_wal_replays_committed_deletes_and_updates_on_load(tmp_path):
 
 def test_wal_replays_renumbering_delete(tmp_path):
     # The Moa extent shape: a dense oid tail must stay 0..n-1 through
-    # crash recovery, so the renumber flag rides in the WAL record.
+    # crash recovery, so the renumber list rides in the WAL record.
     pool = BATBufferPool()
     pool.register(
         "T.__extent__",
@@ -306,10 +307,113 @@ def test_wal_replays_renumbering_delete(tmp_path):
         ),
     )
     pool.save(tmp_path)
-    pool.delete("T.__extent__", [1], renumber_dense_tails=True)
+    pool.delete("T.__extent__", [1], renumber=[1])
     restored = BATBufferPool.load(tmp_path)
     assert restored.lookup("T.__extent__").tail_list() == [0, 1]
     assert list(restored.lookup("T.__extent__").head_list()) == [10, 12]
+
+
+def test_wal_replays_parent_renumbering_delete(tmp_path):
+    # A Moa __nest__/owner tail follows its parents' deletion: the
+    # deleted parent oids ride in the record, on both registrations.
+    pool = BATBufferPool()
+    pool.register("mono", dense_bat("oid", [0, 2, 2, 3, 5]))
+    pool.register_fragmented(
+        "frag",
+        fragment_bat(
+            dense_bat("oid", [0, 2, 2, 3, 5]), FragmentationPolicy(target_size=2)
+        ),
+    )
+    pool.save(tmp_path)
+    for name in ("mono", "frag"):
+        pool.delete(name, [3], renumber=[1, 3, 4])
+    restored = BATBufferPool.load(tmp_path)
+    for name in ("mono", "frag"):
+        assert pool.lookup(name).tail_list() == [0, 1, 1, 2], name
+        assert restored.lookup(name).tail_list() == [0, 1, 1, 2], name
+    assert restored.is_fragmented("frag")
+
+
+def test_parent_written_renumber_record_replays(tmp_path):
+    """On-disk compatibility: a delete record written before renumber
+    took a list carries ``"renumber": true``, meaning "renumber by this
+    record's own positions" -- it must replay to the same extent."""
+    pool = BATBufferPool()
+    pool.register(
+        "T.__extent__",
+        BAT(
+            VoidColumn(0, 3),
+            Column("oid", np.arange(3, dtype=np.int64)),
+            tsorted=True,
+            tkey=True,
+        ),
+    )
+    pool.save(tmp_path)
+    generation = json.loads((tmp_path / "catalog.json").read_text())["generation"]
+    (tmp_path / "wal.jsonl").write_text(
+        '{"name": "T.__extent__", "generation": %d, "delete": [1], '
+        '"renumber": true}\n' % generation
+    )
+    restored = BATBufferPool.load(tmp_path)
+    assert restored.lookup("T.__extent__").tail_list() == [0, 1]
+    assert restored.lookup("T.__extent__").tsorted
+
+
+# ----------------------------------------------------------------------
+# Crash-copy durability gate: every mapper x every mutation
+# ----------------------------------------------------------------------
+
+#: The element payload ``s`` of each structure kind, as a function of
+#: a row number (a NIL or an empty collection every few rows).
+CRASH_SHAPES = {
+    "tuple": ("Atomic<int>", lambda i: None if i % 4 == 3 else i * 10),
+    "set": (
+        "SET<Atomic<int>>",
+        lambda i: [i, i + 1, None][: i % 4],
+    ),
+    "list": (
+        "LIST<Atomic<str>>",
+        lambda i: [f"w{i}", None, f"w{i}"][: i % 4],
+    ),
+    "set-of-set": (
+        "SET<TUPLE<Atomic<str>: a, SET<TUPLE<Atomic<int>: b>>: inner>>",
+        lambda i: [
+            {"a": f"a{i}.{j}", "inner": [{"b": i * j + m} for m in range(j)]}
+            for j in range(i % 3)
+        ],
+    ),
+    "contrep": (
+        "CONTREP<Text>",
+        lambda i: ["", None, "sea sunset sea", "storm wave sand sea"][i % 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 4], ids=["monolithic", "fragmented"])
+@pytest.mark.parametrize("kind", ["insert", "delete", "update"])
+@pytest.mark.parametrize("shape", sorted(CRASH_SHAPES))
+def test_crash_copy_recovers_every_mutation(tmp_path, shape, kind, threshold):
+    """Save, mutate, copy the directory as it stands (no final save)
+    and load the copy: every acknowledged mutation of every structure
+    kind must be there -- the WAL carries all of them."""
+    element, value = CRASH_SHAPES[shape]
+    policy = FragmentationPolicy(target_size=4) if threshold else None
+    db = MirrorDBMS(fragment_threshold=threshold, fragment_policy=policy)
+    db.define(f"define C as SET<TUPLE<Atomic<str>: k, {element}: s>>;")
+    db.insert("C", [{"k": f"k{i}", "s": value(i)} for i in range(8)])
+    db.save(tmp_path / "store")
+    if kind == "insert":
+        db.insert("C", [{"k": f"k{i}", "s": value(i)} for i in (8, 9)])
+    elif kind == "delete":
+        assert db.delete("C", where={"k": "k2"}) == 1
+        assert db.delete("C", where={"k": "k5"}) == 1
+    else:
+        assert db.update("C", {"s": value(6)}, where={"k": "k1"}) == 1
+        assert db.update("C", {"s": value(3)}, where={"k": "k4"}) == 1
+    shutil.copytree(tmp_path / "store", tmp_path / "crash")
+    recovered = MirrorDBMS.load(tmp_path / "crash")
+    assert recovered.count("C") == db.count("C")
+    assert recovered.contents("C") == db.contents("C")
 
 
 def test_torn_trailing_tombstone_record_is_discarded(tmp_path):

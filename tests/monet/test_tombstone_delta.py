@@ -3,7 +3,7 @@
 Covers the mutation machinery layer by layer, mirroring
 ``test_append_delta.py`` for the two new delta kinds:
 ``BAT.delete_positions``/``update_positions`` (copy-on-write survivors,
-O(changed) flag maintenance, dense-tail renumbering),
+O(changed) flag maintenance, the parent-oid renumber rule),
 ``FragmentedBAT.delete``/``update`` (fragment-granular tombstones and
 patches, prefix sharing, dense-head re-densification on even and
 ragged fragmentations), ``fold_tail(compact=True)`` and
@@ -89,28 +89,53 @@ def test_bat_delete_out_of_range_positions_raise():
 
 
 def test_bat_delete_renumbers_provably_dense_tail():
-    # The Moa extent shape: oid tail 0..n-1, sorted + key.  After the
-    # delete the tail must be the dense run of the *new* length.
+    # The Moa extent shape: oid tail 0..n-1, sorted + key.  Renumbered
+    # by its own positions the tail is the dense run of the *new* length.
     extent = BAT(
         VoidColumn(0, 5),
         Column("oid", np.arange(5, dtype=np.int64)),
         tsorted=True,
         tkey=True,
     )
-    survivor = extent.delete_positions([1, 4], renumber_dense_tail=True)
+    survivor = extent.delete_positions([1, 4], renumber=[1, 4])
     assert survivor.tail_list() == [0, 1, 2]
     assert survivor.tsorted and survivor.tkey
 
 
-def test_bat_delete_renumber_rejects_non_dense_tail():
+def test_bat_delete_renumbers_parent_oids():
+    # The __nest__/owner shape: unsorted parent oids with repeats and a
+    # NIL.  Each survivor t becomes t - |{deleted parents < t}|, even
+    # when no BUN of this BAT is deleted (childless parents).
+    nest = dense_bat("oid", [4, 0, 4, 2, None, 6])
+    assert nest.delete_positions([], renumber=[1, 3]).tail_list() == [
+        2, 0, 2, 1, None, 4,
+    ]
+    survivor = nest.delete_positions([3], renumber=[2, 5])
+    assert survivor.tail_list() == [3, 0, 3, None, 4]
+    assert nest.delete_positions([], renumber=[7]) is nest  # nothing moves
+
+
+def test_bat_delete_renumber_keeps_flags_on_sparse_tail():
+    # The rule is strictly monotone on survivors: a sorted key tail
+    # that is not dense stays sorted and key.
     sparse = BAT(
         VoidColumn(0, 3),
         Column("oid", np.array([0, 5, 9], dtype=np.int64)),
         tsorted=True,
         tkey=True,
     )
-    with pytest.raises(InvalidMutationBatch):
-        sparse.delete_positions([1], renumber_dense_tail=True)
+    survivor = sparse.delete_positions([1], renumber=[5, 7])
+    assert survivor.tail_list() == [0, 7]
+    assert survivor.tsorted and survivor.tkey
+
+
+def test_bat_delete_renumber_rejects_dangling_parent():
+    # The safety check: a surviving child naming a deleted parent.
+    nest = dense_bat("oid", [0, 1, 1, 2])
+    with pytest.raises(InvalidMutationBatch, match="deleted parent 1"):
+        nest.delete_positions([1], renumber=[1])
+    with pytest.raises(InvalidMutationBatch, match="oid/int"):
+        dense_bat("str", ["a"]).delete_positions([], renumber=[0])
 
 
 def test_bat_update_positions_is_copy_on_write():
@@ -355,14 +380,27 @@ def test_pool_delete_update_unknown_name_raise():
         pool.update("ghost", [0], [1])
 
 
-def test_pool_delete_renumber_rejected_for_fragmented():
-    pool = BATBufferPool()
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pool_delete_renumber_fragmented_matches_monolithic(strategy):
+    parents = [0, 3, 1, 3, 5, 6, 6, 2, 7, 9, 8, 3]
     policy = FragmentationPolicy(target_size=4)
+    pool = BATBufferPool()
+    pool.register("mono", dense_bat("oid", parents))
     pool.register_fragmented(
-        "x", fragment_bat(dense_bat("int", list(range(8))), policy)
+        "frag", fragment_layout(dense_bat("oid", parents), strategy, policy)
     )
-    with pytest.raises(InvalidMutationBatch):
-        pool.delete("x", [0], renumber_dense_tails=True)
+    doomed = [i for i, p in enumerate(parents) if p in (3, 6)]
+    for name in ("mono", "frag"):
+        pool.delete(name, doomed, renumber=[3, 4, 6])
+    expected = [0, 1, 3, 2, 4, 6, 5]
+    assert pool.lookup("mono").tail_list() == expected
+    fragmented = pool.lookup_fragments("frag")
+    assert fragmented.to_bat().tail_list() == expected
+    assert fragmented.to_bat().head_values().tolist() == list(range(7))
+    # Fragments of untouched children whose parents did not move are
+    # shared: renumbering copies only what changes.
+    untouched = pool.delete("frag", [], renumber=[99])
+    assert untouched is fragmented
 
 
 def test_pool_update_oid_tail_advances_generator():
