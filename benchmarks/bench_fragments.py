@@ -66,11 +66,15 @@ def _int_bat(n, *, distinct=1000, seed=0):
     return BAT(VoidColumn(0, n), Column("int", rng.integers(0, distinct, n)))
 
 
-def _join_sides(n, *, seed=2):
+def _join_sides(n, *, seed=2, spread=1):
+    """[void,oid] probes into a keyed [oid,dbl] build of n/2 BUNs.  The
+    build keys are a permutation, so the join runs the compact (span)
+    arm; *spread* multiplies every key, and spread=1000 makes them
+    sparse enough for the radix-partitioned sorted arm."""
     rng = np.random.default_rng(seed)
-    left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, n // 2, n)))
+    left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, n // 2, n) * spread))
     right = BAT(
-        Column("oid", rng.permutation(n // 2).astype(np.int64)),
+        Column("oid", rng.permutation(n // 2).astype(np.int64) * spread),
         Column("dbl", rng.random(n // 2)),
         hkey=True,
     )
@@ -449,14 +453,14 @@ def _report_strings(sizes, verbose_header=True):
 
 
 # ----------------------------------------------------------------------
-# Grace join: fragmented-right radix-partitioned builds
+# Value join with a fragmented build side: shared index or radix split
 # ----------------------------------------------------------------------
 
 
 def _join_str_sides(n, *, seed=29):
     """[void,str] probe side against a keyed [str,dbl] build side: the
-    object keyspace takes the crc32 radix split and the dict match
-    index instead of the numeric searchsorted path."""
+    object keyspace takes the shared dictionary-code index instead of
+    the numeric arms."""
     rng = np.random.default_rng(seed)
     left = BAT(VoidColumn(0, n), Column("str", _str_corpus(n, seed=seed)))
     vocabulary = [
@@ -473,12 +477,14 @@ def _join_str_sides(n, *, seed=29):
 
 
 def _report_join(sizes, verbose_header=True):
-    """Grace join with a *fragmented* right operand, monolithic vs
-    fragmented, plus a spill-forced run (every partition staged through
-    BBP spill units) to price the larger-than-memory path."""
+    """Value join with a *fragmented* right operand, monolithic vs
+    fragmented -- compact oid keys (one shared span index), sparse oid
+    keys (the radix-partitioned sorted arm) and str keys -- plus a
+    spill-forced sparse run (every partition staged through BBP spill
+    units) to price the larger-than-memory path."""
     if verbose_header:
         print(
-            "E15: grace join, fragmented build side "
+            "E15: value join, fragmented build side "
             f"(workers={fr.DEFAULT_WORKERS}, fanout={tuning.current().join_fanout})"
         )
         print(f"{'n':>12}  {'operator':<18}{'mono ms':>10}{'frag ms':>10}{'ratio':>8}")
@@ -486,9 +492,11 @@ def _report_join(sizes, verbose_header=True):
         repeats = 2 if n >= 10**6 else 3
         policy = _policy(n)
         left, right = _join_sides(n)
+        sparse_left, sparse_right = _join_sides(n, spread=1000)
         sleft, sright = _join_str_sides(n)
         cases = [
             ("join(oid)", "oid", left, right),
+            ("join(oid,sparse)", "oid", sparse_left, sparse_right),
             ("join(str)", "str", sleft, sright),
         ]
         mono_stats = {}
@@ -507,15 +515,18 @@ def _report_join(sizes, verbose_header=True):
             )
         # Spill-forced: every build partition round-trips through a
         # BBP spill unit, bounding resident build memory to one
-        # partition.  Output must stay BUN-identical.
+        # partition.  Only the sorted arm partitions, so the sparse
+        # keys.  Output must stay BUN-identical.
         with tuning.override(join_spill=0):
-            fl = fragment_bat(left, policy)
-            fb = fragment_bat(right, policy)
-            expected = kernel.join(left, right).to_pairs()
+            fl = fragment_bat(sparse_left, policy)
+            fb = fragment_bat(sparse_right, policy)
+            expected = kernel.join(sparse_left, sparse_right).to_pairs()
             assert fr.join(fl, fb).to_bat().to_pairs() == expected
             spill_stats = _measure(lambda: fr.join(fl, fb), repeats)
         _record("join-spill", n, "thread", "oid", spill_stats)
-        _print_pair("join-spill(oid)", n, mono_stats["join(oid)"], spill_stats)
+        _print_pair(
+            "join-spill(oid)", n, mono_stats["join(oid,sparse)"], spill_stats
+        )
 
 
 # ----------------------------------------------------------------------
@@ -782,14 +793,14 @@ def calibrate(verbose=True):
         if ms < best_sort_ms:
             best_fanout, best_sort_ms = fanout, ms
     tuning.install(merge_fanout=best_fanout)
-    # Join radix fan-out: time the grace join (fragmented build side)
-    # under a few widths and keep the fastest.  join_fanout is read
-    # live by the partitioner, so installing a candidate is enough to
-    # measure it.  The spill threshold has no in-memory crossover to
-    # measure, so the current (env- or persistence-derived) value is
-    # what persists.
+    # Join radix fan-out: time the radix-partitioned join (fragmented
+    # build side, sparse keys: the only arm that partitions) under a
+    # few widths and keep the fastest.  join_fanout is read live by the
+    # partitioner, so installing a candidate is enough to measure it.
+    # The spill threshold has no in-memory crossover to measure, so the
+    # current (env- or persistence-derived) value is what persists.
     join_n = min(n, 1_000_000)
-    jleft, jright = _join_sides(join_n)
+    jleft, jright = _join_sides(join_n, spread=1000)
     join_policy = FragmentationPolicy(target_size=best_size)
     fjleft = fragment_bat(jleft, join_policy)
     fjright = fragment_bat(jright, join_policy)

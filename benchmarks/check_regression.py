@@ -58,7 +58,10 @@ def index_rows(rows):
 
 
 def compare(current, previous, threshold):
-    """(regressions, improvements, unmatched) between two row indexes."""
+    """(regressions, improvements, unmatched) between two row indexes;
+    *unmatched* are the previous run's rows the current run lacks.  A
+    current row the previous artifact lacks (a new benchmark) has
+    nothing to regress against."""
     regressions = []
     improvements = []
     for key, previous_ms in previous.items():
@@ -124,6 +127,8 @@ def main(argv):
         )
     for key in unmatched:
         print(f"  unmatched {describe(key)}: present only in the previous run")
+    for key in sorted(set(current) - set(previous)):
+        print(f"  new       {describe(key)}: present only in the current run")
     if regressions:
         for key, previous_ms, current_ms, ratio in sorted(regressions):
             print(

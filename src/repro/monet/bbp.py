@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.monet.atoms import OidGenerator, atom
+from repro.monet.atoms import OID_NIL, OidGenerator, atom
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import (
     BBPError,
@@ -654,10 +654,16 @@ class BATBufferPool:
                 if len(column):
                     self.oid_generator.bump_past(top)
             elif column.atom_type.name == "oid" and len(column):
+                # One pass: OID_NIL is the greatest int64, so only a
+                # column whose max *is* NIL needs the NILs filtered.
                 values = column.materialize()
-                finite = values[values != np.iinfo(np.int64).max]
-                if len(finite):
-                    self.oid_generator.bump_past(int(finite.max()))
+                top = values.max()
+                if top == OID_NIL:
+                    finite = values[values != OID_NIL]
+                    if not len(finite):
+                        continue
+                    top = finite.max()
+                self.oid_generator.bump_past(int(top))
 
     # ------------------------------------------------------------------
     # Persistence

@@ -783,20 +783,34 @@ def _fetchjoin_fragmented(
 
 
 # ----------------------------------------------------------------------
-# Radix-partitioned (grace) hash join
+# Value join: one shared index in code space, radix partitions otherwise
 #
-# The value join partitions BOTH operands by a radix of the join key
+# The arm is chosen once, from the whole build side, by the kernel's
+# selection table.  Where the keys have a code space -- str keys
+# (dictionary codes) or integral keys of compact span (``key - lo``,
+# kernel.span_bounds) -- one index is built over the build fragments in
+# BUN order and every probe fragment probes it in parallel: no
+# partitioning, no hashing, and a str probe fragment translates only its
+# distinct values (fragment windows of a warm column share its
+# dictionary, and then translate nothing).  Only the sorted arm (sparse
+# numeric keys) partitions both operands by a radix of the join key
 # (kernel.join_partition_ids; NIL BUNs drop first, comparison rule):
-# per-fragment key extraction fans out like the membership builds, so a
-# fragmented right operand never coalesces; per-partition match indexes
-# build in parallel; every probe fragment probes partition-locally; and
-# a build side past ``join_spill`` spills its partitions through the
-# BBP scratch directory as npz units and is processed one partition at
-# a time, capping the resident build state.  Build fragments arrive in
-# BUN order, so every partition indexes its rows in BUN order like the
-# monolithic kernel; a key lives in exactly one partition, so a stable
-# per-fragment sort on probe position reassembles the exact monolithic
-# kernel.join order.
+# per-partition sorted indexes build in parallel, every probe fragment
+# probes partition-locally, and a build side past ``join_spill`` spills
+# its partitions through the BBP scratch directory as npz units,
+# processed one partition at a time.  A key lives in exactly one
+# partition, so a stable per-fragment sort on probe position
+# reassembles the exact monolithic kernel.join order.
+#
+# Why the split (2 M oid probes, min of 3, ms at 1/10/40 fragments of
+# both sides, 2-core host): on a 1 M permutation build the radix join
+# took 784/415/446 and one shared span index 218/188/177 -- radix
+# partitions of compact keys are no longer compact, so each falls back
+# to sorting.  On a 1 M *sparse* build (keys x 1000) the radix join
+# beats one shared sorted index, 1494/744/767 vs 1702/913/914
+# (cache-resident partitions), so the sorted arm keeps it; on a 256 k
+# sparse build the shared sorted index was ahead (726/423/380 vs
+# 946/474/487), a build-size rule this arm does not make yet.
 # ----------------------------------------------------------------------
 
 
@@ -808,34 +822,74 @@ def _join_fanout(build_n: int) -> int:
     return max(1, min(_tuning.current().join_fanout, by_floor))
 
 
-def _assemble_join_partition(
-    key_chunks: List[np.ndarray],
-    tail_chunks: List[np.ndarray],
-    keys_object: bool,
-    tails_object: bool,
-):
-    """One resident build partition, its per-fragment chunks
-    concatenated in fragment (= BUN) order and indexed via the shared
-    match-index machinery.  ``None`` for an empty partition."""
-    if not key_chunks:
-        return None
-    keys = _concat_raw(key_chunks, keys_object)
-    tails = _concat_raw(tail_chunks, tails_object)
-    return _kernel.build_match_index(keys, keys_object), tails
+def _build_tails_empty(build_frags: List[BAT], tails_object: bool) -> np.ndarray:
+    if tails_object:
+        return np.empty(0, dtype=object)
+    return build_frags[0].tail_values()[:0]
 
 
 def _grace_matches(
     fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The grace-join core shared by :func:`join` and
+    """The value-join core shared by :func:`join` and
     :func:`outerjoin`: per probe fragment, the matching
     (probe_positions, build tail values) ordered exactly like the
     monolithic ``kernel.join`` (ascending probe position; per probe
     BUN, matches in ascending build BUN order)."""
-    keyspace = _kernel.set_keyspace(fb.fragments[0].tail, _head_columns(right)[0])
-    object_dtype = keyspace == "object"
     build_frags = right.fragments if isinstance(right, FragmentedBAT) else [right]
+    heads = [frag.head for frag in build_frags]
     tails_object = _kernel._is_object_column(build_frags[0].tail)
+    probe_object = _probe_dtype(fb)
+    if probe_object != _kernel._is_object_column(heads[0]):
+        # outerjoin checks no types, and a str equals no number
+        empty_tails = _build_tails_empty(build_frags, tails_object)
+        return [(np.empty(0, dtype=np.int64), empty_tails)] * fb.nfragments
+    if probe_object or _kernel.span_bounds(heads) is not None:
+        return _shared_index_matches(fb, build_frags, probe_object, tails_object)
+    return _radix_matches(fb, build_frags, tails_object)
+
+
+def _shared_index_matches(
+    fb: FragmentedBAT, build_frags: List[BAT], probe_object: bool, tails_object: bool
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One code-space index over the whole build side, probed by every
+    fragment.  A str index is built in the probe side's code space when
+    all probe fragments share one dictionary (windows of a warm
+    column), so no probe translates anything; otherwise in the build's
+    own, and each probe fragment translates its distinct values."""
+    code_space = None
+    if probe_object:
+        dictionaries = [frag.tail.encoding()[1] for frag in fb.fragments]
+        if len({id(dictionary) for dictionary in dictionaries}) == 1:
+            code_space = dictionaries[0]
+    index = _kernel.build_match_index([frag.head for frag in build_frags], code_space)
+    tails = _concat_raw([frag.tail_values() for frag in build_frags], tails_object)
+
+    def probe_one(frag: BAT) -> Tuple[np.ndarray, np.ndarray]:
+        probe_positions, build_positions = _kernel.probe_match_index(frag.tail, index)
+        return probe_positions, tails[build_positions]
+
+    return map_fragments(probe_one, fb.fragments, len(fb))
+
+
+def _assemble_join_partition(
+    key_chunks: List[np.ndarray], tail_chunks: List[np.ndarray], tails_object: bool
+):
+    """One resident build partition, its per-fragment chunks
+    concatenated in fragment (= BUN) order under a sorted-arm index.
+    ``None`` for an empty partition."""
+    if not key_chunks:
+        return None
+    keys = _concat_raw(key_chunks, False)
+    return _kernel.sorted_match_index(keys), _concat_raw(tail_chunks, tails_object)
+
+
+def _radix_matches(
+    fb: FragmentedBAT, build_frags: List[BAT], tails_object: bool
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The sorted arm, radix-partitioned: resident partitions, or
+    spilled ones past ``join_spill``."""
+    keyspace = _kernel.set_keyspace(fb.fragments[0].tail, build_frags[0].head)
     build_n = sum(len(frag) for frag in build_frags)
     fanout = _join_fanout(build_n)
     join_spill = _tuning.current().join_spill
@@ -847,82 +901,70 @@ def _grace_matches(
         per_partition = max(1, join_spill)
         fanout = max(fanout, min(256, -(-build_n // per_partition)))
     empty_positions = np.empty(0, dtype=np.int64)
-    empty_tails = (
-        np.empty(0, dtype=object)
-        if tails_object
-        else build_frags[0].tail_values()[:0]
-    )
+    empty_tails = _build_tails_empty(build_frags, tails_object)
 
     def probe_parts(frag: BAT) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         keys, valid = _kernel.join_keys(frag.tail, keyspace)
         positions = np.nonzero(valid)[0]
-        ids = _kernel.join_partition_ids(keys, fanout, object_dtype)[positions]
+        ids = _kernel.join_partition_ids(keys, fanout)[positions]
         return keys, positions, ids
 
     if spill:
-        matches = _grace_matches_spilled(
+        return _radix_matches_spilled(
             fb, build_frags, keyspace, fanout, probe_parts, tails_object
         )
-    else:
-        build_keys = [
-            _kernel.join_keys(frag.head, keyspace)[0] for frag in build_frags
-        ]
-        build_tails = [frag.tail_values() for frag in build_frags]
-        # Per-fragment radix splits: NIL-free local positions grouped
-        # by partition.
-        build_parts = map_fragments(
-            lambda frag: _kernel.join_partition_positions(
-                frag.head, keyspace, fanout
-            ),
-            build_frags,
-            len(fb),
-        )
+    build_keys = [_kernel.join_keys(frag.head, keyspace)[0] for frag in build_frags]
+    build_tails = [frag.tail_values() for frag in build_frags]
+    # Per-fragment radix splits: NIL-free local positions grouped by
+    # partition.
+    build_parts = map_fragments(
+        lambda frag: _kernel.join_partition_positions(frag.head, keyspace, fanout),
+        build_frags,
+        len(fb),
+    )
 
-        def one_partition(partition: int):
-            key_chunks, tail_chunks = [], []
-            for keys, tails, parts in zip(build_keys, build_tails, build_parts):
-                sel = parts[partition]
-                if len(sel):
-                    key_chunks.append(keys[sel])
-                    tail_chunks.append(tails[sel])
-            return _assemble_join_partition(
-                key_chunks, tail_chunks, object_dtype, tails_object
-            )
+    def one_partition(partition: int):
+        key_chunks, tail_chunks = [], []
+        for keys, tails, parts in zip(build_keys, build_tails, build_parts):
+            sel = parts[partition]
+            if len(sel):
+                key_chunks.append(keys[sel])
+                tail_chunks.append(tails[sel])
+        return _assemble_join_partition(key_chunks, tail_chunks, tails_object)
 
-        partitions = map_fragments(one_partition, range(fanout), len(fb))
+    partitions = map_fragments(one_partition, range(fanout), len(fb))
 
-        def probe_one(frag: BAT) -> Tuple[np.ndarray, np.ndarray]:
-            if len(frag) == 0 or build_n == 0:
-                return empty_positions, empty_tails
-            keys, positions, ids = probe_parts(frag)
-            position_chunks, value_chunks = [], []
-            for partition in range(fanout):
-                part = partitions[partition]
-                if part is None:
-                    continue
-                sel = positions[ids == partition]
-                if len(sel) == 0:
-                    continue
-                index, part_tails = part
-                pp, bp = _kernel.probe_match_index(keys[sel], index, object_dtype)
-                if len(pp):
-                    position_chunks.append(sel[pp])
-                    value_chunks.append(part_tails[bp])
-            if not position_chunks:
-                return empty_positions, empty_tails
-            probe_positions = np.concatenate(position_chunks)
-            values = _concat_raw(value_chunks, tails_object)
-            # One key -> one partition, so the stable sort on probe
-            # position cannot reorder same-probe matches: they all came
-            # from a single partition, already in build order.
-            order = np.argsort(probe_positions, kind="stable")
-            return probe_positions[order], values[order]
+    def probe_one(frag: BAT) -> Tuple[np.ndarray, np.ndarray]:
+        if len(frag) == 0 or build_n == 0:
+            return empty_positions, empty_tails
+        keys, positions, ids = probe_parts(frag)
+        position_chunks, value_chunks = [], []
+        for partition in range(fanout):
+            part = partitions[partition]
+            if part is None:
+                continue
+            sel = positions[ids == partition]
+            if len(sel) == 0:
+                continue
+            index, part_tails = part
+            pp, bp = _kernel.probe_sorted(keys[sel], index)
+            if len(pp):
+                position_chunks.append(sel[pp])
+                value_chunks.append(part_tails[bp])
+        if not position_chunks:
+            return empty_positions, empty_tails
+        probe_positions = np.concatenate(position_chunks)
+        values = _concat_raw(value_chunks, tails_object)
+        # One key -> one partition, so the stable sort on probe
+        # position cannot reorder same-probe matches: they all came
+        # from a single partition, already in build order.
+        order = np.argsort(probe_positions, kind="stable")
+        return probe_positions[order], values[order]
 
-        matches = map_fragments(probe_one, fb.fragments, len(fb))
-    return matches
+    return map_fragments(probe_one, fb.fragments, len(fb))
 
 
-def _grace_matches_spilled(
+def _radix_matches_spilled(
     fb: FragmentedBAT,
     build_frags: List[BAT],
     keyspace: str,
@@ -930,24 +972,19 @@ def _grace_matches_spilled(
     probe_parts,
     tails_object: bool,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Out-of-core grace join: build partitions stream to npz spill
+    """Out-of-core radix join: build partitions stream to npz spill
     units fragment by fragment, then load back one partition at a time
     -- the resident build state is one partition, not the build side."""
     from repro.monet import bbp as _bbp
 
-    object_dtype = keyspace == "object"
     empty_positions = np.empty(0, dtype=np.int64)
-    empty_tails = (
-        np.empty(0, dtype=object)
-        if tails_object
-        else build_frags[0].tail_values()[:0]
-    )
+    empty_tails = _build_tails_empty(build_frags, tails_object)
     units: List[List] = [[] for _ in range(fanout)]
     try:
         for frag in build_frags:
             keys, valid = _kernel.join_keys(frag.head, keyspace)
             positions = np.nonzero(valid)[0]
-            ids = _kernel.join_partition_ids(keys, fanout, object_dtype)[positions]
+            ids = _kernel.join_partition_ids(keys, fanout)[positions]
             tails = frag.tail_values()
             for partition in range(fanout):
                 sel = positions[ids == partition]
@@ -972,9 +1009,7 @@ def _grace_matches_spilled(
                 data = _bbp.read_spill_unit(path)
                 key_chunks.append(data["keys"])
                 tail_chunks.append(data["tails"])
-            part = _assemble_join_partition(
-                key_chunks, tail_chunks, object_dtype, tails_object
-            )
+            part = _assemble_join_partition(key_chunks, tail_chunks, tails_object)
             del key_chunks, tail_chunks
             index, part_tails = part
 
@@ -983,7 +1018,7 @@ def _grace_matches_spilled(
                 sel = positions[ids == partition]
                 if len(sel) == 0:
                     return None
-                pp, bp = _kernel.probe_match_index(keys[sel], index, object_dtype)
+                pp, bp = _kernel.probe_sorted(keys[sel], index)
                 if len(pp) == 0:
                     return None
                 return sel[pp], part_tails[bp]
@@ -1019,13 +1054,12 @@ def _right_hkey(right: Union[BAT, FragmentedBAT]) -> bool:
 
 
 def join(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.join`, executed as a
-    radix-partitioned (grace) hash join: both sides partition by a
-    radix of the join key, per-partition match indexes build in
-    parallel, probes stay partition-local, and oversized build sides
-    spill through the BBP scratch directory.  Neither operand ever
-    coalesces -- a fragmented right contributes per-fragment keys
-    exactly like the membership builds."""
+    """Fragment-parallel :func:`repro.monet.kernel.join`: keys with a
+    code space (str, compact integral) probe one shared index; sparse
+    numeric keys run the radix-partitioned (grace) join, spilling
+    oversized build sides through the BBP scratch directory.  Neither
+    operand ever coalesces -- a fragmented right contributes its
+    fragments in BUN order."""
     _kernel.check_join_types(fb.ttype, right.htype)
     if isinstance(right, BAT) and right.hseqbase is not None:
         # Positional per fragment: there is no build to share.
@@ -1066,14 +1100,17 @@ def _head_columns(value: Union[BAT, FragmentedBAT]) -> List[AnyColumn]:
     return [value.head]
 
 
-def _member_build(source: Union[BAT, FragmentedBAT], keyspace: str, buns: int):
-    """Identity-key membership set over *source*'s heads
-    (:func:`kernel.build_member_set`), built once and shared by every
-    probe fragment; the per-fragment key extraction fans out by the
-    *buns* of the operator's receiver, like that operator's other
+def _member_build(
+    source: Union[BAT, FragmentedBAT], keyspace: str, buns: int, *, nil_member: bool
+):
+    """Membership set over *source*'s heads
+    (:func:`kernel.build_member_set`; NILs left out under the
+    comparison rule, ``nil_member=False``), built once and shared by
+    every probe fragment; the per-fragment key extraction fans out by
+    the *buns* of the operator's receiver, like that operator's other
     passes."""
     per_fragment = map_fragments(
-        lambda column: _kernel.member_keys(column, keyspace),
+        lambda column: _kernel.member_keys(column, keyspace, nil_member=nil_member),
         _head_columns(source),
         buns,
     )
@@ -1087,20 +1124,19 @@ def _member_build(source: Union[BAT, FragmentedBAT], keyspace: str, buns: int):
 
 def _member_subset(
     fb: FragmentedBAT,
-    members,
-    keyspace: str,
+    right: Union[BAT, FragmentedBAT],
     *,
     nil_member: bool,
     invert: bool,
 ) -> FragmentedBAT:
-    """Row subset of *fb* by head membership in the shared build."""
+    """Row subset of *fb* by head membership in one shared build of
+    *right*'s heads."""
+    keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
+    members = _member_build(right, keyspace, len(fb), nil_member=nil_member)
 
     def mask_fn(frag: BAT) -> np.ndarray:
         mask = _kernel.probe_member_set(
-            _kernel.member_keys(frag.head, keyspace),
-            members,
-            keyspace,
-            nil_member=nil_member,
+            frag.head, members, keyspace, nil_member=nil_member
         )
         return ~mask if invert else mask
 
@@ -1121,8 +1157,7 @@ def semijoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedB
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
     if keyspace != "object":
         return _partitioned_semijoin(fb, right, keyspace)
-    members = _member_build(right, keyspace, len(fb))
-    return _member_subset(fb, members, keyspace, nil_member=False, invert=False)
+    return _member_subset(fb, right, nil_member=False, invert=False)
 
 
 def _partitioned_semijoin(
@@ -1139,7 +1174,7 @@ def _partitioned_semijoin(
     def keyed_parts(column: AnyColumn) -> Tuple[np.ndarray, List[np.ndarray]]:
         keys, valid = _kernel.join_keys(column, keyspace)
         positions = np.nonzero(valid)[0]
-        ids = _kernel.join_partition_ids(keys, fanout, False)[positions]
+        ids = _kernel.join_partition_ids(keys, fanout)[positions]
         return keys, [positions[ids == partition] for partition in range(fanout)]
 
     per_fragment = map_fragments(keyed_parts, columns, len(fb))
@@ -1163,7 +1198,7 @@ def _partitioned_semijoin(
             return mask
         keys, valid = _kernel.join_keys(frag.head, keyspace)
         positions = np.nonzero(valid)[0]
-        ids = _kernel.join_partition_ids(keys, fanout, False)[positions]
+        ids = _kernel.join_partition_ids(keys, fanout)[positions]
         for partition in range(fanout):
             sel = positions[ids == partition]
             if len(sel) and len(members[partition]):
@@ -1180,9 +1215,7 @@ def kdiff(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     the shared build is probed with NIL probes masked out)."""
     if isinstance(right, BAT) and right.hdense:
         return _subset_op(fb, lambda frag: ~_kernel.semijoin_mask(frag, right))
-    keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
-    members = _member_build(right, keyspace, len(fb))
-    return _member_subset(fb, members, keyspace, nil_member=False, invert=True)
+    return _member_subset(fb, right, nil_member=False, invert=True)
 
 
 def kintersect(
@@ -1192,9 +1225,7 @@ def kintersect(
     the left BUNs whose head is in the shared right-head build, under
     the **identity** NIL rule (a NIL head is a member of a head set
     containing any NIL)."""
-    keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
-    members = _member_build(right, keyspace, len(fb))
-    return _member_subset(fb, members, keyspace, nil_member=True, invert=False)
+    return _member_subset(fb, right, nil_member=True, invert=False)
 
 
 def kunion(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
@@ -1210,15 +1241,10 @@ def kunion(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT
         right = fragment_bat(right, fb.policy)
     _kernel.check_kunion_types(fb.fragments[0], right.fragments[0])
     keyspace = _kernel.set_keyspace(fb.fragments[0].head, right.fragments[0].head)
-    members = _member_build(fb, keyspace, len(fb))
+    members = _member_build(fb, keyspace, len(fb), nil_member=True)
 
     def one(frag: BAT) -> BAT:
-        mask = _kernel.probe_member_set(
-            _kernel.member_keys(frag.head, keyspace),
-            members,
-            keyspace,
-            nil_member=True,
-        )
+        mask = _kernel.probe_member_set(frag.head, members, keyspace, nil_member=True)
         return frag.take_positions(np.nonzero(~mask)[0])
 
     survivors = [

@@ -32,52 +32,80 @@ Join algorithm selection.  ``join`` (and ``outerjoin``, up to the NIL
 padding) picks its algorithm from what the operands already *prove* --
 property flags and column kinds, O(1) to read, plus by-products of work
 the chosen arm does anyway (the range check, the match count) -- never
-from a knob.  First matching row wins:
+from a knob.  First matching row wins; the last column is what the
+fragmented join (:func:`repro.monet.fragments.join`) does on the same
+row, with the arm chosen once from the whole build side:
 
-=======================================  ==================================
-condition                                arm
-=======================================  ==================================
-right head provably dense                positional: ``value - seqbase`` is
-(:attr:`BAT.hseqbase`: void, or          the build position
-int/oid flagged sorted + key with        (:func:`fetch_positions`)
-span == count - 1)
--- and the left tail is void             no gather: head and tail are
-                                         windows (views); a window that
-                                         covers the right tail is that
-                                         ``Column`` object itself
--- and every probe is in range           the result head is ``left.head``
-                                         itself (a void head stays void)
-either side str                          code space: the probe column's
-                                         cached dictionary codes against
-                                         the *distinct* build values
-                                         translated into them
-otherwise (numeric)                      stable sort of the build side +
-                                         binary search
-a value arm, right head key, as many     the result head is ``left.head``
-matches as left BUNs                     itself
-=======================================  ==================================
+============================  ==========================  ====================
+condition                     arm                         fragmented join
+============================  ==========================  ====================
+right head provably dense     positional: the build       per probe fragment;
+(:attr:`BAT.hseqbase`: void,  position is                 a fragmented dense
+or int/oid flagged sorted +   ``value - seqbase``         right routes by
+key with span == count - 1)   (:func:`fetch_positions`)   seqbase windows
+-- and the left tail is void  no gather: head and tail    (as above)
+                              are windows (views); a
+                              window that covers the
+                              right tail is that
+                              ``Column`` object itself
+-- and every probe is in      the result head is          (as above)
+range                         ``left.head`` itself (a
+                              void head stays void)
+either side str               code space: the probe       one shared index in
+                              column's cached             the probe fragments'
+                              dictionary codes against    shared dictionary,
+                              the *distinct* build        else the build's;
+                              values translated into      a probe fragment
+                              them (``"code"``)           translates only its
+                                                          distinct values
+numeric keys, non-NIL build   code space ``key - lo``     one shared index
+keys integral and spanning    (``"span"``): a probe       over the build
+``hi - lo < 2 * count``       has a code only if it is    fragments in BUN
+(:func:`span_bounds`)         integral, non-NIL and in    order, probed by
+                              ``lo .. hi``                every fragment
+otherwise (numeric)           stable sort of the build    radix-partitioned
+                              side + binary search        (grace) join of
+                              (``"sorted"``)              per-partition
+                                                          sorted indexes;
+                                                          spilled past
+                                                          ``join_spill``
+a value arm, right head key,  the result head is          --
+as many matches as left BUNs  ``left.head`` itself
+============================  ==========================  ====================
 
 Every arm yields the same BUNs in the same order (left BUN order, then
 right BUN order per probe); the arms differ in cost and in how much of
 the operands the result shares.  On the positional arm a value is a
 position only if it is integral, non-NIL and in range
 (:func:`fetch_positions`), so a dbl probe of ``1.5`` or NaN matches
-nothing there exactly as it matches no oid by value.  ``fetchjoin`` is
+nothing there exactly as it matches no oid by value; the span arm
+applies the same test to ``lo .. hi``, comparing values rather than
+differences so a sentinel cannot wrap into range.  ``fetchjoin`` is
 the positional arm demanded explicitly: it insists on a void head.
+The factor 2 of the span rule is a property, not a knob: it keeps the
+two code tables (``hi - lo + 2`` entries each) no larger than the
+sorted arm's order plus its sorted key copy.  A value arm's index is a
+:class:`MatchIndex` whose ``arm`` names its row
+(:func:`build_match_index` / :func:`probe_match_index`).
 
 NIL semantics (two rules, both Monet-faithful):
 
 * *Comparisons* -- select predicates and the join family, including
   ``semijoin``/``kdiff`` -- follow "NIL equals nothing": a NIL probe
-  or build value (NaN for dbl, ``None`` for str) never matches, not
-  even another NIL.  The radix-partitioned (grace) hash join applies
-  the rule *before* partitioning: :func:`join_keys` masks NIL BUNs
-  out ahead of the radix split, so no partition -- resident or
+  or build value never matches, not even another NIL.  What is NIL is
+  decided by the column's atom (:func:`nil_mask`): NaN for dbl,
+  ``None`` for str, ``INT_NIL`` for int and ``OID_NIL`` for oid -- so
+  an int NIL joins no int NIL, and an oid column's ``INT_NIL``-valued
+  entry is an ordinary oid.  The radix-partitioned (grace) join
+  applies the rule *before* partitioning: :func:`join_keys` masks NIL
+  BUNs out ahead of the radix split, so no partition -- resident or
   spilled -- ever carries a NIL key and the partition-local probes
   need no NIL handling of their own.  The rule is unchanged in code
-  space, where str joins run: NIL has no dictionary code (it encodes
-  as -1, like a value the other side's dictionary lacks), and -1
-  matches nothing, not even another -1.
+  space: NIL has no dictionary code and no span code (it codes as -1,
+  like a value the build lacks), and -1 matches nothing, not even
+  another -1.  Membership under this rule leaves the build side's
+  NILs out and masks NIL probes (:func:`member_keys`,
+  :func:`probe_member_set` with ``nil_member=False``).
 * *Identity* operators -- ``unique``/``kunique``/``tunique`` here,
   ``group``/``refine`` in :mod:`repro.monet.groups`, **and the set
   operators ``kunion``/``kintersect``** -- treat all NILs of a column
@@ -124,8 +152,8 @@ NIL semantics (two rules, both Monet-faithful):
 
 from __future__ import annotations
 
-import zlib
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,7 +164,6 @@ from repro.monet.bat import (
     Column,
     VoidColumn,
     dictionary_codes,
-    dictionary_encode,
 )
 from repro.monet.errors import KernelError
 
@@ -218,12 +245,6 @@ def first_occurrences(*keys: np.ndarray) -> np.ndarray:
     return np.sort(order[new_block])
 
 
-#: Identity-rule key of a dbl NIL under :func:`_float_dedup_keys`: all
-#: NaNs collapse to this maximal uint64, which no finite or infinite
-#: float maps to (it would need the 0x7FF..F bit pattern, itself a NaN).
-DBL_NIL_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def set_keyspace(*columns: AnyColumn) -> str:
     """The common key domain for set membership across *columns*:
     ``'object'`` when any column is object (str) dtype, ``'dbl'`` when
@@ -240,19 +261,42 @@ def set_keyspace(*columns: AnyColumn) -> str:
     return "int"
 
 
-def member_keys(column: AnyColumn, keyspace: str):
-    """Identity-rule membership keys of a column's stored values in
-    *keyspace*: equal keys iff the values are one set element under the
-    identity rule (all NILs collapse to one key, ``-0.0 == +0.0``).
-    ``'object'`` yields a list of hashables (:func:`nil_dedup_key`),
-    the numeric keyspaces an integer array."""
-    if keyspace == "object":
-        values = column.materialize()
-        return [nil_dedup_key(value) for value in values.tolist()]
+def nil_mask(column: AnyColumn) -> np.ndarray:
+    """Boolean mask of *column*'s NIL entries, by its atom: ``None``
+    (str), NaN (dbl), the atom's sentinel (``INT_NIL`` for int,
+    ``OID_NIL`` for oid).  A void column holds no NIL."""
+    if column.is_void:
+        return np.zeros(len(column), dtype=bool)
     values = column.materialize()
-    if keyspace == "dbl":
-        return _float_dedup_keys(values.astype(np.float64, copy=False))
-    return values.astype(np.int64, copy=False)
+    if _is_object_column(column):
+        return np.fromiter(
+            (value is None for value in values), dtype=bool, count=len(values)
+        )
+    if values.dtype.kind == "f":
+        return np.isnan(values)
+    return values == column.atom_type.nil
+
+
+def member_keys(column: AnyColumn, keyspace: str, *, nil_member: bool = True):
+    """Membership keys of a column's stored values in *keyspace*: equal
+    keys iff the values are one set element under the identity rule
+    (all NILs collapse to one key, ``-0.0 == +0.0``).
+    ``'object'`` yields a list of hashables (:func:`nil_dedup_key`),
+    the numeric keyspaces an integer array.  ``nil_member=False`` (the
+    comparison rule, for a build side) leaves the NIL entries out."""
+    values = column.materialize()
+    if keyspace == "object":
+        keys = [nil_dedup_key(value) for value in values.tolist()]
+    elif keyspace == "dbl":
+        keys = _float_dedup_keys(values.astype(np.float64, copy=False))
+    else:
+        keys = values.astype(np.int64, copy=False)
+    if nil_member:
+        return keys
+    keep = ~nil_mask(column)
+    if keyspace == "object":
+        return [key for key, kept in zip(keys, keep.tolist()) if kept]
+    return keys[keep]
 
 
 def build_member_set(keys, keyspace: str):
@@ -269,30 +313,27 @@ def build_member_set(keys, keyspace: str):
 
 
 def probe_member_set(
-    keys, members, keyspace: str, *, nil_member: bool
+    column: AnyColumn, members, keyspace: str, *, nil_member: bool
 ) -> np.ndarray:
-    """Boolean mask: which probe *keys* occur in *members*.
+    """Boolean mask: which of *column*'s values occur in *members*.
 
     ``nil_member=True`` is the identity rule (the set operators): a NIL
     probe is a member of a NIL-containing set, because all NILs are one
     value.  ``nil_member=False`` is the comparison rule (semijoin /
     kdiff): NIL is never a member, not even of a NIL-containing set,
-    so NIL probes are masked out.  Int/oid NIL sentinels are ordinary
-    integers under both rules (they always equaled themselves)."""
+    so NIL probes -- the int/oid sentinels included -- are masked out
+    (and the build left its NILs out, :func:`member_keys`)."""
+    keys = member_keys(column, keyspace)
+    if len(keys) == 0:
+        return np.zeros(0, dtype=bool)
     if keyspace == "object":
         mask = np.fromiter(
             (key in members for key in keys), dtype=bool, count=len(keys)
         )
-        if not nil_member and len(keys):
-            mask &= np.fromiter(
-                (key != NIL_KEY for key in keys), dtype=bool, count=len(keys)
-            )
-        return mask
-    if len(keys) == 0:
-        return np.zeros(0, dtype=bool)
-    mask = np.isin(keys, members)
-    if not nil_member and keyspace == "dbl":
-        mask &= keys != DBL_NIL_KEY
+    else:
+        mask = np.isin(keys, members)
+    if not nil_member:
+        mask &= ~nil_mask(column)
     return mask
 
 
@@ -306,10 +347,10 @@ def member_mask(
     :func:`member_keys` / :func:`build_member_set` /
     :func:`probe_member_set`; fragmented execution uses the pieces."""
     keyspace = set_keyspace(values, lookup)
-    members = build_member_set(member_keys(lookup, keyspace), keyspace)
-    return probe_member_set(
-        member_keys(values, keyspace), members, keyspace, nil_member=nil_member
+    members = build_member_set(
+        member_keys(lookup, keyspace, nil_member=nil_member), keyspace
     )
+    return probe_member_set(values, members, keyspace, nil_member=nil_member)
 
 
 # ----------------------------------------------------------------------
@@ -415,58 +456,209 @@ def _code_index(codes: np.ndarray, ncodes: int):
     return order, np.cumsum(counts) - counts, counts
 
 
-def _probe_code_index(codes: np.ndarray, index) -> Tuple[np.ndarray, np.ndarray]:
-    order, starts, counts = index
-    hit = np.nonzero(counts[codes] > 0)[0]
-    hit_codes = codes[hit]
-    return _expand_matches(hit, order, starts[hit_codes], counts[hit_codes])
+@dataclass(frozen=True)
+class MatchIndex:
+    """A join build side indexed once, probed by any number of probe
+    columns (:func:`build_match_index` / :func:`probe_match_index`).
+
+    *arm* names the row of the selection table that built it:
+    ``"code"`` (str keys as dictionary codes in *dictionary*'s code
+    space), ``"span"`` (integral keys in the compact range
+    ``lo .. hi``, coded ``key - lo``) or ``"sorted"`` (the build
+    positions in stable key order, *keys* the build keys in that
+    order).  The two code-space arms share the tables of
+    :func:`_code_index`: *order* grouped by code, each code's run
+    *starts* and *counts*."""
+
+    arm: str
+    order: np.ndarray
+    starts: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
+    keys: Optional[np.ndarray] = None
+    dictionary: Optional[dict] = None
+    lo: int = 0
+    hi: int = -1
 
 
-def build_match_index(build: np.ndarray, object_dtype: bool):
-    """One-time index over a join build side, probe-able via
-    :func:`probe_match_index`.  Separated from the probe so fragmented
-    execution builds it once and shares it across probe fragments.
+def _encoded_in(column: Column, code_space: dict, extend: bool, cache: dict):
+    """*column*'s cached dictionary codes translated into *code_space*:
+    only its *distinct* values are looked up (once per dictionary, via
+    *cache*), -1 for NIL and, unless *extend* adds them, for values the
+    code space lacks."""
+    codes, dictionary = column.encoding()
+    if dictionary is code_space:
+        return codes
+    table = cache.get(id(dictionary))
+    if table is None:
+        if extend:
+            table = np.fromiter(
+                (code_space.setdefault(value, len(code_space)) for value in dictionary),
+                dtype=np.int64,
+                count=len(dictionary),
+            )
+        else:
+            table = dictionary_codes(dictionary, code_space)
+        table = cache[id(dictionary)] = np.append(table, -1)
+    return table[codes]
 
-    Numeric dtypes index by stable sort.  Object (string) dtypes are
-    dictionary-encoded on the fly and indexed in that code space
-    (:func:`_code_index`); NIL build values (``None``) have no code and
-    so never join, not even with another NIL (Monet semantics; dbl NIL
-    -- NaN -- is excluded on the probe side instead).
-    """
-    if object_dtype:
-        codes, dictionary = dictionary_encode(build)
-        return dictionary, _code_index(codes, len(dictionary))
-    order = np.argsort(build, kind="stable")
-    return order, build[order]
+
+def _key_bounds(column: AnyColumn) -> Optional[Tuple[int, int, int]]:
+    """``(lo, hi, count)`` over the non-NIL keys of one numeric build
+    column (``count == 0`` when it has none), or ``None`` when a key is
+    not integral (NaN is NIL; an infinity is not integral)."""
+    if column.is_void:
+        return column.seqbase, column.seqbase + len(column) - 1, len(column)
+    values = column.materialize()
+    floats = values.dtype.kind == "f"
+    if floats:
+        values = values[~np.isnan(values)]
+    if not len(values):
+        return 0, -1, 0
+    lo, hi = values.min(), values.max()
+    nil = column.atom_type.nil
+    if not floats and nil in (lo, hi):
+        # Filter only when an extreme is the NIL sentinel (int: the
+        # least int64, oid: the greatest).
+        values = values[values != nil]
+        if not len(values):
+            return 0, -1, 0
+        lo, hi = values.min(), values.max()
+    if floats and not (
+        np.isfinite(lo) and np.isfinite(hi) and np.array_equal(values, np.floor(values))
+    ):
+        return None
+    return int(lo), int(hi), len(values)
+
+
+def span_bounds(build: Sequence[AnyColumn]) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` of numeric build columns whose non-NIL keys are
+    integral and span ``hi - lo < 2 * count`` -- the span arm's
+    condition -- else ``None``.  An empty or all-NIL build qualifies
+    with the empty range ``(0, -1)``.  The factor 2 keeps the two
+    code tables (length ``hi - lo + 2`` each) no larger than the
+    sorted arm's order plus its sorted key copy."""
+    lo, hi, count = 0, -1, 0
+    for column in build:
+        bounds = _key_bounds(column)
+        if bounds is None:
+            return None
+        if bounds[2]:
+            lo = bounds[0] if not count else min(lo, bounds[0])
+            hi = bounds[1] if not count else max(hi, bounds[1])
+            count += bounds[2]
+    return (lo, hi) if hi - lo < 2 * count else None
+
+
+def _span_codes(column: AnyColumn, lo: int, hi: int) -> np.ndarray:
+    """Codes ``value - lo`` of *column*'s values in the span
+    ``lo .. hi``; -1 for every value outside it, non-integral or NIL.
+    The range test compares values, not differences, so a sentinel
+    such as ``INT_NIL - lo`` cannot wrap into range."""
+    values = column.materialize()
+    inside = (values >= lo) & (values <= hi)
+    if values.dtype.kind == "f":
+        inside &= values == np.floor(values)
+    elif not column.is_void and lo <= column.atom_type.nil <= hi:
+        inside &= values != column.atom_type.nil
+    return np.where(inside, values - lo, -1).astype(np.int64, copy=False)
+
+
+def sorted_match_index(keys: np.ndarray) -> MatchIndex:
+    """The sorted arm over a NIL-free key array: the build positions in
+    stable key order and the keys in that order.  Exposed for the
+    grace join's radix partitions, whose keys :func:`join_keys` has
+    already cleared of NILs."""
+    order = np.argsort(keys, kind="stable")
+    return MatchIndex("sorted", order, keys=keys[order])
+
+
+def probe_sorted(
+    keys: np.ndarray, index: MatchIndex, nils: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(probe_position, build_position) matches of probe *keys* in a
+    sorted-arm index, probes flagged in *nils* matching nothing."""
+    first = np.searchsorted(index.keys, keys, side="left")
+    counts = np.searchsorted(index.keys, keys, side="right") - first
+    if nils is not None:
+        counts[nils] = 0
+    hit = np.nonzero(counts > 0)[0]
+    return _expand_matches(hit, index.order, first[hit], counts[hit])
+
+
+def _concat_keys(build: Sequence[AnyColumn], encode) -> np.ndarray:
+    parts = [encode(column) for column in build]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def build_match_index(
+    build: Sequence[AnyColumn], code_space: Optional[dict] = None
+) -> MatchIndex:
+    """One index over a join build side -- the head columns *build*,
+    in BUN order (one column, or a fragmented head's fragments) --
+    probe-able via :func:`probe_match_index`.  Separated from the probe
+    so fragmented execution builds it once and shares it across probe
+    fragments.  The arm follows the selection table in the module
+    docstring:
+
+    * str keys: the ``"code"`` arm, in *code_space* when given (a probe
+      side's dictionary: build values it lacks can match nothing there)
+      and otherwise in the build's own dictionary, extended across
+      fragments that do not share one;
+    * integral keys with a compact span (:func:`span_bounds`): the
+      ``"span"`` arm;
+    * anything else: the ``"sorted"`` arm.
+
+    NIL build keys are never indexed: they have no code, and the sorted
+    arm leaves them out."""
+    if _is_object_column(build[0]):
+        extend = code_space is None
+        if extend:
+            shared = len({id(column.encoding()[1]) for column in build}) == 1
+            code_space = build[0].encoding()[1] if shared else {}
+        cache: dict = {}
+        codes = _concat_keys(
+            build, lambda column: _encoded_in(column, code_space, extend, cache)
+        )
+        order, starts, counts = _code_index(codes, len(code_space))
+        return MatchIndex("code", order, starts, counts, dictionary=code_space)
+    bounds = span_bounds(build)
+    if bounds is not None:
+        lo, hi = bounds
+        codes = _concat_keys(build, lambda column: _span_codes(column, lo, hi))
+        order, starts, counts = _code_index(codes, hi - lo + 1)
+        return MatchIndex("span", order, starts, counts, lo=lo, hi=hi)
+    values = _concat_keys(build, lambda column: column.materialize())
+    nils = _concat_keys(build, nil_mask)
+    positions = np.nonzero(~nils)[0]
+    order = positions[np.argsort(values[positions], kind="stable")]
+    return MatchIndex("sorted", order, keys=values[order])
 
 
 def probe_match_index(
-    probe: np.ndarray, index, object_dtype: bool
+    probe: AnyColumn, index: MatchIndex
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (probe_position, build_position) matches of probe values in
-    an indexed build side, ordered by probe position (stable).
+    """All (probe_position, build_position) matches of *probe*'s values
+    in an indexed build side, ordered by probe position (stable), then
+    by build position.
 
-    NIL probes never match: ``None`` (str NIL) translates to no code of
-    the build's dictionary, and NaN (dbl NIL) probes are masked out -- a
-    sorted build side puts its NaNs in one trailing block, which a
-    vectorized ``searchsorted`` NaN probe would otherwise "equal",
-    diverging from Monet's NIL-never-equals-NIL rule.
-    """
+    NIL probes never match: ``None`` has no code, a span code exists
+    only for an integral, non-NIL value inside the span, and the sorted
+    arm masks NIL probes (a sorted build would otherwise "find" a NaN
+    or sentinel probe among equal build keys)."""
     if len(probe) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if object_dtype:
-        dictionary, code_index = index
-        return _probe_code_index(
-            dictionary_codes(probe.tolist(), dictionary), code_index
-        )
-    order, build_sorted = index
-    lo = np.searchsorted(build_sorted, probe, side="left")
-    counts = np.searchsorted(build_sorted, probe, side="right") - lo
-    if probe.dtype.kind == "f":
-        counts[np.isnan(probe)] = 0
-    hit = np.nonzero(counts > 0)[0]
-    return _expand_matches(hit, order, lo[hit], counts[hit])
+    if index.arm == "sorted":
+        return probe_sorted(probe.materialize(), index, nil_mask(probe))
+    if index.arm == "code":
+        codes = _encoded_in(probe, index.dictionary, False, {})
+    else:
+        codes = _span_codes(probe, index.lo, index.hi)
+    hit = np.nonzero(index.counts[codes] > 0)[0]
+    hit_codes = codes[hit]
+    return _expand_matches(
+        hit, index.order, index.starts[hit_codes], index.counts[hit_codes]
+    )
 
 
 def _match_columns(
@@ -479,8 +671,7 @@ def _match_columns(
     A str join runs in the probe column's code space: its (cached)
     dictionary encoding is the probe, and only the *distinct* build
     values are translated into it -- one dict lookup per distinct build
-    value however long either side is -- before the shared code-space
-    matcher."""
+    value however long either side is."""
     probe_object = _is_object_column(probe)
     if (
         len(probe) == 0
@@ -490,41 +681,27 @@ def _match_columns(
     ):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if not probe_object:
-        build_values = build.materialize()
-        return probe_match_index(
-            probe.materialize(), build_match_index(build_values, False), False
-        )
-    codes, dictionary = probe.encoding()
-    build_codes, build_dictionary = build.encoding()
-    translation = np.append(dictionary_codes(build_dictionary, dictionary), -1)
-    return _probe_code_index(
-        codes, _code_index(translation[build_codes], len(dictionary))
-    )
+    code_space = probe.encoding()[1] if probe_object else None
+    return probe_match_index(probe, build_match_index([build], code_space))
 
 
 def join_keys(column: AnyColumn, keyspace: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Comparison-rule join keys of *column*'s values in *keyspace*,
-    plus the mask of non-NIL entries.
+    """Comparison-rule join keys of *column*'s values in a numeric
+    *keyspace* (``"int"`` or ``"dbl"``), plus the mask of non-NIL
+    entries (by the column's atom, the int and oid sentinels included).
 
     NIL keys never join (see the NIL-semantics note in the module
-    docstring), so the grace hash join drops masked-out BUNs *before*
-    radix partitioning.  The ``"object"`` keyspace returns the raw
-    value array (the match index dictionary-encodes values itself); the
-    numeric keyspaces return :func:`partition_keys`-style monotone
-    transforms widened to the common keyspace, so an int column joined
-    against a dbl column partitions and compares in one key domain.
+    docstring), so the radix-partitioned join drops masked-out BUNs
+    *before* partitioning.  The keys are :func:`partition_keys`-style
+    monotone transforms widened to the common keyspace, so an int
+    column joined against a dbl column partitions and compares in one
+    key domain.
     """
     values = column.materialize()
-    if keyspace == "object":
-        valid = np.fromiter(
-            (value is not None for value in values), dtype=bool, count=len(values)
-        )
-        return values, valid
+    valid = ~nil_mask(column)
     if keyspace == "dbl":
-        floats = values.astype(np.float64, copy=False)
-        return _float_dedup_keys(floats), ~np.isnan(floats)
-    return values.astype(np.int64, copy=False), np.ones(len(values), dtype=bool)
+        return _float_dedup_keys(values.astype(np.float64, copy=False)), valid
+    return values.astype(np.int64, copy=False), valid
 
 
 #: Fibonacci-golden-ratio multiplier scattering radix partition ids:
@@ -534,33 +711,13 @@ def join_keys(column: AnyColumn, keyspace: str) -> Tuple[np.ndarray, np.ndarray]
 _RADIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def join_partition_ids(keys: np.ndarray, fanout: int, object_dtype: bool) -> np.ndarray:
-    """Radix partition id (``0 .. fanout-1``) of every join key.
-
-    Numeric keys mix through a Fibonacci multiplier before the modulo;
-    object (str) keys hash with ``zlib.crc32`` over their UTF-8 bytes,
-    which -- unlike Python's ``hash()``, salted per interpreter run --
-    puts a key in the same partition every run, so partition sizes,
-    spill-unit counts and timings reproduce.  NIL entries get partition
-    0; callers drop them beforehand via the :func:`join_keys` mask.
-    """
-    n = len(keys)
+def join_partition_ids(keys: np.ndarray, fanout: int) -> np.ndarray:
+    """Radix partition id (``0 .. fanout-1``) of every numeric join key
+    (:func:`join_keys`), mixed through a Fibonacci multiplier before
+    the modulo.  Keys with a code space never partition (the selection
+    table's fragments column), so there is no str hash."""
     if fanout <= 1:
-        return np.zeros(n, dtype=np.int64)
-    if object_dtype:
-        # str(value) is the identity for str keys; mixed-type probes
-        # (e.g. outerjoin's unchecked operands) hash deterministically
-        # instead of crashing, and never match the str build anyway.
-        return np.fromiter(
-            (
-                0
-                if value is None
-                else zlib.crc32(str(value).encode("utf-8", "surrogatepass")) % fanout
-                for value in keys
-            ),
-            dtype=np.int64,
-            count=n,
-        )
+        return np.zeros(len(keys), dtype=np.int64)
     unsigned = keys.view(np.uint64) if keys.dtype == np.dtype(np.int64) else keys
     mixed = unsigned.astype(np.uint64, copy=False) * _RADIX_MULTIPLIER
     return (mixed % np.uint64(fanout)).astype(np.int64)
@@ -569,12 +726,12 @@ def join_partition_ids(keys: np.ndarray, fanout: int, object_dtype: bool) -> np.
 def join_partition_positions(
     column: AnyColumn, keyspace: str, fanout: int
 ) -> List[np.ndarray]:
-    """Grace-join radix split of one fragment: the fragment's local BUN
-    positions grouped by join-key partition, NIL keys dropped up front
+    """Radix split of one fragment: the fragment's local BUN positions
+    grouped by join-key partition, NIL keys dropped up front
     (comparison rule)."""
     keys, valid = join_keys(column, keyspace)
     positions = np.nonzero(valid)[0].astype(np.int64)
-    ids = join_partition_ids(keys, fanout, keyspace == "object")[positions]
+    ids = join_partition_ids(keys, fanout)[positions]
     return [positions[ids == partition] for partition in range(fanout)]
 
 

@@ -29,6 +29,7 @@ import pytest
 from repro.monet import aggregates as agg
 from repro.monet import fragments as fr
 from repro.monet import kernel
+from repro.monet.atoms import atom
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
@@ -159,13 +160,23 @@ def _ref_fetchjoin(pairs, right_seqbase, right_tails):
     return out
 
 
+#: The int and oid NIL sentinels (``INT_NIL``, ``OID_NIL``).
+_INT_NILS = (np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
 def _is_nil(value) -> bool:
-    return value is None or (isinstance(value, float) and math.isnan(value))
+    """A NIL under the comparison rule: ``None``, NaN, or an int/oid
+    sentinel (the test data never stores one atom's sentinel in a
+    column of the other)."""
+    if isinstance(value, float):
+        return math.isnan(value)
+    return value is None or value in _INT_NILS
 
 
 def _ref_join(pairs, right_pairs):
-    """NIL (None/NaN) never joins, not even with itself -- Monet
-    semantics, asserted since the kernel drops NIL probes/builds."""
+    """NIL (None/NaN/the int sentinels) never joins, not even with
+    itself -- Monet semantics, asserted since the kernel drops NIL
+    probes/builds."""
     out = []
     for h, t in pairs:
         if _is_nil(t):
@@ -599,6 +610,38 @@ def test_nil_join_never_matches():
     )
     assert kernel.semijoin(dleft, dright).to_pairs() == [(1.0, 1)]
     assert kernel.kdiff(dleft, dright).head_list() == [None]
+    # The int/oid sentinels are NILs too: ``INT_NIL`` joins nothing, not
+    # even ``INT_NIL``, on the span arm (compact keys) and the sorted
+    # arm (sparse keys) alike.
+    for name in ("int", "oid"):
+        nil = atom(name).nil
+        ileft = BAT(VoidColumn(0, 3), Column(name, np.array([5, nil, 6])))
+        for keys in ([nil, 5], [nil, 5, 9000]):
+            iright = BAT(
+                Column(name, np.array(keys)),
+                Column("int", np.array([10, 20, 30][: len(keys)], dtype=np.int64)),
+            )
+            joined = [(0, 20)]
+            padded = [(0, 20), (1, None), (2, None)]
+            assert kernel.join(ileft, iright).to_pairs() == joined
+            assert kernel.outerjoin(ileft, iright).to_pairs() == padded
+            for strategy in STRATEGIES:
+                fb = _fragment(ileft, strategy)
+                for build in (iright, _fragment(iright, strategy)):
+                    assert fr.join(fb, build).to_bat().to_pairs() == joined
+                    assert fr.outerjoin(fb, build).to_bat().to_pairs() == padded
+            hleft = BAT(
+                Column(name, np.array([5, nil, 6])),
+                Column("int", np.array([1, 2, 3], dtype=np.int64)),
+            )
+            members, survivors = [(5, 1)], [(None, 2), (6, 3)]
+            assert kernel.semijoin(hleft, iright).to_pairs() == members
+            assert kernel.kdiff(hleft, iright).to_pairs() == survivors
+            for strategy in STRATEGIES:
+                fb = _fragment(hleft, strategy)
+                for build in (iright, _fragment(iright, strategy)):
+                    assert fr.semijoin(fb, build).to_bat().to_pairs() == members
+                    assert fr.kdiff(fb, build).to_bat().to_pairs() == survivors
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
@@ -1052,12 +1095,6 @@ def test_fragment_roundtrip_identity(seed, strategy):
 # ----------------------------------------------------------------------
 
 
-def _comparison_nil(value) -> bool:
-    """NILs that match nothing under the comparison rule (NaN/None; the
-    int/oid sentinels are ordinary integers that equal themselves)."""
-    return value is None or (isinstance(value, float) and math.isnan(value))
-
-
 def _ref_kunion(pairs, right_pairs):
     members = {_nil_key(h) for h, _ in pairs}
     return list(pairs) + [
@@ -1071,15 +1108,15 @@ def _ref_kintersect(pairs, right_pairs):
 
 
 def _ref_semijoin_comparison(pairs, right_pairs):
-    members = {h for h, _ in right_pairs if not _comparison_nil(h)}
+    members = {h for h, _ in right_pairs if not _is_nil(h)}
     return [
-        (h, t) for h, t in pairs if not _comparison_nil(h) and h in members
+        (h, t) for h, t in pairs if not _is_nil(h) and h in members
     ]
 
 
 def _ref_kdiff_comparison(pairs, right_pairs):
-    members = {h for h, _ in right_pairs if not _comparison_nil(h)}
-    return [(h, t) for h, t in pairs if _comparison_nil(h) or h not in members]
+    members = {h for h, _ in right_pairs if not _is_nil(h)}
+    return [(h, t) for h, t in pairs if _is_nil(h) or h not in members]
 
 
 @BY_THREAD_SEED
@@ -1272,9 +1309,12 @@ def _join_case(rng, flavor: str, n: int, m: int):
             build_vals[rng.random(m) < 0.25] = np.nan
         right = BAT(Column("dbl", build_vals), Column("int", rng.integers(-4, 4, m)))
     else:
-        left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, 15, n)))
+        # "sparse" spreads the oid keys x1000: too wide for the span
+        # arm, so the build takes the radix-partitioned sorted arm.
+        spread = 1000 if flavor == "sparse" else 1
+        left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, 15, n) * spread))
         right = BAT(
-            Column("oid", rng.integers(0, 15, m).astype(np.int64)),
+            Column("oid", rng.integers(0, 15, m).astype(np.int64) * spread),
             Column("int", rng.integers(-4, 4, m)),
         )
     return left, right
@@ -1344,7 +1384,7 @@ def test_join_spill_forced_differential(seed, monkeypatch, tuning_override):
 
 
 @pytest.mark.parametrize("fanout", [1, 64])
-@pytest.mark.parametrize("flavor", ["oid", "str"])
+@pytest.mark.parametrize("flavor", ["oid", "str", "sparse"])
 def test_join_fanout_extremes(fanout, flavor, monkeypatch, tuning_override):
     """JOIN_FANOUT extremes, with the partition floor disabled so the
     cap actually binds: one partition (a plain shared-index join) and
@@ -1361,6 +1401,181 @@ def test_join_fanout_extremes(fanout, flavor, monkeypatch, tuning_override):
         for rs in STRATEGIES
     ]
     _check_op(kernel.join(left, right), expected, variants)
+
+
+# ----------------------------------------------------------------------
+# The span arm: integral keys of compact span, coded ``key - lo``
+# ----------------------------------------------------------------------
+
+_SPAN_M = 12
+
+#: Build shapes and the arm each must select.  ``boundary_*`` sit at
+#: the rule ``hi - lo < 2 * count``: count excludes the NIL, so 11 keys
+#: allow a span of 21 and not 22.
+_SPAN_SHAPES = {
+    "compact": "span",
+    "boundary_in": "span",
+    "boundary_out": "sorted",
+    "sparse": "sorted",
+    "negative_lo": "span",
+    "all_nil": "span",
+    "empty": "span",
+    "single": "span",
+}
+
+
+def _span_build_keys(rng, name: str, shape: str) -> np.ndarray:
+    nil, m = atom(name).nil, _SPAN_M
+    if shape == "empty":
+        return np.empty(0, dtype=np.int64)
+    if shape == "all_nil":
+        return np.full(m, nil, dtype=np.int64)
+    if shape == "single":
+        return np.full(m, 7, dtype=np.int64)
+    if shape == "sparse":
+        keys = rng.integers(0, m, m) * 1000
+        keys[:2] = (0, 1000 * (m - 1))
+    elif shape == "negative_lo":
+        keys = rng.integers(-20, -20 + m, m)
+    elif shape == "compact":
+        keys = rng.integers(3, 3 + m, m)
+    else:
+        count = m - 1  # one NIL below
+        keys = rng.integers(10, 15, m)
+        keys[1:3] = (10, 10 + 2 * count - (1 if shape == "boundary_in" else 0))
+    keys = keys.astype(np.int64)
+    # One NIL: at 0 on the boundary shapes, so it cannot hit lo or hi.
+    keys[0 if shape.startswith("boundary") else rng.integers(2, m)] = nil
+    return keys
+
+
+def _span_probes(rng, name: str, keys: np.ndarray):
+    """An int/oid probe column over ``lo - 5 .. hi + 5`` with NILs, and
+    a dbl probe column of integral, ``x.5`` and NaN values."""
+    finite = keys[keys != atom(name).nil]
+    lo, hi = (int(finite.min()), int(finite.max())) if len(finite) else (0, 20)
+    n = 40
+    values = rng.integers(lo - 5, hi + 6, n).astype(np.int64)
+    if len(finite):
+        values[: n // 2] = rng.choice(finite, n // 2)
+    values[rng.random(n) < 0.15] = atom(name).nil
+    doubles = values.astype(np.float64)
+    doubles[rng.random(n) < 0.2] += 0.5
+    doubles[rng.random(n) < 0.15] = np.nan
+    doubles[values == atom(name).nil] = np.nan
+    return Column(name, values), Column("dbl", doubles)
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["resident", "spill"])
+@pytest.mark.parametrize("shape", list(_SPAN_SHAPES))
+@pytest.mark.parametrize("name", ["int", "oid"])
+def test_span_arm_join_differential(name, shape, spill, monkeypatch, tuning_override):
+    """Every build shape around the span rule, against int/oid and dbl
+    probes: the kernel picks the declared arm, and join/outerjoin --
+    monolithic, and fragmented with {1, k} probe x {1, k} build
+    fragments -- match the nested-loop oracle in order.  The fragmented
+    join builds exactly one index on a code-space arm and none on the
+    sorted arm, which partitions (and spills, when forced) instead."""
+    from repro.monet import bbp
+
+    if spill:
+        tuning_override(join_spill=0)
+        monkeypatch.setattr(fr, "JOIN_PARTITION_MIN_BUNS", 1)
+    rng = np.random.default_rng(sum(map(ord, name + shape)))
+    keys = _span_build_keys(rng, name, shape)
+    arm = _SPAN_SHAPES[shape]
+    right = BAT(Column(name, keys), Column("int", np.arange(len(keys), dtype=np.int64)))
+    assert kernel.build_match_index([right.head]).arm == arm
+    builds = [
+        right,
+        FragmentedBAT([right], policy=FragmentationPolicy(target_size=max(1, len(keys)))),
+        _fragment(right, "ragged"),
+    ]
+    assert kernel.build_match_index([frag.head for frag in builds[2].fragments]).arm == arm
+    built, spilled = [], []
+    real_build, real_spill = kernel.build_match_index, bbp.write_spill_unit
+    monkeypatch.setattr(
+        kernel, "build_match_index",
+        lambda *args: built.append(real_build(*args).arm) or real_build(*args),
+    )
+    monkeypatch.setattr(
+        bbp, "write_spill_unit", lambda *a, **k: spilled.append(1) or real_spill(*a, **k)
+    )
+    for probe_column in _span_probes(rng, name, keys):
+        built.clear(), spilled.clear()
+        left = BAT(VoidColumn(0, len(probe_column)), probe_column)
+        pairs, right_pairs = _raw_pairs(left), _raw_pairs(right)
+        probes = [
+            FragmentedBAT([left], policy=FragmentationPolicy(target_size=len(left))),
+            _fragment(left, "range"),
+        ]
+        joined = [fr.join(fb, build) for fb in probes for build in builds]
+        outer = [fr.outerjoin(fb, build) for fb in probes for build in builds]
+        expected_builds = ["span"] if arm == "span" else []
+        assert built == expected_builds * 2 * len(joined)
+        assert bool(spilled) == (spill and arm == "sorted")
+        _check_op(kernel.join(left, right), _ref_join(pairs, right_pairs), joined)
+        _check_op(
+            kernel.outerjoin(left, right),
+            _ref_outerjoin(pairs, right_pairs, atom("int").nil),
+            outer,
+        )
+
+
+@pytest.mark.parametrize(
+    "keys,arm",
+    [
+        ([3.0, np.nan, 5.0, 3.0, 4.0], "span"),
+        ([3.0, 4.5, 5.0], "sorted"),
+        ([3.0, np.inf, 4.0], "sorted"),
+        ([-np.inf, 3.0, 4.0], "sorted"),
+    ],
+    ids=["integral", "fractional", "inf", "neg_inf"],
+)
+def test_dbl_build_arms(keys, arm):
+    """A dbl build takes the span arm only when every non-NIL key is a
+    finite integral value; int and dbl probes (``x.5``, NaN, +-inf)
+    match the nested loop on either arm, against a monolithic and a
+    fragmented build."""
+    right = BAT(Column("dbl", np.array(keys)), Column("int", np.arange(len(keys))))
+    assert kernel.build_match_index([right.head]).arm == arm
+    int_probes = np.array([3, 4, 5, np.iinfo(np.int64).min, 6, 3], dtype=np.int64)
+    for left in (
+        BAT(VoidColumn(0, 6), Column("int", int_probes)),
+        BAT(VoidColumn(0, 6), Column("dbl", np.array([3.0, 4.5, np.nan, np.inf, 5.0, -np.inf]))),
+    ):
+        _check_join(left, right)
+        _check_op(
+            kernel.join(left, right),
+            _ref_join(_raw_pairs(left), _raw_pairs(right)),
+            [fr.join(_fragment(left, s), _fragment(right, s)) for s in STRATEGIES],
+        )
+
+
+@pytest.mark.parametrize("m", [1000, 64_000])
+def test_frag_relational_shapes_share_one_span_index(m, monkeypatch):
+    """The benchmark's two value joins -- 320 000 oid probes in five
+    fragments into a permutation of 0..m-1 (m = 1 000 and 64 000) --
+    run the span arm over one shared index, BUN-identical to the
+    monolithic kernel."""
+    rng = np.random.default_rng(m)
+    n = 320_000
+    probe = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, m, n)))
+    build = BAT(Column("oid", rng.permutation(m)), Column("dbl", rng.random(m)))
+    policy = FragmentationPolicy(target_size=65_536)
+    fprobe, fbuild = fragment_bat(probe, policy), fragment_bat(build, policy)
+    assert fprobe.nfragments == 5
+    built = []
+    real_build = kernel.build_match_index
+    monkeypatch.setattr(
+        kernel, "build_match_index",
+        lambda *args: built.append(real_build(*args).arm) or real_build(*args),
+    )
+    got = fr.join(fprobe, fbuild).to_bat()
+    assert built == ["span"]
+    expected = kernel.join(probe, build)
+    assert np.array_equal(got.head_values(), expected.head_values())
+    assert np.array_equal(got.tail_values(), expected.tail_values())
 
 
 def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():

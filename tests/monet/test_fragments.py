@@ -229,6 +229,30 @@ def test_bbp_fragmented_bumps_oid_sequence(pool):
     assert pool.oid_generator.current >= 50
 
 
+@pytest.mark.parametrize("fragmented", [False, True])
+def test_bbp_bumps_past_finite_oids_only(fragmented):
+    """Registration keeps the oid sequence past the largest *finite*
+    oid: an all-NIL column bumps nothing, NIL beside finite oids bumps
+    past the finite maximum, a void head past its last oid."""
+    nil = np.iinfo(np.int64).max
+    cases = {
+        "all_nil": (BAT(Column("oid", np.full(3, nil)), Column("oid", np.full(3, nil))), 0),
+        "nil_and_finite": (
+            BAT(Column("oid", np.array([nil, 7, 2])), Column("oid", np.array([3, nil, 11]))),
+            12,
+        ),
+        "void": (BAT(VoidColumn(20, 5), Column("int", np.full(5, nil))), 25),
+        "void_and_oid": (BAT(VoidColumn(1, 2), Column("oid", np.array([nil, 40]))), 41),
+    }
+    for name, (bat, expected) in cases.items():
+        pool = BATBufferPool()
+        if fragmented:
+            pool.register_fragmented(name, fragment_bat(bat, FragmentationPolicy(target_size=2)))
+        else:
+            pool.register(name, bat)
+        assert pool.oid_generator.current == expected, name
+
+
 # ----------------------------------------------------------------------
 # Mapping-layer threshold
 # ----------------------------------------------------------------------

@@ -225,11 +225,21 @@ def _join_data(rng) -> dict:
     tails = _tail_column(rng, "dbl", m, "plain")
     dense = np.arange(seqbase, seqbase + m, dtype=np.int64)
     gapped = dense + (np.arange(m) >= m // 2)
+    # Unsorted int keys with duplicates, NILs and a negative low end:
+    # compact enough for the span arm, and x1000 for the sorted arm.
+    k = int(rng.choice([0, 1, 7, 30]))
+    span = rng.integers(-3, 25, k).astype(np.int64)
+    if k:
+        span[rng.random(k) < 0.2] = np.iinfo(np.int64).min
+    sparse = np.where(span == np.iinfo(np.int64).min, span, span * 1000)
+    span_tails = _tail_column(rng, "dbl", k, "plain")
     return {
         "jvoid": BAT(VoidColumn(seqbase, m), tails),
         "jdense": BAT(Column("oid", dense), tails, hsorted=True, hkey=True),
         "jplain": BAT(Column("oid", dense.copy()), tails),
         "jgap": BAT(Column("oid", gapped), tails, hsorted=True, hkey=True),
+        "jspan": BAT(Column("int", span), span_tails),
+        "jsparse": BAT(Column("int", sparse), span_tails),
     }
 
 
@@ -242,7 +252,9 @@ _DENSE_TWINS = ("jvoid", "jdense", "jplain")
 #: (the ``x`` suffixes), roles swapped (``s5``).  ``d*``/``i*``: dbl
 #: (NaN, fractional) and int (negative, out-of-range, NIL) probes
 #: against every head shape.  ``h*``/``v*``: probes that all hit -- the
-#: identity and window arms.
+#: identity and window arms.  ``*_jspan``/``*_jsparse``: the same int
+#: keys compact (span arm) and spread (radix-partitioned sorted arm),
+#: probed by dbl, oid and NIL-bearing int tails.
 _JOIN_EPILOGUE = "\n".join(
     [
         's0 := reverse(bat("aw"));',
@@ -262,6 +274,12 @@ _JOIN_EPILOGUE = "\n".join(
         for probe in "dihv"
         for op in ("join", "outerjoin")
         for name in (*_DENSE_TWINS, "jgap", "dim")
+    ]
+    + [
+        f'{probe}_{op}_{name} := {op}({source}, bat("{name}"));'
+        for probe, source in (("d", "d0"), ("i", "i0"), ("n", 'bat("ai")'))
+        for op in ("join", "outerjoin")
+        for name in ("jspan", "jsparse")
     ]
 )
 
