@@ -8,7 +8,8 @@ queries, a pre-execution :class:`~repro.service.guard.QueryGuard`, and
 deadline/cancellation checkpoints threaded into the MIL interpreter
 loop.  ``ServiceThread`` embeds the event loop for synchronous
 callers; ``ServiceClient`` / ``AsyncServiceClient`` are the client
-library.
+library.  Every wire op is one row of :data:`repro.service.ops.OPS`,
+which both the server and the clients read.
 """
 
 from repro.service.admission import (

@@ -1,12 +1,13 @@
 """Client library for the Mirror query service (sync + asyncio).
 
 Both clients speak the protocol of :mod:`repro.service.protocol` and
-expose the same surface::
+inherit one surface, each method written once and built from its op's
+row of :data:`repro.service.ops.OPS`::
 
     with ServiceClient("127.0.0.1", port) as c:
-        c.define("define Nums as SET<Atomic<Integer>>;")
+        c.define("define Nums as SET<Atomic<int>>;")
         c.insert("Nums", [3, 1, 2])
-        result = c.mil('bat("Nums.__atom__").tail_sort();')
+        result = c.mil('bat("Nums.__value__").tsort;')
         values = result.tail            # NILs come back as None
 
     async with AsyncServiceClient("127.0.0.1", port) as c:
@@ -24,6 +25,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, List, Optional
 
+from repro.service.ops import OPS
 from repro.service.protocol import (
     decode_result,
     pack_message,
@@ -41,68 +43,17 @@ class ServiceError(Exception):
         self.message = message
 
 
-def _unwrap(header: Dict[str, Any], frames: List[bytes]) -> Any:
+def _unwrap(message, key: Optional[str] = None) -> Any:
+    """The decoded result of a ``(header, frames)`` response -- its
+    *key* entry if given -- or the :class:`ServiceError` it carries."""
+    header, frames = message
     if not header.get("ok"):
         error = header.get("error") or {}
         raise ServiceError(
             error.get("code", "protocol"), error.get("message", "unknown error")
         )
-    return decode_result(header["result"], frames)
-
-
-class _RequestBuilder:
-    """Request construction shared by the sync and async clients, so
-    the two surfaces build byte-identical requests."""
-
-    @staticmethod
-    def mil(source: str, binary: bool, deadline_ms: Optional[int]) -> Dict[str, Any]:
-        header: Dict[str, Any] = {"op": "mil", "q": source, "binary": binary}
-        if deadline_ms is not None:
-            header["deadline_ms"] = deadline_ms
-        return header
-
-    @staticmethod
-    def moa(
-        source: str,
-        params: Optional[Dict[str, Any]],
-        binary: bool,
-        deadline_ms: Optional[int],
-    ) -> Dict[str, Any]:
-        header: Dict[str, Any] = {"op": "moa", "q": source, "binary": binary}
-        if params:
-            header["params"] = params
-        if deadline_ms is not None:
-            header["deadline_ms"] = deadline_ms
-        return header
-
-    @staticmethod
-    def delete(collection: str, where: Any) -> Dict[str, Any]:
-        header: Dict[str, Any] = {"op": "delete", "collection": collection}
-        if where is not None:
-            header["where"] = where
-        return header
-
-    @staticmethod
-    def update(collection: str, assignments: Any, where: Any) -> Dict[str, Any]:
-        header: Dict[str, Any] = {
-            "op": "update",
-            "collection": collection,
-            "set": assignments,
-        }
-        if where is not None:
-            header["where"] = where
-        return header
-
-    @staticmethod
-    def commit(
-        name: Optional[str], shared_name: Optional[str], replace: bool
-    ) -> Dict[str, Any]:
-        if name is None:
-            return {"op": "commit"}
-        header: Dict[str, Any] = {"op": "commit", "name": name, "replace": replace}
-        if shared_name is not None:
-            header["as"] = shared_name
-        return header
+    value = decode_result(header["result"], frames)
+    return value if key is None else value[key]
 
 
 def session_ref(name: str) -> Dict[str, str]:
@@ -111,43 +62,35 @@ def session_ref(name: str) -> Dict[str, str]:
     return {"$session": name}
 
 
-class ServiceClient:
-    """Blocking client over a plain TCP socket."""
+class _Surface:
+    """The service surface, written once for both clients.  Each method
+    builds its request from the op's :data:`~repro.service.ops.OPS` row
+    and hands it to the transport's ``_call(header, result_key)``:
+    :class:`ServiceClient` returns the value, :class:`AsyncServiceClient`
+    an awaitable of it."""
 
-    def __init__(self, host: str, port: int, *, timeout: Optional[float] = None):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rb")
-        # The server greets with a hello carrying our session id.
-        hello = self._roundtrip_raw(None)
-        self.session_id = hello.get("session") if isinstance(hello, dict) else None
+    def _op(self, op: str, **fields: Any):
+        row = OPS[op]
+        header: Dict[str, Any] = {"op": op}
+        for field in row.fields:
+            if field.required or fields.get(field.name) is not None:
+                header[field.name] = fields.get(field.name)
+        return self._call(header, row.result)
 
-    # -- plumbing ------------------------------------------------------
-    def _read_exactly(self, n: int) -> bytes:
-        data = self._file.read(n)
-        return data if data is not None else b""
+    def request(self, header: Dict[str, Any]):
+        """Send one request header; its decoded result."""
+        return self._call(header, None)
 
-    def _roundtrip_raw(self, header: Optional[Dict[str, Any]]) -> Any:
-        if header is not None:
-            self._sock.sendall(pack_message(header))
-        response, frames = read_message(self._read_exactly)
-        return _unwrap(response, frames)
+    def ping(self):
+        return self._op("ping")
 
-    def request(self, header: Dict[str, Any]) -> Any:
-        """Send one request and decode its response."""
-        return self._roundtrip_raw(header)
+    def status(self):
+        return self._op("status")
 
-    # -- the service surface -------------------------------------------
-    def ping(self) -> Any:
-        return self.request({"op": "ping"})
-
-    def mil(
-        self,
-        source: str,
-        *,
-        binary: bool = True,
-        deadline_ms: Optional[int] = None,
-    ) -> Any:
-        return self.request(_RequestBuilder.mil(source, binary, deadline_ms))
+    def mil(self, source: str, *, binary: bool = True, deadline_ms: Optional[float] = None):
+        """Run a MIL program; *deadline_ms* replaces the service's
+        default per-query deadline."""
+        return self._op("mil", q=source, binary=binary, deadline_ms=deadline_ms)
 
     def moa(
         self,
@@ -155,93 +98,88 @@ class ServiceClient:
         params: Optional[Dict[str, Any]] = None,
         *,
         binary: bool = True,
-        deadline_ms: Optional[int] = None,
-    ) -> Any:
-        return self.request(
-            _RequestBuilder.moa(source, params, binary, deadline_ms)
+        deadline_ms: Optional[float] = None,
+    ):
+        return self._op(
+            "moa", q=source, binary=binary, params=params or None, deadline_ms=deadline_ms
         )
 
-    def define(self, ddl: str) -> List[str]:
-        return self.request({"op": "define", "ddl": ddl})["names"]
+    def define(self, ddl: str):
+        return self._op("define", ddl=ddl)
 
-    def insert(self, collection: str, values: List[Any]) -> int:
-        """Insert *values*; returns the new cardinality -- or, inside
-        an open transaction (:meth:`begin`), the staged row count."""
-        return self.request(
-            {"op": "insert", "collection": collection, "values": values}
-        )["count"]
+    def insert(self, collection: str, values: List[Any]):
+        """Insert *values*; the new cardinality -- or, inside an open
+        transaction (:meth:`begin`), the staged row count."""
+        return self._op("insert", collection=collection, values=values)
 
-    def count(self, collection: str) -> int:
-        return self.request({"op": "count", "collection": collection})["count"]
+    def count(self, collection: str):
+        return self._op("count", collection=collection)
 
-    def delete(self, collection: str, where: Any = None) -> Dict[str, Any]:
+    def delete(self, collection: str, where: Any = None):
         """Delete the tuples matching *where* (an object of field
         equalities, or a bare literal for ``SET<Atomic>`` elements;
         ``None`` deletes all).  Returns the mutation result; inside an
         open transaction (:meth:`begin`) the op is staged."""
-        return self.request(_RequestBuilder.delete(collection, where))
+        return self._op("delete", collection=collection, where=where)
 
-    def update(
-        self, collection: str, assignments: Any, where: Any = None
-    ) -> Dict[str, Any]:
+    def update(self, collection: str, assignments: Any, where: Any = None):
         """Patch the tuples matching *where* with *assignments* (an
         object of field values, or a bare literal for ``SET<Atomic>``).
         Returns the mutation result; staged inside a transaction."""
-        return self.request(
-            _RequestBuilder.update(collection, assignments, where)
-        )
+        return self._op("update", collection=collection, set=assignments, where=where)
 
-    def begin(self) -> Optional[int]:
+    def begin(self):
         """Open a transaction: pins one catalog epoch for this
         session's statements until :meth:`commit`/:meth:`abort`.
         Returns the pinned epoch."""
-        return self.request({"op": "begin"})["epoch"]
+        return self._op("begin")
 
-    def abort(self) -> Dict[str, Any]:
+    def commit(self):
+        """Commit the open transaction: publishes every staged mutation
+        and returns the commit result with its ``applied`` list."""
+        return self._op("commit")
+
+    def abort(self):
         """Abort the open transaction; staged mutations are dropped."""
-        return self.request({"op": "abort"})
+        return self._op("abort")
 
-    def commit(
-        self,
-        name: Optional[str] = None,
-        shared_name: Optional[str] = None,
-        *,
-        replace: bool = False,
-    ) -> Any:
-        """With no arguments: commit the open transaction (publishes
-        every staged mutation; returns the commit result with its
-        ``applied`` list).  With *name*: the legacy temp-promotion
-        dialect -- promote the session temp *name* (created with MIL
-        ``persists``) to shared data and return the shared name."""
-        response = self.request(
-            _RequestBuilder.commit(name, shared_name, replace)
-        )
-        return response["name"] if name is not None else response
+    def collections(self):
+        return self._op("collections")
 
-    def collections(self) -> List[str]:
-        return self.request({"op": "collections"})["names"]
-
-    def bind_stats(self, collection: str, attribute: str, name: str) -> str:
+    def bind_stats(self, collection: str, attribute: str, name: str):
         """Bind collection statistics server-side under *name*; pass
         ``session_ref(name)`` as a Moa parameter to use them."""
-        return self.request(
-            {
-                "op": "stats",
-                "collection": collection,
-                "attribute": attribute,
-                "bind": name,
-            }
-        )["name"]
+        return self._op("stats", collection=collection, attribute=attribute, bind=name)
 
-    def status(self) -> Dict[str, Any]:
-        return self.request({"op": "status"})["status"]
+
+class ServiceClient(_Surface):
+    """Blocking client over a plain TCP socket."""
+
+    def __init__(self, host: str, port: int, *, timeout: Optional[float] = None):
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._file = self._sock.makefile("rb")
+        try:
+            # The server greets with a hello carrying our session id.
+            hello = _unwrap(read_message(self._read_exactly))
+        except BaseException:
+            self._file.close()
+            self._sock.close()
+            raise
+        self.session_id = hello.get("session") if isinstance(hello, dict) else None
+
+    def _read_exactly(self, n: int) -> bytes:
+        data = self._file.read(n)
+        return data if data is not None else b""
+
+    def _call(self, header: Dict[str, Any], key: Optional[str]) -> Any:
+        self._sock.sendall(pack_message(header))
+        return _unwrap(read_message(self._read_exactly), key)
 
     def close(self) -> None:
         if self._sock is None:
             return
         try:
-            self._sock.sendall(pack_message({"op": "close"}))
-            read_message(self._read_exactly)  # the "bye"
+            self._op("close")
         except (OSError, EOFError):
             pass
         finally:
@@ -256,8 +194,9 @@ class ServiceClient:
         self.close()
 
 
-class AsyncServiceClient:
-    """Asyncio client over stream reader/writer pairs."""
+class AsyncServiceClient(_Surface):
+    """Asyncio client over stream reader/writer pairs: the methods of
+    :class:`ServiceClient`, each returning an awaitable."""
 
     def __init__(self, host: str, port: int):
         self._host = host
@@ -272,127 +211,39 @@ class AsyncServiceClient:
         self._reader, self._writer = await asyncio.open_connection(
             self._host, self._port
         )
-        header, frames = await read_message_async(self._reader)
-        hello = _unwrap(header, frames)
+        try:
+            hello = _unwrap(await read_message_async(self._reader))
+        except BaseException:
+            await self._release()
+            raise
         self.session_id = hello.get("session") if isinstance(hello, dict) else None
         return self
 
-    async def request(self, header: Dict[str, Any]) -> Any:
+    async def _call(self, header: Dict[str, Any], key: Optional[str]) -> Any:
         if self._writer is None:
             raise RuntimeError("client not connected; call connect()")
         self._writer.write(pack_message(header))
         await self._writer.drain()
-        response, frames = await read_message_async(self._reader)
-        return _unwrap(response, frames)
+        return _unwrap(await read_message_async(self._reader), key)
 
-    async def ping(self) -> Any:
-        return await self.request({"op": "ping"})
-
-    async def mil(
-        self,
-        source: str,
-        *,
-        binary: bool = True,
-        deadline_ms: Optional[int] = None,
-    ) -> Any:
-        return await self.request(_RequestBuilder.mil(source, binary, deadline_ms))
-
-    async def moa(
-        self,
-        source: str,
-        params: Optional[Dict[str, Any]] = None,
-        *,
-        binary: bool = True,
-        deadline_ms: Optional[int] = None,
-    ) -> Any:
-        return await self.request(
-            _RequestBuilder.moa(source, params, binary, deadline_ms)
-        )
-
-    async def define(self, ddl: str) -> List[str]:
-        return (await self.request({"op": "define", "ddl": ddl}))["names"]
-
-    async def insert(self, collection: str, values: List[Any]) -> int:
-        """Same surface as :meth:`ServiceClient.insert`."""
-        return (
-            await self.request(
-                {"op": "insert", "collection": collection, "values": values}
-            )
-        )["count"]
-
-    async def count(self, collection: str) -> int:
-        return (await self.request({"op": "count", "collection": collection}))[
-            "count"
-        ]
-
-    async def delete(self, collection: str, where: Any = None) -> Dict[str, Any]:
-        """Same surface as :meth:`ServiceClient.delete`."""
-        return await self.request(_RequestBuilder.delete(collection, where))
-
-    async def update(
-        self, collection: str, assignments: Any, where: Any = None
-    ) -> Dict[str, Any]:
-        """Same surface as :meth:`ServiceClient.update`."""
-        return await self.request(
-            _RequestBuilder.update(collection, assignments, where)
-        )
-
-    async def begin(self) -> Optional[int]:
-        """Same surface as :meth:`ServiceClient.begin`."""
-        return (await self.request({"op": "begin"}))["epoch"]
-
-    async def abort(self) -> Dict[str, Any]:
-        """Same surface as :meth:`ServiceClient.abort`."""
-        return await self.request({"op": "abort"})
-
-    async def commit(
-        self,
-        name: Optional[str] = None,
-        shared_name: Optional[str] = None,
-        *,
-        replace: bool = False,
-    ) -> Any:
-        """Same surface as :meth:`ServiceClient.commit`."""
-        response = await self.request(
-            _RequestBuilder.commit(name, shared_name, replace)
-        )
-        return response["name"] if name is not None else response
-
-    async def collections(self) -> List[str]:
-        return (await self.request({"op": "collections"}))["names"]
-
-    async def bind_stats(self, collection: str, attribute: str, name: str) -> str:
-        return (
-            await self.request(
-                {
-                    "op": "stats",
-                    "collection": collection,
-                    "attribute": attribute,
-                    "bind": name,
-                }
-            )
-        )["name"]
-
-    async def status(self) -> Dict[str, Any]:
-        return (await self.request({"op": "status"}))["status"]
+    async def _release(self) -> None:
+        self._writer.close()
+        try:
+            await self._writer.wait_closed()
+        except Exception:
+            pass
+        self._writer = None
+        self._reader = None
 
     async def close(self) -> None:
         if self._writer is None:
             return
         try:
-            self._writer.write(pack_message({"op": "close"}))
-            await self._writer.drain()
-            await read_message_async(self._reader)  # the "bye"
+            await self._op("close")
         except (OSError, EOFError):
             pass
         finally:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except Exception:
-                pass
-            self._writer = None
-            self._reader = None
+            await self._release()
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return await self.connect()

@@ -18,16 +18,18 @@ result -- while ``str``/``bit`` columns stay JSON.  Void columns ship
 as their ``seqbase`` alone.
 
 Operation table (protocol version 2; versioned by extension -- a v1
-peer simply never sends the v2 ops):
+peer simply never sends the v2 ops).  Each line is a row of
+:data:`repro.service.ops.OPS`; fields in ``[...]`` are optional:
 
 ===============  ====  =================================================
 op               ver   request fields -> result
 ===============  ====  =================================================
 ``ping``         1     -- -> ``{kind: pong, session}``
 ``status``       1     -- -> ``{kind: status, status}``
+``close``        1     -- -> ``{kind: bye}``; the server then hangs up
 ``mil``          1     ``q`` [``binary`` ``deadline_ms``] -> value
                        (+ ``epoch`` the plan's snapshot pinned)
-``moa``          1     ``q`` [``params`` ``binary`` ``deadline_ms``]
+``moa``          1     ``q`` [``binary`` ``params`` ``deadline_ms``]
                        -> value (+ ``epoch``)
 ``define``       1     ``ddl`` -> ``{kind: defined, names}``
 ``insert``       1     ``collection`` ``values`` -> ``{kind: count,
@@ -37,19 +39,25 @@ op               ver   request fields -> result
 ``stats``        1     ``collection`` ``attribute`` ``bind`` ->
                        ``{kind: bound, name}``
 ``collections``  1     -- -> ``{kind: collections, names}``
-``commit``       1     ``name`` [``as`` ``replace``] -> ``{kind:
-                       committed, name}`` (legacy temp promotion)
 ``begin``        2     -- -> ``{kind: begun, epoch}`` (pins one
                        catalog epoch for the session's statements)
-``commit``       2     *no* ``name`` -> ``{kind: committed, count,
-                       epoch, applied: [{collection, op, count,
-                       epoch}]}`` (publishes the staged mutations)
+``commit``       2     -- -> ``{kind: committed, count, epoch,
+                       applied: [{collection, op, count, epoch}]}``
+                       (publishes the staged mutations)
 ``abort``        2     -- -> ``{kind: aborted, count, epoch}``
 ``update``       2     ``collection`` ``set`` [``where``] ->
                        mutation result
 ``delete``       2     ``collection`` [``where``] -> mutation result
-``close``        1     -- -> ``{kind: bye}``
 ===============  ====  =================================================
+
+Every request is checked against its row before it costs anything: an
+unknown ``op``, a missing or ill-typed field, or a field the row does
+not declare is a ``protocol`` error (``op``, ``id`` and ``frames`` ride
+on every op; an optional field sent as ``null`` counts as absent).
+``binary`` is ``true`` or ``false``.  ``deadline_ms`` is a finite
+number >= 0 that *replaces* the service's default per-query deadline
+for that query -- it may raise it as well as lower it; ``0`` expires at
+the first checkpoint.
 
 A *mutation result* is ``{kind: mutation, op, collection, count,
 epoch, staged}`` -- the wire form of the one epoch-reporting
@@ -62,7 +70,8 @@ field ``value`` for ``SET<Atomic>`` elements) or a bare literal; a
 Error codes (the service's whole failure vocabulary):
 
 =============  ========================================================
-``protocol``   unreadable frame, bad JSON, unknown ``op``
+``protocol``   unreadable frame, bad JSON, unknown ``op``, missing,
+               ill-typed or undeclared field
 ``malformed``  query failed to parse (guard, pre-execution)
 ``guard``      plan rejected by the op-count/BUN budget guard
 ``rate``       per-session token bucket empty
@@ -76,10 +85,11 @@ Error codes (the service's whole failure vocabulary):
 =============  ========================================================
 
 Both the asyncio server and the sync/async clients use the same
-encode/decode helpers below, so the framing has exactly one
-implementation.  Sync and async clients expose the same method names
-with the same signatures (``begin``/``commit``/``abort``/``insert``/
-``update``/``delete`` included), so the two surfaces cannot drift.
+encode/decode helpers below, and one sans-IO parser reads messages
+under both the blocking and the asyncio reader, so the framing has
+exactly one implementation.  Both clients inherit one surface class
+that builds each request from its ``OPS`` row, so the sync and async
+surfaces cannot drift.
 """
 
 from __future__ import annotations
@@ -130,73 +140,67 @@ def pack_message(header: Dict[str, Any], frames: Optional[List[bytes]] = None) -
     return b"".join(parts)
 
 
-def _frame_length(raw: bytes) -> int:
-    (length,) = _LENGTH.unpack(raw)
+def _parse_message():
+    """The one message parser, sans-IO: a generator that yields how many
+    bytes it needs next and is sent them (fewer only at EOF).  Returns
+    ``(header, frames)``; raises EOFError or :class:`ProtocolError`."""
+    payload = yield from _parse_frame("connection closed between messages")
+    try:
+        header = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ProtocolError(f"bad JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ProtocolError("header must be a JSON object")
+    count = header.get("frames", 0)
+    if not isinstance(count, int) or count < 0 or count > MAX_FRAMES:
+        raise ProtocolError(f"bad frame count {count!r}")
+    frames: List[bytes] = []
+    for _ in range(count):
+        frames.append((yield from _parse_frame("connection closed before a declared frame")))
+    return header, frames
+
+
+def _parse_frame(eof_before_length: str):
+    prefix = yield _LENGTH.size
+    if len(prefix) < _LENGTH.size:
+        raise EOFError(eof_before_length)
+    (length,) = _LENGTH.unpack(prefix)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"peer announced a {length}-byte frame; refusing")
-    return length
+    frame = yield length
+    if len(frame) < length:
+        raise EOFError("connection closed mid-frame")
+    return frame
 
 
 def read_message(read_exactly: Callable[[int], bytes]) -> Tuple[Dict[str, Any], List[bytes]]:
     """Read one message through *read_exactly(n) -> bytes* (which must
     raise/return short only at EOF; a short read raises EOFError here).
     Returns ``(header, frames)``."""
-    header_raw = read_exactly(_LENGTH.size)
-    if len(header_raw) < _LENGTH.size:
-        raise EOFError("connection closed between messages")
-    length = _frame_length(header_raw)
-    payload = read_exactly(length)
-    if len(payload) < length:
-        raise EOFError("connection closed mid-frame")
+    parser = _parse_message()
     try:
-        header = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"bad JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError("header must be a JSON object")
-    count = header.get("frames", 0)
-    if not isinstance(count, int) or count < 0 or count > MAX_FRAMES:
-        raise ProtocolError(f"bad frame count {count!r}")
-    frames: List[bytes] = []
-    for _ in range(count):
-        frame_raw = read_exactly(_LENGTH.size)
-        if len(frame_raw) < _LENGTH.size:
-            raise EOFError("connection closed before a declared frame")
-        frame_length = _frame_length(frame_raw)
-        frame = read_exactly(frame_length)
-        if len(frame) < frame_length:
-            raise EOFError("connection closed mid-frame")
-        frames.append(frame)
-    return header, frames
+        need = next(parser)
+        while True:
+            need = parser.send(read_exactly(need))
+    except StopIteration as done:
+        return done.value
 
 
 async def read_message_async(reader) -> Tuple[Dict[str, Any], List[bytes]]:
-    """Asyncio twin of :func:`read_message` over a ``StreamReader``."""
+    """:func:`read_message` over an asyncio ``StreamReader``."""
     import asyncio
 
-    async def exactly(n: int) -> bytes:
-        try:
-            return await reader.readexactly(n)
-        except asyncio.IncompleteReadError as exc:
-            raise EOFError("connection closed mid-message") from exc
-
-    header_raw = await exactly(_LENGTH.size)
-    length = _frame_length(header_raw)
-    payload = await exactly(length)
+    parser = _parse_message()
     try:
-        header = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"bad JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError("header must be a JSON object")
-    count = header.get("frames", 0)
-    if not isinstance(count, int) or count < 0 or count > MAX_FRAMES:
-        raise ProtocolError(f"bad frame count {count!r}")
-    frames: List[bytes] = []
-    for _ in range(count):
-        frame_raw = await exactly(_LENGTH.size)
-        frames.append(await exactly(_frame_length(frame_raw)))
-    return header, frames
+        need = next(parser)
+        while True:
+            try:
+                data = await reader.readexactly(need)
+            except asyncio.IncompleteReadError as exc:
+                data = exc.partial
+            need = parser.send(data)
+    except StopIteration as done:
+        return done.value
 
 
 # ----------------------------------------------------------------------

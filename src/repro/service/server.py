@@ -13,8 +13,10 @@ thread-safe :class:`~repro.core.mirror.MirrorDBMS`:
 * each admitted query gets a deadline/cancellation *checkpoint*
   threaded into the MIL interpreter loop -- a disconnected client or
   an expired deadline aborts the plan between statements;
-* requests are vetted by the :class:`~repro.service.guard.QueryGuard`
-  before they cost an executor slot.
+* every request is answered from its row of
+  :data:`repro.service.ops.OPS`: fields validated first, then the
+  row's guard hook (:class:`~repro.service.guard.QueryGuard`) before
+  the request costs an executor slot, then its handler.
 
 The connection handler reads the *next* message concurrently with the
 in-flight query, which gives both request pipelining and prompt
@@ -46,9 +48,9 @@ from repro.moa.errors import MoaError
 from repro.monet.errors import MILCancelled, MonetError, MutationError
 from repro.service.admission import AdmissionController, AdmissionReject, TokenBucket
 from repro.service.guard import GuardLimits, GuardRejection, QueryGuard
+from repro.service.ops import parse_request
 from repro.service.protocol import (
     ProtocolError,
-    encode_result,
     error_response,
     ok_response,
     read_message_async,
@@ -63,8 +65,9 @@ class ServiceConfig:
     knobs are a separate record, :mod:`repro.monet.tuning`.
 
     ``rate=None`` disables per-session rate limiting; ``deadline=None``
-    disables the default per-query deadline (a request may still set
-    ``deadline_ms`` per call)."""
+    disables the default per-query deadline.  A request's
+    ``deadline_ms`` *replaces* the default for that query -- it may
+    raise it as well as lower it."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port off the service
@@ -209,12 +212,6 @@ class MirrorService:
                     await writer.drain()
                     break
                 read_task = asyncio.ensure_future(read_message_async(reader))
-                if header.get("op") == "close":
-                    writer.write(
-                        ok_response({"kind": "bye"}, [], header.get("id"))
-                    )
-                    await writer.drain()
-                    break
                 response = await self._dispatch(session, header, read_task)
                 if response is None:
                     break  # disconnected mid-query
@@ -222,6 +219,8 @@ class MirrorService:
                 try:
                     await writer.drain()
                 except ConnectionError:
+                    break
+                if header.get("op") == "close":
                     break
         except asyncio.CancelledError:
             pass  # server shutdown
@@ -252,35 +251,28 @@ class MirrorService:
     async def _dispatch(
         self, session: Session, header: Dict[str, Any], read_task: asyncio.Task
     ) -> Optional[bytes]:
-        op = header.get("op")
+        """Answer one request from its :data:`~repro.service.ops.OPS`
+        row; ``None`` when the client disconnected mid-query."""
         request_id = header.get("id")
-        if op == "ping":
-            return ok_response(
-                {"kind": "pong", "session": session.session_id}, [], request_id
-            )
-        if op == "status":
-            return ok_response(
-                {"kind": "status", "status": self.status()}, [], request_id
-            )
-        if op not in ("mil", "moa", "define", "insert", "update", "delete",
-                      "count", "stats", "collections", "begin", "commit",
-                      "abort"):
-            return error_response("protocol", f"unknown op {op!r}", request_id)
-
-        # Rate limit, then guard, then admission: the cheap checks run
-        # first so a rejected request never costs catalog work or a
-        # queue slot.
-        if session.rate_limiter is not None and not session.rate_limiter.try_acquire():
-            return error_response(
-                "rate",
-                f"session {session.session_id} exceeded its query rate",
-                request_id,
-            )
         try:
-            work = self._prepare_work(session, op, header)
+            row, request = parse_request(header)
+            if not row.admitted:
+                return ok_response(*row.handler(self, session, request, None), request_id)
+            # Fields, rate limit, guard, then admission: the cheap
+            # checks run first so a rejected request never costs
+            # catalog work or a queue slot.
+            if session.rate_limiter is not None and not session.rate_limiter.try_acquire():
+                return error_response(
+                    "rate",
+                    f"session {session.session_id} exceeded its query rate",
+                    request_id,
+                )
+            checkpoint = self._make_checkpoint(session, request.get("deadline_ms"))
+            if row.guard is not None:
+                row.guard(self, session, request)
         except GuardRejection as exc:
             return error_response(exc.code, str(exc), request_id)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return error_response("protocol", str(exc), request_id)
 
         try:
@@ -289,7 +281,9 @@ class MirrorService:
             return error_response(exc.code, str(exc), request_id)
         try:
             loop = asyncio.get_running_loop()
-            work_future = loop.run_in_executor(self._pool, work)
+            work_future = loop.run_in_executor(
+                self._pool, row.handler, self, session, request, checkpoint
+            )
             # Watch the connection while the query runs: EOF trips the
             # session's cancellation flag so the plan aborts at its
             # next checkpoint; a complete message is a pipelined
@@ -311,7 +305,6 @@ class MirrorService:
                         pass
                     return None
             result, frames = await work_future
-            session.queries += 1
             self.queries_served += 1
             return ok_response(result, frames, request_id)
         except MILCancelled as exc:
@@ -327,226 +320,9 @@ class MirrorService:
         finally:
             self.admission.release()
 
-    def _prepare_work(self, session: Session, op: str, header: Dict[str, Any]):
-        """Validate the request and build the blocking closure that the
-        executor thread will run.  Raises GuardRejection/KeyError/
-        TypeError for malformed requests (mapped by the caller)."""
-        binary = bool(header.get("binary", True))
-        checkpoint = self._make_checkpoint(session, header)
-        if op == "mil":
-            source = _require_str(header, "q")
-            self.guard.check_mil(source, session.namespace)
-
-            def run_mil():
-                outcome = session.mil.run(
-                    source, checkpoint=checkpoint, reader=session.mil_reader()
-                )
-                result, frames = encode_result(outcome.value, binary)
-                if outcome.epoch is not None:
-                    # The catalog epoch the plan's snapshot was pinned
-                    # at; the write-path differential harness keys
-                    # serial replays on it.
-                    result["epoch"] = outcome.epoch
-                return result, frames
-
-            return run_mil
-        if op == "moa":
-            source = _require_str(header, "q")
-            self.guard.check_moa(source, self.db.pool, self.db.schema)
-            params = self._resolve_params(session, header.get("params") or {})
-
-            def run_moa():
-                txn = session.open_transaction()
-                outcome = self.db.query(
-                    source,
-                    params,
-                    checkpoint=checkpoint,
-                    reader=txn.snapshot if txn is not None else None,
-                )
-                result, frames = encode_result(outcome.value, binary)
-                if outcome.epoch is not None:
-                    result["epoch"] = outcome.epoch
-                return result, frames
-
-            return run_moa
-        if op == "define":
-            ddl = _require_str(header, "ddl")
-            return lambda: (
-                {"kind": "defined", "names": self.db.define(ddl)},
-                [],
-            )
-        if op == "insert":
-            name = _require_str(header, "collection")
-            values = header.get("values")
-            if not isinstance(values, list):
-                raise TypeError("insert needs a values list")
-
-            def run_insert():
-                txn = session.open_transaction()
-                if txn is not None:
-                    staged = txn.insert(name, values)
-                    return _mutation_result(staged, staged=True), []
-                count = self.db.insert(name, values)
-                return {
-                    "kind": "count",
-                    "count": count,
-                    "epoch": self.db.pool.epoch,
-                }, []
-
-            return run_insert
-        if op == "delete":
-            name = _require_str(header, "collection")
-            where = _check_where(header.get("where"))
-
-            def run_delete():
-                txn = session.open_transaction()
-                if txn is not None:
-                    staged = txn.delete(name, where=where)
-                    return _mutation_result(staged, staged=True), []
-                count = self.db.delete(name, where=where)
-                return {
-                    "kind": "mutation",
-                    "op": "delete",
-                    "collection": name,
-                    "count": count,
-                    "epoch": self.db.pool.epoch,
-                    "staged": False,
-                }, []
-
-            return run_delete
-        if op == "update":
-            name = _require_str(header, "collection")
-            assignments = header.get("set")
-            if isinstance(assignments, dict):
-                if not assignments or not all(
-                    isinstance(k, str) for k in assignments
-                ):
-                    raise TypeError(
-                        "update 'set' object needs string field names"
-                    )
-            elif not _is_wire_literal(assignments):
-                raise TypeError("update needs a 'set' object or literal")
-            where = _check_where(header.get("where"))
-
-            def run_update():
-                txn = session.open_transaction()
-                if txn is not None:
-                    staged = txn.update(name, assignments, where=where)
-                    return _mutation_result(staged, staged=True), []
-                count = self.db.update(name, assignments, where=where)
-                return {
-                    "kind": "mutation",
-                    "op": "update",
-                    "collection": name,
-                    "count": count,
-                    "epoch": self.db.pool.epoch,
-                    "staged": False,
-                }, []
-
-            return run_update
-        if op == "count":
-            name = _require_str(header, "collection")
-            return lambda: (
-                {"kind": "count", "count": self.db.count(name)},
-                [],
-            )
-        if op == "begin":
-            def run_begin():
-                txn = session.begin()
-                return {"kind": "begun", "epoch": txn.epoch}, []
-
-            return run_begin
-        if op == "abort":
-            def run_abort():
-                result = session.abort_transaction()
-                return {
-                    "kind": "aborted",
-                    "count": result.count,
-                    "epoch": result.epoch,
-                }, []
-
-            return run_abort
-        if op == "commit":
-            name = header.get("name")
-            if name is None:
-                # Transaction commit: publish every staged mutation.
-                def run_commit():
-                    result = session.commit_transaction()
-                    return {
-                        "kind": "committed",
-                        "count": result.count,
-                        "epoch": result.epoch,
-                        "applied": [
-                            {
-                                "collection": r.collection,
-                                "op": r.kind,
-                                "count": r.count,
-                                "epoch": r.epoch,
-                            }
-                            for r in result.applied
-                        ],
-                    }, []
-
-                return run_commit
-            # Legacy temp-promotion commit (deprecated dialect; see
-            # Session.commit).
-            name = _require_str(header, "name")
-            shared = header.get("as")
-            if shared is not None and not isinstance(shared, str):
-                raise TypeError("commit 'as' must be a string")
-            replace = bool(header.get("replace", False))
-            return lambda: (
-                {
-                    "kind": "committed",
-                    "name": session.commit(name, shared, replace=replace),
-                },
-                [],
-            )
-        if op == "collections":
-            return lambda: (
-                {"kind": "collections", "names": self.db.collections()},
-                [],
-            )
-        if op == "stats":
-            collection = _require_str(header, "collection")
-            attribute = _require_str(header, "attribute")
-            bind = _require_str(header, "bind")
-
-            def bind_stats():
-                session.bindings[bind] = self.db.stats(collection, attribute)
-                return {"kind": "bound", "name": bind}, []
-
-            return bind_stats
-        raise TypeError(f"unhandled op {op!r}")  # pragma: no cover
-
-    def _resolve_params(
-        self, session: Session, raw: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if not isinstance(raw, dict):
-            raise TypeError("params must be an object")
-        params: Dict[str, Any] = {}
-        for name, value in raw.items():
-            if isinstance(value, dict) and "$session" in value:
-                bound = value["$session"]
-                if bound not in session.bindings:
-                    raise KeyError(
-                        f"no session binding named {bound!r}; bind it "
-                        "with the stats op first"
-                    )
-                params[name] = session.bindings[bound]
-            elif isinstance(value, list):
-                params[name] = value
-            else:
-                raise TypeError(
-                    f"parameter {name!r} must be a list or a "
-                    '{"$session": name} reference'
-                )
-        return params
-
-    def _make_checkpoint(self, session: Session, header: Dict[str, Any]):
-        deadline_ms = header.get("deadline_ms")
+    def _make_checkpoint(self, session: Session, deadline_ms: Optional[float]):
         seconds = (
-            float(deadline_ms) / 1000.0
+            deadline_ms / 1000.0
             if deadline_ms is not None
             else self.config.deadline
         )
@@ -565,44 +341,6 @@ class MirrorService:
                 )
 
         return checkpoint
-
-
-def _require_str(header: Dict[str, Any], key: str) -> str:
-    value = header.get(key)
-    if not isinstance(value, str) or not value:
-        raise TypeError(f"request needs a non-empty string {key!r}")
-    return value
-
-
-def _is_wire_literal(value: Any) -> bool:
-    return value is None or isinstance(value, (str, int, float, bool))
-
-
-def _check_where(where: Any) -> Any:
-    """Validate a wire ``where`` clause: absent, a field-equality
-    object, or a bare literal (matching ``SET<Atomic>`` elements)."""
-    if where is None or _is_wire_literal(where):
-        return where
-    if isinstance(where, dict):
-        for key, value in where.items():
-            if not isinstance(key, str) or not _is_wire_literal(value):
-                raise TypeError(
-                    "where object must map string fields to literals"
-                )
-        return where
-    raise TypeError("where must be an object of field equalities or a literal")
-
-
-def _mutation_result(result, *, staged: bool) -> Dict[str, Any]:
-    """Wire shape of a :class:`~repro.core.mirror.MutationResult`."""
-    return {
-        "kind": "mutation",
-        "op": result.kind,
-        "collection": result.collection,
-        "count": result.count,
-        "epoch": result.epoch,
-        "staged": staged,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -9,41 +9,63 @@ query), a per-session token bucket, and the disconnect flag the
 query checkpoints poll.
 
 The namespace discipline follows the mobile-database survey's session
-model: everything a session persists is *tentative* -- visible to that
-session only, mapped into the shared pool under a mangled name, and
-dropped wholesale when the session ends.  A session promotes a temp to
-shared data explicitly with :meth:`Session.commit`, which serializes
-on the database's ``write_lock`` like every other write; in-flight
-plans of other sessions keep reading their pinned snapshots and see
-the commit only on their next plan.
+model: everything a session persists is *tentative* -- session
+scratch, visible to that session only, mapped into the shared pool
+under a mangled name, and dropped wholesale when the session ends.  A
+temp never becomes shared data: shared collections change only through
+the mutation ops (``insert``/``update``/``delete``, staged between
+``begin`` and ``commit``), which serialize on the database's
+``write_lock``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.monet.bbp import BATBufferPool
-from repro.monet.errors import BBPError
+from repro.monet.errors import BBPError, TransactionError
 from repro.monet.fragments import FragmentationPolicy
 from repro.monet.mil import MILInterpreter
+from repro.service.admission import TokenBucket
 
 
-class SessionNamespace:
+class _PrivateFirst:
+    """The :class:`BATBufferPool` read surface over ``self._catalog``:
+    a private name resolves to its mangled registration, any other name
+    falls through to the shared catalog."""
+
+    def _resolve(self, name: str) -> str:
+        return self._mangle(name) if self._is_private(name) else name
+
+    def is_fragmented(self, name: str) -> bool:
+        return self._catalog.is_fragmented(self._resolve(name))
+
+    def lookup(self, name: str):
+        return self._catalog.lookup(self._resolve(name))
+
+    def lookup_fragments(self, name: str, policy: Optional[FragmentationPolicy] = None):
+        return self._catalog.lookup_fragments(self._resolve(name), policy)
+
+    def exists(self, name: str) -> bool:
+        return self._is_private(name) or self._catalog.exists(name)
+
+
+class SessionNamespace(_PrivateFirst):
     """A session-private view of the shared pool.
 
-    Duck-types the :class:`BATBufferPool` surface the MIL interpreter
-    touches.  Reads (``lookup`` / ``lookup_fragments``) try the
-    session's private names first and fall back to the shared catalog;
-    writes (``persists`` -> :meth:`register`) always land in the
-    private namespace, so no session can clobber shared data or
-    another session's temps.  Private names are mangled into the
-    shared pool as ``@<session-id>:<name>`` -- one shared catalog (and
-    its one lock) stays the single accounting point for memory.
+    Reads (the surface the guard uses) try the session's private names
+    first and fall back to the shared catalog.  A plan reads and writes
+    through its :meth:`read_snapshot` view, whose writes (``persists``
+    -> :meth:`_NamespaceSnapshot.register`) always land in the private
+    namespace, so no session can clobber shared data or another
+    session's temps.  Private names are mangled into the shared pool as
+    ``@<session-id>:<name>`` -- one shared catalog (and its one lock)
+    stays the single accounting point for memory.
     """
 
     def __init__(self, pool: BATBufferPool, session_id: str):
-        self.pool = pool
+        self.pool = self._catalog = pool
         self.session_id = session_id
         self._names: Set[str] = set()
         self._lock = threading.Lock()
@@ -54,65 +76,6 @@ class SessionNamespace:
     def _is_private(self, name: str) -> bool:
         with self._lock:
             return name in self._names
-
-    # -- the BATBufferPool surface the MIL interpreter uses ------------
-    def is_fragmented(self, name: str) -> bool:
-        if self._is_private(name):
-            return self.pool.is_fragmented(self._mangle(name))
-        return self.pool.is_fragmented(name)
-
-    def lookup(self, name: str):
-        if self._is_private(name):
-            return self.pool.lookup(self._mangle(name))
-        return self.pool.lookup(name)
-
-    def lookup_fragments(self, name: str, policy: Optional[FragmentationPolicy] = None):
-        if self._is_private(name):
-            return self.pool.lookup_fragments(self._mangle(name), policy)
-        return self.pool.lookup_fragments(name, policy)
-
-    def exists(self, name: str) -> bool:
-        return self._is_private(name) or self.pool.exists(name)
-
-    def register(self, name: str, bat, *, replace: bool = True):
-        result = self.pool.register(self._mangle(name), bat, replace=True)
-        with self._lock:
-            self._names.add(name)
-        return result
-
-    def register_fragmented(self, name: str, fragmented, *, replace: bool = True):
-        result = self.pool.register_fragmented(
-            self._mangle(name), fragmented, replace=True
-        )
-        with self._lock:
-            self._names.add(name)
-        return result
-
-    def drop(self, name: str) -> None:
-        if self._is_private(name):
-            self.pool.drop(self._mangle(name))
-            with self._lock:
-                self._names.discard(name)
-            return
-        if self.pool.exists(name):
-            raise BBPError(
-                f"cannot drop shared BAT {name!r} from a session "
-                "(sessions own only their temp namespace)"
-            )
-        raise BBPError(f"cannot drop unknown BAT {name!r}")
-
-    def append(self, name: str, pairs=None, *, tails=None):
-        """Append to a session-private BAT (copy-on-write, via the
-        shared pool's delta path).  Shared BATs cannot be appended from
-        a session -- commit a temp or go through the DBMS write API."""
-        if self._is_private(name):
-            return self.pool.append(self._mangle(name), pairs, tails=tails)
-        if self.pool.exists(name):
-            raise BBPError(
-                f"cannot append to shared BAT {name!r} from a session "
-                "(sessions own only their temp namespace)"
-            )
-        raise BBPError(f"cannot append to unknown BAT {name!r}")
 
     def read_snapshot(self) -> "_NamespaceSnapshot":
         """An epoch-pinned view of this namespace: shared names resolve
@@ -129,11 +92,6 @@ class SessionNamespace:
             private = set(self._names)
         return _NamespaceSnapshot(self, pool_snapshot, private)
 
-    # -- lifecycle -----------------------------------------------------
-    def temp_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._names)
-
     def cleanup(self) -> int:
         """Drop every private registration; returns how many."""
         with self._lock:
@@ -148,7 +106,7 @@ class SessionNamespace:
         return dropped
 
 
-class _NamespaceSnapshot:
+class _NamespaceSnapshot(_PrivateFirst):
     """A plan-pinned view of a :class:`SessionNamespace`.
 
     Shared-name reads resolve against one epoch-stamped
@@ -164,45 +122,28 @@ class _NamespaceSnapshot:
         self, namespace: SessionNamespace, snapshot, private: Set[str]
     ):
         self._namespace = namespace
-        self._snapshot = snapshot
+        self._catalog = snapshot
         self._private = private
         self.epoch = getattr(snapshot, "epoch", None)
 
     def read_snapshot(self) -> "_NamespaceSnapshot":
         return self
 
-    def _resolve(self, name: str) -> str:
-        if name in self._private:
-            return self._namespace._mangle(name)
-        return name
+    def _mangle(self, name: str) -> str:
+        return self._namespace._mangle(name)
 
-    def is_fragmented(self, name: str) -> bool:
-        return self._snapshot.is_fragmented(self._resolve(name))
-
-    def lookup(self, name: str):
-        return self._snapshot.lookup(self._resolve(name))
-
-    def lookup_fragments(
-        self, name: str, policy: Optional[FragmentationPolicy] = None
-    ):
-        return self._snapshot.lookup_fragments(self._resolve(name), policy)
-
-    def exists(self, name: str) -> bool:
-        return name in self._private or self._snapshot.exists(name)
+    def _is_private(self, name: str) -> bool:
+        return name in self._private
 
     def register(self, name: str, bat, *, replace: bool = True):
-        result = self._snapshot.register(
-            self._namespace._mangle(name), bat, replace=True
-        )
-        self._private.add(name)
-        with self._namespace._lock:
-            self._namespace._names.add(name)
-        return result
+        return self._register_private(self._catalog.register, name, bat)
 
     def register_fragmented(self, name: str, fragmented, *, replace: bool = True):
-        result = self._snapshot.register_fragmented(
-            self._namespace._mangle(name), fragmented, replace=True
-        )
+        return self._register_private(self._catalog.register_fragmented, name, fragmented)
+
+    def _register_private(self, register, name: str, value):
+        # Always replacing: a private name is this session's own.
+        result = register(self._mangle(name), value, replace=True)
         self._private.add(name)
         with self._namespace._lock:
             self._namespace._names.add(name)
@@ -210,12 +151,12 @@ class _NamespaceSnapshot:
 
     def drop(self, name: str) -> None:
         if name in self._private:
-            self._snapshot.drop(self._namespace._mangle(name))
+            self._catalog.drop(self._mangle(name))
             self._private.discard(name)
             with self._namespace._lock:
                 self._namespace._names.discard(name)
             return
-        if self._snapshot.exists(name) or self._namespace.pool.exists(name):
+        if self._catalog.exists(name) or self._namespace.pool.exists(name):
             raise BBPError(
                 f"cannot drop shared BAT {name!r} from a session "
                 "(sessions own only their temp namespace)"
@@ -223,7 +164,7 @@ class _NamespaceSnapshot:
         raise BBPError(f"cannot drop unknown BAT {name!r}")
 
     def new_oids(self, count: int) -> int:
-        return self._snapshot.new_oids(count)
+        return self._catalog.new_oids(count)
 
 
 class Session:
@@ -236,8 +177,6 @@ class Session:
         *,
         rate_limiter=None,
     ):
-        from repro.service.admission import TokenBucket  # circular-safe
-
         self.session_id = session_id
         self.db = db
         self.namespace = SessionNamespace(db.pool, session_id)
@@ -251,7 +190,6 @@ class Session:
         #: Set when the connection goes away; polled by the per-query
         #: checkpoint so an in-flight plan aborts between statements.
         self.disconnected = threading.Event()
-        self.queries = 0
         #: The session's open :class:`~repro.core.mirror.Transaction`,
         #: if any (one at a time; wire ops begin/commit/abort manage it).
         self.transaction = None
@@ -261,9 +199,7 @@ class Session:
         """Open a transaction on the shared database: one pinned epoch
         for every statement until commit/abort.  One open transaction
         per session."""
-        from repro.monet.errors import TransactionError  # circular-safe
-
-        if self.transaction is not None and self.transaction.state == "open":
+        if self.open_transaction() is not None:
             raise TransactionError(
                 f"session {self.session_id} already has an open transaction"
             )
@@ -277,28 +213,15 @@ class Session:
             return txn
         return None
 
-    def _require_transaction(self):
-        from repro.monet.errors import TransactionError
-
+    def end_transaction(self, outcome: str):
+        """``commit`` or ``abort`` the open transaction; returns its
+        :class:`~repro.core.mirror.MutationResult` summary."""
         txn = self.open_transaction()
         if txn is None:
             raise TransactionError(
                 f"session {self.session_id} has no open transaction"
             )
-        return txn
-
-    def commit_transaction(self):
-        """Commit the open transaction; returns its
-        :class:`~repro.core.mirror.MutationResult` summary."""
-        txn = self._require_transaction()
-        result = txn.commit()
-        self.transaction = None
-        return result
-
-    def abort_transaction(self):
-        """Abort the open transaction, dropping every staged mutation."""
-        txn = self._require_transaction()
-        result = txn.abort()
+        result = getattr(txn, outcome)()
         self.transaction = None
         return result
 
@@ -310,43 +233,6 @@ class Session:
         if txn is None:
             return None
         return self.namespace.pinned_snapshot(txn.snapshot)
-
-    def commit(
-        self, name: str, shared_name: Optional[str] = None, *, replace: bool = False
-    ) -> str:
-        """Promote the session temp *name* to shared data.
-
-        .. deprecated:: legacy surface.  This is the temp-promotion
-           dialect that predates the unified mutation API; new code
-           should mutate shared collections through the transaction
-           path (:meth:`begin` / wire ops ``begin``/``commit``) instead.
-           Kept as a thin wrapper because promoting a temp BAT has no
-           collection-level equivalent yet.
-
-        The temp's value (fragmented or not) is re-registered in the
-        shared catalog under *shared_name* (default: the same name) and
-        the private alias dropped.  Serialized on the database's
-        ``write_lock`` like every write; with ``replace=False`` an
-        existing shared name is an error.  Returns the shared name.
-        """
-        target = shared_name if shared_name is not None else name
-        if target.startswith("@"):
-            raise BBPError(f"cannot commit to reserved name {target!r}")
-        mangled = self.namespace._mangle(name)
-        with self.db.write_lock:
-            if not self.namespace._is_private(name):
-                raise BBPError(f"no session temp named {name!r}")
-            pool = self.db.pool
-            if pool.is_fragmented(mangled):
-                pool.register_fragmented(
-                    target, pool.lookup_fragments(mangled), replace=replace
-                )
-            else:
-                pool.register(target, pool.lookup(mangled), replace=replace)
-            pool.drop(mangled)
-            with self.namespace._lock:
-                self.namespace._names.discard(name)
-        return target
 
     def close(self) -> int:
         """Mark disconnected, abort any open transaction, and reclaim

@@ -4,9 +4,13 @@ paths, cancellation, session cleanup, and the 16-client smoke."""
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
+import math
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -17,7 +21,7 @@ from repro.service import (
     ServiceError,
     ServiceThread,
 )
-from repro.service.protocol import BATResult, pack_message
+from repro.service.protocol import BATResult, pack_message, read_message
 
 #: A MIL program of many cheap statements: long enough wall-clock to
 #: overlap other requests, with checkpoints between every statement.
@@ -26,6 +30,46 @@ SLOW_MIL = "\n".join(
 )
 
 POINT_MIL = 'bat("Nums.__value__").select(2, 7);'
+
+
+@contextlib.contextmanager
+def raw_connection(svc):
+    """A bare socket past the hello: ``send(header)`` returns the reply
+    header, so requests a client would never build can be sent."""
+    sock = socket.create_connection(svc.address, timeout=30)
+    reader = sock.makefile("rb")
+    try:
+        read_message(reader.read)
+
+        def send(header):
+            sock.sendall(pack_message(header))
+            return read_message(reader.read)[0]
+
+        yield send
+    finally:
+        reader.close()
+        sock.close()
+
+
+@contextlib.contextmanager
+def hang_up_before_hello():
+    """A listener that accepts one connection and closes it before any
+    hello; yields its port and the ResourceWarnings raised until every
+    object the body left behind is collected."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    acceptor = threading.Thread(
+        target=lambda: listener.accept()[0].close(), daemon=True
+    )
+    acceptor.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            yield listener.getsockname()[1], caught
+            gc.collect()
+    finally:
+        acceptor.join(timeout=10)
+        listener.close()
+    assert not acceptor.is_alive()
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -120,6 +164,15 @@ class TestQueries:
                 c.moa("count(Nums);", {"st": {"$session": "never-bound"}})
             assert info.value.code == "protocol"
 
+    def test_mil_response_carries_epoch(self, service, db):
+        with ServiceClient(*service.address) as client:
+            first = client.mil('bat("Nums.__value__");')
+            assert first.epoch is not None
+            db.pool.append("Nums.__value__", tails=[11])
+            second = client.mil('bat("Nums.__value__");')
+            assert second.epoch > first.epoch
+            assert second.tail[-1] == 11
+
 
 class TestRejectionPaths:
     def test_rate_limit(self, db):
@@ -196,6 +249,44 @@ class TestRejectionPaths:
             # The worker slot came back: the next query runs fine.
             assert isinstance(c.mil(POINT_MIL), BATResult)
 
+    def test_request_cannot_disable_the_deadline(self, db):
+        """``deadline_ms`` replaces the default deadline with a finite
+        number >= 0: NaN/Infinity (which Python's json emits and reads)
+        no longer switch it off, and a large finite value still runs."""
+        with ServiceThread(db, ServiceConfig(deadline=0.0)) as svc:
+            with raw_connection(svc) as send:
+                for deadline in (math.nan, math.inf, -1, True, "5", 10**400):
+                    reply = send({"op": "mil", "q": SLOW_MIL, "deadline_ms": deadline})
+                    assert reply["error"]["code"] == "protocol", deadline
+                reply = send({"op": "mil", "q": SLOW_MIL})
+                assert reply["error"]["code"] == "timeout"
+                reply = send({"op": "mil", "q": POINT_MIL, "deadline_ms": 1e12})
+                assert reply["ok"] and reply["result"]["count"] == 4
+
+    def test_binary_flag_is_bool_only(self, service):
+        with raw_connection(service) as send:
+            reply = send({"op": "mil", "q": POINT_MIL, "binary": "false"})
+            assert reply["error"] == {
+                "code": "protocol",
+                "message": "request field 'binary' must be true or false",
+            }
+
+    def test_legacy_commit_fields_never_commit(self, service, db):
+        """The removed temp-promotion dialect (``commit`` with ``name``)
+        is refused by the unknown-field rule -- it must not commit the
+        session's open transaction."""
+        with raw_connection(service) as send:
+            assert send({"op": "begin"})["ok"]
+            assert send({"op": "insert", "collection": "Nums", "values": [8]})["ok"]
+            reply = send({"op": "commit", "name": "x", "as": "y"})
+            assert reply["error"] == {
+                "code": "protocol",
+                "message": "commit takes no field 'name'",
+            }
+            assert db.count("Nums") == 6
+            assert send({"op": "abort"})["result"]["count"] == 1
+        assert db.count("Nums") == 6
+
 
 class TestSessionLifecycle:
     def test_cleanup_on_clean_close(self, service, db):
@@ -222,10 +313,7 @@ class TestSessionLifecycle:
         the next checkpoint and reclaim the session."""
         sock = socket.create_connection(service.address)
         reader = sock.makefile("rb")
-        # Consume the hello.
-        from repro.service.protocol import read_message
-
-        read_message(reader.read)
+        read_message(reader.read)  # the hello
         sid = sorted(service.service.sessions)[-1]
         sock.sendall(pack_message({"op": "mil", "q": SLOW_MIL}))
         assert wait_until(lambda: service.service.admission.inflight >= 1)
@@ -238,6 +326,21 @@ class TestSessionLifecycle:
         assert service.service.sessions.get(sid) is None
         assert wait_until(lambda: service.service.admission.inflight == 0)
         assert time.monotonic() - started < 30
+
+    def test_failed_hello_closes_the_sync_client(self):
+        with hang_up_before_hello() as (port, caught):
+            with pytest.raises(EOFError):
+                ServiceClient("127.0.0.1", port, timeout=10)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_failed_hello_closes_the_async_client(self):
+        async def connect(port):
+            await AsyncServiceClient("127.0.0.1", port).connect()
+
+        with hang_up_before_hello() as (port, caught):
+            with pytest.raises(EOFError):
+                asyncio.run(connect(port))
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_sessions_get_distinct_ids(self, service):
         with ServiceClient(*service.address) as a, ServiceClient(

@@ -1,4 +1,7 @@
-"""Session temp-namespace semantics over one shared pool."""
+"""Session temp-namespace semantics over one shared pool.
+
+A plan writes through its pinned view (``read_snapshot()``, what MIL
+``persists``/``unpersists`` use); the namespace itself only reads."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from repro.service.session import Session, SessionNamespace
 
 def test_private_write_reads_back(db):
     ns = SessionNamespace(db.pool, "sA")
-    ns.register("temp", dense_bat("int", [1, 2]))
+    ns.read_snapshot().register("temp", dense_bat("int", [1, 2]))
     assert ns.exists("temp")
     assert ns.lookup("temp").tail_list() == [1, 2]
     # The shared catalog holds it under the mangled name only.
@@ -27,8 +30,9 @@ def test_reads_fall_through_to_shared(db):
 
 def test_private_shadows_shared(db):
     ns = SessionNamespace(db.pool, "sA")
-    ns.register("Nums.__value__", dense_bat("int", [99]))
+    ns.read_snapshot().register("Nums.__value__", dense_bat("int", [99]))
     assert ns.lookup("Nums.__value__").tail_list() == [99]
+    assert ns.read_snapshot().lookup("Nums.__value__").tail_list() == [99]
     # The shared BAT is untouched.
     assert len(db.pool.lookup("Nums.__value__")) == 6
 
@@ -36,27 +40,28 @@ def test_private_shadows_shared(db):
 def test_sessions_cannot_see_each_other(db):
     a = SessionNamespace(db.pool, "sA")
     b = SessionNamespace(db.pool, "sB")
-    a.register("temp", dense_bat("int", [1]))
+    a.read_snapshot().register("temp", dense_bat("int", [1]))
     assert not b.exists("temp")
-    b.register("temp", dense_bat("int", [2, 2]))
+    b.read_snapshot().register("temp", dense_bat("int", [2, 2]))
     assert a.lookup("temp").tail_list() == [1]
     assert b.lookup("temp").tail_list() == [2, 2]
 
 
 def test_cannot_drop_shared(db):
-    ns = SessionNamespace(db.pool, "sA")
-    with pytest.raises(BBPError):
-        ns.drop("Nums.__value__")
-    with pytest.raises(BBPError):
-        ns.drop("no-such-name")
+    view = SessionNamespace(db.pool, "sA").read_snapshot()
+    with pytest.raises(BBPError, match="shared"):
+        view.drop("Nums.__value__")
+    with pytest.raises(BBPError, match="unknown"):
+        view.drop("no-such-name")
+    assert db.pool.exists("Nums.__value__")
 
 
 def test_cleanup_drops_only_this_session(db):
     a = SessionNamespace(db.pool, "sA")
     b = SessionNamespace(db.pool, "sB")
-    a.register("t1", dense_bat("int", [1]))
-    a.register("t2", dense_bat("int", [2]))
-    b.register("t1", dense_bat("int", [3]))
+    a.read_snapshot().register("t1", dense_bat("int", [1]))
+    a.read_snapshot().register("t2", dense_bat("int", [2]))
+    b.read_snapshot().register("t1", dense_bat("int", [3]))
     assert a.cleanup() == 2
     assert not db.pool.exists("@sA:t1")
     assert db.pool.exists("@sB:t1")
