@@ -18,8 +18,9 @@ Built-in atoms
 ``dbl``
     IEEE double.
 ``str``
-    Variable-length string (numpy object column, optionally
-    dictionary-encoded through :class:`repro.monet.heap.StringHeap`).
+    Variable-length string (numpy object column; its dictionary
+    encoding, :func:`repro.monet.bat.dictionary_encode`, is the join
+    accelerator and, as codes plus a string heap, the on-disk form).
 ``bit``
     Boolean.
 

@@ -48,9 +48,13 @@ the shape of Monet's hash accelerator:
   pool mutation above them build *new* columns, which start cold (a
   delete's survivors are a gather and so stay warm, correctly); nothing
   ever has to invalidate;
-* **never persisted** -- it is not part of a column's value: the
-  catalog and the ``.npz`` files carry none of it, loaded columns
-  start cold;
+* **never persisted** -- the slot is not part of the stored form: a
+  str column is stored as codes plus a string heap of its distinct
+  values (:mod:`repro.monet.bbp`; ``save`` encodes afresh and keeps
+  nothing), and loading does not restore the slot, so loaded columns
+  start cold (whether a loaded column should arrive warm is still
+  open, to be decided together with how an append extends a warm
+  dictionary);
 * **published unlocked, by a single attribute store** -- two threads
   racing to build it compute equal encodings and the last store wins;
   a reader sees either ``None`` or a complete encoding, never a

@@ -15,9 +15,12 @@ fragment-parallel operators of :mod:`repro.monet.fragments`.
 Persistence is a directory with one ``.npz`` per BAT (one per fragment
 for fragmented BATs) plus a JSON catalog.  It deliberately mirrors
 Monet's "BBP dir + heap files" layout at a coarse granularity: enough
-to round-trip a whole Mirror database.  Measured tuning
-(:func:`repro.monet.tuning.persistable`) rides along in the catalog
-and :meth:`BATBufferPool.load` hands it back to
+to round-trip a whole Mirror database.  A str column is stored as
+Monet's string heap: codes in the column, each distinct value once in
+a UTF-8 heap.  Files are read without pickle and validated; any other
+layout is refused (format and rules above :func:`_bat_entry`).
+Measured tuning (:func:`repro.monet.tuning.persistable`) rides along
+in the catalog and :meth:`BATBufferPool.load` hands it back to
 :func:`repro.monet.tuning.load_persisted`, so a reloaded database
 skips the measurement pass.
 """
@@ -34,13 +37,15 @@ import tempfile
 import threading
 import time
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
 from repro.monet.atoms import OID_NIL, OidGenerator, atom
-from repro.monet.bat import BAT, Column, VoidColumn
+from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode
 from repro.monet.errors import (
     BBPError,
     KernelError,
@@ -902,32 +907,20 @@ class BATBufferPool:
                 # @-namespace exclusion; dead sessions stay dead.
                 continue
             if entry.get("fragmented"):
-                fragments: List[BAT] = []
-                legacy_positions: List[np.ndarray] = []
-                for sub_entry in entry["fragments"]:
-                    with np.load(
-                        directory / sub_entry["file"], allow_pickle=True
-                    ) as data:
-                        fragments.append(_restore_bat(sub_entry, data, name=None))
-                        if sub_entry.get("has_positions"):
-                            legacy_positions.append(
-                                np.asarray(data["positions"], np.int64)
-                            )
-                policy = FragmentationPolicy(
-                    # Legacy catalogs without a stored size pick up the
-                    # current (possibly calibrated) default at load time.
-                    target_size=entry.get("target_size")
-                    or _tuning.current().fragment_size,
+                if type(entry.get("target_size")) is not int:
+                    raise BBPError(f"catalog entry {name!r}: no integer target_size")
+                fragments = [
+                    _restore_bat(directory, sub_entry, name)
+                    for sub_entry in entry["fragments"]
+                ]
+                pool._fragmented[name] = FragmentedBAT(
+                    fragments,
+                    policy=FragmentationPolicy(target_size=entry["target_size"]),
+                    name=name,
                 )
-                fragmented = FragmentedBAT(fragments, policy=policy, name=name)
-                if legacy_positions:
-                    fragmented = _from_legacy_positions(
-                        fragmented, legacy_positions
-                    )
-                pool._fragmented[name] = fragmented
             else:
-                with np.load(directory / entry["file"], allow_pickle=True) as data:
-                    pool._bats[name] = _restore_bat(entry, data, name=name)
+                bat = pool._bats[name] = _restore_bat(directory, entry, name)
+                bat.name = name
         pool.oid_generator.bump_past(catalog.get("oid_next", 0) - 1)
         pool._generation = int(catalog.get("generation", 0))
         _sweep_unreferenced(directory, catalog)
@@ -1266,10 +1259,10 @@ def _replay_wal(pool: "BATBufferPool", directory: Path) -> int:
 # Out-of-core operators (the grace hash join's partitioned build in
 # :mod:`repro.monet.fragments`) park intermediate partitions on disk as
 # npz units under a process-wide scratch directory, the BBP's transient
-# sibling of the persistent per-fragment files above.  Units are
-# same-process transients, so -- unlike catalog files -- object (str)
-# arrays may ride npz's pickle path directly and no catalog entry or
-# NIL marker translation is involved.
+# sibling of the persistent per-fragment files above.  Units hold
+# numeric arrays only (keys and build positions; the join gathers tails
+# from its resident build fragments) and are read without pickle like
+# every other file.
 # ----------------------------------------------------------------------
 
 _SPILL_ROOT: Optional[Path] = None
@@ -1351,8 +1344,8 @@ def write_spill_unit(tag: str, **arrays: np.ndarray) -> Path:
 
 def read_spill_unit(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     """Load every array of a spill unit back into memory."""
-    with np.load(path, allow_pickle=True) as data:
-        return {key: data[key] for key in data.files}
+    path = Path(path)
+    return _read_npz(path, f"spill unit {path.name}")
 
 
 def drop_spill_unit(path: Union[str, Path]) -> None:
@@ -1360,14 +1353,45 @@ def drop_spill_unit(path: Union[str, Path]) -> None:
     Path(path).unlink(missing_ok=True)
 
 
-#: NIL marker for persisted string columns.  No trailing NUL: numpy
-#: unicode arrays strip trailing NULs on read, so the marker must not
-#: end in one.
-_STR_NIL_MARKER = "\x00NIL"
+# ----------------------------------------------------------------------
+# The BAT file format
+#
+# One npz per BAT or fragment.  A void column stores nothing (its
+# seqbase and the count ride in the catalog entry); a numeric column is
+# its value array under ``head``/``tail``.  A str column is stored the
+# way Monet stores variable-size atoms -- one heap of its distinct
+# values, and codes in the column:
+#
+# * ``<key>``: the codes, in the narrowest signed int dtype holding
+#   -1..n-1 (NIL is -1);
+# * ``<key>_heap``: uint8, the n distinct values in code order, UTF-8
+#   with ``surrogatepass`` (lone surrogates are str values too);
+# * ``<key>_offsets``: int64, n + 1 entries; value i is
+#   ``heap[offsets[i]:offsets[i + 1]]``.
+#
+# A data directory is outside input.  The reader reads no pickle and
+# validates every array: a file must hold exactly the arrays its entry
+# implies, a numeric array must hold its atom's values exactly (it is
+# never cast lossily), and head and tail -- a void side counted by the
+# entry's ``count`` -- must be equally long.  Catalog keys it does not
+# know are ignored, as a fragmented entry's old ``workers`` key is.
+# Anything else -- the pre-BUN-order round-robin layout, whose fragment
+# files carry ``positions``, an entry without ``target_size``, a ``<U``
+# str array -- is a BBPError naming the catalog entry, the file and,
+# where one is at fault, the array.
+# ----------------------------------------------------------------------
+
+_ENTRY_KEYS = frozenset(
+    {"file", "htype", "ttype", "hsorted", "tsorted", "hkey", "tkey", "hvoid", "tvoid"}
+)
+_CODE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+#: What ``np.load`` raises on a missing, truncated, corrupt or pickled
+#: file or member.
+_NPZ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
 
 def _bat_entry(bat: BAT, filename: str) -> tuple:
-    """Catalog entry + storable arrays for one BAT (or fragment)."""
+    """Catalog entry + stored arrays for one BAT (or fragment)."""
     entry = {
         "file": filename,
         "htype": bat.htype,
@@ -1380,22 +1404,65 @@ def _bat_entry(bat: BAT, filename: str) -> tuple:
         "tvoid": bat.tail.is_void,
     }
     arrays = {}
-    if bat.head.is_void:
-        entry["hseqbase"] = bat.head.seqbase
-        entry["count"] = len(bat)
-    else:
-        arrays["head"] = _storable(bat.head_values())
-    if bat.tail.is_void:
-        entry["tseqbase"] = bat.tail.seqbase
-        entry["count"] = len(bat)
-    else:
-        arrays["tail"] = _storable(bat.tail_values())
+    for prefix, key, column in (("h", "head", bat.head), ("t", "tail", bat.tail)):
+        if column.is_void:
+            entry[f"{prefix}seqbase"] = column.seqbase
+            entry["count"] = len(bat)
+        else:
+            arrays.update(_column_arrays(key, column))
     return entry, arrays
 
 
-def _restore_bat(entry: dict, data, name: Optional[str]) -> BAT:
-    head = _restore_column(entry, data, "h", "head")
-    tail = _restore_column(entry, data, "t", "tail")
+def _column_arrays(key: str, column: Column) -> Dict[str, np.ndarray]:
+    """The stored arrays of one materialized column.  A str column is
+    encoded here and the encoding is not kept, so saving changes no
+    column."""
+    if column.atom_type.name != "str":
+        return {key: column.values}
+    codes, dictionary = dictionary_encode(column.values)
+    blobs = [value.encode("utf-8", "surrogatepass") for value in dictionary]
+    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(blob) for blob in blobs], dtype=np.int64)
+    dtype = next(d for d in _CODE_DTYPES if len(blobs) - 1 <= np.iinfo(d).max)
+    return {
+        key: codes.astype(dtype),
+        f"{key}_heap": np.frombuffer(b"".join(blobs), dtype=np.uint8),
+        f"{key}_offsets": offsets,
+    }
+
+
+def _read_npz(path: Path, where: str) -> Dict[str, np.ndarray]:
+    """Every array of one npz file, read without pickle (``np.load``'s
+    default refuses object arrays and pickled files; nothing here or
+    anywhere in ``src/`` turns that off)."""
+    try:
+        data = np.load(path)
+    except _NPZ_ERRORS as exc:
+        raise BBPError(f"{where}: unreadable: {exc}") from None
+    arrays = {}
+    with data:
+        for key in data.files:
+            try:
+                arrays[key] = data[key]
+            except _NPZ_ERRORS as exc:
+                raise BBPError(f"{where}: cannot read array {key!r}: {exc}") from None
+    return arrays
+
+
+def _restore_bat(directory: Path, entry, name: str) -> BAT:
+    """The BAT (or fragment) one catalog entry describes, validated
+    against the format above."""
+    missing = _ENTRY_KEYS - set(entry)
+    if missing:
+        raise BBPError(f"catalog entry {name!r}: no {sorted(missing)}")
+    where = f"catalog entry {name!r}, {entry['file']}"
+    arrays = _read_npz(directory / entry["file"], where)
+    head = _restore_column(entry, arrays, "h", "head", where)
+    tail = _restore_column(entry, arrays, "t", "tail", where)
+    if arrays:
+        raise BBPError(f"{where}: unexpected arrays {sorted(arrays)}")
+    if len(head) != len(tail):
+        raise BBPError(f"{where}: head holds {len(head)} rows, tail {len(tail)} rows")
     return BAT(
         head,
         tail,
@@ -1403,48 +1470,61 @@ def _restore_bat(entry: dict, data, name: Optional[str]) -> BAT:
         tsorted=entry["tsorted"],
         hkey=entry["hkey"],
         tkey=entry["tkey"],
-        name=name,
     )
 
 
-def _from_legacy_positions(
-    fragmented: FragmentedBAT, positions: List[np.ndarray]
-) -> FragmentedBAT:
-    """The logical BAT of a catalog entry written before fragment order
-    became BUN order: such an entry may hold a round-robin split, each
-    fragment's npz carrying the global BUN positions of its rows.  The
-    rows are gathered into BUN order once (stable argsort of the
-    concatenated positions) and re-split by the stored target size."""
-    if [len(p) for p in positions] != fragmented.fragment_sizes():
-        raise BBPError(
-            f"legacy catalog entry {fragmented.name!r}: per-fragment "
-            "positions do not match the fragment sizes"
-        )
-    order = np.argsort(np.concatenate(positions), kind="stable")
-    restored = _fragments._rows_in_order(fragmented, order)
-    restored.name = fragmented.name
-    return restored
-
-
-def _storable(values: np.ndarray) -> np.ndarray:
-    """Object (string) arrays are stored as unicode arrays; None becomes
-    the reserved marker so NILs round-trip."""
-    if values.dtype == np.dtype(object):
-        return np.array(
-            [_STR_NIL_MARKER if v is None else v for v in values], dtype=str
-        )
-    return values
-
-
-def _restore_column(entry: dict, data, prefix: str, key: str):
+def _restore_column(entry: dict, arrays: dict, prefix: str, key: str, where: str):
+    """One column of *entry*, consuming its arrays from *arrays*."""
     if entry[f"{prefix}void"]:
-        return VoidColumn(entry[f"{prefix}seqbase"], entry["count"])
-    atom_name = entry["htype"] if prefix == "h" else entry["ttype"]
-    raw = data[key]
+        seqbase, count = entry.get(f"{prefix}seqbase"), entry.get("count")
+        if not all(type(n) is int and n >= 0 for n in (seqbase, count)):
+            raise BBPError(f"{where}: void {key} needs {prefix}seqbase and count")
+        return VoidColumn(seqbase, count)
+    atom_name = entry[f"{prefix}type"]
     if atom_name == "str":
-        values = np.empty(len(raw), dtype=object)
-        for position, item in enumerate(raw):
-            text = str(item)
-            values[position] = None if text == _STR_NIL_MARKER else text
-        return Column("str", values)
-    return Column(atom_name, raw.astype(atom(atom_name).dtype))
+        return Column("str", _decode_heap(arrays, key, where))
+    dtype = atom(atom_name).dtype
+    floats = dtype.kind == "f"
+    values = _pop_array(arrays, key, "biuf" if floats else "biu", where)
+    restored = values.astype(dtype)
+    if values.dtype != dtype and not np.array_equal(restored, values, equal_nan=floats):
+        raise BBPError(f"{where}: array {key!r} ({values.dtype}) does not fit {atom_name}")
+    return Column(atom_name, restored)
+
+
+def _pop_array(arrays: dict, key: str, kinds: str, where: str) -> np.ndarray:
+    array = arrays.pop(key, None)
+    if array is None:
+        raise BBPError(f"{where}: array {key!r} is missing")
+    if array.ndim != 1 or array.dtype.kind not in kinds:
+        raise BBPError(f"{where}: array {key!r} has shape {array.shape}, dtype {array.dtype}")
+    return array
+
+
+def _decode_heap(arrays: dict, key: str, where: str) -> np.ndarray:
+    """A str column's values from its codes and string heap: the
+    distinct values decode once, then one ``take`` gathers every row
+    through a lookup whose last slot (code -1) is NIL."""
+    codes = _pop_array(arrays, key, "i", where)
+    heap = _pop_array(arrays, f"{key}_heap", "u", where)
+    offsets = _pop_array(arrays, f"{key}_offsets", "i", where)
+    n = len(offsets) - 1
+    if heap.dtype != np.uint8:
+        raise BBPError(f"{where}: array {key + '_heap'!r} is not uint8")
+    if n < 0 or offsets[0] != 0 or offsets[-1] != len(heap) or (np.diff(offsets) < 0).any():
+        raise BBPError(
+            f"{where}: array {key + '_offsets'!r} does not run from 0 up to "
+            f"len({key}_heap) = {len(heap)}"
+        )
+    if len(codes) and (codes.min() < -1 or codes.max() >= n):
+        raise BBPError(f"{where}: array {key!r} holds codes outside [-1, {n})")
+    raw, bounds = heap.tobytes(), offsets.tolist()
+    lookup = np.empty(n + 1, dtype=object)
+    try:
+        lookup[:n] = [
+            raw[start:stop].decode("utf-8", "surrogatepass")
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+    except UnicodeDecodeError as exc:
+        raise BBPError(f"{where}: array {key + '_heap'!r} does not decode: {exc}") from None
+    return lookup.take(codes)

@@ -974,18 +974,20 @@ def _radix_matches_spilled(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Out-of-core radix join: build partitions stream to npz spill
     units fragment by fragment, then load back one partition at a time
-    -- the resident build state is one partition, not the build side."""
+    -- the resident build state is one partition, not the build side.
+    A unit holds keys and local build positions only; tails are
+    gathered from the (resident) build fragments on reload, so no
+    object array is ever spilled."""
     from repro.monet import bbp as _bbp
 
     empty_positions = np.empty(0, dtype=np.int64)
     empty_tails = _build_tails_empty(build_frags, tails_object)
-    units: List[List] = [[] for _ in range(fanout)]
+    units: List[List] = [[] for _ in range(fanout)]  # (build fragment, path)
     try:
         for frag in build_frags:
             keys, valid = _kernel.join_keys(frag.head, keyspace)
             positions = np.nonzero(valid)[0]
             ids = _kernel.join_partition_ids(keys, fanout)[positions]
-            tails = frag.tail_values()
             for partition in range(fanout):
                 sel = positions[ids == partition]
                 if len(sel) == 0:
@@ -993,10 +995,10 @@ def _radix_matches_spilled(
                 path = _bbp.write_spill_unit(
                     _bbp.new_spill_tag(f"join-p{partition:03d}"),
                     keys=keys[sel],
-                    tails=tails[sel],
+                    positions=sel,
                 )
-                units[partition].append(path)
-            del keys, valid, positions, ids, tails
+                units[partition].append((frag, path))
+            del keys, valid, positions, ids
         probe_data = map_fragments(probe_parts, fb.fragments, len(fb))
         accum: List[Tuple[List[np.ndarray], List[np.ndarray]]] = [
             ([], []) for _ in fb.fragments
@@ -1005,10 +1007,10 @@ def _radix_matches_spilled(
             if not units[partition]:
                 continue
             key_chunks, tail_chunks = [], []
-            for path in units[partition]:
+            for frag, path in units[partition]:
                 data = _bbp.read_spill_unit(path)
                 key_chunks.append(data["keys"])
-                tail_chunks.append(data["tails"])
+                tail_chunks.append(frag.tail.take(data["positions"]).values)
             part = _assemble_join_partition(key_chunks, tail_chunks, tails_object)
             del key_chunks, tail_chunks
             index, part_tails = part
@@ -1031,7 +1033,7 @@ def _radix_matches_spilled(
             del part, index, part_tails
     finally:
         for partition_units in units:
-            for path in partition_units:
+            for _, path in partition_units:
                 _bbp.drop_spill_unit(path)
     matches = []
     for position_chunks, value_chunks in accum:

@@ -1,20 +1,24 @@
 """Save/load round-trips of the BAT buffer pool.
 
 Covers the property-flag and NIL corners the coarse npz layout must
-preserve exactly: ``hsorted``/``tkey``/``hdense`` flags, object (str)
-columns with NILs, fragmented BATs (even and ragged fragmentations),
-and catalogs written by builds that still had a round-robin layout.
+preserve exactly: ``hsorted``/``tkey``/``hdense`` flags, str columns
+(stored as codes plus a heap of their distinct values) with NILs and
+awkward values, fragmented BATs (even and ragged fragmentations); and
+what the reader refuses: malformed or pickled files, and the layouts
+of earlier builds.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
-from repro.monet.bbp import BATBufferPool
+from repro.monet.bbp import BATBufferPool, read_spill_unit
 from repro.monet.errors import BBPError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
 from tests.conftest import STRATEGIES, fragment_layout
@@ -116,15 +120,315 @@ def test_fragmented_roundtrip_preserves_oid_sequence(pool, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Catalogs written before fragment order became BUN order
+# Str columns: codes plus one UTF-8 heap of the distinct values
 # ----------------------------------------------------------------------
 
 
-def _write_legacy_roundrobin(directory, bat: BAT, target: int, wal=()):
+def _distinct(count: int) -> list:
+    return [f"d{i}" for i in range(count)] + [None, "d0"]
+
+
+#: Value shapes a str column must round-trip exactly.  128 and 32 768
+#: distinct values are the largest the int8 and int16 code dtypes hold;
+#: one more widens them.
+STR_CASES = {
+    "nil_heavy": [None, "a", None, None, "b", None, "a", None, None],
+    "all_nil": [None] * 7,
+    "empty_column": [],
+    "empty_string": ["", "x", "", None, ""],
+    "nil_marker_text": ["\x00NIL", None, "plain", "\x00NIL"],
+    "trailing_nul": ["tail\x00", "tail", "\x00", "tail\x00\x00"],
+    "lone_surrogate": ["\ud800x", "x\udfff", None, "\ud800x"],
+    "non_ascii": ["café", "日本語", "😀", None, "ß", "café"],
+    "one_distinct": ["same"] * 9,
+    "all_distinct": [f"v{i}" for i in range(40)],
+    "distinct_128": _distinct(128),
+    "distinct_129": _distinct(129),
+    "distinct_32768": _distinct(32768),
+    "distinct_32769": _distinct(32769),
+}
+
+
+def _str_bat(values: list, side: str) -> BAT:
+    strs = Column("str", np.array(values, dtype=object))
+    if side == "head":
+        return BAT(strs, Column("int", np.arange(len(values), dtype=np.int64)))
+    return BAT(VoidColumn(0, len(values)), strs)
+
+
+def _code_dtype(distinct: int):
+    return next(
+        dtype
+        for dtype in (np.int8, np.int16, np.int32)
+        if distinct - 1 <= np.iinfo(dtype).max
+    )
+
+
+def _entries(directory, name: str) -> list:
+    entry = json.loads((directory / "catalog.json").read_text())["bats"][name]
+    return entry["fragments"] if entry.get("fragmented") else [entry]
+
+
+@pytest.mark.parametrize("layout", ["monolithic", "fragmented"])
+@pytest.mark.parametrize("side", ["head", "tail"])
+@pytest.mark.parametrize("case", list(STR_CASES))
+def test_str_column_roundtrip(pool, tmp_path, case, side, layout):
+    """Every value comes back as the same str (or NIL), and each file
+    holds the column as codes in the narrowest signed dtype plus a heap
+    of exactly its distinct values -- readable without pickle.  Saving
+    builds no encoding on the saved column."""
+    values = STR_CASES[case]
+    bat = _str_bat(values, side)
+    if layout == "fragmented":
+        policy = FragmentationPolicy(target_size=max(1, len(values) // 3))
+        saved = fragment_bat(bat, policy)
+        pool.register_fragmented("s", saved)
+        saved = saved.fragments
+    else:
+        pool.register("s", bat)
+        saved = [bat]
+    loaded = _roundtrip(pool, tmp_path)
+    assert all(getattr(b, side)._encoding is None for b in saved)
+
+    restored = loaded.lookup("s")
+    column = restored.head if side == "head" else restored.tail
+    assert column.values.tolist() == values
+    assert all(type(v) is str for v in column.values.tolist() if v is not None)
+    assert column._encoding is None  # loaded columns start cold
+    stored = 0
+    for entry in _entries(tmp_path / "db", "s"):
+        with np.load(tmp_path / "db" / entry["file"], allow_pickle=False) as data:
+            assert {side, f"{side}_heap", f"{side}_offsets"} <= set(data.files)
+            codes, heap, offsets = (
+                data[side], data[f"{side}_heap"], data[f"{side}_offsets"]
+            )
+        rows = values[stored : stored + len(codes)]
+        stored += len(codes)
+        distinct = list(dict.fromkeys(v for v in rows if v is not None))
+        assert heap.dtype == np.uint8 and offsets.dtype == np.int64
+        assert len(offsets) == len(distinct) + 1
+        assert codes.dtype == _code_dtype(len(distinct))
+        assert [
+            None if code < 0 else distinct[code] for code in codes.tolist()
+        ] == rows
+    assert stored == len(values)
+
+
+def test_str_file_size_is_codes_plus_distinct_values(pool, tmp_path):
+    """One long value no longer widens every row: 2 000 short rows plus
+    one 2 000-character value store in a few KiB (a fixed-width unicode
+    array would take 4 bytes x 2 000 characters per row, ~16 MB)."""
+    values = [f"w{i % 50}" for i in range(2000)] + ["x" * 2000]
+    pool.register("s", dense_bat("str", values))
+    loaded = _roundtrip(pool, tmp_path)
+    (entry,) = _entries(tmp_path / "db", "s")
+    assert (tmp_path / "db" / entry["file"]).stat().st_size < 64 * 1024
+    assert loaded.lookup("s").tail_list() == values
+
+
+def test_numeric_files_hold_their_value_arrays(pool, tmp_path):
+    """Numeric columns are stored as they are: one array per column, in
+    the atom's dtype, next to an unchanged catalog entry."""
+    pool.register("ints", bat_from_pairs("oid", "int", [(3, 30), (5, None)]))
+    pool.save(tmp_path / "db")
+    (entry,) = _entries(tmp_path / "db", "ints")
+    assert set(entry) == {
+        "file", "htype", "ttype", "hsorted", "tsorted", "hkey", "tkey", "hvoid", "tvoid",
+    }
+    with np.load(tmp_path / "db" / entry["file"], allow_pickle=False) as data:
+        assert set(data.files) == {"head", "tail"}
+        assert data["head"].dtype == np.int64 and data["tail"].dtype == np.int64
+        assert data["head"].tolist() == [3, 5]
+
+
+# ----------------------------------------------------------------------
+# A data directory is outside input: validated, never unpickled
+# ----------------------------------------------------------------------
+
+
+def _leave_mark(path: str) -> None:
+    """The payload of the crafted pickles below: proof that it ran."""
+    Path(path).write_text("ran")
+
+
+class _Payload:
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return _leave_mark, (self.marker,)
+
+
+def _saved_bat(tmp_path, bat: BAT):
+    pool = BATBufferPool()
+    pool.register("s", bat)
+    pool.save(tmp_path / "db")
+    (entry,) = _entries(tmp_path / "db", "s")
+    return tmp_path / "db" / entry["file"]
+
+
+def _saved_str_bat(tmp_path, values=("ape", None, "bat", "ape")):
+    return _saved_bat(tmp_path, dense_bat("str", list(values)))
+
+
+def _rewrite(path, **changes):
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays.update(changes)
+    for key in [key for key, value in arrays.items() if value is None]:
+        del arrays[key]
+    np.savez(path, **arrays)
+
+
+def test_crafted_object_array_bat_file_never_runs(tmp_path):
+    path = _saved_str_bat(tmp_path)
+    marker = tmp_path / "ran"
+    np.savez(path, tail=np.array([_Payload(marker)], dtype=object))
+    with pytest.raises(BBPError, match=rf"'s'.*{path.name}.*'tail'"):
+        BATBufferPool.load(tmp_path / "db")
+    assert not marker.exists()
+
+
+def test_crafted_object_array_spill_unit_never_runs(tmp_path):
+    marker = tmp_path / "ran"
+    path = tmp_path / "unit.npz"
+    np.savez(path, keys=np.array([_Payload(marker)], dtype=object))
+    with pytest.raises(BBPError, match="'keys'"):
+        read_spill_unit(path)
+    assert not marker.exists()
+
+
+def test_no_source_file_enables_pickle():
+    offenders = [
+        path.name
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        if "allow_pickle" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "changes, array",
+    [
+        ({"tail": np.array([0, 2, 1, 0], dtype=np.int8)}, "tail"),
+        ({"tail": np.array([0, -2, 1, 0], dtype=np.int8)}, "tail"),
+        ({"tail": np.array([0.0, -1.0, 1.0, 0.0])}, "tail"),
+        ({"tail_offsets": np.array([0, 4, 3], dtype=np.int64)}, "tail_offsets"),
+        ({"tail_offsets": np.array([1, 3, 6], dtype=np.int64)}, "tail_offsets"),
+        ({"tail_offsets": np.array([0, 3, 5], dtype=np.int64)}, "tail_offsets"),
+        ({"tail_offsets": np.array([], dtype=np.int64)}, "tail_offsets"),
+        ({"tail_heap": np.frombuffer(b"ap\xffbat", dtype=np.uint8)}, "tail_heap"),
+        ({"tail_heap": np.arange(6, dtype=np.int64)}, "tail_heap"),
+        ({"tail_heap": None}, "tail_heap"),
+        ({"extra": np.arange(3)}, "extra"),
+    ],
+    ids=[
+        "code_too_high",
+        "code_below_nil",
+        "float_codes",
+        "offsets_decrease",
+        "offsets_not_from_zero",
+        "offsets_short_of_heap",
+        "offsets_empty",
+        "heap_not_utf8",
+        "heap_not_bytes",
+        "heap_missing",
+        "unexpected_array",
+    ],
+)
+def test_malformed_str_file_is_refused(tmp_path, changes, array):
+    """Codes within [-1, n), offsets from 0 up to len(heap) without a
+    step back, a heap that decodes, exactly the written arrays: any
+    violation is a BBPError naming the entry, the file and the array."""
+    path = _saved_str_bat(tmp_path)
+    _rewrite(path, **changes)
+    with pytest.raises(BBPError, match=rf"'s'.*{path.name}.*{array}"):
+        BATBufferPool.load(tmp_path / "db")
+
+
+def _oid_bit_bat():
+    return BAT(
+        Column("oid", np.array([3, 5, 8], dtype=np.int64)),
+        Column("bit", np.array([1, 0, -1], dtype=np.int8)),
+    )
+
+
+def _void_int_bat():
+    return dense_bat("int", [4, None, 6])
+
+
+@pytest.mark.parametrize(
+    "make_bat, changes, entry_changes, problem",
+    [
+        (_oid_bit_bat, {"head": np.array([3.5, 5.0, 8.0])}, {}, "'head'"),
+        (_oid_bit_bat, {"tail": np.array([1, 300, -1])}, {}, "'tail'"),
+        (_oid_bit_bat, {"head": np.array([3, 5], dtype=np.int64)}, {}, "3 rows"),
+        (_void_int_bat, {}, {"count": 4}, "4 rows"),
+        (_void_int_bat, {}, {"count": None}, "hseqbase and count"),
+        (_void_int_bat, {}, {"hseqbase": -1}, "hseqbase and count"),
+    ],
+    ids=[
+        "float_under_oid",
+        "int_outside_bit",
+        "head_tail_lengths",
+        "void_count_mismatch",
+        "void_without_count",
+        "void_negative_seqbase",
+    ],
+)
+def test_malformed_numeric_file_is_refused(
+    tmp_path, make_bat, changes, entry_changes, problem
+):
+    """A numeric array must hold its atom's values exactly (no float under
+    an integral atom, nothing outside bit's range), and head, tail and a
+    void side's ``count`` must agree: a BBPError naming the entry and
+    file, never a cast or a BATError."""
+    path = _saved_bat(tmp_path, make_bat())
+    _rewrite(path, **changes)
+    catalog_path = tmp_path / "db" / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    catalog["bats"]["s"].update(entry_changes)
+    catalog_path.write_text(json.dumps(catalog))
+    with pytest.raises(BBPError, match=rf"'s'.*{path.name}.*{problem}"):
+        BATBufferPool.load(tmp_path / "db")
+
+
+def test_numeric_array_in_a_narrower_dtype_loads(tmp_path):
+    """A lossless dtype (int32 under oid) is not a violation: it loads
+    as the atom's dtype."""
+    path = _saved_bat(tmp_path, _oid_bit_bat())
+    _rewrite(path, head=np.array([3, 5, 8], dtype=np.int32))
+    head = BATBufferPool.load(tmp_path / "db").lookup("s").head.values
+    assert head.dtype == np.int64 and head.tolist() == [3, 5, 8]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: b"",
+        lambda raw: b"not an npz archive",
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: raw[:60] + bytes([raw[60] ^ 0xFF]) + raw[61:],
+    ],
+    ids=["empty", "garbage", "truncated", "bad_crc"],
+)
+def test_unreadable_bat_file_is_refused(tmp_path, damage):
+    path = _saved_str_bat(tmp_path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(BBPError, match=rf"'s'.*{path.name}"):
+        BATBufferPool.load(tmp_path / "db")
+
+
+# ----------------------------------------------------------------------
+# Older layouts are refused, not read
+# ----------------------------------------------------------------------
+
+
+def _write_legacy_roundrobin(directory, bat: BAT, target: int):
     """Hand-write the directory an earlier build's ``save`` produced for
     a round-robin registration of *bat*: BUN ``i`` in fragment
     ``i % nfragments``, materialized heads, and each fragment's global
-    BUN positions beside its columns -- plus WAL records on top."""
+    BUN positions beside its columns."""
     directory.mkdir()
     n = len(bat)
     nfragments = -(-n // target)
@@ -160,12 +464,6 @@ def _write_legacy_roundrobin(directory, bat: BAT, target: int, wal=()):
         )
     catalog = {"oid_next": n, "generation": 1, "bats": {"legacy": entry}}
     (directory / "catalog.json").write_text(json.dumps(catalog))
-    (directory / "wal.jsonl").write_text(
-        "".join(
-            json.dumps({"name": "legacy", "generation": 1, **record}) + "\n"
-            for record in wal
-        )
-    )
 
 
 def _legacy_bat(n=23):
@@ -173,50 +471,22 @@ def _legacy_bat(n=23):
     return BAT(VoidColumn(0, n), Column("int", rng.integers(0, 99, n)))
 
 
-def test_legacy_roundrobin_catalog_loads_as_the_same_bat(tmp_path):
-    """Outside input: a round-robin catalog (per-fragment ``positions``
-    arrays) loads as the same logical BAT in BUN order, re-split by the
-    stored target size, and its WAL -- whose positions are global,
-    hence layout-agnostic -- replays on top."""
-    bat = _legacy_bat()
-    wal = [
-        {"delete": [1, 7, 22], "renumber": False},
-        {"update": [0, 5], "values": [1000, 1005]},
-        {"tails": [2000, 2001]},
-    ]
-    _write_legacy_roundrobin(tmp_path / "db", bat, 5, wal)
-    loaded = BATBufferPool.load(tmp_path / "db")
-
-    reference = BATBufferPool()
-    reference.register("legacy", bat)
-    reference.delete("legacy", wal[0]["delete"])
-    reference.update("legacy", wal[1]["update"], wal[1]["values"])
-    reference.append("legacy", tails=wal[2]["tails"])
-    assert loaded.lookup("legacy").to_pairs() == reference.lookup("legacy").to_pairs()
-    assert loaded.lookup("legacy").hdense
-    fb = loaded.lookup_fragments("legacy")
-    assert fb.policy.target_size == 5
-    assert max(fb.fragment_sizes()) <= 5 + len(wal[2]["tails"])
+def test_legacy_roundrobin_entry_is_refused(tmp_path):
+    _write_legacy_roundrobin(tmp_path / "db", _legacy_bat(), 5)
+    with pytest.raises(BBPError, match="catalog entry 'legacy'"):
+        BATBufferPool.load(tmp_path / "db")
 
 
-def test_legacy_roundrobin_catalog_resaves_in_the_one_layout(tmp_path):
-    bat = _legacy_bat()
-    _write_legacy_roundrobin(tmp_path / "db", bat, 5)
-    loaded = BATBufferPool.load(tmp_path / "db")
-    fb = loaded.lookup_fragments("legacy")
-    assert fb.fragment_sizes() == [5, 5, 5, 5, 3]
-    assert [f.head.seqbase for f in fb.fragments] == [0, 5, 10, 15, 20]
-    loaded.save(tmp_path / "db")
-
+def test_legacy_roundrobin_fragment_entry_is_refused(tmp_path):
+    """The fragment half of the round-robin form on its own: a
+    ``has_positions`` sub-entry under a current fragmented entry."""
+    _write_legacy_roundrobin(tmp_path / "db", _legacy_bat(), 5)
     catalog = json.loads((tmp_path / "db" / "catalog.json").read_text())
     entry = catalog["bats"]["legacy"]
-    assert "strategy" not in entry
-    for sub_entry in entry["fragments"]:
-        assert "has_positions" not in sub_entry
-        with np.load(tmp_path / "db" / sub_entry["file"]) as data:
-            assert "positions" not in data.files
-    again = BATBufferPool.load(tmp_path / "db")
-    assert again.lookup("legacy").to_pairs() == bat.to_pairs()
+    del entry["strategy"], entry["workers"]
+    (tmp_path / "db" / "catalog.json").write_text(json.dumps(catalog))
+    with pytest.raises(BBPError, match="catalog entry 'legacy'"):
+        BATBufferPool.load(tmp_path / "db")
 
 
 def test_legacy_catalog_with_mismatched_positions_is_rejected(tmp_path):
@@ -227,7 +497,31 @@ def test_legacy_catalog_with_mismatched_positions_is_rejected(tmp_path):
         tail=np.arange(5),
         positions=np.arange(4),
     )
-    with pytest.raises(BBPError):
+    with pytest.raises(BBPError, match="catalog entry 'legacy'"):
+        BATBufferPool.load(tmp_path / "db")
+
+
+@pytest.mark.parametrize("target_size", ["missing", None])
+def test_fragmented_entry_without_target_size_is_refused(pool, tmp_path, target_size):
+    pool.register_fragmented(
+        "f", fragment_bat(dense_bat("int", list(range(9))), FragmentationPolicy(4))
+    )
+    pool.save(tmp_path / "db")
+    catalog = json.loads((tmp_path / "db" / "catalog.json").read_text())
+    if target_size == "missing":
+        del catalog["bats"]["f"]["target_size"]
+    else:
+        catalog["bats"]["f"]["target_size"] = target_size
+    (tmp_path / "db" / "catalog.json").write_text(json.dumps(catalog))
+    with pytest.raises(BBPError, match="catalog entry 'f'"):
+        BATBufferPool.load(tmp_path / "db")
+
+
+def test_fixed_width_unicode_str_file_is_refused(tmp_path):
+    """The earlier str form: one ``<U`` array with a NIL sentinel."""
+    path = _saved_str_bat(tmp_path)
+    np.savez(path, tail=np.array(["ape", "\x00NIL", "bat", "ape"], dtype=str))
+    with pytest.raises(BBPError, match=rf"'s'.*{path.name}.*'tail'"):
         BATBufferPool.load(tmp_path / "db")
 
 

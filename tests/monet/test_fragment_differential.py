@@ -1310,14 +1310,27 @@ def _join_case(rng, flavor: str, n: int, m: int):
         right = BAT(Column("dbl", build_vals), Column("int", rng.integers(-4, 4, m)))
     else:
         # "sparse" spreads the oid keys x1000: too wide for the span
-        # arm, so the build takes the radix-partitioned sorted arm.
-        spread = 1000 if flavor == "sparse" else 1
+        # arm, so the build takes the radix-partitioned sorted arm (the
+        # one that spills); "sparse_str" carries NIL-heavy str tails
+        # through it.
+        spread = 1 if flavor == "oid" else 1000
         left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, 15, n) * spread))
-        right = BAT(
-            Column("oid", rng.integers(0, 15, m).astype(np.int64) * spread),
-            Column("int", rng.integers(-4, 4, m)),
-        )
+        keys = Column("oid", rng.integers(0, 15, m).astype(np.int64) * spread)
+        if flavor == "sparse_str":
+            words = ["ape", "bat", "cat", "\x00NIL", ""]
+            tails = np.empty(m, dtype=object)
+            for i in range(m):
+                tails[i] = None if rng.random() < 0.3 else str(rng.choice(words))
+            tail = Column("str", tails)
+        else:
+            tail = Column("int", rng.integers(-4, 4, m))
+        right = BAT(keys, tail)
     return left, right
+
+
+#: The flavors the grace-join differentials cycle through, by seed; the
+#: str-tail flavor runs in suites of its own.
+JOIN_FLAVORS = ("oid", "dbl", "str")
 
 
 @BY_THREAD_SEED
@@ -1326,10 +1339,21 @@ def test_join_fragmented_right_differential(seed):
     ragged splits of both sides, over NIL-heavy bases -- BUN-identical to the
     monolithic kernel for join and outerjoin alike, with no coalesce
     of either operand."""
+    _check_fragmented_right_join(seed, JOIN_FLAVORS[seed % len(JOIN_FLAVORS)])
+
+
+@pytest.mark.parametrize("seed", range(0, N_CASES, 3))
+def test_join_fragmented_right_str_tail_differential(seed):
+    """The same with sparse oid keys (the sorted arm) carrying NIL-heavy
+    str tails."""
+    _check_fragmented_right_join(seed, "sparse_str")
+
+
+def _check_fragmented_right_join(seed: int, flavor: str) -> None:
     rng = np.random.default_rng(1300 + seed)
     n = int(rng.choice([0, 1, 30, 90]))
     m = int(rng.integers(0, 25))
-    left, right = _join_case(rng, ("oid", "dbl", "str")[seed % 3], n, m)
+    left, right = _join_case(rng, flavor, n, m)
     join_variants = [
         fr.join(_fragment(left, ls), _fragment(right, rs))
         for ls in STRATEGIES
@@ -1354,16 +1378,38 @@ def test_join_fragmented_right_differential(seed):
 @pytest.mark.parametrize("seed", range(0, N_CASES, 5))
 def test_join_spill_forced_differential(seed, monkeypatch, tuning_override):
     """JOIN_SPILL_BUNS=0 forces every partitioned build through the
-    BBP npz spill units; results stay BUN-identical and no spill unit
-    outlives its join."""
+    BBP npz spill units; results stay BUN-identical, a unit holds no
+    object array (str tails are gathered from the build fragments, not
+    spilled), and no spill unit outlives its join."""
+    _check_spill_forced_join(
+        seed, JOIN_FLAVORS[seed % len(JOIN_FLAVORS)], monkeypatch, tuning_override
+    )
+
+
+@pytest.mark.parametrize("seed", range(0, N_CASES, 5))
+def test_join_spill_forced_str_tail_differential(seed, monkeypatch, tuning_override):
+    """The same with sparse oid keys carrying NIL-heavy str tails: the
+    sorted arm spills every build."""
+    _check_spill_forced_join(seed, "sparse_str", monkeypatch, tuning_override)
+
+
+def _check_spill_forced_join(seed: int, flavor: str, monkeypatch, tuning_override) -> None:
     from repro.monet import bbp
 
     tuning_override(join_spill=0)
     monkeypatch.setattr(fr, "JOIN_PARTITION_MIN_BUNS", 1)
+    spilled = []
+    real_spill = bbp.write_spill_unit
+    monkeypatch.setattr(
+        bbp,
+        "write_spill_unit",
+        lambda tag, **arrays: spilled.extend(a.dtype for a in arrays.values())
+        or real_spill(tag, **arrays),
+    )
     rng = np.random.default_rng(1400 + seed)
     n = int(rng.choice([1, 30, 90]))
     m = int(rng.integers(1, 25))
-    left, right = _join_case(rng, ("oid", "dbl", "str")[seed % 3], n, m)
+    left, right = _join_case(rng, flavor, n, m)
     variants = [
         fr.join(_fragment(left, ls), _fragment(right, rs))
         for ls in STRATEGIES
@@ -1379,6 +1425,9 @@ def test_join_spill_forced_differential(seed, monkeypatch, tuning_override):
     )
     mono_outer = kernel.outerjoin(left, right)
     _check_op(mono_outer, _raw_pairs(mono_outer), variants[4:])
+    if kernel.build_match_index([right.head]).arm == "sorted":
+        assert spilled
+    assert np.dtype(object) not in spilled
     if bbp._SPILL_ROOT is not None:
         assert list(bbp._SPILL_ROOT.iterdir()) == []
 

@@ -1,64 +1,11 @@
-"""String heap and the BAT buffer pool (catalog + persistence)."""
+"""The BAT buffer pool: catalog operations and persistence.  (The str
+column's on-disk string heap is covered by ``test_bbp_roundtrip``.)"""
 
 import pytest
 
 from repro.monet.bat import bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
-from repro.monet.errors import BATError, BBPError
-from repro.monet.heap import StringHeap, decode_bat, encode_column
-
-
-class TestStringHeap:
-    def test_intern_dedups(self):
-        heap = StringHeap()
-        a = heap.intern("hello")
-        b = heap.intern("hello")
-        assert a == b
-        assert len(heap) == 1
-
-    def test_offsets_sequential(self):
-        heap = StringHeap()
-        assert heap.intern("a") == 0
-        assert heap.intern("b") == 1
-
-    def test_fetch(self):
-        heap = StringHeap(["x", "y"])
-        assert heap.fetch(1) == "y"
-
-    def test_fetch_out_of_range(self):
-        with pytest.raises(BATError):
-            StringHeap().fetch(0)
-
-    def test_lookup_without_insert(self):
-        heap = StringHeap(["x"])
-        assert heap.lookup("x") == 0
-        assert heap.lookup("missing") is None
-        assert len(heap) == 1
-
-    def test_contains(self):
-        heap = StringHeap(["x"])
-        assert "x" in heap and "y" not in heap
-
-    def test_intern_rejects_non_string(self):
-        with pytest.raises(BATError):
-            StringHeap().intern(42)
-
-    def test_as_bat(self):
-        heap = StringHeap(["a", "b"])
-        assert heap.as_bat().to_pairs() == [(0, "a"), (1, "b")]
-
-    def test_encode_decode_roundtrip(self):
-        values = ["red", "green", "red", "blue"]
-        encoded, heap = encode_column(values)
-        assert len(heap) == 3
-        decoded = decode_bat(encoded, heap)
-        assert decoded.tail_list() == values
-
-    def test_encode_with_shared_heap(self):
-        heap = StringHeap(["red"])
-        encoded, heap2 = encode_column(["red", "blue"], heap)
-        assert heap2 is heap
-        assert encoded.tail_list() == [0, 1]
+from repro.monet.errors import BBPError
 
 
 class TestCatalog:
