@@ -16,7 +16,7 @@ Document ids are dense 0..N-1, the per-collection oid discipline of
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from repro.ir.beliefs import BeliefParameters, DEFAULT_PARAMETERS, beliefs_array
 from repro.ir.stats import CollectionStats
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.bbp import BATBufferPool
-from repro.monet import tuning
-from repro.monet.fragments import map_fragments
 
 
 class InvertedIndex:
@@ -98,26 +96,22 @@ class InvertedIndex:
         out[docs] = values
         return out
 
-    def _score_posting_range(
+    def score_sum(
         self,
-        lo: int,
-        hi: int,
         query_terms: Sequence[str],
-        params: BeliefParameters,
+        params: BeliefParameters = DEFAULT_PARAMETERS,
     ) -> np.ndarray:
-        """Per-document score vector contributed by postings [lo, hi)."""
-        terms = self._terms[lo:hi]
-        owners = self._owners[lo:hi]
-        tfs = self._tfs[lo:hi]
+        """Sum-of-matched-beliefs scores (the paper's ranking query):
+        vectorized equivalent of ``map[sum(THIS)](map[getBL(...)](...))``."""
         scores = np.zeros(self.document_count)
         for term in query_terms:
-            mask = terms == term
+            mask = self._terms == term
             if not mask.any():
                 continue
-            docs = owners[mask]
+            docs = self._owners[mask]
             dfs = np.full(len(docs), self.stats.df(term), dtype=np.float64)
             values = beliefs_array(
-                tfs[mask],
+                self._tfs[mask],
                 self._lengths[docs],
                 dfs,
                 self.stats.document_count,
@@ -126,49 +120,6 @@ class InvertedIndex:
             )
             np.add.at(scores, docs, values)
         return scores
-
-    def score_sum(
-        self,
-        query_terms: Sequence[str],
-        params: BeliefParameters = DEFAULT_PARAMETERS,
-    ) -> np.ndarray:
-        """Sum-of-matched-beliefs scores (the paper's ranking query):
-        vectorized equivalent of ``map[sum(THIS)](map[getBL(...)](...))``."""
-        return self._score_posting_range(0, self.posting_count, query_terms, params)
-
-    def score_sum_parallel(
-        self,
-        query_terms: Sequence[str],
-        params: BeliefParameters = DEFAULT_PARAMETERS,
-        *,
-        fragment_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """:meth:`score_sum` over horizontal posting fragments scored in
-        parallel; partial per-document score vectors are summed.
-        ``fragment_size=None`` resolves the live tuning record at call
-        time (so a calibration is picked up).
-
-        Equivalent to :meth:`score_sum` up to floating-point addition
-        order (each posting contributes exactly once).
-        """
-        if self.posting_count == 0 or not query_terms:
-            return np.zeros(self.document_count)
-        if fragment_size is None:
-            fragment_size = tuning.current().fragment_size
-        if fragment_size < 1:
-            raise ValueError("fragment_size must be at least 1")
-        chunks = [
-            (lo, min(lo + fragment_size, self.posting_count))
-            for lo in range(0, self.posting_count, fragment_size)
-        ]
-        partials = map_fragments(
-            lambda chunk: self._score_posting_range(
-                chunk[0], chunk[1], query_terms, params
-            ),
-            chunks,
-            self.posting_count,
-        )
-        return np.sum(partials, axis=0)
 
     # ------------------------------------------------------------------
     def as_bats(self) -> Dict[str, BAT]:

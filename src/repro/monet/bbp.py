@@ -19,10 +19,9 @@ to round-trip a whole Mirror database.  A str column is stored as
 Monet's string heap: codes in the column, each distinct value once in
 a UTF-8 heap.  Files are read without pickle and validated; any other
 layout is refused (format and rules above :func:`_bat_entry`).
-Measured tuning (:func:`repro.monet.tuning.persistable`) rides along
-in the catalog and :meth:`BATBufferPool.load` hands it back to
-:func:`repro.monet.tuning.load_persisted`, so a reloaded database
-skips the measurement pass.
+The catalog holds no tuning: knobs come from the environment
+(:mod:`repro.monet.tuning`), and a ``tuning`` key written by an older
+build is ignored on load and dropped by the next save.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.monet.atoms import OID_NIL, OidGenerator, atom
 from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode
 from repro.monet.errors import (
     BBPError,
-    KernelError,
     MonetError,
     UnknownMutationTarget,
 )
@@ -406,8 +404,7 @@ class BATBufferPool:
         ``pairs`` is a sequence of (head, tail) Python pairs; ``tails``
         appends tail values under a densely extended void head (the
         shape of every Moa attribute BAT).  Raises
-        :class:`~repro.monet.errors.MutationError` subclasses (which
-        keep deriving from the historical ``BBPError``/``KernelError``).
+        :class:`~repro.monet.errors.MutationError` subclasses.
         """
         # Materialize once up front: the batch is iterated by the
         # append itself, the WAL encoder and the oid bump, and a
@@ -710,12 +707,6 @@ class BATBufferPool:
             "generation": generation,
             "bats": {},
         }
-        tuning = _tuning.persistable()
-        if tuning is not None:
-            # Measured tuning persists next to the catalog so a
-            # restarted server skips the measurement pass (see
-            # benchmarks/bench_fragments.py calibrate()).
-            catalog["tuning"] = tuning
         # Session-private temps (the @<sid>: namespace) are tentative by
         # definition -- they must not be resurrected on reload.
         entries = sorted(n for n in self._all_names() if not n.startswith("@"))
@@ -895,11 +886,6 @@ class BATBufferPool:
         if not catalog_path.exists():
             raise BBPError(f"no catalog.json under {directory}")
         catalog = json.loads(catalog_path.read_text())
-        if "tuning" in catalog:
-            try:
-                _tuning.load_persisted(catalog["tuning"])
-            except KernelError as exc:
-                raise BBPError(f"{catalog_path}: {exc}") from exc
         pool = cls()
         for name, entry in catalog["bats"].items():
             if name.startswith("@"):

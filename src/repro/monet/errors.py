@@ -35,21 +35,19 @@ class MutationError(MonetError):
     ``append``/``delete``/``update``, and the wire mutation ops -- raises
     a :class:`MutationError` subclass, replacing the historical mix of
     ``ValueError``/``BBPError``/``KernelError``/``MILRuntimeError``.
-    Subclasses multiple-inherit from the legacy classes they replace so
-    existing ``except`` clauses keep working.
     """
 
 
-class UnknownMutationTarget(MutationError, BBPError):
+class UnknownMutationTarget(MutationError):
     """Mutation names a BAT or collection the catalog does not know."""
 
 
-class InvalidMutationBatch(MutationError, KernelError):
+class InvalidMutationBatch(MutationError):
     """Malformed payload: bad pairs/tails shape, wrong arity, values
     that do not coerce to the target atom type."""
 
 
-class InvalidPositions(MutationError, KernelError):
+class InvalidPositions(MutationError):
     """Delete/update positions are out of range, unsorted after
     normalization, or misaligned with the supplied values."""
 

@@ -57,9 +57,8 @@ return.
 **Tuning.**  Every physical knob read here (fragment size, serial
 floor, merge/join fan-outs, spill threshold) is a field of the one
 live :class:`repro.monet.tuning.Tuning` record, read at use as
-``tuning.current().<field>``; how a knob gets its value (environment >
-persisted > calibrated > cores-derived default) is that module's
-business alone.
+``tuning.current().<field>``; how a knob gets its value (override >
+environment > cores-derived default) is that module's business alone.
 
 Property flags on recombined results are maintained *conservatively*:
 a flag is only ``True`` when the concatenation provably preserves it
@@ -120,8 +119,7 @@ class FragmentationPolicy:
 
     ``target_size=None`` (the default) resolves to the live
     ``tuning.current().fragment_size`` at construction time, so
-    policies made after a calibration or a catalog load see the
-    measured value."""
+    policies made inside a ``tuning.override`` see the forced value."""
 
     target_size: Optional[int] = None
 
@@ -1561,8 +1559,8 @@ def _merge_partition_count(n: int, policy: FragmentationPolicy) -> int:
     the data outgrows a cache-resident working set (~64k BUNs per
     partition keeps each merge's key+position arrays in L2, which is
     where the single-core win over the old streaming tournament comes
-    from) -- capped at the live ``merge_fanout`` (so calibrated values
-    apply to in-flight handles immediately)."""
+    from) -- capped at the live ``merge_fanout`` (so a forced value
+    applies to in-flight handles immediately)."""
     by_target = -(-n // policy.target_size)
     by_cache = n // (64 * 1024)
     return max(1, min(_tuning.current().merge_fanout, max(by_target, by_cache)))

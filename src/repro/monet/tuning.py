@@ -2,18 +2,16 @@
 
 This module alone knows how a knob gets its value.  :data:`KNOBS` has
 one row per field of the frozen :class:`Tuning` record (environment
-variable, kind, bound, cores-derived default, persisted or not), and
-:func:`resolve` applies one precedence knob by knob: **environment >
-persisted > installed (calibrated) > derived default**.  The
-environment is read and validated once, at import, and the whole
-``REPRO_`` prefix is this module's namespace: a set ``REPRO_*``
-variable that is not a knob fails the import like a malformed value;
-:func:`load_persisted` adopts ``catalog["tuning"]``; :func:`install`
-takes calibrated values (``bench_fragments.calibrate()``);
-:func:`persistable` is the catalog serializer; one validator serves
-all three inputs.  Everything else reads the live record --
-``tuning.current().merge_fanout`` -- and tests and benchmarks force
-values with :func:`override`.
+variable, kind, bound, cores-derived default), and :func:`resolve`
+applies one precedence knob by knob: **override > environment >
+derived default**.  The environment is the only outside input: it is
+read and validated once, at import, and the whole ``REPRO_`` prefix is
+this module's namespace, so a set ``REPRO_*`` variable that is not a
+knob fails the import like a malformed value.  :func:`override` is the
+test seam; one validator serves it and the environment.  Everything
+else reads the live record -- ``tuning.current().merge_fanout``.
+Nothing here is persisted: a ``tuning`` entry in a catalog written by
+an older build is ignored like any unknown catalog key.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ from repro.monet.errors import KernelError
 @dataclass(frozen=True)
 class Tuning:
     """One resolved physical configuration (fields in :data:`KNOBS`
-    order).  ``measured`` is true once a persisted-class knob came from
-    a calibration or a catalog rather than the environment or the
-    cores-derived defaults; only measured tuning is written to disk."""
+    order)."""
 
     fragment_size: int
     parallel_min: int
@@ -42,7 +38,6 @@ class Tuning:
     join_fanout: int
     join_spill: int
     wal_group_ms: float
-    measured: bool
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,6 @@ class Knob:
     kind: type
     default: Any
     positive: bool = False
-    persisted: bool = True
 
     @property
     def expects(self) -> str:
@@ -107,16 +101,16 @@ KNOBS: Tuple[Knob, ...] = (
     # draining the intent queue so concurrent mutators pile onto one
     # fsync.  Zero still batches: a mutator arriving while a flush is
     # in flight joins the next batch.
-    Knob("wal_group_ms", "REPRO_WAL_GROUP_MS", float, 0.0, persisted=False),
+    Knob("wal_group_ms", "REPRO_WAL_GROUP_MS", float, 0.0),
 )
 
 _BY_FIELD = {knob.field: knob for knob in KNOBS}
 
 
 def _validated(knob: Knob, raw: Any, origin: str, *, text: bool = False) -> Any:
-    """The one validator behind the environment, the catalog and
-    :func:`install`.  *text* marks an environment string, which the
-    knob's kind parses first; everything else must already be typed."""
+    """The one validator behind the environment and :func:`override`.
+    *text* marks an environment string, which the knob's kind parses
+    first; everything else must already be typed."""
     value = raw
     if text:
         try:
@@ -169,9 +163,7 @@ def _environment() -> Dict[str, Any]:
 # bad environment fails the import.  ``_FORCED`` is :func:`override`'s.
 _FORCED: Dict[str, Any] = {}
 _ENV: Dict[str, Any] = _environment()
-_PERSISTED: Dict[str, Any] = {}
-_INSTALLED: Dict[str, Any] = {}
-_LAYERS = (_FORCED, _ENV, _PERSISTED, _INSTALLED)
+_LAYERS = (_FORCED, _ENV)
 _LOCK = threading.Lock()
 
 
@@ -188,11 +180,7 @@ def resolve(cores: Optional[int] = None) -> Tuning:
             values[knob.field] = knob.default(cores, values)
         else:
             values[knob.field] = knob.default
-    measured = any(
-        knob.persisted and (knob.field in _PERSISTED or knob.field in _INSTALLED)
-        for knob in KNOBS
-    )
-    return Tuning(measured=measured, **values)
+    return Tuning(**values)
 
 
 _live = resolve()
@@ -203,65 +191,24 @@ def current() -> Tuning:
     return _live
 
 
-def _refresh() -> Tuning:
+def _refresh() -> None:
     global _live
     _live = resolve()
-    return _live
-
-
-def install(**changes: Any) -> Tuning:
-    """Install measured (calibrated) values and return the new live
-    record.  A knob pinned by its environment variable, or restored
-    from a catalog, keeps that value."""
-    checked = _validated_fields(changes, "install")
-    with _LOCK:
-        _INSTALLED.update(checked)
-        return _refresh()
-
-
-def load_persisted(entry: Any) -> Tuning:
-    """Adopt a ``catalog["tuning"]`` entry (outside input): persisted
-    knobs are validated and layered under the environment; unknown
-    keys are ignored.  Raises :class:`KernelError` naming the key."""
-    if not isinstance(entry, Mapping):
-        raise KernelError(f'catalog["tuning"]={entry!r}: expected an object')
-    checked = {
-        knob.field: _validated(
-            knob, entry[knob.field], f'catalog["tuning"]["{knob.field}"]'
-        )
-        for knob in KNOBS
-        if knob.persisted and knob.field in entry
-    }
-    with _LOCK:
-        _PERSISTED.update(checked)
-        return _refresh()
-
-
-def persistable() -> Optional[Dict[str, Any]]:
-    """The ``catalog["tuning"]`` entry for the live record, or ``None``
-    while nothing was measured (derived defaults stay local)."""
-    live = current()
-    if not live.measured:
-        return None
-    return {knob.field: getattr(live, knob.field) for knob in KNOBS if knob.persisted}
 
 
 @contextmanager
 def override(**changes: Any) -> Iterator[Tuning]:
-    """Force *changes* over every layer, the environment included, for
-    the duration of the block; on exit also undo whatever the block
-    installed or loaded.  For tests and benchmarks."""
+    """Force *changes* over the environment for the duration of the
+    block.  For tests."""
     checked = _validated_fields(changes, "override")
-    mutable = (_FORCED, _PERSISTED, _INSTALLED)
     with _LOCK:
-        saved = [dict(layer) for layer in mutable]
+        saved = dict(_FORCED)
         _FORCED.update(checked)
         _refresh()
     try:
         yield current()
     finally:
         with _LOCK:
-            for layer, before in zip(mutable, saved):
-                layer.clear()
-                layer.update(before)
+            _FORCED.clear()
+            _FORCED.update(saved)
             _refresh()

@@ -57,9 +57,7 @@ def pool():
 def tuning_override():
     """``tuning_override(**changes)`` forces tuning knobs on the single
     live record (:func:`repro.monet.tuning.override`) until the test
-    ends.  Teardown also undoes whatever the test installed or loaded
-    from a catalog, so requesting the fixture is how a test that calls
-    ``tuning.install`` / loads persisted tuning keeps it from leaking."""
+    ends."""
     with contextlib.ExitStack() as stack:
 
         def force(**changes):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
-from repro.monet.errors import BBPError
+from repro.monet.errors import UnknownMutationTarget
 from repro.monet.fragments import (
     FragmentationPolicy,
     fold_tail,
@@ -196,7 +196,7 @@ def test_pool_append_bumps_epoch_and_is_visible_to_new_readers():
 
 def test_pool_append_unknown_name_raises():
     pool = BATBufferPool()
-    with pytest.raises(BBPError):
+    with pytest.raises(UnknownMutationTarget):
         pool.append("nope", tails=[1])
 
 

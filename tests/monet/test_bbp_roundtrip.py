@@ -525,43 +525,6 @@ def test_fixed_width_unicode_str_file_is_refused(tmp_path):
         BATBufferPool.load(tmp_path / "db")
 
 
-def test_calibrated_tuning_roundtrip(pool, tmp_path):
-    """Measured tuning persists next to the catalog and is reinstalled
-    on load, so a restarted server skips the measurement pass.
-    Cores-derived (unmeasured) defaults are never written.  (Knob-by-
-    knob precedence and validation: ``test_tuning.py``.)"""
-    import json
-
-    from repro.monet import tuning
-
-    measured = {
-        "fragment_size": 12345,
-        "parallel_min": 67890,
-        "merge_fanout": 24,
-        "join_fanout": 12,
-        "join_spill": 2_000_000,
-    }
-    with tuning.override():
-        pool.register("x", dense_bat("int", [1, 2, 3]))
-        pool.save(tmp_path / "db")
-        catalog = json.loads((tmp_path / "db" / "catalog.json").read_text())
-        assert "tuning" not in catalog  # unmeasured defaults stay local
-
-        tuning.install(**measured)
-        pool.save(tmp_path / "db2")
-        catalog = json.loads((tmp_path / "db2" / "catalog.json").read_text())
-        assert catalog["tuning"] == measured
-    # Leaving the block is the "restart": nothing installed survives.
-    assert not tuning.current().measured
-    with tuning.override():
-        BATBufferPool.load(tmp_path / "db2")
-        live = tuning.current()
-        assert {field: getattr(live, field) for field in measured} == measured
-        assert live.measured
-        # Policies made after the load pick the persisted value up.
-        assert FragmentationPolicy().target_size == 12345
-
-
 # ----------------------------------------------------------------------
 # Concurrency: the locked catalog and view-cache invalidation
 # ----------------------------------------------------------------------

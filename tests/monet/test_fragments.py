@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.mirror import MirrorDBMS
-from repro.ir.index import InvertedIndex
 from repro.moa import mapping
 from repro.monet import fragments as fr
 from repro.monet import kernel, tuning
@@ -310,33 +309,3 @@ def test_mirror_dbms_fragment_threshold_end_to_end():
         {"query": ["sunset", "sea"], "stats": stats2},
     )
     assert result.value == pytest.approx(baseline.value)
-
-
-# ----------------------------------------------------------------------
-# IR parallel scoring
-# ----------------------------------------------------------------------
-
-
-def test_score_sum_parallel_matches_serial():
-    rng = np.random.default_rng(7)
-    vocabulary = [f"t{i}" for i in range(30)]
-    documents = []
-    for _ in range(120):
-        terms = rng.choice(vocabulary, size=rng.integers(1, 12))
-        documents.append({t: int(rng.integers(1, 5)) for t in terms})
-    index = InvertedIndex(documents)
-    query = ["t1", "t5", "t29", "missing"]
-    serial = index.score_sum(query)
-    for fragment_size in (7, 64, 10**6):
-        parallel = index.score_sum_parallel(query, fragment_size=fragment_size)
-        assert parallel == pytest.approx(serial)
-    with tuning.override(parallel_min=0):
-        fanned_out = index.score_sum_parallel(query, fragment_size=16)
-    assert fanned_out == pytest.approx(serial)
-
-
-def test_score_sum_parallel_empty_cases():
-    index = InvertedIndex([{}, {}])
-    assert index.score_sum_parallel(["x"]).tolist() == [0.0, 0.0]
-    index2 = InvertedIndex([{"a": 1}])
-    assert index2.score_sum_parallel([]).tolist() == [0.0]

@@ -1,15 +1,17 @@
 """The one tuning record (:mod:`repro.monet.tuning`), table-driven.
 
 Every per-knob test is parametrized over the rows of ``tuning.KNOBS``,
-so a new knob is covered by adding its row: precedence (environment >
-persisted > installed > derived default), the bound rejected through
-all three inputs, and the catalog format.  The environment is read once
-at import, so its leg runs in a fresh interpreter.
+so a new knob is covered by adding its row: precedence (override >
+environment > derived default) and the bound rejected through both
+inputs.  The environment is read once at import, so its legs run in a
+fresh interpreter.  The catalog carries no tuning: an entry written by
+an older build is ignored and dropped.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import os
@@ -21,45 +23,41 @@ from pathlib import Path
 
 import pytest
 
+from repro.ir.index import InvertedIndex
 from repro.monet import bbp, fragments, kernel, tuning
 from repro.monet.bat import dense_bat
 from repro.monet.bbp import BATBufferPool
-from repro.monet.errors import BBPError, KernelError
+from repro.monet.errors import KernelError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
 from repro.monet.mil import builtins
 from repro.monet.tuning import KNOBS
 from repro.service import guard
 
 REPO = Path(__file__).resolve().parents[2]
-PERSISTED = [knob for knob in KNOBS if knob.persisted]
 BY_FIELD = pytest.mark.parametrize("knob", KNOBS, ids=lambda knob: knob.field)
-BY_PERSISTED_FIELD = pytest.mark.parametrize(
-    "knob", PERSISTED, ids=lambda knob: knob.field
-)
 
-#: ``catalog.json`` exactly as the commits before the process backend
-#: was deleted wrote it, with all seven persisted knobs of the time: the
-#: on-disk contract.  The two executor keys are no longer knobs, so a
-#: load ignores them and a re-save drops them.
-PRE_PR_CATALOG = """{
- "oid_next": 0,
- "generation": 1,
- "bats": {},
- "tuning": {
-  "fragment_size": 12345,
-  "parallel_min": 67890,
-  "merge_fanout": 24,
-  "backend": "process",
-  "process_min": 4096,
-  "join_fanout": 12,
-  "join_spill": 2000000
- }
-}"""
-PRE_PR_TUNING = json.loads(PRE_PR_CATALOG)["tuning"]
-EXECUTOR_KEYS = ("backend", "process_min")
-KEPT_TUNING = {
-    field: value for field, value in PRE_PR_TUNING.items()
-    if field not in EXECUTOR_KEYS
+#: ``catalog["tuning"]`` entries as earlier builds wrote them -- the
+#: five persisted knobs of the last build that had them, the seven of
+#: the build before (with the two executor keys) -- and malformed ones
+#: that used to fail the load.  Every one is now ignored.
+OLD_TUNING_ENTRIES = {
+    "five-knobs": {
+        "fragment_size": 12345, "parallel_min": 67890, "merge_fanout": 24,
+        "join_fanout": 12, "join_spill": 2000000,
+    },
+    "seven-knobs": {
+        "fragment_size": 12345, "parallel_min": 67890, "merge_fanout": 24,
+        "backend": "process", "process_min": 4096, "join_fanout": 12,
+        "join_spill": 2000000,
+    },
+    "malformed": {
+        "fragment_size": -1, "merge_fanout": "lots", "join_spill": math.inf,
+        "wal_group_ms": None, "zzz": 1,
+    },
+    "list": [1, 2],
+    "text": "fast",
+    "number": 7,
+    "null": None,
 }
 #: Variables the deleted process backend read, with values that were
 #: valid while they existed.
@@ -71,9 +69,9 @@ REMOVED_VARIABLES = [
 
 
 def samples(knob):
-    """Three valid values, each differing from the next and from the
+    """Two valid values, differing from each other and from the
     derived default -- one per layer above it."""
-    return [knob.kind(3), knob.kind(5), knob.kind(7)]
+    return [knob.kind(3), knob.kind(5)]
 
 
 def bad_values(knob):
@@ -88,11 +86,20 @@ def bad_texts(knob):
     return bad + (["1.5"] if knob.kind is int else ["inf"])
 
 
-def write_catalog(directory: Path, entry) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
-    catalog = {"oid_next": 0, "generation": 1, "bats": {}, "tuning": entry}
-    (directory / "catalog.json").write_text(json.dumps(catalog))
-    return directory
+def derived(pins):
+    """The record the table derives around *pins* (the reference for
+    :func:`tuning.resolve`): each knob is pinned or its row's default,
+    which may see the knobs of earlier rows."""
+    cores = os.cpu_count() or 1
+    values = {}
+    for knob in KNOBS:
+        if knob.field in pins:
+            values[knob.field] = pins[knob.field]
+        elif callable(knob.default):
+            values[knob.field] = knob.default(cores, values)
+        else:
+            values[knob.field] = knob.default
+    return values
 
 
 def run_python(code: str, **env_changes: str):
@@ -104,38 +111,42 @@ def run_python(code: str, **env_changes: str):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def pinned_interpreter(field: str):
+    """A fresh interpreter whose environment sets only *field*'s
+    variable (to its first sample) reports the live record, the knob
+    inside an override to its second sample, and the knob after it."""
+    knob = next(knob for knob in KNOBS if knob.field == field)
+    pinned, forced = samples(knob)
+    code = (
+        "import json\n"
+        "from dataclasses import asdict\n"
+        "from repro.monet import tuning\n"
+        "live = asdict(tuning.current())\n"
+        f"with tuning.override({field}={forced!r}) as inside:\n"
+        f"    forced = inside.{field}\n"
+        f"print(json.dumps([live, forced, tuning.current().{field}]))\n"
+    )
+    out = run_python(code, **{knob.env: str(pinned)})
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 # ----------------------------------------------------------------------
 # The table itself
 # ----------------------------------------------------------------------
 
 
 def test_record_fields_are_the_table_rows():
-    assert [f.name for f in fields(tuning.Tuning)] == [
-        knob.field for knob in KNOBS
-    ] + ["measured"]
+    assert [f.name for f in fields(tuning.Tuning)] == [knob.field for knob in KNOBS]
     envs = [knob.env for knob in KNOBS]
     assert len(set(envs)) == len(envs)
     assert all(env.startswith("REPRO_") for env in envs)
     assert len(KNOBS) == 6
 
 
-def test_catalog_keys_are_the_parents_seven_minus_the_two_executor_keys():
-    assert list(KEPT_TUNING) == [
-        "fragment_size", "parallel_min", "merge_fanout", "join_fanout",
-        "join_spill",
-    ]
-    assert [knob.field for knob in PERSISTED] == list(KEPT_TUNING)
-    with tuning.override():
-        assert tuning.persistable() is None  # nothing measured, nothing written
-        tuning.install(**KEPT_TUNING)
-        assert json.dumps(tuning.persistable(), indent=1) == json.dumps(
-            KEPT_TUNING, indent=1
-        )
-
-
 def test_derived_defaults_follow_the_core_count():
-    with tuning.override():
-        one, many = tuning.resolve(cores=1), tuning.resolve(cores=64)
+    one, many = tuning.resolve(cores=1), tuning.resolve(cores=64)
     if "fragment_size" not in tuning._ENV:
         assert (one.fragment_size, many.fragment_size) == (64 * 1024, 8 * 1024)
     if not {"fragment_size", "parallel_min"} & set(tuning._ENV):
@@ -143,7 +154,6 @@ def test_derived_defaults_follow_the_core_count():
         assert many.parallel_min == 2 * many.fragment_size
     if "merge_fanout" not in tuning._ENV:
         assert (one.merge_fanout, many.merge_fanout) == (16, 256)
-    assert not one.measured
 
 
 # ----------------------------------------------------------------------
@@ -152,46 +162,23 @@ def test_derived_defaults_follow_the_core_count():
 
 
 @BY_FIELD
-def test_installed_beats_derived_and_persisted_beats_installed(knob, tmp_path):
-    _, persisted, installed = samples(knob)
-    with tuning.override():
-        if knob.field in tuning._ENV:
-            pytest.skip(f"{knob.env} pins this knob in the test environment")
-        derived = getattr(tuning.current(), knob.field)
-        assert installed != derived
-        live = tuning.install(**{knob.field: installed})
-        assert getattr(live, knob.field) == installed
-        assert live.measured == knob.persisted
-        BATBufferPool.load(write_catalog(tmp_path, {knob.field: persisted}))
-        expected = persisted if knob.persisted else installed
-        assert getattr(tuning.current(), knob.field) == expected
-    assert getattr(tuning.current(), knob.field) == derived
+def test_env_beats_derived_default(knob):
+    """Only *knob* is pinned by its variable: it takes the pinned value
+    and every other knob its derived default (computed around the pin
+    where a default depends on it)."""
+    pinned = samples(knob)[0]
+    live, _, _ = pinned_interpreter(knob.field)
+    assert live[knob.field] == pinned != derived({})[knob.field]
+    assert live == derived({knob.field: pinned})
 
 
 @BY_FIELD
-def test_env_beats_persisted_and_installed(knob, tmp_path):
-    """Only *knob* is pinned by its variable; every knob is then both
-    installed and (if persisted) loaded from a catalog.  The pinned one
-    keeps the environment's value, the others take the next layer."""
-    values = {k.field: samples(k) for k in KNOBS}
-    catalog = write_catalog(
-        tmp_path, {k.field: values[k.field][1] for k in PERSISTED}
-    )
-    code = (
-        "import json\n"
-        "from dataclasses import asdict\n"
-        "from repro.monet import tuning\n"
-        "from repro.monet.bbp import BATBufferPool\n"
-        f"tuning.install(**{ {f: v[2] for f, v in values.items()}!r})\n"
-        f"BATBufferPool.load({str(catalog)!r})\n"
-        "print(json.dumps(asdict(tuning.current())))\n"
-    )
-    out = run_python(code, **{knob.env: str(values[knob.field][0])})
-    assert out.returncode == 0, out.stderr
-    live = json.loads(out.stdout)
-    for other in KNOBS:
-        layer = 0 if other is knob else (1 if other.persisted else 2)
-        assert live[other.field] == values[other.field][layer], other.field
+def test_override_beats_env(knob):
+    """An override wins over the pinned variable for the block, and the
+    pinned value is back once the block exits."""
+    pinned, forced = samples(knob)
+    _, inside, after = pinned_interpreter(knob.field)
+    assert (inside, after) == (forced, pinned)
 
 
 def test_unset_and_empty_variables_are_not_set():
@@ -220,30 +207,17 @@ def test_repro_variable_that_is_no_knob_fails_the_import(variable, value):
 
 
 # ----------------------------------------------------------------------
-# One validator, three inputs
+# One validator, two inputs
 # ----------------------------------------------------------------------
 
 
 @BY_FIELD
-def test_bound_rejected_through_install_and_override(knob):
+def test_bound_rejected_through_override(knob):
     before = tuning.current()
     for bad in bad_values(knob):
         with pytest.raises(KernelError, match=knob.field):
-            tuning.install(**{knob.field: bad})
-        with pytest.raises(KernelError, match=knob.field):
             with tuning.override(**{knob.field: bad}):
                 pass
-    assert tuning.current() is before
-
-
-@BY_PERSISTED_FIELD
-def test_bound_rejected_from_the_catalog(knob, tmp_path):
-    before = tuning.current()
-    for index, bad in enumerate(bad_values(knob)):
-        entry = dict(PRE_PR_TUNING, **{knob.field: bad})
-        with pytest.raises(BBPError, match=rf'\["{knob.field}"\]'):
-            BATBufferPool.load(write_catalog(tmp_path / str(index), entry))
-    # All-or-nothing: the valid sibling keys were not adopted either.
     assert tuning.current() is before
 
 
@@ -277,27 +251,10 @@ def test_malformed_environment_fails_the_import(variable, value):
     assert f"{variable}={value!r}" in out.stderr
 
 
-def test_catalog_ignores_unknown_and_unpersisted_keys(tmp_path):
-    entry = dict(PRE_PR_TUNING, wal_group_ms=-1, process_task_timeout="x", zzz=1)
-    with tuning.override():
-        before = tuning.current()
-        BATBufferPool.load(write_catalog(tmp_path, entry))
-        live = tuning.current()
-        assert live.wal_group_ms == before.wal_group_ms
-        assert tuning.persistable() == {
-            field: getattr(live, field) for field in KEPT_TUNING
-        }
-
-
-@pytest.mark.parametrize("entry", [[1, 2], "fast", 7, None])
-def test_catalog_tuning_must_be_an_object(entry, tmp_path):
-    with pytest.raises(BBPError, match="tuning"):
-        BATBufferPool.load(write_catalog(tmp_path, entry))
-
-
-def test_install_rejects_unknown_knobs():
+def test_override_rejects_unknown_knobs():
     with pytest.raises(KernelError, match="warp_factor"):
-        tuning.install(warp_factor=9)
+        with tuning.override(warp_factor=9):
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -306,33 +263,28 @@ def test_install_rejects_unknown_knobs():
 
 
 @pytest.mark.parametrize(
-    "executor_keys",
-    [{}, {"backend": 7, "process_min": "lots"}],
-    ids=["verbatim", "malformed"],
+    "entry", OLD_TUNING_ENTRIES.values(), ids=list(OLD_TUNING_ENTRIES)
 )
-def test_pre_pr_catalog_loads_and_resaves_without_the_executor_keys(
-    executor_keys, tmp_path
-):
-    """A catalog written while ``backend``/``process_min`` were knobs
-    still loads: those two keys are ignored like any unknown key (even
-    malformed), the other five are adopted, and a re-save writes the
-    five in the old order."""
-    catalog = json.loads(PRE_PR_CATALOG)
-    catalog["tuning"].update(executor_keys)
-    text = json.dumps(catalog, indent=1)
-    assert executor_keys or text == PRE_PR_CATALOG
-    (tmp_path / "catalog.json").write_text(text)
-    with tuning.override():
-        pool = BATBufferPool.load(tmp_path)
-        reported = fragments.default_tuning()
-        assert not set(EXECUTOR_KEYS) & set(reported)
-        for field, value in KEPT_TUNING.items():
-            if field not in tuning._ENV:
-                assert reported[field] == value
-        assert reported["measured"]
-        pool.save(tmp_path / "again")
+def test_parent_catalog_tuning_entry_is_ignored_and_dropped(entry, tmp_path):
+    """A catalog as the last build that persisted tuning wrote it --
+    ``oid_next, generation, bats, tuning`` -- loads whatever its
+    ``tuning`` entry holds: the live record is untouched (the very same
+    object), the BATs load, and a re-save writes no ``tuning`` key."""
+    pool = BATBufferPool()
+    pool.register("x", dense_bat("int", [4, 5, 6]))
+    pool.save(tmp_path / "db")
+    path = tmp_path / "db" / "catalog.json"
+    catalog = json.loads(path.read_text())
+    assert list(catalog) == ["oid_next", "generation", "bats"]
+    catalog["tuning"] = entry
+    path.write_text(json.dumps(catalog, indent=1))
+    before = tuning.current()
+    loaded = BATBufferPool.load(tmp_path / "db")
+    assert tuning.current() is before
+    assert loaded.lookup("x").to_pairs() == [(0, 4), (1, 5), (2, 6)]
+    loaded.save(tmp_path / "again")
     resaved = json.loads((tmp_path / "again" / "catalog.json").read_text())
-    assert list(resaved["tuning"]) == list(KEPT_TUNING)
+    assert list(resaved) == ["oid_next", "generation", "bats"]
 
 
 @pytest.mark.parametrize("workers", [None, 4, "x"], ids=["null", "4", "malformed"])
@@ -378,12 +330,11 @@ def test_override_forces_then_restores_everything(tuning_override):
     before = tuning.current()
     with tuning.override(merge_fanout=3) as forced:
         assert forced is tuning.current() and forced.merge_fanout == 3
-        tuning.install(merge_fanout=5, join_fanout=5)
+        with tuning.override(merge_fanout=4, join_fanout=5):
+            live = tuning.current()
+            assert (live.merge_fanout, live.join_fanout) == (4, 5)
         live = tuning.current()
-        assert (live.merge_fanout, live.join_fanout) == (3, 5)  # forced wins
-        with tuning.override(merge_fanout=4):
-            assert tuning.current().merge_fanout == 4
-        assert tuning.current().merge_fanout == 3
+        assert (live.merge_fanout, live.join_fanout) == (3, before.join_fanout)
     assert tuning.current() == before
     # The conftest fixture is the same seam, scoped to the test.
     assert tuning_override(wal_group_ms=2.5).wal_group_ms == 2.5
@@ -393,6 +344,7 @@ def test_override_forces_then_restores_everything(tuning_override):
 def test_forced_vestiges_mirror_the_live_record(tuning_override):
     tuning_override(fragment_size=777, wal_group_ms=1.5)
     assert fragments.default_tuning() == asdict(tuning.current())
+    assert list(fragments.default_tuning()) == [knob.field for knob in KNOBS]
     assert fragments.default_tuning()["fragment_size"] == 777
     assert fragments.FragmentationPolicy().target_size == 777
     assert bbp.WAL_GROUP_MS == 1.5
@@ -423,7 +375,11 @@ def test_forced_vestiges_mirror_the_live_record(tuning_override):
         "FRAGMENT_TASKS", "task_equal_positions", "task_range_positions",
         "task_like_positions", "task_member_positions", "task_member_key_set",
         "task_join_partition_positions", "_column_bat",
-    )] + [(tuning, "BACKEND_NAMES")],
+    )] + [(tuning, name) for name in (
+        "BACKEND_NAMES",
+        # The calibrated and persisted layers, gone with calibrate().
+        "install", "load_persisted", "persistable", "_PERSISTED", "_INSTALLED",
+    )] + [(InvertedIndex, "score_sum_parallel")],
     ids=lambda value: value if isinstance(value, str) else value.__name__,
 )
 def test_old_surface_is_deleted_not_aliased(module, name):
@@ -468,10 +424,23 @@ def _mentions(node: ast.AST, name: str) -> bool:
     )
 
 
+def _imported_or_named(tree: ast.AST) -> set:
+    """Every name *tree*'s code imports or refers to."""
+    return {
+        getattr(inner, "attr", None) or getattr(inner, "id", None)
+        for inner in ast.walk(tree)
+    } | {
+        alias.name.rsplit(".", 1)[-1]
+        for inner in ast.walk(tree) if isinstance(inner, (ast.ImportFrom, ast.Import))
+        for alias in inner.names
+    }
+
+
 def test_one_fan_out_rule_and_one_pool_in_the_source():
     """No function takes a worker count; the serial floor is read in
-    exactly one function, and the only thread pool under ``monet/`` is
-    the one ``_shared_executor`` builds."""
+    exactly one function, the only thread pool under ``monet/`` is the
+    one ``_shared_executor`` builds, and nothing outside ``monet/``
+    fans out through ``map_fragments`` (imported or called)."""
     sources = sorted((REPO / "src" / "repro").rglob("*.py"))
     takers = [
         f"{path.relative_to(REPO / 'src')}:{node.lineno}"
@@ -497,6 +466,14 @@ def test_one_fan_out_rule_and_one_pool_in_the_source():
         for name, nodes in defs.items() if name.startswith("repro/monet/")
         for node in nodes if _mentions(node, "ThreadPoolExecutor")
     ] == [("repro/monet/fragments.py", "_shared_executor")]
+    assert [
+        name
+        for name, path in (
+            (str(path.relative_to(REPO / "src")), path) for path in sources
+        )
+        if not name.startswith("repro/monet/")
+        and "map_fragments" in _imported_or_named(ast.parse(path.read_text()))
+    ] == []
 
 
 def test_readme_tuning_table_lists_every_knob():
@@ -510,4 +487,8 @@ def test_readme_tuning_table_lists_every_knob():
         )
         assert row is not None, knob.field
         assert f"`{knob.env}`" in row
-        assert ("yes" if knob.persisted else "no") in row.rsplit("|", 2)[-2]
+        assert knob.expects.split(" ", 1)[1] in row.rsplit("|", 2)[-2]
+    header = next(line for line in section.splitlines() if line.startswith("| field"))
+    assert [cell.strip() for cell in header.strip("|").split("|")] == [
+        "field", "variable", "derived default", "bound",
+    ]

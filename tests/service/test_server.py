@@ -241,6 +241,67 @@ class TestRejectionPaths:
                 assert info.value.code == "deadline"
                 t.join()
 
+    def test_heavy_plan_does_not_starve_point_lookups(self, db, monkeypatch):
+        """While one heavy plan holds an admission slot, point lookups
+        from other clients are admitted on the second slot and answered
+        before it finishes.  The heavy plan's checkpoint parks it until
+        every lookup has returned, so nothing depends on timing: a
+        starved lookup would leave the plan parked and fail the test."""
+        config = ServiceConfig(max_inflight=2, max_queue=16, queue_timeout=30)
+        with ServiceThread(db, config) as svc:
+            clients = [ServiceClient(*svc.address) for _ in range(4)]
+            heavy, lookups = clients[0], clients[1:]
+            parked, lookups_done = threading.Event(), threading.Event()
+            make_checkpoint = svc.service._make_checkpoint
+
+            def parking_checkpoint(session, deadline_ms):
+                checkpoint = make_checkpoint(session, deadline_ms)
+                if session.session_id != heavy.session_id:
+                    return checkpoint
+
+                def park():
+                    parked.set()
+                    lookups_done.wait(60)
+                    checkpoint()
+
+                return park
+
+            monkeypatch.setattr(svc.service, "_make_checkpoint", parking_checkpoint)
+            outcome: dict = {}
+            heavy_thread = threading.Thread(
+                target=lambda: outcome.update(count=heavy.mil(SLOW_MIL))
+            )
+            heavy_thread.start()
+            try:
+                assert parked.wait(60)
+                answers: list = []
+
+                def look_up(client):
+                    for _ in range(3):
+                        answers.append(sorted(client.mil(POINT_MIL).tail))
+
+                threads = [
+                    threading.Thread(target=look_up, args=(c,)) for c in lookups
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert answers == [[2, 3, 5, 7]] * 9
+                assert "count" not in outcome  # the heavy plan is still parked
+                assert svc.service.admission.inflight == 1
+            finally:
+                lookups_done.set()
+                heavy_thread.join(timeout=60)
+                for client in clients:
+                    client.close()
+            assert not heavy_thread.is_alive()
+            assert outcome["count"] == 400_000
+            status = svc.service.status()
+            assert status["peak_inflight"] == 2
+            assert status["queries_served"] == 10
+
     def test_query_deadline_aborts_mid_plan(self, service):
         with ServiceClient(*service.address) as c:
             with pytest.raises(ServiceError) as info:

@@ -307,9 +307,8 @@ class TestWireTransactions:
 
 def test_mutation_error_is_one_vocabulary():
     """Satellite contract: every mutation failure -- pool, kernel or
-    transaction layer -- is a :class:`MutationError`, while the
-    historical ``BBPError``/``KernelError`` catch sites keep working
-    through multiple inheritance."""
+    transaction layer -- is a :class:`MutationError` and nothing else;
+    no subclass also derives from ``BBPError``/``KernelError``."""
     from repro.monet.errors import (
         BBPError,
         KernelError,
@@ -317,9 +316,9 @@ def test_mutation_error_is_one_vocabulary():
         UnknownMutationTarget,
     )
 
-    assert issubclass(UnknownMutationTarget, MutationError)
-    assert issubclass(UnknownMutationTarget, BBPError)
-    assert issubclass(InvalidPositions, MutationError)
-    assert issubclass(InvalidPositions, KernelError)
-    assert issubclass(TransactionError, MutationError)
-    assert issubclass(InvalidMutationBatch, KernelError)
+    for error in (
+        UnknownMutationTarget, InvalidMutationBatch, InvalidPositions,
+        TransactionError,
+    ):
+        assert error.__bases__ == (MutationError,), error
+        assert not issubclass(error, (BBPError, KernelError)), error
