@@ -20,7 +20,7 @@ Run:  python examples/extending_moa.py
 from dataclasses import dataclass
 
 from repro.core import MirrorDBMS
-from repro.moa.compiler import AtomCol, register_attr_rep
+from repro.moa.compiler import AtomCol, ResultRep, register_attr_rep
 from repro.moa.errors import MoaTypeError
 from repro.moa.functions import register_compile_hook, register_function
 from repro.moa.mapping import StructureMapper, register_mapper
@@ -79,19 +79,21 @@ register_mapper(IntervalType, IntervalMapper())
 
 # Compile-time reps: a lazy one remembering where the BATs live, and a
 # materialized one that knows how to come back as Python values.  The
-# `gather` field, `finalize_rep` and `reconstruct` are the compiler's
-# duck-typed extension protocol.
+# lazy rep's `gather` field and `finalize_rep` are the compiler's
+# duck-typed extension protocol; the materialized rep is a `ResultRep`
+# naming its leaf columns, so the same `rebuild` runs in process and in
+# a service client that imported this module.
 
 
 @dataclass
-class IntervalCols:
+class IntervalCols(ResultRep):
     lo: str
     hi: str
 
-    def reconstruct(self, env, count):
-        los = env[self.lo].tail_list()
-        his = env[self.hi].tail_list()
-        return list(zip(los, his))
+    LEAVES = ("lo", "hi")
+
+    def rebuild(self, column, count):
+        return list(zip(column(self.lo), column(self.hi)))
 
 
 @dataclass

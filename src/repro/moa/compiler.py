@@ -26,6 +26,12 @@ design: a column that is never forced is never loaded.
 ``ContrepCols``  forced CONTREP postings restricted to current spine
 ===============  ======================================================
 
+The materialized reps a result is rebuilt from (``AtomCol``,
+``TupleCols``, ``NestedSet``, ``ContrepCols`` and any extension rep)
+are :class:`ResultRep` subclasses: each names its leaf columns and
+rebuilds Python values from their decoded values, in process and in a
+service client alike.
+
 Extension functions (``getBL``) register compile hooks via
 :func:`repro.moa.functions.register_compile_hook`; the hook receives
 the compiler and emits MIL like any kernel operation -- the "new
@@ -34,11 +40,12 @@ probabilistic operators at the physical level" of section 3.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.moa import ast
-from repro.moa.errors import MoaCompileError
+from repro.moa.errors import MoaCompileError, MoaRuntimeError
 from repro.moa.functions import function_spec
 from repro.moa.mapping import EXTENT_SUFFIX, NEST_SUFFIX, VALUE_SUFFIX
 from repro.moa.types import AtomicType, ListType, MoaType, SetType, TupleType, is_collection
@@ -49,10 +56,101 @@ from repro.monet.multiplex import scalar_op
 # ----------------------------------------------------------------------
 
 
+#: class name -> materialized rep class (every :class:`ResultRep`).
+_RESULT_REPS: Dict[str, type] = {}
+
+#: Leaf column lookup handed to :meth:`ResultRep.rebuild`: a leaf
+#: variable -> its tail values in position order (NIL as ``None``).
+ColumnLookup = Callable[[str], List[Any]]
+
+
+class ResultRep:
+    """A materialized rep a result value is rebuilt from.
+
+    ``LEAVES`` names the dataclass fields holding the MIL variables of
+    its leaf columns (each bound to a BAT [void pos, value]); any other
+    field is plain data (an atom name), a nested rep, or a dict of
+    reps.  :meth:`rebuild` turns the leaf columns' values into one
+    Python value per position and never sees a BAT, so the same code
+    rebuilds a result in process (from the plan's environment) and in
+    a service client (from decoded wire columns, the rep shipped as
+    :func:`rep_shape`).  Subclasses register under their class name;
+    an extension structure's rep subclasses this too
+    (``examples/extending_moa.py``)."""
+
+    LEAVES: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _RESULT_REPS[cls.__name__] = cls
+
+    def rebuild(self, column: ColumnLookup, count: int) -> List[Any]:
+        raise NotImplementedError
+
+
+def rep_leaves(rep: ResultRep) -> List[str]:
+    """The leaf variables of *rep* and its nested reps, depth first,
+    each once."""
+    leaves: Dict[str, None] = {}
+
+    def walk(node: ResultRep) -> None:
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            if f.name in node.LEAVES:
+                leaves[value] = None
+                continue
+            for child in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(child, ResultRep):
+                    walk(child)
+
+    walk(rep)
+    return list(leaves)
+
+
+def rep_shape(value: Any) -> Any:
+    """A rep as JSON: ``[class name, {field: shape}]``, a dict of reps
+    as a dict of shapes; leaf variables and atom names stay strings."""
+    if isinstance(value, ResultRep):
+        return [
+            type(value).__name__,
+            {f.name: rep_shape(getattr(value, f.name)) for f in dataclasses.fields(value)},
+        ]
+    if isinstance(value, dict):
+        return {k: rep_shape(v) for k, v in value.items()}
+    return value
+
+
+def rep_from_shape(shape: Any) -> Any:
+    """Inverse of :func:`rep_shape`.  An unregistered class name is a
+    ``KeyError``, a malformed shape a ``TypeError``/``ValueError``."""
+    if isinstance(shape, dict):
+        return {k: rep_from_shape(v) for k, v in shape.items()}
+    if not isinstance(shape, list):
+        return shape
+    kind, fields = shape
+    rep_class = _RESULT_REPS.get(kind)
+    if rep_class is None:
+        raise KeyError(f"no result rep {kind!r}; import the module defining it")
+    return rep_class(**{k: rep_from_shape(v) for k, v in fields.items()})
+
+
+def _checked(values: List[Any], var: str, count: int) -> List[Any]:
+    if len(values) != count:
+        raise MoaRuntimeError(
+            f"column {var} has {len(values)} values, expected {count}"
+        )
+    return values
+
+
 @dataclass
-class AtomCol:
+class AtomCol(ResultRep):
     var: str
     atom: str
+
+    LEAVES = ("var",)
+
+    def rebuild(self, column: ColumnLookup, count: int) -> List[Any]:
+        return _checked(column(self.var), self.var, count)
 
 
 @dataclass
@@ -69,14 +167,30 @@ class LazyCol:
 
 
 @dataclass
-class TupleCols:
+class TupleCols(ResultRep):
     fields: Dict[str, "Rep"]
+
+    def rebuild(self, column: ColumnLookup, count: int) -> List[Any]:
+        columns = {
+            name: rep.rebuild(column, count) for name, rep in self.fields.items()
+        }
+        return [{name: columns[name][i] for name in columns} for i in range(count)]
 
 
 @dataclass
-class NestedSet:
+class NestedSet(ResultRep):
     parent: str  # var: BAT [void pair-pos, parent-pos]
     elem: "Rep"  # aligned to pair positions
+
+    LEAVES = ("parent",)
+
+    def rebuild(self, column: ColumnLookup, count: int) -> List[Any]:
+        parents = column(self.parent)
+        inner = self.elem.rebuild(column, len(parents))
+        out: List[List[Any]] = [[] for _ in range(count)]
+        for parent, value in zip(parents, inner):
+            out[parent].append(value)
+        return out
 
 
 @dataclass
@@ -94,11 +208,21 @@ class ContrepLazy:
 
 
 @dataclass
-class ContrepCols:
+class ContrepCols(ResultRep):
     owner: str  # [void p, parent-pos]
     term: str  # [void p, str]
     tf: str  # [void p, int]
     doclen: str  # [void pos, int] aligned to current positions
+
+    LEAVES = ("owner", "term", "tf", "doclen")
+
+    def rebuild(self, column: ColumnLookup, count: int) -> List[Any]:
+        from repro.moa.structures.contrep import contrep_values
+
+        doclens = _checked(column(self.doclen), self.doclen, count)
+        return contrep_values(
+            column(self.owner), column(self.term), column(self.tf), doclens
+        )
 
 
 Rep = Union[

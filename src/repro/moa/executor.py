@@ -6,6 +6,12 @@ layer::
     text -> parse -> typecheck -> optimize -> flatten to MIL -> run
          -> reconstruct nested Python values
 
+Reconstruction is the result rep's :meth:`~repro.moa.compiler.ResultRep.rebuild`
+over the plan's leaf columns.  Run with ``materialize=False``, a
+collection result stays a :class:`ResultColumns` (rep, cardinality,
+leaf BATs): the query service ships that as column frames and the
+client rebuilds with the same method.
+
 Parameters are bound by Python value: a ``list[str]`` binds a
 ``SET<Atomic<str>>`` (the paper's ``query``), a
 :class:`repro.ir.stats.CollectionStats` binds ``stats``.  Execution
@@ -32,13 +38,14 @@ from repro.moa.compiler import (
     CompiledScalar,
     Compiler,
     ConstCol,
-    ContrepCols,
     ContrepLazy,
     LazyCol,
     LazyNestedSet,
     NestedSet,
     Rep,
+    ResultRep,
     TupleCols,
+    rep_leaves,
 )
 from repro.moa.errors import MoaRuntimeError, MoaTypeError
 from repro.moa.interpreter import Interpreter
@@ -53,15 +60,31 @@ from repro.moa.optimizer import optimize as optimize_ast
 from repro.moa.parser import parse_query
 from repro.moa.typecheck import typecheck
 from repro.moa.types import AtomicType, MoaType, SetType, StatsType
-from repro.monet.bat import dense_bat
+from repro.monet.bat import BAT, dense_bat
 from repro.monet.bbp import BATBufferPool
-from repro.monet.fragments import FragmentationPolicy
+from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.mil import MILInterpreter
 
 
 @dataclass
+class ResultColumns:
+    """A collection result before reconstruction: its element rep, its
+    cardinality and the BAT bound to each leaf variable of the rep."""
+
+    rep: ResultRep
+    count: int
+    leaves: Dict[str, BAT]
+
+    def rebuild(self) -> List[Any]:
+        """The result's Python value, one element per position."""
+        return self.rep.rebuild(lambda var: self.leaves[var].tail_list(), self.count)
+
+
+@dataclass
 class QueryResult:
-    """Outcome of an executed Moa query."""
+    """Outcome of an executed Moa query.  ``value`` is the result's
+    Python value -- or, run with ``materialize=False``, a collection
+    result's :class:`ResultColumns`."""
 
     value: Any
     plan: str
@@ -203,6 +226,7 @@ class MoaExecutor:
         cse: bool = True,
         checkpoint: Optional[Callable[[], None]] = None,
         reader: Any = None,
+        materialize: bool = True,
     ) -> QueryResult:
         """Full pipeline: compile, run the MIL plan, reconstruct.
 
@@ -210,7 +234,9 @@ class MoaExecutor:
         through to the MIL interpreter loop (see
         :meth:`repro.monet.mil.MILInterpreter.run_program`); *reader*
         is an already-pinned catalog snapshot for transaction-scoped
-        reads (one epoch across several statements)."""
+        reads (one epoch across several statements).  With
+        *materialize* false a collection result is left as its
+        :class:`ResultColumns`."""
         params = params or {}
         compiled = self.prepare(
             query,
@@ -220,7 +246,8 @@ class MoaExecutor:
             cse=cse,
         )
         return self.run_compiled(
-            compiled, params, checkpoint=checkpoint, reader=reader
+            compiled, params, checkpoint=checkpoint, reader=reader,
+            materialize=materialize,
         )
 
     def run_compiled(
@@ -230,13 +257,16 @@ class MoaExecutor:
         *,
         checkpoint: Optional[Callable[[], None]] = None,
         reader: Any = None,
+        materialize: bool = True,
     ) -> QueryResult:
         """Run an already-compiled plan (prepared-query path)."""
         env = self._bind(params or {})
         result = self.mil.run(
             compiled.program, env, checkpoint=checkpoint, reader=reader
         )
-        value = _reconstruct_result(compiled.result, result.env)
+        value = _result_value(compiled.result, result.env)
+        if materialize and isinstance(value, ResultColumns):
+            value = value.rebuild()
         return QueryResult(
             value=value,
             plan=compiled.program,
@@ -327,69 +357,26 @@ def _finalize_rep(
         return NestedSet(parent=rep.parent, elem=elem)
     if isinstance(rep, ContrepLazy):
         return compiler.force_contrep(rep, cc)
-    if isinstance(rep, ContrepCols):
-        return rep
     # Extension reps may provide their own materialization hook; the
-    # result must again be finalizable (typically AtomCols/TupleCols or
-    # a rep with a `reconstruct(env, count)` method).
+    # result must again be finalizable (AtomCols/TupleCols or another
+    # ResultRep).
     finalize_hook = getattr(rep, "finalize_rep", None)
     if finalize_hook is not None:
         return _finalize_rep(compiler, finalize_hook(compiler), head_source, cc)
-    if hasattr(rep, "reconstruct"):
+    if isinstance(rep, ResultRep):
         return rep
     raise MoaRuntimeError(f"cannot finalize rep {type(rep).__name__}")
 
 
-def _reconstruct_result(
+def _result_value(
     result: Union[CompiledCollection, CompiledScalar], env: Dict[str, Any]
 ) -> Any:
+    """A scalar result's value, or a collection result's columns (a
+    fragmented leaf coalesced once, here)."""
     if isinstance(result, CompiledScalar):
         return env[result.var]
-    count = len(env[result.spine])
-    return _reconstruct_rep(result.elem, env, count)
-
-
-def _reconstruct_rep(rep: Rep, env: Dict[str, Any], count: int) -> List[Any]:
-    if isinstance(rep, AtomCol):
-        bat = env[rep.var]
-        values = bat.tail_list()
-        if len(values) != count:
-            raise MoaRuntimeError(
-                f"column {rep.var} has {len(values)} values, expected {count}"
-            )
-        return values
-    if isinstance(rep, TupleCols):
-        columns = {
-            name: _reconstruct_rep(r, env, count)
-            for name, r in rep.fields.items()
-        }
-        return [
-            {name: columns[name][i] for name in columns} for i in range(count)
-        ]
-    if isinstance(rep, NestedSet):
-        parent_bat = env[rep.parent]
-        pair_count = len(parent_bat)
-        inner = _reconstruct_rep(rep.elem, env, pair_count)
-        out: List[List[Any]] = [[] for _ in range(count)]
-        parents = parent_bat.tail_values()
-        for pair in range(pair_count):
-            out[int(parents[pair])].append(inner[pair])
-        return out
-    if isinstance(rep, ContrepCols):
-        from repro.moa.structures.contrep import ContentRepresentation
-
-        owners = env[rep.owner].tail_values()
-        terms = env[rep.term].tail_values()
-        tfs = env[rep.tf].tail_values()
-        lengths = env[rep.doclen].tail_values()
-        per_doc: List[Dict[str, int]] = [dict() for _ in range(count)]
-        for i in range(len(owners)):
-            per_doc[int(owners[i])][terms[i]] = int(tfs[i])
-        return [
-            ContentRepresentation(per_doc[i], int(lengths[i]))
-            for i in range(count)
-        ]
-    reconstruct_hook = getattr(rep, "reconstruct", None)
-    if reconstruct_hook is not None:
-        return reconstruct_hook(env, count)
-    raise MoaRuntimeError(f"cannot reconstruct rep {type(rep).__name__}")
+    leaves = {}
+    for var in rep_leaves(result.elem):
+        bat = env[var]
+        leaves[var] = bat.to_bat() if isinstance(bat, FragmentedBAT) else bat
+    return ResultColumns(result.elem, len(env[result.spine]), leaves)

@@ -165,6 +165,22 @@ def _postings(owners: Iterable[int], reps: Sequence[ContentRepresentation]):
     return owner_oids, terms, tfs
 
 
+def contrep_values(
+    owners: Sequence[int], terms: Sequence[str], tfs: Sequence[int],
+    doclens: Sequence[int],
+) -> List[ContentRepresentation]:
+    """Inverse of :func:`_postings`: one representation per document,
+    ``doclens`` giving each its length (the mapper's reconstruction and
+    the compiled plan's ``ContrepCols`` both rebuild through here)."""
+    per_doc: List[Dict[str, int]] = [dict() for _ in range(len(doclens))]
+    for owner, term, tf in zip(owners, terms, tfs):
+        per_doc[int(owner)][term] = int(tf)
+    return [
+        ContentRepresentation(doc, int(length))
+        for doc, length in zip(per_doc, doclens)
+    ]
+
+
 class ContrepMapper(StructureMapper):
     """CONTREP attribute -> owner/term/tf/doclen BATs under the prefix.
 
@@ -213,21 +229,15 @@ class ContrepMapper(StructureMapper):
         pool.delete(f"{prefix}.tf", doomed)
 
     def reconstruct(self, pool, prefix, ty: ContrepType, count):
-        owner = pool.lookup(f"{prefix}.owner").tail_values()
-        term = pool.lookup(f"{prefix}.term").tail_values()
-        tf = pool.lookup(f"{prefix}.tf").tail_values()
-        doclen = pool.lookup(f"{prefix}.doclen").tail_values()
+        owner = pool.lookup(f"{prefix}.owner").tail_list()
+        term = pool.lookup(f"{prefix}.term").tail_list()
+        tf = pool.lookup(f"{prefix}.tf").tail_list()
+        doclen = pool.lookup(f"{prefix}.doclen").tail_list()
         if len(doclen) != count:
             raise MoaTypeError(
                 f"{prefix}: doclen covers {len(doclen)} docs, expected {count}"
             )
-        terms_per_doc: List[Dict[str, int]] = [dict() for _ in range(count)]
-        for i in range(len(owner)):
-            terms_per_doc[int(owner[i])][term[i]] = int(tf[i])
-        return [
-            ContentRepresentation(terms_per_doc[i], int(doclen[i]))
-            for i in range(count)
-        ]
+        return contrep_values(owner, term, tf, doclen)
 
     def bat_names(self, prefix, ty: ContrepType) -> List[str]:
         return [f"{prefix}.{s}" for s in (*_POSTINGS, "doclen")]

@@ -302,11 +302,11 @@ class BAT:
 
     def tail_list(self) -> List[Any]:
         """Tail values in BUN order as Python values (vectorized)."""
-        return _column_to_list(self.tail)
+        return column_to_list(self.tail)
 
     def head_list(self) -> List[Any]:
         """Head values in BUN order as Python values (vectorized)."""
-        return _column_to_list(self.head)
+        return column_to_list(self.head)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "tmp"
@@ -753,10 +753,10 @@ def empty_bat(head_type: str, tail_type: str) -> BAT:
                hkey=True, tkey=True)
 
 
-def _column_to_list(column: AnyColumn) -> List[Any]:
+def column_to_list(column: AnyColumn) -> List[Any]:
     """Bulk column -> Python list with NIL -> None, avoiding the
-    per-element ``python_value`` dispatch (hot path of result
-    reconstruction)."""
+    per-element ``python_value`` dispatch: the one NIL rule of result
+    reconstruction, in process and for decoded wire frames alike."""
     if column.is_void:
         return list(range(column.seqbase, column.seqbase + column.count))
     atom_type = column.atom_type

@@ -126,6 +126,7 @@ def _moa(service, session, request, checkpoint):
         request["params"],
         checkpoint=checkpoint,
         reader=txn.snapshot if txn is not None else None,
+        materialize=False,
     )
     return _query_result(outcome, request)
 

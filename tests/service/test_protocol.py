@@ -11,6 +11,7 @@ import pytest
 from repro.monet.bat import BAT, Column, VoidColumn, dense_bat
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    MAX_FRAMES,
     BATResult,
     ProtocolError,
     decode_result,
@@ -65,6 +66,12 @@ class TestFraming:
 
     def test_bad_frame_count(self):
         blob = pack_message({"op": "x", "frames": 99})
+        with pytest.raises(ProtocolError):
+            roundtrip(blob)
+
+    @pytest.mark.parametrize("count", [MAX_FRAMES + 1, 2**31, -1, "2"])
+    def test_frame_count_beyond_the_cap_is_refused(self, count):
+        blob = pack_message({"op": "x", "frames": count})
         with pytest.raises(ProtocolError):
             roundtrip(blob)
 
@@ -145,6 +152,16 @@ class TestResultEncoding:
         value = [{"a": np.float64(1.5)}, [1, 2]]
         result, frames = encode_result(value, True)
         assert decode_result(result, frames) == [{"a": 1.5}, [1, 2]]
+
+    @pytest.mark.parametrize("value", [object(), [1, {"a": object()}]])
+    def test_unencodable_value_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            encode_result(value, True)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_oid_nil_decodes_to_none(self, binary):
+        decoded = self.assert_roundtrip(dense_bat("oid", [3, None, 0]), binary)
+        assert decoded.tail == [3, None, 0]
 
     def test_error_response_shape(self):
         header, _ = roundtrip(error_response("rate", "slow down", 3))
