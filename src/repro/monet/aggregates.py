@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
+from repro.monet.kernel import key_space
 
 # ----------------------------------------------------------------------
 # Scalar aggregates
@@ -100,19 +101,15 @@ def _aligned_group_ids(values: BAT, grouping: BAT) -> np.ndarray:
     group_heads = grouping.head_values()
     if np.array_equal(value_heads, group_heads):
         return grouping.tail_values()
-    # General alignment: join values.head -> grouping (vectorized; the
-    # dict-per-element path survives only as the fallback for object
-    # heads that numpy cannot order, e.g. str mixed with None).
+    # General alignment: join values.head -> grouping, str heads in
+    # one code space (all NILs one key, the identity rule).
     group_ids = grouping.tail_values()
     if group_heads.dtype == np.dtype(object) or value_heads.dtype == np.dtype(object):
-        try:
-            combined = np.concatenate((group_heads, value_heads))
-            _, codes = np.unique(combined, return_inverse=True)
-        except TypeError:
-            return _aligned_group_ids_fallback(value_heads, group_heads, group_ids)
-        codes = codes.astype(np.int64).ravel()
-        group_codes = codes[: len(group_heads)]
-        value_codes = codes[len(group_heads):]
+        keys_of = key_space(grouping.head, values.head)
+        if keys_of is None:
+            raise KernelError(f"pump aggregate: head {value_heads[0]!r} has no group")
+        group_codes = keys_of(grouping.head)
+        value_codes = keys_of(values.head)
     else:
         group_codes = group_heads
         value_codes = value_heads
@@ -125,19 +122,9 @@ def _aligned_group_ids(values: BAT, grouping: BAT) -> np.ndarray:
     if not found.all():
         missing = value_heads[int(np.nonzero(~found)[0][0])]
         raise KernelError(f"pump aggregate: head {missing!r} has no group")
-    # side="right" - 1 lands on the *last* duplicate head, matching the
-    # last-wins behaviour of the historical dict-based join.
+    # side="right" - 1 lands on the *last* duplicate head: the last
+    # grouping BUN of a head wins.
     return group_ids[order[slot]].astype(np.int64)
-
-
-def _aligned_group_ids_fallback(
-    value_heads: np.ndarray, group_heads: np.ndarray, group_ids: np.ndarray
-) -> np.ndarray:
-    lookup = {h: g for h, g in zip(group_heads.tolist(), group_ids.tolist())}
-    try:
-        return np.asarray([lookup[h] for h in value_heads.tolist()], dtype=np.int64)
-    except KeyError as exc:
-        raise KernelError(f"pump aggregate: head {exc.args[0]!r} has no group") from None
 
 
 def _n_groups(group_ids: np.ndarray, explicit: Optional[int]) -> int:

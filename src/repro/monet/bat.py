@@ -33,8 +33,17 @@ table is in the :mod:`repro.monet.kernel` docstring).
 
 Besides the flags, a materialized :class:`Column` has one *search
 accelerator* slot: its dictionary encoding (:meth:`Column.encoding`),
-which is what lets a str equi-join run on integers.  Its contract, in
-the shape of Monet's hash accelerator:
+which is the only way a kernel operator reads a str column's values
+(the key-selection table in :mod:`repro.monet.kernel`): the join
+family, ``semijoin``/``kdiff``, ``kunion``/``kintersect``,
+``unique``/``kunique``/``tunique``, ``group``/``refine`` and pump
+alignment compare codes; ``sort``/``tsort``/``topn`` compare the rank
+of a code; ``select``/``uselect``/``likeselect`` evaluate their
+predicate once per distinct value and gather it by code.  Only the
+encoding is cached: the rank-of-code table an order operator derives
+from it is rebuilt on every call (whether to keep it is open, with the
+rest of the encoding's lifecycle).  Its contract, in the shape of
+Monet's hash accelerator:
 
 * **lazy** -- built by the first operator that asks, never at load;
 * **per Column** -- it describes exactly that column's values, so it is

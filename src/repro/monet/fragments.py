@@ -14,9 +14,11 @@ that function alone decides serial or parallel: the pool runs the tasks
 when the operator's receiver holds at least
 ``tuning.current().parallel_min`` BUNs, the calling thread otherwise.
 No operator takes a worker count.  numpy releases the GIL on its bulk
-paths, so the numeric work runs in parallel, while object-dtype (str)
-scans hold the GIL and serialize on it.  There is no second executor
-for those scans because the one tried did not pay: on the 2-core
+paths, so the numeric work runs in parallel, while a str column's
+dictionary encoding (the only way an operator reads its values; see
+:mod:`repro.monet.kernel`) is built under the GIL and serializes on
+it.  There is no second executor for str work because the one tried
+(it predates the code space) did not pay: on the 2-core
 reference host a process pool over shared-memory column exports
 measured thread ms / process ms (above 1 = processes ahead) of 0.92
 (``likeselect``), 0.82 (``select(str=)``),
@@ -49,7 +51,7 @@ independently, in parallel; :func:`_sample_sort_merge`) or a
 candidate-set resolution, and the set operators
 (``kunion``/``kintersect``, plus the ``semijoin``/``kdiff`` fast
 path), which probe a shared head-membership build
-(:func:`_member_build`) per fragment -- so a pipeline like
+(:func:`_member_subset`) per fragment -- so a pipeline like
 ``select -> kunion -> sort -> unique -> aggregate`` runs
 fragment-parallel end-to-end with at most one coalesce at result
 return.
@@ -68,7 +70,6 @@ a flag is only ``True`` when the concatenation provably preserves it
 from __future__ import annotations
 
 import atexit
-import heapq
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -887,7 +888,9 @@ def _radix_matches(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The sorted arm, radix-partitioned: resident partitions, or
     spilled ones past ``join_spill``."""
-    keyspace = _kernel.set_keyspace(fb.fragments[0].tail, build_frags[0].head)
+    keyspace = _kernel.key_space(
+        *(frag.tail for frag in fb.fragments), *(frag.head for frag in build_frags)
+    )
     build_n = sum(len(frag) for frag in build_frags)
     fanout = _join_fanout(build_n)
     join_spill = _tuning.current().join_spill
@@ -965,7 +968,7 @@ def _radix_matches(
 def _radix_matches_spilled(
     fb: FragmentedBAT,
     build_frags: List[BAT],
-    keyspace: str,
+    keyspace: _kernel.KeyFunction,
     fanout: int,
     probe_parts,
     tails_object: bool,
@@ -1100,28 +1103,6 @@ def _head_columns(value: Union[BAT, FragmentedBAT]) -> List[AnyColumn]:
     return [value.head]
 
 
-def _member_build(
-    source: Union[BAT, FragmentedBAT], keyspace: str, buns: int, *, nil_member: bool
-):
-    """Membership set over *source*'s heads
-    (:func:`kernel.build_member_set`; NILs left out under the
-    comparison rule, ``nil_member=False``), built once and shared by
-    every probe fragment; the per-fragment key extraction fans out by
-    the *buns* of the operator's receiver, like that operator's other
-    passes."""
-    per_fragment = map_fragments(
-        lambda column: _kernel.member_keys(column, keyspace, nil_member=nil_member),
-        _head_columns(source),
-        buns,
-    )
-    if keyspace == "object":
-        members: set = set()
-        for keys in per_fragment:
-            members.update(keys)
-        return members
-    return _kernel.build_member_set(np.concatenate(per_fragment), keyspace)
-
-
 def _member_subset(
     fb: FragmentedBAT,
     right: Union[BAT, FragmentedBAT],
@@ -1130,13 +1111,29 @@ def _member_subset(
     invert: bool,
 ) -> FragmentedBAT:
     """Row subset of *fb* by head membership in one shared build of
-    *right*'s heads."""
-    keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
-    members = _member_build(right, keyspace, len(fb), nil_member=nil_member)
+    *right*'s heads (:func:`kernel.build_member_set`; NILs left out
+    under the comparison rule, ``nil_member=False``): the per-fragment
+    key extraction fans out, and every probe fragment tests against the
+    one build in parallel."""
+    build = _head_columns(right)
+    keys_of = _kernel.key_space(*build, *_head_columns(fb))
+    if keys_of is None:  # a str equals no number
+        return _subset_op(fb, lambda frag: np.full(len(frag), invert))
+    members = _kernel.build_member_set(
+        np.concatenate(
+            map_fragments(
+                lambda column: _kernel.member_keys(
+                    column, keys_of, nil_member=nil_member
+                ),
+                build,
+                len(fb),
+            )
+        )
+    )
 
     def mask_fn(frag: BAT) -> np.ndarray:
         mask = _kernel.probe_member_set(
-            frag.head, members, keyspace, nil_member=nil_member
+            frag.head, members, keys_of, nil_member=nil_member
         )
         return ~mask if invert else mask
 
@@ -1148,26 +1145,26 @@ def semijoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedB
     (comparison NIL rule; a fragmented right operand contributes its
     head keys without coalescing).
 
-    Numeric keyspaces route through the grace-join radix split: the
-    right side's head keys partition per fragment, each partition
-    dedupes in parallel, and probe fragments test partition-locally.
-    Object keyspaces keep the shared-membership path."""
+    The keys -- numbers, or a str head's codes in one code space --
+    route through the grace-join radix split: the right side's head
+    keys partition per fragment, each partition dedupes in parallel,
+    and probe fragments test partition-locally."""
     if isinstance(right, BAT) and right.hdense:
         return _subset_op(fb, lambda frag: _kernel.semijoin_mask(frag, right))
-    keyspace = _kernel.set_keyspace(fb.fragments[0].head, _head_columns(right)[0])
-    if keyspace != "object":
-        return _partitioned_semijoin(fb, right, keyspace)
-    return _member_subset(fb, right, nil_member=False, invert=False)
+    return _partitioned_semijoin(fb, right)
 
 
 def _partitioned_semijoin(
-    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT], keyspace: str
+    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> FragmentedBAT:
-    """Numeric semijoin through the grace-join partitioned build.  NIL
-    build and probe keys drop with the :func:`kernel.join_keys` mask
+    """Semijoin through the grace-join partitioned build.  NIL build
+    and probe keys drop with the :func:`kernel.join_keys` mask
     (comparison rule: NIL is never a member), so the per-partition
     member arrays carry comparison keys only."""
     columns = _head_columns(right)
+    keyspace = _kernel.key_space(*columns, *_head_columns(fb))
+    if keyspace is None:  # a str equals no number
+        return _subset_op(fb, lambda frag: np.zeros(len(frag), dtype=bool))
     build_n = sum(len(column) for column in columns)
     fanout = _join_fanout(build_n)
 
@@ -1188,7 +1185,7 @@ def _partitioned_semijoin(
         ]
         if not chunks:
             return empty_keys
-        return np.unique(np.concatenate(chunks))
+        return _kernel.build_member_set(np.concatenate(chunks))
 
     members = map_fragments(one_partition, range(fanout), len(fb))
 
@@ -1240,16 +1237,8 @@ def kunion(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT
     if isinstance(right, BAT):
         right = fragment_bat(right, fb.policy)
     _kernel.check_kunion_types(fb.fragments[0], right.fragments[0])
-    keyspace = _kernel.set_keyspace(fb.fragments[0].head, right.fragments[0].head)
-    members = _member_build(fb, keyspace, len(fb), nil_member=True)
-
-    def one(frag: BAT) -> BAT:
-        mask = _kernel.probe_member_set(frag.head, members, keyspace, nil_member=True)
-        return frag.take_positions(np.nonzero(~mask)[0])
-
-    survivors = [
-        frag for frag in map_fragments(one, right.fragments, len(fb)) if len(frag)
-    ]
+    unseen = _member_subset(right, fb, nil_member=True, invert=True)
+    survivors = [frag for frag in unseen.fragments if len(frag)]
     if not survivors:
         return fb
     return FragmentedBAT(fb.fragments + survivors, policy=fb.policy)
@@ -1336,12 +1325,6 @@ def topn(fb: FragmentedBAT, n: int, descending: bool = True) -> BAT:
     if n < 0:
         raise KernelError("topn needs a non-negative n")
     n = int(n)
-    if _probe_dtype(fb):
-        # The monolithic object order reverses the whole stable sort for
-        # descending (NILs first, ties latest-first), which per-fragment
-        # candidate selection cannot compose with; topn returns a small
-        # monolithic BAT anyway, so take the coalesced path.
-        return _kernel.topn(fb.to_bat(), n, descending=descending)
 
     def one(frag: BAT) -> BAT:
         pos = _kernel.topn_positions(frag, min(n, len(frag)), descending=descending)
@@ -1407,89 +1390,80 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
 # ----------------------------------------------------------------------
 
 
-def _group_key(value: Any):
-    """Hashable grouping key; NaN (dbl NIL) normalizes to one sentinel
-    so every NaN lands in the same group, matching ``np.unique``'s
-    treat-NaNs-as-equal behaviour in the monolithic kernel."""
-    if isinstance(value, float) and value != value:
-        return ("\0nan",)
-    return value
+def _distinct_blocks(
+    keys: Sequence[np.ndarray], gpos: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidates sorted by key combination, then global BUN position:
+    ``(order, new_block)`` with ``new_block`` flagging, in that order,
+    the first -- minimal-position -- candidate of every distinct key."""
+    order = np.lexsort((gpos, *reversed(keys)))
+    new_block = np.zeros(len(order), dtype=bool)
+    new_block[:1] = True
+    for key in keys:
+        sorted_key = key[order]
+        new_block[1:] |= sorted_key[1:] != sorted_key[:-1]
+    return order, new_block
 
 
-def _ids_by_first_appearance(per_fragment) -> dict:
-    """key -> dense id in order of first global appearance, from every
-    fragment's ``(key, global BUN position)`` reports: the monolithic
-    first-appearance group-oid assignment, reproduced exactly."""
-    firsts = _first_positions(per_fragment)
-    return {key: gid for gid, key in enumerate(sorted(firsts, key=firsts.get))}
+def _first_appearance_ids(keys: Sequence[np.ndarray], gpos: np.ndarray) -> np.ndarray:
+    """Dense id of every candidate's key combination, numbered in order
+    of first global appearance: the monolithic first-appearance
+    group-oid assignment, reproduced exactly from every fragment's
+    ``(keys, minimal global position)`` reports."""
+    order, new_block = _distinct_blocks(keys, gpos)
+    firsts = gpos[order[new_block]]
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts), dtype=np.int64)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new_block) - 1]
+    return ids
 
 
-def _first_positions(per_fragment) -> dict:
-    """key -> minimal global BUN position over every fragment's
-    ``(key, position)`` reports."""
-    firsts: dict = {}
-    for entries in per_fragment:
-        for key, position in entries:
-            previous = firsts.get(key)
-            if previous is None or position < previous:
-                firsts[key] = position
-    return firsts
+def _relabel(
+    fb: FragmentedBAT,
+    per_fragment: List[Tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]],
+) -> FragmentedBAT:
+    """The serial merge and parallel relabel shared by :func:`group` and
+    :func:`refine`: every fragment reports its distinct keys, their
+    minimal global positions and each BUN's index into them
+    (``(keys, gpos, codes)``); the merge numbers the distinct keys by
+    first global appearance and each fragment maps its codes."""
+    ids = _first_appearance_ids(
+        [np.concatenate(parts) for parts in zip(*(keys for keys, _, _ in per_fragment))],
+        np.concatenate([gpos for _, gpos, _ in per_fragment]),
+    )
+    bounds = np.cumsum([0] + [len(gpos) for _, gpos, _ in per_fragment])
+
+    def assign(indexed: Tuple[int, BAT]) -> BAT:
+        index, frag = indexed
+        local = ids[bounds[index]: bounds[index + 1]][per_fragment[index][2]]
+        return BAT(frag.head, Column("oid", local), hsorted=frag.hsorted, hkey=frag.hkey)
+
+    return _per_fragment(fb, assign, enumerate(fb.fragments))
 
 
 def group(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.groups.group`.
 
-    Two parallel passes around one tiny serial merge: (1) each fragment
-    reports its distinct tail values with their minimal global BUN
-    position, (2) the merge orders the distinct values by first global
-    appearance -- reproducing the monolithic first-appearance group-oid
-    assignment exactly -- and (3) each fragment relabels its tails with
-    the global ids.  The result is fragmented identically to the input,
-    so a following pump aggregate stays fragment-parallel."""
-    object_dtype = _probe_dtype(fb)
+    Two parallel passes around one small serial merge over identity
+    keys in one key space (a str tail's codes in the fragments' shared
+    dictionary, else a joint one): (1) each fragment reports its
+    distinct keys with their minimal global BUN position, (2) the merge
+    numbers the distinct keys by first global appearance -- reproducing
+    the monolithic first-appearance group-oid assignment exactly -- and
+    (3) each fragment relabels its tails with the global ids.  The
+    result is fragmented identically to the input, so a following pump
+    aggregate stays fragment-parallel."""
+    keys_of = _kernel.key_space(*(frag.tail for frag in fb.fragments))
 
-    def local_uniques(indexed: Tuple[int, BAT]) -> List[Tuple[Any, int]]:
+    def local(indexed: Tuple[int, BAT]):
         index, frag = indexed
-        tails = frag.tail_values()
-        if len(tails) == 0:
-            return []
-        gpos = fb.global_positions(index)
-        if object_dtype:
-            firsts: dict = {}
-            for position, value in enumerate(tails.tolist()):
-                key = _group_key(value)
-                if key not in firsts:
-                    firsts[key] = int(gpos[position])
-            return list(firsts.items())
-        # Per-fragment global positions are increasing, so np.unique's
-        # first-occurrence index is the minimal global position.
-        uniq, first_idx = np.unique(tails, return_index=True)
-        return [
-            (_group_key(value), int(position))
-            for value, position in zip(uniq.tolist(), gpos[first_idx].tolist())
-        ]
+        uniq, first, codes = np.unique(
+            keys_of(frag.tail), return_index=True, return_inverse=True
+        )
+        return (uniq,), fb.global_positions(index)[first], codes.ravel()
 
-    gid_by_key = _ids_by_first_appearance(
-        map_fragments(local_uniques, enumerate(fb.fragments), len(fb))
-    )
-
-    def assign(frag: BAT) -> BAT:
-        tails = frag.tail_values()
-        if len(tails) == 0:
-            ids = np.empty(0, dtype=np.int64)
-        elif object_dtype:
-            ids = np.asarray(
-                [gid_by_key[_group_key(v)] for v in tails.tolist()], dtype=np.int64
-            )
-        else:
-            uniq, inverse = np.unique(tails, return_inverse=True)
-            local_gids = np.asarray(
-                [gid_by_key[_group_key(v)] for v in uniq.tolist()], dtype=np.int64
-            )
-            ids = local_gids[inverse.astype(np.int64).ravel()]
-        return BAT(frag.head, Column("oid", ids), hsorted=frag.hsorted, hkey=frag.hkey)
-
-    return _per_fragment(fb, assign)
+    return _relabel(fb, map_fragments(local, enumerate(fb.fragments), len(fb)))
 
 
 # ----------------------------------------------------------------------
@@ -1567,7 +1541,10 @@ def _merge_partition_count(n: int, policy: FragmentationPolicy) -> int:
 
 
 def _sample_sort_merge(
-    fb: FragmentedBAT, runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    fb: FragmentedBAT,
+    runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    *,
+    gather_heads: bool,
 ) -> FragmentedBAT:
     """Parallel merge of key-sorted per-fragment runs by sample-sort
     partitioning.
@@ -1576,14 +1553,16 @@ def _sample_sort_merge(
     monotone partition keys) cut every run at the same key boundaries
     (:func:`kernel.run_cut_points`), so each inter-pivot range touches
     a disjoint slice of every run and builds its output fragment
-    **independently**: the per-partition galloping merges, the tail
-    gathers and the output fragment construction all fan out on the
-    thread pool.  Within a partition the run slices still hold strictly
+    **independently**: the per-partition galloping merges, the gathers
+    and the output fragment construction all fan out on the thread
+    pool.  Within a partition the run slices still hold strictly
     increasing global-position blocks, so the pairwise merge's
     left-run-wins tie-break reproduces the monolithic stable sort
     exactly.  Degenerate pivot samples (all-equal keys) dedupe to fewer
     partitions and in the limit fall back to the serial tournament
-    merge -- correct, just less parallel."""
+    merge -- correct, just less parallel.  The merged head is the
+    merged keys themselves, or gathered by global position with
+    *gather_heads* (when the keys are ranks)."""
     head_atom = fb.fragments[0].head.atom_type
     tail_atom = fb.fragments[0].tail.atom_type
     target = fb.policy.target_size
@@ -1593,7 +1572,10 @@ def _sample_sort_merge(
     )
     if len(pivots) == 0:
         keys, gpos = _merge_runs([(keys, gpos) for keys, _, gpos in runs])
-        head = Column(head_atom, keys)
+        if gather_heads:
+            head = _concat_columns([f.head for f in fb.fragments], head_atom, gpos)
+        else:
+            head = Column(head_atom, keys)
         tail = _concat_columns([f.tail for f in fb.fragments], tail_atom, gpos)
         return _output_fragments(
             head,
@@ -1609,10 +1591,15 @@ def _sample_sort_merge(
         )
         for keys, pkeys, _ in runs
     ]
-    # The shared gather source the per-partition merge workers index by
-    # global BUN position.
+    # The shared gather sources the per-partition merge workers index
+    # by global BUN position.
     tails_concat = _concat_raw(
         [f.tail.materialize() for f in fb.fragments], _probe_dtype(fb)
+    )
+    heads_concat = (
+        _concat_raw([f.head.materialize() for f in fb.fragments], True)
+        if gather_heads
+        else None
     )
 
     def build(partition: int) -> List[BAT]:
@@ -1627,7 +1614,9 @@ def _sample_sort_merge(
         if not slices:
             return []
         keys_p, gpos_p = _merge_runs(slices)
-        head = Column(head_atom, keys_p)
+        head = Column(
+            head_atom, keys_p if heads_concat is None else heads_concat[gpos_p]
+        )
         tail = Column(tail_atom, tails_concat[gpos_p])
         return [
             BAT(
@@ -1683,49 +1672,42 @@ def _output_fragments(
     return FragmentedBAT(fragments, policy=policy)
 
 
-def _rows_in_order(
-    fb: FragmentedBAT, gather: np.ndarray, *, hsorted: bool = False
-) -> FragmentedBAT:
-    """Range-partitioned copy of *fb*'s rows in the order given by
-    *gather*, an index array into the fragment-concatenation space."""
-    frags = fb.fragments
-    head = _concat_columns([f.head for f in frags], frags[0].head.atom_type, gather)
-    tail = _concat_columns([f.tail for f in frags], frags[0].tail.atom_type, gather)
-    return _output_fragments(head, tail, fb.policy, hsorted=hsorted)
-
-
 def sort(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.sort`: every
-    fragment sorts its head in its own thread (numpy's sorts release
-    the GIL), then a **sample-sort merge** combines the runs: pivots
-    sampled from the sorted runs range-partition the key space and each
-    output partition merges its run slices independently, also in
-    parallel (:func:`_sample_sort_merge`) -- no coalesce, no serial
-    merge phase, and the plan around it stays fragment-parallel.  Equal
-    heads keep global BUN order, exactly like the monolithic stable
-    sort.  Already-sorted inputs (flagged or detected, fragment
-    boundaries included) return unchanged.  Object (str) heads merge
-    via per-partition ``heapq``, parallel across partitions."""
+    fragment sorts its head keys in its own thread (numpy's sorts
+    release the GIL), then a **sample-sort merge** combines the runs:
+    pivots sampled from the sorted runs range-partition the key space
+    and each output partition merges its run slices independently,
+    also in parallel (:func:`_sample_sort_merge`) -- no coalesce, no
+    serial merge phase, and the plan around it stays fragment-parallel.
+    Equal heads keep global BUN order, exactly like the monolithic
+    stable sort.  The keys are :func:`kernel.order_keys`: numbers
+    themselves, a str head the ranks of its codes in one code space
+    across the fragments.  Already-sorted inputs (flagged or detected,
+    fragment boundaries included) return unchanged."""
     if len(fb) == 0:
         return fb
-    if _kernel._is_object_column(fb.fragments[0].head):
-        return _sort_object(fb)
     if all(f.hsorted for f in fb.fragments) and _boundaries_nondecreasing(
         fb.fragments, head=True
     ):
         return fb
+    heads = [frag.head for frag in fb.fragments]
+    head_keys = _kernel.order_keys(*heads)
 
-    def one(indexed: Tuple[int, BAT]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        index, frag = indexed
-        keys = frag.head_values()
+    def one(index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        keys = head_keys[index]
         gpos = fb.global_positions(index)
-        if not (frag.hsorted or _nondecreasing(keys)):
+        if not (fb.fragments[index].hsorted or _nondecreasing(keys)):
             order = np.argsort(keys, kind="stable")
             keys, gpos = keys[order], gpos[order]
         return keys, _kernel.partition_keys(keys), gpos
 
-    runs = map_fragments(one, enumerate(fb.fragments), len(fb))
-    return _sample_sort_merge(fb, runs)
+    runs = map_fragments(one, range(fb.nfragments), len(fb))
+    # A str head's keys are ranks, not its values: the merged head is
+    # gathered by global position, like the tail.
+    return _sample_sort_merge(
+        fb, runs, gather_heads=_kernel._is_object_column(heads[0])
+    )
 
 
 def tsort(fb: FragmentedBAT) -> FragmentedBAT:
@@ -1740,81 +1722,6 @@ def _nondecreasing(values: np.ndarray) -> bool:
     if len(values) <= 1:
         return True
     return bool(np.all(values[1:] >= values[:-1]))
-
-
-def _object_pivots(
-    runs: List[List[Tuple[bool, Any, int]]], partitions: int,
-    *, oversample: int = 4,
-) -> List[Tuple[bool, Any]]:
-    """Sampled (is-NIL, value) pivot prefixes for the object merge:
-    :func:`kernel.sample_pivots` over Python tuples.  A 2-tuple prefix
-    compares below every full run entry sharing it, so ``bisect_left``
-    cuts runs exactly like ``searchsorted(..., side='left')`` -- equal
-    keys never straddle a partition boundary."""
-    if partitions <= 1:
-        return []
-    samples: List[Tuple[bool, Any]] = []
-    for run in runs:
-        if not run:
-            continue
-        picks = _kernel.pivot_sample_positions(
-            len(run), partitions, oversample=oversample
-        )
-        if picks is None:
-            samples.extend(entry[:2] for entry in run)
-        else:
-            samples.extend(run[int(i)][:2] for i in picks)
-    if not samples:
-        return []
-    samples.sort()
-    return sorted(
-        {
-            samples[int(q)]
-            for q in _kernel.pivot_quantile_positions(len(samples), partitions)
-        }
-    )
-
-
-def _sort_object(fb: FragmentedBAT) -> FragmentedBAT:
-    """Object (str) heads: per-fragment Python sorts partitioned at
-    sampled pivots, every partition ``heapq``-merged in its own worker.
-    The (is-NIL, value, global position) entry key reproduces the
-    monolithic object sort exactly -- NILs last, ties in BUN order --
-    and the global position doubles as the gather index into the
-    fragment concatenation."""
-    import bisect
-
-    def one(pair: Tuple[int, BAT]) -> List[Tuple[bool, Any, int]]:
-        offset, frag = pair
-        return sorted(
-            (value is None, "" if value is None else value, position)
-            for position, value in enumerate(frag.head_values().tolist(), offset)
-        )
-
-    runs = map_fragments(one, zip(fb.fragment_offsets(), fb.fragments), len(fb))
-    pivots = _object_pivots(runs, _merge_partition_count(len(fb), fb.policy))
-    if not pivots:
-        gather = np.fromiter(
-            (entry[2] for entry in heapq.merge(*runs)), dtype=np.int64,
-            count=len(fb),
-        )
-        return _rows_in_order(fb, gather, hsorted=True)
-    bounds = [
-        [0] + [bisect.bisect_left(run, pivot) for pivot in pivots] + [len(run)]
-        for run in runs
-    ]
-
-    def build(partition: int) -> np.ndarray:
-        slices = [
-            run[bounds[r][partition]: bounds[r][partition + 1]]
-            for r, run in enumerate(runs)
-        ]
-        return np.fromiter(
-            (entry[2] for entry in heapq.merge(*slices)), dtype=np.int64
-        )
-
-    gathers = map_fragments(build, range(len(pivots) + 1), len(fb))
-    return _rows_in_order(fb, np.concatenate(gathers), hsorted=True)
 
 
 def unique(fb: FragmentedBAT) -> FragmentedBAT:
@@ -1854,59 +1761,23 @@ def _first_global_occurrences(
     distinct key (head, tail, or both).  NILs dedupe under the identity
     rule -- one NaN/None survives -- matching the monolithic kernel
     (see the NIL semantics note in :mod:`repro.monet.kernel`)."""
-    first = fb.fragments[0]
-    object_dtype = (heads and _kernel._is_object_column(first.head)) or (
-        tails and _kernel._is_object_column(first.tail)
-    )
-    if object_dtype:
-
-        def candidates(indexed: Tuple[int, BAT]):
-            index, frag = indexed
-            gpos = fb.global_positions(index)
-            head_values = frag.head_list() if heads else None
-            tail_values = frag.tail_list() if tails else None
-            firsts: dict = {}
-            for position in range(len(frag)):
-                key = ()
-                if heads:
-                    key += (_kernel.nil_dedup_key(head_values[position]),)
-                if tails:
-                    key += (_kernel.nil_dedup_key(tail_values[position]),)
-                if key not in firsts:
-                    firsts[key] = int(gpos[position])
-            return firsts.items()
-
-        winners = _first_positions(
-            map_fragments(candidates, enumerate(fb.fragments), len(fb))
-        )
-        return np.sort(np.asarray(list(winners.values()), dtype=np.int64))
+    sides = [side for side, wanted in (("head", heads), ("tail", tails)) if wanted]
+    keys_of = {
+        side: _kernel.key_space(*(getattr(frag, side) for frag in fb.fragments))
+        for side in sides
+    }
 
     def candidates(indexed: Tuple[int, BAT]) -> List[np.ndarray]:
         index, frag = indexed
-        keys = []
-        if heads:
-            keys.append(_kernel.dedup_keys(frag.head))
-        if tails:
-            keys.append(_kernel.dedup_keys(frag.tail))
+        keys = [keys_of[side](getattr(frag, side)) for side in sides]
         firsts = _kernel.first_occurrences(*keys)
         gpos = fb.global_positions(index)
         return [key[firsts] for key in keys] + [gpos[firsts]]
 
     per_fragment = map_fragments(candidates, enumerate(fb.fragments), len(fb))
-    merged = [
-        np.concatenate([p[i] for p in per_fragment])
-        for i in range(len(per_fragment[0]))
-    ]
-    *key_arrays, gpos_concat = merged
-    if len(gpos_concat) == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort(tuple([gpos_concat] + list(reversed(key_arrays))))
-    new_block = np.zeros(len(order), dtype=bool)
-    new_block[0] = True
-    for key in key_arrays:
-        sorted_key = key[order]
-        new_block[1:] |= sorted_key[1:] != sorted_key[:-1]
-    return np.sort(gpos_concat[order[new_block]])
+    *key_arrays, gpos = [np.concatenate(parts) for parts in zip(*per_fragment)]
+    order, new_block = _distinct_blocks(key_arrays, gpos)
+    return np.sort(gpos[order[new_block]])
 
 
 def _keep_positions(fb: FragmentedBAT, keep: np.ndarray) -> FragmentedBAT:
@@ -1947,72 +1818,34 @@ def refine(
             return _groups.refine(coalesce(grouping), bat)
     if not same_fragmentation(grouping, bat):
         return _groups.refine(coalesce(grouping), coalesce(bat))
-    object_dtype = _kernel._is_object_column(bat.fragments[0].tail)
+    keys_of = _kernel.key_space(*(frag.tail for frag in bat.fragments))
 
     def local(indexed: Tuple[int, Tuple[BAT, BAT]]):
         index, (group_frag, value_frag) = indexed
         old = group_frag.tail_values().astype(np.int64, copy=False)
-        gpos = grouping.global_positions(index)
-        if len(old) == 0:
-            return [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        if object_dtype:
-            codes = np.empty(len(old), dtype=np.int64)
-            rep_keys: List[Tuple[int, Any]] = []
-            rep_gpos: List[int] = []
-            seen: dict = {}
-            for position, (old_id, value) in enumerate(
-                zip(old.tolist(), value_frag.tail_list())
-            ):
-                key = (old_id, _kernel.nil_dedup_key(value))
-                code = seen.get(key)
-                if code is None:
-                    code = len(rep_keys)
-                    seen[key] = code
-                    rep_keys.append(key)
-                    rep_gpos.append(int(gpos[position]))
-                codes[position] = code
-            return rep_keys, np.asarray(rep_gpos, dtype=np.int64), codes
-        value_keys = _kernel.dedup_keys(value_frag.tail)
+        value_keys = keys_of(value_frag.tail)
         order = np.lexsort((value_keys, old))
         sorted_old = old[order]
         sorted_values = value_keys[order]
         new_block = np.zeros(len(order), dtype=bool)
-        new_block[0] = True
+        new_block[:1] = True
         new_block[1:] = (sorted_old[1:] != sorted_old[:-1]) | (
             sorted_values[1:] != sorted_values[:-1]
         )
         starts = np.nonzero(new_block)[0]
         codes = np.empty(len(order), dtype=np.int64)
         codes[order] = np.cumsum(new_block) - 1
-        rep_keys = list(
-            zip(sorted_old[starts].tolist(), sorted_values[starts].tolist())
-        )
         # Stable lexsort keeps each block in local (therefore global)
         # position order, so the block start is the minimal position.
-        return rep_keys, gpos[order[starts]], codes
+        gpos = grouping.global_positions(index)[order[starts]]
+        return (sorted_old[starts], sorted_values[starts]), gpos, codes
 
-    per_fragment = map_fragments(
-        local, enumerate(zip(grouping.fragments, bat.fragments)), len(grouping)
+    return _relabel(
+        grouping,
+        map_fragments(
+            local, enumerate(zip(grouping.fragments, bat.fragments)), len(grouping)
+        ),
     )
-    gid_by_key = _ids_by_first_appearance(
-        zip(rep_keys, rep_gpos.tolist()) for rep_keys, rep_gpos, _ in per_fragment
-    )
-
-    def assign(pair: Tuple[BAT, Tuple[list, np.ndarray, np.ndarray]]) -> BAT:
-        group_frag, (rep_keys, _, codes) = pair
-        if rep_keys:
-            lookup = np.asarray([gid_by_key[key] for key in rep_keys], dtype=np.int64)
-            ids = lookup[codes]
-        else:
-            ids = np.empty(0, dtype=np.int64)
-        return BAT(
-            group_frag.head,
-            Column("oid", ids),
-            hsorted=group_frag.hsorted,
-            hkey=group_frag.hkey,
-        )
-
-    return _per_fragment(grouping, assign, zip(grouping.fragments, per_fragment))
 
 
 # ----------------------------------------------------------------------

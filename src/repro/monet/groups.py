@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
+from repro.monet.kernel import dedup_keys
 
 
 def group(bat: BAT) -> BAT:
@@ -24,13 +25,13 @@ def group(bat: BAT) -> BAT:
 
     Group oids are assigned in order of first appearance, starting at 0,
     so the result is deterministic and the number of groups equals
-    ``max(tail)+1`` of the result.
+    ``max(tail)+1`` of the result.  Values compare by their identity
+    keys (:func:`repro.monet.kernel.dedup_keys`: a str value by its
+    code), so every NIL lands in one group.
     """
-    tails = bat.tail_values()
-    group_ids = _dense_group_ids(tails, bat.tail.atom_type.dtype == np.dtype(object))
     return BAT(
         bat.head,
-        Column("oid", group_ids),
+        Column("oid", _dense_group_ids(dedup_keys(bat.tail))),
         hsorted=bat.hsorted,
         hkey=bat.hkey,
     )
@@ -43,20 +44,17 @@ def refine(grouping: BAT, bat: BAT) -> BAT:
     (same head sequence)."""
     if len(grouping) != len(bat):
         raise KernelError("refine requires positionally aligned inputs")
-    old_ids = grouping.tail_values()
-    tails = bat.tail_values()
-    if bat.tail.atom_type.dtype == np.dtype(object):
-        keys = list(zip(old_ids.tolist(), tails.tolist()))
-        new_ids = _dense_group_ids_from_keys(keys)
-    else:
-        pair = np.stack((old_ids.astype(np.int64), _codes(tails)), axis=1)
-        _, first_idx, inverse = np.unique(
-            pair, axis=0, return_index=True, return_inverse=True
-        )
-        new_ids = _first_appearance_relabel(first_idx, inverse)
+    old_ids = grouping.tail_values().astype(np.int64)
+    # Key equality is all that matters here, so the uint64 float keys
+    # may wrap into int64.
+    values = dedup_keys(bat.tail).astype(np.int64, copy=False)
+    pair = np.stack((old_ids, values), axis=1)
+    _, first_idx, inverse = np.unique(
+        pair, axis=0, return_index=True, return_inverse=True
+    )
     return BAT(
         grouping.head,
-        Column("oid", new_ids),
+        Column("oid", _first_appearance_relabel(first_idx, inverse)),
         hsorted=grouping.hsorted,
         hkey=grouping.hkey,
     )
@@ -91,34 +89,11 @@ def group_representatives(grouping: BAT, bat: BAT) -> BAT:
     return BAT(VoidColumn(0, n_groups), tail, hkey=True)
 
 
-def _codes(values: np.ndarray) -> np.ndarray:
-    """Integer codes for numeric arrays (identity for ints, bit-punned
-    stable codes for floats via unique)."""
-    if values.dtype == np.dtype(np.float64):
-        _, inverse = np.unique(values, return_inverse=True)
-        return inverse.astype(np.int64)
-    return values.astype(np.int64)
-
-
-def _dense_group_ids(values: np.ndarray, object_dtype: bool) -> np.ndarray:
-    if object_dtype:
-        return _dense_group_ids_from_keys(values.tolist())
-    if len(values) == 0:
+def _dense_group_ids(keys: np.ndarray) -> np.ndarray:
+    if len(keys) == 0:
         return np.empty(0, dtype=np.int64)
-    _, first_idx, inverse = np.unique(values, return_index=True, return_inverse=True)
+    _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return _first_appearance_relabel(first_idx, inverse)
-
-
-def _dense_group_ids_from_keys(keys) -> np.ndarray:
-    mapping: dict = {}
-    out = np.empty(len(keys), dtype=np.int64)
-    for position, key in enumerate(keys):
-        gid = mapping.get(key)
-        if gid is None:
-            gid = len(mapping)
-            mapping[key] = gid
-        out[position] = gid
-    return out
 
 
 def _first_appearance_relabel(first_idx: np.ndarray, inverse: np.ndarray) -> np.ndarray:

@@ -88,6 +88,52 @@ sorted arm's order plus its sorted key copy.  A value arm's index is a
 :class:`MatchIndex` whose ``arm`` names its row
 (:func:`build_match_index` / :func:`probe_match_index`).
 
+Key selection.  Every other operator reads its operands through one
+integer key per value, chosen by the atom alone: a str column is read
+only through its dictionary codes (:meth:`Column.encoding`), never
+value by value.  This table and the join table above are the one place
+an operator's sort, dedup or predicate arm is declared:
+
+=====================  ==========================  ========================
+operator family        key                         fragmented
+=====================  ==========================  ========================
+order: ``sort``,       numbers: the value          per-fragment sorted runs
+``tsort``, ``topn``    (:func:`_topn_sort_keys`    meet in the sample-sort
+                       its total-order image);     merge over the same
+                       str: the rank of the code   keys; topn candidates
+                       (:func:`order_keys`: the    per fragment
+                       values in use sorted once
+                       per call), NIL ranked
+                       above every string
+identity: ``unique``,  numbers: the value's        distinct keys per
+``kunique``,           integer image, all NaN one  fragment, one serial
+``tunique``,           key (:func:`dedup_keys`);   merge by first global
+``group``,             str: the code, NIL -1       position; membership
+``refine``,                                        builds once
+``kunion``,
+``kintersect``, pump
+alignment
+comparison:            numbers: the values;        per fragment: the mask
+``select``,            str: the predicate once     needs no shared key
+``uselect``,           per distinct value,         space
+``likeselect``         gathered by code; NIL
+                       never qualifies
+comparison:            the identity keys above,    radix-partitioned
+``semijoin``,          NIL masked on both sides    keys (semijoin); one
+``kdiff``                                          shared build (kdiff)
+=====================  ==========================  ========================
+
+For str the fragmented column is always **one code space across
+fragments: the shared dictionary, else a joint one** (:class:`CodeSpace`,
+:func:`str_code_space`): fragments that are windows of one warm column
+share its dictionary and translate nothing; otherwise the longest
+column's dictionary is the base and the other columns' distinct values
+are numbered in after it.  Translations, ranks and predicate tables
+read only the codes a call's BUNs use (:func:`_by_value`): no Python
+pass over a dictionary, so a small window of a large warm column pays
+for its own distinct values.  Ranks are not cached: every order operator sorts the distinct
+values it uses afresh.
+
 NIL semantics (two rules, both Monet-faithful):
 
 * *Comparisons* -- select predicates and the join family, including
@@ -105,21 +151,31 @@ NIL semantics (two rules, both Monet-faithful):
   like a value the build lacks), and -1 matches nothing, not even
   another -1.  Membership under this rule leaves the build side's
   NILs out and masks NIL probes (:func:`member_keys`,
-  :func:`probe_member_set` with ``nil_member=False``).
+  :func:`probe_member_set` with ``nil_member=False``).  A NIL
+  *needle* is no exception: ``select(b, nil)`` matches nothing, for
+  every atom.
 * *Identity* operators -- ``unique``/``kunique``/``tunique`` here,
   ``group``/``refine`` in :mod:`repro.monet.groups`, **and the set
   operators ``kunion``/``kintersect``** -- treat all NILs of a column
   as **one value** (SQL DISTINCT / GROUP BY / UNION style): one NIL
   survives duplicate elimination, every NIL lands in the same group,
   and a NIL head *is* a member of a head set that contains a NIL.
-  :func:`dedup_keys` encodes this rule for the vectorized paths (NaN
-  keys collapse to a single sentinel); :func:`member_mask` applies it
+  :func:`dedup_keys` encodes this rule (NaN keys collapse to a single
+  sentinel, every str NIL is the code -1); :func:`member_mask` applies it
   to set membership, so e.g. ``kunion`` does not duplicate NIL heads
   and ``kintersect`` keeps a NIL head when both sides have one.  The
   set operators previously inherited the comparison rule from the
   semijoin machinery, which silently duplicated NaN heads in unions --
   the identity rule makes them consistent with ``kunique`` (whose
   output is the natural "key set" the k-prefixed operators work on).
+* *Order* puts NIL where the atom's raw comparison does: NaN last in
+  both directions, the int and oid sentinels at their numeric extremes
+  (an int NIL first ascending, an oid NIL last), a str NIL last ascending and first
+  descending (it ranks above every string).  Ties -- equal values,
+  NILs included -- break by BUN position, **earliest first**, for every
+  atom and in both directions: ``sort``/``tsort`` are stable, and
+  ``topn`` (``descending`` or not) keeps and orders tied BUNs
+  earliest-first, monolithic and fragmented alike.
 * *Appends/deltas introduce no third rule.*  A NIL appended into a
   delta tail (:meth:`BAT.append` / ``FragmentedBAT.append`` /
   ``BATBufferPool.append``, WAL replay included) is stored as the
@@ -152,12 +208,14 @@ NIL semantics (two rules, both Monet-faithful):
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.monet.atoms import coerce_value
+from repro.monet.atoms import coerce_value, is_nil
 from repro.monet.bat import (
     BAT,
     AnyColumn,
@@ -180,20 +238,130 @@ def _positions(count: int) -> np.ndarray:
     return np.arange(count, dtype=np.int64)
 
 
-#: Sentinel equality key shared by every NIL of a column under the
-#: identity rule (see the NIL semantics note in the module docstring).
-NIL_KEY = ("\0nil",)
+# ----------------------------------------------------------------------
+# One key space per operator: what every operator reads
+#
+# A str column is read only through its dictionary codes
+# (:meth:`Column.encoding`): identity operators compare codes, order
+# operators compare the rank of a code, comparisons evaluate their
+# predicate once per distinct value.  Numbers are read as themselves
+# (or their monotone integer image).  The selection table in the
+# module docstring is the one place an arm is declared.
+# ----------------------------------------------------------------------
 
 
-def nil_dedup_key(value: Any):
-    """Hashable dedup key for a Python-level value: NaN (dbl NIL) and
-    ``None`` normalize to one sentinel so NILs compare equal under the
-    identity rule, while remaining distinct from every real value."""
-    if value is None:
-        return NIL_KEY
-    if isinstance(value, float) and value != value:
-        return NIL_KEY
-    return value
+#: A key space as the function from each of its columns to their keys.
+KeyFunction = Callable[[AnyColumn], np.ndarray]
+
+
+def _by_value(
+    codes: np.ndarray, values: np.ndarray, evaluate: Callable[[list], Any], nil: int
+) -> np.ndarray:
+    """*evaluate* over the distinct values that *codes* use -- one list
+    of them, one result each -- gathered back to every BUN by its code;
+    NIL's BUNs (code -1) get *nil*.  A value is read at one of its BUNs
+    of *values*: the BUN whose position its code's entry of a scratch
+    table holds after every BUN wrote its own.  So *evaluate* sees each
+    distinct value once, the rest is numpy over the BUNs, and the
+    entries of codes not in use are never touched -- no pass over the
+    dictionary."""
+    table = np.empty(int(codes.max(initial=-1)) + 2, dtype=np.int64)
+    positions = np.arange(len(codes), dtype=np.int64)
+    table[codes] = positions
+    chosen = np.flatnonzero((table[codes] == positions) & (codes >= 0))
+    table[codes[chosen]] = evaluate(values[chosen].tolist())
+    table[-1] = nil
+    return table[codes]
+
+
+class CodeSpace:
+    """One code space for str columns: a *base* dictionary, read and
+    never modified (a column's own, shared by every window and gather
+    of it), plus the values it lacks, numbered after it in *extra* as
+    columns are encoded with ``extend``.  NIL has no code (-1)."""
+
+    __slots__ = ("base", "extra")
+
+    def __init__(self, base: dict) -> None:
+        self.base = base
+        self.extra: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.extra)
+
+    def codes(self, values: list, extend: bool) -> np.ndarray:
+        """int64 codes of the distinct non-NIL *values*: -1 for a value
+        the space lacks, unless *extend* numbers it in."""
+        found = dictionary_codes(values, self.base)
+        missing = found < 0
+        rest = list(itertools.compress(values, missing.tolist()))
+        extra = dictionary_codes(rest, self.extra)
+        if extend:
+            new = extra < 0
+            start = len(self)
+            extra[new] = np.arange(start, start + int(new.sum()), dtype=np.int64)
+            self.extra.update(
+                zip(itertools.compress(rest, new.tolist()), itertools.count(start))
+            )
+        found[missing] = extra
+        return found
+
+    def encode(self, column: Column, extend: bool = False) -> np.ndarray:
+        """*column*'s cached dictionary codes in this space, NIL -1:
+        the codes themselves when its dictionary is the base, else one
+        lookup per distinct value its BUNs use (:func:`_by_value`),
+        never its whole dictionary."""
+        codes, dictionary = column.encoding()
+        if dictionary is self.base:
+            return codes
+        return _by_value(
+            codes, column.values, lambda values: self.codes(values, extend), -1
+        )
+
+
+def str_code_space(columns: Sequence[Column]) -> Tuple[CodeSpace, KeyFunction]:
+    """The one code space of str *columns* (operands, or every fragment
+    of one) and the function from each of them to its codes in it:
+    based on the longest column's dictionary -- the only one when all
+    hold the same object (windows and gathers of one warm column:
+    nothing to translate) -- with every other dictionary's values in
+    use numbered in after it, here and serially, so the function only
+    reads the result."""
+    space = CodeSpace(max(columns, key=len).encoding()[1])
+    codes = {id(column): space.encode(column, extend=True) for column in columns}
+    return space, lambda column: codes[id(column)]
+
+
+def _ranks(values: list) -> np.ndarray:
+    """The rank of every one of the distinct *values* in sorted order."""
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[sorted(range(len(values)), key=values.__getitem__)] = np.arange(
+        len(values), dtype=np.int64
+    )
+    return ranks
+
+
+def order_keys(*columns: AnyColumn) -> List[np.ndarray]:
+    """Sort keys of *columns* (operands, or every fragment of one) in
+    one order: numbers are their own keys; a str value's key is the
+    rank of its code in one code space (:func:`key_space`), the
+    distinct values in use sorted once per call and NIL ranked above
+    every string.  Ranks are not cached."""
+    if not _is_object_column(columns[0]):
+        return [column.materialize() for column in columns]
+    keys = key_space(*columns)
+    codes = np.concatenate([keys(column) for column in columns])
+    values = np.concatenate([column.values for column in columns])
+    ranks = _by_value(codes, values, _ranks, len(codes))
+    return np.split(ranks, np.cumsum([len(column) for column in columns])[:-1])
+
+
+def _str_mask(column: Column, evaluate: Callable[[list], Any]) -> np.ndarray:
+    """Mask of a str column's BUNs whose value qualifies: *evaluate*
+    maps the list of distinct values in use to one truth value each,
+    gathered back by code; NIL never qualifies."""
+    codes = column.encoding()[0]
+    return _by_value(codes, column.values, evaluate, 0) > 0
 
 
 def _float_dedup_keys(values: np.ndarray) -> np.ndarray:
@@ -210,21 +378,37 @@ def _float_dedup_keys(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(values), np.uint64(0xFFFFFFFFFFFFFFFF), keys)
 
 
-def dedup_keys(column: AnyColumn) -> Optional[np.ndarray]:
-    """Integer sort keys over a column's stored values for duplicate
-    elimination: equal keys iff the values are duplicates under the
-    identity rule, and key order is a valid sort order.  ``None`` for
-    object (str) columns, which take the hash-based Python path."""
-    if column.is_void:
-        return np.arange(
-            column.seqbase, column.seqbase + len(column), dtype=np.int64
-        )
-    if column.atom_type.dtype == np.dtype(object):
+def key_space(*columns: AnyColumn) -> Optional[KeyFunction]:
+    """The one identity key space of *columns* (operands, or every
+    fragment of them), as the function mapping each of those columns
+    to its integer keys: equal keys iff the values are one set element
+    under the identity rule (all NILs one key, ``-0.0 == +0.0``).
+
+    str: dictionary codes in one code space (:func:`str_code_space`),
+    NIL -1; any dbl column: the float bits of every value widened to
+    dbl (numeric widening, like the join family); otherwise int64
+    values.  Numeric keys also sort like their values; codes do not
+    (order goes through :func:`order_keys`).  ``None`` when a str
+    column meets a numeric one: a str equals no number."""
+    kinds = {_is_object_column(column) for column in columns}
+    if kinds == {True, False}:
         return None
-    values = column.materialize()
-    if values.dtype.kind == "f":
-        return _float_dedup_keys(values)
-    return values.astype(np.int64, copy=False)
+    if True in kinds:
+        return str_code_space(columns)[1]
+    if any(
+        not column.is_void and column.atom_type.dtype.kind == "f"
+        for column in columns
+    ):
+        return lambda column: _float_dedup_keys(
+            column.materialize().astype(np.float64, copy=False)
+        )
+    return lambda column: column.materialize().astype(np.int64, copy=False)
+
+
+def dedup_keys(column: AnyColumn) -> np.ndarray:
+    """Identity keys of one column's values (:func:`key_space`): equal
+    keys iff the values are duplicates under the identity rule."""
+    return key_space(column)(column)
 
 
 def first_occurrences(*keys: np.ndarray) -> np.ndarray:
@@ -245,75 +429,45 @@ def first_occurrences(*keys: np.ndarray) -> np.ndarray:
     return np.sort(order[new_block])
 
 
-def set_keyspace(*columns: AnyColumn) -> str:
-    """The common key domain for set membership across *columns*:
-    ``'object'`` when any column is object (str) dtype, ``'dbl'`` when
-    any is float (numeric widening, like the join family), ``'int'``
-    otherwise.  Probe and build sides must share one keyspace or their
-    keys would not be comparable (int64 vs float-bit keys)."""
-    if any(_is_object_column(column) for column in columns):
-        return "object"
-    if any(
-        not column.is_void and column.atom_type.dtype.kind == "f"
-        for column in columns
-    ):
-        return "dbl"
-    return "int"
-
-
 def nil_mask(column: AnyColumn) -> np.ndarray:
-    """Boolean mask of *column*'s NIL entries, by its atom: ``None``
+    """Boolean mask of *column*'s NIL entries, by its atom: no code
     (str), NaN (dbl), the atom's sentinel (``INT_NIL`` for int,
     ``OID_NIL`` for oid).  A void column holds no NIL."""
     if column.is_void:
         return np.zeros(len(column), dtype=bool)
-    values = column.materialize()
     if _is_object_column(column):
-        return np.fromiter(
-            (value is None for value in values), dtype=bool, count=len(values)
-        )
+        return column.encoding()[0] < 0
+    values = column.materialize()
     if values.dtype.kind == "f":
         return np.isnan(values)
     return values == column.atom_type.nil
 
 
-def member_keys(column: AnyColumn, keyspace: str, *, nil_member: bool = True):
-    """Membership keys of a column's stored values in *keyspace*: equal
-    keys iff the values are one set element under the identity rule
-    (all NILs collapse to one key, ``-0.0 == +0.0``).
-    ``'object'`` yields a list of hashables (:func:`nil_dedup_key`),
-    the numeric keyspaces an integer array.  ``nil_member=False`` (the
-    comparison rule, for a build side) leaves the NIL entries out."""
-    values = column.materialize()
-    if keyspace == "object":
-        keys = [nil_dedup_key(value) for value in values.tolist()]
-    elif keyspace == "dbl":
-        keys = _float_dedup_keys(values.astype(np.float64, copy=False))
-    else:
-        keys = values.astype(np.int64, copy=False)
-    if nil_member:
-        return keys
-    keep = ~nil_mask(column)
-    if keyspace == "object":
-        return [key for key, kept in zip(keys, keep.tolist()) if kept]
-    return keys[keep]
+def member_keys(
+    column: AnyColumn, keys_of: KeyFunction, *, nil_member: bool = True
+) -> np.ndarray:
+    """Membership keys of a column's values in the key space *keys_of*
+    (:func:`key_space`).  ``nil_member=False`` (the comparison rule,
+    for a build side) leaves the NIL entries out."""
+    keys = keys_of(column)
+    return keys if nil_member else keys[~nil_mask(column)]
 
 
-def build_member_set(keys, keyspace: str):
+def build_member_set(keys: np.ndarray) -> np.ndarray:
     """One-time membership structure over build-side *keys*, probe-able
     via :func:`probe_member_set`.  Separated from the probe so
     fragmented execution builds it once (combining per-fragment key
-    arrays) and shares it across probe fragments and across the set
-    operators probing the same side."""
-    if keyspace == "object":
-        return set(keys)
-    if len(keys) == 0:
-        return np.empty(0, dtype=np.int64 if keyspace == "int" else np.uint64)
-    return np.unique(keys)
+    arrays) and shares it across probe fragments.  The distinct keys,
+    ascending, deduplicated after a sort: numpy's hashing ``np.unique``
+    is many times slower on large key arrays."""
+    keys = np.sort(keys)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
 
 
 def probe_member_set(
-    column: AnyColumn, members, keyspace: str, *, nil_member: bool
+    column: AnyColumn, members: np.ndarray, keys_of: KeyFunction, *, nil_member: bool
 ) -> np.ndarray:
     """Boolean mask: which of *column*'s values occur in *members*.
 
@@ -323,15 +477,7 @@ def probe_member_set(
     kdiff): NIL is never a member, not even of a NIL-containing set,
     so NIL probes -- the int/oid sentinels included -- are masked out
     (and the build left its NILs out, :func:`member_keys`)."""
-    keys = member_keys(column, keyspace)
-    if len(keys) == 0:
-        return np.zeros(0, dtype=bool)
-    if keyspace == "object":
-        mask = np.fromiter(
-            (key in members for key in keys), dtype=bool, count=len(keys)
-        )
-    else:
-        mask = np.isin(keys, members)
+    mask = np.isin(keys_of(column), members)
     if not nil_member:
         mask &= ~nil_mask(column)
     return mask
@@ -343,14 +489,14 @@ def member_mask(
     """Membership mask of *values*' stored values in *lookup*'s, under
     the identity rule (``nil_member=True``; ``kunion``/``kintersect``)
     or the comparison rule (``nil_member=False``; semijoin/kdiff).
-    The monolithic composition of :func:`set_keyspace` /
+    The monolithic composition of :func:`key_space` /
     :func:`member_keys` / :func:`build_member_set` /
     :func:`probe_member_set`; fragmented execution uses the pieces."""
-    keyspace = set_keyspace(values, lookup)
-    members = build_member_set(
-        member_keys(lookup, keyspace, nil_member=nil_member), keyspace
-    )
-    return probe_member_set(values, members, keyspace, nil_member=nil_member)
+    keys_of = key_space(values, lookup)
+    if keys_of is None:
+        return np.zeros(len(values), dtype=bool)
+    members = build_member_set(member_keys(lookup, keys_of, nil_member=nil_member))
+    return probe_member_set(values, members, keys_of, nil_member=nil_member)
 
 
 # ----------------------------------------------------------------------
@@ -373,48 +519,31 @@ def partition_keys(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def pivot_sample_positions(
-    run_length: int, partitions: int, *, oversample: int = 4
-) -> Optional[np.ndarray]:
-    """Regularly spaced sample positions for one sorted run of
-    *run_length* entries, or ``None`` when the run is small enough to
-    contribute every entry.  One scheme shared by the numeric and the
-    object (tuple-keyed) sample-sort paths, so tuning the oversampling
-    cannot make them drift apart."""
-    per_run = oversample * partitions
-    if run_length <= per_run:
-        return None
-    return np.linspace(0, run_length - 1, per_run).astype(np.int64)
-
-
-def pivot_quantile_positions(pool_size: int, partitions: int) -> np.ndarray:
-    """Positions of the *partitions* - 1 pivot quantiles in a sorted
-    sample pool of *pool_size* entries (endpoints excluded)."""
-    return np.linspace(0, pool_size, partitions + 1).astype(np.int64)[1:-1]
-
-
 def sample_pivots(
     runs: "list[np.ndarray]", partitions: int, *, oversample: int = 4
 ) -> np.ndarray:
     """Pivot keys splitting key-sorted *runs* into at most *partitions*
     ranges of near-equal total size: every run contributes regularly
-    spaced samples, the combined sample sorts, and the quantiles become
-    pivots (classic sample-sort).  Returns <= partitions - 1 ascending
-    distinct keys; degenerate inputs (all-equal keys) dedupe to fewer
-    pivots -- possibly none -- which simply yields fewer, larger
-    partitions (correct, just less parallel)."""
+    spaced samples (all of its entries when it is that short), the
+    combined sample sorts, and the quantiles become pivots (classic
+    sample-sort).  Returns <= partitions - 1 ascending distinct keys;
+    degenerate inputs (all-equal keys) dedupe to fewer pivots --
+    possibly none -- which simply yields fewer, larger partitions
+    (correct, just less parallel)."""
     if partitions <= 1:
         return np.empty(0, dtype=np.int64)
-    samples = []
-    for keys in runs:
-        if len(keys) == 0:
-            continue
-        picks = pivot_sample_positions(len(keys), partitions, oversample=oversample)
-        samples.append(keys if picks is None else keys[picks])
+    per_run = oversample * partitions
+    samples = [
+        keys if len(keys) <= per_run
+        else keys[np.linspace(0, len(keys) - 1, per_run).astype(np.int64)]
+        for keys in runs
+        if len(keys)
+    ]
     if not samples:
         return np.empty(0, dtype=np.int64)
     pool = np.sort(np.concatenate(samples))
-    return np.unique(pool[pivot_quantile_positions(len(pool), partitions)])
+    quantiles = np.linspace(0, len(pool), partitions + 1).astype(np.int64)[1:-1]
+    return np.unique(pool[quantiles])
 
 
 def run_cut_points(keys: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -462,11 +591,10 @@ class MatchIndex:
     columns (:func:`build_match_index` / :func:`probe_match_index`).
 
     *arm* names the row of the selection table that built it:
-    ``"code"`` (str keys as dictionary codes in *dictionary*'s code
-    space), ``"span"`` (integral keys in the compact range
-    ``lo .. hi``, coded ``key - lo``) or ``"sorted"`` (the build
-    positions in stable key order, *keys* the build keys in that
-    order).  The two code-space arms share the tables of
+    ``"code"`` (str keys as dictionary codes in *code_space*),
+    ``"span"`` (integral keys in the compact range ``lo .. hi``, coded
+    ``key - lo``) or ``"sorted"`` (the build positions in stable key
+    order, *keys* the build keys in that order).  The two code-space arms share the tables of
     :func:`_code_index`: *order* grouped by code, each code's run
     *starts* and *counts*."""
 
@@ -475,31 +603,9 @@ class MatchIndex:
     starts: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
     keys: Optional[np.ndarray] = None
-    dictionary: Optional[dict] = None
+    code_space: Optional[CodeSpace] = None
     lo: int = 0
     hi: int = -1
-
-
-def _encoded_in(column: Column, code_space: dict, extend: bool, cache: dict):
-    """*column*'s cached dictionary codes translated into *code_space*:
-    only its *distinct* values are looked up (once per dictionary, via
-    *cache*), -1 for NIL and, unless *extend* adds them, for values the
-    code space lacks."""
-    codes, dictionary = column.encoding()
-    if dictionary is code_space:
-        return codes
-    table = cache.get(id(dictionary))
-    if table is None:
-        if extend:
-            table = np.fromiter(
-                (code_space.setdefault(value, len(code_space)) for value in dictionary),
-                dtype=np.int64,
-                count=len(dictionary),
-            )
-        else:
-            table = dictionary_codes(dictionary, code_space)
-        table = cache[id(dictionary)] = np.append(table, -1)
-    return table[codes]
 
 
 def _key_bounds(column: AnyColumn) -> Optional[Tuple[int, int, int]]:
@@ -611,16 +717,14 @@ def build_match_index(
     NIL build keys are never indexed: they have no code, and the sorted
     arm leaves them out."""
     if _is_object_column(build[0]):
-        extend = code_space is None
-        if extend:
-            shared = len({id(column.encoding()[1]) for column in build}) == 1
-            code_space = build[0].encoding()[1] if shared else {}
-        cache: dict = {}
-        codes = _concat_keys(
-            build, lambda column: _encoded_in(column, code_space, extend, cache)
-        )
-        order, starts, counts = _code_index(codes, len(code_space))
-        return MatchIndex("code", order, starts, counts, dictionary=code_space)
+        if code_space is None:
+            space, keys_of = str_code_space(build)
+        else:
+            space = CodeSpace(code_space)
+            keys_of = space.encode
+        codes = _concat_keys(build, keys_of)
+        order, starts, counts = _code_index(codes, len(space))
+        return MatchIndex("code", order, starts, counts, code_space=space)
     bounds = span_bounds(build)
     if bounds is not None:
         lo, hi = bounds
@@ -651,7 +755,7 @@ def probe_match_index(
     if index.arm == "sorted":
         return probe_sorted(probe.materialize(), index, nil_mask(probe))
     if index.arm == "code":
-        codes = _encoded_in(probe, index.dictionary, False, {})
+        codes = index.code_space.encode(probe)
     else:
         codes = _span_codes(probe, index.lo, index.hi)
     hit = np.nonzero(index.counts[codes] > 0)[0]
@@ -685,23 +789,20 @@ def _match_columns(
     return probe_match_index(probe, build_match_index([build], code_space))
 
 
-def join_keys(column: AnyColumn, keyspace: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Comparison-rule join keys of *column*'s values in a numeric
-    *keyspace* (``"int"`` or ``"dbl"``), plus the mask of non-NIL
-    entries (by the column's atom, the int and oid sentinels included).
+def join_keys(
+    column: AnyColumn, keys_of: KeyFunction
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Comparison-rule join keys of *column*'s values in the key space
+    *keys_of* (:func:`key_space`), plus the mask of non-NIL entries (by
+    the column's atom, the int and oid sentinels included).
 
     NIL keys never join (see the NIL-semantics note in the module
     docstring), so the radix-partitioned join drops masked-out BUNs
-    *before* partitioning.  The keys are :func:`partition_keys`-style
-    monotone transforms widened to the common keyspace, so an int
-    column joined against a dbl column partitions and compares in one
-    key domain.
+    *before* partitioning.  Numeric keys are widened to the common key
+    space, so an int column joined against a dbl column partitions and
+    compares in one key domain.
     """
-    values = column.materialize()
-    valid = ~nil_mask(column)
-    if keyspace == "dbl":
-        return _float_dedup_keys(values.astype(np.float64, copy=False)), valid
-    return values.astype(np.int64, copy=False), valid
+    return keys_of(column), ~nil_mask(column)
 
 
 #: Fibonacci-golden-ratio multiplier scattering radix partition ids:
@@ -712,10 +813,11 @@ _RADIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def join_partition_ids(keys: np.ndarray, fanout: int) -> np.ndarray:
-    """Radix partition id (``0 .. fanout-1``) of every numeric join key
+    """Radix partition id (``0 .. fanout-1``) of every integer key
     (:func:`join_keys`), mixed through a Fibonacci multiplier before
-    the modulo.  Keys with a code space never partition (the selection
-    table's fragments column), so there is no str hash."""
+    the modulo.  A str key is its dictionary code, so there is no str
+    hash (and a value join in a code space never partitions: the
+    selection table's fragments column)."""
     if fanout <= 1:
         return np.zeros(len(keys), dtype=np.int64)
     unsigned = keys.view(np.uint64) if keys.dtype == np.dtype(np.int64) else keys
@@ -724,12 +826,12 @@ def join_partition_ids(keys: np.ndarray, fanout: int) -> np.ndarray:
 
 
 def join_partition_positions(
-    column: AnyColumn, keyspace: str, fanout: int
+    column: AnyColumn, keys_of: KeyFunction, fanout: int
 ) -> List[np.ndarray]:
     """Radix split of one fragment: the fragment's local BUN positions
     grouped by join-key partition, NIL keys dropped up front
     (comparison rule)."""
-    keys, valid = join_keys(column, keyspace)
+    keys, valid = join_keys(column, keys_of)
     positions = np.nonzero(valid)[0].astype(np.int64)
     ids = join_partition_ids(keys, fanout)[positions]
     return [positions[ids == partition] for partition in range(fanout)]
@@ -765,16 +867,21 @@ def select(
 
 def equal_mask(bat: BAT, value: Any) -> np.ndarray:
     """Boolean mask of BUNs whose tail equals *value* (the predicate of
-    the equality :func:`select`, reusable by fragmented execution)."""
+    the equality :func:`select`, reusable by fragmented execution).
+    NIL equals nothing, a NIL *value* included: a str NIL has no code,
+    and a numeric one matches no BUN by construction."""
     if value is _UNSET:
         raise KernelError("select needs a value or range")
     if len(bat) == 0:
         return np.zeros(0, dtype=bool)
-    tails = bat.tail_values()
     if _is_object_column(bat.tail):
-        return np.fromiter((t == value for t in tails), dtype=bool, count=len(tails))
+        codes, dictionary = bat.tail.encoding()
+        code = dictionary.get(value, -1)
+        return codes == code if code >= 0 else np.zeros(len(bat), dtype=bool)
     coerced = coerce_value(value, bat.tail.atom_type)
-    return tails == coerced
+    if is_nil(coerced, bat.tail.atom_type):
+        return np.zeros(len(bat), dtype=bool)
+    return bat.tail_values() == coerced
 
 
 def range_mask(
@@ -785,27 +892,23 @@ def range_mask(
     include_high: bool = True,
 ) -> np.ndarray:
     """Boolean mask of BUNs whose tail lies in the given range (the
-    predicate of the range :func:`select`)."""
+    predicate of the range :func:`select`; a str tail evaluates it once
+    per distinct value)."""
     if len(bat) == 0:
         return np.zeros(0, dtype=bool)
-    tails = bat.tail_values()
     if _is_object_column(bat.tail):
-        mask = np.ones(len(tails), dtype=bool)
-        for position, value in enumerate(tails):
-            if value is None:
-                mask[position] = False
-                continue
+
+        def inside(values: list) -> np.ndarray:
+            values = np.array(values, dtype=object)
+            mask = np.ones(len(values), dtype=bool)
             if low is not None:
-                if include_low and not (value >= low):
-                    mask[position] = False
-                elif not include_low and not (value > low):
-                    mask[position] = False
-            if mask[position] and high is not None:
-                if include_high and not (value <= high):
-                    mask[position] = False
-                elif not include_high and not (value < high):
-                    mask[position] = False
-        return mask
+                mask &= (values >= low) if include_low else (values > low)
+            if high is not None:
+                mask &= (values <= high) if include_high else (values < high)
+            return mask
+
+        return _str_mask(bat.tail, inside)
+    tails = bat.tail_values()
     mask = np.ones(len(tails), dtype=bool)
     if low is not None:
         low_c = coerce_value(low, bat.tail.atom_type)
@@ -817,12 +920,17 @@ def range_mask(
 
 
 def like_mask(bat: BAT, pattern: str) -> np.ndarray:
-    """Boolean mask of BUNs whose str tail contains *pattern*."""
+    """Boolean mask of BUNs whose str tail contains *pattern* (tested
+    once per distinct value)."""
     if bat.ttype != "str":
         raise KernelError("likeselect requires a str tail")
-    tails = bat.tail_values()
-    return np.fromiter(
-        (t is not None and pattern in t for t in tails), dtype=bool, count=len(tails)
+    return _str_mask(
+        bat.tail,
+        lambda values: np.fromiter(
+            map(operator.contains, values, itertools.repeat(pattern)),
+            dtype=bool,
+            count=len(values),
+        ),
     )
 
 
@@ -1099,17 +1207,11 @@ def number(bat: BAT, base: int = 0) -> BAT:
 
 
 def sort(bat: BAT) -> BAT:
-    """Stable sort on head values (Monet ``sort``)."""
+    """Stable sort on head values (Monet ``sort``; a str head sorts by
+    the rank of its codes, NIL last)."""
     if bat.hsorted:
         return bat
-    heads = bat.head_values()
-    if _is_object_column(bat.head):
-        order = np.asarray(
-            sorted(range(len(heads)), key=lambda i: (heads[i] is None, heads[i])),
-            dtype=np.int64,
-        )
-    else:
-        order = np.argsort(heads, kind="stable")
+    order = np.argsort(order_keys(bat.head)[0], kind="stable")
     result = bat.take_positions(order)
     return BAT(result.head, result.tail, hsorted=True, hkey=bat.hkey, tkey=bat.tkey)
 
@@ -1125,19 +1227,9 @@ def unique(bat: BAT) -> BAT:
     identity rule (one NaN/None survives; see the module docstring)."""
     if bat.hkey or bat.tkey:
         return bat
-    head_keys = dedup_keys(bat.head)
-    tail_keys = dedup_keys(bat.tail)
-    if head_keys is None or tail_keys is None:
-        # Object (str) columns: hash-based first-seen scan.
-        seen = set()
-        keep = []
-        for position, (head, tail) in enumerate(bat.items()):
-            key = (nil_dedup_key(head), nil_dedup_key(tail))
-            if key not in seen:
-                seen.add(key)
-                keep.append(position)
-        return bat.take_positions(np.asarray(keep, dtype=np.int64))
-    return bat.take_positions(first_occurrences(head_keys, tail_keys))
+    return bat.take_positions(
+        first_occurrences(dedup_keys(bat.head), dedup_keys(bat.tail))
+    )
 
 
 def kunique(bat: BAT) -> BAT:
@@ -1145,19 +1237,7 @@ def kunique(bat: BAT) -> BAT:
     heads dedupe under the identity rule (one survives)."""
     if bat.hkey:
         return bat
-    head_keys = dedup_keys(bat.head)
-    if head_keys is None:
-        seen = set()
-        keep = []
-        for position, value in enumerate(bat.head_values()):
-            key = nil_dedup_key(value)
-            if key not in seen:
-                seen.add(key)
-                keep.append(position)
-        positions = np.asarray(keep, dtype=np.int64)
-    else:
-        positions = first_occurrences(head_keys)
-    result = bat.take_positions(positions)
+    result = bat.take_positions(first_occurrences(dedup_keys(bat.head)))
     return BAT(result.head, result.tail, hsorted=result.hsorted, hkey=True,
                tkey=result.tkey)
 
@@ -1186,12 +1266,13 @@ def exist(bat: BAT, head_value: Any) -> bool:
 
 
 def _topn_sort_keys(tails: np.ndarray, descending: bool) -> np.ndarray:
-    """Total-order uint64 sort keys for top-n selection: ascending key
-    order is the requested tail order with NILs kept where the raw
-    comparisons put them (NaN last in both directions, the int/oid
-    sentinels at their numeric extremes).  A total order -- no NaN in
-    the key domain -- is what makes the boundary-tie handling below
-    exact."""
+    """Total-order uint64 sort keys for top-n selection over
+    :func:`order_keys`: ascending key order is the requested tail order
+    with NILs kept where the raw comparisons put them (NaN last in both
+    directions, the int/oid sentinels at their numeric extremes, a str
+    NIL -- the top rank -- last ascending and first descending).  A
+    total order -- no NaN in the key domain -- is what makes the
+    boundary-tie handling below exact."""
     keys = partition_keys(tails)
     if keys.dtype != np.uint64:
         # int64 order -> uint64 order by flipping the sign bit.
@@ -1209,25 +1290,18 @@ def topn_positions(bat: BAT, n: int, *, descending: bool = True) -> np.ndarray:
     Exposed separately so fragmented execution can run the per-fragment
     candidate selection and keep position bookkeeping.
 
-    Ties on the tail break by BUN position (earlier first) -- including
-    **membership** at the selection boundary: among BUNs tied at the
-    n-th value, the earliest positions win the remaining slots.  (A
-    bare ``argpartition`` would keep an arbitrary subset of the tied
-    BUNs, which monolithic and fragmented execution could disagree on;
-    the randomized MIL fuzzer caught exactly that.)"""
+    Ties on the tail break by BUN position (earlier first), for every
+    atom and in both directions -- including **membership** at the
+    selection boundary: among BUNs tied at the n-th value, the earliest
+    positions win the remaining slots.  (A bare ``argpartition`` would
+    keep an arbitrary subset of the tied BUNs, which monolithic and
+    fragmented execution could disagree on; the randomized MIL fuzzer
+    caught exactly that.)"""
     if n < 0:
         raise KernelError("topn needs a non-negative n")
-    tails = bat.tail_values()
-    if _is_object_column(bat.tail):
-        order = np.asarray(
-            sorted(range(len(tails)), key=lambda i: (tails[i] is None, tails[i])),
-            dtype=np.int64,
-        )
-        if descending:
-            order = order[::-1]
-        return order[:n]
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    tails = order_keys(bat.tail)[0]
     count = len(tails)
     keys = _topn_sort_keys(tails, descending)
     if n >= count:
@@ -1248,7 +1322,8 @@ def topn(bat: BAT, n: int, descending: bool = True) -> BAT:
 
     Not a classical Monet primitive but the standard idiom
     ``b.reverse.sort.reverse.slice(0, n)``, packaged because every IR
-    query ends with it.  Numeric tails use a partial sort
-    (``argpartition``): O(count + n log n) instead of a full sort.
+    query ends with it.  It is a partial sort (``argpartition``) over
+    integer keys (:func:`_topn_sort_keys`; a str tail's are the ranks
+    of its codes): O(count + n log n) instead of a full sort.
     """
     return bat.take_positions(topn_positions(bat, n, descending=descending))

@@ -1685,3 +1685,107 @@ def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
     gapped = FragmentedBAT([fdense.fragments[0], fdense.fragments[-1]])
     with pytest.raises(KernelError):
         fr.fetchjoin(fleft, gapped)
+
+
+# ----------------------------------------------------------------------
+# The str code space: one key space across fragments, whatever
+# dictionaries the fragments hold
+# ----------------------------------------------------------------------
+
+
+def _str_ops(m, group_fn, refine_fn, reverse):
+    """Every operator that reads a str column through its codes (or the
+    ranks of its codes), over ``m`` -- the kernel or the fragment
+    module -- on a [str, int] BAT ``b`` and a str-headed partner ``r``."""
+    return {
+        "sort": lambda b, r: m.sort(b),
+        "tsort": lambda b, r: m.tsort(reverse(b)),
+        "topn": lambda b, r: m.topn(reverse(b), 9),
+        "topn-asc": lambda b, r: m.topn(reverse(b), 9, descending=False),
+        "unique": lambda b, r: m.unique(b),
+        "kunique": lambda b, r: m.kunique(b),
+        "tunique": lambda b, r: m.tunique(reverse(b)),
+        "group": lambda b, r: group_fn(reverse(b)),
+        "refine": lambda b, r: refine_fn(group_fn(b), reverse(b)),
+        "select-range": lambda b, r: m.select(reverse(b), "b", "d"),
+        "select-eq": lambda b, r: m.select(reverse(b), "cat"),
+        "select-nil": lambda b, r: m.select(reverse(b), None),
+        "uselect": lambda b, r: m.uselect(reverse(b), "bat", "cat"),
+        "likeselect": lambda b, r: m.likeselect(reverse(b), "a"),
+        "semijoin": lambda b, r: m.semijoin(b, r),
+        "kdiff": lambda b, r: m.kdiff(b, r),
+        "kintersect": lambda b, r: m.kintersect(b, r),
+        "kunion": lambda b, r: m.kunion(b, r),
+    }
+
+
+def _recoded(fb: FragmentedBAT) -> FragmentedBAT:
+    """*fb* with every fragment's str head a fresh column, encoded on
+    its own."""
+    fragments = [
+        BAT(Column("str", frag.head.values.copy()), frag.tail) for frag in fb.fragments
+    ]
+    for frag in fragments:
+        frag.head.encoding()
+    return FragmentedBAT(fragments, policy=fb.policy)
+
+
+def _str_states(seed: int, strategy: str):
+    """The same [str, int] operand and partner in three dictionary
+    states, as (state, monolithic, partner, fragmented, fragmented
+    partner): ``cold`` (never encoded: fragments encode inside the
+    operator), ``shared`` (windows of one warm column, and a partner
+    gathered from it: one dictionary object) and ``disjoint`` (every
+    fragment encoded on its own, numbering its values by its own first
+    appearance)."""
+    rng = np.random.default_rng(3300 + seed)
+    n = int(rng.choice([0, 1, 5, 40, 120]))
+    source = _headed_bat(rng, "str", n)
+    partner_positions = rng.permutation(n)[: n // 2]
+
+    def operands():
+        bat = BAT(Column("str", source.head.values.copy()), source.tail)
+        return bat, bat.take_positions(partner_positions)
+
+    bat, partner = operands()
+    yield "cold", bat, partner, _fragment(bat, strategy), _fragment(partner, strategy)
+    bat, _ = operands()
+    dictionary = bat.head.encoding()[1]
+    partner = bat.take_positions(partner_positions)
+    fb, fb_partner = _fragment(bat, strategy), _fragment(partner, strategy)
+    for frag in fb.fragments + fb_partner.fragments:
+        assert frag.head._encoding[1] is dictionary
+    yield "shared", bat, partner, fb, fb_partner
+    bat, partner = operands()
+    fb = _recoded(_fragment(bat, strategy))
+    if fb.nfragments > 1:
+        assert len({id(f.head._encoding[1]) for f in fb.fragments}) == fb.nfragments
+    yield "disjoint", bat, partner, fb, _recoded(_fragment(partner, strategy))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("seed", range(20))
+def test_str_code_space_dictionary_states(seed, strategy):
+    """Cold, shared and disjoint dictionaries give BUN-identical results
+    for every operator reading a str column through its codes,
+    monolithic (cold, then warm) and fragmented alike."""
+    from repro.monet.groups import refine
+
+    mono_ops = _str_ops(kernel, group, refine, lambda b: b.reverse())
+    frag_ops = _str_ops(fr, fr.group, fr.refine, fr.reverse)
+    for name, mono_op in mono_ops.items():
+        reference = None
+        for state, bat, partner, fb, fb_partner in _str_states(seed, strategy):
+            fragmented = frag_ops[name](fb, fb_partner)
+            if isinstance(fragmented, FragmentedBAT):
+                for fragment in fragmented.fragments:
+                    assert_flags_sound(fragment)
+                fragmented = fragmented.to_bat()
+            for result in (fragmented, mono_op(bat, partner), mono_op(bat, partner)):
+                assert_flags_sound(result)
+                if reference is None:
+                    reference = _raw_pairs(result)
+                try:
+                    assert_pairs_equal(result, reference)
+                except AssertionError as exc:
+                    raise AssertionError(f"{name} [{state}]: {exc}") from None

@@ -10,6 +10,13 @@ from repro.monet.bat import BAT, Column, bat_from_pairs, dense_bat, empty_bat
 from repro.monet.errors import KernelError
 
 
+def _nil_key(value):
+    """The identity rule's model key: every NIL (None, NaN) is one."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ("nil",)
+    return value
+
+
 class TestSelect:
     def test_equality(self):
         bat = dense_bat("int", [5, 3, 5, 9])
@@ -63,6 +70,28 @@ class TestSelect:
     def test_likeselect_requires_str(self):
         with pytest.raises(KernelError):
             kernel.likeselect(dense_bat("int", [1]), "x")
+
+    def test_str_gather_reads_only_its_own_values(self):
+        """A gather of a warm str column keeps the column's dictionary,
+        yet a predicate sees each distinct value the gather uses once
+        -- never the rest of the dictionary -- and NIL never
+        qualifies."""
+        bat = dense_bat("str", [f"v{i}" for i in range(1000)] + [None])
+        bat.tail.encoding()
+        small = bat.take_positions(np.array([7, 3, 7, 1000, 3]))
+        assert small.tail._encoding[1] is bat.tail._encoding[1]
+        seen = []
+
+        def evaluate(values):
+            seen.append(values)
+            return [value == "v7" for value in values]
+
+        mask = kernel._str_mask(small.tail, evaluate)
+        assert len(seen) == 1 and sorted(seen[0]) == ["v3", "v7"]
+        assert mask.tolist() == [True, False, True, False, False]
+        assert kernel.select(small, "v3", "v5").head_list() == [3, 3]
+        assert kernel.likeselect(small, "7").head_list() == [7, 7]
+        assert kernel.tsort(small).tail_list() == ["v3", "v3", "v7", "v7", None]
 
 
 class TestJoin:
@@ -290,7 +319,7 @@ class TestNilDedup:
         seen = set()
         expected = []
         for h, t in bat.items():
-            key = (kernel.nil_dedup_key(h), kernel.nil_dedup_key(t))
+            key = (_nil_key(h), _nil_key(t))
             if key not in seen:
                 seen.add(key)
                 expected.append((h, t))
@@ -426,6 +455,36 @@ class TestTopnBoundaryTies:
         assert kernel.topn(bat, 3).head_list() == [2, 4, 0]
         assert kernel.topn(bat, 3, descending=False).head_list() == [0, 4, 2]
 
+    def test_str_ties_break_earliest_first_in_both_directions(
+        self, fan_out_on_tiny_inputs
+    ):
+        """One tie rule for every atom (kernel NIL docstring): a str NIL
+        ranks above every string -- last ascending, first descending --
+        and tied BUNs, NILs included, come out earliest-first in both
+        directions, monolithic and fragmented alike."""
+        from repro.monet import fragments as fr
+        from repro.monet.fragments import FragmentationPolicy
+        from tests.conftest import STRATEGIES, fragment_layout
+
+        bat = dense_bat("str", ["b", None, "a", "b", None, "a"])
+        assert kernel.topn(bat, 6).to_pairs() == [
+            (1, None), (4, None), (0, "b"), (3, "b"), (2, "a"), (5, "a"),
+        ]
+        assert kernel.topn(bat, 6, descending=False).to_pairs() == [
+            (2, "a"), (5, "a"), (0, "b"), (3, "b"), (1, None), (4, None),
+        ]
+        # Boundary membership: the earliest of the tied BUNs win.
+        assert kernel.topn(bat, 3).head_list() == [1, 4, 0]
+        assert kernel.topn(bat, 3, descending=False).head_list() == [2, 5, 0]
+        for strategy in STRATEGIES:
+            fb = fragment_layout(bat, strategy, FragmentationPolicy(target_size=2))
+            for n in range(8):
+                for descending in (True, False):
+                    assert (
+                        fr.topn(fb, n, descending=descending).to_pairs()
+                        == kernel.topn(bat, n, descending=descending).to_pairs()
+                    ), (strategy, n, descending)
+
     def test_fragmented_matches_monolithic_on_ties(self, fan_out_on_tiny_inputs):
         from repro.monet import fragments as fr
         from repro.monet.fragments import FragmentationPolicy
@@ -470,3 +529,26 @@ class TestKunionTypeGuard:
         fb = fragment_bat(left, FragmentationPolicy(target_size=1))
         with pytest.raises(KernelError, match="kunion type mismatch"):
             fr.kunion(fb, right)
+
+
+@pytest.mark.parametrize(
+    "module_name, name",
+    [("kernel", name) for name in (
+        "nil_dedup_key", "NIL_KEY", "set_keyspace", "pivot_sample_positions",
+        "pivot_quantile_positions",
+    )]
+    + [("fragments", name) for name in (
+        "_sort_object", "_object_pivots", "_group_key", "_member_build",
+        "_ids_by_first_appearance", "_first_positions", "_rows_in_order",
+    )]
+    + [("groups", name) for name in ("_dense_group_ids_from_keys", "_codes")]
+    + [("aggregates", "_aligned_group_ids_fallback")],
+)
+def test_per_bun_object_paths_are_deleted(module_name, name):
+    """A str column has one key space -- its dictionary codes -- so the
+    second, per-BUN Python implementation of each operator is gone,
+    not aliased."""
+    import importlib
+
+    module = importlib.import_module(f"repro.monet.{module_name}")
+    assert not hasattr(module, name)

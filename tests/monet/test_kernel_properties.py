@@ -2,7 +2,10 @@
 
 Each kernel operator is checked against a straightforward Python
 implementation of its algebraic definition on random BUN lists --
-the contract the Moa compiler relies on.
+the contract the Moa compiler relies on.  The str section is the
+oracle for the code space: monolithic and fragmented execution both
+read a str column through its dictionary codes, so a mono-vs-frag
+differential alone could not catch a wrong code or rank.
 """
 
 from hypothesis import given
@@ -176,3 +179,144 @@ def test_group_sizes_total(values):
     grouping = group(dense_bat("str", values))
     sizes = group_sizes(grouping).tail_list()
     assert sum(sizes) == len(values)
+
+
+# ----------------------------------------------------------------------
+# str: every operator reads a str column through its dictionary codes
+# (identity, comparison) or the rank of a code (order).  The models
+# below compare plain Python strings instead, NIL as None: it equals
+# nothing under comparison, is one value under identity, and sorts
+# above every string.
+# ----------------------------------------------------------------------
+
+_str_value = st.one_of(
+    st.none(),
+    st.sampled_from(["", "a", "ab", "abc", "b", "ba", "Z", "é", "éa", "日本", "日"]),
+    st.text(alphabet="abzé日", max_size=3),
+)
+_str_tails = st.lists(st.tuples(_oid, _str_value), max_size=40)
+_str_heads = st.lists(st.tuples(_str_value, _small_int), max_size=40)
+
+
+def _str_rank(values):
+    """Model rank of every value: sorted distinct strings, NIL above."""
+    distinct = sorted({v for v in values if v is not None})
+    rank = {v: i for i, v in enumerate(distinct)}
+    return lambda v: len(distinct) if v is None else rank[v]
+
+
+def _first_per(pairs, key):
+    seen, out = set(), []
+    for pair in pairs:
+        if key(pair) not in seen:
+            seen.add(key(pair))
+            out.append(pair)
+    return out
+
+
+@given(_str_heads)
+def test_str_sort_is_stable_by_value_nil_last(pairs):
+    rank = _str_rank([h for h, _ in pairs])
+    expected = sorted(pairs, key=lambda p: rank(p[0]))
+    assert kernel.sort(bat_from_pairs("str", "int", pairs)).to_pairs() == expected
+
+
+@given(_str_tails)
+def test_str_tsort_is_stable_by_value_nil_last(pairs):
+    rank = _str_rank([t for _, t in pairs])
+    expected = sorted(pairs, key=lambda p: rank(p[1]))
+    assert kernel.tsort(bat_from_pairs("oid", "str", pairs)).to_pairs() == expected
+
+
+@given(_str_tails, st.integers(min_value=0, max_value=45), st.booleans())
+def test_str_topn_ties_earliest_first(pairs, n, descending):
+    rank = _str_rank([t for _, t in pairs])
+    sign = -1 if descending else 1
+    order = sorted(range(len(pairs)), key=lambda i: (sign * rank(pairs[i][1]), i))
+    expected = [pairs[i] for i in order[:n]]
+    bat = bat_from_pairs("oid", "str", pairs)
+    assert kernel.topn(bat, n, descending=descending).to_pairs() == expected
+
+
+@given(_str_heads)
+def test_str_unique_and_kunique_first_wins(pairs):
+    bat = bat_from_pairs("str", "int", pairs)
+    assert kernel.unique(bat).to_pairs() == _first_per(pairs, lambda p: p)
+    assert kernel.kunique(bat).to_pairs() == _first_per(pairs, lambda p: p[0])
+    tails = [(position, h) for position, (h, _) in enumerate(pairs)]
+    assert kernel.tunique(bat_from_pairs("oid", "str", tails)).to_pairs() == (
+        _first_per(tails, lambda p: p[1])
+    )
+
+
+@given(_str_tails)
+def test_str_group_and_refine_by_first_appearance(pairs):
+    from repro.monet.groups import refine
+
+    bat = bat_from_pairs("oid", "str", pairs)
+    ids = {}
+    expected = [ids.setdefault(t, len(ids)) for _, t in pairs]
+    grouping = group(bat)
+    assert grouping.tail_list() == expected
+    # Refine a grouping by first letter with the whole value.
+    first_letters = [(h, t and t[:1]) for h, t in pairs]
+    refined = refine(group(bat_from_pairs("oid", "str", first_letters)), bat)
+    pair_ids = {}
+    assert refined.tail_list() == [
+        pair_ids.setdefault((t and t[:1], t), len(pair_ids)) for _, t in pairs
+    ]
+
+
+@given(_str_tails, _str_value, _str_value, st.booleans(), st.booleans())
+def test_str_range_select_matches_filter(pairs, low, high, include_low, include_high):
+    bat = bat_from_pairs("oid", "str", pairs)
+
+    def inside(t):
+        if t is None:
+            return False
+        if low is not None and not (t >= low if include_low else t > low):
+            return False
+        return high is None or (t <= high if include_high else t < high)
+
+    got = kernel.select(
+        bat, low, high, include_low=include_low, include_high=include_high
+    )
+    assert got.to_pairs() == [(h, t) for h, t in pairs if inside(t)]
+
+
+@given(_str_tails, _str_value)
+def test_str_equality_select_and_like_match_filter(pairs, needle):
+    bat = bat_from_pairs("oid", "str", pairs)
+    # NIL equals nothing, a NIL needle included.
+    assert kernel.select(bat, needle).to_pairs() == [
+        (h, t) for h, t in pairs if needle is not None and t == needle
+    ]
+    assert kernel.uselect(bat, needle).head_list() == [
+        h for h, t in pairs if needle is not None and t == needle
+    ]
+    pattern = needle or ""
+    assert kernel.likeselect(bat, pattern).to_pairs() == [
+        (h, t) for h, t in pairs if t is not None and pattern in t
+    ]
+
+
+@given(_str_heads, _str_heads)
+def test_str_semijoin_kdiff_kintersect_kunion_membership(left_pairs, right_pairs):
+    left = bat_from_pairs("str", "int", left_pairs)
+    right = bat_from_pairs("str", "int", right_pairs)
+    heads = {h for h, _ in right_pairs}
+    # Comparison rule: a NIL head is never a member.
+    assert kernel.semijoin(left, right).to_pairs() == [
+        (h, t) for h, t in left_pairs if h is not None and h in heads
+    ]
+    assert kernel.kdiff(left, right).to_pairs() == [
+        (h, t) for h, t in left_pairs if h is None or h not in heads
+    ]
+    # Identity rule: NIL is one value, a member of a NIL-holding set.
+    assert kernel.kintersect(left, right).to_pairs() == [
+        (h, t) for h, t in left_pairs if h in heads
+    ]
+    left_heads = {h for h, _ in left_pairs}
+    assert kernel.kunion(left, right).to_pairs() == left_pairs + [
+        (h, t) for h, t in right_pairs if h not in left_heads
+    ]

@@ -182,6 +182,41 @@ def test_mil_differential(script, strategy):
     assert frag.printed == mono.printed
 
 
+#: One tail per atom, NIL at BUNs 1 and 3, and the MIL literal of the
+#: value at BUNs 0 and 4.
+_NIL_TAILS = {
+    "int": ([3, None, 7, None, 3], "3"),
+    "oid": ([3, None, 7, None, 3], "3"),
+    "dbl": ([3.5, None, 7.0, None, 3.5], "3.5"),
+    "str": (["ape", None, "bat", None, "ape"], '"ape"'),
+    "bit": ([True, None, False, None, True], "1"),
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("atom_name", sorted(_NIL_TAILS))
+def test_select_nil_matches_nothing(atom_name, strategy):
+    """"NIL equals nothing" holds for a NIL needle too, for every atom:
+    ``select(b, nil)`` and ``uselect(b, nil)`` return no BUN,
+    monolithic and fragmented (the two share the equality mask)."""
+    tails, literal = _NIL_TAILS[atom_name]
+    bat = dense_bat(atom_name, tails)
+    mono_pool, frag_pool = BATBufferPool(), BATBufferPool()
+    mono_pool.register("b", bat)
+    frag_pool.register_fragmented(
+        "b", fragment_layout(bat, strategy, FragmentationPolicy(target_size=2))
+    )
+    for op in ("select", "uselect"):
+        script = f'{op}(bat("b"), nil);'
+        mono = run_program(script, mono_pool).value
+        frag = run_program(script, frag_pool, fragment_policy=_POLICY).value
+        assert mono.to_pairs() == [], f"{script} [{atom_name}]"
+        assert frag.to_pairs() == [], f"{script} [{atom_name}, {strategy}]"
+    # An ordinary needle still matches.
+    got = run_program(f'select(bat("b"), {literal});', mono_pool).value
+    assert [head for head, _ in got.to_pairs()] == [0, 4]
+
+
 def _operand_mistakes():
     """One MIL call per (builtin row with a BAT receiver, operand the
     row type-checks): that operand wrong -- a scalar where a BAT

@@ -180,7 +180,17 @@ def _step_candidates(rng, ht: str, tt: str):
             (f"{{dst}} := topn({{src}}, {int(rng.integers(0, 9))});", (ht, tt))
         )
     if tt == "str":
-        out.append(('{dst} := likeselect({src}, "a");', (ht, tt)))
+        # The code space: a predicate per distinct value, ranks of codes
+        # (overweighted: str tails are rare in the grammar).
+        direction = ", false" if rng.random() < 0.5 else ""
+        out += 2 * [
+            ('{dst} := likeselect({src}, "a");', (ht, tt)),
+            ('{dst} := select({src}, "b", "m");', (ht, tt)),
+            (f"{{dst}} := topn({{src}}, {int(rng.integers(0, 9))}{direction});",
+             (ht, tt)),
+        ]
+    # NIL equals nothing, a NIL needle included, for every tail atom.
+    out.append(("{dst} := select({src}, nil);", (ht, tt)))
     for name in _setop_partners((ht, tt)):
         # Overweighted: the set operators compose with everything and
         # carry the newest NIL-semantics surface.
@@ -254,7 +264,8 @@ _DENSE_TWINS = ("jvoid", "jdense", "jplain")
 #: against every head shape.  ``h*``/``v*``: probes that all hit -- the
 #: identity and window arms.  ``*_jspan``/``*_jsparse``: the same int
 #: keys compact (span arm) and spread (radix-partitioned sorted arm),
-#: probed by dbl, oid and NIL-bearing int tails.
+#: probed by dbl, oid and NIL-bearing int tails.  ``c*``: the str code
+#: space outside the join.
 _JOIN_EPILOGUE = "\n".join(
     [
         's0 := reverse(bat("aw"));',
@@ -268,6 +279,21 @@ _JOIN_EPILOGUE = "\n".join(
         'i0 := reverse(bat("ai"));',
         'h0 := mirror(bat("jdense"));',
         'v0 := mark(bat("ai"), 1);',
+        # The str code space on every seed: order (ranks of codes),
+        # identity and comparison (codes), over fragments whose
+        # dictionaries are disjoint (cold windows, encoded separately).
+        'c0 := topn(s0, 7);',
+        'c1 := topn(s0, 7, false);',
+        'c2 := select(s0, "b", "m");',
+        'c3 := select(s0, nil);',
+        'c4 := tsort(s0);',
+        'c5 := tunique(s0);',
+        'c6 := group(s0);',
+        'c7 := sort(bat("aw"));',
+        'c8 := semijoin(bat("aw"), bat("bw"));',
+        'c9 := kunion(bat("aw"), bat("bw"));',
+        'c10 := kintersect(bat("aw"), bat("bw"));',
+        'c11 := unique(mirror(bat("aw")));',
     ]
     + [
         f'{probe}_{op}_{name} := {op}({probe}0, bat("{name}"));'
