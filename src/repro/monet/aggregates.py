@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
-from repro.monet.kernel import key_space
+from repro.monet.kernel import key_space, stable_order
 
 # ----------------------------------------------------------------------
 # Scalar aggregates
@@ -113,7 +113,7 @@ def _aligned_group_ids(values: BAT, grouping: BAT) -> np.ndarray:
     else:
         group_codes = group_heads
         value_codes = value_heads
-    order = np.argsort(group_codes, kind="stable")
+    order = stable_order(group_codes)
     sorted_codes = group_codes[order]
     hi = np.searchsorted(sorted_codes, value_codes, side="right")
     found = hi > 0

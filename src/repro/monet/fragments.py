@@ -486,7 +486,7 @@ def _aligned_updates(
         )
     if len(arr) == 0:
         return arr, []
-    order = np.argsort(arr, kind="stable")
+    order = _kernel.stable_order(arr)
     sorted_pos = arr[order]
     keep = np.empty(len(sorted_pos), dtype=bool)
     keep[:-1] = sorted_pos[1:] != sorted_pos[:-1]
@@ -510,14 +510,10 @@ def _concat_raw(chunks: List[np.ndarray], object_dtype: bool) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _concat_columns(
-    columns: Sequence[AnyColumn],
-    atom_type,
-    order: Optional[np.ndarray],
-) -> AnyColumn:
+def _concat_columns(columns: Sequence[AnyColumn], atom_type) -> AnyColumn:
     """Concatenate fragment columns, fusing consecutive void columns
     back into one void column when possible."""
-    if order is None and all(c.is_void for c in columns):
+    if all(c.is_void for c in columns):
         base = columns[0].seqbase
         expected = base
         contiguous = True
@@ -531,16 +527,6 @@ def _concat_columns(
     out = _concat_raw(
         [c.materialize() for c in columns], atom_type.dtype == np.dtype(object)
     )
-    if order is not None:
-        out = out[order]
-        # A gather can land back on a dense sequence (a sort that
-        # restores oid order); detect it so voidness survives.
-        if (
-            atom_type.name == "oid"
-            and out.dtype == np.dtype(np.int64)
-            and (len(out) == 0 or bool(np.all(np.diff(out) == 1)))
-        ):
-            return VoidColumn(int(out[0]) if len(out) else 0, len(out))
     return Column(atom_type, out)
 
 
@@ -548,8 +534,8 @@ def _concat_fragments(frags: Sequence[BAT], name: Optional[str] = None) -> BAT:
     """One BAT holding the BUNs of *frags* in order, with conservative
     property flags: the whole-BAT coalesce and the bounded local merge
     of a starved run are the same concatenation."""
-    head = _concat_columns([f.head for f in frags], frags[0].head.atom_type, None)
-    tail = _concat_columns([f.tail for f in frags], frags[0].tail.atom_type, None)
+    head = _concat_columns([f.head for f in frags], frags[0].head.atom_type)
+    tail = _concat_columns([f.tail for f in frags], frags[0].tail.atom_type)
     return BAT(
         head,
         tail,
@@ -767,7 +753,7 @@ def _fetchjoin_fragmented(
         if row_chunks:
             rows = np.concatenate(row_chunks)
             values = _concat_raw(value_chunks, tails_object)
-            order = np.argsort(rows, kind="stable")
+            order = _kernel.stable_order(rows)
             values = values[order]
         else:
             values = (
@@ -959,7 +945,7 @@ def _radix_matches(
         # One key -> one partition, so the stable sort on probe
         # position cannot reorder same-probe matches: they all came
         # from a single partition, already in build order.
-        order = np.argsort(probe_positions, kind="stable")
+        order = _kernel.stable_order(probe_positions)
         return probe_positions[order], values[order]
 
     return map_fragments(probe_one, fb.fragments, len(fb))
@@ -1043,7 +1029,7 @@ def _radix_matches_spilled(
             continue
         probe_positions = np.concatenate(position_chunks)
         values = _concat_raw(value_chunks, tails_object)
-        order = np.argsort(probe_positions, kind="stable")
+        order = _kernel.stable_order(probe_positions)
         matches.append((probe_positions[order], values[order]))
     return matches
 
@@ -1370,7 +1356,7 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
         unmatched = np.nonzero(~matched)[0]
         nil_tail = tail_atom.make_array([None] * len(unmatched))
         all_positions = np.concatenate((probe_positions, unmatched))
-        order = np.argsort(all_positions, kind="stable")
+        order = _kernel.stable_order(all_positions)
         if len(tail_values) == 0 and len(nil_tail) == 0:
             combined = tail_atom.make_array([])
         else:
@@ -1479,62 +1465,13 @@ def group(fb: FragmentedBAT) -> FragmentedBAT:
 # ----------------------------------------------------------------------
 
 
-def _merge_two_runs(
-    a: Tuple[np.ndarray, np.ndarray], b: Tuple[np.ndarray, np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two key-sorted (keys, global positions) runs.
-
-    ``side='right'`` makes the left run win ties; since fragments
-    hold strictly increasing global position blocks, that is exactly
-    the monolithic stable sort's tie-break by BUN position.
-    ``searchsorted`` gallops, so merging two runs costs
-    O(len(b) * log(len(a))) comparisons plus one linear scatter.
-    """
-    keys_a, gpos_a = a
-    keys_b, gpos_b = b
-    if len(keys_a) == 0:
-        return b
-    if len(keys_b) == 0:
-        return a
-    insert = np.searchsorted(keys_a, keys_b, side="right")
-    total = len(keys_a) + len(keys_b)
-    positions_b = insert + np.arange(len(keys_b), dtype=np.int64)
-    keys = np.empty(total, dtype=keys_a.dtype)
-    gpos = np.empty(total, dtype=np.int64)
-    keys[positions_b] = keys_b
-    gpos[positions_b] = gpos_b
-    from_a = np.ones(total, dtype=bool)
-    from_a[positions_b] = False
-    keys[from_a] = keys_a
-    gpos[from_a] = gpos_a
-    return keys, gpos
-
-
-def _merge_runs(
-    runs: List[Tuple[np.ndarray, np.ndarray]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """k-way merge by pairwise tournament: log2(k) levels, each a
-    linear pass, so the whole merge is O(n log k) after the per-run
-    sorts."""
-    while len(runs) > 1:
-        merged = [
-            _merge_two_runs(runs[i], runs[i + 1])
-            for i in range(0, len(runs) - 1, 2)
-        ]
-        if len(runs) % 2:
-            merged.append(runs[-1])
-        runs = merged
-    return runs[0]
-
-
 def _merge_partition_count(n: int, policy: FragmentationPolicy) -> int:
     """Output partitions for the sample-sort merge phase: at least
     enough to keep output fragments near the target size, and more when
     the data outgrows a cache-resident working set (~64k BUNs per
-    partition keeps each merge's key+position arrays in L2, which is
-    where the single-core win over the old streaming tournament comes
-    from) -- capped at the live ``merge_fanout`` (so a forced value
-    applies to in-flight handles immediately)."""
+    partition keeps each partition's key+position arrays in L2) --
+    capped at the live ``merge_fanout`` (so a forced value applies to
+    in-flight handles immediately)."""
     by_target = -(-n // policy.target_size)
     by_cache = n // (64 * 1024)
     return max(1, min(_tuning.current().merge_fanout, max(by_target, by_cache)))
@@ -1553,46 +1490,34 @@ def _sample_sort_merge(
     monotone partition keys) cut every run at the same key boundaries
     (:func:`kernel.run_cut_points`), so each inter-pivot range touches
     a disjoint slice of every run and builds its output fragment
-    **independently**: the per-partition galloping merges, the gathers
-    and the output fragment construction all fan out on the thread
-    pool.  Within a partition the run slices still hold strictly
-    increasing global-position blocks, so the pairwise merge's
-    left-run-wins tie-break reproduces the monolithic stable sort
-    exactly.  Degenerate pivot samples (all-equal keys) dedupe to fewer
-    partitions and in the limit fall back to the serial tournament
-    merge -- correct, just less parallel.  The merged head is the
-    merged keys themselves, or gathered by global position with
-    *gather_heads* (when the keys are ranks)."""
+    **independently**: the per-partition orders, the gathers and the
+    output fragment construction all fan out on the thread pool.  A
+    partition concatenates its run slices in run order -- increasing
+    global-position blocks -- and orders the concatenation with
+    :func:`kernel.stable_order`, the primitive that sorted the runs, so
+    the left run wins ties by stability and the result is the
+    monolithic stable sort exactly.  Degenerate pivot samples
+    (all-equal keys) dedupe to fewer partitions, in the limit one --
+    correct, just less parallel.  The merged head is the merged keys
+    themselves, or gathered by global position with *gather_heads*
+    (when the keys are ranks)."""
     head_atom = fb.fragments[0].head.atom_type
     tail_atom = fb.fragments[0].tail.atom_type
     target = fb.policy.target_size
-    partitions = _merge_partition_count(len(fb), fb.policy)
+    # A permutation of one fragment keeps its key flags.
+    hkey = fb.nfragments == 1 and fb.fragments[0].hkey
+    tkey = fb.nfragments == 1 and fb.fragments[0].tkey
     pivots = _kernel.sample_pivots(
-        [pkeys for _, pkeys, _ in runs], partitions
+        [pkeys for _, pkeys, _ in runs], _merge_partition_count(len(fb), fb.policy)
     )
-    if len(pivots) == 0:
-        keys, gpos = _merge_runs([(keys, gpos) for keys, _, gpos in runs])
-        if gather_heads:
-            head = _concat_columns([f.head for f in fb.fragments], head_atom, gpos)
-        else:
-            head = Column(head_atom, keys)
-        tail = _concat_columns([f.tail for f in fb.fragments], tail_atom, gpos)
-        return _output_fragments(
-            head,
-            tail,
-            fb.policy,
-            hsorted=True,
-            hkey=fb.nfragments == 1 and fb.fragments[0].hkey,
-            tkey=fb.nfragments == 1 and fb.fragments[0].tkey,
-        )
     bounds = [
         np.concatenate(
             ([0], _kernel.run_cut_points(pkeys, pivots), [len(keys)])
         )
         for keys, pkeys, _ in runs
     ]
-    # The shared gather sources the per-partition merge workers index
-    # by global BUN position.
+    # The shared gather sources the per-partition workers index by
+    # global BUN position.
     tails_concat = _concat_raw(
         [f.tail.materialize() for f in fb.fragments], _probe_dtype(fb)
     )
@@ -1603,17 +1528,15 @@ def _sample_sort_merge(
     )
 
     def build(partition: int) -> List[BAT]:
-        slices = [
-            (
-                keys[bounds[r][partition]: bounds[r][partition + 1]],
-                gpos[bounds[r][partition]: bounds[r][partition + 1]],
-            )
-            for r, (keys, _, gpos) in enumerate(runs)
-        ]
-        slices = [s for s in slices if len(s[0])]
-        if not slices:
-            return []
-        keys_p, gpos_p = _merge_runs(slices)
+        cuts = [(cut[partition], cut[partition + 1]) for cut in bounds]
+        keys_p = np.concatenate(
+            [keys[lo:hi] for (keys, _, _), (lo, hi) in zip(runs, cuts)]
+        )
+        gpos_p = np.concatenate(
+            [gpos[lo:hi] for (_, _, gpos), (lo, hi) in zip(runs, cuts)]
+        )
+        order = _kernel.stable_order(keys_p)
+        keys_p, gpos_p = keys_p[order], gpos_p[order]
         head = Column(
             head_atom, keys_p if heads_concat is None else heads_concat[gpos_p]
         )
@@ -1623,6 +1546,8 @@ def _sample_sort_merge(
                 head.window(start, min(len(keys_p), start + target)),
                 tail.window(start, min(len(keys_p), start + target)),
                 hsorted=True,
+                hkey=hkey,
+                tkey=tkey,
             )
             for start in range(0, len(keys_p), target)
         ]
@@ -1632,59 +1557,21 @@ def _sample_sort_merge(
     return FragmentedBAT(fragments, policy=fb.policy)
 
 
-def _output_fragments(
-    head: AnyColumn,
-    tail: AnyColumn,
-    policy: FragmentationPolicy,
-    *,
-    hsorted: bool = False,
-    tsorted: bool = False,
-    hkey: bool = False,
-    tkey: bool = False,
-) -> FragmentedBAT:
-    """Range-partition fully-built result columns into fragments of the
-    policy's target size (zero-copy views)."""
-    n = len(head)
-    fragments: List[BAT] = []
-    for start in range(0, n, policy.target_size):
-        stop = min(n, start + policy.target_size)
-        fragments.append(
-            BAT(
-                head.window(start, stop),
-                tail.window(start, stop),
-                hsorted=hsorted,
-                tsorted=tsorted,
-                hkey=hkey,
-                tkey=tkey,
-            )
-        )
-    if not fragments:
-        fragments = [
-            BAT(
-                head.window(0, 0),
-                tail.window(0, 0),
-                hsorted=hsorted,
-                tsorted=tsorted,
-                hkey=hkey,
-                tkey=tkey,
-            )
-        ]
-    return FragmentedBAT(fragments, policy=policy)
-
-
 def sort(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.sort`: every
-    fragment sorts its head keys in its own thread (numpy's sorts
-    release the GIL), then a **sample-sort merge** combines the runs:
-    pivots sampled from the sorted runs range-partition the key space
-    and each output partition merges its run slices independently,
-    also in parallel (:func:`_sample_sort_merge`) -- no coalesce, no
-    serial merge phase, and the plan around it stays fragment-parallel.
-    Equal heads keep global BUN order, exactly like the monolithic
-    stable sort.  The keys are :func:`kernel.order_keys`: numbers
-    themselves, a str head the ranks of its codes in one code space
-    across the fragments.  Already-sorted inputs (flagged or detected,
-    fragment boundaries included) return unchanged."""
+    fragment sorts its head keys in its own thread with
+    :func:`kernel.stable_order` (numpy's sorts release the GIL), then a
+    **sample-sort merge** combines the runs: pivots sampled from the
+    sorted runs range-partition the key space and each output
+    partition orders its concatenated run slices with the same
+    primitive, independently and also in parallel
+    (:func:`_sample_sort_merge`) -- no coalesce, no serial merge phase,
+    and the plan around it stays fragment-parallel.  Equal heads keep
+    global BUN order, exactly like the monolithic stable sort.  The
+    keys are :func:`kernel.order_keys`: numbers themselves, a str head
+    the ranks of its codes in one code space across the fragments.
+    Already-sorted inputs (flagged or detected, fragment boundaries
+    included) return unchanged."""
     if len(fb) == 0:
         return fb
     if all(f.hsorted for f in fb.fragments) and _boundaries_nondecreasing(
@@ -1698,7 +1585,7 @@ def sort(fb: FragmentedBAT) -> FragmentedBAT:
         keys = head_keys[index]
         gpos = fb.global_positions(index)
         if not (fb.fragments[index].hsorted or _nondecreasing(keys)):
-            order = np.argsort(keys, kind="stable")
+            order = _kernel.stable_order(keys)
             keys, gpos = keys[order], gpos[order]
         return keys, _kernel.partition_keys(keys), gpos
 
@@ -1718,7 +1605,7 @@ def tsort(fb: FragmentedBAT) -> FragmentedBAT:
 
 def _nondecreasing(values: np.ndarray) -> bool:
     """Cheap actual-sortedness check (a NaN anywhere fails it, which
-    just means the fragment argsorts -- correctness over shortcut)."""
+    just means the fragment sorts -- correctness over shortcut)."""
     if len(values) <= 1:
         return True
     return bool(np.all(values[1:] >= values[:-1]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
-from repro.monet.kernel import dedup_keys
+from repro.monet.kernel import dedup_keys, stable_order
 
 
 def group(bat: BAT) -> BAT:
@@ -99,7 +99,7 @@ def _dense_group_ids(keys: np.ndarray) -> np.ndarray:
 def _first_appearance_relabel(first_idx: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """Relabel np.unique inverse codes so group ids follow first
     appearance order (deterministic, Monet-like); fully vectorized."""
-    order = np.argsort(first_idx, kind="stable")
+    order = stable_order(first_idx)
     relabel = np.empty(len(order), dtype=np.int64)
     relabel[order] = np.arange(len(order), dtype=np.int64)
     return relabel[inverse.astype(np.int64).ravel()]

@@ -100,11 +100,22 @@ operator family        key                         fragmented
 order: ``sort``,       numbers: the value          per-fragment sorted runs
 ``tsort``, ``topn``    (:func:`_topn_sort_keys`    meet in the sample-sort
                        its total-order image);     merge over the same
-                       str: the rank of the code   keys; topn candidates
-                       (:func:`order_keys`: the    per fragment
-                       values in use sorted once
-                       per call), NIL ranked
-                       above every string
+                       str: the rank of the code   keys: runs and partition
+                       (:func:`order_keys`: the    merges by the same
+                       values in use sorted once   primitive; topn
+                       per call), NIL ranked       candidates per fragment
+                       above every string.  A
+                       stable order is always
+                       :func:`stable_order`: int
+                       keys spanning ``hi - lo <
+                       2**(63 - b)`` (``b`` the
+                       position bits) sort as
+                       unique -- hence stable --
+                       words ``(key - lo) << b |
+                       position`` by the
+                       unstable sort; the rest
+                       (dbl, a wider span) by
+                       the stable argsort
 identity: ``unique``,  numbers: the value's        distinct keys per
 ``kunique``,           integer image, all NaN one  fragment, one serial
 ``tunique``,           key (:func:`dedup_keys`);   merge by first global
@@ -117,7 +128,9 @@ comparison:            numbers: the values;        per fragment: the mask
 ``select``,            str: the predicate once     needs no shared key
 ``uselect``,           per distinct value,         space
 ``likeselect``         gathered by code; NIL
-                       never qualifies
+                       never qualifies, not even
+                       an open range
+                       (:func:`nil_mask`)
 comparison:            the identity keys above,    radix-partitioned
 ``semijoin``,          NIL masked on both sides    keys (semijoin); one
 ``kdiff``                                          shared build (kdiff)
@@ -153,7 +166,8 @@ NIL semantics (two rules, both Monet-faithful):
   NILs out and masks NIL probes (:func:`member_keys`,
   :func:`probe_member_set` with ``nil_member=False``).  A NIL
   *needle* is no exception: ``select(b, nil)`` matches nothing, for
-  every atom.
+  every atom, and a range's open (``nil``) bound reaches no NIL
+  either -- not the int/oid sentinels at the numeric extremes.
 * *Identity* operators -- ``unique``/``kunique``/``tunique`` here,
   ``group``/``refine`` in :mod:`repro.monet.groups`, **and the set
   operators ``kunion``/``kintersect``** -- treat all NILs of a column
@@ -236,6 +250,33 @@ def _is_object_column(column: AnyColumn) -> bool:
 
 def _positions(count: int) -> np.ndarray:
     return np.arange(count, dtype=np.int64)
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """Exactly numpy's stable argsort of *keys*: the one stable order
+    of ``monet/``.
+
+    Signed integer keys whose span fits ``hi - lo < 2**(63 - b)``, for
+    ``b`` the bits of the largest position, are packed into one int64
+    word per key, ``(key - lo) << b | position``, and sorted by
+    numpy's unstable (SIMD) sort.  The words are unique, so the
+    unstable sort is stable by construction, and the low ``b`` bits
+    of a sorted word are its position.  The fit test runs on Python
+    ints, so a NIL sentinel among ordinary keys cannot wrap a word; it
+    falls back, like dbl keys, to the stable argsort."""
+    n = len(keys)
+    if keys.dtype.kind == "i" and n:
+        lo, hi = int(keys.min()), int(keys.max())
+        bits = (n - 1).bit_length()
+        if hi - lo < 1 << (63 - bits):
+            words = keys.astype(np.int64)
+            words -= lo
+            words <<= bits
+            words |= np.arange(n, dtype=np.int64)
+            words.sort()
+            words &= (1 << bits) - 1
+            return words
+    return np.argsort(keys, kind="stable")
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +545,7 @@ def member_mask(
 #
 # Shared by the fragment-parallel merge phase of sort: pick pivots from
 # key-sorted runs, cut every run at the pivots, and each inter-pivot
-# range becomes one independently mergeable output partition.
+# range becomes one independently ordered output partition.
 # ----------------------------------------------------------------------
 
 
@@ -551,7 +592,7 @@ def run_cut_points(keys: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     (``side='left'``): cut ``i`` starts partition ``i + 1``.  Equal
     keys land at or after their pivot's cut in *every* run, so a key
     value never straddles a partition boundary -- the per-partition
-    merges can then restore the global tie-break by BUN position."""
+    orders can then restore the global tie-break by BUN position."""
     return np.searchsorted(keys, pivots, side="left")
 
 
@@ -580,7 +621,7 @@ def _code_index(codes: np.ndarray, ncodes: int):
     without a mask."""
     positions = np.nonzero(codes >= 0)[0]
     coded = codes[positions]
-    order = positions[np.argsort(coded, kind="stable")]
+    order = positions[stable_order(coded)]
     counts = np.append(np.bincount(coded, minlength=ncodes), 0)
     return order, np.cumsum(counts) - counts, counts
 
@@ -674,7 +715,7 @@ def sorted_match_index(keys: np.ndarray) -> MatchIndex:
     stable key order and the keys in that order.  Exposed for the
     grace join's radix partitions, whose keys :func:`join_keys` has
     already cleared of NILs."""
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     return MatchIndex("sorted", order, keys=keys[order])
 
 
@@ -734,7 +775,7 @@ def build_match_index(
     values = _concat_keys(build, lambda column: column.materialize())
     nils = _concat_keys(build, nil_mask)
     positions = np.nonzero(~nils)[0]
-    order = positions[np.argsort(values[positions], kind="stable")]
+    order = positions[stable_order(values[positions])]
     return MatchIndex("sorted", order, keys=values[order])
 
 
@@ -893,7 +934,9 @@ def range_mask(
 ) -> np.ndarray:
     """Boolean mask of BUNs whose tail lies in the given range (the
     predicate of the range :func:`select`; a str tail evaluates it once
-    per distinct value)."""
+    per distinct value).  A ``None`` bound is open; NIL lies in no
+    range (:func:`nil_mask`), so an open bound never reaches the
+    int/oid/bit sentinels."""
     if len(bat) == 0:
         return np.zeros(0, dtype=bool)
     if _is_object_column(bat.tail):
@@ -909,7 +952,7 @@ def range_mask(
 
         return _str_mask(bat.tail, inside)
     tails = bat.tail_values()
-    mask = np.ones(len(tails), dtype=bool)
+    mask = ~nil_mask(bat.tail)
     if low is not None:
         low_c = coerce_value(low, bat.tail.atom_type)
         mask &= (tails >= low_c) if include_low else (tails > low_c)
@@ -1098,7 +1141,7 @@ def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, Column]:
     matched_tail = right.tail.take(build_positions).materialize()
     nil_tail = atom_type.make_array([None] * len(unmatched))
     all_positions = np.concatenate((probe_positions, unmatched))
-    order = np.argsort(all_positions, kind="stable")
+    order = stable_order(all_positions)
     if len(matched_tail) == 0 and len(nil_tail) == 0:
         combined = atom_type.make_array([])
     else:
@@ -1211,7 +1254,7 @@ def sort(bat: BAT) -> BAT:
     the rank of its codes, NIL last)."""
     if bat.hsorted:
         return bat
-    order = np.argsort(order_keys(bat.head)[0], kind="stable")
+    order = stable_order(order_keys(bat.head)[0])
     result = bat.take_positions(order)
     return BAT(result.head, result.tail, hsorted=True, hkey=bat.hkey, tkey=bat.tkey)
 

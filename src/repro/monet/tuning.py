@@ -77,13 +77,12 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("parallel_min", "REPRO_PARALLEL_MIN_BUNS", int,
          lambda cores, resolved: resolved["fragment_size"] * max(2, 8 // cores)),
     # Cap on the range partitions the sample-sort merge builds in
-    # parallel.  Cache-driven at least as much as core-driven: even on
-    # one core, partition merges whose key+position working set stays
-    # L2-resident beat a streaming tournament (measured ~1.37x ->
-    # ~1.17x single-core overhead on duplicate-heavy 1M-BUN sorts), so
-    # the floor is generous; extra cores raise it for genuine
-    # parallelism.  The actual count also respects a ~64k-BUN-per-
-    # partition floor (``fragments._merge_partition_count``).
+    # parallel.  Cache-driven at least as much as core-driven: a
+    # partition whose key+position working set stays L2-resident sorts
+    # in cache even on one core, so the floor is generous; extra cores
+    # raise it for genuine parallelism.  The
+    # actual count also respects a ~64k-BUN-per-partition floor
+    # (``fragments._merge_partition_count``).
     Knob("merge_fanout", "REPRO_MERGE_FANOUT", int,
          lambda cores, _: max(16, 4 * cores), positive=True),
     # Cap on grace-join radix partitions.  Same two pressures as the

@@ -966,6 +966,61 @@ def test_sort_unique_edge_shapes(htype, shape):
     _check_op(kernel.unique(bat), _ref_unique(pairs), [fr.unique(fb) for fb in fbs])
 
 
+def _order_head(rng, shape: str, n: int) -> Column:
+    """A head column for one arm of ``kernel.stable_order``: compact
+    int keys pack into words; a wide span, an int/oid NIL sentinel
+    among small values, dbl and str ranks of a NIL-holding column
+    exercise the rest."""
+    if shape == "all_equal":
+        return Column("int", np.full(n, 5, dtype=np.int64))
+    if shape == "compact_int":
+        return Column("int", rng.integers(-50, 50, n).astype(np.int64))
+    if shape == "wide_int":
+        far = rng.integers(-(1 << 62), 1 << 62, 12).astype(np.int64)
+        return Column("int", rng.choice(far, n))
+    if shape == "nil_int":
+        values = rng.integers(-5, 5, n).astype(np.int64)
+        values[rng.random(n) < 0.5] = np.iinfo(np.int64).min
+        return Column("int", values)
+    if shape == "nil_oid":
+        values = rng.integers(0, 10, n).astype(np.int64)
+        values[rng.random(n) < 0.5] = np.iinfo(np.int64).max
+        return Column("oid", values)
+    if shape == "dbl":
+        return Column("dbl", rng.choice([0.0, -0.0, np.nan, 1.5, -2.25], n))
+    assert shape == "str", shape
+    return Column("str", rng.choice(np.array(["ape", "bat", None], dtype=object), n))
+
+
+@pytest.mark.parametrize("layout", ["one", *STRATEGIES])
+@pytest.mark.parametrize(
+    "shape",
+    ["all_equal", "compact_int", "wide_int", "nil_int", "nil_oid", "dbl", "str"],
+)
+def test_stable_order_sort_differential(shape, layout):
+    """Fragmented ``sort``/``tsort`` equal the kernel's -- per-fragment
+    runs and partition merges both ordered by ``kernel.stable_order``
+    -- over one fragment and the k-fragment layouts, on either side of
+    the packed-word arm.  The other column numbers the BUNs, so every
+    tie order is visible."""
+    rng = np.random.default_rng(len(shape) * 31 + len(layout))
+    n = 200
+    bat = BAT(_order_head(rng, shape, n), Column("int", np.arange(n, dtype=np.int64)))
+    for operand, op, ref in (
+        (bat, "sort", _ref_sort),
+        (bat.reverse(), "tsort", _ref_tsort),
+    ):
+        if layout == "one":
+            fb = fragment_bat(operand, FragmentationPolicy(target_size=n))
+        else:
+            fb = _fragment(operand, layout)
+        _check_op(
+            getattr(kernel, op)(operand),
+            ref(_raw_pairs(operand)),
+            [getattr(fr, op)(fb)],
+        )
+
+
 def test_nil_dedup_identity_rule():
     """The NIL-dedup decision (recorded in the kernel module
     docstring): joins never match NIL, but unique/kunique treat all
@@ -1255,7 +1310,7 @@ def test_sample_sort_empty_and_single_fragments(htype):
 @pytest.mark.parametrize("fanout", [1, 3, 64])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sample_sort_fanout_extremes(fanout, strategy, tuning_override):
-    """MERGE_FANOUT=1 falls back to the serial tournament merge; a
+    """MERGE_FANOUT=1 orders everything in one partition; a
     fan-out far beyond the data yields many tiny (some empty)
     partitions.  Both ends must be BUN-identical to the monolithic
     sort, for numeric and object heads."""

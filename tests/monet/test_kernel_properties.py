@@ -8,10 +8,13 @@ read a str column through its dictionary codes, so a mono-vs-frag
 differential alone could not catch a wrong code or rank.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.monet import kernel
+from repro.monet.atoms import INT_NIL, OID_NIL
 from repro.monet.bat import bat_from_pairs
 from repro.monet.groups import group, group_sizes
 from repro.monet.aggregates import grouped_sum
@@ -179,6 +182,89 @@ def test_group_sizes_total(values):
     grouping = group(dense_bat("str", values))
     sizes = group_sizes(grouping).tail_list()
     assert sum(sizes) == len(values)
+
+
+# ----------------------------------------------------------------------
+# stable_order: packed (key - lo) << b | position words where the span
+# fits, the stable argsort elsewhere.  The model is the stable argsort
+# itself; the boundary cases sit one below and at the packing limit
+# 2**(63 - b), b the bits of the largest position.
+# ----------------------------------------------------------------------
+
+_int64 = st.integers(min_value=INT_NIL, max_value=OID_NIL)
+
+
+def _packing_limit(n: int) -> int:
+    return 1 << (63 - (n - 1).bit_length())
+
+
+@st.composite
+def _order_keys(draw):
+    """int64 keys: duplicates, negatives, NIL sentinels, empty, single
+    and all-equal arrays, and spans at exactly the packing limit or one
+    below it."""
+    shape = draw(st.sampled_from(["small", "any", "nil", "equal", "boundary"]))
+    if shape == "boundary":
+        n = draw(st.integers(min_value=2, max_value=40))
+        span = _packing_limit(n) - draw(st.sampled_from([0, 1]))
+        lo = draw(st.integers(min_value=INT_NIL, max_value=OID_NIL - span))
+        fill = st.sampled_from([lo, lo + span]) | st.integers(lo, lo + span)
+        rest = draw(st.lists(fill, min_size=n - 2, max_size=n - 2))
+        keys = draw(st.permutations([lo, lo + span, *rest]))
+    elif shape == "equal":
+        keys = [draw(_int64)] * draw(st.integers(min_value=0, max_value=40))
+    else:
+        element = {
+            "small": _small_int,
+            "any": _int64,
+            "nil": _small_int | st.sampled_from([INT_NIL, OID_NIL]),
+        }[shape]
+        keys = draw(st.lists(element, max_size=40))
+    return np.array(keys, dtype=np.int64)
+
+
+@given(_order_keys())
+def test_stable_order_is_the_stable_argsort(keys):
+    assert np.array_equal(
+        kernel.stable_order(keys), np.argsort(keys, kind="stable")
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 1000])
+@pytest.mark.parametrize("below, packs", [(1, True), (0, False)])
+def test_stable_order_packs_exactly_below_the_limit(n, below, packs, monkeypatch):
+    """A span one below the limit packs (no argsort runs); a span at
+    the limit falls back -- its top word would wrap past int64.  The
+    low key is the int NIL sentinel, the least int64."""
+    span = _packing_limit(n) - below
+    rng = np.random.default_rng(n)
+    offsets = [0, span, *rng.integers(0, 2, n - 2) * span]
+    keys = np.array([INT_NIL + int(o) for o in rng.permutation(offsets)])
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k)
+    )
+    got = kernel.stable_order(keys)
+    monkeypatch.undo()
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+    assert bool(calls) != packs
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        # bit: its NIL -1, and the int8 extremes (a span past int8).
+        np.array([1, -1, 0, 127, -128, 1, -1, 0, -128], dtype=np.int8),
+        # dbl falls back: NaN last, -0.0 ties with 0.0.
+        np.array([0.0, -0.0, np.nan, 1.5, -0.0, np.nan, 0.0, -2.5]),
+    ],
+    ids=["bit", "dbl"],
+)
+def test_stable_order_other_keys(keys):
+    assert np.array_equal(
+        kernel.stable_order(keys), np.argsort(keys, kind="stable")
+    )
 
 
 # ----------------------------------------------------------------------

@@ -217,6 +217,40 @@ def test_select_nil_matches_nothing(atom_name, strategy):
     assert [head for head, _ in got.to_pairs()] == [0, 4]
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("atom_name", sorted(_NIL_TAILS))
+def test_range_select_open_bound_matches_no_nil(atom_name, strategy):
+    """A range with an open (``nil``) bound compares values, never the
+    NIL representation: the int/oid/bit sentinels are not the least or
+    greatest values, monolithic and fragmented (the two share the range
+    mask)."""
+    tails, literal = _NIL_TAILS[atom_name]
+    bat = dense_bat(atom_name, tails)
+    mono_pool, frag_pool = BATBufferPool(), BATBufferPool()
+    mono_pool.register("b", bat)
+    frag_pool.register_fragmented(
+        "b", fragment_layout(bat, strategy, FragmentationPolicy(target_size=2))
+    )
+    needle = tails[0]
+    present = [(i, v) for i, v in enumerate(tails) if v is not None]
+    cases = {
+        (f"nil, {literal}"): [i for i, v in present if v <= needle],
+        (f"{literal}, nil"): [i for i, v in present if v >= needle],
+        "nil, nil": [i for i, _ in present],
+    }
+    for op in ("select", "uselect"):
+        for bounds, expected in cases.items():
+            script = f'{op}(bat("b"), {bounds});'
+            mono = run_program(script, mono_pool).value
+            frag = run_program(script, frag_pool, fragment_policy=_POLICY).value
+            assert [h for h, _ in mono.to_pairs()] == expected, (
+                f"{script} [{atom_name}]"
+            )
+            assert [h for h, _ in frag.to_pairs()] == expected, (
+                f"{script} [{atom_name}, {strategy}]"
+            )
+
+
 def _operand_mistakes():
     """One MIL call per (builtin row with a BAT receiver, operand the
     row type-checks): that operand wrong -- a scalar where a BAT

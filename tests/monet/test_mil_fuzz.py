@@ -243,6 +243,13 @@ def _join_data(rng) -> dict:
         span[rng.random(k) < 0.2] = np.iinfo(np.int64).min
     sparse = np.where(span == np.iinfo(np.int64).min, span, span * 1000)
     span_tails = _tail_column(rng, "dbl", k, "plain")
+    # Order keys for both arms of ``kernel.stable_order`` on every seed:
+    # the NIL-free keys as a compact tail (packed words), and all of
+    # them plus the NIL sentinel and a far value as a wide one (the
+    # stable argsort).
+    nil = np.iinfo(np.int64).min
+    compact = np.append(span[span != nil], (24, -3, 24))
+    wide = np.append(span, (nil, 1 << 61, nil))
     return {
         "jvoid": BAT(VoidColumn(seqbase, m), tails),
         "jdense": BAT(Column("oid", dense), tails, hsorted=True, hkey=True),
@@ -250,6 +257,8 @@ def _join_data(rng) -> dict:
         "jgap": BAT(Column("oid", gapped), tails, hsorted=True, hkey=True),
         "jspan": BAT(Column("int", span), span_tails),
         "jsparse": BAT(Column("int", sparse), span_tails),
+        "jcompact": BAT(VoidColumn(0, len(compact)), Column("int", compact)),
+        "jwide": BAT(VoidColumn(0, len(wide)), Column("int", wide)),
     }
 
 
@@ -265,7 +274,8 @@ _DENSE_TWINS = ("jvoid", "jdense", "jplain")
 #: identity and window arms.  ``*_jspan``/``*_jsparse``: the same int
 #: keys compact (span arm) and spread (radix-partitioned sorted arm),
 #: probed by dbl, oid and NIL-bearing int tails.  ``c*``: the str code
-#: space outside the join.
+#: space outside the join.  ``o*``: both stable-order arms, a compact
+#: and a wide int tail.
 _JOIN_EPILOGUE = "\n".join(
     [
         's0 := reverse(bat("aw"));',
@@ -294,6 +304,8 @@ _JOIN_EPILOGUE = "\n".join(
         'c9 := kunion(bat("aw"), bat("bw"));',
         'c10 := kintersect(bat("aw"), bat("bw"));',
         'c11 := unique(mirror(bat("aw")));',
+        'o0 := tsort(bat("jcompact"));',
+        'o1 := tsort(bat("jwide"));',
     ]
     + [
         f'{probe}_{op}_{name} := {op}({probe}0, bat("{name}"));'
