@@ -23,9 +23,8 @@ from repro.core import MirrorDBMS
 from repro.moa.compiler import AtomCol, ResultRep, register_attr_rep
 from repro.moa.errors import MoaTypeError
 from repro.moa.functions import register_compile_hook, register_function
-from repro.moa.mapping import StructureMapper, register_mapper
+from repro.moa.mapping import StructureMapper, append_attribute, register_mapper
 from repro.moa.types import AtomicType, MoaType, register_structure
-from repro.monet.bat import dense_bat
 
 
 # -- 1. the structure type ----------------------------------------------------
@@ -55,21 +54,31 @@ register_structure("INTERVAL", _interval_factory)
 
 
 class IntervalMapper(StructureMapper):
-    """INTERVAL attribute -> <prefix>.lo and <prefix>.hi BATs."""
+    """INTERVAL attribute -> <prefix>.lo and <prefix>.hi BATs.
 
-    def load(self, pool, prefix, ty, values):
-        los = [v[0] for v in values]
-        his = [v[1] for v in values]
-        pool.register(f"{prefix}.lo", dense_bat("dbl", los), replace=True)
-        pool.register(f"{prefix}.hi", dense_bat("dbl", his), replace=True)
+    The five hooks: the BATs it owns, how to read them back, and the
+    append / delete / update deltas (loading is appending to the empty
+    BATs ``bat_names`` lists)."""
+
+    def bat_names(self, prefix, ty):
+        return [(f"{prefix}.lo", "dbl"), (f"{prefix}.hi", "dbl")]
 
     def reconstruct(self, pool, prefix, ty, count):
         los = pool.lookup(f"{prefix}.lo").tail_list()
         his = pool.lookup(f"{prefix}.hi").tail_list()
         return list(zip(los, his))
 
-    def bat_names(self, prefix):
-        return [f"{prefix}.lo", f"{prefix}.hi"]
+    def append(self, pool, prefix, ty, values, offset):
+        append_attribute(pool, f"{prefix}.lo", [v[0] for v in values])
+        append_attribute(pool, f"{prefix}.hi", [v[1] for v in values])
+
+    def delete(self, pool, prefix, ty, positions):
+        pool.delete(f"{prefix}.lo", positions)
+        pool.delete(f"{prefix}.hi", positions)
+
+    def update(self, pool, prefix, ty, positions, values):
+        pool.update(f"{prefix}.lo", positions, [v[0] for v in values])
+        pool.update(f"{prefix}.hi", positions, [v[1] for v in values])
 
 
 register_mapper(IntervalType, IntervalMapper())

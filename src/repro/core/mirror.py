@@ -42,6 +42,7 @@ from repro.moa.mapping import (
     VALUE_SUFFIX,
     attribute_bat_names,
     collection_count,
+    create_collection,
     reconstruct_collection,
 )
 from repro.moa.types import AtomicType, MoaType, TupleType
@@ -222,14 +223,12 @@ class MirrorDBMS:
     """Schema + buffer pool + executor, with persistence.
 
     ``fragment_threshold`` turns on transparent horizontal
-    fragmentation: attribute BATs loaded with at least that many BUNs
+    fragmentation: attribute BATs grown to at least that many BUNs
     are stored as fragments (see :mod:`repro.monet.fragments`), and
     compiled query plans execute them fragment-parallel end-to-end (the
     MIL interpreter dispatches to the fragment kernel; the optional
     ``fragment_policy`` governs intermediate re-fragmentation by its
-    fragment size, on the one thread pool every plan shares).  Inserts
-    and updates promote an attribute BAT they grow past the same
-    threshold.
+    fragment size, on the one thread pool every plan shares).
 
     One MirrorDBMS is safe to share across threads (the query service
     runs every session against a single instance): the read path --
@@ -249,7 +248,7 @@ class MirrorDBMS:
     ):
         self.pool = pool if pool is not None else BATBufferPool()
         self.schema: Dict[str, MoaType] = {}
-        #: Serializes DDL and bulk loads; reads never take it.
+        #: Serializes DDL and writes; reads never take it.
         self.write_lock = threading.RLock()
         self._executor = MoaExecutor(
             self.pool,
@@ -270,12 +269,29 @@ class MirrorDBMS:
     # DDL
     # ------------------------------------------------------------------
     def define(self, ddl: str) -> List[str]:
-        """Execute one or more ``define`` statements; returns the names."""
+        """Execute one or more ``define`` statements; returns the names.
+        Redefining a collection with its type is a no-op, with another
+        a :class:`MoaTypeError` once it holds BATs.  An attached db
+        rewrites ``schema.ddl`` at once, so WAL-recovered BATs keep
+        their type."""
         parsed = parse_schema(ddl)
         with self.write_lock:
-            for name, ty in parsed.items():
-                self.schema[name] = ty
+            self._define_locked(parsed)
         return list(parsed)
+
+    def _define_locked(self, parsed: Dict[str, MoaType]) -> None:
+        changed = {n: ty for n, ty in parsed.items() if self.schema.get(n) != ty}
+        for name, ty in changed.items():
+            if name in self.schema and self.pool.exists(f"{name}.{EXTENT_SUFFIX}"):
+                raise MoaTypeError(
+                    f"cannot redefine {name!r} as {ty.render()}: it holds "
+                    f"{self.schema[name].render()} BATs"
+                )
+        if not changed:
+            return
+        self.schema.update(changed)
+        if self.pool.directory is not None:
+            replace_text(self.pool.directory / "schema.ddl", self.ddl() + "\n")
 
     def collection_type(self, name: str) -> MoaType:
         try:
@@ -309,13 +325,14 @@ class MirrorDBMS:
         (``begin(); insert(...); commit()``) -- prefer :meth:`begin`
         when several mutations or epoch-stable reads belong together.
 
-        The first insert creates the collection (a bulk load).  Every
-        later one, whatever the type tree -- nested SET/LIST and CONTREP
-        included -- takes the O(batch) delta path: new tuples get the
-        next dense oids and every attribute BAT grows an append tail
-        through the pool's copy-on-write/WAL machinery, so in-flight
-        snapshot readers keep seeing the pre-insert state and a crash
-        after the call returns loses nothing."""
+        The first insert creates the collection empty (one logged
+        record; ``insert(name, [])`` stops there).  Every insert,
+        whatever the type tree -- nested SET/LIST and CONTREP included
+        -- takes the O(batch) delta path: new tuples get the next dense
+        oids and every attribute BAT grows an append tail through the
+        pool's copy-on-write/WAL machinery, so in-flight snapshot
+        readers keep seeing the pre-insert state and a crash after the
+        call returns loses nothing."""
         txn = self.begin()
         txn.insert(name, values)
         txn.commit()
@@ -332,7 +349,7 @@ class MirrorDBMS:
         with self.write_lock:
             for statement in parse_script(script):
                 if isinstance(statement, DefineStatement):
-                    self.schema[statement.name] = statement.ty
+                    self._define_locked({statement.name: statement.ty})
                     outcomes.append(f"defined {statement.name}")
                 elif isinstance(statement, InsertStatement):
                     ty = self.collection_type(statement.name)
@@ -365,10 +382,18 @@ class MirrorDBMS:
         return outcomes
 
     def replace(self, name: str, values: Sequence[Any]) -> int:
-        """Replace the contents of collection *name* entirely."""
-        ty = self.collection_type(name)
+        """Replace the contents of collection *name*; returns the new
+        cardinality.  One transaction: delete every row (when the
+        collection exists), then insert *values* -- on a WAL-armed db
+        both halves are logged records."""
+        self.collection_type(name)
+        values = list(values)
         with self.write_lock:
-            self._executor.load(name, ty, list(values))
+            txn = self.begin()
+            if self.pool.exists(f"{name}.{EXTENT_SUFFIX}"):
+                txn.delete(name)
+            txn.insert(name, values)
+            txn.commit()
         return len(values)
 
     def delete(self, name: str, predicate: Any = None, *,
@@ -406,10 +431,9 @@ class MirrorDBMS:
     # -- commit-time internals (hold write_lock when calling) ----------
     def _insert_locked(self, name: str, ty: MoaType,
                        values: List[Any]) -> int:
-        if self.pool.exists(f"{name}.{EXTENT_SUFFIX}"):
-            self._executor.append(name, ty, values)
-        else:  # the first insert creates the collection
-            self._executor.load(name, ty, values)
+        if not self.pool.exists(f"{name}.{EXTENT_SUFFIX}"):
+            create_collection(self.pool, name, ty)
+        self._executor.append(name, ty, values)
         return len(values)
 
     def _delete_locked(self, name: str, ty: MoaType, where: Where) -> int:
@@ -471,7 +495,7 @@ class MirrorDBMS:
         """Run a query with the tuple-at-a-time reference interpreter
         over reconstructed data (slow; benchmarking/testing)."""
         data = {name: self.contents(name) for name in self.schema
-                if self.pool.exists(f"{name}.__extent__")}
+                if self.pool.exists(f"{name}.{EXTENT_SUFFIX}")}
         return self._executor.execute_interpreted(text, data, params)
 
     # ------------------------------------------------------------------
@@ -491,7 +515,7 @@ class MirrorDBMS:
         db = cls(BATBufferPool.load(directory))
         ddl_path = directory / "schema.ddl"
         if ddl_path.exists():
-            db.define(ddl_path.read_text())
+            db.schema.update(parse_schema(ddl_path.read_text()))
         return db
 
 

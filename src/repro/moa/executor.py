@@ -53,7 +53,6 @@ from repro.moa.mapping import (
     append_collection,
     delete_collection,
     fragmentation,
-    load_collection,
     update_collection,
 )
 from repro.moa.optimizer import optimize as optimize_ast
@@ -118,10 +117,10 @@ class MoaExecutor:
     """Executes Moa queries against a BAT buffer pool.
 
     ``fragment_threshold`` is the executor's physical-layout knob: when
-    set, every write through this executor (:meth:`load`,
-    :meth:`append`, :meth:`delete`, :meth:`update`) registers or
-    promotes attribute BATs of at least that many BUNs as horizontal
-    fragments (:mod:`repro.monet.fragments`).  The MIL interpreter
+    set, every write through this executor (:meth:`append`,
+    :meth:`delete`, :meth:`update`) promotes attribute BATs it grows to
+    at least that many BUNs to horizontal fragments
+    (:mod:`repro.monet.fragments`).  The MIL interpreter
     executes fragment-aware: plans over fragmented attributes run their
     hot operators fragment-parallel end-to-end (``fragment_policy`` is
     threaded through to govern intermediate re-fragmentation), and only
@@ -132,7 +131,7 @@ class MoaExecutor:
     One executor is safe to share across threads: compilation
     snapshots the schema dict, each run builds its own environment, and
     the MIL interpreter instance carries no per-run state.  The only
-    caveat is the write path -- the four write methods (and the
+    caveat is the write path -- the three write methods (and the
     MirrorDBMS facade above them) must be externally serialized, which
     :class:`repro.core.mirror.MirrorDBMS` does with its own lock.
     """
@@ -151,13 +150,8 @@ class MoaExecutor:
         self.fragment_policy = fragment_policy
         self.mil = MILInterpreter(pool, fragment_policy=fragment_policy)
 
-    def load(self, name: str, ty: MoaType, values: List[Any]) -> None:
-        """Load (create or replace) a collection
-        (:func:`repro.moa.mapping.load_collection`)."""
-        self._write(load_collection, name, ty, values)
-
     def append(self, name: str, ty: MoaType, values: List[Any]) -> int:
-        """Append tuples to a loaded collection in O(batch) through the
+        """Append tuples to a created collection in O(batch) through the
         pool's copy-on-write delta path
         (:func:`repro.moa.mapping.append_collection`); returns the new
         cardinality."""
@@ -179,7 +173,7 @@ class MoaExecutor:
 
     def _write(self, mutation: Callable[..., Any], *args: Any) -> Any:
         """Run one write-path mapping call on the pool under this
-        executor's fragmentation threshold -- one layout rule for load,
+        executor's fragmentation threshold -- one layout rule for
         append, delete and update (an update appends children and
         postings, which may cross the threshold too).  Calls must be
         externally serialized."""

@@ -14,9 +14,13 @@ independence layer.  Every top-level collection ``Lib`` of type
 ``Lib.<s>.__index__``     [void child-oid, int] -- LIST order
 ========================  =============================================
 
-Oids are *dense per collection* (tuple-oid == load position), the Monet
-void-head discipline: every attribute access compiles to a positional
-``fetchjoin`` instead of a value join.
+Oids are *dense per collection* (tuple-oid == extent position), the
+Monet void-head discipline: every attribute access compiles to a
+positional ``fetchjoin`` instead of a value join.
+
+One write path: :func:`create_collection` registers a collection's BATs
+empty, and rows only enter through :func:`append_collection` (the
+pool's logged copy-on-write append).
 
 Extension structures register their own mappers through
 :func:`register_mapper`; :mod:`repro.moa.structures.contrep` adds the
@@ -40,7 +44,6 @@ from repro.moa.types import (
     SetType,
     TupleType,
 )
-from repro.monet.bat import BAT, Column, VoidColumn, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
 
@@ -53,12 +56,13 @@ INDEX_SUFFIX = "__index__"
 # Fragmentation threshold
 # ----------------------------------------------------------------------
 
-#: Active (threshold, policy) pair.  When the threshold is set,
-#: attribute BATs with at least that many BUNs are registered
-#: fragmented (see :mod:`repro.monet.fragments`); ``None`` disables
-#: transparent fragmentation (the seed behaviour).  A ContextVar keeps
-#: the setting local to the thread/task doing the load, so concurrent
-#: executors with different thresholds cannot cross-contaminate.
+#: Active (threshold, policy) pair.  When the threshold is set, an
+#: append that grows an attribute BAT to at least that many BUNs
+#: promotes it to fragments (see :mod:`repro.monet.fragments`);
+#: ``None`` disables transparent fragmentation (the seed behaviour).
+#: A ContextVar keeps the setting local to the thread/task doing the
+#: write, so concurrent executors with different thresholds cannot
+#: cross-contaminate.
 _FRAGMENTATION: ContextVar[Tuple[Optional[int], FragmentationPolicy]] = ContextVar(
     "moa_fragmentation", default=(None, FragmentationPolicy())
 )
@@ -72,8 +76,9 @@ def get_fragment_threshold() -> Optional[int]:
 def fragmentation(
     threshold: Optional[int], policy: Optional[FragmentationPolicy] = None
 ):
-    """Scoped fragmentation threshold: loads inside the context register
-    large attribute BATs fragmented; the previous setting is restored."""
+    """Scoped fragmentation threshold: appends inside the context
+    promote large attribute BATs to fragments; the previous setting is
+    restored."""
     previous = _FRAGMENTATION.get()
     token = _FRAGMENTATION.set(
         (threshold, policy if policy is not None else previous[1])
@@ -84,23 +89,12 @@ def fragmentation(
         _FRAGMENTATION.reset(token)
 
 
-def register_attribute(pool: BATBufferPool, name: str, bat: BAT) -> None:
-    """Register an attribute BAT, fragmenting it when it crosses the
-    active threshold.  All mapper ``load`` hooks go through here so
-    fragmentation stays transparent to the logical layer."""
-    threshold, policy = _FRAGMENTATION.get()
-    if threshold is not None and len(bat) >= threshold:
-        pool.register_fragmented(name, fragment_bat(bat, policy), replace=True)
-    else:
-        pool.register(name, bat, replace=True)
-
-
 def append_attribute(pool: BATBufferPool, name: str, tails: Sequence[Any]) -> None:
     """Append tail values to an attribute BAT through the pool's
     copy-on-write/WAL path, promoting a monolithic registration to
     fragments when the append pushes it across the active threshold.
-    All mapper ``append`` hooks go through here, mirroring
-    :func:`register_attribute`."""
+    All mapper ``append`` hooks go through here, so fragmentation stays
+    transparent to the logical layer."""
     appended = pool.append(name, tails=list(tails))
     threshold, policy = _FRAGMENTATION.get()
     if (
@@ -123,15 +117,15 @@ def children_of(pool: BATBufferPool, name: str, parents: Sequence[int]) -> np.nd
 class StructureMapper:
     """The physical hooks of one structure kind.
 
-    Every mapper implements all six; there are no capability flags and
-    no caller-side fallback, so every mutation of every type tree goes
+    Every mapper implements all five; there are no capability flags and
+    no caller-side fallback, so every mutation of every type tree -- a
+    load is an append to the empty BATs ``bat_names`` lists -- goes
     through the logged delta path.  Oids are dense per level: a hook's
     *parent oids* are the tuple-oids of the level above (for a
     top-level collection, the extent positions).
 
-    * ``load(pool, prefix, ty, values)`` -- *values* aligned with parent
-      oids ``0..len(values)-1``; registers the BATs under *prefix*
-      through :func:`register_attribute`.
+    * ``bat_names(prefix, ty)`` -- every BAT the hooks maintain, as
+      ``(name, atom)`` pairs (the atom of its tail).
     * ``reconstruct(pool, prefix, ty, count)`` -- reads them back into
       Python values, one per parent.
     * ``append(pool, prefix, ty, values, offset)`` -- *values* aligned
@@ -150,22 +144,12 @@ class StructureMapper:
       through ``pool.update``; children are replaced: the old ones are
       deleted *without* renumbering (their parents stay), then the new
       ones are appended with parent oid = position.
-    * ``bat_names(prefix, ty)`` -- every BAT name the hooks maintain.
 
     A consequence of update: the parent-oid tails (``__nest__``,
     ``owner``) are *not* sorted by parent in general -- a patched
     parent's children sit at the end.  Nothing may assume that order;
     the tails' ``tsorted`` flag says when it holds.
     """
-
-    def load(
-        self,
-        pool: BATBufferPool,
-        prefix: str,
-        ty: MoaType,
-        values: Sequence[Any],
-    ) -> None:
-        raise NotImplementedError
 
     def reconstruct(
         self, pool: BATBufferPool, prefix: str, ty: MoaType, count: int
@@ -201,7 +185,7 @@ class StructureMapper:
     ) -> None:
         raise NotImplementedError
 
-    def bat_names(self, prefix: str, ty: MoaType) -> List[str]:
+    def bat_names(self, prefix: str, ty: MoaType) -> List[Tuple[str, str]]:
         raise NotImplementedError
 
 
@@ -239,9 +223,6 @@ def _element_at(prefix: str, element_ty: MoaType) -> Tuple[StructureMapper, str]
 class AtomicMapper(StructureMapper):
     """Atomic<B> attribute -> one [void, value] BAT."""
 
-    def load(self, pool, prefix, ty: AtomicType, values):
-        register_attribute(pool, prefix, dense_bat(ty.atom, list(values)))
-
     def reconstruct(self, pool, prefix, ty: AtomicType, count):
         bat = pool.lookup(prefix)
         if len(bat) != count:
@@ -260,18 +241,11 @@ class AtomicMapper(StructureMapper):
         pool.update(prefix, positions, values)
 
     def bat_names(self, prefix, ty: AtomicType):
-        return [prefix]
+        return [(prefix, ty.atom)]
 
 
 class TupleMapper(StructureMapper):
     """TUPLE attribute: recurse per field under ``prefix.field``."""
-
-    def load(self, pool, prefix, ty: TupleType, values):
-        for field_name, field_ty in ty.fields:
-            field_values = [_field(v, field_name) for v in values]
-            mapper_for(field_ty).load(
-                pool, f"{prefix}.{field_name}", field_ty, field_values
-            )
 
     def reconstruct(self, pool, prefix, ty: TupleType, count):
         columns = {
@@ -313,9 +287,9 @@ class TupleMapper(StructureMapper):
 
     def bat_names(self, prefix, ty: TupleType):
         return [
-            name
+            pair
             for field_name, field_ty in ty.fields
-            for name in mapper_for(field_ty).bat_names(
+            for pair in mapper_for(field_ty).bat_names(
                 f"{prefix}.{field_name}", field_ty
             )
         ]
@@ -325,18 +299,6 @@ class SetMapper(StructureMapper):
     """Nested SET attribute: __nest__ parent map + element payload."""
 
     ordered = False
-
-    def load(self, pool, prefix, ty: SetType, values):
-        nest, elements, indexes = _flatten(range(len(values)), values)
-        register_attribute(
-            pool, f"{prefix}.{NEST_SUFFIX}", dense_bat("oid", nest)
-        )
-        if self.ordered:
-            register_attribute(
-                pool, f"{prefix}.{INDEX_SUFFIX}", dense_bat("int", indexes)
-            )
-        mapper, at = _element_at(prefix, ty.element)
-        mapper.load(pool, at, ty.element, elements)
 
     def reconstruct(self, pool, prefix, ty: SetType, count):
         parents = pool.lookup(f"{prefix}.{NEST_SUFFIX}").tail_values()
@@ -370,9 +332,9 @@ class SetMapper(StructureMapper):
         self._append_children(pool, prefix, ty, positions, values)
 
     def bat_names(self, prefix, ty: SetType):
-        names = [f"{prefix}.{NEST_SUFFIX}"]
+        names = [(f"{prefix}.{NEST_SUFFIX}", "oid")]
         if self.ordered:
-            names.append(f"{prefix}.{INDEX_SUFFIX}")
+            names.append((f"{prefix}.{INDEX_SUFFIX}", "int"))
         mapper, at = _element_at(prefix, ty.element)
         return names + mapper.bat_names(at, ty.element)
 
@@ -454,35 +416,24 @@ def _field(value: Any, name: str) -> Any:
 # ----------------------------------------------------------------------
 
 
-def load_collection(
-    pool: BATBufferPool, name: str, ty: MoaType, values: Sequence[Any]
-) -> None:
-    """Load a top-level collection: ``SET<TUPLE<...>>`` (or SET of
-    atomics) decomposed under *name* plus its extent BAT."""
+def create_collection(pool: BATBufferPool, name: str, ty: MoaType) -> None:
+    """Create the empty top-level collection *name*: one empty
+    ``[void, atom]`` BAT per BAT of ``SET<TUPLE<...>>`` (or SET of
+    atomics) *ty*, extent included, registered by one logged
+    ``pool.create``.  Rows then enter through
+    :func:`append_collection` only."""
     if not isinstance(ty, (SetType, ListType)):
         raise MoaTypeError(
             f"top-level collection must be a SET/LIST, got {ty.render()}"
         )
-    values = list(values)
-    count = len(values)
-    extent = BAT(
-        VoidColumn(0, count),
-        Column("oid", np.arange(count, dtype=np.int64)),
-        tkey=True,
-        tsorted=True,
-    )
-    # The extent stays monolithic: it is the spine every reconstruction
-    # counts against and its tkey/tsorted flags must survive exactly.
-    pool.register(f"{name}.{EXTENT_SUFFIX}", extent, replace=True)
-    mapper, at = _element_at(name, ty.element)
-    mapper.load(pool, at, ty.element, values)
+    pool.create(dict(_collection_bats(name, ty)))
 
 
 def append_collection(
     pool: BATBufferPool, name: str, ty: MoaType, values: Sequence[Any]
 ) -> int:
-    """Append *values* to an already-loaded collection in O(batch);
-    returns the new cardinality.
+    """Append *values* to a created collection in O(batch); returns
+    the new cardinality.
 
     New tuples get the next dense oids; every attribute BAT and then the
     extent grow through the pool's copy-on-write append (delta tails,
@@ -552,21 +503,28 @@ def update_collection(
 
 
 def collection_count(pool: BATBufferPool, name: str) -> int:
-    """Cardinality of a loaded collection."""
+    """Cardinality of a created collection."""
     return len(pool.lookup(f"{name}.{EXTENT_SUFFIX}"))
 
 
 def reconstruct_collection(
     pool: BATBufferPool, name: str, ty: MoaType
 ) -> List[Any]:
-    """Read a loaded collection back into Python values (inverse of
-    :func:`load_collection`; round-trip tested)."""
+    """Read a collection back into Python values (inverse of
+    :func:`append_collection` on a fresh collection; round-trip
+    tested)."""
     count = collection_count(pool, name)
     mapper, at = _element_at(name, ty.element)
     return mapper.reconstruct(pool, at, ty.element, count)
 
 
+def _collection_bats(name: str, ty: MoaType) -> List[Tuple[str, str]]:
+    """``(BAT name, atom)`` of every BAT a collection of type *ty*
+    occupies, the extent first."""
+    mapper, at = _element_at(name, ty.element)
+    return [(f"{name}.{EXTENT_SUFFIX}", "oid")] + mapper.bat_names(at, ty.element)
+
+
 def attribute_bat_names(name: str, ty: MoaType) -> List[str]:
     """All BAT names a collection of type *ty* occupies (catalog tool)."""
-    mapper, at = _element_at(name, ty.element)
-    return [f"{name}.{EXTENT_SUFFIX}"] + mapper.bat_names(at, ty.element)
+    return [bat for bat, _ in _collection_bats(name, ty)]

@@ -40,7 +40,6 @@ from repro.moa.mapping import (
     StructureMapper,
     append_attribute,
     children_of,
-    register_attribute,
     register_mapper,
 )
 from repro.moa.types import (
@@ -50,7 +49,6 @@ from repro.moa.types import (
     StatsType,
     register_structure,
 )
-from repro.monet.bat import dense_bat
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +191,6 @@ class ContrepMapper(StructureMapper):
     patches its ``doclen``.
     """
 
-    def load(self, pool, prefix, ty: ContrepType, values):
-        reps = _reps(values, ty)
-        for suffix, atom, column in zip(
-            _POSTINGS, ("oid", "str", "int"), _postings(range(len(reps)), reps)
-        ):
-            register_attribute(pool, f"{prefix}.{suffix}", dense_bat(atom, column))
-        register_attribute(
-            pool, f"{prefix}.doclen", dense_bat("int", [r.length for r in reps])
-        )
-
     def append(self, pool, prefix, ty: ContrepType, values, offset):
         reps = _reps(values, ty)
         self._append_postings(pool, prefix, range(offset, offset + len(reps)), reps)
@@ -239,8 +227,9 @@ class ContrepMapper(StructureMapper):
             )
         return contrep_values(owner, term, tf, doclen)
 
-    def bat_names(self, prefix, ty: ContrepType) -> List[str]:
-        return [f"{prefix}.{s}" for s in (*_POSTINGS, "doclen")]
+    def bat_names(self, prefix, ty: ContrepType):
+        layout = (("owner", "oid"), ("term", "str"), ("tf", "int"), ("doclen", "int"))
+        return [(f"{prefix}.{suffix}", atom) for suffix, atom in layout]
 
 
 register_mapper(ContrepType, ContrepMapper())

@@ -493,7 +493,9 @@ class BAT:
         flags derived from the appended run and the boundary only."""
         atom_name = new.atom_type.name
         old_values = old.materialize()
-        values = np.concatenate([old_values, new.values])
+        # Every load appends to an empty BAT: the freshly built run is
+        # the column, with no copy.
+        values = np.concatenate([old_values, new.values]) if len(old_values) else new.values
         run_sorted = _is_sorted(new.values, atom_name)
         run_strict = run_sorted and _is_strictly_increasing(new.values, atom_name)
         if len(old_values):

@@ -38,13 +38,14 @@ import time
 import warnings
 import zipfile
 import zlib
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
 from repro.monet.atoms import OID_NIL, OidGenerator, atom
-from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode
+from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode, empty_bat
 from repro.monet.errors import (
     BBPError,
     MonetError,
@@ -183,6 +184,12 @@ class BATBufferPool:
         with self._lock:
             return self._epoch
 
+    @property
+    def directory(self) -> Optional[Path]:
+        """The directory the pool is attached to (its WAL lives there),
+        or ``None`` before the first :meth:`save`/:meth:`load`."""
+        return self._directory
+
     def _invalidate_views(self, name: str) -> None:
         self._coalesced_views.pop(name, None)
         self._fragment_views.pop(name, None)
@@ -218,6 +225,37 @@ class BATBufferPool:
                 self._epoch += 1
         return bat
 
+    def create(self, bats: Dict[str, str], *, _log: bool = True) -> None:
+        """Register one empty ``[void, atom]`` BAT per ``name: atom`` of
+        *bats* (none registered yet) under one epoch bump.  Durable like
+        :meth:`append`: on an attached pool one ``{"create": {...}}``
+        record group-commits before the publish (re-logged if a save
+        slid in between, as in :meth:`_publish_mutation`)."""
+        fresh = {name: empty_bat("oid", atom) for name, atom in bats.items()}
+        with ExitStack() as held:
+            # Every name's mutator mutex (sorted; other holders take
+            # one at a time), so no register can slip in between the
+            # check and the publish.
+            for name in sorted(fresh):
+                held.enter_context(self._mutation_lock(name))
+            with self._lock:
+                taken = sorted(name for name in fresh if name in self)
+                if taken:
+                    raise BBPError(f"cannot create registered BAT(s) {taken}")
+                generation = self._generation
+            record = None
+            if _log and self._directory is not None:
+                record = {"generation": generation, "create": dict(bats)}
+                self._wal_log(record)
+            with self._lock:
+                if record is not None and self._generation != record["generation"]:
+                    self._wal_direct({**record, "generation": self._generation})
+                for name, bat in fresh.items():
+                    bat.name = name
+                    self._bats[name] = bat
+                    self._invalidate_views(name)
+                self._epoch += 1
+
     def register_fragmented(
         self, name: str, fragmented: FragmentedBAT, *, replace: bool = False
     ) -> FragmentedBAT:
@@ -236,8 +274,7 @@ class BATBufferPool:
                 if fragmented._coalesced is not None:
                     fragmented._coalesced.name = name
                 self._fragmented[name] = fragmented
-                for fragment in fragmented.fragments:
-                    self._bump_oids(fragment)
+                self._bump_oids(fragmented)
                 self._epoch += 1
         return fragmented
 
@@ -373,7 +410,7 @@ class BATBufferPool:
             else:
                 self._bats[name] = new
             if bump is not None:
-                bump(current)
+                bump(new)
             self._invalidate_views(name)
             self._epoch += 1
 
@@ -427,8 +464,8 @@ class BATBufferPool:
                 }
             return {"tails": [_wal_value(t) for t in (tails or [])]}
 
-        def bump(current):
-            self._bump_oids_batch(current, pairs, tails)
+        def bump(new):
+            self._bump_oids(new, batch=len(pairs if pairs is not None else tails))
 
         return self._mutate(
             name, "append to", compute, record_fields, bump, log=_log
@@ -509,8 +546,8 @@ class BATBufferPool:
                 "values": [_wal_value(v) for v in values],
             }
 
-        def bump(current):
-            if current.ttype == "oid":
+        def bump(new):
+            if new.ttype == "oid":
                 top = max(
                     (int(v) for v in values if v is not None), default=-1
                 )
@@ -520,32 +557,6 @@ class BATBufferPool:
         return self._mutate(
             name, "update", compute, record_fields, bump, log=_log
         )
-
-    def _bump_oids_batch(self, value, pairs, tails) -> None:
-        """Keep the oid sequence ahead of appended oid values --
-        O(batch), unlike :meth:`_bump_oids` which scans whole columns."""
-        top = -1
-        batch_size = len(tails or [])
-        if value.htype == "oid":
-            if pairs is not None:
-                heads = (int(h) for h, _ in pairs if h is not None)
-                top = max(max(heads, default=-1), top)
-            else:
-                last = (
-                    value.fragments[-1]
-                    if isinstance(value, FragmentedBAT)
-                    else value
-                )
-                if last.head.is_void:
-                    # Dense void-head extension (of the tail fragment):
-                    # the head ends at the new count, so the top head
-                    # oid is seqbase + count - 1.
-                    top = max(last.head.seqbase + len(last) + batch_size - 1, top)
-        if value.ttype == "oid":
-            batch = [t for _, t in pairs] if pairs is not None else list(tails or [])
-            top = max(max((int(t) for t in batch if t is not None), default=-1), top)
-        if top >= 0:
-            self.oid_generator.bump_past(top)
 
     def read_snapshot(self) -> "PoolSnapshot":
         """An immutable point-in-time view of the catalog (MVCC-style
@@ -648,9 +659,19 @@ class BATBufferPool:
         with self._lock:
             return self.oid_generator.allocate(count)
 
-    def _bump_oids(self, bat: BAT) -> None:
-        """Keep the oid sequence ahead of any oid stored in *bat*."""
-        for column in (bat.head, bat.tail):
+    def _bump_oids(
+        self, value: Union[BAT, FragmentedBAT], *, batch: Optional[int] = None
+    ) -> None:
+        """Keep the oid sequence ahead of any oid stored in *value*, or,
+        with *batch*, in the last *batch* BUNs an append just built (the
+        end of its last fragment; O(batch), numpy)."""
+        if isinstance(value, FragmentedBAT):
+            if batch is None:
+                for fragment in value.fragments:
+                    self._bump_oids(fragment)
+                return
+            value = value.fragments[-1]
+        for column in (value.head, value.tail):
             if column.is_void:
                 top = column.seqbase + len(column) - 1
                 if len(column):
@@ -658,7 +679,7 @@ class BATBufferPool:
             elif column.atom_type.name == "oid" and len(column):
                 # One pass: OID_NIL is the greatest int64, so only a
                 # column whose max *is* NIL needs the NILs filtered.
-                values = column.materialize()
+                values = column.values[-batch:] if batch else column.values
                 top = values.max()
                 if top == OID_NIL:
                     finite = values[values != OID_NIL]
@@ -1186,9 +1207,12 @@ def _replay_wal(pool: "BATBufferPool", directory: Path) -> int:
     would silently duplicate every append since the previous save.
     Appends naming BATs absent from the catalog are skipped -- a
     registration that was never saved is not resurrected by its
-    appends -- and a record that no longer applies (e.g. logged by a
-    buggy or older writer) is skipped with a warning rather than
-    rendering the store unloadable.  Returns how many records applied.
+    appends -- except after a ``create`` record: it registers the empty
+    BATs it names that the catalog lacks (a collection first inserted
+    into after the save), so the appends logged after it apply.  A
+    record that no longer applies (e.g. logged by a buggy or older
+    writer) is skipped with a warning rather than rendering the store
+    unloadable.  Returns how many records applied.
     """
     path = directory / "wal.jsonl"
     if not path.exists():
@@ -1210,10 +1234,16 @@ def _replay_wal(pool: "BATBufferPool", directory: Path) -> int:
         if record_generation is not None and record_generation != generation:
             continue  # already folded into the loaded catalog
         name = record.get("name")
-        if not isinstance(name, str) or name not in pool:
+        created = record.get("create")
+        if isinstance(created, dict):
+            name = ", ".join(created)
+        elif not isinstance(name, str) or name not in pool:
             continue
         try:
-            if "pairs" in record:
+            if isinstance(created, dict):
+                absent = {b: a for b, a in created.items() if b not in pool}
+                pool.create(absent, _log=False)
+            elif "pairs" in record:
                 pool.append(
                     name, pairs=[tuple(p) for p in record["pairs"]], _log=False
                 )

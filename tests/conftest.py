@@ -48,6 +48,34 @@ def fragment_layout(
     )
 
 
+#: One element type per structure mapper, with its payload as a
+#: function of a row number (a NIL or an empty collection every few
+#: rows): the axis of the write-path differentials and the crash-copy
+#: durability gate.
+CRASH_SHAPES = {
+    "tuple": ("Atomic<int>", lambda i: None if i % 4 == 3 else i * 10),
+    "set": (
+        "SET<Atomic<int>>",
+        lambda i: [i, i + 1, None][: i % 4],
+    ),
+    "list": (
+        "LIST<Atomic<str>>",
+        lambda i: [f"w{i}", None, f"w{i}"][: i % 4],
+    ),
+    "set-of-set": (
+        "SET<TUPLE<Atomic<str>: a, SET<TUPLE<Atomic<int>: b>>: inner>>",
+        lambda i: [
+            {"a": f"a{i}.{j}", "inner": [{"b": i * j + m} for m in range(j)]}
+            for j in range(i % 3)
+        ],
+    ),
+    "contrep": (
+        "CONTREP<Text>",
+        lambda i: ["", None, "sea sunset sea", "storm wave sand sea"][i % 4],
+    ),
+}
+
+
 @pytest.fixture
 def pool():
     return BATBufferPool()

@@ -26,6 +26,38 @@ class TestDDL:
         with pytest.raises(MoaTypeError):
             MirrorDBMS().collection_type("ghost")
 
+    def test_redefine_with_same_type_is_noop(self, annotated_db):
+        before = annotated_db.contents("TraditionalImgLib")
+        ddl = annotated_db.ddl()
+        annotated_db.define(ddl)
+        assert annotated_db.ddl() == ddl
+        assert annotated_db.contents("TraditionalImgLib") == before
+
+    def test_type_changing_define_of_populated_collection_raises(self):
+        db = MirrorDBMS()
+        db.define("define A as SET<Atomic<int>>; define B as SET<Atomic<int>>;")
+        db.insert("A", [1, 2])
+        with pytest.raises(MoaTypeError, match="cannot redefine 'A'"):
+            db.define("define A as SET<Atomic<str>>;")
+        assert db.collection_type("A").render() == "SET<Atomic<int>>"
+        assert db.contents("A") == [1, 2]
+        # The same statement through a script raises too.
+        with pytest.raises(MoaTypeError, match="cannot redefine 'A'"):
+            db.execute("define A as SET<Atomic<str>>;")
+        # A collection without BATs yet may still change type.
+        db.define("define B as SET<Atomic<str>>;")
+        db.insert("B", ["x"])
+        assert db.contents("B") == ["x"]
+
+    def test_insert_of_nothing_creates_empty_collection(self):
+        db = MirrorDBMS()
+        db.define("define A as SET<TUPLE<Atomic<int>: n, CONTREP<Text>: t>>;")
+        assert db.insert("A", []) == 0
+        assert db.count("A") == 0
+        assert all(db.pool.exists(name) for name in db.bat_names("A"))
+        assert db.insert("A", [{"n": 1, "t": "sea"}]) == 1
+        assert db.contents("A")[0]["n"] == 1
+
     def test_ddl_rendering(self, annotated_db):
         assert "TraditionalImgLib" in annotated_db.ddl()
         assert "CONTREP<Text>" in annotated_db.ddl()

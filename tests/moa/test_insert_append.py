@@ -1,13 +1,16 @@
-"""The Moa write path: in-place delta mutations vs reconstruct+reload.
+"""The Moa write path: in-place delta mutations vs independent models.
 
 Every insert, delete and update of every type tree goes through the
-mapper hooks and the pool's logged delta path.  The reconstruct+reload
-path that used to be the fallback lives on here only, as the *oracle*:
-whatever the delta path produces must be exactly what reloading the
-mutated Python values produces -- same contents, same physical names,
-the same Section 3 ranking -- across flat tuples, nested SETs/LISTs,
-doubly nested tuples, CONTREP, and fragmentation promotion.  Plus the
-``insert into ... values (...)`` DDL statement that rides on top.
+mapper hooks and the pool's logged delta path, and a load is an append
+to an empty collection.  The references share no code with that path:
+a plain-Python model of the collection mutated alongside, and the
+tuple-at-a-time interpreter over the reconstructed values.  Whatever
+the delta path produces must equal the model, a ``replace`` of the
+model, and however the rows were split into batches -- same contents,
+same physical names, the same Section 3 ranking -- across flat tuples,
+nested SETs/LISTs, doubly nested tuples, CONTREP, and fragmentation
+promotion.  Plus the ``insert into ... values (...)`` DDL statement
+that rides on top.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import pytest
 from repro.core.mirror import MirrorDBMS
 from repro.moa.ddl import parse_insert, parse_script, InsertStatement
 from repro.moa.errors import MoaParseError, MoaTypeError
+from repro.moa.structures.contrep import ContentRepresentation
 from repro.monet.fragments import FragmentationPolicy
 from repro.workloads import SECTION3_QUERY
+from tests.conftest import CRASH_SHAPES
 
 NESTED_DDL = (
     "define Lib as SET<TUPLE<Atomic<str>: source, Atomic<int>: size, "
@@ -189,21 +194,41 @@ def _matches(values, where):
     ]
 
 
-def _reload_oracle(oracle, kind, payload, where):
-    """The deleted fallback, kept as the reference: reconstruct the
-    whole collection, mutate the Python values, reload everything."""
-    values = oracle.contents(COLLECTION)
-    matched = _matches(values, where)
+def _modelled(row):
+    """The fields of *row* as ``contents`` reads them back: a NIL
+    collection is empty and an annotation is its content
+    representation."""
+    out = dict(row)
+    for name in ("tags", "seq"):
+        if name in out:
+            out[name] = out[name] or []
+    if "parts" in out:
+        out["parts"] = [
+            {"k": part["k"], "inner": part["inner"] or []}
+            for part in out["parts"] or []
+        ]
+    if "annotation" in out:
+        out["annotation"] = ContentRepresentation.from_value(
+            out["annotation"], "Text"
+        )
+    return out
+
+
+def _reload_oracle(oracle, model, kind, payload, where):
+    """The reference: mutate the plain-Python *model* in place, then
+    reload it whole into *oracle* with ``replace`` (delete-all +
+    insert).  Returns how many rows the mutation touches."""
+    matched = _matches(model, where)
     if kind == "insert":
-        values += payload
+        model += [_modelled(row) for row in payload]
         matched = payload
     elif kind == "delete":
         doomed = set(matched)
-        values = [v for i, v in enumerate(values) if i not in doomed]
+        model[:] = [v for i, v in enumerate(model) if i not in doomed]
     else:
         for i in matched:
-            values[i] = {**values[i], **payload}
-    oracle.replace(COLLECTION, values)
+            model[i] = {**model[i], **_modelled(payload)}
+    oracle.replace(COLLECTION, model)
     return len(matched)
 
 
@@ -230,9 +255,10 @@ def test_delta_path_matches_reload_oracle(seed, threshold):
     rows = [_row(rng, i) for i in range(8)]
     db.insert(COLLECTION, rows)
     oracle.insert(COLLECTION, rows)
+    model = [_modelled(row) for row in rows]
     for step in range(14):
         kind = rng.choice(["insert", "delete", "update", "update"])
-        where = None if kind == "insert" else _where(rng, oracle.contents(COLLECTION))
+        where = None if kind == "insert" else _where(rng, model)
         if kind == "insert":
             payload = [_row(rng, 100 * step + j) for j in range(rng.randint(0, 3))]
         elif kind == "update":
@@ -247,7 +273,7 @@ def test_delta_path_matches_reload_oracle(seed, threshold):
         old_params = {"query": QUERY, "stats": stats_before}
         before = (db.count(COLLECTION), db.query(SECTION3_QUERY, old_params).value)
 
-        expected = _reload_oracle(oracle, kind, payload, where)
+        expected = _reload_oracle(oracle, model, kind, payload, where)
         if kind == "insert":
             db.insert(COLLECTION, payload)
             got = len(payload)
@@ -257,7 +283,8 @@ def test_delta_path_matches_reload_oracle(seed, threshold):
             got = db.update(COLLECTION, payload, where=where)
         context = f"seed {seed} step {step}: {kind} {payload!r} where {where!r}"
         assert got == expected, context
-        assert db.contents(COLLECTION) == oracle.contents(COLLECTION), context
+        assert db.contents(COLLECTION) == model, context
+        assert oracle.contents(COLLECTION) == model, context
 
         params = {"query": QUERY, "stats": db.stats(COLLECTION, "annotation")}
         ranking = db.query(SECTION3_QUERY, params).value
@@ -270,6 +297,58 @@ def test_delta_path_matches_reload_oracle(seed, threshold):
         assert pinned.count(COLLECTION) == before[0], context
         assert pinned.query(SECTION3_QUERY, old_params).value == before[1], context
         pinned.abort()
+
+
+@pytest.mark.parametrize("threshold", [None, 4], ids=["monolithic", "fragmented"])
+@pytest.mark.parametrize("shape", sorted(CRASH_SHAPES))
+def test_batch_split_and_replace_match_one_insert(shape, threshold):
+    """One insert of N NIL-heavy rows, the same rows in k random
+    batches, and a ``replace`` over a garbage state all write the same
+    collection: equal contents and equal compiled answers (the Section 3
+    ranking for CONTREP, within 1e-9)."""
+    element, value = CRASH_SHAPES[shape]
+    rng = random.Random(f"{shape}-{threshold}")
+    policy = FragmentationPolicy(target_size=4) if threshold else None
+    rows = [
+        {"k": None if i % 3 == 2 else f"k{i % 5}", "s": value(i)}
+        for i in range(13)
+    ]
+
+    def fresh():
+        db = MirrorDBMS(fragment_threshold=threshold, fragment_policy=policy)
+        db.define(f"define C as SET<TUPLE<Atomic<str>: k, {element}: s>>;")
+        return db
+
+    one = fresh()
+    one.insert("C", rows)
+    split = fresh()
+    cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(1, 5)))
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        split.insert("C", rows[lo:hi])
+    split.insert("C", [])
+    replaced = fresh()
+    replaced.insert("C", [{"k": "junk", "s": value(i)} for i in range(20, 29)])
+    replaced.delete("C", where={"k": "junk"})
+    replaced.insert("C", [{"k": None, "s": value(i)} for i in range(30, 35)])
+    replaced.update("C", {"s": value(1)}, where=lambda v: v["k"] is None)
+    assert replaced.replace("C", rows) == len(rows)
+
+    def ranking(db):
+        params = {"query": ["sea", "sunset"], "stats": db.stats("C", "s")}
+        return db.query(
+            "map[sum(THIS)](map[getBL(THIS.s, query, stats)](C));", params
+        ).value
+
+    # The compiler does not reach into a doubly nested SET.
+    probe = "map[THIS.k](C);" if shape == "set-of-set" else (
+        "map[THIS.s](select[THIS.k = 'k1'](C));"
+    )
+    assert len(one.contents("C")) == len(rows)
+    for db in (split, replaced):
+        assert db.contents("C") == one.contents("C")
+        assert db.query(probe).value == one.query(probe).value
+        if shape == "contrep":
+            assert ranking(db) == pytest.approx(ranking(one), abs=1e-9)
 
 
 def _registration(pool, name):

@@ -1,21 +1,30 @@
-"""Logical-to-physical mapping: load / reconstruct round-trips."""
+"""Logical-to-physical mapping: create + append / reconstruct
+round-trips (a load is an append to an empty collection)."""
 
 import pytest
 
 from repro.moa.ddl import parse_define
 from repro.moa.errors import MoaTypeError
 from repro.moa.mapping import (
+    append_collection,
     attribute_bat_names,
     collection_count,
-    load_collection,
+    create_collection,
+    delete_collection,
     reconstruct_collection,
 )
 from repro.moa.structures.contrep import ContentRepresentation
 
 
+def load(pool, name, ty, values):
+    """The one write path: create the collection empty, then append."""
+    create_collection(pool, name, ty)
+    append_collection(pool, name, ty, values)
+
+
 def roundtrip(pool, ddl, values):
     name, ty = parse_define(ddl)
-    load_collection(pool, name, ty, values)
+    load(pool, name, ty, values)
     return reconstruct_collection(pool, name, ty), name, ty
 
 
@@ -49,12 +58,14 @@ class TestFlatCollections:
     def test_missing_tuple_field_rejected(self, pool):
         name, ty = parse_define("define T as SET<TUPLE<Atomic<int>: a>>;")
         with pytest.raises(MoaTypeError, match="missing field"):
-            load_collection(pool, name, ty, [{"b": 1}])
+            load(pool, name, ty, [{"b": 1}])
 
     def test_reload_replaces(self, pool):
+        # A reload is delete-all + append, as MirrorDBMS.replace does it.
         name, ty = parse_define("define S as SET<Atomic<int>>;")
-        load_collection(pool, name, ty, [1, 2])
-        load_collection(pool, name, ty, [7])
+        load(pool, name, ty, [1, 2])
+        delete_collection(pool, name, ty, range(collection_count(pool, name)))
+        append_collection(pool, name, ty, [7])
         assert reconstruct_collection(pool, name, ty) == [7]
 
 
@@ -82,7 +93,7 @@ class TestNestedCollections:
     def test_none_collection_treated_as_empty(self, pool):
         ddl = "define N as SET<TUPLE<Atomic<str>: k, SET<Atomic<int>>: nums>>;"
         name, ty = parse_define(ddl)
-        load_collection(pool, name, ty, [{"k": "a", "nums": None}])
+        load(pool, name, ty, [{"k": "a", "nums": None}])
         assert reconstruct_collection(pool, name, ty) == [{"k": "a", "nums": []}]
 
     def test_list_preserves_order(self, pool):
@@ -124,14 +135,12 @@ class TestContrepMapping:
 
     def test_doclen_is_total_tf(self, pool):
         name, ty = parse_define(self.DDL)
-        load_collection(
-            pool, name, ty, [{"source": "u", "annotation": "red red sunset"}]
-        )
+        load(pool, name, ty, [{"source": "u", "annotation": "red red sunset"}])
         assert pool.lookup("Lib.annotation.doclen").tail_list() == [3]
 
     def test_bat_layout(self, pool):
         name, ty = parse_define(self.DDL)
-        load_collection(pool, name, ty, [{"source": "u", "annotation": "x y"}])
+        load(pool, name, ty, [{"source": "u", "annotation": "x y"}])
         for suffix in ("owner", "term", "tf", "doclen"):
             assert pool.exists(f"Lib.annotation.{suffix}")
 

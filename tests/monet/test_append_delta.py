@@ -247,6 +247,37 @@ def test_pool_append_advances_oid_generator():
     assert pool.new_oids(1) > 500
 
 
+@pytest.mark.parametrize("fragmented", [False, True], ids=["mono", "frag"])
+def test_pool_append_bumps_past_finite_appended_oids_only(fragmented):
+    """The bump reads the appended run of the built columns: NILs (the
+    greatest int64) never advance the sequence -- an all-NIL batch
+    bumps only past the grown void head -- and a finite oid in the run
+    does."""
+    pool = BATBufferPool()
+    bat = dense_bat("oid", [3, None, 4, None])
+    if fragmented:
+        pool.register_fragmented(
+            "x", fragment_bat(bat, FragmentationPolicy(target_size=2))
+        )
+    else:
+        pool.register("x", bat)
+    assert pool.oid_generator.current == 5
+    pool.append("x", tails=[None, None, None])
+    assert pool.oid_generator.current == 7  # the head's 0..6
+    pool.append("x", tails=[None, 40, None, 12, None])
+    assert pool.oid_generator.current == 41
+    assert pool.lookup("x").tail_list()[-5:] == [None, 40, None, 12, None]
+
+
+def test_pool_append_pairs_bumps_past_oid_heads_and_tails():
+    pool = BATBufferPool()
+    pool.register("x", bat_from_pairs("oid", "oid", [(0, 1)]))
+    pool.append("x", [(90, None), (7, 60), (None, None)])
+    assert pool.oid_generator.current == 91
+    pool.append("x", [(None, 200)])
+    assert pool.oid_generator.current == 201
+
+
 # ----------------------------------------------------------------------
 # merge_deltas and the daemon
 # ----------------------------------------------------------------------

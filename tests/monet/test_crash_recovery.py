@@ -15,7 +15,9 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import MonetError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
+from tests.conftest import CRASH_SHAPES
 
 
 def _seed_pool() -> BATBufferPool:
@@ -363,57 +366,174 @@ def test_parent_written_renumber_record_replays(tmp_path):
 # Crash-copy durability gate: every mapper x every mutation
 # ----------------------------------------------------------------------
 
-#: The element payload ``s`` of each structure kind, as a function of
-#: a row number (a NIL or an empty collection every few rows).
-CRASH_SHAPES = {
-    "tuple": ("Atomic<int>", lambda i: None if i % 4 == 3 else i * 10),
-    "set": (
-        "SET<Atomic<int>>",
-        lambda i: [i, i + 1, None][: i % 4],
-    ),
-    "list": (
-        "LIST<Atomic<str>>",
-        lambda i: [f"w{i}", None, f"w{i}"][: i % 4],
-    ),
-    "set-of-set": (
-        "SET<TUPLE<Atomic<str>: a, SET<TUPLE<Atomic<int>: b>>: inner>>",
-        lambda i: [
-            {"a": f"a{i}.{j}", "inner": [{"b": i * j + m} for m in range(j)]}
-            for j in range(i % 3)
-        ],
-    ),
-    "contrep": (
-        "CONTREP<Text>",
-        lambda i: ["", None, "sea sunset sea", "storm wave sand sea"][i % 4],
-    ),
-}
-
-
 @pytest.mark.parametrize("threshold", [None, 4], ids=["monolithic", "fragmented"])
-@pytest.mark.parametrize("kind", ["insert", "delete", "update"])
+@pytest.mark.parametrize(
+    "kind", ["insert", "delete", "update", "first-insert", "replace"]
+)
 @pytest.mark.parametrize("shape", sorted(CRASH_SHAPES))
 def test_crash_copy_recovers_every_mutation(tmp_path, shape, kind, threshold):
     """Save, mutate, copy the directory as it stands (no final save)
     and load the copy: every acknowledged mutation of every structure
-    kind must be there -- the WAL carries all of them."""
+    kind must be there -- the WAL carries all of them, the creation of
+    a collection first inserted into after the save and both halves of
+    a replace included."""
     element, value = CRASH_SHAPES[shape]
     policy = FragmentationPolicy(target_size=4) if threshold else None
     db = MirrorDBMS(fragment_threshold=threshold, fragment_policy=policy)
-    db.define(f"define C as SET<TUPLE<Atomic<str>: k, {element}: s>>;")
-    db.insert("C", [{"k": f"k{i}", "s": value(i)} for i in range(8)])
+    ddl = "define {} as SET<TUPLE<Atomic<str>: k, %s: s>>;" % element
+
+    def rows(ids):
+        return [{"k": f"k{i}", "s": value(i)} for i in ids]
+
+    db.define(ddl.format("C"))
+    db.insert("C", rows(range(8)))
     db.save(tmp_path / "store")
     if kind == "insert":
-        db.insert("C", [{"k": f"k{i}", "s": value(i)} for i in (8, 9)])
+        db.insert("C", rows((8, 9)))
     elif kind == "delete":
         assert db.delete("C", where={"k": "k2"}) == 1
         assert db.delete("C", where={"k": "k5"}) == 1
-    else:
+    elif kind == "update":
         assert db.update("C", {"s": value(6)}, where={"k": "k1"}) == 1
         assert db.update("C", {"s": value(3)}, where={"k": "k4"}) == 1
+    elif kind == "first-insert":
+        db.define(ddl.format("C2"))
+        db.insert("C2", rows(range(3, 9)))
+    else:
+        db.insert("C", rows([8]))
+        assert db.replace("C", rows((5, 2, 9))) == 3
+        db.insert("C", rows([10]))
     shutil.copytree(tmp_path / "store", tmp_path / "crash")
     recovered = MirrorDBMS.load(tmp_path / "crash")
-    assert recovered.count("C") == db.count("C")
-    assert recovered.contents("C") == db.contents("C")
+    assert recovered.collections() == db.collections()
+    for name in db.collections():
+        assert recovered.count(name) == db.count(name), name
+        assert recovered.contents(name) == db.contents(name), name
+
+
+def test_create_is_one_logged_record_and_replays(tmp_path):
+    pool = _seed_pool()
+    pool.save(tmp_path)
+    epoch = pool.epoch
+    pool.create({"x": "oid", "y": "str"})
+    assert pool.epoch == epoch + 1  # both names publish together
+    assert len(pool.lookup("y")) == 0
+    pool.append("x", tails=[7, None])
+    pool.append("y", tails=["p", "q"])
+    records = [
+        json.loads(line) for line in (tmp_path / "wal.jsonl").read_text().splitlines()
+    ]
+    assert records[0] == {
+        "generation": records[1]["generation"],
+        "create": {"x": "oid", "y": "str"},
+    }
+    assert len(records) == 3
+    restored = BATBufferPool.load(tmp_path)
+    assert restored.lookup("x").tail_list() == [7, None]
+    assert restored.lookup("y").tail_list() == ["p", "q"]
+    assert restored.lookup("a").tail_list() == [1, 2, 3]
+
+
+def test_create_refuses_registered_names():
+    pool = _seed_pool()
+    with pytest.raises(MonetError, match="cannot create registered"):
+        pool.create({"fresh": "int", "a": "int"})
+    assert not pool.exists("fresh")
+
+
+def test_concurrent_creates_of_one_name_admit_exactly_one():
+    """Check and publish happen under every name's mutator mutex: of
+    many threads creating the same BAT (each beside a private one),
+    exactly one wins and no loser registers anything."""
+    pool = BATBufferPool()
+    outcomes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=_try_create, args=(pool, i, outcomes))
+            for i in range(16)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    winners = [i for i, ok in outcomes if ok]
+    assert len(outcomes) == 16 and len(winners) == 1
+    assert pool.names() == sorted(["shared", f"own{winners[0]}"])
+
+
+def _try_create(pool, i, outcomes):
+    try:
+        pool.create({f"own{i}": "int", "shared": "oid"})
+        outcomes.append((i, True))
+    except MonetError:
+        outcomes.append((i, False))
+
+
+def test_create_record_registers_only_names_absent_from_catalog(tmp_path):
+    """Replay registers the empty BATs a create record names that the
+    loaded catalog lacks; a name the catalog holds keeps its BUNs."""
+    pool = _seed_pool()
+    pool.save(tmp_path)
+    generation = json.loads((tmp_path / "catalog.json").read_text())["generation"]
+    (tmp_path / "wal.jsonl").write_text(
+        json.dumps({"generation": generation, "create": {"a": "int", "z": "dbl"}})
+        + "\n"
+        + json.dumps({"name": "z", "generation": generation, "tails": [1.5]})
+        + "\n"
+    )
+    restored = BATBufferPool.load(tmp_path)
+    assert restored.lookup("a").tail_list() == [1, 2, 3]
+    assert restored.lookup("z").tail_list() == [1.5]
+
+
+def test_create_record_of_older_generation_is_fenced(tmp_path):
+    pool = _seed_pool()
+    pool.save(tmp_path)
+    (tmp_path / "wal.jsonl").write_text(
+        json.dumps({"generation": 0, "create": {"z": "int"}}) + "\n"
+    )
+    assert not BATBufferPool.load(tmp_path).exists("z")
+
+
+def test_unreplayable_create_record_is_skipped_with_warning(tmp_path):
+    pool = _seed_pool()
+    pool.save(tmp_path)
+    (tmp_path / "wal.jsonl").write_text(
+        json.dumps({"create": {"z": "no-such-atom"}})
+        + "\n"
+        + json.dumps({"name": "a", "tails": [4]})
+        + "\n"
+    )
+    with pytest.warns(RuntimeWarning, match="unreplayable"):
+        restored = BATBufferPool.load(tmp_path)
+    assert not restored.exists("z")
+    assert restored.lookup("a").tail_list() == [1, 2, 3, 4]
+
+
+def test_create_racing_a_save_is_relogged(tmp_path, monkeypatch):
+    """A save that lands between the create record's fsync and its
+    publish truncates the record while its catalog misses the BATs:
+    the create re-logs under the new generation, so recovery still
+    finds them."""
+    pool = _seed_pool()
+    pool.save(tmp_path)
+    real_log = BATBufferPool._wal_log
+
+    def log_then_save(self, record):
+        real_log(self, record)
+        monkeypatch.setattr(BATBufferPool, "_wal_log", real_log)
+        self.save(tmp_path)
+
+    monkeypatch.setattr(BATBufferPool, "_wal_log", log_then_save)
+    pool.create({"z": "int"})
+    pool.append("z", tails=[5])
+    restored = BATBufferPool.load(tmp_path)
+    assert restored.lookup("z").tail_list() == [5]
 
 
 def test_torn_trailing_tombstone_record_is_discarded(tmp_path):

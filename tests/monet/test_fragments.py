@@ -263,7 +263,8 @@ def test_mapping_threshold_fragments_large_attributes(pool):
 
     ty = SetType(TupleType((("value", AtomicType("int")),)))
     with mapping.fragmentation(16, FragmentationPolicy(target_size=16)):
-        mapping.load_collection(pool, "Lib", ty, docs)
+        mapping.create_collection(pool, "Lib", ty)
+        mapping.append_collection(pool, "Lib", ty, docs)
     assert pool.is_fragmented("Lib.value")
     assert pool.lookup_fragments("Lib.value").nfragments == 4
     # The extent spine stays monolithic.
