@@ -18,6 +18,9 @@ Monet extensible database system that the Mirror DBMS relies on:
   operators that lift atom operations to whole BATs.
 * :mod:`repro.monet.bbp` -- the BAT buffer pool: a named catalog of
   persistent BATs.
+* :mod:`repro.monet.codec` -- the one column codec: a column as arrays
+  or bytes (numeric arrays, str as a string heap) and back, validated,
+  for the BBP files and the query service's wire.
 * :mod:`repro.monet.mil` -- a MIL-like plan language (lexer, parser,
   interpreter); the Moa compiler emits MIL text which this interpreter
   executes against a BBP.

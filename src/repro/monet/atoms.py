@@ -20,7 +20,8 @@ Built-in atoms
 ``str``
     Variable-length string (numpy object column; its dictionary
     encoding, :func:`repro.monet.bat.dictionary_encode`, is the join
-    accelerator and, as codes plus a string heap, the on-disk form).
+    accelerator and, as codes plus a string heap, the stored and wire
+    form of :mod:`repro.monet.codec`).
 ``bit``
     Boolean.
 

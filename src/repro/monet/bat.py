@@ -58,12 +58,12 @@ Monet's hash accelerator:
   delete's survivors are a gather and so stay warm, correctly); nothing
   ever has to invalidate;
 * **never persisted** -- the slot is not part of the stored form: a
-  str column is stored as codes plus a string heap of its distinct
-  values (:mod:`repro.monet.bbp`; ``save`` encodes afresh and keeps
-  nothing), and loading does not restore the slot, so loaded columns
-  start cold (whether a loaded column should arrive warm is still
-  open, to be decided together with how an append extends a warm
-  dictionary);
+  str column is stored and shipped as codes plus a string heap of its
+  distinct values by the one column codec (:mod:`repro.monet.codec`,
+  which encodes afresh and neither reads nor fills the slot), and
+  decoding does not set the slot, so loaded columns start cold
+  (whether a loaded column should arrive warm is still open, to be
+  decided together with how an append extends a warm dictionary);
 * **published unlocked, by a single attribute store** -- two threads
   racing to build it compute equal encodings and the last store wins;
   a reader sees either ``None`` or a complete encoding, never a

@@ -18,7 +18,8 @@ Monet's "BBP dir + heap files" layout at a coarse granularity: enough
 to round-trip a whole Mirror database.  A str column is stored as
 Monet's string heap: codes in the column, each distinct value once in
 a UTF-8 heap.  Files are read without pickle and validated; any other
-layout is refused (format and rules above :func:`_bat_entry`).
+layout is refused (columns in the :mod:`repro.monet.codec` format,
+file and catalog rules above :func:`_read_catalog`).
 The catalog holds no tuning: knobs come from the environment
 (:mod:`repro.monet.tuning`), and a ``tuning`` key written by an older
 build is ignored on load and dropped by the next save.
@@ -45,9 +46,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.monet.atoms import OID_NIL, OidGenerator, atom
-from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode, empty_bat
+from repro.monet import codec as _codec
+from repro.monet.bat import BAT, empty_bat
 from repro.monet.errors import (
     BBPError,
+    KernelError,
     MonetError,
     UnknownMutationTarget,
 )
@@ -716,11 +719,8 @@ class BATBufferPool:
         existing = directory / "catalog.json"
         if existing.exists():
             try:
-                generation = max(
-                    generation,
-                    int(json.loads(existing.read_text()).get("generation", 0)),
-                )
-            except (OSError, ValueError, json.JSONDecodeError):
+                generation = max(generation, _read_catalog(existing).get("generation", 0))
+            except BBPError:
                 pass
         generation += 1
         catalog = {
@@ -906,30 +906,27 @@ class BATBufferPool:
         catalog_path = directory / "catalog.json"
         if not catalog_path.exists():
             raise BBPError(f"no catalog.json under {directory}")
-        catalog = json.loads(catalog_path.read_text())
+        catalog = _read_catalog(catalog_path)
         pool = cls()
         for name, entry in catalog["bats"].items():
-            if name.startswith("@"):
-                # Session temps leaked into a catalog written before the
-                # @-namespace exclusion; dead sessions stay dead.
-                continue
             if entry.get("fragmented"):
-                if type(entry.get("target_size")) is not int:
-                    raise BBPError(f"catalog entry {name!r}: no integer target_size")
                 fragments = [
                     _restore_bat(directory, sub_entry, name)
                     for sub_entry in entry["fragments"]
                 ]
-                pool._fragmented[name] = FragmentedBAT(
-                    fragments,
-                    policy=FragmentationPolicy(target_size=entry["target_size"]),
-                    name=name,
-                )
+                try:
+                    pool._fragmented[name] = FragmentedBAT(
+                        fragments,
+                        policy=FragmentationPolicy(target_size=entry["target_size"]),
+                        name=name,
+                    )
+                except KernelError as exc:
+                    raise BBPError(f"catalog entry {name!r}: {exc}") from None
             else:
                 bat = pool._bats[name] = _restore_bat(directory, entry, name)
                 bat.name = name
         pool.oid_generator.bump_past(catalog.get("oid_next", 0) - 1)
-        pool._generation = int(catalog.get("generation", 0))
+        pool._generation = catalog.get("generation", 0)
         _sweep_unreferenced(directory, catalog)
         _replay_wal(pool, directory)
         with pool._lock:
@@ -1370,40 +1367,90 @@ def drop_spill_unit(path: Union[str, Path]) -> None:
 
 
 # ----------------------------------------------------------------------
-# The BAT file format
+# The BAT files
 #
-# One npz per BAT or fragment.  A void column stores nothing (its
-# seqbase and the count ride in the catalog entry); a numeric column is
-# its value array under ``head``/``tail``.  A str column is stored the
-# way Monet stores variable-size atoms -- one heap of its distinct
-# values, and codes in the column:
-#
-# * ``<key>``: the codes, in the narrowest signed int dtype holding
-#   -1..n-1 (NIL is -1);
-# * ``<key>_heap``: uint8, the n distinct values in code order, UTF-8
-#   with ``surrogatepass`` (lone surrogates are str values too);
-# * ``<key>_offsets``: int64, n + 1 entries; value i is
-#   ``heap[offsets[i]:offsets[i + 1]]``.
-#
-# A data directory is outside input.  The reader reads no pickle and
-# validates every array: a file must hold exactly the arrays its entry
-# implies, a numeric array must hold its atom's values exactly (it is
-# never cast lossily), and head and tail -- a void side counted by the
-# entry's ``count`` -- must be equally long.  Catalog keys it does not
-# know are ignored, as a fragmented entry's old ``workers`` key is.
-# Anything else -- the pre-BUN-order round-robin layout, whose fragment
-# files carry ``positions``, an entry without ``target_size``, a ``<U``
-# str array -- is a BBPError naming the catalog entry, the file and,
-# where one is at fault, the array.
+# One npz per BAT or fragment: each non-void column is its parts in the
+# format of :mod:`repro.monet.codec` (members ``<key>``, ``<key>_heap``,
+# ``<key>_offsets``); a void column's seqbase and the count ride in the
+# catalog entry.  A data directory is outside input: no pickle is read,
+# the catalog is validated (:func:`_read_catalog`), the codec validates
+# every column, and a file holds exactly the arrays its entry implies.
+# Unknown catalog keys are ignored (a fragmented entry's old ``workers``
+# key); anything else -- the round-robin layout (fragment files carrying
+# ``positions``), an entry without ``target_size``, a ``<U`` str array
+# -- is a BBPError naming the entry, the file and the array at fault.
 # ----------------------------------------------------------------------
 
 _ENTRY_KEYS = frozenset(
     {"file", "htype", "ttype", "hsorted", "tsorted", "hkey", "tkey", "hvoid", "tvoid"}
 )
-_CODE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+#: A catalog ``file``: a name inside the data directory, never a path.
+_BARE_FILENAME = re.compile(r"(?!\.\.?$)[\w.-]+")
 #: What ``np.load`` raises on a missing, truncated, corrupt or pickled
 #: file or member.
 _NPZ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
+def _read_catalog(path: Path) -> dict:
+    """The catalog at *path*, validated before anything reads it: a JSON
+    object whose ``bats`` is an object, ``oid_next``/``generation``
+    non-negative ints when present, and every entry but a session
+    temp's (``@``, dropped) an object -- a fragmented one with an
+    integer ``target_size`` and a non-empty ``fragments`` list of BAT
+    entries.  Each violation is a BBPError naming catalog.json and,
+    below the top level, the entry."""
+    try:
+        catalog = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise BBPError(f"{path.name}: unreadable: {exc}") from None
+    if not isinstance(catalog, dict) or not isinstance(catalog.get("bats"), dict):
+        raise BBPError(f"{path.name}: not an object with a 'bats' object")
+    for key in ("oid_next", "generation"):
+        value = catalog.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise BBPError(f"{path.name}: {key!r} is {value!r}, not a non-negative int")
+    # Session temps leaked into a catalog written before the @-namespace
+    # exclusion: dead sessions stay dead, and their files are garbage.
+    catalog["bats"] = {
+        name: entry for name, entry in catalog["bats"].items() if not name.startswith("@")
+    }
+    for name, entry in catalog["bats"].items():
+        where = f"{path.name}: catalog entry {name!r}"
+        if not isinstance(entry, dict) or not entry.get("fragmented"):
+            _check_bat_entry(entry, where)
+            continue
+        target_size, fragments = entry.get("target_size"), entry.get("fragments")
+        if type(target_size) is not int or target_size < 1:
+            raise BBPError(f"{where}: no integer target_size")
+        if not isinstance(fragments, list) or not fragments:
+            raise BBPError(f"{where}: no 'fragments' list")
+        for sub_entry in fragments:
+            _check_bat_entry(sub_entry, where)
+    return catalog
+
+
+def _check_bat_entry(entry, where: str) -> None:
+    """One BAT entry's fields: all of :data:`_ENTRY_KEYS`, ``file`` a
+    bare filename inside the directory, the atoms strings, the flags
+    booleans (or 0/1), and a void side's seqbase and the count
+    non-negative ints."""
+    if not isinstance(entry, dict):
+        raise BBPError(f"{where}: {entry!r} is not an object")
+    missing = _ENTRY_KEYS - set(entry)
+    if missing:
+        raise BBPError(f"{where}: no {sorted(missing)}")
+    filename = entry["file"]
+    if not isinstance(filename, str) or not _BARE_FILENAME.fullmatch(filename):
+        raise BBPError(f"{where}: file {filename!r} is not a bare filename")
+    where = f"{where}, {filename}"
+    for key in sorted(_ENTRY_KEYS - {"file"}):
+        value = entry[key]
+        if not (type(value) is str if key.endswith("type") else value in (False, True)):
+            raise BBPError(f"{where}: {key!r} is {value!r}")
+    for prefix, key in (("h", "head"), ("t", "tail")):
+        counts = (entry.get(f"{prefix}seqbase"), entry.get("count"))
+        if entry[f"{prefix}void"] and not all(type(n) is int and n >= 0 for n in counts):
+            raise BBPError(f"{where}: void {key} needs {prefix}seqbase and count")
 
 
 def _bat_entry(bat: BAT, filename: str) -> tuple:
@@ -1421,30 +1468,12 @@ def _bat_entry(bat: BAT, filename: str) -> tuple:
     }
     arrays = {}
     for prefix, key, column in (("h", "head", bat.head), ("t", "tail", bat.tail)):
+        spec, parts = _codec.encode(column)
         if column.is_void:
-            entry[f"{prefix}seqbase"] = column.seqbase
-            entry["count"] = len(bat)
-        else:
-            arrays.update(_column_arrays(key, column))
+            entry[f"{prefix}seqbase"] = spec["seqbase"]
+            entry["count"] = spec["count"]
+        arrays.update(zip(_codec.part_names(spec["atom"], key), parts))
     return entry, arrays
-
-
-def _column_arrays(key: str, column: Column) -> Dict[str, np.ndarray]:
-    """The stored arrays of one materialized column.  A str column is
-    encoded here and the encoding is not kept, so saving changes no
-    column."""
-    if column.atom_type.name != "str":
-        return {key: column.values}
-    codes, dictionary = dictionary_encode(column.values)
-    blobs = [value.encode("utf-8", "surrogatepass") for value in dictionary]
-    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(blob) for blob in blobs], dtype=np.int64)
-    dtype = next(d for d in _CODE_DTYPES if len(blobs) - 1 <= np.iinfo(d).max)
-    return {
-        key: codes.astype(dtype),
-        f"{key}_heap": np.frombuffer(b"".join(blobs), dtype=np.uint8),
-        f"{key}_offsets": offsets,
-    }
 
 
 def _read_npz(path: Path, where: str) -> Dict[str, np.ndarray]:
@@ -1465,82 +1494,28 @@ def _read_npz(path: Path, where: str) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _restore_bat(directory: Path, entry, name: str) -> BAT:
-    """The BAT (or fragment) one catalog entry describes, validated
-    against the format above."""
-    missing = _ENTRY_KEYS - set(entry)
-    if missing:
-        raise BBPError(f"catalog entry {name!r}: no {sorted(missing)}")
+def _restore_bat(directory: Path, entry: dict, name: str) -> BAT:
+    """The BAT (or fragment) one validated catalog entry describes, its
+    columns decoded by the codec."""
     where = f"catalog entry {name!r}, {entry['file']}"
     arrays = _read_npz(directory / entry["file"], where)
-    head = _restore_column(entry, arrays, "h", "head", where)
-    tail = _restore_column(entry, arrays, "t", "tail", where)
+    count = entry.get("count") if entry["hvoid"] or entry["tvoid"] else None
+    columns = []
+    for prefix, key in (("h", "head"), ("t", "tail")):
+        atom_name = "void" if entry[f"{prefix}void"] else entry[f"{prefix}type"]
+        spec = {"atom": atom_name, "seqbase": entry.get(f"{prefix}seqbase"), "count": count}
+        try:
+            parts = [arrays.pop(part, None) for part in _codec.part_names(atom_name, key)]
+            columns.append(_codec.decode(spec, parts, key))
+        except _codec.CodecError as exc:
+            raise BBPError(f"{where}: {exc}") from None
+        count = len(columns[-1])
     if arrays:
         raise BBPError(f"{where}: unexpected arrays {sorted(arrays)}")
-    if len(head) != len(tail):
-        raise BBPError(f"{where}: head holds {len(head)} rows, tail {len(tail)} rows")
     return BAT(
-        head,
-        tail,
+        *columns,
         hsorted=entry["hsorted"],
         tsorted=entry["tsorted"],
         hkey=entry["hkey"],
         tkey=entry["tkey"],
     )
-
-
-def _restore_column(entry: dict, arrays: dict, prefix: str, key: str, where: str):
-    """One column of *entry*, consuming its arrays from *arrays*."""
-    if entry[f"{prefix}void"]:
-        seqbase, count = entry.get(f"{prefix}seqbase"), entry.get("count")
-        if not all(type(n) is int and n >= 0 for n in (seqbase, count)):
-            raise BBPError(f"{where}: void {key} needs {prefix}seqbase and count")
-        return VoidColumn(seqbase, count)
-    atom_name = entry[f"{prefix}type"]
-    if atom_name == "str":
-        return Column("str", _decode_heap(arrays, key, where))
-    dtype = atom(atom_name).dtype
-    floats = dtype.kind == "f"
-    values = _pop_array(arrays, key, "biuf" if floats else "biu", where)
-    restored = values.astype(dtype)
-    if values.dtype != dtype and not np.array_equal(restored, values, equal_nan=floats):
-        raise BBPError(f"{where}: array {key!r} ({values.dtype}) does not fit {atom_name}")
-    return Column(atom_name, restored)
-
-
-def _pop_array(arrays: dict, key: str, kinds: str, where: str) -> np.ndarray:
-    array = arrays.pop(key, None)
-    if array is None:
-        raise BBPError(f"{where}: array {key!r} is missing")
-    if array.ndim != 1 or array.dtype.kind not in kinds:
-        raise BBPError(f"{where}: array {key!r} has shape {array.shape}, dtype {array.dtype}")
-    return array
-
-
-def _decode_heap(arrays: dict, key: str, where: str) -> np.ndarray:
-    """A str column's values from its codes and string heap: the
-    distinct values decode once, then one ``take`` gathers every row
-    through a lookup whose last slot (code -1) is NIL."""
-    codes = _pop_array(arrays, key, "i", where)
-    heap = _pop_array(arrays, f"{key}_heap", "u", where)
-    offsets = _pop_array(arrays, f"{key}_offsets", "i", where)
-    n = len(offsets) - 1
-    if heap.dtype != np.uint8:
-        raise BBPError(f"{where}: array {key + '_heap'!r} is not uint8")
-    if n < 0 or offsets[0] != 0 or offsets[-1] != len(heap) or (np.diff(offsets) < 0).any():
-        raise BBPError(
-            f"{where}: array {key + '_offsets'!r} does not run from 0 up to "
-            f"len({key}_heap) = {len(heap)}"
-        )
-    if len(codes) and (codes.min() < -1 or codes.max() >= n):
-        raise BBPError(f"{where}: array {key!r} holds codes outside [-1, {n})")
-    raw, bounds = heap.tobytes(), offsets.tolist()
-    lookup = np.empty(n + 1, dtype=object)
-    try:
-        lookup[:n] = [
-            raw[start:stop].decode("utf-8", "surrogatepass")
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-    except UnicodeDecodeError as exc:
-        raise BBPError(f"{where}: array {key + '_heap'!r} does not decode: {exc}") from None
-    return lookup.take(codes)

@@ -24,16 +24,18 @@ present.  Query results come in three kinds:
             their Python types;
 ``scalar``  an aggregate or MIL scalar as its JSON ``value``.
 
-A column is shipped by atom.  ``str``/``bit`` columns, and every
-column in JSON mode (``binary: false``), are a ``values`` list with NIL
-as ``null``.  In binary mode numeric columns (``int``/``oid``/``dbl``)
-ride as raw little-endian arrays in the trailing frames -- zero JSON
-overhead for the bulk of a result: a BAT's head and tail each take a
-frame, a ``moa`` result's numeric leaves share one frame at byte
-``offset``s, so a message carries at most :data:`MAX_FRAMES` frames.
-A frame decodes with the kernel's one NIL rule
-(:func:`repro.monet.bat.column_to_list`: the int/oid sentinel and dbl
-NaN become ``None``).  Void columns ship as their ``seqbase`` alone.
+A column ships through the one column codec (:mod:`repro.monet.codec`,
+whose docstring is the format) as a spec with its ``atom`` and
+``count`` (a void column: ``seqbase`` and ``count``, no bytes).  In
+binary mode (the default) its parts -- little-endian numbers, ``bit``
+as int8, ``str`` as Monet's string heap -- share the message's one
+frame at 8-byte aligned offsets, for ``bat`` and ``moa`` results alike,
+so :data:`MAX_FRAMES` is 1.  In JSON mode (``binary: false``) a column
+is a ``values`` list, NIL as ``null``.  The client decodes every column
+through the codec's validator (a ``bat`` column against the result's
+``count``): a length, layout or atom lie is a :class:`ProtocolError`,
+and values come out with the kernel's one NIL rule
+(:func:`repro.monet.bat.column_to_list`).
 
 Operation table (protocol version 2; versioned by extension -- a v1
 peer simply never sends the v2 ops).  Each line is a row of
@@ -123,20 +125,18 @@ import numpy as np
 from repro.moa.compiler import rep_from_shape, rep_shape
 from repro.moa.errors import MoaError
 from repro.moa.executor import ResultColumns
-from repro.monet.bat import BAT, Column, column_to_list
+from repro.monet import codec
+from repro.monet.bat import BAT, AnyColumn, column_to_list
 
 #: Hard ceiling on one frame; a peer announcing more is a protocol
 #: error, not an allocation.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: Frames per message ceiling: a BAT result ships its two numeric
-#: columns as two frames, a Moa result all its numeric leaves in one.
-MAX_FRAMES = 2
+#: Frames per message ceiling: every column of a result lays its codec
+#: parts out in one frame (:func:`repro.monet.codec.to_frame`).
+MAX_FRAMES = 1
 
 _LENGTH = struct.Struct("!I")
-
-#: Numeric atoms that may ride binary frames, with their wire dtypes.
-_BINARY_DTYPES = {"int": "<i8", "oid": "<i8", "dbl": "<f8"}
 
 
 class ProtocolError(Exception):
@@ -252,35 +252,17 @@ class BATResult:
         return list(zip(self.head, self.tail))
 
 
-def _encode_column(column, atom_name: str, binary: bool, frames: List[bytes]):
-    if column.is_void:
-        return {"atom": "void", "seqbase": column.seqbase, "count": len(column)}
-    if binary and atom_name in _BINARY_DTYPES:
-        dtype = _BINARY_DTYPES[atom_name]
-        frames.append(np.ascontiguousarray(column.materialize().astype(dtype)).tobytes())
-        return {"atom": atom_name, "frame": len(frames) - 1, "dtype": dtype}
-    return {"atom": atom_name, "values": column_to_list(column)}
-
-
-def _encode_moa(columns: ResultColumns, binary: bool) -> Tuple[Dict[str, Any], List[bytes]]:
-    """A collection result as its rep's shape plus one column per leaf;
-    the numeric leaves share one frame, back to back."""
-    parts: List[bytes] = []
-    specs: Dict[str, Any] = {}
-    offset = 0
-    for var, bat in columns.leaves.items():
-        spec = _encode_column(bat.tail, bat.ttype, binary, parts)
-        if "frame" in spec:
-            spec.update(frame=0, offset=offset, count=len(bat))
-            offset += len(parts[-1])
-        specs[var] = spec
-    result = {
-        "kind": "moa",
-        "count": columns.count,
-        "shape": rep_shape(columns.rep),
-        "columns": specs,
-    }
-    return result, [b"".join(parts)] if parts else []
+def _encode_columns(
+    columns: Dict[str, AnyColumn], binary: bool
+) -> Tuple[Dict[str, Any], List[bytes]]:
+    """Every column's spec through the one codec, with its parts in the
+    message's one frame (binary) or its ``values`` (JSON)."""
+    if not binary:
+        return {key: codec.to_values(column) for key, column in columns.items()}, []
+    encoded = {key: codec.encode(column) for key, column in columns.items()}
+    frame = codec.to_frame(list(encoded.values()))
+    specs = {key: spec for key, (spec, _) in encoded.items()}
+    return specs, [frame] if any(parts for _, parts in encoded.values()) else []
 
 
 def encode_result(value: Any, binary: bool) -> Tuple[Dict[str, Any], List[bytes]]:
@@ -289,6 +271,7 @@ def encode_result(value: Any, binary: bool) -> Tuple[Dict[str, Any], List[bytes]
     plus trailing binary frames."""
     frames: List[bytes] = []
     if isinstance(value, BAT):
+        columns, frames = _encode_columns({"head": value.head, "tail": value.tail}, binary)
         result = {
             "kind": "bat",
             "count": len(value),
@@ -300,12 +283,20 @@ def encode_result(value: Any, binary: bool) -> Tuple[Dict[str, Any], List[bytes]
                 "hkey": value.hkey,
                 "tkey": value.tkey,
             },
-            "head": _encode_column(value.head, value.htype, binary, frames),
-            "tail": _encode_column(value.tail, value.ttype, binary, frames),
+            **columns,
         }
         return result, frames
     if isinstance(value, ResultColumns):
-        return _encode_moa(value, binary)
+        columns, frames = _encode_columns(
+            {var: bat.tail for var, bat in value.leaves.items()}, binary
+        )
+        result = {
+            "kind": "moa",
+            "count": value.count,
+            "shape": rep_shape(value.rep),
+            "columns": columns,
+        }
+        return result, frames
     if isinstance(value, np.generic):
         value = value.item()
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -335,31 +326,26 @@ def _json_safe(value: Any) -> Any:
     raise TypeError(f"cannot encode a {type(value).__name__} result")
 
 
-def _decode_column(spec: Dict[str, Any], frames: List[bytes], count: int = 0) -> List[Any]:
-    """One column's values (NIL as ``None``); a void column without its
-    own ``count`` spans *count* positions."""
-    atom_name = spec.get("atom")
-    if atom_name == "void":
-        seqbase = int(spec.get("seqbase", 0))
-        return list(range(seqbase, seqbase + int(spec.get("count", count))))
-    if "frame" in spec:
-        index = spec["frame"]
-        if not isinstance(index, int) or not 0 <= index < len(frames):
-            raise ProtocolError(f"column references missing frame {index!r}")
-        if atom_name not in _BINARY_DTYPES:
-            raise ProtocolError(f"atom {atom_name!r} cannot ride a frame")
-        try:
-            array = np.frombuffer(
-                frames[index], dtype=_BINARY_DTYPES[atom_name],
-                count=spec.get("count", -1), offset=spec.get("offset", 0),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"column does not fit its frame: {exc}") from exc
-        return column_to_list(Column(atom_name, array))
-    values = spec.get("values")
-    if not isinstance(values, list):
-        raise ProtocolError(f"column of atom {atom_name!r} has no values")
-    return values
+def _decode_column(
+    spec: Any, frames: List[bytes], where: str, count: Optional[int] = None
+) -> List[Any]:
+    """One column's values (NIL as ``None``), decoded by the codec from
+    the message's frame or its JSON ``values``; a *count* given is the
+    length the column must have."""
+    try:
+        declared = spec.get("count", count) if isinstance(spec, dict) else None
+        if type(declared) is not int or count not in (None, declared):
+            raise codec.CodecError(f"column {where!r} declares {declared!r} rows, not {count}")
+        spec = dict(spec, count=declared)
+        if "frame" not in spec:
+            column = codec.from_values(spec, spec.get("values"), where)
+        elif spec["frame"] == 0 and len(frames) == 1:
+            column = codec.from_frame(spec, frames[0], where)
+        else:
+            raise codec.CodecError(f"column {where!r} references frame {spec['frame']!r}")
+    except codec.CodecError as exc:
+        raise ProtocolError(f"malformed column: {exc}") from None
+    return column_to_list(column)
 
 
 def _decode_moa(result: Dict[str, Any], frames: List[bytes]) -> List[Any]:
@@ -367,7 +353,7 @@ def _decode_moa(result: Dict[str, Any], frames: List[bytes]) -> List[Any]:
     one the in-process executor runs."""
     try:
         columns = {
-            var: _decode_column(spec, frames)
+            var: _decode_column(spec, frames, var)
             for var, spec in result["columns"].items()
         }
         return rep_from_shape(result["shape"]).rebuild(
@@ -384,10 +370,12 @@ def decode_result(result: Dict[str, Any], frames: List[bytes]) -> Any:
     ``defined``/...) pass through as their result dict."""
     kind = result.get("kind")
     if kind == "bat":
-        count = int(result.get("count", 0))
+        count = result.get("count")
+        if type(count) is not int:
+            raise ProtocolError(f"bat result declares count {count!r}")
         return BATResult(
-            head=_decode_column(result.get("head", {}), frames, count),
-            tail=_decode_column(result.get("tail", {}), frames, count),
+            head=_decode_column(result.get("head"), frames, "head", count),
+            tail=_decode_column(result.get("tail"), frames, "tail", count),
             htype=result.get("htype", "?"),
             ttype=result.get("ttype", "?"),
             flags=dict(result.get("flags", {})),

@@ -525,6 +525,86 @@ def test_fixed_width_unicode_str_file_is_refused(tmp_path):
         BATBufferPool.load(tmp_path / "db")
 
 
+_DELETE = object()
+
+
+def _damaged(catalog, *path, value=_DELETE):
+    """*catalog* with the key at *path* set to *value* (or deleted)."""
+    *parents, key = path
+    node = catalog
+    for parent in parents:
+        node = node[parent]
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return catalog
+
+
+def _outside_file(catalog, directory):
+    """Entry 's' pointed at a valid BAT file one directory up."""
+    outside = directory.parent / "outside.npz"
+    (directory / catalog["bats"]["s"]["file"]).rename(outside)
+    return _damaged(catalog, "bats", "s", "file", value="../outside.npz")
+
+
+#: catalog damage (the new catalog, or raw text) -> what the BBPError
+#: must name.  Each case escaped as a raw JSONDecodeError, KeyError,
+#: TypeError, AttributeError or ValueError, or read a file outside the
+#: directory, before the catalog was validated.
+CATALOG_DAMAGE = {
+    "corrupt_json": (lambda c, d: '{"bats": {"s": ', r"catalog\.json"),
+    "no_bats": (lambda c, d: _damaged(c, "bats"), r"catalog\.json.*'bats'"),
+    "fragmented_without_fragments": (
+        lambda c, d: _damaged(c, "bats", "f", "fragments"),
+        r"catalog\.json.*'f'.*fragments",
+    ),
+    "oid_next_text": (
+        lambda c, d: _damaged(c, "oid_next", value="7"), r"catalog\.json.*'oid_next'"
+    ),
+    "entry_not_an_object": (
+        lambda c, d: _damaged(c, "bats", "s", value=["bat.npz"]), r"catalog\.json.*'s'"
+    ),
+    "generation_text": (
+        lambda c, d: _damaged(c, "generation", value="x"), r"catalog\.json.*'generation'"
+    ),
+    "top_level_list": (lambda c, d: [c], r"catalog\.json"),
+    "file_outside_directory": (_outside_file, r"catalog\.json.*'s'.*'\.\./outside\.npz'"),
+    "file_absolute_path": (
+        lambda c, d: _damaged(c, "bats", "s", "file", value=str(d / c["bats"]["s"]["file"])),
+        r"catalog\.json.*'s'.*bare filename",
+    ),
+    "flag_not_a_bool": (
+        lambda c, d: _damaged(c, "bats", "s", "tsorted", value="yes"),
+        r"catalog\.json.*'s'.*'tsorted'",
+    ),
+    "unknown_atom": (
+        lambda c, d: _damaged(c, "bats", "s", "ttype", value="nosuchatom"),
+        r"'s'.*nosuchatom",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", list(CATALOG_DAMAGE))
+def test_malformed_catalog_is_refused(pool, tmp_path, damage):
+    """A data directory's catalog is outside input too: every malformed
+    shape is a BBPError naming catalog.json and, below the top level,
+    the entry -- and ``file`` must be a bare filename inside the
+    directory."""
+    pool.register("s", dense_bat("int", [1, None, 3]))
+    pool.register_fragmented(
+        "f", fragment_bat(dense_bat("int", list(range(9))), FragmentationPolicy(4))
+    )
+    directory = tmp_path / "db"
+    pool.save(directory)
+    change, named = CATALOG_DAMAGE[damage]
+    catalog_path = directory / "catalog.json"
+    damaged = change(json.loads(catalog_path.read_text()), directory)
+    catalog_path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    with pytest.raises(BBPError, match=named):
+        BATBufferPool.load(directory)
+
+
 # ----------------------------------------------------------------------
 # Concurrency: the locked catalog and view-cache invalidation
 # ----------------------------------------------------------------------

@@ -303,7 +303,7 @@ def test_protocol_docstring_lists_the_table():
 
 STREAMS = {
     "header only": pack_message({"op": "ping", "id": 7}),
-    "frames": pack_message({"op": "x"}, [b"abc", b""]),
+    "frames": pack_message({"op": "x"}, [b"abc"]),
     "eof between messages": b"",
     "eof mid-frame": pack_message({"op": "x"}, [b"abcdef"])[:-3],
     "eof before a declared frame": pack_message({"op": "x", "frames": 1}),

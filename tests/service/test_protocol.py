@@ -37,10 +37,12 @@ class TestFraming:
         assert frames == []
 
     def test_frames_roundtrip(self):
-        blob = pack_message({"op": "x"}, [b"abc", b""])
-        header, frames = roundtrip(blob)
-        assert header["frames"] == 2
-        assert frames == [b"abc", b""]
+        # A message carries at most MAX_FRAMES (one) frames; an empty
+        # frame is a frame too.
+        for frame in (b"abc", b""):
+            header, frames = roundtrip(pack_message({"op": "x"}, [frame]))
+            assert header["frames"] == MAX_FRAMES == 1
+            assert frames == [frame]
 
     def test_eof_between_messages(self):
         with pytest.raises(EOFError):
@@ -69,7 +71,9 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             roundtrip(blob)
 
-    @pytest.mark.parametrize("count", [MAX_FRAMES + 1, 2**31, -1, "2"])
+    @pytest.mark.parametrize(
+        "count", [3, 2**31, -1, "2", pytest.param(MAX_FRAMES + 1, id="one-beyond-the-cap")]
+    )
     def test_frame_count_beyond_the_cap_is_refused(self, count):
         blob = pack_message({"op": "x", "frames": count})
         with pytest.raises(ProtocolError):
@@ -108,6 +112,16 @@ class TestResultEncoding:
         bat = dense_bat("str", ["ape", None, "cat"])
         decoded = self.assert_roundtrip(bat, binary)
         assert decoded.tail == ["ape", None, "cat"]
+        result, frames = encode_result(bat, binary)
+        if binary:
+            # The string heap rides the frame: int8 codes, the UTF-8
+            # heap of the distinct values, int64 offsets.
+            assert "values" not in result["tail"]
+            assert result["tail"]["parts"] == [["|i1", 3], ["|u1", 6], ["<i8", 3]]
+            (frame,) = frames
+            assert frame[:3] == bytes([0, 255, 1]) and frame[8:14] == b"apecat"
+        else:
+            assert result["tail"]["values"] == ["ape", None, "cat"] and frames == []
 
     def test_binary_mode_ships_numeric_frames(self):
         bat = BAT(
@@ -115,10 +129,18 @@ class TestResultEncoding:
             Column("dbl", np.array([1.0, 2.0, 3.0])),
         )
         result, frames = encode_result(bat, True)
-        assert len(frames) == 2
-        assert result["head"]["frame"] == 0
-        assert result["tail"]["dtype"] == "<f8"
-        assert np.frombuffer(frames[1], "<f8").tolist() == [1.0, 2.0, 3.0]
+        assert len(frames) == 1
+        assert result["head"]["frame"] == result["tail"]["frame"] == 0
+        assert result["head"]["parts"] == [["<i8", 3]]
+        assert result["tail"]["parts"] == [["<f8", 3]]
+        assert result["tail"]["offset"] == 24
+        assert np.frombuffer(frames[0], "<f8", offset=24).tolist() == [1.0, 2.0, 3.0]
+        # bit rides the same frame as int8 (NIL -1), at an 8-byte boundary.
+        bits = BAT(Column("bit", np.array([1, -1, 0], dtype=np.int8)), bat.tail)
+        result, frames = encode_result(bits, True)
+        assert result["head"]["parts"] == [["|i1", 3]] and "values" not in result["head"]
+        assert result["tail"]["offset"] == 8 and len(frames[0]) == 8 + 24
+        assert decode_result(result, frames).head == [True, None, False]
 
     def test_json_mode_ships_no_frames(self):
         bat = dense_bat("int", [1, 2])
@@ -182,3 +204,33 @@ class TestResultEncoding:
         assert not any(
             isinstance(v, float) and math.isnan(v) for v in decoded.tail
         )
+
+
+def _void_head_of_two(result):
+    result["head"]["count"] = 2
+
+
+def _count_seven(result):
+    result["count"] = 7
+
+
+def _str_tail_holding_an_int(result):
+    result["tail"]["atom"] = "str"
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "json"])
+@pytest.mark.parametrize(
+    "lie",
+    [_void_head_of_two, _count_seven, _str_tail_holding_an_int],
+    ids=["void-head-2-int-tail-3", "count-7-over-3-rows", "str-tail-holding-int"],
+)
+def test_decode_refuses_length_and_atom_lies(lie, binary):
+    """Every column decodes against the result's ``count`` through the
+    codec, and a JSON value must coerce to its declared atom: a head
+    shorter than its tail, a count the columns do not hold and an int
+    under a ``str`` tail are each a ProtocolError, never a BATResult."""
+    result, frames = encode_result(dense_bat("int", [5, None, -3]), binary)
+    lie(result)
+    header, wire_frames = roundtrip(ok_response(result, frames))
+    with pytest.raises(ProtocolError):
+        decode_result(header["result"], wire_frames)
