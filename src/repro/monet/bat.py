@@ -45,13 +45,23 @@ from it is rebuilt on every call (whether to keep it is open, with the
 rest of the encoding's lifecycle).  Its contract, in the shape of
 Monet's hash accelerator:
 
-* **lazy** -- built by the first operator that asks, never at load;
-* **per Column** -- it describes exactly that column's values, so it is
-  valid for as long as the object is reachable (columns are immutable);
-* **inherited by gathers** -- :meth:`Column.take` and
-  :meth:`Column.window` of a warm column gather/slice the codes and
-  share the dictionary object, so a selection of a persistent column
-  joins without touching a string;
+* **lazy** -- built by the first operator that asks, never at load (a
+  join that gathers a str payload from the fragments of a stored column
+  builds theirs together, over one dictionary, whenever they are not
+  on one already: :func:`encode_jointly`);
+* **per Column** -- its codes describe exactly that column's values
+  (its dictionary may hold more: a window shares the whole column's),
+  so it is valid for as long as the object is reachable (columns are
+  immutable);
+* **inherited by gathers, windows and concatenations of parts sharing
+  one dictionary** -- :meth:`Column.take` and :meth:`Column.window` of
+  a warm column gather/slice the codes and share the dictionary
+  object, and :func:`concat_columns` of warm parts over that one
+  object concatenates their codes (a NIL fill from :func:`nil_column`
+  is code -1 in it), so a selection of a persistent column -- or a
+  fragmented gather from its windows -- joins without touching a
+  string; a concatenation of any other mix (a cold part, or two
+  dictionaries) starts cold;
 * **dropped by copy-on-write** -- :meth:`BAT.append`,
   :meth:`BAT.delete_positions`, :meth:`BAT.update_positions` and every
   pool mutation above them build *new* columns, which start cold (a
@@ -67,12 +77,15 @@ Monet's hash accelerator:
 * **published unlocked, by a single attribute store** -- two threads
   racing to build it compute equal encodings and the last store wins;
   a reader sees either ``None`` or a complete encoding, never a
-  partial one.
+  partial one (a joint build over several fragments,
+  :func:`encode_jointly`, checks and publishes under one lock, so
+  racing queries leave the fragments on one dictionary).
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -213,6 +226,83 @@ class VoidColumn:
 
 
 AnyColumn = Union[Column, VoidColumn]
+
+
+def concat_columns(columns: Sequence[AnyColumn]) -> AnyColumn:
+    """The BUNs of *columns* (at least one, one atom) in order: the one
+    column concatenation of ``monet/``.  A single part is returned
+    itself; consecutive void parts fuse back into one void column;
+    anything else concatenates its values.  The result keeps the
+    encoding when every part is warm over the same dictionary object
+    (windows and gathers of one warm column): the codes concatenate
+    too.  Any other mix starts cold."""
+    first = columns[0]
+    if len(columns) == 1:
+        return first
+    if all(column.is_void for column in columns):
+        stop = first.seqbase
+        for column in columns:
+            if column.seqbase != stop:
+                break
+            stop += len(column)
+        else:
+            return VoidColumn(first.seqbase, stop - first.seqbase)
+    result = Column(
+        first.atom_type, np.concatenate([column.materialize() for column in columns])
+    )
+    encodings = [None if column.is_void else column._encoding for column in columns]
+    if all(encoding is not None for encoding in encodings) and (
+        len({id(dictionary) for _, dictionary in encodings}) == 1
+    ):
+        result._encoding = (
+            np.concatenate([codes for codes, _ in encodings]),
+            encodings[0][1],
+        )
+    return result
+
+
+def encode_jointly(columns: Sequence[Column]) -> None:
+    """Warm *columns* -- the str fragments of one column, in BUN order
+    -- over one dictionary, unless they already share one: one
+    :func:`dictionary_encode` of their values, its codes split back
+    per fragment, which is what windows of the warm whole column would
+    inherit, so gathers across fragments concatenate warm.  Fragments
+    on several dictionaries (a prefix warm from an earlier query beside
+    a cold appended delta) are re-encoded together, one re-encode per
+    mutation.  The check and the publish hold :data:`_JOINT_LOCK`, so
+    racing first queries settle on one dictionary."""
+    if _share_one_dictionary(columns):
+        return
+    with _JOINT_LOCK:
+        if _share_one_dictionary(columns):
+            return
+        codes, dictionary = dictionary_encode(
+            np.concatenate([column.values for column in columns])
+        )
+        bounds = np.cumsum([len(column) for column in columns])
+        for column, part in zip(columns, np.split(codes, bounds[:-1])):
+            column._encoding = (part, dictionary)
+
+
+def _share_one_dictionary(columns: Sequence[Column]) -> bool:
+    encodings = [column._encoding for column in columns]
+    return all(encoding is not None for encoding in encodings) and (
+        len({id(dictionary) for _, dictionary in encodings}) == 1
+    )
+
+
+#: Serializes :func:`encode_jointly`'s check-and-publish.
+_JOINT_LOCK = threading.Lock()
+
+
+def nil_column(like: AnyColumn, count: int) -> Column:
+    """*count* NILs of *like*'s atom: in *like*'s code space when it is
+    warm (NIL is code -1 there), so a concatenation with *like* -- an
+    outer join's fill -- stays warm."""
+    column = Column(like.atom_type, like.atom_type.make_array([None] * count))
+    if not like.is_void and like._encoding is not None:
+        column._encoding = (np.full(count, -1, dtype=np.int64), like._encoding[1])
+    return column
 
 
 class BAT:

@@ -82,7 +82,6 @@ import numpy as np
 from repro.monet import aggregates as _agg
 from repro.monet import kernel as _kernel
 from repro.monet import tuning as _tuning
-from repro.monet.atoms import atom
 from repro.monet.bat import (
     BAT,
     AnyColumn,
@@ -90,7 +89,9 @@ from repro.monet.bat import (
     VoidColumn,
     _normalize_positions,
     bat_from_pairs,
+    concat_columns,
     dense_bat,
+    encode_jointly,
 )
 from repro.monet.errors import InvalidMutationBatch, KernelError
 
@@ -495,47 +496,14 @@ def _aligned_updates(
     return arr[kept], [value_list[i] for i in kept]
 
 
-def _concat_raw(chunks: List[np.ndarray], object_dtype: bool) -> np.ndarray:
-    """Concatenate raw value arrays (object-dtype aware)."""
-    if len(chunks) == 1:
-        return chunks[0]
-    if object_dtype:
-        total = sum(len(chunk) for chunk in chunks)
-        out = np.empty(total, dtype=object)
-        at = 0
-        for chunk in chunks:
-            out[at: at + len(chunk)] = chunk
-            at += len(chunk)
-        return out
-    return np.concatenate(chunks)
-
-
-def _concat_columns(columns: Sequence[AnyColumn], atom_type) -> AnyColumn:
-    """Concatenate fragment columns, fusing consecutive void columns
-    back into one void column when possible."""
-    if all(c.is_void for c in columns):
-        base = columns[0].seqbase
-        expected = base
-        contiguous = True
-        for column in columns:
-            if column.seqbase != expected:
-                contiguous = False
-                break
-            expected += len(column)
-        if contiguous:
-            return VoidColumn(base, expected - base)
-    out = _concat_raw(
-        [c.materialize() for c in columns], atom_type.dtype == np.dtype(object)
-    )
-    return Column(atom_type, out)
-
-
 def _concat_fragments(frags: Sequence[BAT], name: Optional[str] = None) -> BAT:
     """One BAT holding the BUNs of *frags* in order, with conservative
     property flags: the whole-BAT coalesce and the bounded local merge
-    of a starved run are the same concatenation."""
-    head = _concat_columns([f.head for f in frags], frags[0].head.atom_type)
-    tail = _concat_columns([f.tail for f in frags], frags[0].tail.atom_type)
+    of a starved run are the same concatenation
+    (:func:`repro.monet.bat.concat_columns`: windows of one warm column
+    coalesce warm)."""
+    head = concat_columns([f.head for f in frags])
+    tail = concat_columns([f.tail for f in frags])
     return BAT(
         head,
         tail,
@@ -675,14 +643,45 @@ def likeselect(fb: FragmentedBAT, pattern: str) -> FragmentedBAT:
 # ----------------------------------------------------------------------
 
 
-def _probe_dtype(fb: FragmentedBAT) -> bool:
-    """True when *fb* carries object (str) tails.
+def _payload(right: Union[BAT, FragmentedBAT]) -> List[AnyColumn]:
+    """The tails a join gathers from *right*, one per fragment in BUN
+    order.  The str tail of a BAT the pool holds (a named one) is
+    warmed first, at the first query that gathers from it
+    (:func:`encode_jointly`: its fragments over one dictionary), so
+    every take of it carries the codes; an intermediate's tail is
+    gathered as it is."""
+    frags = right.fragments if isinstance(right, FragmentedBAT) else [right]
+    tails = [frag.tail for frag in frags]
+    if right.name is not None and _kernel._is_object_column(tails[0]):
+        encode_jointly(tails)
+    return tails
 
-    The one sanctioned ``fb.fragments[0]`` probe: the constructor
-    enforces the >=1-fragment invariant (pinned by regression tests),
-    and a void tail reads as non-object, so degenerate all-empty
-    fragmentations probe safely."""
-    return _kernel._is_object_column(fb.fragments[0].tail)
+
+def _gather_windows(
+    columns: Sequence[AnyColumn], offsets: np.ndarray, positions: np.ndarray
+) -> AnyColumn:
+    """The BUNs at *positions* of the concatenation of *columns*
+    (column ``k`` holding positions ``offsets[k] .. offsets[k+1]-1``),
+    in position order, without concatenating the columns: one take
+    when every position falls in one column (a probe fragment aligned
+    with the right operand's), else one take per column touched,
+    concatenated, and a scatter back to position order."""
+    if len(positions) == 0:
+        return columns[0].take(positions)
+    first = int(np.searchsorted(offsets, positions.min(), side="right")) - 1
+    if positions.max() < offsets[first + 1]:
+        return columns[first].take(positions - offsets[first])
+    owners = np.searchsorted(offsets, positions, side="right") - 1
+    rows = _kernel.stable_order(owners)
+    bounds = np.append(0, np.cumsum(np.bincount(owners, minlength=len(columns))))
+    parts = [
+        columns[owner].take(positions[rows[lo:hi]] - offsets[owner])
+        for owner, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        if hi > lo
+    ]
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[rows] = np.arange(len(rows), dtype=np.int64)
+    return concat_columns(parts).take(inverse)
 
 
 def _dense_window_starts(right: FragmentedBAT) -> Optional[List[int]]:
@@ -728,41 +727,37 @@ def _fetchjoin_fragmented(
     fb: FragmentedBAT, right: FragmentedBAT, starts: List[int]
 ) -> FragmentedBAT:
     """Positional join against a fragmented dense right operand: each
-    probe resolves to (owning right fragment, local offset) by binary
-    search over the seqbase windows, gathers fan out per owner, and a
-    stable scatter restores probe order."""
+    probe fragment gathers its targets from the right fragments whose
+    seqbase windows own them (:func:`_gather_windows`), codes and all;
+    a void probe tail is a run, and takes windows instead."""
     # Window starts relative to the first seqbase, like the targets.
     offsets = np.asarray(starts, dtype=np.int64) - starts[0]
-    tails_object = _kernel._is_object_column(right.fragments[0].tail)
-    tail_values = [frag.tail_values() for frag in right.fragments]
-    tail_atom = right.ttype
+    bounds = offsets.tolist()
+    total = bounds[-1]
+    tails = _payload(right)
 
     def one(frag: BAT) -> BAT:
-        keep, targets = _kernel.fetch_positions(
-            frag.tail_values(), starts[0], int(offsets[-1])
-        )
-        owners = np.searchsorted(offsets, targets, side="right") - 1
-        row_chunks: List[np.ndarray] = []
-        value_chunks: List[np.ndarray] = []
-        for owner in range(right.nfragments):
-            rows = np.nonzero(owners == owner)[0]
-            if len(rows) == 0:
-                continue
-            row_chunks.append(rows)
-            value_chunks.append(tail_values[owner][targets[rows] - offsets[owner]])
-        if row_chunks:
-            rows = np.concatenate(row_chunks)
-            values = _concat_raw(value_chunks, tails_object)
-            order = _kernel.stable_order(rows)
-            values = values[order]
-        else:
-            values = (
-                np.empty(0, dtype=object)
-                if tails_object
-                else tail_values[0][:0]
+        if frag.tail.is_void:
+            # Run against run, as in the monolithic positional join: the
+            # overlap is a window of both operands, with no position
+            # array and no copy.  The Sec. 3 plan fetches two whole
+            # 30 k-row attribute columns (term, tf) this way per query.
+            first = frag.tail.seqbase - starts[0]
+            low = max(first, 0)
+            high = max(low, min(first + len(frag), total))
+            windows = [
+                tail.window(max(low, lo) - lo, min(high, hi) - lo)
+                for tail, lo, hi in zip(tails, bounds, bounds[1:])
+                if max(low, lo) < min(high, hi)
+            ]
+            return BAT(
+                frag.head.window(low - first, high - first),
+                concat_columns(windows or [tails[0].window(0, 0)]),
+                hkey=frag.hkey,
             )
+        keep, targets = _kernel.fetch_positions(frag.tail_values(), starts[0], total)
         head = frag.head if keep is None else frag.head.take(keep)
-        return BAT(head, Column(tail_atom, values), hkey=frag.hkey)
+        return BAT(head, _gather_windows(tails, offsets, targets), hkey=frag.hkey)
 
     return _per_fragment(fb, one)
 
@@ -787,6 +782,15 @@ def _fetchjoin_fragmented(
 # partition, so a stable per-fragment sort on probe position
 # reassembles the exact monolithic kernel.join order.
 #
+# Gathers carry codes.  Every arm gathers the build tails as columns
+# (``Column.take`` of the build fragments, joined by
+# ``bat.concat_columns``), never as value arrays, and a str tail is
+# warmed on the build's own columns first when the pool holds them
+# (``_payload``): gathers from
+# fragments sharing one dictionary come out warm, an outer join's NIL
+# fill is code -1 in it (``kernel.pad_unmatched``), and the next keyed
+# operator reads the codes instead of re-encoding the payload.
+#
 # Why the split (2 M oid probes, min of 3, ms at 1/10/40 fragments of
 # both sides, 2-core host): on a 1 M permutation build the radix join
 # took 784/415/446 and one shared span index 218/188/177 -- radix
@@ -807,36 +811,33 @@ def _join_fanout(build_n: int) -> int:
     return max(1, min(_tuning.current().join_fanout, by_floor))
 
 
-def _build_tails_empty(build_frags: List[BAT], tails_object: bool) -> np.ndarray:
-    if tails_object:
-        return np.empty(0, dtype=object)
-    return build_frags[0].tail_values()[:0]
-
-
 def _grace_matches(
     fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+) -> List[Tuple[np.ndarray, AnyColumn]]:
     """The value-join core shared by :func:`join` and
     :func:`outerjoin`: per probe fragment, the matching
-    (probe_positions, build tail values) ordered exactly like the
-    monolithic ``kernel.join`` (ascending probe position; per probe
-    BUN, matches in ascending build BUN order)."""
+    (probe_positions, build tails gathered for them) ordered exactly
+    like the monolithic ``kernel.join`` (ascending probe position; per
+    probe BUN, matches in ascending build BUN order)."""
     build_frags = right.fragments if isinstance(right, FragmentedBAT) else [right]
     heads = [frag.head for frag in build_frags]
-    tails_object = _kernel._is_object_column(build_frags[0].tail)
-    probe_object = _probe_dtype(fb)
+    probe_object = _kernel._is_object_column(fb.fragments[0].tail)
     if probe_object != _kernel._is_object_column(heads[0]):
         # outerjoin checks no types, and a str equals no number
-        empty_tails = _build_tails_empty(build_frags, tails_object)
-        return [(np.empty(0, dtype=np.int64), empty_tails)] * fb.nfragments
+        nothing = np.empty(0, dtype=np.int64)
+        return [(nothing, build_frags[0].tail.take(nothing))] * fb.nfragments
+    tails = _payload(right)
     if probe_object or _kernel.span_bounds(heads) is not None:
-        return _shared_index_matches(fb, build_frags, probe_object, tails_object)
-    return _radix_matches(fb, build_frags, tails_object)
+        return _shared_index_matches(fb, heads, tails, probe_object)
+    return _radix_matches(fb, heads, tails)
 
 
 def _shared_index_matches(
-    fb: FragmentedBAT, build_frags: List[BAT], probe_object: bool, tails_object: bool
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+    fb: FragmentedBAT,
+    heads: List[AnyColumn],
+    tails: List[AnyColumn],
+    probe_object: bool,
+) -> List[Tuple[np.ndarray, AnyColumn]]:
     """One code-space index over the whole build side, probed by every
     fragment.  A str index is built in the probe side's code space when
     all probe fragments share one dictionary (windows of a warm
@@ -847,37 +848,48 @@ def _shared_index_matches(
         dictionaries = [frag.tail.encoding()[1] for frag in fb.fragments]
         if len({id(dictionary) for dictionary in dictionaries}) == 1:
             code_space = dictionaries[0]
-    index = _kernel.build_match_index([frag.head for frag in build_frags], code_space)
-    tails = _concat_raw([frag.tail_values() for frag in build_frags], tails_object)
+    index = _kernel.build_match_index(heads, code_space)
+    payload = concat_columns(tails)
 
-    def probe_one(frag: BAT) -> Tuple[np.ndarray, np.ndarray]:
+    def probe_one(frag: BAT) -> Tuple[np.ndarray, AnyColumn]:
         probe_positions, build_positions = _kernel.probe_match_index(frag.tail, index)
-        return probe_positions, tails[build_positions]
+        return probe_positions, payload.take(build_positions)
 
     return map_fragments(probe_one, fb.fragments, len(fb))
 
 
 def _assemble_join_partition(
-    key_chunks: List[np.ndarray], tail_chunks: List[np.ndarray], tails_object: bool
-):
+    key_chunks: List[np.ndarray], tail_chunks: List[AnyColumn]
+) -> Optional[Tuple[_kernel.MatchIndex, AnyColumn]]:
     """One resident build partition, its per-fragment chunks
     concatenated in fragment (= BUN) order under a sorted-arm index.
     ``None`` for an empty partition."""
     if not key_chunks:
         return None
-    keys = _concat_raw(key_chunks, False)
-    return _kernel.sorted_match_index(keys), _concat_raw(tail_chunks, tails_object)
+    keys = key_chunks[0] if len(key_chunks) == 1 else np.concatenate(key_chunks)
+    index = _kernel.sorted_match_index(keys)
+    return index, concat_columns(tail_chunks)
+
+
+def _in_probe_order(
+    position_chunks: List[np.ndarray], tail_chunks: List[AnyColumn]
+) -> Tuple[np.ndarray, AnyColumn]:
+    """Per-partition matches of one probe fragment back in probe order.
+    One key lives in one partition, so the stable order on probe
+    position cannot reorder same-probe matches: they all came from a
+    single partition, already in build order."""
+    probe_positions = np.concatenate(position_chunks)
+    order = _kernel.stable_order(probe_positions)
+    return probe_positions[order], concat_columns(tail_chunks).take(order)
 
 
 def _radix_matches(
-    fb: FragmentedBAT, build_frags: List[BAT], tails_object: bool
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+    fb: FragmentedBAT, heads: List[AnyColumn], tails: List[AnyColumn]
+) -> List[Tuple[np.ndarray, AnyColumn]]:
     """The sorted arm, radix-partitioned: resident partitions, or
     spilled ones past ``join_spill``."""
-    keyspace = _kernel.key_space(
-        *(frag.tail for frag in fb.fragments), *(frag.head for frag in build_frags)
-    )
-    build_n = sum(len(frag) for frag in build_frags)
+    keyspace = _kernel.key_space(*(frag.tail for frag in fb.fragments), *heads)
+    build_n = sum(len(head) for head in heads)
     fanout = _join_fanout(build_n)
     join_spill = _tuning.current().join_spill
     spill = build_n > join_spill
@@ -887,8 +899,8 @@ def _radix_matches(
         # unit count sane when the threshold is tiny).
         per_partition = max(1, join_spill)
         fanout = max(fanout, min(256, -(-build_n // per_partition)))
-    empty_positions = np.empty(0, dtype=np.int64)
-    empty_tails = _build_tails_empty(build_frags, tails_object)
+    nothing = np.empty(0, dtype=np.int64)
+    no_match = (nothing, tails[0].take(nothing))
 
     def probe_parts(frag: BAT) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         keys, valid = _kernel.join_keys(frag.tail, keyspace)
@@ -898,34 +910,33 @@ def _radix_matches(
 
     if spill:
         return _radix_matches_spilled(
-            fb, build_frags, keyspace, fanout, probe_parts, tails_object
+            fb, heads, tails, keyspace, fanout, probe_parts, no_match
         )
-    build_keys = [_kernel.join_keys(frag.head, keyspace)[0] for frag in build_frags]
-    build_tails = [frag.tail_values() for frag in build_frags]
+    build_keys = [_kernel.join_keys(head, keyspace)[0] for head in heads]
     # Per-fragment radix splits: NIL-free local positions grouped by
     # partition.
     build_parts = map_fragments(
-        lambda frag: _kernel.join_partition_positions(frag.head, keyspace, fanout),
-        build_frags,
+        lambda head: _kernel.join_partition_positions(head, keyspace, fanout),
+        heads,
         len(fb),
     )
 
     def one_partition(partition: int):
         key_chunks, tail_chunks = [], []
-        for keys, tails, parts in zip(build_keys, build_tails, build_parts):
+        for keys, tail, parts in zip(build_keys, tails, build_parts):
             sel = parts[partition]
             if len(sel):
                 key_chunks.append(keys[sel])
-                tail_chunks.append(tails[sel])
-        return _assemble_join_partition(key_chunks, tail_chunks, tails_object)
+                tail_chunks.append(tail.take(sel))
+        return _assemble_join_partition(key_chunks, tail_chunks)
 
     partitions = map_fragments(one_partition, range(fanout), len(fb))
 
-    def probe_one(frag: BAT) -> Tuple[np.ndarray, np.ndarray]:
+    def probe_one(frag: BAT) -> Tuple[np.ndarray, AnyColumn]:
         if len(frag) == 0 or build_n == 0:
-            return empty_positions, empty_tails
+            return no_match
         keys, positions, ids = probe_parts(frag)
-        position_chunks, value_chunks = [], []
+        position_chunks, tail_chunks = [], []
         for partition in range(fanout):
             part = partitions[partition]
             if part is None:
@@ -937,28 +948,23 @@ def _radix_matches(
             pp, bp = _kernel.probe_sorted(keys[sel], index)
             if len(pp):
                 position_chunks.append(sel[pp])
-                value_chunks.append(part_tails[bp])
+                tail_chunks.append(part_tails.take(bp))
         if not position_chunks:
-            return empty_positions, empty_tails
-        probe_positions = np.concatenate(position_chunks)
-        values = _concat_raw(value_chunks, tails_object)
-        # One key -> one partition, so the stable sort on probe
-        # position cannot reorder same-probe matches: they all came
-        # from a single partition, already in build order.
-        order = _kernel.stable_order(probe_positions)
-        return probe_positions[order], values[order]
+            return no_match
+        return _in_probe_order(position_chunks, tail_chunks)
 
     return map_fragments(probe_one, fb.fragments, len(fb))
 
 
 def _radix_matches_spilled(
     fb: FragmentedBAT,
-    build_frags: List[BAT],
+    heads: List[AnyColumn],
+    tails: List[AnyColumn],
     keyspace: _kernel.KeyFunction,
     fanout: int,
     probe_parts,
-    tails_object: bool,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+    no_match: Tuple[np.ndarray, AnyColumn],
+) -> List[Tuple[np.ndarray, AnyColumn]]:
     """Out-of-core radix join: build partitions stream to npz spill
     units fragment by fragment, then load back one partition at a time
     -- the resident build state is one partition, not the build side.
@@ -967,12 +973,10 @@ def _radix_matches_spilled(
     object array is ever spilled."""
     from repro.monet import bbp as _bbp
 
-    empty_positions = np.empty(0, dtype=np.int64)
-    empty_tails = _build_tails_empty(build_frags, tails_object)
-    units: List[List] = [[] for _ in range(fanout)]  # (build fragment, path)
+    units: List[List] = [[] for _ in range(fanout)]  # (build tail, path)
     try:
-        for frag in build_frags:
-            keys, valid = _kernel.join_keys(frag.head, keyspace)
+        for head, tail in zip(heads, tails):
+            keys, valid = _kernel.join_keys(head, keyspace)
             positions = np.nonzero(valid)[0]
             ids = _kernel.join_partition_ids(keys, fanout)[positions]
             for partition in range(fanout):
@@ -984,21 +988,21 @@ def _radix_matches_spilled(
                     keys=keys[sel],
                     positions=sel,
                 )
-                units[partition].append((frag, path))
+                units[partition].append((tail, path))
             del keys, valid, positions, ids
         probe_data = map_fragments(probe_parts, fb.fragments, len(fb))
-        accum: List[Tuple[List[np.ndarray], List[np.ndarray]]] = [
+        accum: List[Tuple[List[np.ndarray], List[AnyColumn]]] = [
             ([], []) for _ in fb.fragments
         ]
         for partition in range(fanout):
             if not units[partition]:
                 continue
             key_chunks, tail_chunks = [], []
-            for frag, path in units[partition]:
+            for tail, path in units[partition]:
                 data = _bbp.read_spill_unit(path)
                 key_chunks.append(data["keys"])
-                tail_chunks.append(frag.tail.take(data["positions"]).values)
-            part = _assemble_join_partition(key_chunks, tail_chunks, tails_object)
+                tail_chunks.append(tail.take(data["positions"]))
+            part = _assemble_join_partition(key_chunks, tail_chunks)
             del key_chunks, tail_chunks
             index, part_tails = part
 
@@ -1010,7 +1014,7 @@ def _radix_matches_spilled(
                 pp, bp = _kernel.probe_sorted(keys[sel], index)
                 if len(pp) == 0:
                     return None
-                return sel[pp], part_tails[bp]
+                return sel[pp], part_tails.take(bp)
 
             probed = map_fragments(probe_into, range(fb.nfragments), len(fb))
             for fragment_index, result in enumerate(probed):
@@ -1022,16 +1026,9 @@ def _radix_matches_spilled(
         for partition_units in units:
             for _, path in partition_units:
                 _bbp.drop_spill_unit(path)
-    matches = []
-    for position_chunks, value_chunks in accum:
-        if not position_chunks:
-            matches.append((empty_positions, empty_tails))
-            continue
-        probe_positions = np.concatenate(position_chunks)
-        values = _concat_raw(value_chunks, tails_object)
-        order = _kernel.stable_order(probe_positions)
-        matches.append((probe_positions[order], values[order]))
-    return matches
+    return [
+        _in_probe_order(*chunks) if chunks[0] else no_match for chunks in accum
+    ]
 
 
 def _right_hkey(right: Union[BAT, FragmentedBAT]) -> bool:
@@ -1057,15 +1054,9 @@ def join(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
         return fetchjoin(fb, right)
     matches = _grace_matches(fb, right)
     right_hkey = _right_hkey(right)
-    tail_atom = right.ttype
-
     fragments = [
-        BAT(
-            frag.head.take(probe_positions),
-            Column(tail_atom, tail_values),
-            hkey=frag.hkey and right_hkey,
-        )
-        for frag, (probe_positions, tail_values) in zip(fb.fragments, matches)
+        BAT(frag.head.take(probe_positions), tail, hkey=frag.hkey and right_hkey)
+        for frag, (probe_positions, tail) in zip(fb.fragments, matches)
     ]
     return FragmentedBAT(fragments, policy=fb.policy)
 
@@ -1348,25 +1339,11 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
 
     matches = _grace_matches(fb, right)
     right_hkey = _right_hkey(right)
-    tail_atom = atom(right.ttype)
     fragments = []
-    for frag, (probe_positions, tail_values) in zip(fb.fragments, matches):
-        matched = np.zeros(len(frag), dtype=bool)
-        matched[probe_positions] = True
-        unmatched = np.nonzero(~matched)[0]
-        nil_tail = tail_atom.make_array([None] * len(unmatched))
-        all_positions = np.concatenate((probe_positions, unmatched))
-        order = _kernel.stable_order(all_positions)
-        if len(tail_values) == 0 and len(nil_tail) == 0:
-            combined = tail_atom.make_array([])
-        else:
-            combined = np.concatenate((tail_values, nil_tail))
+    for frag, (probe_positions, tail) in zip(fb.fragments, matches):
+        positions, tail = _kernel.pad_unmatched(len(frag), probe_positions, tail)
         fragments.append(
-            BAT(
-                frag.head.take(all_positions[order]),
-                Column(tail_atom, combined[order]),
-                hkey=frag.hkey and right_hkey,
-            )
+            BAT(frag.head.take(positions), tail, hkey=frag.hkey and right_hkey)
         )
     return FragmentedBAT(fragments, policy=fb.policy)
 
@@ -1502,7 +1479,6 @@ def _sample_sort_merge(
     themselves, or gathered by global position with *gather_heads*
     (when the keys are ranks)."""
     head_atom = fb.fragments[0].head.atom_type
-    tail_atom = fb.fragments[0].tail.atom_type
     target = fb.policy.target_size
     # A permutation of one fragment keeps its key flags.
     hkey = fb.nfragments == 1 and fb.fragments[0].hkey
@@ -1517,15 +1493,10 @@ def _sample_sort_merge(
         for keys, pkeys, _ in runs
     ]
     # The shared gather sources the per-partition workers index by
-    # global BUN position.
-    tails_concat = _concat_raw(
-        [f.tail.materialize() for f in fb.fragments], _probe_dtype(fb)
-    )
-    heads_concat = (
-        _concat_raw([f.head.materialize() for f in fb.fragments], True)
-        if gather_heads
-        else None
-    )
+    # global BUN position (codes and all, when the fragments share one
+    # dictionary).
+    tails = concat_columns([f.tail for f in fb.fragments])
+    heads = concat_columns([f.head for f in fb.fragments]) if gather_heads else None
 
     def build(partition: int) -> List[BAT]:
         cuts = [(cut[partition], cut[partition + 1]) for cut in bounds]
@@ -1537,10 +1508,8 @@ def _sample_sort_merge(
         )
         order = _kernel.stable_order(keys_p)
         keys_p, gpos_p = keys_p[order], gpos_p[order]
-        head = Column(
-            head_atom, keys_p if heads_concat is None else heads_concat[gpos_p]
-        )
-        tail = Column(tail_atom, tails_concat[gpos_p])
+        head = Column(head_atom, keys_p) if heads is None else heads.take(gpos_p)
+        tail = tails.take(gpos_p)
         return [
             BAT(
                 head.window(start, min(len(keys_p), start + target)),

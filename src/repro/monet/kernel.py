@@ -43,13 +43,13 @@ right head provably dense     positional: the build       per probe fragment;
 (:attr:`BAT.hseqbase`: void,  position is                 a fragmented dense
 or int/oid flagged sorted +   ``value - seqbase``         right routes by
 key with span == count - 1)   (:func:`fetch_positions`)   seqbase windows
--- and the left tail is void  no gather: head and tail    (as above)
-                              are windows (views); a
-                              window that covers the
+-- and the left tail is void  no gather: head and tail    windows of the
+                              are windows (views); a      owning right
+                              window that covers the      fragments
                               right tail is that
                               ``Column`` object itself
--- and every probe is in      the result head is          (as above)
-range                         ``left.head`` itself (a
+-- and every probe is in      the result head is          per probe fragment,
+range                         ``left.head`` itself (a     too
                               void head stays void)
 either side str               code space: the probe       one shared index in
                               column's cached             the probe fragments'
@@ -72,6 +72,12 @@ otherwise (numeric)           stable sort of the build    radix-partitioned
 a value arm, right head key,  the result head is          --
 as many matches as left BUNs  ``left.head`` itself
 ============================  ==========================  ====================
+
+Every arm, monolithic or fragmented, gathers the right tail (the
+payload) as a column -- :meth:`Column.take`/:meth:`Column.window`,
+parts joined by :func:`repro.monet.bat.concat_columns`, the outer
+join's NIL fill by :func:`pad_unmatched` -- so a warm str payload
+keeps its dictionary codes and the next keyed operator reads them.
 
 Every arm yields the same BUNs in the same order (left BUN order, then
 right BUN order per probe); the arms differ in cost and in how much of
@@ -235,7 +241,9 @@ from repro.monet.bat import (
     AnyColumn,
     Column,
     VoidColumn,
+    concat_columns,
     dictionary_codes,
+    nil_column,
 )
 from repro.monet.errors import KernelError
 
@@ -1117,7 +1125,7 @@ def fetchjoin(left: BAT, right: BAT) -> BAT:
     return _positional_join(left, right, right.head.seqbase)
 
 
-def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, Column]:
+def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, AnyColumn]:
     """The (left BUN positions, tail column) of the left outer join in
     output order.  Exposed separately so fragmented execution can
     gather each fragment's result heads from its left rows;
@@ -1134,19 +1142,24 @@ def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, Column]:
         probe_positions = _positions(len(left)) if kept is None else kept
     else:
         probe_positions, build_positions = _match_columns(left.tail, right.head)
-    matched = np.zeros(len(left), dtype=bool)
-    matched[probe_positions] = True
-    unmatched = np.nonzero(~matched)[0]
-    atom_type = right.tail.atom_type
-    matched_tail = right.tail.take(build_positions).materialize()
-    nil_tail = atom_type.make_array([None] * len(unmatched))
-    all_positions = np.concatenate((probe_positions, unmatched))
-    order = stable_order(all_positions)
-    if len(matched_tail) == 0 and len(nil_tail) == 0:
-        combined = atom_type.make_array([])
-    else:
-        combined = np.concatenate((matched_tail, nil_tail))
-    return all_positions[order], Column(atom_type, combined[order])
+    return pad_unmatched(len(left), probe_positions, right.tail.take(build_positions))
+
+
+def pad_unmatched(
+    count: int, probe_positions: np.ndarray, matched: AnyColumn
+) -> Tuple[np.ndarray, AnyColumn]:
+    """The outer join of *count* probe BUNs from their join matches
+    (*probe_positions* ascending, *matched* the tails gathered for
+    them): every unmatched probe joins a NIL, and all of them come out
+    in probe order, as (probe positions, tail column).  The NIL fill is
+    code -1 in a warm *matched*'s dictionary, so the tail stays warm."""
+    hit = np.zeros(count, dtype=bool)
+    hit[probe_positions] = True
+    unmatched = np.nonzero(~hit)[0]
+    tail = concat_columns([matched, nil_column(matched, len(unmatched))])
+    positions = np.concatenate((probe_positions, unmatched))
+    order = stable_order(positions)
+    return positions[order], tail.take(order)
 
 
 def outerjoin(left: BAT, right: BAT) -> BAT:
@@ -1203,24 +1216,9 @@ def kunion(left: BAT, right: BAT) -> BAT:
     extra = right.take_positions(np.nonzero(~mask)[0])
     if len(extra) == 0:
         return left
-    head = Column(
-        left.head.atom_type,
-        _concat_arrays(left.head_values(), extra.head_values(), left.head.atom_type),
-    )
-    tail = Column(
-        left.tail.atom_type,
-        _concat_arrays(left.tail_values(), extra.tail_values(), left.tail.atom_type),
-    )
+    head = concat_columns([left.head, extra.head])
+    tail = concat_columns([left.tail, extra.tail])
     return BAT(head, tail, hkey=left.hkey and right.hkey)
-
-
-def _concat_arrays(a: np.ndarray, b: np.ndarray, atom_type) -> np.ndarray:
-    if atom_type.dtype == np.dtype(object):
-        out = np.empty(len(a) + len(b), dtype=object)
-        out[: len(a)] = a
-        out[len(a):] = b
-        return out
-    return np.concatenate((a, b))
 
 
 # ----------------------------------------------------------------------

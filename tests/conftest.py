@@ -48,6 +48,16 @@ def fragment_layout(
     )
 
 
+def assert_codes_decode(column, context: str = "") -> None:
+    """A warm column's codes name its values in its dictionary, with -1
+    exactly at NIL (a void or cold column passes)."""
+    if column.is_void or column._encoding is None:
+        return
+    codes, dictionary = column._encoding
+    expected = [-1 if v is None else dictionary[v] for v in column.values.tolist()]
+    assert codes.tolist() == expected, f"{context}: codes do not decode"
+
+
 #: One element type per structure mapper, with its payload as a
 #: function of a row number (a NIL or an empty collection every few
 #: rows): the axis of the write-path differentials and the crash-copy

@@ -22,7 +22,12 @@ from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
 from repro.monet.mil import run_program
-from repro.workloads import SECTION3_QUERY, build_text_db
+from repro.workloads import (
+    SECTION3_QUERY,
+    TRADITIONAL_DDL,
+    build_text_db,
+    synth_annotations,
+)
 
 COLLECTION = "TraditionalImgLib"
 TERM = f"{COLLECTION}.annotation.term"
@@ -180,3 +185,55 @@ def test_derived_columns_share_the_parent_dictionary():
     # A fresh encoding of the same values numbers by first appearance.
     fresh_codes, fresh_dictionary = dictionary_encode(values)
     assert fresh_dictionary == dictionary and (fresh_codes == codes).all()
+
+
+def _cold(column):
+    """*column* with no encoding: what a concatenation that drops the
+    codes would return."""
+    return column if column.is_void else Column(column.atom_type, column.values)
+
+
+@pytest.mark.parametrize("concat", ["coded", "codes-dropped"])
+def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(concat, monkeypatch):
+    """After a warm-up query, the Sec. 3 plan over multi-fragment
+    registrations encodes no str column longer than the query BAT: the
+    term payload reaches every keyed operator as the stored column's
+    codes, through fetchjoin, join and the concatenation of gathers
+    from several fragments.  The ``codes-dropped`` run is the
+    sensitivity check: with ``concat_columns`` returning cold columns,
+    the plan must re-encode a gathered payload, and the spy sees it."""
+    from repro.monet import bat as bat_module
+    from repro.monet import fragments, kernel
+
+    db = MirrorDBMS(
+        fragment_threshold=64, fragment_policy=FragmentationPolicy(target_size=128)
+    )
+    db.define(TRADITIONAL_DDL)
+    db.replace(COLLECTION, synth_annotations(120, seed=6))
+    stats = db.stats(COLLECTION, "annotation")
+    assert db.pool.lookup_fragments(TERM).nfragments > 2
+    vocabulary = stats.vocabulary()
+    queries = [vocabulary[i: i + 3] for i in (0, 3, 6)]
+    if concat == "codes-dropped":
+        real = bat_module.concat_columns
+        for module in (fragments, kernel):
+            monkeypatch.setattr(module, "concat_columns", lambda parts: _cold(real(parts)))
+    params = [{"query": query, "stats": stats} for query in queries]
+    # Warm-up: the stored columns (and the stats' df BAT) warm.
+    db.query(SECTION3_QUERY, params[0])
+    encoded = []
+    real_encode = bat_module.dictionary_encode
+    monkeypatch.setattr(
+        bat_module,
+        "dictionary_encode",
+        lambda values: encoded.append(len(values)) or real_encode(values),
+    )
+    answers = [db.query(SECTION3_QUERY, p).value for p in params]
+    monkeypatch.undo()
+    for answer, p in zip(answers, params):
+        assert answer == pytest.approx(db.query_interpreted(SECTION3_QUERY, p), abs=1e-9)
+    assert encoded  # the query BAT itself is encoded
+    if concat == "coded":
+        assert max(encoded) <= len(queries[0])
+    else:
+        assert max(encoded) > len(queries[0])

@@ -22,6 +22,8 @@ to floating-point addition order.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,11 +32,12 @@ from repro.monet import aggregates as agg
 from repro.monet import fragments as fr
 from repro.monet import kernel
 from repro.monet.atoms import atom
-from repro.monet.bat import BAT, Column, VoidColumn
+from repro.monet.bat import BAT, Column, VoidColumn, encode_jointly
+from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import KernelError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
 from repro.monet.groups import group
-from tests.conftest import STRATEGIES, fragment_layout
+from tests.conftest import STRATEGIES, assert_codes_decode, fragment_layout
 
 N_CASES = 60
 #: The seeds of the three suites that also ran on the process backend
@@ -1844,3 +1847,205 @@ def test_str_code_space_dictionary_states(seed, strategy):
                     assert_pairs_equal(result, reference)
                 except AssertionError as exc:
                     raise AssertionError(f"{name} [{state}]: {exc}") from None
+
+
+# ----------------------------------------------------------------------
+# Str payloads in code space: fragmented gathers carry the codes
+# ----------------------------------------------------------------------
+
+#: NIL-heavy str payloads hold the values the string heap keeps apart
+#: from NIL and from each other: the empty string, a NUL-led
+#: ``"\x00NIL"``, a lone surrogate, a non-BMP and a non-ASCII word.
+_PAYLOAD_WORDS = ("ape", "bat", "", "\x00NIL", "\ud800x", "\U0001f600", "caf\xe9")
+_PAYLOAD_STATES = ("shared", "disjoint", "cold")
+
+
+def _payload_words(rng, n: int) -> np.ndarray:
+    values = np.empty(n, dtype=object)
+    for i in range(n):
+        values[i] = None if rng.random() < 0.3 else str(rng.choice(_PAYLOAD_WORDS))
+    return values
+
+
+def _payload_layout(head, values: np.ndarray, state: str, target: int) -> FragmentedBAT:
+    """A [head, str] operand over *values* in fragments of *target*
+    BUNs, its str column in one dictionary state: ``shared`` (windows
+    of one warm column), ``disjoint`` (a first fragment plus appended
+    delta fragments, each encoded on its own) or ``cold`` (windows of a
+    column never encoded)."""
+    policy = FragmentationPolicy(target_size=target)
+    if state != "disjoint":
+        column = Column("str", values.copy())
+        if state == "shared":
+            column.encoding()
+        return fragment_bat(BAT(head, column), policy)
+    first = BAT(head.window(0, min(target, len(values))), Column("str", values[:target]))
+    fb = FragmentedBAT([first], policy=policy)
+    for lo in range(target, len(values), target):
+        chunk = values[lo: lo + target].tolist()
+        if head.is_void:
+            fb = fb.append(tails=chunk)
+        else:
+            fb = fb.append(list(zip(head.materialize()[lo: lo + target].tolist(), chunk)))
+    for frag in fb.fragments:
+        frag.tail.encoding()
+    return fb
+
+
+def _payload_case(op: str, rng, state: str, target: int, held: bool):
+    """(monolithic result, fragmented result, which side is str) of one
+    gather-carrying operator over a str operand in *state*; a join's
+    right operand is named, as the pool names what it holds, when
+    *held*."""
+    m = 40
+    values = _payload_words(rng, m)
+    if op.startswith("fetchjoin"):
+        right = BAT(VoidColumn(3, m), Column("str", values.copy()))
+        if op == "fetchjoin":
+            targets = rng.integers(0, m + 6, 90).astype(np.int64)
+            targets[rng.random(90) < 0.1] = atom("oid").nil
+            probe = BAT(VoidColumn(0, 90), Column("oid", targets))
+        else:  # a void probe tail: a run, partly past the right's end
+            probe = BAT(VoidColumn(0, 50), VoidColumn(10, 50))
+        fright = _payload_layout(right.head, values, state, target)
+        fright.name = "payload" if held else None
+        return kernel.fetchjoin(probe, right), fr.fetchjoin(_fragment(probe, "ragged"), fright), "tail"
+    if op.startswith(("join", "outerjoin")):
+        spread = 1000 if op.endswith(("radix", "spill")) else 1
+        keys = Column("int", rng.integers(0, 15, m).astype(np.int64) * spread)
+        probes = rng.integers(0, 20, 90).astype(np.int64) * spread
+        probes[rng.random(90) < 0.2] = atom("int").nil
+        probe = BAT(VoidColumn(0, 90), Column("int", probes))
+        right = BAT(keys, Column("str", values.copy()))
+        fright = _payload_layout(keys, values, state, target)
+        fright.name = "payload" if held else None
+        kernel_op, frag_op = (
+            (kernel.join, fr.join) if op.startswith("join") else (kernel.outerjoin, fr.outerjoin)
+        )
+        return kernel_op(probe, right), frag_op(_fragment(probe, "range"), fright), "tail"
+    heads = Column("int", rng.integers(0, 12, m).astype(np.int64))
+    fb = _payload_layout(heads, values, state, target)
+    mono = BAT(heads, Column("str", values.copy()))
+    if op == "sort-tail":
+        return kernel.sort(mono), fr.sort(fb), "tail"
+    assert op == "sort-head"
+    return kernel.sort(mono.reverse()), fr.sort(fr.reverse(fb)), "head"
+
+
+_PAYLOAD_OPS = (
+    "fetchjoin", "fetchjoin-run", "join-span", "join-radix", "join-spill",
+    "outerjoin-span", "outerjoin-radix", "sort-tail", "sort-head",
+)
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "intermediate"])
+@pytest.mark.parametrize("layout", ["one", "many"])
+@pytest.mark.parametrize("state", _PAYLOAD_STATES)
+@pytest.mark.parametrize("op", _PAYLOAD_OPS)
+def test_str_payload_gathers_carry_codes(
+    op, state, layout, held, monkeypatch, tuning_override
+):
+    """fetchjoin, join, outerjoin and sort over a str payload in one
+    right fragment or many, its dictionary shared, disjoint or cold:
+    BUN-identical to the monolithic kernel, and every warm result
+    column's codes decode to its values (NIL exactly at -1).  Windows
+    of one warm column gather warm; so does a cold or disjoint join
+    payload the pool holds, which the gather warms over one
+    dictionary.  An intermediate's payload is never warmed for it."""
+    if op == "join-spill":
+        tuning_override(join_spill=0)
+        monkeypatch.setattr(fr, "JOIN_PARTITION_MIN_BUNS", 1)
+    rng = np.random.default_rng(4100 + _PAYLOAD_OPS.index(op))
+    target = 40 if layout == "one" else 8
+    expected, result, side = _payload_case(op, rng, state, target, held)
+    coalesced = result.to_bat()
+    assert_pairs_equal(coalesced, _raw_pairs(expected))
+    assert_flags_sound(coalesced)
+    joins = "join" in op
+    warm_expected = state == "shared" or (joins and held)
+    cold_expected = state == "cold" and joins and not held
+    for bat in (coalesced, *result.fragments):
+        assert_flags_sound(bat)
+        str_column = getattr(bat, side)
+        assert_codes_decode(str_column)
+        if warm_expected:
+            assert str_column._encoding is not None, f"{op} [{state}]: gathered cold"
+        if cold_expected:
+            assert str_column._encoding is None, f"{op} [{state}]: warmed an intermediate"
+    if op == "fetchjoin-run" and layout == "one":
+        # A run fetched from one right fragment is a window (a view) of
+        # it, not a gathered copy.
+        for frag in result.fragments:
+            if len(frag):
+                assert frag.tail.values.base is not None, "run fetch copied"
+
+
+@pytest.mark.parametrize("op", ["fetchjoin", "join"])
+def test_appended_payload_gathers_warm_again(op):
+    """A stored multi-fragment str payload warmed by one query, then
+    appended to (the prefix fragments keep their dictionary, the new
+    delta is cold): the next join over the new state re-encodes the
+    fragments over one dictionary, so the gather spanning prefix and
+    delta comes out warm, not cold for every later query."""
+    pool = BATBufferPool()
+    rng = np.random.default_rng(4200)
+    values = _payload_words(rng, 40)
+    keys = VoidColumn(0, 40) if op == "fetchjoin" else Column("int", np.arange(40))
+    stored = fragment_bat(
+        BAT(keys, Column("str", values)), FragmentationPolicy(target_size=8)
+    )
+    pool.register_fragmented("payload", stored)
+    probe_atom = "oid" if op == "fetchjoin" else "int"
+    probe = _fragment(
+        BAT(VoidColumn(0, 60), Column(probe_atom, np.arange(60) % 48)), "range"
+    )
+    run, reference = (
+        (fr.fetchjoin, kernel.fetchjoin) if op == "fetchjoin" else (fr.join, kernel.join)
+    )
+    run(probe, pool.lookup_fragments("payload"))  # warm-up
+    batch = _payload_words(rng, 8).tolist()
+    if op == "fetchjoin":
+        pool.append("payload", tails=batch)
+    else:
+        pool.append("payload", list(zip(range(40, 48), batch)))
+    current = pool.lookup_fragments("payload")
+    assert current.nfragments > 1 and current.fragments[-1].tail._encoding is None
+    result = run(probe, current)
+    expected = reference(probe.to_bat(), current.to_bat())
+    assert_pairs_equal(result.to_bat(), _raw_pairs(expected))
+    for frag in result.fragments:
+        assert frag.tail._encoding is not None, "the gather across the delta is cold"
+        assert_codes_decode(frag.tail)
+    dictionaries = {id(frag.tail._encoding[1]) for frag in current.fragments}
+    assert len(dictionaries) == 1
+
+
+def test_racing_joint_encodings_settle_on_one_dictionary():
+    """Threads warming the same cold fragments at once leave every
+    fragment on one dictionary: the check and the publish are one
+    critical section.  A tiny switch interval interleaves the
+    publishing loops often enough to show a mix without the lock."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            columns = [
+                Column("str", np.array([f"w{j % 5}", None, f"v{j}"] * 50, dtype=object))
+                for j in range(64)
+            ]
+            barrier = threading.Barrier(4)
+
+            def warm():
+                barrier.wait()
+                encode_jointly(columns)
+
+            threads = [threading.Thread(target=warm) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len({id(column._encoding[1]) for column in columns}) == 1
+            for column in columns:
+                assert_codes_decode(column)
+    finally:
+        sys.setswitchinterval(interval)

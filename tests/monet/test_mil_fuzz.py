@@ -31,7 +31,7 @@ from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.mil import run_program
-from tests.conftest import STRATEGIES, fragment_layout
+from tests.conftest import STRATEGIES, assert_codes_decode, fragment_layout
 
 N_SEEDS = 50
 NUMERIC = ("int", "oid", "dbl")
@@ -250,7 +250,21 @@ def _join_data(rng) -> dict:
     nil = np.iinfo(np.int64).min
     compact = np.append(span[span != nil], (24, -3, 24))
     wide = np.append(span, (nil, 1 << 61, nil))
+    # Str payloads: one NIL-heavy word column in three dictionary
+    # states (see _pools) behind dense heads, and behind compact and
+    # sparse int keys.
+    words = np.empty(m, dtype=object)
+    for i in range(m):
+        words[i] = None if rng.random() < 0.3 else str(rng.choice(_PAYLOAD_WORDS))
+    shared = Column("str", words)
+    shared.encoding()
+    keys = rng.integers(0, 15, m).astype(np.int64)
     return {
+        "jshared": BAT(VoidColumn(0, m), shared),
+        "jcold": BAT(VoidColumn(0, m), Column("str", words.copy())),
+        "jdelta": BAT(VoidColumn(0, m), Column("str", words.copy())),
+        "jkeyed": BAT(Column("int", keys), shared),
+        "jkeyed_sparse": BAT(Column("int", keys * 1000), shared),
         "jvoid": BAT(VoidColumn(seqbase, m), tails),
         "jdense": BAT(Column("oid", dense), tails, hsorted=True, hkey=True),
         "jplain": BAT(Column("oid", dense.copy()), tails),
@@ -263,6 +277,14 @@ def _join_data(rng) -> dict:
 
 
 _DENSE_TWINS = ("jvoid", "jdense", "jplain")
+
+#: NIL-heavy str payload words, with the values the string heap keeps
+#: apart from NIL and from each other (empty, NUL-led, a lone
+#: surrogate, non-BMP).
+_PAYLOAD_WORDS = ("ape", "bat", "", "\x00NIL", "\ud800x", "\U0001f600")
+#: The str payload rights: windows of one warm column, cold windows,
+#: and appended delta fragments encoded on their own (disjoint).
+_PAYLOAD_RIGHTS = ("jshared", "jcold", "jdelta")
 
 #: Appended to every generated pipeline.  ``s*``: str joins with the
 #: column accelerator cold (``s1``), warm (``s2``: the same columns
@@ -306,6 +328,29 @@ _JOIN_EPILOGUE = "\n".join(
         'c11 := unique(mirror(bat("aw")));',
         'o0 := tsort(bat("jcompact"));',
         'o1 := tsort(bat("jwide"));',
+        # Str payloads through the fragmented gathers (``p*``):
+        # fetchjoin, join and outerjoin by oid probes and by a void run,
+        # value joins on both arms and sorts by the other side or by
+        # the str column itself.
+        'pk0 := sort(bat("jkeyed"));',
+        'pk1 := join(bat("ai"), bat("jkeyed"));',
+        'pk2 := outerjoin(bat("ai"), bat("jkeyed"));',
+        'pk3 := join(mirror(bat("jkeyed_sparse")), bat("jkeyed_sparse"));',
+        'pk4 := outerjoin(mirror(bat("jsparse")), bat("jkeyed_sparse"));',
+    ]
+    + [
+        f'p{step}_{name} := {expression.format(name=name)};'
+        for name in _PAYLOAD_RIGHTS
+        for step, expression in enumerate(
+            (
+                'fetchjoin(reverse(bat("dim")), bat("{name}"))',
+                'join(reverse(bat("dim")), bat("{name}"))',
+                'outerjoin(reverse(bat("dim")), bat("{name}"))',
+                'join(mark(bat("ai"), 2), bat("{name}"))',
+                'sort(reverse(bat("{name}")))',
+                'tsort(join(reverse(bat("dim")), bat("{name}")))',
+            )
+        )
     ]
     + [
         f'{probe}_{op}_{name} := {op}({probe}0, bat("{name}"));'
@@ -403,14 +448,36 @@ def _assert_twins_agree(env: dict, context: str) -> None:
                 )
 
 
+def _delta_layout(bat: BAT, policy: FragmentationPolicy) -> FragmentedBAT:
+    """A [void, str] *bat* as its first fragment plus appended delta
+    fragments, every one encoded on its own: disjoint dictionaries."""
+    target = policy.target_size
+    values = bat.tail.values
+    first = BAT(bat.head.window(0, min(target, len(bat))), Column("str", values[:target]))
+    fb = FragmentedBAT([first], policy=policy)
+    for lo in range(target, len(values), target):
+        fb = fb.append(tails=values[lo: lo + target].tolist())
+    for fragment in fb.fragments:
+        fragment.tail.encoding()
+    return fb
+
+
 def _pools(data: dict, strategy: str):
     policy = FragmentationPolicy(target_size=16)
     mono = BATBufferPool()
     frag = BATBufferPool()
     for name, bat in data.items():
         mono.register(name, bat)
-        frag.register_fragmented(name, fragment_layout(bat, strategy, policy))
+        if name == "jdelta":
+            frag.register_fragmented(name, _delta_layout(bat, policy))
+        else:
+            frag.register_fragmented(name, fragment_layout(bat, strategy, policy))
     return mono, frag, policy
+
+
+def _assert_codes_decode(bat: BAT, context: str) -> None:
+    for column in (bat.head, bat.tail):
+        assert_codes_decode(column, context)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -433,11 +500,17 @@ def test_mil_pipeline_fuzz(seed, strategy):
         context = f"seed {seed} [{strategy}] var {name}\n{script}"
         if isinstance(expected, BAT):
             assert isinstance(got, (BAT, FragmentedBAT)), context
+            _assert_codes_decode(expected, context)
             if isinstance(got, FragmentedBAT):
                 for fragment in got.fragments:
                     _assert_flags_sound(fragment, context)
+                    _assert_codes_decode(fragment, context)
+                if name.endswith("_jshared") and not name.startswith("p4"):
+                    # Gathered from windows of one warm column: warm.
+                    assert all(f.tail._encoding is not None for f in got.fragments), context
                 got = got.to_bat()
             _assert_flags_sound(got, context)
+            _assert_codes_decode(got, context)
             _assert_bats_equal(got, expected, context)
         else:
             assert _same_value(got, expected), (
