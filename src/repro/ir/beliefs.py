@@ -21,17 +21,23 @@ the paper's queries call -- returns, per document, the *belief list* of
 the query terms found in that document.  Both the scalar reference
 implementation (used by the Moa interpreter) and the vectorized one
 (used by the compiled MIL plans through multiplexed BAT arithmetic)
-live here, so the two execution paths share one formula.
+live here, so the two execution paths share one formula.  The idf is
+a function of the term alone, and :func:`normalized_idf` is its one
+formula: the scalar path, :func:`beliefs_array` and the per-term idf
+BAT the compiled plans look query terms up in
+(:meth:`repro.ir.stats.CollectionStats.idf_bat`) all call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence
+from typing import TYPE_CHECKING, List, Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.ir.stats import CollectionStats
+if TYPE_CHECKING:
+    from repro.ir.stats import CollectionStats
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,23 @@ def normalized_tf(
     return tf / (tf + params.tf_k + params.tf_doclen_weight * doc_length / avg)
 
 
-def normalized_idf(document_count: int, document_frequency: int) -> float:
-    """InQuery normalized idf in [0, 1]."""
-    if document_count <= 0 or document_frequency <= 0:
-        return 0.0
-    return float(
-        np.log((document_count + 0.5) / document_frequency)
-        / np.log(document_count + 1.0)
-    )
+def normalized_idf(
+    document_count: int, document_frequency: Union[int, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """InQuery normalized idf in [0, 1], ``log((N + 0.5) / df) /
+    log(N + 1)``, of one df (a float comes back) or of an array of dfs
+    (a float64 array): 0 where df <= 0 or N <= 0.  The numerator is
+    numpy's elementwise log and the denominator ``math.log`` of the
+    scalar, the arithmetic of the compiled belief plans' ``[log]`` and
+    ``log``, so every path gets the same bits."""
+    dfs = np.asarray(document_frequency, dtype=np.float64)
+    if document_count > 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.log((document_count + 0.5) / dfs)
+        idf = np.where(dfs > 0, ratios / math.log(document_count + 1.0), 0.0)
+    else:
+        idf = np.zeros(dfs.shape)
+    return float(idf) if idf.ndim == 0 else idf
 
 
 def belief(
@@ -107,12 +122,9 @@ def beliefs_array(
     """
     tfs = tfs.astype(np.float64)
     doc_lengths = doc_lengths.astype(np.float64)
-    dfs = dfs.astype(np.float64)
     avg = average_doc_length if average_doc_length > 0 else 1.0
     ntf = tfs / (tfs + params.tf_k + params.tf_doclen_weight * doc_lengths / avg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nidf = np.log((document_count + 0.5) / dfs) / np.log(document_count + 1.0)
-    nidf = np.where(dfs > 0, nidf, 0.0)
+    nidf = normalized_idf(document_count, dfs)
     return params.default_belief + (1.0 - params.default_belief) * ntf * nidf
 
 

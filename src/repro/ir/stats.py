@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
-from repro.monet.bat import BAT, bat_from_pairs
+from repro.ir.beliefs import normalized_idf
+from repro.monet.bat import BAT, Column
 from repro.monet.bbp import BATBufferPool
 
 
@@ -34,7 +35,7 @@ class CollectionStats:
     average_document_length: float
     document_frequency: Dict[str, int] = field(default_factory=dict)
     collection_frequency: Dict[str, int] = field(default_factory=dict)
-    _df_bat: Optional[BAT] = field(
+    _idf_bat: Optional[BAT] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -97,32 +98,35 @@ class CollectionStats:
         return sorted(self.document_frequency)
 
     def idf(self, term: str) -> float:
-        """InQuery normalized idf: log((N+0.5)/df) / log(N+1)."""
-        n = self.document_count
-        d = self.df(term)
-        if n == 0 or d == 0:
-            return 0.0
-        return float(np.log((n + 0.5) / d) / np.log(n + 1.0))
+        """InQuery normalized idf of *term*
+        (:func:`repro.ir.beliefs.normalized_idf`; 0 when unseen)."""
+        return normalized_idf(self.document_count, self.df(term))
 
     # ------------------------------------------------------------------
     # Physical bindings (for the flattening compiler)
     # ------------------------------------------------------------------
-    def df_bat(self) -> BAT:
-        """[term(str), df(int)] BAT used by compiled getBL plans; built
-        once per snapshot, so every bind shares one BAT (and with it
-        the dictionary encoding of its head)."""
-        if self._df_bat is None:
-            pairs = sorted(self.document_frequency.items())
-            self._df_bat = bat_from_pairs("str", "int", pairs)
-        return self._df_bat
+    def idf_bat(self) -> BAT:
+        """[term(str), idf(dbl)] BAT the compiled getBL plans look the
+        query terms up in (:func:`~repro.ir.beliefs.normalized_idf`).
+        Built at the first bind and once per snapshot, so every bind
+        shares one BAT (and the dictionary encoding of its head)."""
+        if self._idf_bat is None:
+            terms = self.vocabulary()
+            dfs = np.array([self.document_frequency[t] for t in terms], dtype=float)
+            self._idf_bat = BAT(
+                Column("str", np.array(terms, dtype=object)),
+                Column("dbl", normalized_idf(self.document_count, dfs)),
+                hsorted=True,
+                hkey=True,
+            )
+        return self._idf_bat
 
     def mil_bindings(self, name: str) -> Dict[str, object]:
         """Environment variables the compiler expects for a stats
-        parameter called *name*: ``<name>_df``, ``<name>_N``,
-        ``<name>_avgdl``."""
+        parameter called *name*: ``<name>_idf`` (:meth:`idf_bat`, all
+        a plan needs of N and df) and ``<name>_avgdl``."""
         return {
-            f"{name}_df": self.df_bat(),
-            f"{name}_N": int(self.document_count),
+            f"{name}_idf": self.idf_bat(),
             f"{name}_avgdl": float(self.average_document_length)
             if self.average_document_length > 0
             else 1.0,

@@ -299,6 +299,17 @@ def _compile_getbl(compiler: Compiler, cc, node):
     query are selected with a term join, and the InQuery belief formula
     runs as multiplexed BAT arithmetic -- identical numerics to
     :func:`repro.ir.beliefs.beliefs_array`.
+
+    The idf is a function of the query term alone, so it is looked up
+    once per query term: ``qidf`` outer-joins the k query rows with
+    ``<stats>_idf`` (:meth:`repro.ir.stats.CollectionStats.idf_bat`),
+    a term the stats never saw getting idf 0 as in
+    :meth:`~repro.ir.stats.CollectionStats.idf`.  ``nidf`` spreads it
+    over the matches *by position*: ``m``'s tail is the matched query
+    row, so ``m.number(oid(0))`` joins ``qidf``'s dense head
+    positionally, aligned with ``sel``.  (A re-join of the matches'
+    terms by value was measured no faster.)  No str column is gathered
+    after the term match.
     """
     from repro.moa import ast as moa_ast
 
@@ -321,12 +332,11 @@ def _compile_getbl(compiler: Compiler, cc, node):
     sel = compiler.emit(f"{matches}.mirror.mark(oid(0)).reverse", "sel")
     btf = compiler.emit(f"{sel}.join({cols.tf})", "btf")
     bown = compiler.emit(f"{sel}.join({cols.owner})", "bown")
-    bterm = compiler.emit(f"{sel}.join({cols.term})", "bterm")
-    bdf = compiler.emit(f"{bterm}.join({stats_name}_df)", "bdf")
     bdl = compiler.emit(f"{bown}.join({cols.doclen})", "bdl")
-    # Scalar precomputations from the stats bindings.
-    n_plus_half = compiler.emit(f"dbl({stats_name}_N) + 0.5", "s")
-    log_n = compiler.emit(f"log(dbl({stats_name}_N) + 1.0)", "s")
+    # nidf per query term (0 when unseen), spread over the matches.
+    qidf = compiler.emit(f"{qvar}.outerjoin({stats_name}_idf)", "qidf")
+    qidf = compiler.emit(f"[ifthenelse]([isnil]({qidf}), 0.0, {qidf})", "qidf")
+    nidf = compiler.emit(f"{matches}.number(oid(0)).join({qidf})", "nidf")
     # ntf = tf / (tf + k + w * dl / avgdl)
     tf_dbl = compiler.emit(f"[dbl]({btf})", "v")
     dl_term = compiler.emit(
@@ -337,10 +347,6 @@ def _compile_getbl(compiler: Compiler, cc, node):
         f"[+]([+]({tf_dbl}, {params.tf_k}), {dl_term})", "v"
     )
     ntf = compiler.emit(f"[/]({tf_dbl}, {denominator})", "ntf")
-    # nidf = log((N + 0.5)/df) / log(N + 1)
-    nidf = compiler.emit(
-        f"[/]([log]([/]({n_plus_half}, [dbl]({bdf}))), {log_n})", "nidf"
-    )
     bel = compiler.emit(
         f"[+]({alpha}, [*]([*]({1.0 - alpha}, {ntf}), {nidf}))", "bel"
     )

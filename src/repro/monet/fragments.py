@@ -1538,7 +1538,9 @@ def sort(fb: FragmentedBAT) -> FragmentedBAT:
     and the plan around it stays fragment-parallel.  Equal heads keep
     global BUN order, exactly like the monolithic stable sort.  The
     keys are :func:`kernel.order_keys`: numbers themselves, a str head
-    the ranks of its codes in one code space across the fragments.
+    the ranks of its codes in one code space across the fragments, which
+    are warmed over one dictionary first (:func:`encode_jointly`), so
+    the gathered head comes out warm.
     Already-sorted inputs (flagged or detected, fragment boundaries
     included) return unchanged."""
     if len(fb) == 0:
@@ -1548,6 +1550,9 @@ def sort(fb: FragmentedBAT) -> FragmentedBAT:
     ):
         return fb
     heads = [frag.head for frag in fb.fragments]
+    str_head = _kernel._is_object_column(heads[0])
+    if str_head:
+        encode_jointly(heads)
     head_keys = _kernel.order_keys(*heads)
 
     def one(index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1561,9 +1566,7 @@ def sort(fb: FragmentedBAT) -> FragmentedBAT:
     runs = map_fragments(one, range(fb.nfragments), len(fb))
     # A str head's keys are ranks, not its values: the merged head is
     # gathered by global position, like the tail.
-    return _sample_sort_merge(
-        fb, runs, gather_heads=_kernel._is_object_column(heads[0])
-    )
+    return _sample_sort_merge(fb, runs, gather_heads=str_head)
 
 
 def tsort(fb: FragmentedBAT) -> FragmentedBAT:

@@ -8,8 +8,9 @@ argument.
 
 The probabilistic operators of the Mirror DBMS's CONTREP structure are
 implemented at the physical level exactly this way: belief computation
-is a short pipeline of multiplexed arithmetic over the tf/df BATs (see
-:mod:`repro.ir.beliefs`).
+is a short pipeline of multiplexed arithmetic over the matched
+postings' tf and document-length BATs and the per-query-term idf
+spread over them (see :mod:`repro.ir.beliefs`).
 
 Alignment rule: all BAT arguments must have the same length and, when
 their heads are void, the same seqbase.  (The Moa compiler only ever

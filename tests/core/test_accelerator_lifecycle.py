@@ -219,7 +219,7 @@ def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(concat, monk
         for module in (fragments, kernel):
             monkeypatch.setattr(module, "concat_columns", lambda parts: _cold(real(parts)))
     params = [{"query": query, "stats": stats} for query in queries]
-    # Warm-up: the stored columns (and the stats' df BAT) warm.
+    # Warm-up: the stored columns (and the stats' idf BAT) warm.
     db.query(SECTION3_QUERY, params[0])
     encoded = []
     real_encode = bat_module.dictionary_encode

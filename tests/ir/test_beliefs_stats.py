@@ -63,15 +63,16 @@ class TestStats:
         assert empty.document_count == 0
         assert empty.average_document_length == 0.0
 
-    def test_df_bat(self, stats):
-        bat = stats.df_bat()
-        assert dict(bat.to_pairs())["sunset"] == 2
+    def test_idf_bat(self, stats):
+        idf = dict(stats.idf_bat().to_pairs())
+        assert sorted(idf) == stats.vocabulary()
+        assert all(idf[term] == stats.idf(term) for term in idf)
 
     def test_mil_bindings(self, stats):
         bindings = stats.mil_bindings("stats")
-        assert bindings["stats_N"] == 3
+        assert set(bindings) == {"stats_idf", "stats_avgdl"}
+        assert bindings["stats_idf"] is stats.idf_bat()
         assert bindings["stats_avgdl"] == pytest.approx(11 / 3)
-        assert "stats_df" in bindings
 
     def test_mil_bindings_avgdl_floor(self):
         empty = CollectionStats.from_documents([])
@@ -104,9 +105,9 @@ class TestStats:
         assert list(pooled.document_frequency) == by_first_posting
         assert list(pooled.collection_frequency) == by_first_posting
         assert all(type(v) is int for v in pooled.collection_frequency.values())
-        # An immutable snapshot binds one df BAT, however often.
-        first = db.executor._bind({"stats": pooled})["stats_df"]
-        assert db.executor._bind({"stats": pooled})["stats_df"] is first
+        # An immutable snapshot binds one idf BAT, however often.
+        first = db.executor._bind({"stats": pooled})["stats_idf"]
+        assert db.executor._bind({"stats": pooled})["stats_idf"] is first
 
 
 class TestBeliefFormula:
@@ -140,6 +141,14 @@ class TestBeliefFormula:
     def test_nidf_degenerate(self):
         assert normalized_idf(0, 5) == 0.0
         assert normalized_idf(10, 0) == 0.0
+
+    @pytest.mark.parametrize("n_docs", [0, 1, 7, 1000])
+    def test_nidf_of_an_array_is_the_scalar_per_element(self, n_docs):
+        dfs = np.array([-1, 0, 1, 2, 7, 1000])
+        vector = normalized_idf(n_docs, dfs)
+        assert vector.dtype == np.float64 and vector.shape == dfs.shape
+        assert vector.tolist() == [normalized_idf(n_docs, int(df)) for df in dfs]
+        assert vector[:2].tolist() == [0.0, 0.0]
 
     def test_belief_bounds(self, stats):
         value = belief(2, 4, stats, "sunset")

@@ -2049,3 +2049,57 @@ def test_racing_joint_encodings_settle_on_one_dictionary():
                 assert_codes_decode(column)
     finally:
         sys.setswitchinterval(interval)
+
+
+# ----------------------------------------------------------------------
+# Str order keys: the fragmented sort gathers its str key column warm
+# ----------------------------------------------------------------------
+
+
+def _str_key_layout(values: np.ndarray, state: str, target: int) -> FragmentedBAT:
+    """A [void, str] operand over *values* in fragments of *target*
+    BUNs, its str column ``cold`` (windows of a column never encoded),
+    ``shared`` (windows of one warm column) or ``appended`` (a warm
+    stored prefix beside the cold delta fragment an append leaves)."""
+    policy = FragmentationPolicy(target_size=target)
+    if state != "appended":
+        column = Column("str", values.copy())
+        if state == "shared":
+            column.encoding()
+        return fragment_bat(BAT(VoidColumn(0, len(values)), column), policy)
+    split = len(values) - len(values) // 4
+    prefix = Column("str", values[:split].copy())
+    prefix.encoding()
+    stored = fragment_bat(BAT(VoidColumn(0, split), prefix), policy)
+    return stored.append(tails=values[split:].tolist())
+
+
+@pytest.mark.parametrize("layout", ["one", "many"])
+@pytest.mark.parametrize("state", ["cold", "shared", "appended"])
+@pytest.mark.parametrize("op", ["sort", "tsort"])
+def test_str_key_order_gathers_warm(op, state, layout):
+    """sort over a str head and tsort over a str tail, in one fragment
+    or many, cold, shared or a warm prefix beside a cold appended
+    delta: BUN-identical to the kernel, and the ordered str column of
+    the result and of every output fragment warm, its codes decoding to
+    its values -- the key fragments are warmed over one dictionary
+    before their order keys are taken, so the merged gather keeps the
+    codes and the next keyed operator re-encodes nothing."""
+    rng = np.random.default_rng(4300)
+    values = _payload_words(rng, 48)
+    fb = _str_key_layout(values, state, 64 if layout == "one" else 8)
+    assert (fb.nfragments > 1) == (layout == "many")
+    if state == "appended":
+        assert fb.fragments[-1].tail._encoding is None
+    mono = BAT(VoidColumn(0, len(values)), Column("str", values.copy()))
+    if op == "sort":
+        expected, result, side = kernel.sort(mono.reverse()), fr.sort(fr.reverse(fb)), "head"
+    else:
+        expected, result, side = kernel.tsort(mono), fr.tsort(fb), "tail"
+    coalesced = result.to_bat()
+    assert_pairs_equal(coalesced, _raw_pairs(expected))
+    for bat in (coalesced, *result.fragments):
+        assert_flags_sound(bat)
+        keys = getattr(bat, side)
+        assert keys._encoding is not None, f"{op} [{state}, {layout}]: ordered keys cold"
+        assert_codes_decode(keys, f"{op} [{state}, {layout}]")
