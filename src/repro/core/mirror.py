@@ -289,7 +289,7 @@ class MirrorDBMS:
                 )
         if not changed:
             return
-        self.schema.update(changed)
+        self._executor.define(changed)
         if self.pool.directory is not None:
             replace_text(self.pool.directory / "schema.ddl", self.ddl() + "\n")
 
@@ -515,7 +515,7 @@ class MirrorDBMS:
         db = cls(BATBufferPool.load(directory))
         ddl_path = directory / "schema.ddl"
         if ddl_path.exists():
-            db.schema.update(parse_schema(ddl_path.read_text()))
+            db.executor.define(parse_schema(ddl_path.read_text()))
         return db
 
 

@@ -49,6 +49,7 @@ from repro.moa.errors import MoaCompileError, MoaRuntimeError
 from repro.moa.functions import function_spec
 from repro.moa.mapping import EXTENT_SUFFIX, NEST_SUFFIX, VALUE_SUFFIX
 from repro.moa.types import AtomicType, ListType, MoaType, SetType, TupleType, is_collection
+from repro.monet.mil import ast as mil_ast
 from repro.monet.multiplex import scalar_op
 
 # ----------------------------------------------------------------------
@@ -246,12 +247,15 @@ class CompiledScalar:
 
 @dataclass
 class CompiledQuery:
-    """A finished plan: MIL text plus the shape needed to pull results."""
+    """A finished plan: MIL text plus the shape needed to pull results.
+    ``program_ast`` is that text parsed, set once by
+    :meth:`repro.moa.executor.MoaExecutor.prepare`; runs execute it."""
 
     program: str
     result: Union[CompiledCollection, CompiledScalar]
     params: Dict[str, MoaType]
     statements: int = 0
+    program_ast: Optional[mil_ast.Program] = None
 
 
 # ----------------------------------------------------------------------

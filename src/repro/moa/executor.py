@@ -3,8 +3,25 @@
 ``MoaExecutor`` drives the full pipeline of the Mirror DBMS's logical
 layer::
 
-    text -> parse -> typecheck -> optimize -> flatten to MIL -> run
-         -> reconstruct nested Python values
+    text -> plan cache -> run the MIL AST -> reconstruct nested Python values
+               | miss
+               v
+            parse -> typecheck -> optimize -> flatten to MIL -> parse MIL
+
+A query is flattened to MIL once per plan, not once per call: the
+parameter *values* never reach the plan (they bind through the MIL
+environment), so :meth:`MoaExecutor.prepare` files the finished
+:class:`~repro.moa.compiler.CompiledQuery` -- its MIL text and that
+text parsed -- under (query text, parameter types, execution modes,
+schema generation) in a bounded cache (:data:`PLAN_CACHE_SIZE` plans,
+the oldest evicted first).  A hit does no Moa parse, typecheck,
+optimize, compile or MIL parse; :meth:`MoaExecutor.run_compiled` runs
+the parsed program through
+:meth:`~repro.monet.mil.MILInterpreter.run_program`.  Only text queries
+are cached: an ``ast.Expr`` query is compiled every time, because the
+typechecker annotates the node it is given.  Every schema change goes
+through :meth:`MoaExecutor.define`, which bumps the generation, so no
+plan compiled against an older schema is served after it.
 
 Reconstruction is the result rep's :meth:`~repro.moa.compiler.ResultRep.rebuild`
 over the plan's leaf columns.  Run with ``materialize=False``, a
@@ -26,8 +43,9 @@ modes select the benchmark configurations:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ir.stats import CollectionStats
 from repro.moa import ast
@@ -62,7 +80,11 @@ from repro.moa.types import AtomicType, MoaType, SetType, StatsType
 from repro.monet.bat import BAT, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
-from repro.monet.mil import MILInterpreter
+from repro.monet.mil import MILInterpreter, parse_program
+
+#: Plans one executor keeps (:meth:`MoaExecutor.prepare`); filing one
+#: more evicts the oldest.
+PLAN_CACHE_SIZE = 128
 
 
 @dataclass
@@ -130,8 +152,11 @@ class MoaExecutor:
 
     One executor is safe to share across threads: compilation
     snapshots the schema dict, each run builds its own environment, and
-    the MIL interpreter instance carries no per-run state.  The only
-    caveat is the write path -- the three write methods (and the
+    the MIL interpreter instance carries no per-run state.  A cached
+    plan is shared read-only by every run that hits it; only
+    :meth:`prepare` files one (under a lock, so concurrent misses of
+    one key compile twice and keep one).  The only caveat is the write
+    path -- :meth:`define` and the three write methods (and the
     MirrorDBMS facade above them) must be externally serialized, which
     :class:`repro.core.mirror.MirrorDBMS` does with its own lock.
     """
@@ -149,6 +174,19 @@ class MoaExecutor:
         self.fragment_threshold = fragment_threshold
         self.fragment_policy = fragment_policy
         self.mil = MILInterpreter(pool, fragment_policy=fragment_policy)
+        #: Bumped by every :meth:`define`; part of every plan's key.
+        self.schema_generation = 0
+        self._plans: Dict[Tuple[Any, ...], CompiledQuery] = {}
+        self._plans_lock = threading.Lock()
+
+    def define(self, types: Dict[str, MoaType]) -> None:
+        """The one writer of the schema: add or retype the collections
+        in *types* and bump :attr:`schema_generation`, retiring every
+        cached plan.  The dict is updated before the bump, so a plan
+        filed under the new generation was compiled against it.  Calls
+        must be externally serialized."""
+        self.schema.update(types)
+        self.schema_generation += 1
 
     def append(self, name: str, ty: MoaType, values: List[Any]) -> int:
         """Append tuples to a created collection in O(batch) through the
@@ -190,9 +228,30 @@ class MoaExecutor:
         eager_columns: bool = False,
         cse: bool = True,
     ) -> CompiledQuery:
-        """Parse/typecheck/optimize/compile without running."""
-        params = params or {}
-        param_types = {name: infer_param_type(v) for name, v in params.items()}
+        """The plan of *query* for parameters of *params*' types: the
+        cached one when this text was prepared for the same types and
+        modes since the last :meth:`define`, otherwise a fresh
+        parse/typecheck/optimize/compile whose MIL text is parsed once
+        and (for a text query) filed in the cache."""
+        param_types = {
+            name: infer_param_type(v) for name, v in (params or {}).items()
+        }
+        key = None
+        if isinstance(query, str):
+            # The generation is read before the schema is snapshot: a
+            # plan compiled across a concurrent `define` is filed under
+            # the old generation and never served after it.
+            key = (
+                query,
+                tuple((name, ty.render()) for name, ty in param_types.items()),
+                optimize,
+                eager_columns,
+                cse,
+                self.schema_generation,
+            )
+            compiled = self._plans.get(key)
+            if compiled is not None:
+                return compiled
         node = parse_query(query) if isinstance(query, str) else query
         # Snapshot the schema: the service layer shares one executor
         # across sessions, and a concurrent `define` mutating the dict
@@ -208,6 +267,12 @@ class MoaExecutor:
         compiled = compiler.compile_query(typed)
         _finalize(compiler, compiled)
         compiled.program = compiler.program()
+        compiled.program_ast = parse_program(compiled.program)
+        if key is not None:
+            with self._plans_lock:
+                while len(self._plans) >= PLAN_CACHE_SIZE:
+                    del self._plans[next(iter(self._plans))]
+                self._plans[key] = compiled
         return compiled
 
     def execute(
@@ -253,10 +318,11 @@ class MoaExecutor:
         reader: Any = None,
         materialize: bool = True,
     ) -> QueryResult:
-        """Run an already-compiled plan (prepared-query path)."""
+        """Run a plan from :meth:`prepare`: its parsed MIL program, so
+        no run parses MIL text."""
         env = self._bind(params or {})
-        result = self.mil.run(
-            compiled.program, env, checkpoint=checkpoint, reader=reader
+        result = self.mil.run_program(
+            compiled.program_ast, env, checkpoint=checkpoint, reader=reader
         )
         value = _result_value(compiled.result, result.env)
         if materialize and isinstance(value, ResultColumns):

@@ -841,13 +841,15 @@ def _shared_index_matches(
     """One code-space index over the whole build side, probed by every
     fragment.  A str index is built in the probe side's code space when
     all probe fragments share one dictionary (windows of a warm
-    column), so no probe translates anything; otherwise in the build's
-    own, and each probe fragment translates its distinct values."""
+    column) at least as large as the build's, so no probe translates
+    anything (:func:`~repro.monet.kernel.larger_code_space`); otherwise
+    in the build's own, and each probe fragment translates its distinct
+    values."""
     code_space = None
     if probe_object:
-        dictionaries = [frag.tail.encoding()[1] for frag in fb.fragments]
-        if len({id(dictionary) for dictionary in dictionaries}) == 1:
-            code_space = dictionaries[0]
+        probes = [frag.tail for frag in fb.fragments]
+        if len({id(probe.encoding()[1]) for probe in probes}) == 1:
+            code_space = _kernel.larger_code_space(probes[0], heads)
     index = _kernel.build_match_index(heads, code_space)
     payload = concat_columns(tails)
 

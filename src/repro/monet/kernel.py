@@ -51,13 +51,15 @@ key with span == count - 1)   (:func:`fetch_positions`)   seqbase windows
 -- and every probe is in      the result head is          per probe fragment,
 range                         ``left.head`` itself (a     too
                               void head stays void)
-either side str               code space: the probe       one shared index in
-                              column's cached             the probe fragments'
-                              dictionary codes against    shared dictionary,
-                              the *distinct* build        else the build's;
-                              values translated into      a probe fragment
-                              them (``"code"``)           translates only its
-                                                          distinct values
+either side str               code space: the cached      one shared index in
+                              dictionary codes of the     the probe fragments'
+                              side with the larger        shared dictionary
+                              dictionary, the *distinct*  when it is the
+                              values the other side uses  larger, else the
+                              translated into them        build's; a probe
+                              (``"code"``,                fragment translates
+                              :func:`larger_code_space`)  only its distinct
+                                                          values
 numeric keys, non-NIL build   code space ``key - lo``     one shared index
 keys integral and spanning    (``"span"``): a probe       over the build
 ``hi - lo < 2 * count``       has a code only if it is    fragments in BUN
@@ -756,9 +758,9 @@ def build_match_index(
     docstring:
 
     * str keys: the ``"code"`` arm, in *code_space* when given (a probe
-      side's dictionary: build values it lacks can match nothing there)
-      and otherwise in the build's own dictionary, extended across
-      fragments that do not share one;
+      side's dictionary, :func:`larger_code_space`: build values it
+      lacks can match nothing there) and otherwise in the build's own
+      dictionary, extended across fragments that do not share one;
     * integral keys with a compact span (:func:`span_bounds`): the
       ``"span"`` arm;
     * anything else: the ``"sorted"`` arm.
@@ -821,10 +823,10 @@ def _match_columns(
     in *build*'s, ordered by probe position (stable), then by build
     position.
 
-    A str join runs in the probe column's code space: its (cached)
-    dictionary encoding is the probe, and only the *distinct* build
-    values are translated into it -- one dict lookup per distinct build
-    value however long either side is."""
+    A str join runs in the code space of the side with the larger
+    (cached) dictionary, and only the *distinct* values the other side
+    uses are translated into it -- one dict lookup each, however long
+    either side is (:func:`larger_code_space`)."""
     probe_object = _is_object_column(probe)
     if (
         len(probe) == 0
@@ -834,8 +836,21 @@ def _match_columns(
     ):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    code_space = probe.encoding()[1] if probe_object else None
+    code_space = larger_code_space(probe, [build]) if probe_object else None
     return probe_match_index(probe, build_match_index([build], code_space))
+
+
+def larger_code_space(probe: Column, build: Sequence[Column]) -> Optional[dict]:
+    """The code space a str join of *probe* against the *build* columns
+    indexes in: *probe*'s dictionary when it is at least as large as
+    every build dictionary, else ``None`` -- the build's own
+    (:func:`build_match_index`).  The smaller side is the one
+    translated, as in :func:`str_code_space`: joining 3 query terms
+    against a 200 000-term vocabulary looks 3 values up, not 200 000."""
+    dictionary = probe.encoding()[1]
+    if len(dictionary) >= max(len(column.encoding()[1]) for column in build):
+        return dictionary
+    return None
 
 
 def join_keys(

@@ -99,7 +99,11 @@ class MILInterpreter:
         reader: Any = None,
     ) -> MILResult:
         """Parse and execute *source*; *env* provides initial variable
-        bindings (the Moa executor passes query parameters this way)."""
+        bindings.  This is the path for MIL text run once -- the ``mil``
+        wire op, hand-written pipelines.  A plan run many times is parsed
+        once and handed to :meth:`run_program`, which is how the Moa
+        executor runs its cached plans (query parameters bound through
+        *env*)."""
         program = parse_program(source)
         return self.run_program(program, env, checkpoint=checkpoint,
                                 reader=reader)

@@ -513,6 +513,14 @@ def _check_str_join_arms(rng) -> None:
     # A cold probe against the warm build, and the other way round.
     _check_join(BAT(left.head, Column("str", left.tail.values.copy())), right)
     _check_join(left, BAT(Column("str", right.head.values.copy()), right.tail))
+    # A build over a wider vocabulary than the probe's: the index is in
+    # the build's code space and the probe's values are translated.
+    wide = BAT(
+        Column("str", _random_words(rng, 60, [f"w{i}" for i in range(40)] + ["bat", "dog"])),
+        Column("int", rng.integers(0, 9, 60)),
+    )
+    _check_join(left, wide)
+    _check_join(BAT(VoidColumn(0, min(n, 3)), Column("str", left.tail.values[:3].copy())), wide)
 
 
 def _check_positional_join_arms(rng) -> None:
