@@ -37,7 +37,7 @@ from repro.daemons.daemon import (
 from repro.daemons.dictionary import DataDictionary
 from repro.daemons.mediaserver import MediaServer
 from repro.daemons.orb import Orb
-from repro.ir.tokenize import analyze
+from repro.ir.tokenize import analyze, analyze_many
 from repro.multimedia.webrobot import CrawledImage
 
 #: The paper's section 5.2 external schema, verbatim.
@@ -233,11 +233,15 @@ class DigitalLibrary:
         )
         self._image_stats = self.mirror.stats("ImageLibraryInternal", "image")
 
-        pairs = []
-        for item, tokens in zip(self.items, self.image_tokens):
-            if item.annotation:
-                pairs.append((analyze(item.annotation), tokens))
-        associations = self.thesaurus.build(pairs)
+        annotated = [
+            (item.annotation, tokens)
+            for item, tokens in zip(self.items, self.image_tokens)
+            if item.annotation
+        ]
+        terms = analyze_many(annotation for annotation, _ in annotated)
+        associations = self.thesaurus.build(
+            [(words, tokens) for words, (_, tokens) in zip(terms, annotated)]
+        )
         return {
             "images": len(self.items),
             "segments": sum(len(b) for b in bboxes_per_image),

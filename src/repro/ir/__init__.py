@@ -20,11 +20,12 @@ section 3) adapted to multimedia.  This package supplies everything the
 
 from repro.ir.beliefs import BeliefParameters, belief, beliefs_array, default_belief
 from repro.ir.stats import CollectionStats
-from repro.ir.tokenize import STOPWORDS, analyze, tokenize
+from repro.ir.tokenize import STOPWORDS, analyze, analyze_many, tokenize
 
 __all__ = [
     "tokenize",
     "analyze",
+    "analyze_many",
     "STOPWORDS",
     "CollectionStats",
     "BeliefParameters",

@@ -1,17 +1,24 @@
 """Tokenization and stopping for CONTREP text representations.
 
-``analyze`` is the full InQuery-style pipeline the CONTREP mapper uses:
-lowercase -> split on non-alphanumerics -> drop stopwords -> Porter
-stem.  Cluster labels produced by the multimedia pipeline (e.g.
-``gabor_21``, treated "as if they are words in text retrieval",
+``analyze_many`` is the full InQuery-style pipeline the CONTREP mapper
+uses: lowercase -> split on non-alphanumerics -> drop stopwords ->
+Porter stem.  It works set-at-a-time, the way a batch reaches the
+mapper: every text of the batch is tokenized, the tokens are
+factorized, and each *distinct* token is stopped and stemmed once (a
+collection of 30 000 annotations has a few dozen distinct words, so
+the stemmer runs a few dozen times, not once per occurrence); the
+per-text term lists are then gathered from that table.  ``analyze`` is
+the one-text case.  Cluster labels produced by the multimedia pipeline
+(e.g. ``gabor_21``, treated "as if they are words in text retrieval",
 section 5.2) pass through unchanged because they contain an underscore
 and digits -- the analyzer never mangles non-linguistic tokens.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.ir.porter import stem
 
@@ -43,29 +50,45 @@ def tokenize(text: str) -> List[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def analyze(
-    text: str,
+def analyze_many(
+    texts: Iterable[str],
     *,
     stopwords: Optional[Set[str]] = None,
     stemming: bool = True,
-) -> List[str]:
-    """Full analysis pipeline: tokenize, stop, stem.
+) -> List[List[str]]:
+    """The analyzed term list of every text in *texts*: tokenize,
+    stop, stem -- each distinct token once per call.
 
     Tokens that are not purely alphabetic (cluster labels like
     ``rgb_3``, numbers) are passed through verbatim -- they are already
     canonical "words" of the multimedia vocabulary.
     """
     stops = STOPWORDS if stopwords is None else stopwords
-    out: List[str] = []
-    for token in tokenize(text):
+    token_lists = [tokenize(text) for text in texts]
+    # Distinct token -> its term, or None when stopped (before or
+    # after stemming).
+    terms: Dict[str, Optional[str]] = dict.fromkeys(
+        itertools.chain.from_iterable(token_lists)
+    )
+    for token in terms:
         if token in stops:
             continue
-        if stemming and _LINGUISTIC_RE.match(token):
-            token = stem(token)
-            if token in stops:
-                continue
-        out.append(token)
-    return out
+        term = stem(token) if stemming and _LINGUISTIC_RE.match(token) else token
+        terms[token] = None if term in stops else term
+    return [
+        [term for term in map(terms.__getitem__, tokens) if term is not None]
+        for tokens in token_lists
+    ]
+
+
+def analyze(
+    text: str,
+    *,
+    stopwords: Optional[Set[str]] = None,
+    stemming: bool = True,
+) -> List[str]:
+    """The analyzed term list of one text (:func:`analyze_many`)."""
+    return analyze_many([text], stopwords=stopwords, stemming=stemming)[0]
 
 
 def analyze_terms(tokens: List[str], *, stemming: bool = True) -> List[str]:

@@ -30,9 +30,10 @@ kernel mapping code unaware of IR.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -89,13 +90,21 @@ def fragmentation(
         _FRAGMENTATION.reset(token)
 
 
-def append_attribute(pool: BATBufferPool, name: str, tails: Sequence[Any]) -> None:
+def append_attribute(
+    pool: BATBufferPool, name: str, tails: Union[Sequence[Any], np.ndarray]
+) -> None:
     """Append tail values to an attribute BAT through the pool's
     copy-on-write/WAL path, promoting a monolithic registration to
     fragments when the append pushes it across the active threshold.
     All mapper ``append`` hooks go through here, so fragmentation stays
-    transparent to the logical layer."""
-    appended = pool.append(name, tails=list(tails))
+    transparent to the logical layer.
+
+    *tails* is a column: an ndarray of the attribute atom's dtype is
+    taken as the in-column form (NIL as the atom's sentinel) without a
+    per-value coercion; a Python list -- row values as the user gave
+    them -- is coerced value by value
+    (:func:`~repro.monet.bat.column_from_values`)."""
+    appended = pool.append(name, tails=tails)
     threshold, policy = _FRAGMENTATION.get()
     if (
         threshold is not None
@@ -131,7 +140,11 @@ class StructureMapper:
     * ``append(pool, prefix, ty, values, offset)`` -- *values* aligned
       with *new* parent oids ``offset..offset+len(values)-1``; extends
       the registered BATs in place via :func:`append_attribute`
-      (O(batch), never a reload).
+      (O(batch), never a reload), a whole batch at a time: what a
+      mapper derives (parent oids, LIST indexes, CONTREP postings and
+      lengths, the extent) it hands over as column arrays, while the
+      user's atomic values travel as the list they came in and are
+      coerced per value.
     * ``delete(pool, prefix, ty, positions)`` -- *positions* are the
       sorted unique parent oids being removed.  Per-parent rows drop
       through ``pool.delete``; a structure with children (SET/LIST
@@ -383,19 +396,17 @@ def _attribute_len(pool: BATBufferPool, name: str) -> int:
 
 
 def _flatten(
-    parents: Iterable[int], collections: Iterable[Any]
-) -> Tuple[List[int], List[Any], List[int]]:
+    parents: Sequence[int], collections: Iterable[Any]
+) -> Tuple[np.ndarray, List[Any], np.ndarray]:
     """Children columns (parent oid, element, index within its
-    collection) of one collection per parent; ``None`` is empty."""
-    nest: List[int] = []
-    elements: List[Any] = []
-    indexes: List[int] = []
-    for parent, collection in zip(parents, collections):
-        items = list(collection) if collection is not None else []
-        nest.extend([int(parent)] * len(items))
-        elements.extend(items)
-        indexes.extend(range(len(items)))
-    return nest, elements, indexes
+    collection) of one collection per parent; ``None`` is empty.  The
+    parent oids and indexes are int64 arrays."""
+    items = [list(c) if c is not None else [] for c in collections]
+    lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    nest = np.repeat(np.asarray(parents, dtype=np.int64), lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    indexes = np.arange(len(nest), dtype=np.int64) - starts
+    return nest, list(itertools.chain.from_iterable(items)), indexes
 
 
 def _field(value: Any, name: str) -> Any:
@@ -450,7 +461,7 @@ def append_collection(
     # The extent last: a snapshot pinned between these appends still
     # sees the old extent, and every gather from it ignores the new
     # rows.  Appending the next dense oid run keeps its flags intact.
-    pool.append(f"{name}.{EXTENT_SUFFIX}", tails=list(range(base, count)))
+    pool.append(f"{name}.{EXTENT_SUFFIX}", tails=np.arange(base, count, dtype=np.int64))
     return count
 
 

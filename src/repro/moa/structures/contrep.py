@@ -21,12 +21,16 @@ through the registries, exactly the open-system claim of section 2.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.ir.beliefs import DEFAULT_PARAMETERS, belief_list
 from repro.ir.stats import CollectionStats
-from repro.ir.tokenize import analyze
+from repro.ir.tokenize import analyze, analyze_many
 from repro.moa.compiler import (
     AtomCol,
     Compiler,
@@ -107,20 +111,17 @@ class ContentRepresentation:
         if isinstance(value, str):
             tokens = analyze(value) if media == "Text" else value.split()
             return cls.from_tokens(tokens)
+        if isinstance(value, (list, tuple)):
+            return cls.from_tokens(value)
         if isinstance(value, Mapping):
             return cls(value)
-        if isinstance(value, (list, tuple)):
-            return cls.from_tokens(list(value))
         raise MoaTypeError(
             f"cannot build a CONTREP value from {type(value).__name__}"
         )
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "ContentRepresentation":
-        counts: Dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        return cls(counts)
+        return cls(Counter(tokens))
 
     def get(self, term: str, default: int = 0) -> int:
         return self.terms.get(term, default)
@@ -146,21 +147,27 @@ _POSTINGS = ("owner", "term", "tf")
 
 
 def _reps(values, ty: ContrepType) -> List[ContentRepresentation]:
+    """One representation per value of a batch; the ``Text`` media's
+    strings are analyzed together, by one :func:`analyze_many`."""
+    values = list(values)
+    if ty.media == "Text":
+        analyzed = iter(analyze_many(v for v in values if isinstance(v, str)))
+        values = [next(analyzed) if isinstance(v, str) else v for v in values]
     return [ContentRepresentation.from_value(v, ty.media) for v in values]
 
 
-def _postings(owners: Iterable[int], reps: Sequence[ContentRepresentation]):
+def _postings(owners: Sequence[int], reps: Sequence[ContentRepresentation]):
     """The posting columns ``(owner, term, tf)`` of one representation
-    per owner oid, each document's terms in sorted order."""
-    owner_oids: List[int] = []
-    terms: List[str] = []
-    tfs: List[int] = []
-    for owner, rep in zip(owners, reps):
-        for term in sorted(rep.terms):
-            owner_oids.append(int(owner))
-            terms.append(term)
-            tfs.append(rep.terms[term])
-    return owner_oids, terms, tfs
+    per owner oid, as arrays of their atoms, each document's terms in
+    sorted order."""
+    per_doc = [sorted(rep.terms.items()) for rep in reps]
+    counts = np.fromiter(map(len, per_doc), dtype=np.int64, count=len(per_doc))
+    owner = np.repeat(np.asarray(owners, dtype=np.int64), counts)
+    flat = list(itertools.chain.from_iterable(per_doc))
+    term = np.empty(len(flat), dtype=object)
+    term[:] = [t for t, _ in flat]
+    tf = np.fromiter((f for _, f in flat), dtype=np.int64, count=len(flat))
+    return owner, term, tf
 
 
 def contrep_values(
@@ -194,7 +201,9 @@ class ContrepMapper(StructureMapper):
     def append(self, pool, prefix, ty: ContrepType, values, offset):
         reps = _reps(values, ty)
         self._append_postings(pool, prefix, range(offset, offset + len(reps)), reps)
-        append_attribute(pool, f"{prefix}.doclen", [r.length for r in reps])
+        append_attribute(
+            pool, f"{prefix}.doclen", np.array([r.length for r in reps], dtype=np.int64)
+        )
 
     def delete(self, pool, prefix, ty: ContrepType, positions):
         self._drop_postings(pool, prefix, positions, renumber=positions)

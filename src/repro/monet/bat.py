@@ -91,7 +91,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.monet.atoms import AtomType, atom, coerce_value
-from repro.monet.errors import BATError, InvalidMutationBatch, InvalidPositions
+from repro.monet.errors import AtomError, BATError, InvalidMutationBatch, InvalidPositions
 
 
 def dictionary_codes(values: Sequence[Any], dictionary: dict) -> np.ndarray:
@@ -513,8 +513,9 @@ class BAT:
         holding it never see the new BUNs.  Two calling conventions:
 
         * ``append(pairs)`` -- explicit (head, tail) Python pairs;
-        * ``append(tails=values)`` -- tail values only, the head must be
-          void and is extended densely (the shape of every Moa
+        * ``append(tails=values)`` -- tail values only (Python values,
+          or a column array: :func:`column_from_values`), the head must
+          be void and is extended densely (the shape of every Moa
           attribute BAT).
 
         Property flags are maintained conservatively from the appended
@@ -531,7 +532,7 @@ class BAT:
                 raise BATError(
                     "append(tails=...) needs a void head; pass explicit pairs"
                 )
-            new_tail = column_from_values(self.ttype, list(tails))
+            new_tail = column_from_values(self.ttype, tails)
             if len(new_tail) == 0:
                 return self
             head: AnyColumn = VoidColumn(
@@ -805,11 +806,45 @@ def _pairs_sorted(
         return False
 
 
-def column_from_values(atom_name: str, values: Sequence[Any]) -> Column:
-    """Build a materialized column of atom *atom_name* from Python values."""
+def column_from_values(
+    atom_name: str, values: Union[Sequence[Any], np.ndarray]
+) -> Column:
+    """Build a materialized column of atom *atom_name*.
+
+    *values* is a sequence of Python values, each coerced by
+    :func:`~repro.monet.atoms.coerce_value` (``None`` is NIL), or an
+    ndarray.  An ndarray of the atom's own dtype is taken as the
+    in-column form, copied with no per-value coercion (NIL is the
+    atom's sentinel); only its domain is checked: a ``str`` object
+    array may hold ``str`` and ``None`` alone, a ``bit`` array only
+    -1 (NIL), 0 and 1.  An ndarray of any other dtype is coerced per
+    value, as its list would be."""
     atom_type = atom(atom_name)
+    if isinstance(values, np.ndarray):
+        if values.dtype != atom_type.dtype:
+            values = values.tolist()
+        elif values.ndim != 1:
+            raise BATError("column values must be one-dimensional")
+        else:
+            _check_domain(values, atom_type)
+            return Column(atom_type, values.copy())
     coerced = [coerce_value(v, atom_type) for v in values]
     return Column(atom_type, atom_type.make_array(coerced))
+
+
+def _check_domain(values: np.ndarray, atom_type: AtomType) -> None:
+    """Raise the :class:`AtomError` of the first value of an in-column
+    array outside its atom's domain (see :func:`column_from_values`)."""
+    if atom_type.name == "str":
+        types = set(map(type, values))
+        if all(t is type(None) or issubclass(t, str) for t in types):
+            return
+        for value in values:
+            coerce_value(value, atom_type)
+    elif atom_type.name == "bit":
+        outside = values[(values < -1) | (values > 1)]
+        if len(outside):
+            raise AtomError(f"cannot take {int(outside[0])} as a bit (-1 is NIL)")
 
 
 def bat_from_pairs(

@@ -28,6 +28,8 @@ build is ignored on load and dropped by the next save.
 from __future__ import annotations
 
 import atexit
+import ctypes
+import functools
 import itertools
 import json
 import os
@@ -47,7 +49,7 @@ import numpy as np
 
 from repro.monet.atoms import OID_NIL, OidGenerator, atom
 from repro.monet import codec as _codec
-from repro.monet.bat import BAT, empty_bat
+from repro.monet.bat import BAT, Column, column_to_list, empty_bat
 from repro.monet.errors import (
     BBPError,
     KernelError,
@@ -73,6 +75,39 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: glibc ``mallopt`` parameters.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def pin_allocator() -> bool:
+    """Pin the C allocator's large-block policy at the state glibc's
+    own dynamic adjustment converges to: blocks under 32 MiB come from
+    the heap, and the heap top is returned to the system only past
+    64 MiB free.  Returns whether it was set (glibc only; elsewhere a
+    no-op).
+
+    Every BAT operator allocates column-sized temporaries.  By default
+    glibc maps each block above 128 KiB afresh (so an operator
+    page-faults its result in on every call), raising that threshold
+    only when a larger mapped block is freed and trimming the heap top
+    past twice it -- so a query's cost depended on what the process
+    happened to free earlier: on a 2-core host, a Sec. 3 query on the
+    30 000-document ``text_rank`` collection took 22 page faults after
+    a value-at-a-time load that had freed a 6 MiB block, and 400 (p90
+    +28 %) after a columnar load that freed none that large.  The
+    first pool of a process pins the policy."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    )
+
+
 class BATBufferPool:
     """Mutable registry name -> BAT with save/load and an oid sequence.
 
@@ -91,6 +126,7 @@ class BATBufferPool:
     """
 
     def __init__(self):
+        pin_allocator()
         self._bats: Dict[str, BAT] = {}
         self._fragmented: Dict[str, FragmentedBAT] = {}
         # Per-name view caches, invalidated on (re-)register and drop:
@@ -443,7 +479,10 @@ class BATBufferPool:
 
         ``pairs`` is a sequence of (head, tail) Python pairs; ``tails``
         appends tail values under a densely extended void head (the
-        shape of every Moa attribute BAT).  Raises
+        shape of every Moa attribute BAT): Python values, coerced one
+        by one, or a column array (:func:`~repro.monet.bat.column_from_values`;
+        its record carries the same Python values, NIL as ``null``, as
+        the list would).  Raises
         :class:`~repro.monet.errors.MutationError` subclasses.
         """
         # Materialize once up front: the batch is iterated by the
@@ -452,20 +491,29 @@ class BATBufferPool:
         # sequences (the live pool would diverge from recovery).
         if pairs is not None:
             pairs = list(pairs)
-        if tails is not None:
+        if tails is not None and not isinstance(tails, np.ndarray):
             tails = list(tails)
+        tail_atom = None
 
         def compute(current):
+            nonlocal tail_atom
             if pairs is not None:
                 return current.append(pairs)
-            return current.append(tails=tails or [])
+            tail_atom = current.ttype
+            return current.append(tails=tails if tails is not None else [])
 
         def record_fields() -> dict:
             if pairs is not None:
                 return {
                     "pairs": [[_wal_value(h), _wal_value(t)] for h, t in pairs]
                 }
-            return {"tails": [_wal_value(t) for t in (tails or [])]}
+            if isinstance(tails, np.ndarray):
+                # compute() accepted the array, so it is the in-column
+                # form of its atom.
+                values = column_to_list(Column(tail_atom, tails))
+            else:
+                values = tails
+            return {"tails": [_wal_value(t) for t in values]}
 
         def bump(new):
             self._bump_oids(new, batch=len(pairs if pairs is not None else tails))

@@ -344,7 +344,8 @@ class FragmentedBAT:
         below the policy target size the batch is folded into it;
         a full tail starts a fresh delta fragment instead (the merge
         daemon later splits any oversized delta back to policy size,
-        see :func:`fold_tail`).
+        see :func:`fold_tail`).  ``tails`` is taken as
+        :meth:`BAT.append` takes it, a column array included.
         """
         if (pairs is None) == (tails is None):
             raise KernelError("append takes pairs or tails=, not both/neither")
@@ -365,9 +366,7 @@ class FragmentedBAT:
         else:
             if tails is not None:
                 delta = dense_bat(
-                    self.ttype,
-                    list(tails),
-                    seqbase=last.head.seqbase + len(last),
+                    self.ttype, tails, seqbase=last.head.seqbase + len(last)
                 )
             else:
                 delta = bat_from_pairs(self.htype, self.ttype, list(pairs))

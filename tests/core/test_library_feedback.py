@@ -5,7 +5,9 @@ import pytest
 from repro.core.feedback import RelevanceFeedback
 from repro.core.library import DigitalLibrary
 from repro.core.session import RetrievalSession
+from repro.ir.tokenize import analyze
 from repro.multimedia.webrobot import WebRobot
+from repro.thesaurus.cooccurrence import CooccurrenceCounts
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,19 @@ class TestPipeline:
         assert library.tokens_for(url) == library.image_tokens[0]
         with pytest.raises(KeyError):
             library.tokens_for("http://ghost")
+
+    def test_thesaurus_counts_match_per_item_analysis(self, library):
+        """The batch's one ``analyze_many`` builds the co-occurrence
+        counts a per-annotation ``analyze`` loop builds."""
+        expected = CooccurrenceCounts.from_documents(
+            (analyze(item.annotation), tokens)
+            for item, tokens in zip(library.items, library.image_tokens)
+            if item.annotation
+        )
+        assert expected.joint
+        daemon = library.orb._objects["thesaurus"]
+        assert daemon.thesaurus.counts == expected
+        assert library.summary["thesaurus_associations"] == len(expected.joint)
 
     def test_run_daemons_requires_ingest(self):
         with pytest.raises(RuntimeError):

@@ -4,8 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import importlib
+import re
+
 from repro.ir.porter import stem
-from repro.ir.tokenize import analyze, analyze_terms, tokenize
+from repro.ir.tokenize import (
+    STOPWORDS,
+    analyze,
+    analyze_many,
+    analyze_terms,
+    tokenize,
+)
+from repro.workloads import VOCABULARY
 
 
 class TestPorterClassics:
@@ -150,3 +160,95 @@ class TestAnalyze:
         # keeps non-stopword stems.
         result = analyze("running does")
         assert "run" in result
+
+
+def _analyze_per_text(text, *, stopwords=None, stemming=True):
+    """The per-text, per-occurrence analysis loop :func:`analyze_many`
+    replaced, kept here as its oracle: stop, then stem every linguistic
+    token occurrence, then stop the stem."""
+    stops = STOPWORDS if stopwords is None else stopwords
+    out = []
+    for token in re.findall(r"[a-z0-9_]+", text.lower()):
+        if token in stops:
+            continue
+        if stemming and re.match(r"^[a-z]+$", token):
+            token = stem(token)
+            if token in stops:
+                continue
+        out.append(token)
+    return out
+
+
+#: Tokens that are not stopwords but whose Porter stem is one.
+STEMS_TO_STOPWORD = ["thes", "ones", "others", "owned", "willing", "downs", "hows"]
+
+_WORDS = st.sampled_from(
+    VOCABULARY
+    + sorted(STOPWORDS)
+    + STEMS_TO_STOPWORD
+    + ["running", "Runners", "WAVES", "crashing", "relational"]
+)
+_LABELS = st.builds(
+    "{}_{}".format,
+    st.sampled_from(["gabor", "rgb", "hsv", "laws"]),
+    st.integers(0, 40),
+)
+_DIGITS = st.integers(0, 10_000).map(str)
+_SEPARATORS = st.sampled_from([" ", "  ", ", ", ". ", "!", "-", "\t", "\n", "/"])
+_TOKENS = st.one_of(_WORDS, _WORDS.map(str.upper), _LABELS, _DIGITS)
+_TEXTS = st.one_of(
+    st.just(""),
+    st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=12).map(
+        lambda parts: "".join(token + sep for token, sep in parts)
+    ),
+    st.text(max_size=20),
+)
+_STOP_SETS = st.one_of(
+    st.none(),
+    st.sets(st.sampled_from(VOCABULARY + ["the", "a", "wave", "run", "gabor_3"])),
+)
+
+
+class TestAnalyzeMany:
+    """``analyze_many`` == the per-text loop, text by text."""
+
+    @given(
+        texts=st.lists(_TEXTS, max_size=8),
+        stopwords=_STOP_SETS,
+        stemming=st.booleans(),
+    )
+    def test_equals_per_text_analysis(self, texts, stopwords, stemming):
+        assert analyze_many(texts, stopwords=stopwords, stemming=stemming) == [
+            _analyze_per_text(text, stopwords=stopwords, stemming=stemming)
+            for text in texts
+        ]
+
+    @given(text=_TEXTS, stemming=st.booleans())
+    def test_analyze_is_the_one_text_case(self, text, stemming):
+        assert analyze(text, stemming=stemming) == _analyze_per_text(
+            text, stemming=stemming
+        )
+
+    def test_stem_that_is_a_stopword_is_dropped(self):
+        for token in STEMS_TO_STOPWORD:
+            assert token not in STOPWORDS and stem(token) in STOPWORDS
+        assert analyze_many(["thes sunset ones", "others"]) == [["sunset"], []]
+
+    def test_empty_batch_and_empty_texts(self):
+        assert analyze_many([]) == []
+        assert analyze_many(["", "the", "!!"]) == [[], [], []]
+
+    def test_stems_each_distinct_token_once(self, monkeypatch):
+        # ``repro.ir.tokenize`` the attribute is the function; the
+        # module is the import.
+        tokenize_module = importlib.import_module("repro.ir.tokenize")
+        calls = []
+
+        def counting_stem(token):
+            calls.append(token)
+            return stem(token)
+
+        monkeypatch.setattr(tokenize_module, "stem", counting_stem)
+        texts = ["waves crashing waves", "Waves sea", "crashing gabor_2"] * 50
+        assert analyze_many(texts) == [_analyze_per_text(t) for t in texts]
+        assert sorted(calls) == ["crashing", "sea", "waves"]
