@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.ir.beliefs import BeliefParameters, DEFAULT_PARAMETERS, beliefs_array
 from repro.ir.stats import CollectionStats
-from repro.monet.bat import BAT, Column, VoidColumn
+from repro.monet.bat import BAT, Column, VoidColumn, column_from_values
 from repro.monet.bbp import BATBufferPool
 
 
@@ -126,7 +126,7 @@ class InvertedIndex:
         """The four CONTREP BATs."""
         return {
             "owner": BAT(VoidColumn(0, len(self._owners)), Column("oid", self._owners)),
-            "term": BAT(VoidColumn(0, len(self._terms)), Column("str", self._terms)),
+            "term": BAT(VoidColumn(0, len(self._terms)), column_from_values("str", self._terms)),
             "tf": BAT(VoidColumn(0, len(self._tfs)), Column("int", self._tfs)),
             "doclen": BAT(VoidColumn(0, len(self._lengths)), Column("int", self._lengths)),
         }

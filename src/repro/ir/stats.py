@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 import numpy as np
 
 from repro.ir.beliefs import normalized_idf
-from repro.monet.bat import BAT, Column
+from repro.monet.bat import BAT, Column, StrColumn, column_from_values
 from repro.monet.bbp import BATBufferPool
 
 
@@ -36,6 +36,11 @@ class CollectionStats:
     document_frequency: Dict[str, int] = field(default_factory=dict)
     collection_frequency: Dict[str, int] = field(default_factory=dict)
     _idf_bat: Optional[BAT] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The vocabulary, sorted, as a str column on the term column's heap
+    #: (statistics gathered from a pool), else ``None``.
+    _terms: Optional[StrColumn] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -70,18 +75,21 @@ class CollectionStats:
         lengths = doclen.tail_values()
         avgdl = float(lengths.mean()) if document_count else 0.0
         # One posting per (document, term): df counts a term's postings
-        # and cf sums their tf, both per dictionary code of the term
-        # column -- whose encoding this also warms for the first query.
-        codes, dictionary = term.tail.encoding()
+        # and cf sums their tf, both per heap code of the term column.
+        # Only terms with a posting count: a delete's survivors keep
+        # their heap, so it may hold terms no document has any more.
+        codes, heap = term.tail.codes, term.tail.heap
         coded = codes >= 0  # a NIL term has no code and counts nowhere
         codes = codes[coded]
-        df_counts = np.bincount(codes, minlength=len(dictionary))
-        cf_counts = np.bincount(
-            codes, weights=tf.tail_values()[coded], minlength=len(dictionary)
-        )
-        df = dict(zip(dictionary, df_counts.tolist()))
-        cf = dict(zip(dictionary, cf_counts.astype(np.int64).tolist()))
-        return cls(document_count, avgdl, df, cf)
+        df_counts = np.bincount(codes, minlength=len(heap))
+        cf_counts = np.bincount(codes, weights=tf.tail_values()[coded], minlength=len(heap))
+        live = np.flatnonzero(df_counts)
+        terms = heap.values_at(live).tolist()
+        df = dict(zip(terms, df_counts[live].tolist()))
+        cf = dict(zip(terms, cf_counts[live].astype(np.int64).tolist()))
+        stats = cls(document_count, avgdl, df, cf)
+        stats._terms = StrColumn(live[sorted(range(len(terms)), key=terms.__getitem__)], heap)
+        return stats
 
     # ------------------------------------------------------------------
     # Accessors
@@ -109,12 +117,13 @@ class CollectionStats:
         """[term(str), idf(dbl)] BAT the compiled getBL plans look the
         query terms up in (:func:`~repro.ir.beliefs.normalized_idf`).
         Built at the first bind and once per snapshot, so every bind
-        shares one BAT (and the dictionary encoding of its head)."""
+        shares one BAT; its head shares the term column's heap when the
+        statistics were gathered from a pool."""
         if self._idf_bat is None:
             terms = self.vocabulary()
             dfs = np.array([self.document_frequency[t] for t in terms], dtype=float)
             self._idf_bat = BAT(
-                Column("str", np.array(terms, dtype=object)),
+                self._terms if self._terms is not None else column_from_values("str", terms),
                 Column("dbl", normalized_idf(self.document_count, dfs)),
                 hsorted=True,
                 hkey=True,

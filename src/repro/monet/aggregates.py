@@ -97,22 +97,24 @@ def _aligned_group_ids(values: BAT, grouping: BAT) -> np.ndarray:
         if values.head.seqbase != grouping.head.seqbase:
             raise KernelError("pump aggregate: misaligned void heads")
         return grouping.tail_values()
-    value_heads = values.head_values()
-    group_heads = grouping.head_values()
-    if np.array_equal(value_heads, group_heads):
+    if len(values) == 0:
         return grouping.tail_values()
-    # General alignment: join values.head -> grouping, str heads in
-    # one code space (all NILs one key, the identity rule).
-    group_ids = grouping.tail_values()
-    if group_heads.dtype == np.dtype(object) or value_heads.dtype == np.dtype(object):
+    if "str" in (values.htype, grouping.htype):
+        # str heads in one code space (all NILs one key, the identity
+        # rule); a str equals no number.
         keys_of = key_space(grouping.head, values.head)
         if keys_of is None:
-            raise KernelError(f"pump aggregate: head {value_heads[0]!r} has no group")
+            raise KernelError(
+                f"pump aggregate: head {values.head.python_value(0)!r} has no group"
+            )
         group_codes = keys_of(grouping.head)
         value_codes = keys_of(values.head)
     else:
-        group_codes = group_heads
-        value_codes = value_heads
+        group_codes = grouping.head_values()
+        value_codes = values.head_values()
+    group_ids = grouping.tail_values()
+    if np.array_equal(value_codes, group_codes):
+        return group_ids
     order = stable_order(group_codes)
     sorted_codes = group_codes[order]
     hi = np.searchsorted(sorted_codes, value_codes, side="right")
@@ -120,7 +122,7 @@ def _aligned_group_ids(values: BAT, grouping: BAT) -> np.ndarray:
     slot = np.where(found, hi - 1, 0)
     found &= sorted_codes[slot] == value_codes
     if not found.all():
-        missing = value_heads[int(np.nonzero(~found)[0][0])]
+        missing = values.head.python_value(int(np.nonzero(~found)[0][0]))
         raise KernelError(f"pump aggregate: head {missing!r} has no group")
     # side="right" - 1 lands on the *last* duplicate head: the last
     # grouping BUN of a head wins.

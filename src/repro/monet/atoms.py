@@ -18,10 +18,10 @@ Built-in atoms
 ``dbl``
     IEEE double.
 ``str``
-    Variable-length string (numpy object column; its dictionary
-    encoding, :func:`repro.monet.bat.dictionary_encode`, is the join
-    accelerator and, as codes plus a string heap, the stored and wire
-    form of :mod:`repro.monet.codec`).
+    Variable-length string: a column is int codes into a string heap
+    (:class:`repro.monet.bat.StrColumn`), in memory as on disk and on
+    the wire (:mod:`repro.monet.codec`); the atom's dtype (object) is
+    that of its decoded values.
 ``bit``
     Boolean.
 

@@ -8,11 +8,52 @@ a set of named BATs (see :mod:`repro.moa.mapping`).
 Columns
 -------
 
-:class:`Column` wraps a numpy array plus its atom type.  The special
-:class:`VoidColumn` represents Monet's ``void`` type: a *virtual*
-dense oid sequence ``seqbase, seqbase+1, ...`` that occupies no memory.
-Most BATs produced by the kernel have void heads, which is what makes
-positional joins (``fetchjoin``) constant-time per element.
+There are three column kinds, one per row of the column codec
+(:mod:`repro.monet.codec`):
+
+* :class:`VoidColumn` -- Monet's ``void`` type: a *virtual* dense oid
+  sequence ``seqbase, seqbase+1, ...`` that occupies no memory.  Most
+  BATs produced by the kernel have void heads, which is what makes
+  positional joins (``fetchjoin``) constant-time per element.
+* :class:`Column` -- a fixed-width atom (int, oid, dbl, bit): a numpy
+  array of the atom's dtype, NIL as the atom's sentinel.
+* :class:`StrColumn` -- a str column: int64 ``codes`` (NIL -1) into a
+  :class:`StrHeap`, Monet's string heap.  It has no value array;
+  :meth:`StrColumn.materialize` is the decode, which ``monet/`` calls
+  only at its boundaries (result reconstruction through
+  :func:`column_to_list`/``python_value``, the JSON wire mode).
+
+The string heap
+---------------
+
+A heap holds the distinct values of one stored column in code order
+plus their value -> code map.  Every kernel operator reads a str column
+through its codes (the key-selection table in :mod:`repro.monet.kernel`):
+identity compares codes, order compares the rank of a code among the
+heap values in use, a predicate runs once per distinct value in use
+(:func:`by_code`).  The sharing rules:
+
+* **append-only** -- a value, once numbered, keeps its code; appends,
+  patches and load number only the values a heap lacks
+  (:meth:`StrHeap.encode`, O(appended) lookups in its map);
+* **shared, never copied** -- every window, gather, concatenation,
+  fragment and snapshot of one stored column holds the same heap
+  object, and so do the columns :meth:`BAT.append`,
+  :meth:`BAT.delete_positions`, :meth:`BAT.update_positions` and
+  ``FragmentedBAT.append``/``delete``/``update`` build from it.  A
+  column only holds codes below the heap length it saw when it was
+  built, so a snapshot reads the same values however far the heap has
+  grown since;
+* **writers lock, readers do not** -- heap growth is serialized by the
+  heap's own lock (a session-private BAT may share a stored column's
+  heap, so the pool's mutex is not enough); a reader reads codes below
+  its own length, whose values are written before their codes are
+  published;
+* **two heaps meet only where values from two columns meet** -- a join
+  or a set operation translates the distinct values one side uses
+  (:class:`repro.monet.kernel.CodeSpace`), and a concatenation of
+  columns on different heaps numbers their values in use into a fresh
+  heap (:func:`concat_columns`).
 
 Properties
 ----------
@@ -30,110 +71,127 @@ The kernel maintains these conservatively: a flag is only ``True`` when
 guaranteed by construction.  The join family chooses its algorithm from
 them (:attr:`BAT.hseqbase` is the O(1) density proof; the selection
 table is in the :mod:`repro.monet.kernel` docstring).
-
-Besides the flags, a materialized :class:`Column` has one *search
-accelerator* slot: its dictionary encoding (:meth:`Column.encoding`),
-which is the only way a kernel operator reads a str column's values
-(the key-selection table in :mod:`repro.monet.kernel`): the join
-family, ``semijoin``/``kdiff``, ``kunion``/``kintersect``,
-``unique``/``kunique``/``tunique``, ``group``/``refine`` and pump
-alignment compare codes; ``sort``/``tsort``/``topn`` compare the rank
-of a code; ``select``/``uselect``/``likeselect`` evaluate their
-predicate once per distinct value and gather it by code.  Only the
-encoding is cached: the rank-of-code table an order operator derives
-from it is rebuilt on every call (whether to keep it is open, with the
-rest of the encoding's lifecycle).  Its contract, in the shape of
-Monet's hash accelerator:
-
-* **lazy** -- built by the first operator that asks, never at load (a
-  join that gathers a str payload from the fragments of a stored column
-  builds theirs together, over one dictionary, whenever they are not
-  on one already: :func:`encode_jointly`);
-* **per Column** -- its codes describe exactly that column's values
-  (its dictionary may hold more: a window shares the whole column's),
-  so it is valid for as long as the object is reachable (columns are
-  immutable);
-* **inherited by gathers, windows and concatenations of parts sharing
-  one dictionary** -- :meth:`Column.take` and :meth:`Column.window` of
-  a warm column gather/slice the codes and share the dictionary
-  object, and :func:`concat_columns` of warm parts over that one
-  object concatenates their codes (a NIL fill from :func:`nil_column`
-  is code -1 in it), so a selection of a persistent column -- or a
-  fragmented gather from its windows -- joins without touching a
-  string; a concatenation of any other mix (a cold part, or two
-  dictionaries) starts cold;
-* **dropped by copy-on-write** -- :meth:`BAT.append`,
-  :meth:`BAT.delete_positions`, :meth:`BAT.update_positions` and every
-  pool mutation above them build *new* columns, which start cold (a
-  delete's survivors are a gather and so stay warm, correctly); nothing
-  ever has to invalidate;
-* **never persisted** -- the slot is not part of the stored form: a
-  str column is stored and shipped as codes plus a string heap of its
-  distinct values by the one column codec (:mod:`repro.monet.codec`,
-  which encodes afresh and neither reads nor fills the slot), and
-  decoding does not set the slot, so loaded columns start cold
-  (whether a loaded column should arrive warm is still open, to be
-  decided together with how an append extends a warm dictionary);
-* **published unlocked, by a single attribute store** -- two threads
-  racing to build it compute equal encodings and the last store wins;
-  a reader sees either ``None`` or a complete encoding, never a
-  partial one (a joint build over several fragments,
-  :func:`encode_jointly`, checks and publishes under one lock, so
-  racing queries leave the fragments on one dictionary).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.monet.atoms import AtomType, atom, coerce_value
+from repro.monet.atoms import AtomType, atom, coerce_value, is_nil
 from repro.monet.errors import AtomError, BATError, InvalidMutationBatch, InvalidPositions
 
-
-def dictionary_codes(values: Sequence[Any], dictionary: dict) -> np.ndarray:
-    """int64 codes of *values* in an existing *dictionary*'s code space:
-    -1 for NIL (``None`` is never a key) and for every value the
-    dictionary lacks.  The dictionary is not extended."""
-    return np.fromiter(
-        map(dictionary.get, values, itertools.repeat(-1)),
-        dtype=np.int64,
-        count=len(values),
-    )
+_STR = atom("str")
 
 
-def dictionary_encode(values: np.ndarray) -> Tuple[np.ndarray, dict]:
-    """Dictionary encoding of a value array: ``(codes, dictionary)``
-    with ``dictionary`` mapping each distinct non-NIL value to a dense
-    int code in order of first appearance and ``codes`` the int64 code
-    of every position, NIL (``None``) as -1 -- NIL has no code, which
-    is how "NIL equals nothing" carries over to code space."""
-    plain = values.tolist()
-    distinct = dict.fromkeys(plain)
-    distinct.pop(None, None)
-    dictionary = dict(zip(distinct, range(len(distinct))))
-    return dictionary_codes(plain, dictionary), dictionary
+class StrHeap:
+    """Monet's string heap: distinct str values in code order plus
+    their value -> code map (see the module docstring for the sharing
+    rules).  Values live in an object array with spare capacity whose
+    last slot is never written, so indexing it by code -1 reads NIL."""
+
+    __slots__ = ("index", "_values", "_lock")
+
+    def __init__(self, values: Sequence[str] = ()):
+        self.index: dict = {}
+        self._values = np.empty(1, dtype=object)
+        self._lock = threading.Lock()
+        self._append(list(values))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __reduce__(self):
+        # The lock does not pickle: a copy is rebuilt from the values.
+        return StrHeap, (self.values_at(np.arange(len(self))).tolist(),)
+
+    def values_at(self, codes: np.ndarray) -> np.ndarray:
+        """The values of *codes* as an object array, NIL (-1) as None."""
+        return self._values[codes]
+
+    def lookup(self, values: Sequence[Any]) -> np.ndarray:
+        """int64 codes of *values*: -1 for NIL (``None`` is never a
+        key) and for every value the heap lacks."""
+        return np.fromiter(
+            map(self.index.get, values, itertools.repeat(-1)),
+            dtype=np.int64,
+            count=len(values),
+        )
+
+    def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
+        """int64 codes of *values* (str or ``None``), numbering the
+        distinct values the heap lacks after its last code: the one way
+        values from outside become codes."""
+        index = self.index
+        fresh = [v for v in dict.fromkeys(values) if v is not None and v not in index]
+        if fresh:
+            with self._lock:
+                self._append([v for v in fresh if v not in index])
+        return self.lookup(values)
+
+    def _append(self, fresh: List[str]) -> None:
+        """Number *fresh* (distinct, absent) after the last code: the
+        values land before the map publishes their codes."""
+        if not fresh:
+            return
+        start = len(self.index)
+        stop = start + len(fresh)
+        values = self._values
+        if stop >= len(values):
+            grown = np.empty(max(2 * len(values), stop + 1), dtype=object)
+            grown[:start] = values[:start]
+            values = grown
+        values[start:stop] = fresh
+        self._values = values
+        self.index.update(zip(fresh, range(start, stop)))
+
+
+def by_code(
+    codes: np.ndarray, heap: StrHeap, evaluate: Callable[[list], Any], nil: int
+) -> np.ndarray:
+    """*evaluate* over the distinct values *codes* use -- one list of
+    them, read from *heap*, one result each -- gathered back to every
+    BUN by its code; NIL's BUNs (code -1) get *nil*.  So *evaluate* sees each distinct value once, the rest is
+    numpy over the BUNs, and the heap's other values are never read."""
+    table = np.zeros(int(codes.max(initial=-1)) + 2, dtype=np.int64)
+    table[codes] = 1
+    table[-1] = 0
+    used = np.flatnonzero(table)
+    table[used] = evaluate(heap.values_at(used).tolist())
+    table[-1] = nil
+    return table[codes]
+
+
+def rank_codes(codes: np.ndarray, heap: StrHeap) -> np.ndarray:
+    """Order keys of *codes*: the rank of each code's value among the
+    distinct values *codes* use (sorted once per call), NIL ranked above
+    every string."""
+
+    def ranks(values: list) -> np.ndarray:
+        return np.argsort(sorted(range(len(values)), key=values.__getitem__))
+
+    return by_code(codes, heap, ranks, len(codes))
 
 
 class Column:
-    """A materialized column: numpy array + atom type (+ the lazily
-    built dictionary-encoding accelerator, see the module docstring)."""
+    """A materialized fixed-width column: numpy array + atom type."""
 
-    __slots__ = ("atom_type", "values", "_encoding")
+    __slots__ = ("atom_type", "values")
 
     def __init__(self, atom_type: Union[AtomType, str], values: np.ndarray):
         if isinstance(atom_type, str):
             atom_type = atom(atom_type)
+        if atom_type is _STR:
+            raise BATError("a str column is codes plus a heap: use column_from_values")
         if not isinstance(values, np.ndarray):
             values = atom_type.make_array(list(values))
         if values.ndim != 1:
             raise BATError("column values must be one-dimensional")
         self.atom_type = atom_type
         self.values = values
-        self._encoding: Optional[Tuple[np.ndarray, dict]] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -146,31 +204,16 @@ class Column:
         """Return the underlying numpy array (already materialized)."""
         return self.values
 
-    def encoding(self) -> Tuple[np.ndarray, dict]:
-        """This column's :func:`dictionary_encode` result, built on
-        first use and kept on the column (the accelerator)."""
-        encoding = self._encoding
-        if encoding is None:
-            encoding = self._encoding = dictionary_encode(self.values)
-        return encoding
-
-    def _gather(self, index: Union[np.ndarray, slice]) -> "Column":
-        gathered = Column(self.atom_type, self.values[index])
-        if self._encoding is not None:
-            codes, dictionary = self._encoding
-            gathered._encoding = (codes[index], dictionary)
-        return gathered
-
     def take(self, positions: np.ndarray) -> "Column":
         """Positional gather."""
-        return self._gather(positions)
+        return Column(self.atom_type, self.values[positions])
 
     def window(self, start: int, stop: int) -> "Column":
         """The contiguous run ``[start, stop)`` as a view sharing this
         column's array -- the column itself when the run covers it."""
         if start == 0 and stop == len(self.values):
             return self
-        return self._gather(slice(start, stop))
+        return Column(self.atom_type, self.values[start:stop])
 
     def python_value(self, position: int):
         """The Python-level value at *position* (NIL -> None)."""
@@ -178,6 +221,46 @@ class Column:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column<{self.atom_type.name}>[{len(self)}]"
+
+
+class StrColumn:
+    """A str column: int64 *codes* (NIL -1) into a shared, append-only
+    :class:`StrHeap` (see the module docstring).  The codes stay int64
+    in memory, where they index tables; the codec narrows them."""
+
+    __slots__ = ("codes", "heap")
+
+    atom_type = _STR
+    is_void = False
+
+    def __init__(self, codes: np.ndarray, heap: StrHeap):
+        self.codes = codes
+        self.heap = heap
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def materialize(self) -> np.ndarray:
+        """The decode: an object array of the values, NIL as None."""
+        return self.heap.values_at(self.codes)
+
+    def take(self, positions: np.ndarray) -> "StrColumn":
+        """Positional gather of the codes, on the same heap."""
+        return StrColumn(self.codes[positions], self.heap)
+
+    def window(self, start: int, stop: int) -> "StrColumn":
+        """The run ``[start, stop)`` as a view of the codes, on the same
+        heap -- the column itself when the run covers it."""
+        if start == 0 and stop == len(self.codes):
+            return self
+        return StrColumn(self.codes[start:stop], self.heap)
+
+    def python_value(self, position: int) -> Optional[str]:
+        """The value at *position* (NIL -> None)."""
+        return self.heap.values_at(self.codes[position])
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"StrColumn[{len(self)}/{len(self.heap)}]"
 
 
 class VoidColumn:
@@ -225,20 +308,24 @@ class VoidColumn:
         return f"VoidColumn[{self.seqbase}..{self.seqbase + self.count})"
 
 
-AnyColumn = Union[Column, VoidColumn]
+AnyColumn = Union[Column, StrColumn, VoidColumn]
 
 
 def concat_columns(columns: Sequence[AnyColumn]) -> AnyColumn:
     """The BUNs of *columns* (at least one, one atom) in order: the one
     column concatenation of ``monet/``.  A single part is returned
-    itself; consecutive void parts fuse back into one void column;
-    anything else concatenates its values.  The result keeps the
-    encoding when every part is warm over the same dictionary object
-    (windows and gathers of one warm column): the codes concatenate
-    too.  Any other mix starts cold."""
+    itself; consecutive void parts fuse back into one void column; str
+    parts on one heap concatenate their codes on it, str parts on
+    several heaps number their values in use into a fresh heap
+    (:func:`rebase`); anything else concatenates its values."""
     first = columns[0]
     if len(columns) == 1:
         return first
+    if isinstance(first, StrColumn):
+        heap = first.heap
+        if any(column.heap is not heap for column in columns):
+            heap = StrHeap()
+        return StrColumn(np.concatenate([rebase(column, heap) for column in columns]), heap)
     if all(column.is_void for column in columns):
         stop = first.seqbase
         for column in columns:
@@ -247,62 +334,42 @@ def concat_columns(columns: Sequence[AnyColumn]) -> AnyColumn:
             stop += len(column)
         else:
             return VoidColumn(first.seqbase, stop - first.seqbase)
-    result = Column(
+    return Column(
         first.atom_type, np.concatenate([column.materialize() for column in columns])
     )
-    encodings = [None if column.is_void else column._encoding for column in columns]
-    if all(encoding is not None for encoding in encodings) and (
-        len({id(dictionary) for _, dictionary in encodings}) == 1
-    ):
-        result._encoding = (
-            np.concatenate([codes for codes, _ in encodings]),
-            encodings[0][1],
-        )
-    return result
 
 
-def encode_jointly(columns: Sequence[Column]) -> None:
-    """Warm *columns* -- the str fragments of one column, in BUN order
-    -- over one dictionary, unless they already share one: one
-    :func:`dictionary_encode` of their values, its codes split back
-    per fragment, which is what windows of the warm whole column would
-    inherit, so gathers across fragments concatenate warm.  Fragments
-    on several dictionaries (a prefix warm from an earlier query beside
-    a cold appended delta) are re-encoded together, one re-encode per
-    mutation.  The check and the publish hold :data:`_JOINT_LOCK`, so
-    racing first queries settle on one dictionary."""
-    if _share_one_dictionary(columns):
-        return
-    with _JOINT_LOCK:
-        if _share_one_dictionary(columns):
-            return
-        codes, dictionary = dictionary_encode(
-            np.concatenate([column.values for column in columns])
-        )
-        bounds = np.cumsum([len(column) for column in columns])
-        for column, part in zip(columns, np.split(codes, bounds[:-1])):
-            column._encoding = (part, dictionary)
+def rebase(column: StrColumn, heap: StrHeap) -> np.ndarray:
+    """*column*'s codes in *heap* -- its own codes when that is its
+    heap, else one :meth:`StrHeap.encode` of the distinct values it uses
+    (extending *heap*), gathered back by code."""
+    if column.heap is heap:
+        return column.codes
+    return by_code(column.codes, column.heap, heap.encode, -1)
 
 
-def _share_one_dictionary(columns: Sequence[Column]) -> bool:
-    encodings = [column._encoding for column in columns]
-    return all(encoding is not None for encoding in encodings) and (
-        len({id(dictionary) for _, dictionary in encodings}) == 1
-    )
+def nil_column(like: AnyColumn, count: int) -> AnyColumn:
+    """*count* NILs of *like*'s atom -- on *like*'s heap when it is a
+    str column (code -1), so a concatenation with *like* -- an outer
+    join's fill -- keeps the codes."""
+    if isinstance(like, StrColumn):
+        return StrColumn(np.full(count, -1, dtype=np.int64), like.heap)
+    return Column(like.atom_type, like.atom_type.make_array([None] * count))
 
 
-#: Serializes :func:`encode_jointly`'s check-and-publish.
-_JOINT_LOCK = threading.Lock()
-
-
-def nil_column(like: AnyColumn, count: int) -> Column:
-    """*count* NILs of *like*'s atom: in *like*'s code space when it is
-    warm (NIL is code -1 there), so a concatenation with *like* -- an
-    outer join's fill -- stays warm."""
-    column = Column(like.atom_type, like.atom_type.make_array([None] * count))
-    if not like.is_void and like._encoding is not None:
-        column._encoding = (np.full(count, -1, dtype=np.int64), like._encoding[1])
-    return column
+def column_equal(column: AnyColumn, value: Any) -> np.ndarray:
+    """Mask of *column*'s BUNs equal to *value* under the comparison
+    rule: NIL equals nothing, a NIL *value* included (a str NIL has no
+    code; a numeric one matches no BUN by construction)."""
+    if isinstance(column, StrColumn):
+        code = column.heap.index.get(value) if value is not None else None
+        if code is None:
+            return np.zeros(len(column), dtype=bool)
+        return column.codes == code
+    coerced = coerce_value(value, column.atom_type)
+    if is_nil(coerced, column.atom_type):
+        return np.zeros(len(column), dtype=bool)
+    return column.materialize() == coerced
 
 
 class BAT:
@@ -383,11 +450,7 @@ class BAT:
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """Iterate (head, tail) pairs as Python values (NIL -> None)."""
-        for position in range(len(self)):
-            yield (
-                self.head.python_value(position),
-                self.tail.python_value(position),
-            )
+        return zip(column_to_list(self.head), column_to_list(self.tail))
 
     def to_pairs(self) -> List[Tuple[Any, Any]]:
         """All BUNs as a Python list (test/debug helper)."""
@@ -475,20 +538,19 @@ class BAT:
     # ------------------------------------------------------------------
     def find(self, head_value) -> Any:
         """Tail value for the first BUN whose head equals *head_value*
-        (Monet ``find``); raises :class:`BATError` when absent."""
+        (Monet ``find``); raises :class:`BATError` when absent.  A NIL
+        needle matches nothing, for every atom (the comparison rule of
+        ``select(b, nil)``, :func:`column_equal`)."""
         if self.head.is_void:
-            position = int(head_value) - self.head.seqbase
-            if 0 <= position < len(self):
-                return self.tail.python_value(position)
-            raise BATError(f"head value {head_value!r} not found")
-        heads = self.head.materialize()
-        if self.head.atom_type.name == "str":
-            matches = np.nonzero(heads == head_value)[0]
+            if head_value is not None:
+                position = int(head_value) - self.head.seqbase
+                if 0 <= position < len(self):
+                    return self.tail.python_value(position)
         else:
-            matches = np.nonzero(heads == coerce_value(head_value, self.head.atom_type))[0]
-        if len(matches) == 0:
-            raise BATError(f"head value {head_value!r} not found")
-        return self.tail.python_value(int(matches[0]))
+            matches = np.flatnonzero(column_equal(self.head, head_value))
+            if len(matches):
+                return self.tail.python_value(int(matches[0]))
+        raise BATError(f"head value {head_value!r} not found")
 
     def exists(self, head_value) -> bool:
         """True when some BUN has this head value (Monet ``exist``)."""
@@ -532,7 +594,7 @@ class BAT:
                 raise BATError(
                     "append(tails=...) needs a void head; pass explicit pairs"
                 )
-            new_tail = column_from_values(self.ttype, tails)
+            new_tail = _run_like(self.tail, tails)
             if len(new_tail) == 0:
                 return self
             head: AnyColumn = VoidColumn(
@@ -553,8 +615,8 @@ class BAT:
         pair_list = list(pairs)
         if not pair_list:
             return self
-        new_head = column_from_values(self.htype, [h for h, _ in pair_list])
-        new_tail = column_from_values(self.ttype, [t for _, t in pair_list])
+        new_head = _run_like(self.head, [h for h, _ in pair_list])
+        new_tail = _run_like(self.tail, [t for _, t in pair_list])
         if self.head.is_void and _continues_dense(
             self.head.seqbase + len(self), new_head.values
         ):
@@ -578,29 +640,27 @@ class BAT:
         )
 
     def _extend_column(
-        self, old: AnyColumn, new: Column, was_sorted: bool, was_key: bool
-    ) -> Tuple[Column, bool, bool]:
-        """Concatenate *new* after *old*; returns (column, sorted, key)
-        flags derived from the appended run and the boundary only."""
-        atom_name = new.atom_type.name
-        old_values = old.materialize()
+        self, old: AnyColumn, new: AnyColumn, was_sorted: bool, was_key: bool
+    ) -> Tuple[AnyColumn, bool, bool]:
+        """Concatenate *new* (a run on *old*'s heap) after *old*;
+        returns (column, sorted, key) flags derived from the appended
+        run and the boundary only."""
+        run_sorted = _ordered(new, strict=False)
+        run_strict = run_sorted and _ordered(new, strict=True)
         # Every load appends to an empty BAT: the freshly built run is
         # the column, with no copy.
-        values = np.concatenate([old_values, new.values]) if len(old_values) else new.values
-        run_sorted = _is_sorted(new.values, atom_name)
-        run_strict = run_sorted and _is_strictly_increasing(new.values, atom_name)
-        if len(old_values):
-            boundary = _boundary_order(
-                old_values[-1], new.values[0], atom_name
-            )
+        if len(old):
+            column = concat_columns([old, new])
+            boundary = _boundary_order(old, new)
         else:
+            column = new
             boundary = 2  # empty prefix: boundary is vacuously strict
         now_sorted = was_sorted and run_sorted and boundary >= 1
         # Uniqueness from sortedness: both runs sorted, the appended run
         # strictly increasing and the boundary strict imply every new
         # value exceeds every old one.
         now_key = was_key and now_sorted and run_strict and boundary == 2
-        return Column(new.atom_type, values), now_sorted, now_key
+        return column, now_sorted, now_key
 
     # ------------------------------------------------------------------
     # Copy-on-write delete / update (the tombstone + patch primitives)
@@ -685,21 +745,19 @@ class BAT:
             )
         if len(positions) == 0:
             return self
-        patch = column_from_values(self.ttype, value_list)
-        if self.tail.is_void:
-            base_values = self.tail.materialize()
-            tail_type = patch.atom_type
+        patch = _run_like(self.tail, value_list)
+        if isinstance(patch, StrColumn):
+            codes = self.tail.codes.copy()
+            codes[positions] = patch.codes
+            tail: AnyColumn = StrColumn(codes, patch.heap)
         else:
-            base_values = self.tail.values
-            tail_type = self.tail.atom_type
-        new_values = base_values.copy()
-        new_values[positions] = patch.values
-        tsorted = self.tsorted and _pairs_sorted(
-            new_values, positions, tail_type.name
-        )
+            values = self.tail.materialize().copy()
+            values[positions] = patch.values
+            tail = Column(patch.atom_type, values)
+        tsorted = self.tsorted and _pairs_sorted(tail, positions)
         return BAT(
             self.head,
-            Column(tail_type, new_values),
+            tail,
             hsorted=self.hsorted,
             hkey=self.hkey,
             tsorted=tsorted,
@@ -780,56 +838,60 @@ def _normalize_positions(
     return np.unique(arr) if unique else arr
 
 
-def _pairs_sorted(
-    values: np.ndarray, touched: np.ndarray, atom_name: str
-) -> bool:
+def _pairs_sorted(column: AnyColumn, touched: np.ndarray) -> bool:
     """Adjacent-pair sortedness restricted to pairs touching *touched*
     positions -- the O(changed) core of update flag maintenance.  NIL in
     a checked pair fails the check (NIL is incomparable)."""
-    n = len(values)
+    n = len(column)
     if n <= 1:
         return True
     starts = np.unique(np.concatenate([touched - 1, touched]))
     starts = starts[(starts >= 0) & (starts < n - 1)]
     if len(starts) == 0:
         return True
-    left = values[starts]
-    right = values[starts + 1]
-    if atom_name == "str":
-        for a, b in zip(list(left), list(right)):
-            if a is None or b is None or a > b:
-                return False
-        return True
-    try:
-        return bool(np.all(left <= right))
-    except TypeError:
-        return False
+    keys = _order_image(column.take(np.concatenate([starts, starts + 1])))
+    return keys is not None and bool(np.all(keys[: len(starts)] <= keys[len(starts):]))
 
 
 def column_from_values(
-    atom_name: str, values: Union[Sequence[Any], np.ndarray]
-) -> Column:
+    atom_name: str,
+    values: Union[Sequence[Any], np.ndarray],
+    heap: Optional[StrHeap] = None,
+) -> AnyColumn:
     """Build a materialized column of atom *atom_name*.
 
     *values* is a sequence of Python values, each coerced by
     :func:`~repro.monet.atoms.coerce_value` (``None`` is NIL), or an
     ndarray.  An ndarray of the atom's own dtype is taken as the
-    in-column form, copied with no per-value coercion (NIL is the
-    atom's sentinel); only its domain is checked: a ``str`` object
-    array may hold ``str`` and ``None`` alone, a ``bit`` array only
-    -1 (NIL), 0 and 1.  An ndarray of any other dtype is coerced per
-    value, as its list would be."""
+    in-column form with no per-value coercion (NIL is the atom's
+    sentinel); only its domain is checked: a ``str`` object array may
+    hold ``str`` and ``None`` alone, a ``bit`` array only -1 (NIL), 0
+    and 1.  An ndarray of any other dtype is coerced per value, as its
+    list would be.  A str column's values are encoded into *heap*
+    (extending it), or into a fresh heap when none is given."""
     atom_type = atom(atom_name)
-    if isinstance(values, np.ndarray):
-        if values.dtype != atom_type.dtype:
-            values = values.tolist()
-        elif values.ndim != 1:
+    if isinstance(values, np.ndarray) and values.dtype == atom_type.dtype:
+        if values.ndim != 1:
             raise BATError("column values must be one-dimensional")
-        else:
-            _check_domain(values, atom_type)
+        _check_domain(values, atom_type)
+        if atom_type is not _STR:
             return Column(atom_type, values.copy())
-    coerced = [coerce_value(v, atom_type) for v in values]
-    return Column(atom_type, atom_type.make_array(coerced))
+        values = values.tolist()
+    else:
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        values = [coerce_value(v, atom_type) for v in values]
+        if atom_type is not _STR:
+            return Column(atom_type, atom_type.make_array(values))
+    heap = StrHeap() if heap is None else heap
+    return StrColumn(heap.encode(values), heap)
+
+
+def _run_like(column: AnyColumn, values: Union[Sequence[Any], np.ndarray]) -> AnyColumn:
+    """*values* as a column of *column*'s atom, on its heap when it is a
+    str column: the run an append or a patch adds to it."""
+    heap = column.heap if isinstance(column, StrColumn) else None
+    return column_from_values(column.atom_type.name, values, heap)
 
 
 def _check_domain(values: np.ndarray, atom_type: AtomType) -> None:
@@ -867,8 +929,8 @@ def bat_from_pairs(
         seqbase = int(heads[0]) if heads else 0
         return BAT(VoidColumn(seqbase, len(heads)), tail_col, name=name)
     head_col = column_from_values(head_type, heads)
-    hsorted = _is_sorted(head_col.values, head_type)
-    hkey = hsorted and _is_strictly_increasing(head_col.values, head_type)
+    hsorted = _ordered(head_col, strict=False)
+    hkey = hsorted and _ordered(head_col, strict=True)
     return BAT(head_col, tail_col, hsorted=hsorted, hkey=hkey, name=name)
 
 
@@ -896,10 +958,10 @@ def column_to_list(column: AnyColumn) -> List[Any]:
     if column.is_void:
         return list(range(column.seqbase, column.seqbase + column.count))
     atom_type = column.atom_type
-    values = column.values
+    values = column.materialize()
     name = atom_type.name
     if name == "str":
-        return list(values)
+        return values.tolist()
     if name == "dbl":
         mask = np.isnan(values)
         plain = values.tolist()
@@ -933,21 +995,16 @@ def _continues_dense(expected_next: int, heads: np.ndarray) -> bool:
         return False
 
 
-def _boundary_order(last_old: Any, first_new: Any, atom_name: str) -> int:
-    """Order of the boundary BUN pair: 2 strict increase, 1 equal,
-    0 anything else (decrease, NIL, incomparable)."""
-    if atom_name == "str":
-        if last_old is None or first_new is None:
-            return 0
-        if last_old < first_new:
-            return 2
-        return 1 if last_old == first_new else 0
-    try:
-        if bool(last_old < first_new):
-            return 2
-        return 1 if bool(last_old == first_new) else 0
-    except TypeError:
+def _boundary_order(old: AnyColumn, new: AnyColumn) -> int:
+    """Order of the boundary BUN pair (the last of *old*, the first of
+    *new*): 2 strict increase, 1 equal, 0 anything else (decrease,
+    NIL)."""
+    last_old, first_new = old.python_value(-1), new.python_value(0)
+    if last_old is None or first_new is None:
         return 0
+    if last_old < first_new:
+        return 2
+    return 1 if last_old == first_new else 0
 
 
 def _is_dense(values: Sequence[Any]) -> bool:
@@ -960,23 +1017,23 @@ def _is_dense(values: Sequence[Any]) -> bool:
     return all(b - a == 1 for a, b in zip(ints, ints[1:]))
 
 
-def _is_sorted(arr: np.ndarray, atom_name: str) -> bool:
-    if len(arr) <= 1:
-        return True
-    if atom_name == "str":
-        vals = list(arr)
-        if any(v is None for v in vals):
-            return False
-        return all(a <= b for a, b in zip(vals, vals[1:]))
-    return bool(np.all(arr[:-1] <= arr[1:]))
+def _order_image(column: AnyColumn) -> Optional[np.ndarray]:
+    """Keys ordering like *column*'s values -- the values, or a str
+    column's ranks of codes -- or ``None`` when a str column holds a NIL
+    (incomparable)."""
+    if not isinstance(column, StrColumn):
+        return column.materialize()
+    if (column.codes < 0).any():
+        return None
+    return rank_codes(column.codes, column.heap)
 
 
-def _is_strictly_increasing(arr: np.ndarray, atom_name: str) -> bool:
-    if len(arr) <= 1:
+def _ordered(column: AnyColumn, *, strict: bool) -> bool:
+    """True when *column*'s values are non-decreasing (strictly
+    increasing with *strict*); a str NIL fails the check."""
+    if len(column) <= 1:
         return True
-    if atom_name == "str":
-        vals = list(arr)
-        if any(v is None for v in vals):
-            return False
-        return all(a < b for a, b in zip(vals, vals[1:]))
-    return bool(np.all(arr[:-1] < arr[1:]))
+    keys = _order_image(column)
+    if keys is None:
+        return False
+    return bool(np.all(keys[:-1] < keys[1:] if strict else keys[:-1] <= keys[1:]))

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.monet.atoms import OID_NIL, OidGenerator, atom
 from repro.monet import codec as _codec
-from repro.monet.bat import BAT, Column, column_to_list, empty_bat
+from repro.monet.bat import BAT, Column, StrColumn, column_to_list, empty_bat, rebase
 from repro.monet.errors import (
     BBPError,
     KernelError,
@@ -509,8 +509,10 @@ class BATBufferPool:
                 }
             if isinstance(tails, np.ndarray):
                 # compute() accepted the array, so it is the in-column
-                # form of its atom.
-                values = column_to_list(Column(tail_atom, tails))
+                # form of its atom (str: str and None only).
+                values = tails.tolist() if tail_atom == "str" else column_to_list(
+                    Column(tail_atom, tails)
+                )
             else:
                 values = tails
             return {"tails": [_wal_value(t) for t in values]}
@@ -958,10 +960,9 @@ class BATBufferPool:
         pool = cls()
         for name, entry in catalog["bats"].items():
             if entry.get("fragmented"):
-                fragments = [
-                    _restore_bat(directory, sub_entry, name)
-                    for sub_entry in entry["fragments"]
-                ]
+                fragments = _one_heap(
+                    [_restore_bat(directory, sub_entry, name) for sub_entry in entry["fragments"]]
+                )
                 try:
                     pool._fragmented[name] = FragmentedBAT(
                         fragments,
@@ -1522,6 +1523,19 @@ def _bat_entry(bat: BAT, filename: str) -> tuple:
             entry["count"] = spec["count"]
         arrays.update(zip(_codec.part_names(spec["atom"], key), parts))
     return entry, arrays
+
+
+def _one_heap(fragments: List[BAT]) -> List[BAT]:
+    """The fragments of one stored column, just read, put on one heap
+    per str column: the first fragment's, extended by the values each
+    later file adds (:func:`~repro.monet.bat.rebase`: one lookup per
+    distinct value)."""
+    for side in ("head", "tail"):
+        first = getattr(fragments[0], side)
+        for fragment in fragments[1:] if isinstance(first, StrColumn) else ():
+            column = getattr(fragment, side)
+            setattr(fragment, side, StrColumn(rebase(column, first.heap), first.heap))
+    return fragments
 
 
 def _read_npz(path: Path, where: str) -> Dict[str, np.ndarray]:

@@ -22,13 +22,17 @@ str    count           Monet's string heap -- ``""``: codes in the
                        ``heap[offsets[i]:offsets[i + 1]]``
 =====  ==============  ================================================
 
-:func:`encode` dictionary-encodes a str column afresh and keeps
-nothing, so saving or serving changes no column (it neither reads nor
-fills the :mod:`repro.monet.bat` accelerator), and a decoded column
-starts cold.  :func:`decode` is the single validator of column data
-from outside (a data directory, a peer): part count and dtype kind,
-each length against the spec's ``count``, codes within ``[-1, n)``,
-offsets monotone from 0 to ``len(heap)``, a heap that decodes, numeric
+A str column is its codes and its heap in memory too
+(:class:`~repro.monet.bat.StrColumn`).  :func:`encode` compacts: it
+writes the codes and only the heap values those codes use, renumbered
+in heap order when some are unused (a 3-row gather of a large column
+ships at most 3 strings), and changes no column.  :func:`decode` keeps
+the codes (widened to the in-memory int64) and builds the heap from the
+distinct values, with no per-row value array.  It is the single validator of column
+data from outside (a data directory, a peer): part count and dtype
+kind, each length against the spec's ``count``, codes within
+``[-1, n)``, offsets monotone from 0 to ``len(heap)``, a heap that
+decodes to n distinct values, numeric
 values that fit their atom exactly (int32 under oid loads; a float
 under int, uint64 2**63 under int or 300 under bit does not), and bit
 values in its domain {-1 (NIL), 0, 1}.  It raises :class:`CodecError`,
@@ -49,7 +53,7 @@ import numpy as np
 
 from repro.monet.atoms import atom
 from repro.monet.bat import (
-    AnyColumn, Column, VoidColumn, column_from_values, column_to_list, dictionary_encode,
+    AnyColumn, Column, StrColumn, StrHeap, VoidColumn, column_from_values, column_to_list, rebase,
 )
 from repro.monet.errors import AtomError, MonetError
 
@@ -94,13 +98,15 @@ def encode(column: AnyColumn) -> Tuple[Spec, List[np.ndarray]]:
     spec = {"atom": atom_type.name, "count": len(column)}
     if len(_row(atom_type.name)) == 1:
         return spec, [column.values.astype(atom_type.dtype.newbyteorder("<"), copy=False)]
-    codes, dictionary = dictionary_encode(column.values)
-    blobs = [value.encode("utf-8", "surrogatepass") for value in dictionary]
+    heap = StrHeap()  # the values in use, renumbered in heap order
+    codes = rebase(column, heap)
+    values = heap.values_at(np.arange(len(heap))).tolist()
+    blobs = [value.encode("utf-8", "surrogatepass") for value in values]
     offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum([len(blob) for blob in blobs], dtype=np.int64)
+    data = np.frombuffer(b"".join(blobs), dtype=np.uint8)
     dtype = next(d for d in _CODE_DTYPES if len(blobs) - 1 <= np.iinfo(d).max)
-    heap = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    return spec, [codes.astype(dtype), heap, offsets]
+    return spec, [codes.astype(dtype), data, offsets]
 
 
 def decode(spec: Spec, parts: Sequence[Optional[np.ndarray]], where: str) -> AnyColumn:
@@ -129,7 +135,7 @@ def decode(spec: Spec, parts: Sequence[Optional[np.ndarray]], where: str) -> Any
         rows = len(parts[0])
         raise CodecError(f"array {where!r} holds {rows} rows where {count} rows are declared")
     if len(row) == 3:
-        return Column("str", _heap_values(*parts, where))
+        return StrColumn(parts[0].astype(np.int64, copy=False), _heap(*parts, where))
     values, dtype = parts[0], atom(atom_name).dtype
     cast = values
     if values.dtype != dtype:
@@ -149,10 +155,10 @@ def decode(spec: Spec, parts: Sequence[Optional[np.ndarray]], where: str) -> Any
     return Column(atom_name, cast)
 
 
-def _heap_values(codes, heap, offsets, where: str) -> np.ndarray:
-    """A str column's values from its codes and string heap: the
-    distinct values decode once, then one ``take`` gathers every row
-    through a lookup whose last slot (code -1) is NIL."""
+def _heap(codes, heap, offsets, where: str) -> StrHeap:
+    """The :class:`~repro.monet.bat.StrHeap` of a str column's string
+    heap, checked against its codes: each distinct value decodes
+    once."""
     n = len(offsets) - 1
     if heap.dtype != np.uint8:
         raise CodecError(f"array {where + '_heap'!r} is not uint8")
@@ -164,15 +170,14 @@ def _heap_values(codes, heap, offsets, where: str) -> np.ndarray:
     if len(codes) and (codes.min() < -1 or codes.max() >= n):
         raise CodecError(f"array {where!r} holds codes outside [-1, {n})")
     raw, bounds = heap.tobytes(), offsets.tolist()
-    lookup = np.empty(n + 1, dtype=object)
     try:
-        lookup[:n] = [
-            raw[start:stop].decode("utf-8", "surrogatepass")
-            for start, stop in zip(bounds, bounds[1:])
-        ]
+        values = [raw[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
     except UnicodeDecodeError as exc:
         raise CodecError(f"array {where + '_heap'!r} does not decode: {exc}") from None
-    return lookup.take(codes)
+    distinct = StrHeap(values)
+    if len(distinct) != n:
+        raise CodecError(f"array {where + '_heap'!r} holds a value twice")
+    return distinct
 
 
 def to_frame(encoded: Sequence[Tuple[Spec, List[np.ndarray]]]) -> bytes:

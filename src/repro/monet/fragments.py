@@ -14,11 +14,11 @@ that function alone decides serial or parallel: the pool runs the tasks
 when the operator's receiver holds at least
 ``tuning.current().parallel_min`` BUNs, the calling thread otherwise.
 No operator takes a worker count.  numpy releases the GIL on its bulk
-paths, so the numeric work runs in parallel, while a str column's
-dictionary encoding (the only way an operator reads its values; see
-:mod:`repro.monet.kernel`) is built under the GIL and serializes on
-it.  There is no second executor for str work because the one tried
-(it predates the code space) did not pay: on the 2-core
+paths, so the numeric work runs in parallel, while a str predicate
+or translation (once per distinct value in use; see
+:mod:`repro.monet.kernel`) runs under the GIL and serializes on it.
+There is no second executor for str work because the one tried (it
+predates the code space) did not pay: on the 2-core
 reference host a process pool over shared-memory column exports
 measured thread ms / process ms (above 1 = processes ahead) of 0.92
 (``likeselect``), 0.82 (``select(str=)``),
@@ -87,11 +87,9 @@ from repro.monet.bat import (
     AnyColumn,
     Column,
     VoidColumn,
+    _boundary_order,
     _normalize_positions,
-    bat_from_pairs,
     concat_columns,
-    dense_bat,
-    encode_jointly,
 )
 from repro.monet.errors import InvalidMutationBatch, KernelError
 
@@ -345,7 +343,9 @@ class FragmentedBAT:
         a full tail starts a fresh delta fragment instead (the merge
         daemon later splits any oversized delta back to policy size,
         see :func:`fold_tail`).  ``tails`` is taken as
-        :meth:`BAT.append` takes it, a column array included.
+        :meth:`BAT.append` takes it, a column array included.  A fresh
+        delta is an append to the empty end of the last fragment, so
+        its str columns number their values into the same heap.
         """
         if (pairs is None) == (tails is None):
             raise KernelError("append takes pairs or tails=, not both/neither")
@@ -357,21 +357,11 @@ class FragmentedBAT:
         batch = len(pairs) if pairs is not None else len(tails)  # type: ignore[arg-type]
         if batch == 0:
             return self
-        if len(last) < self.policy.target_size:
-            if tails is not None:
-                delta = last.append(tails=tails)
-            else:
-                delta = last.append(list(pairs))
-            new_fragments = [*self.fragments[:-1], delta]
-        else:
-            if tails is not None:
-                delta = dense_bat(
-                    self.ttype, tails, seqbase=last.head.seqbase + len(last)
-                )
-            else:
-                delta = bat_from_pairs(self.htype, self.ttype, list(pairs))
-            new_fragments = [*self.fragments, delta]
-        return FragmentedBAT(new_fragments, policy=self.policy, name=self.name)
+        kept = self.fragments[:-1]
+        if len(last) >= self.policy.target_size:
+            kept, last = self.fragments, _slice_view(last, len(last), len(last))
+        delta = last.append(tails=tails) if tails is not None else last.append(list(pairs))
+        return FragmentedBAT([*kept, delta], policy=self.policy, name=self.name)
 
     # ------------------------------------------------------------------
     # Copy-on-write delete / update: tombstone and patch delta kinds
@@ -499,8 +489,8 @@ def _concat_fragments(frags: Sequence[BAT], name: Optional[str] = None) -> BAT:
     """One BAT holding the BUNs of *frags* in order, with conservative
     property flags: the whole-BAT coalesce and the bounded local merge
     of a starved run are the same concatenation
-    (:func:`repro.monet.bat.concat_columns`: windows of one warm column
-    coalesce warm)."""
+    (:func:`repro.monet.bat.concat_columns`: windows of one str column
+    coalesce on its heap)."""
     head = concat_columns([f.head for f in frags])
     tail = concat_columns([f.tail for f in frags])
     return BAT(
@@ -519,23 +509,12 @@ def _concat_fragments(frags: Sequence[BAT], name: Optional[str] = None) -> BAT:
 
 
 def _boundaries_nondecreasing(frags: Sequence[BAT], *, head: bool) -> bool:
-    previous = None
-    for frag in frags:
-        if len(frag) == 0:
-            continue
-        column = frag.head if head else frag.tail
-        first = column.python_value(0)
-        last = column.python_value(len(frag) - 1)
-        if first is None or last is None:
-            return False
-        if previous is not None:
-            try:
-                if not previous <= first:
-                    return False
-            except TypeError:
-                return False
-        previous = last
-    return True
+    """No NIL at either end of a fragment, and every boundary between
+    fragments in order (:func:`repro.monet.bat._boundary_order`)."""
+    columns = [frag.head if head else frag.tail for frag in frags if len(frag)]
+    if any(None in (column.python_value(0), column.python_value(-1)) for column in columns):
+        return False
+    return all(_boundary_order(a, b) >= 1 for a, b in zip(columns, columns[1:]))
 
 
 # ----------------------------------------------------------------------
@@ -642,20 +621,6 @@ def likeselect(fb: FragmentedBAT, pattern: str) -> FragmentedBAT:
 # ----------------------------------------------------------------------
 
 
-def _payload(right: Union[BAT, FragmentedBAT]) -> List[AnyColumn]:
-    """The tails a join gathers from *right*, one per fragment in BUN
-    order.  The str tail of a BAT the pool holds (a named one) is
-    warmed first, at the first query that gathers from it
-    (:func:`encode_jointly`: its fragments over one dictionary), so
-    every take of it carries the codes; an intermediate's tail is
-    gathered as it is."""
-    frags = right.fragments if isinstance(right, FragmentedBAT) else [right]
-    tails = [frag.tail for frag in frags]
-    if right.name is not None and _kernel._is_object_column(tails[0]):
-        encode_jointly(tails)
-    return tails
-
-
 def _gather_windows(
     columns: Sequence[AnyColumn], offsets: np.ndarray, positions: np.ndarray
 ) -> AnyColumn:
@@ -733,7 +698,7 @@ def _fetchjoin_fragmented(
     offsets = np.asarray(starts, dtype=np.int64) - starts[0]
     bounds = offsets.tolist()
     total = bounds[-1]
-    tails = _payload(right)
+    tails = [frag.tail for frag in right.fragments]
 
     def one(frag: BAT) -> BAT:
         if frag.tail.is_void:
@@ -766,12 +731,12 @@ def _fetchjoin_fragmented(
 #
 # The arm is chosen once, from the whole build side, by the kernel's
 # selection table.  Where the keys have a code space -- str keys
-# (dictionary codes) or integral keys of compact span (``key - lo``,
+# (heap codes) or integral keys of compact span (``key - lo``,
 # kernel.span_bounds) -- one index is built over the build fragments in
 # BUN order and every probe fragment probes it in parallel: no
 # partitioning, no hashing, and a str probe fragment translates only its
-# distinct values (fragment windows of a warm column share its
-# dictionary, and then translate nothing).  Only the sorted arm (sparse
+# distinct values (the fragments of one stored column share its heap,
+# and then translate nothing).  Only the sorted arm (sparse
 # numeric keys) partitions both operands by a radix of the join key
 # (kernel.join_partition_ids; NIL BUNs drop first, comparison rule):
 # per-partition sorted indexes build in parallel, every probe fragment
@@ -782,13 +747,11 @@ def _fetchjoin_fragmented(
 # reassembles the exact monolithic kernel.join order.
 #
 # Gathers carry codes.  Every arm gathers the build tails as columns
-# (``Column.take`` of the build fragments, joined by
-# ``bat.concat_columns``), never as value arrays, and a str tail is
-# warmed on the build's own columns first when the pool holds them
-# (``_payload``): gathers from
-# fragments sharing one dictionary come out warm, an outer join's NIL
-# fill is code -1 in it (``kernel.pad_unmatched``), and the next keyed
-# operator reads the codes instead of re-encoding the payload.
+# (``take`` of the build fragments, joined by ``bat.concat_columns``),
+# never as value arrays: gathers from the fragments of one stored str
+# column come out on its heap, an outer join's NIL fill is code -1 on
+# it (``kernel.pad_unmatched``), and the next keyed operator reads the
+# codes.
 #
 # Why the split (2 M oid probes, min of 3, ms at 1/10/40 fragments of
 # both sides, 2-core host): on a 1 M permutation build the radix join
@@ -820,12 +783,12 @@ def _grace_matches(
     probe BUN, matches in ascending build BUN order)."""
     build_frags = right.fragments if isinstance(right, FragmentedBAT) else [right]
     heads = [frag.head for frag in build_frags]
-    probe_object = _kernel._is_object_column(fb.fragments[0].tail)
-    if probe_object != _kernel._is_object_column(heads[0]):
+    probe_object = _kernel._is_str(fb.fragments[0].tail)
+    if probe_object != _kernel._is_str(heads[0]):
         # outerjoin checks no types, and a str equals no number
         nothing = np.empty(0, dtype=np.int64)
         return [(nothing, build_frags[0].tail.take(nothing))] * fb.nfragments
-    tails = _payload(right)
+    tails = [frag.tail for frag in build_frags]
     if probe_object or _kernel.span_bounds(heads) is not None:
         return _shared_index_matches(fb, heads, tails, probe_object)
     return _radix_matches(fb, heads, tails)
@@ -839,7 +802,7 @@ def _shared_index_matches(
 ) -> List[Tuple[np.ndarray, AnyColumn]]:
     """One code-space index over the whole build side, probed by every
     fragment.  A str index is built in the probe side's code space when
-    all probe fragments share one dictionary (windows of a warm
+    all probe fragments share one heap (the fragments of one stored
     column) at least as large as the build's, so no probe translates
     anything (:func:`~repro.monet.kernel.larger_code_space`); otherwise
     in the build's own, and each probe fragment translates its distinct
@@ -847,7 +810,7 @@ def _shared_index_matches(
     code_space = None
     if probe_object:
         probes = [frag.tail for frag in fb.fragments]
-        if len({id(probe.encoding()[1]) for probe in probes}) == 1:
+        if all(probe.heap is probes[0].heap for probe in probes):
             code_space = _kernel.larger_code_space(probes[0], heads)
     index = _kernel.build_match_index(heads, code_space)
     payload = concat_columns(tails)
@@ -1410,8 +1373,8 @@ def group(fb: FragmentedBAT) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.groups.group`.
 
     Two parallel passes around one small serial merge over identity
-    keys in one key space (a str tail's codes in the fragments' shared
-    dictionary, else a joint one): (1) each fragment reports its
+    keys in one key space (a str tail's codes on the fragments' shared
+    heap, else in one code space): (1) each fragment reports its
     distinct keys with their minimal global BUN position, (2) the merge
     numbers the distinct keys by first global appearance -- reproducing
     the monolithic first-appearance group-oid assignment exactly -- and
@@ -1494,8 +1457,7 @@ def _sample_sort_merge(
         for keys, pkeys, _ in runs
     ]
     # The shared gather sources the per-partition workers index by
-    # global BUN position (codes and all, when the fragments share one
-    # dictionary).
+    # global BUN position (codes and all, for str).
     tails = concat_columns([f.tail for f in fb.fragments])
     heads = concat_columns([f.head for f in fb.fragments]) if gather_heads else None
 
@@ -1539,9 +1501,9 @@ def sort(fb: FragmentedBAT) -> FragmentedBAT:
     and the plan around it stays fragment-parallel.  Equal heads keep
     global BUN order, exactly like the monolithic stable sort.  The
     keys are :func:`kernel.order_keys`: numbers themselves, a str head
-    the ranks of its codes in one code space across the fragments, which
-    are warmed over one dictionary first (:func:`encode_jointly`), so
-    the gathered head comes out warm.
+    the ranks of its codes in one code space across the fragments (their
+    heap, when they share one), and the head is gathered by position,
+    codes and all.
     Already-sorted inputs (flagged or detected, fragment boundaries
     included) return unchanged."""
     if len(fb) == 0:
@@ -1551,9 +1513,7 @@ def sort(fb: FragmentedBAT) -> FragmentedBAT:
     ):
         return fb
     heads = [frag.head for frag in fb.fragments]
-    str_head = _kernel._is_object_column(heads[0])
-    if str_head:
-        encode_jointly(heads)
+    str_head = _kernel._is_str(heads[0])
     head_keys = _kernel.order_keys(*heads)
 
     def one(index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -77,10 +77,7 @@ def group_representatives(grouping: BAT, bat: BAT) -> BAT:
         raise KernelError("group_representatives requires aligned inputs")
     ids = grouping.tail_values()
     if len(ids) == 0:
-        return BAT(
-            VoidColumn(0, 0),
-            Column(bat.tail.atom_type, bat.tail.atom_type.make_array([])),
-        )
+        return BAT(VoidColumn(0, 0), bat.tail.take(ids))
     n_groups = int(ids.max()) + 1
     uniq, first_positions = np.unique(ids, return_index=True)
     if len(uniq) != n_groups:

@@ -51,13 +51,12 @@ key with span == count - 1)   (:func:`fetch_positions`)   seqbase windows
 -- and every probe is in      the result head is          per probe fragment,
 range                         ``left.head`` itself (a     too
                               void head stays void)
-either side str               code space: the cached      one shared index in
-                              dictionary codes of the     the probe fragments'
-                              side with the larger        shared dictionary
-                              dictionary, the *distinct*  when it is the
-                              values the other side uses  larger, else the
-                              translated into them        build's; a probe
-                              (``"code"``,                fragment translates
+either side str               code space: the heap codes  one shared index in
+                              of the side with the        the probe fragments'
+                              larger heap, the            shared heap when it
+                              *distinct* values the       is the larger, else
+                              other side uses translated  the build's; a probe
+                              into them (``"code"``,      fragment translates
                               :func:`larger_code_space`)  only its distinct
                                                           values
 numeric keys, non-NIL build   code space ``key - lo``     one shared index
@@ -78,8 +77,8 @@ as many matches as left BUNs  ``left.head`` itself
 Every arm, monolithic or fragmented, gathers the right tail (the
 payload) as a column -- :meth:`Column.take`/:meth:`Column.window`,
 parts joined by :func:`repro.monet.bat.concat_columns`, the outer
-join's NIL fill by :func:`pad_unmatched` -- so a warm str payload
-keeps its dictionary codes and the next keyed operator reads them.
+join's NIL fill by :func:`pad_unmatched` -- so a str payload keeps
+its codes on its heap and the next keyed operator reads them.
 
 Every arm yields the same BUNs in the same order (left BUN order, then
 right BUN order per probe); the arms differ in cost and in how much of
@@ -98,9 +97,10 @@ sorted arm's order plus its sorted key copy.  A value arm's index is a
 
 Key selection.  Every other operator reads its operands through one
 integer key per value, chosen by the atom alone: a str column is read
-only through its dictionary codes (:meth:`Column.encoding`), never
-value by value.  This table and the join table above are the one place
-an operator's sort, dedup or predicate arm is declared:
+only through its codes into its heap
+(:class:`~repro.monet.bat.StrColumn`), never value by value.  This
+table and the join table above are the one place an operator's sort,
+dedup or predicate arm is declared:
 
 =====================  ==========================  ========================
 operator family        key                         fragmented
@@ -144,15 +144,16 @@ comparison:            the identity keys above,    radix-partitioned
 ``kdiff``                                          shared build (kdiff)
 =====================  ==========================  ========================
 
-For str the fragmented column is always **one code space across
-fragments: the shared dictionary, else a joint one** (:class:`CodeSpace`,
-:func:`str_code_space`): fragments that are windows of one warm column
-share its dictionary and translate nothing; otherwise the longest
-column's dictionary is the base and the other columns' distinct values
-are numbered in after it.  Translations, ranks and predicate tables
-read only the codes a call's BUNs use (:func:`_by_value`): no Python
-pass over a dictionary, so a small window of a large warm column pays
-for its own distinct values.  Ranks are not cached: every order operator sorts the distinct
+For str there is **one heap per stored column; two heaps translate
+distinct values** (:class:`CodeSpace`, :func:`str_code_space`): the
+fragments, windows and gathers of one stored column share its heap and
+translate nothing; where columns on several heaps meet (a join, a set
+operation, two operands of ``[=]``) the largest heap is the base and
+the other columns' distinct values in use are numbered in after it.
+Translations, ranks and predicate tables read only the codes a call's
+BUNs use (:func:`~repro.monet.bat.by_code`): no Python pass over a
+heap, so a small window of a large column pays for its own distinct
+values.  Ranks are not cached: every order operator sorts the distinct
 values it uses afresh.
 
 NIL semantics (two rules, both Monet-faithful):
@@ -168,13 +169,15 @@ NIL semantics (two rules, both Monet-faithful):
   BUNs out ahead of the radix split, so no partition -- resident or
   spilled -- ever carries a NIL key and the partition-local probes
   need no NIL handling of their own.  The rule is unchanged in code
-  space: NIL has no dictionary code and no span code (it codes as -1,
+  space: NIL has no heap code and no span code (it codes as -1,
   like a value the build lacks), and -1 matches nothing, not even
   another -1.  Membership under this rule leaves the build side's
   NILs out and masks NIL probes (:func:`member_keys`,
   :func:`probe_member_set` with ``nil_member=False``).  A NIL
   *needle* is no exception: ``select(b, nil)`` matches nothing, for
-  every atom, and a range's open (``nil``) bound reaches no NIL
+  every atom, and so do ``find(b, nil)`` and ``exist(b, nil)`` (the
+  first BUN whose head equals the needle: there is none, monolithic
+  or fragmented); a range's open (``nil``) bound reaches no NIL
   either -- not the int/oid sentinels at the numeric extremes.
 * *Identity* operators -- ``unique``/``kunique``/``tunique`` here,
   ``group``/``refine`` in :mod:`repro.monet.groups`, **and the set
@@ -201,7 +204,7 @@ NIL semantics (two rules, both Monet-faithful):
 * *Appends/deltas introduce no third rule.*  A NIL appended into a
   delta tail (:meth:`BAT.append` / ``FragmentedBAT.append`` /
   ``BATBufferPool.append``, WAL replay included) is stored as the
-  ordinary NIL representation of its atom (NaN for dbl, ``None`` for
+  ordinary NIL representation of its atom (NaN for dbl, code -1 for
   str, the int sentinel for int/oid) and thereafter follows exactly
   the split above: comparison operators never match it, identity
   operators fold it with every other NIL of the column -- whether the
@@ -237,15 +240,18 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.monet.atoms import coerce_value, is_nil
+from repro.monet.atoms import coerce_value
 from repro.monet.bat import (
     BAT,
     AnyColumn,
-    Column,
+    StrColumn,
+    StrHeap,
     VoidColumn,
+    by_code,
+    column_equal,
     concat_columns,
-    dictionary_codes,
     nil_column,
+    rank_codes,
 )
 from repro.monet.errors import KernelError
 
@@ -254,8 +260,8 @@ from repro.monet.errors import KernelError
 # ----------------------------------------------------------------------
 
 
-def _is_object_column(column: AnyColumn) -> bool:
-    return not column.is_void and column.atom_type.dtype == np.dtype(object)
+def _is_str(column: AnyColumn) -> bool:
+    return isinstance(column, StrColumn)
 
 
 def _positions(count: int) -> np.ndarray:
@@ -292,12 +298,12 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # One key space per operator: what every operator reads
 #
-# A str column is read only through its dictionary codes
-# (:meth:`Column.encoding`): identity operators compare codes, order
-# operators compare the rank of a code, comparisons evaluate their
-# predicate once per distinct value.  Numbers are read as themselves
-# (or their monotone integer image).  The selection table in the
-# module docstring is the one place an arm is declared.
+# A str column is read only through its codes into its heap: identity
+# operators compare codes, order operators compare the rank of a code,
+# comparisons evaluate their predicate once per distinct value.
+# Numbers are read as themselves (or their monotone integer image).
+# The selection table in the module docstring is the one place an arm
+# is declared.
 # ----------------------------------------------------------------------
 
 
@@ -305,114 +311,76 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
 KeyFunction = Callable[[AnyColumn], np.ndarray]
 
 
-def _by_value(
-    codes: np.ndarray, values: np.ndarray, evaluate: Callable[[list], Any], nil: int
-) -> np.ndarray:
-    """*evaluate* over the distinct values that *codes* use -- one list
-    of them, one result each -- gathered back to every BUN by its code;
-    NIL's BUNs (code -1) get *nil*.  A value is read at one of its BUNs
-    of *values*: the BUN whose position its code's entry of a scratch
-    table holds after every BUN wrote its own.  So *evaluate* sees each
-    distinct value once, the rest is numpy over the BUNs, and the
-    entries of codes not in use are never touched -- no pass over the
-    dictionary."""
-    table = np.empty(int(codes.max(initial=-1)) + 2, dtype=np.int64)
-    positions = np.arange(len(codes), dtype=np.int64)
-    table[codes] = positions
-    chosen = np.flatnonzero((table[codes] == positions) & (codes >= 0))
-    table[codes[chosen]] = evaluate(values[chosen].tolist())
-    table[-1] = nil
-    return table[codes]
-
-
 class CodeSpace:
-    """One code space for str columns: a *base* dictionary, read and
-    never modified (a column's own, shared by every window and gather
-    of it), plus the values it lacks, numbered after it in *extra* as
-    columns are encoded with ``extend``.  NIL has no code (-1)."""
+    """One code space for str columns on several heaps: a *base* heap,
+    read and never extended (its codes below the length it had when the
+    space was made), plus the values it lacks, numbered after them on a
+    private *extra* heap as columns are encoded with ``extend``.  NIL
+    has no code (-1)."""
 
-    __slots__ = ("base", "extra")
+    __slots__ = ("base", "size", "extra")
 
-    def __init__(self, base: dict) -> None:
+    def __init__(self, base: StrHeap) -> None:
         self.base = base
-        self.extra: dict = {}
+        self.size = len(base)
+        self.extra = StrHeap()
 
     def __len__(self) -> int:
-        return len(self.base) + len(self.extra)
+        return self.size + len(self.extra)
 
     def codes(self, values: list, extend: bool) -> np.ndarray:
         """int64 codes of the distinct non-NIL *values*: -1 for a value
         the space lacks, unless *extend* numbers it in."""
-        found = dictionary_codes(values, self.base)
-        missing = found < 0
+        found = self.base.lookup(values)
+        missing = (found < 0) | (found >= self.size)
         rest = list(itertools.compress(values, missing.tolist()))
-        extra = dictionary_codes(rest, self.extra)
-        if extend:
-            new = extra < 0
-            start = len(self)
-            extra[new] = np.arange(start, start + int(new.sum()), dtype=np.int64)
-            self.extra.update(
-                zip(itertools.compress(rest, new.tolist()), itertools.count(start))
-            )
-        found[missing] = extra
+        extra = (self.extra.encode if extend else self.extra.lookup)(rest)
+        found[missing] = np.where(extra < 0, -1, extra + self.size)
         return found
 
-    def encode(self, column: Column, extend: bool = False) -> np.ndarray:
-        """*column*'s cached dictionary codes in this space, NIL -1:
-        the codes themselves when its dictionary is the base, else one
-        lookup per distinct value its BUNs use (:func:`_by_value`),
-        never its whole dictionary."""
-        codes, dictionary = column.encoding()
-        if dictionary is self.base:
-            return codes
-        return _by_value(
-            codes, column.values, lambda values: self.codes(values, extend), -1
+    def encode(self, column: StrColumn, extend: bool = False) -> np.ndarray:
+        """*column*'s codes in this space, NIL -1: its own codes when
+        its heap is the base, else one lookup per distinct value its
+        BUNs use (:func:`~repro.monet.bat.by_code`), never its whole
+        heap."""
+        if column.heap is self.base:
+            return column.codes
+        return by_code(
+            column.codes, column.heap, lambda values: self.codes(values, extend), -1
         )
 
 
-def str_code_space(columns: Sequence[Column]) -> Tuple[CodeSpace, KeyFunction]:
+def str_code_space(columns: Sequence[StrColumn]) -> Tuple[CodeSpace, KeyFunction]:
     """The one code space of str *columns* (operands, or every fragment
     of one) and the function from each of them to its codes in it:
-    based on the longest column's dictionary -- the only one when all
-    hold the same object (windows and gathers of one warm column:
-    nothing to translate) -- with every other dictionary's values in
-    use numbered in after it, here and serially, so the function only
-    reads the result."""
-    space = CodeSpace(max(columns, key=len).encoding()[1])
+    based on the largest heap -- the only one when all columns share it
+    (the fragments, windows and gathers of one stored column: nothing to
+    translate) -- with every other heap's values in use numbered in
+    after it, here and serially, so the function only reads the
+    result."""
+    space = CodeSpace(max((column.heap for column in columns), key=len))
     codes = {id(column): space.encode(column, extend=True) for column in columns}
     return space, lambda column: codes[id(column)]
-
-
-def _ranks(values: list) -> np.ndarray:
-    """The rank of every one of the distinct *values* in sorted order."""
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[sorted(range(len(values)), key=values.__getitem__)] = np.arange(
-        len(values), dtype=np.int64
-    )
-    return ranks
 
 
 def order_keys(*columns: AnyColumn) -> List[np.ndarray]:
     """Sort keys of *columns* (operands, or every fragment of one) in
     one order: numbers are their own keys; a str value's key is the
-    rank of its code in one code space (:func:`key_space`), the
-    distinct values in use sorted once per call and NIL ranked above
-    every string.  Ranks are not cached."""
-    if not _is_object_column(columns[0]):
+    rank of its code on one heap (their shared one, else the fresh heap
+    of their concatenation), the distinct values in use sorted once per
+    call and NIL ranked above every string.  Ranks are not cached."""
+    if not _is_str(columns[0]):
         return [column.materialize() for column in columns]
-    keys = key_space(*columns)
-    codes = np.concatenate([keys(column) for column in columns])
-    values = np.concatenate([column.values for column in columns])
-    ranks = _by_value(codes, values, _ranks, len(codes))
+    joined = concat_columns(columns)
+    ranks = rank_codes(joined.codes, joined.heap)
     return np.split(ranks, np.cumsum([len(column) for column in columns])[:-1])
 
 
-def _str_mask(column: Column, evaluate: Callable[[list], Any]) -> np.ndarray:
+def _str_mask(column: StrColumn, evaluate: Callable[[list], Any]) -> np.ndarray:
     """Mask of a str column's BUNs whose value qualifies: *evaluate*
     maps the list of distinct values in use to one truth value each,
     gathered back by code; NIL never qualifies."""
-    codes = column.encoding()[0]
-    return _by_value(codes, column.values, evaluate, 0) > 0
+    return by_code(column.codes, column.heap, evaluate, 0) > 0
 
 
 def _float_dedup_keys(values: np.ndarray) -> np.ndarray:
@@ -435,13 +403,13 @@ def key_space(*columns: AnyColumn) -> Optional[KeyFunction]:
     to its integer keys: equal keys iff the values are one set element
     under the identity rule (all NILs one key, ``-0.0 == +0.0``).
 
-    str: dictionary codes in one code space (:func:`str_code_space`),
+    str: heap codes in one code space (:func:`str_code_space`),
     NIL -1; any dbl column: the float bits of every value widened to
     dbl (numeric widening, like the join family); otherwise int64
     values.  Numeric keys also sort like their values; codes do not
     (order goes through :func:`order_keys`).  ``None`` when a str
     column meets a numeric one: a str equals no number."""
-    kinds = {_is_object_column(column) for column in columns}
+    kinds = {_is_str(column) for column in columns}
     if kinds == {True, False}:
         return None
     if True in kinds:
@@ -486,8 +454,8 @@ def nil_mask(column: AnyColumn) -> np.ndarray:
     ``OID_NIL`` for oid).  A void column holds no NIL."""
     if column.is_void:
         return np.zeros(len(column), dtype=bool)
-    if _is_object_column(column):
-        return column.encoding()[0] < 0
+    if _is_str(column):
+        return column.codes < 0
     values = column.materialize()
     if values.dtype.kind == "f":
         return np.isnan(values)
@@ -642,7 +610,7 @@ class MatchIndex:
     columns (:func:`build_match_index` / :func:`probe_match_index`).
 
     *arm* names the row of the selection table that built it:
-    ``"code"`` (str keys as dictionary codes in *code_space*),
+    ``"code"`` (str keys as heap codes in *code_space*),
     ``"span"`` (integral keys in the compact range ``lo .. hi``, coded
     ``key - lo``) or ``"sorted"`` (the build positions in stable key
     order, *keys* the build keys in that order).  The two code-space arms share the tables of
@@ -748,7 +716,7 @@ def _concat_keys(build: Sequence[AnyColumn], encode) -> np.ndarray:
 
 
 def build_match_index(
-    build: Sequence[AnyColumn], code_space: Optional[dict] = None
+    build: Sequence[AnyColumn], code_space: Optional[StrHeap] = None
 ) -> MatchIndex:
     """One index over a join build side -- the head columns *build*,
     in BUN order (one column, or a fragmented head's fragments) --
@@ -758,16 +726,16 @@ def build_match_index(
     docstring:
 
     * str keys: the ``"code"`` arm, in *code_space* when given (a probe
-      side's dictionary, :func:`larger_code_space`: build values it
-      lacks can match nothing there) and otherwise in the build's own
-      dictionary, extended across fragments that do not share one;
+      side's heap, :func:`larger_code_space`: build values it lacks can
+      match nothing there) and otherwise in the build's own heap,
+      extended across columns that do not share one;
     * integral keys with a compact span (:func:`span_bounds`): the
       ``"span"`` arm;
     * anything else: the ``"sorted"`` arm.
 
     NIL build keys are never indexed: they have no code, and the sorted
     arm leaves them out."""
-    if _is_object_column(build[0]):
+    if _is_str(build[0]):
         if code_space is None:
             space, keys_of = str_code_space(build)
         else:
@@ -824,15 +792,15 @@ def _match_columns(
     position.
 
     A str join runs in the code space of the side with the larger
-    (cached) dictionary, and only the *distinct* values the other side
+    heap, and only the *distinct* values the other side
     uses are translated into it -- one dict lookup each, however long
     either side is (:func:`larger_code_space`)."""
-    probe_object = _is_object_column(probe)
+    probe_object = _is_str(probe)
     if (
         len(probe) == 0
         or len(build) == 0
         # outerjoin checks no types, and a str equals no number
-        or probe_object != _is_object_column(build)
+        or probe_object != _is_str(build)
     ):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
@@ -840,16 +808,15 @@ def _match_columns(
     return probe_match_index(probe, build_match_index([build], code_space))
 
 
-def larger_code_space(probe: Column, build: Sequence[Column]) -> Optional[dict]:
+def larger_code_space(probe: StrColumn, build: Sequence[StrColumn]) -> Optional[StrHeap]:
     """The code space a str join of *probe* against the *build* columns
-    indexes in: *probe*'s dictionary when it is at least as large as
-    every build dictionary, else ``None`` -- the build's own
+    indexes in: *probe*'s heap when it is at least as large as every
+    build heap, else ``None`` -- the build's own
     (:func:`build_match_index`).  The smaller side is the one
     translated, as in :func:`str_code_space`: joining 3 query terms
     against a 200 000-term vocabulary looks 3 values up, not 200 000."""
-    dictionary = probe.encoding()[1]
-    if len(dictionary) >= max(len(column.encoding()[1]) for column in build):
-        return dictionary
+    if len(probe.heap) >= max(len(column.heap) for column in build):
+        return probe.heap
     return None
 
 
@@ -879,7 +846,7 @@ _RADIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 def join_partition_ids(keys: np.ndarray, fanout: int) -> np.ndarray:
     """Radix partition id (``0 .. fanout-1``) of every integer key
     (:func:`join_keys`), mixed through a Fibonacci multiplier before
-    the modulo.  A str key is its dictionary code, so there is no str
+    the modulo.  A str key is its heap code, so there is no str
     hash (and a value join in a code space never partitions: the
     selection table's fragments column)."""
     if fanout <= 1:
@@ -938,14 +905,7 @@ def equal_mask(bat: BAT, value: Any) -> np.ndarray:
         raise KernelError("select needs a value or range")
     if len(bat) == 0:
         return np.zeros(0, dtype=bool)
-    if _is_object_column(bat.tail):
-        codes, dictionary = bat.tail.encoding()
-        code = dictionary.get(value, -1)
-        return codes == code if code >= 0 else np.zeros(len(bat), dtype=bool)
-    coerced = coerce_value(value, bat.tail.atom_type)
-    if is_nil(coerced, bat.tail.atom_type):
-        return np.zeros(len(bat), dtype=bool)
-    return bat.tail_values() == coerced
+    return column_equal(bat.tail, value)
 
 
 def range_mask(
@@ -962,7 +922,7 @@ def range_mask(
     int/oid/bit sentinels."""
     if len(bat) == 0:
         return np.zeros(0, dtype=bool)
-    if _is_object_column(bat.tail):
+    if _is_str(bat.tail):
 
         def inside(values: list) -> np.ndarray:
             values = np.array(values, dtype=object)
@@ -1003,7 +963,7 @@ def like_mask(bat: BAT, pattern: str) -> np.ndarray:
 def semijoin_mask(left: BAT, right: BAT) -> np.ndarray:
     """Boolean mask of left BUNs whose head occurs among right's heads
     (shared predicate of :func:`semijoin` and :func:`kdiff`)."""
-    if right.hdense:
+    if right.hdense and not _is_str(left.head):
         heads = left.head_values()
         return (heads >= right.head.seqbase) & (
             heads < right.head.seqbase + len(right)
@@ -1167,7 +1127,7 @@ def pad_unmatched(
     (*probe_positions* ascending, *matched* the tails gathered for
     them): every unmatched probe joins a NIL, and all of them come out
     in probe order, as (probe positions, tail column).  The NIL fill is
-    code -1 in a warm *matched*'s dictionary, so the tail stays warm."""
+    code -1 on a str *matched*'s heap, so the tail keeps its codes."""
     hit = np.zeros(count, dtype=bool)
     hit[probe_positions] = True
     unmatched = np.nonzero(~hit)[0]

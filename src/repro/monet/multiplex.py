@@ -23,8 +23,9 @@ from typing import Any, Dict, Union
 
 import numpy as np
 
-from repro.monet.bat import BAT, Column
+from repro.monet.bat import BAT, Column, column_from_values
 from repro.monet.errors import KernelError
+from repro.monet.kernel import key_space
 
 Operand = Union[BAT, int, float, bool, str]
 
@@ -51,8 +52,8 @@ _BINARY: Dict[str, Any] = {
     "min": (np.minimum, None),
     "max": (np.maximum, None),
     "pow": (np.power, "dbl"),
-    "=": (lambda a, b: _eq(a, b), "bit"),
-    "!=": (lambda a, b: (~_eq(a, b).astype(bool)).astype(np.int8), "bit"),
+    "=": (lambda a, b: (a == b).astype(np.int8), "bit"),
+    "!=": (lambda a, b: (a != b).astype(np.int8), "bit"),
     "<": (lambda a, b: (a < b).astype(np.int8), "bit"),
     "<=": (lambda a, b: (a <= b).astype(np.int8), "bit"),
     ">": (lambda a, b: (a > b).astype(np.int8), "bit"),
@@ -82,12 +83,21 @@ def has_multiplex_op(op: str) -> bool:
     return op in _UNARY or op in _BINARY or op == "ifthenelse"
 
 
-def _eq(a, b):
-    if getattr(a, "dtype", None) == np.dtype(object) or getattr(b, "dtype", None) == np.dtype(object):
-        if isinstance(b, np.ndarray):
-            return np.fromiter((x == y for x, y in zip(a, b)), dtype=np.int8, count=len(a))
-        return np.fromiter((x == b for x in a), dtype=np.int8, count=len(a))
-    return (a == b).astype(np.int8)
+def _str_equal(a: Operand, b: Operand) -> np.ndarray:
+    """``[=]`` of two operands, one a BAT with a str tail, in one code
+    space: equal codes, so a NIL equals a NIL (code -1) as the values'
+    ``==`` would, and a str equals no number."""
+    if not isinstance(a, BAT):
+        a, b = b, a
+    if isinstance(b, BAT):
+        keys = key_space(a.tail, b.tail)
+        if keys is None:
+            return np.zeros(len(a), dtype=bool)
+        return keys(a.tail) == keys(b.tail)
+    if a.ttype != "str":
+        return np.zeros(len(a), dtype=bool)
+    code = -1 if b is None else a.tail.heap.index.get(b, -2)
+    return a.tail.codes == code
 
 
 def multiplex(op: str, *operands: Operand) -> BAT:
@@ -108,23 +118,25 @@ def multiplex(op: str, *operands: Operand) -> BAT:
             )
         if bats[0].hdense and other.hdense and bats[0].head.seqbase != other.head.seqbase:
             raise KernelError(f"multiplex [{op}]: void heads misaligned")
-    arrays = [
-        x.tail_values() if isinstance(x, BAT) else x
-        for x in operands
-    ]
+    str_tail = any(x.ttype == "str" for x in bats)
+    if str_tail and op not in ("=", "!=", "ifthenelse"):
+        raise KernelError("multiplex arithmetic on str tails is not defined")
+    coded = str_tail and op != "ifthenelse"  # [=]/[!=] compare codes
+    arrays = [x.tail_values() if isinstance(x, BAT) and not coded else x for x in operands]
     if op in _UNARY:
         if len(arrays) != 1:
             raise KernelError(f"[{op}] takes one operand, got {len(arrays)}")
         func, result_atom = _UNARY[op]
-        result = func(_numericize(arrays[0]))
+        result = func(arrays[0])
     elif op in _BINARY:
         if len(arrays) != 2:
             raise KernelError(f"[{op}] takes two operands, got {len(arrays)}")
         func, result_atom = _BINARY[op]
-        if op in ("=", "!="):
-            result = func(arrays[0], arrays[1])
+        if coded:
+            equal = _str_equal(*arrays)
+            result = (equal if op == "=" else ~equal).astype(np.int8)
         else:
-            result = func(_numericize(arrays[0]), _numericize(arrays[1]))
+            result = func(arrays[0], arrays[1])
     elif op == "ifthenelse":
         if len(arrays) != 3:
             raise KernelError("[ifthenelse] takes three operands")
@@ -140,14 +152,8 @@ def multiplex(op: str, *operands: Operand) -> BAT:
         result = result.astype(np.int64)
     if atom_name == "dbl" and result.dtype != np.float64:
         result = result.astype(np.float64)
-    return BAT(head, Column(atom_name, result), hsorted=bats[0].hsorted,
-               hkey=bats[0].hkey)
-
-
-def _numericize(value):
-    if isinstance(value, np.ndarray) and value.dtype == np.dtype(object):
-        raise KernelError("multiplex arithmetic on str tails is not defined")
-    return value
+    tail = column_from_values("str", result) if atom_name == "str" else Column(atom_name, result)
+    return BAT(head, tail, hsorted=bats[0].hsorted, hkey=bats[0].hkey)
 
 
 def _infer_result_atom(result: np.ndarray) -> str:

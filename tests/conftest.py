@@ -9,7 +9,7 @@ import pytest
 from repro.core.mirror import MirrorDBMS
 from repro.moa.structures.contrep import ContentRepresentation
 from repro.monet import tuning
-from repro.monet.bat import BAT
+from repro.monet.bat import BAT, StrColumn
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import (
     FragmentationPolicy,
@@ -49,12 +49,16 @@ def fragment_layout(
 
 
 def assert_codes_decode(column, context: str = "") -> None:
-    """A warm column's codes name its values in its dictionary, with -1
-    exactly at NIL (a void or cold column passes)."""
-    if column.is_void or column._encoding is None:
+    """A str column's codes name its values in its heap: every code
+    below the heap's length, -1 exactly at NIL, and each value's code
+    the one the heap's map gives it (void and fixed columns pass)."""
+    if not isinstance(column, StrColumn):
         return
-    codes, dictionary = column._encoding
-    expected = [-1 if v is None else dictionary[v] for v in column.values.tolist()]
+    codes, heap = column.codes, column.heap
+    assert codes.dtype.kind == "i", f"{context}: codes are {codes.dtype}"
+    assert codes.min(initial=0) >= -1 and codes.max(initial=-1) < len(heap), context
+    values = column.materialize().tolist()
+    expected = [-1 if v is None else heap.index[v] for v in values]
     assert codes.tolist() == expected, f"{context}: codes do not decode"
 
 

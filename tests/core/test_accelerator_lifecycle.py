@@ -1,13 +1,14 @@
-"""Lifecycle of the column accelerator (a str column's cached dictionary
-encoding, :meth:`repro.monet.bat.Column.encoding`) under the whole
-system: it may speed a query up, it may never change an answer.
+"""Lifecycle of a str column's codes and heap
+(:class:`repro.monet.bat.StrColumn`) under the whole system: sharing a
+heap may save work, it may never change an answer.
 
-* copy-on-write mutations build new columns, so the accelerator of the
-  old column can neither leak into the new state nor be torn away from
-  a snapshot that still reads the old one;
-* it is never persisted: a str column is stored as codes plus a string
-  heap, yet loaded columns start cold;
-* a column derived from a warm one shares the parent's dictionary.
+* copy-on-write mutations build new columns on the old column's heap,
+  which only grows, so a snapshot still reading the old column reads
+  exactly its own codes and values;
+* a str column is stored as codes plus a string heap and loads as codes
+  on one heap, with no value encoded on the way;
+* a column derived from another -- a gather, a window, a fragment --
+  shares its heap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.mirror import MirrorDBMS
-from repro.monet.bat import BAT, Column, VoidColumn, dictionary_encode
+from repro.monet.bat import BAT, Column, StrHeap, VoidColumn, column_from_values
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
 from repro.monet.mil import run_program
@@ -28,9 +29,24 @@ from repro.workloads import (
     build_text_db,
     synth_annotations,
 )
+from tests.conftest import assert_codes_decode
 
 COLLECTION = "TraditionalImgLib"
 TERM = f"{COLLECTION}.annotation.term"
+
+
+@pytest.fixture
+def encoded(monkeypatch) -> list:
+    """The length of every batch of values numbered into a heap."""
+    seen: list = []
+    real_encode = StrHeap.encode
+
+    def spy(heap, values):
+        seen.append(len(values))
+        return real_encode(heap, values)
+
+    monkeypatch.setattr(StrHeap, "encode", spy)
+    return seen
 
 
 def _ranking_matches_reference(db: MirrorDBMS, query) -> list:
@@ -49,7 +65,7 @@ def test_contrep_insert_after_warm_query_and_pinned_snapshot():
     params = {"query": query, "stats": stats}
     before = _ranking_matches_reference(db, query)
     old_term = db.pool.lookup(TERM).tail
-    assert old_term._encoding is not None  # the query left it warm
+    old_codes, old_length = old_term.codes.copy(), len(old_term.heap)
 
     txn = db.begin()  # pins the pre-mutation epoch
     db.insert(
@@ -57,24 +73,28 @@ def test_contrep_insert_after_warm_query_and_pinned_snapshot():
         [{"source": "http://new/1", "annotation": " ".join(query) + " zebra"}],
     )
     new_term = db.pool.lookup(TERM).tail
-    assert new_term is not old_term
+    assert new_term is not old_term and new_term.heap is old_term.heap
+    assert len(old_term.heap) == old_length + 1  # "zebra" only
+    assert old_term.codes.tolist() == old_codes.tolist()
+    assert new_term.codes[: len(old_codes)].tolist() == old_codes.tolist()
     after = _ranking_matches_reference(db, query)
     assert len(after) == len(before) + 1 and after[-1] > 0.4
-    # A word no old dictionary has joins too.
+    # A word the old column never held joins too.
     assert _ranking_matches_reference(db, ["zebra"])[-1] > 0.4
-    # The pinned snapshot still answers from the old (warm) column.
+    # The pinned snapshot still answers from the old column.
     assert txn.query(SECTION3_QUERY, params).value == before
+    assert_codes_decode(old_term)
     txn.abort()
 
 
 def _str_join_pool() -> BATBufferPool:
     pool = BATBufferPool()
     words = np.array(["ape", "bat", None, "cat", "bat", "ape"], dtype=object)
-    pool.register("words", BAT(VoidColumn(0, len(words)), Column("str", words)))
+    pool.register("words", BAT(VoidColumn(0, len(words)), column_from_values("str", words)))
     pool.register(
         "dict",
         BAT(
-            Column("str", np.array(["bat", "ape", "dog"], dtype=object)),
+            column_from_values("str", np.array(["bat", "ape", "dog"], dtype=object)),
             Column("int", np.array([10, 20, 30], dtype=np.int64)),
         ),
     )
@@ -100,16 +120,19 @@ def _str_join_pool() -> BATBufferPool:
     ids=["append", "update", "delete"],
 )
 def test_pool_mutation_of_a_warm_str_bat(mutate, expected):
-    """After a warm str join, each copy-on-write mutation of the probe
-    BAT must show in the next join, while a snapshot pinned before it
-    keeps joining the old BUNs."""
+    """After a str join, each copy-on-write mutation of the probe BAT
+    builds a new column on the same heap and shows in the next join,
+    while a snapshot pinned before it keeps joining the old BUNs."""
     pool = _str_join_pool()
     # [word position, dict value]; the NIL word at 2 and "cat" miss.
     before = [(0, 20), (1, 10), (4, 10), (5, 20)]
     assert _joined(pool) == before
-    assert pool.lookup("words").tail._encoding is not None
+    old = pool.lookup("words").tail
     pinned = pool.read_snapshot()
     mutate(pool)
+    new = pool.lookup("words").tail
+    assert new is not old and new.heap is old.heap
+    assert_codes_decode(new)
     assert _joined(pool) == expected
     assert _joined(pool, reader=pinned) == before
 
@@ -119,15 +142,14 @@ def _joined(pool, **kwargs):
     return run_program(script, pool, **kwargs).value.to_pairs()
 
 
-def test_accelerator_is_never_persisted(tmp_path):
-    """A str column is stored as codes plus a string heap, but the
-    catalog entry is the one a numeric BAT gets and loading does not
-    restore the accelerator slot: loaded columns start cold and the
-    first query on them gives the reference answer."""
+def test_accelerator_is_never_persisted(tmp_path, encoded):
+    """A str column is stored as codes plus a string heap under the
+    catalog entry a numeric BAT gets, and loads as codes on one heap
+    with no value encoded: the first query on the loaded db gives the
+    reference answer."""
     db, stats, _ = build_text_db(40, seed=4)
     query = stats.vocabulary()[:3]
     expected = _ranking_matches_reference(db, query)
-    assert db.pool.lookup(TERM).tail._encoding is not None
     db.save(tmp_path)
 
     catalog = json.loads((tmp_path / "catalog.json").read_text())
@@ -140,13 +162,13 @@ def test_accelerator_is_never_persisted(tmp_path):
     with np.load(tmp_path / term_entry["file"]) as archive:
         assert set(archive.files) == {"tail", "tail_heap", "tail_offsets"}
 
+    encoded.clear()
     loaded = MirrorDBMS.load(tmp_path)
+    assert encoded == []  # load numbers no value
     for name in loaded.bat_names(COLLECTION):
         bat = loaded.pool.lookup(name)
         for column in (bat.head, bat.tail):
-            assert column.is_void or column._encoding is None, name
-    # First query on the cold columns (stats from the saved db, so
-    # nothing has warmed them).
+            assert_codes_decode(column, name)
     first = loaded.query(SECTION3_QUERY, {"query": query, "stats": stats}).value
     assert first == pytest.approx(expected, abs=1e-9)
 
@@ -157,9 +179,8 @@ def test_derived_columns_share_the_parent_dictionary():
         [None if rng.random() < 0.1 else f"w{rng.integers(0, 9)}" for _ in range(200)],
         dtype=object,
     )
-    parent = Column("str", values)
-    codes, dictionary = parent.encoding()
-    assert parent.encoding()[1] is dictionary  # built once
+    parent = column_from_values("str", values)
+    heap = parent.heap
     positions = rng.permutation(200)[:70]
     fragments = fragment_bat(
         BAT(VoidColumn(0, 200), parent), FragmentationPolicy(target_size=64)
@@ -173,35 +194,35 @@ def test_derived_columns_share_the_parent_dictionary():
         for fragment, start in zip(fragments, range(0, 200, 64))
     ]
     for column, expected_values in derived:
-        assert column.values.tolist() == expected_values.tolist()
-        derived_codes, derived_dictionary = column._encoding
-        assert derived_dictionary is dictionary  # shared, not copied
-        # The inherited codes decode to the derived values.
-        words = list(dictionary)
-        assert [
-            None if code < 0 else words[code] for code in derived_codes.tolist()
-        ] == expected_values.tolist()
+        assert column.materialize().tolist() == expected_values.tolist()
+        assert column.heap is heap  # shared, not copied
+        assert_codes_decode(column)
     assert parent.window(0, 200) is parent
-    # A fresh encoding of the same values numbers by first appearance.
-    fresh_codes, fresh_dictionary = dictionary_encode(values)
-    assert fresh_dictionary == dictionary and (fresh_codes == codes).all()
+    # The heap numbers values by first appearance, NIL as -1.
+    first_seen = list(dict.fromkeys(v for v in values.tolist() if v is not None))
+    assert [heap.index[v] for v in first_seen] == list(range(len(heap)))
 
 
-def _cold(column):
-    """*column* with no encoding: what a concatenation that drops the
+def _recoded(column):
+    """*column* on a fresh heap: what a concatenation that drops the
     codes would return."""
-    return column if column.is_void else Column(column.atom_type, column.values)
+    if column.is_void or column.atom_type.name != "str":
+        return column
+    return column_from_values("str", column.materialize())
 
 
 @pytest.mark.parametrize("concat", ["coded", "codes-dropped"])
-def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(concat, monkeypatch):
-    """After a warm-up query, the Sec. 3 plan over multi-fragment
-    registrations encodes no str column longer than the query BAT: the
-    term payload reaches every keyed operator as the stored column's
-    codes, through fetchjoin, join and the concatenation of gathers
-    from several fragments.  The ``codes-dropped`` run is the
-    sensitivity check: with ``concat_columns`` returning cold columns,
-    the plan must re-encode a gathered payload, and the spy sees it."""
+def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(
+    concat, monkeypatch, encoded
+):
+    """After a first query and a commit, the Sec. 3 plan over
+    multi-fragment registrations encodes no str column longer than the
+    query BAT: the commit numbers only its appended values, and the term
+    payload reaches every keyed operator as the stored column's codes,
+    through fetchjoin, join and the concatenation of gathers from
+    several fragments.  The ``codes-dropped`` run is the sensitivity
+    check: with ``concat_columns`` re-encoding its result onto a fresh
+    heap, the plan encodes a gathered payload, and the spy sees it."""
     from repro.monet import bat as bat_module
     from repro.monet import fragments, kernel
 
@@ -214,26 +235,23 @@ def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(concat, monk
     assert db.pool.lookup_fragments(TERM).nfragments > 2
     vocabulary = stats.vocabulary()
     queries = [vocabulary[i: i + 3] for i in (0, 3, 6)]
+    params = [{"query": query, "stats": stats} for query in queries]
+    db.query(SECTION3_QUERY, params[0])
+    encoded.clear()
+    db.insert(COLLECTION, [{"source": "http://new/1", "annotation": "zebra quagga sunset"}])
+    assert encoded and max(encoded) <= 3  # the commit's own values only
     if concat == "codes-dropped":
         real = bat_module.concat_columns
         for module in (fragments, kernel):
-            monkeypatch.setattr(module, "concat_columns", lambda parts: _cold(real(parts)))
-    params = [{"query": query, "stats": stats} for query in queries]
-    # Warm-up: the stored columns (and the stats' idf BAT) warm.
-    db.query(SECTION3_QUERY, params[0])
-    encoded = []
-    real_encode = bat_module.dictionary_encode
-    monkeypatch.setattr(
-        bat_module,
-        "dictionary_encode",
-        lambda values: encoded.append(len(values)) or real_encode(values),
-    )
+            monkeypatch.setattr(module, "concat_columns", lambda parts: _recoded(real(parts)))
+    encoded.clear()
     answers = [db.query(SECTION3_QUERY, p).value for p in params]
+    seen = list(encoded)
     monkeypatch.undo()
     for answer, p in zip(answers, params):
         assert answer == pytest.approx(db.query_interpreted(SECTION3_QUERY, p), abs=1e-9)
-    assert encoded  # the query BAT itself is encoded
+    assert seen  # the query BAT itself is encoded
     if concat == "coded":
-        assert max(encoded) <= len(queries[0])
+        assert max(seen) <= len(queries[0])
     else:
-        assert max(encoded) > len(queries[0])
+        assert max(seen) > len(queries[0])

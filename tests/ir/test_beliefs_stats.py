@@ -217,3 +217,36 @@ class TestBeliefList:
     def test_values_exceed_default(self, stats):
         bl = belief_list(DOCS[0], 4, ["sunset", "sea", "red"], stats)
         assert all(b > 0.4 for b in bl)
+
+
+@pytest.mark.parametrize("fragment_threshold", [None, 16], ids=["monolithic", "fragmented"])
+def test_from_pool_after_a_delete_lists_only_live_terms(fragment_threshold):
+    """A delete's survivors keep their term heap, which still holds the
+    terms only the deleted document had: the statistics count postings,
+    so those terms leave the vocabulary and the idf BAT, and the pool's
+    statistics equal the per-document ones over what is left."""
+    from repro.core.mirror import MirrorDBMS
+    from repro.monet.fragments import FragmentationPolicy
+    from repro.workloads import TRADITIONAL_DDL, synth_annotations
+
+    collection = "TraditionalImgLib"
+    db = MirrorDBMS(
+        fragment_threshold=fragment_threshold,
+        fragment_policy=FragmentationPolicy(target_size=32),
+    )
+    db.define(TRADITIONAL_DDL)
+    zebra = {"source": "http://zebra/1", "annotation": "zebraword quagga"}
+    db.insert(collection, synth_annotations(20, seed=3) + [zebra])
+    assert db.pool.is_fragmented(f"{collection}.annotation.term") == bool(fragment_threshold)
+    assert "zebraword" in db.stats(collection, "annotation").vocabulary()
+    db.delete(collection, where={"source": zebra["source"]})
+    pooled = db.stats(collection, "annotation")
+    assert "zebraword" not in pooled.vocabulary()
+    assert "zebraword" not in pooled.idf_bat().head_list()
+    reference = CollectionStats.from_documents(
+        doc["annotation"].terms for doc in db.contents(collection)
+    )
+    assert pooled.document_count == reference.document_count == 20
+    assert pooled.average_document_length == pytest.approx(reference.average_document_length)
+    assert pooled.document_frequency == reference.document_frequency
+    assert pooled.collection_frequency == reference.collection_frequency

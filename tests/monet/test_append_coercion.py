@@ -94,9 +94,10 @@ def test_bit_array_outside_its_domain_is_refused():
 )
 def test_own_dtype_array_is_the_column_copied(atom_name, array):
     column = column_from_values(atom_name, array)
-    assert column.values.dtype == atom(atom_name).dtype
-    np.testing.assert_array_equal(column.values, array)
-    assert column.values is not array
+    values = column.materialize()
+    assert values.dtype == atom(atom_name).dtype
+    np.testing.assert_array_equal(values, array)
+    assert values is not array
 
 
 def test_two_dimensional_array_is_refused():

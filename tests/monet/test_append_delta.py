@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
+from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, column_from_values, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import UnknownMutationTarget
 from repro.monet.fragments import (
@@ -74,7 +74,7 @@ def test_bat_append_clears_flags_on_violation():
 def test_bat_append_nil_clears_tail_flags():
     base = BAT(
         VoidColumn(0, 2),
-        Column("str", np.array(["a", "b"], dtype=object)),
+        column_from_values("str", np.array(["a", "b"], dtype=object)),
         tkey=True,
         tsorted=True,
     )

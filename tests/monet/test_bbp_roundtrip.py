@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, dense_bat
+from repro.monet.bat import BAT, Column, VoidColumn, bat_from_pairs, column_from_values, dense_bat
 from repro.monet.bbp import BATBufferPool, read_spill_unit
 from repro.monet.errors import BBPError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
-from tests.conftest import STRATEGIES, fragment_layout
+from tests.conftest import STRATEGIES, assert_codes_decode, fragment_layout
 
 
 def _roundtrip(pool: BATBufferPool, tmp_path) -> BATBufferPool:
@@ -32,7 +32,7 @@ def _roundtrip(pool: BATBufferPool, tmp_path) -> BATBufferPool:
 def test_property_flags_roundtrip(pool, tmp_path):
     sorted_keys = BAT(
         Column("int", np.array([1, 3, 5, 9], dtype=np.int64)),
-        Column("str", np.array(["a", "b", "c", "d"], dtype=object)),
+        column_from_values("str", np.array(["a", "b", "c", "d"], dtype=object)),
         hsorted=True,
         hkey=True,
         tkey=True,
@@ -97,7 +97,7 @@ def test_fragmented_roundtrip(pool, tmp_path, strategy):
     strs = np.empty(n, dtype=object)
     for i in range(n):
         strs[i] = None if i % 11 == 0 else f"w{int(rng.integers(0, 40))}"
-    bat = BAT(VoidColumn(2, n), Column("str", strs))
+    bat = BAT(VoidColumn(2, n), column_from_values("str", strs))
     policy = FragmentationPolicy(target_size=50)
     pool.register_fragmented("lib.words", fragment_layout(bat, strategy, policy))
     pool.register("plain", dense_bat("int", [1, 2, 3]))
@@ -150,7 +150,7 @@ STR_CASES = {
 
 
 def _str_bat(values: list, side: str) -> BAT:
-    strs = Column("str", np.array(values, dtype=object))
+    strs = column_from_values("str", np.array(values, dtype=object))
     if side == "head":
         return BAT(strs, Column("int", np.arange(len(values), dtype=np.int64)))
     return BAT(VoidColumn(0, len(values)), strs)
@@ -173,10 +173,11 @@ def _entries(directory, name: str) -> list:
 @pytest.mark.parametrize("side", ["head", "tail"])
 @pytest.mark.parametrize("case", list(STR_CASES))
 def test_str_column_roundtrip(pool, tmp_path, case, side, layout):
-    """Every value comes back as the same str (or NIL), and each file
-    holds the column as codes in the narrowest signed dtype plus a heap
-    of exactly its distinct values -- readable without pickle.  Saving
-    builds no encoding on the saved column."""
+    """Every value comes back as the same str (or NIL), the fragments of
+    a loaded column share one heap, and each file holds the column as
+    codes in the narrowest signed dtype plus a heap of exactly its
+    distinct values -- readable without pickle.  Saving changes no
+    saved column."""
     values = STR_CASES[case]
     bat = _str_bat(values, side)
     if layout == "fragmented":
@@ -187,14 +188,20 @@ def test_str_column_roundtrip(pool, tmp_path, case, side, layout):
     else:
         pool.register("s", bat)
         saved = [bat]
+    before = [(getattr(b, side).codes.copy(), len(getattr(b, side).heap)) for b in saved]
     loaded = _roundtrip(pool, tmp_path)
-    assert all(getattr(b, side)._encoding is None for b in saved)
+    for b, (codes, heap_length) in zip(saved, before):
+        assert getattr(b, side).codes.tolist() == codes.tolist()
+        assert len(getattr(b, side).heap) == heap_length
 
     restored = loaded.lookup("s")
     column = restored.head if side == "head" else restored.tail
-    assert column.values.tolist() == values
-    assert all(type(v) is str for v in column.values.tolist() if v is not None)
-    assert column._encoding is None  # loaded columns start cold
+    assert column.materialize().tolist() == values
+    assert all(type(v) is str for v in column.materialize().tolist() if v is not None)
+    assert_codes_decode(column, case)
+    if layout == "fragmented":
+        heaps = {id(getattr(f, side).heap) for f in loaded.lookup_fragments("s").fragments}
+        assert len(heaps) == 1
     stored = 0
     for entry in _entries(tmp_path / "db", "s"):
         with np.load(tmp_path / "db" / entry["file"], allow_pickle=False) as data:
@@ -204,13 +211,16 @@ def test_str_column_roundtrip(pool, tmp_path, case, side, layout):
             )
         rows = values[stored : stored + len(codes)]
         stored += len(codes)
-        distinct = list(dict.fromkeys(v for v in rows if v is not None))
+        distinct = {v for v in rows if v is not None}
         assert heap.dtype == np.uint8 and offsets.dtype == np.int64
         assert len(offsets) == len(distinct) + 1
         assert codes.dtype == _code_dtype(len(distinct))
-        assert [
-            None if code < 0 else distinct[code] for code in codes.tolist()
-        ] == rows
+        raw, bounds = heap.tobytes(), offsets.tolist()
+        words = [
+            raw[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert set(words) == distinct
+        assert [None if code < 0 else words[code] for code in codes.tolist()] == rows
     assert stored == len(values)
 
 

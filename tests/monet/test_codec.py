@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.monet import codec
 from repro.monet.atoms import INT_NIL, OID_NIL
-from repro.monet.bat import BAT, Column, VoidColumn, column_from_values, column_to_list
+from repro.monet.bat import BAT, Column, StrColumn, VoidColumn, column_from_values, column_to_list
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BBPError
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
@@ -39,6 +39,7 @@ from repro.service.protocol import (
     ok_response,
     read_message,
 )
+from tests.conftest import assert_codes_decode
 
 INT_MAX = np.iinfo(np.int64).max
 
@@ -68,21 +69,20 @@ def _nil_heavy(values):
 @st.composite
 def columns(draw, atom_name):
     """One column of *atom_name* (``void``: a dense oid run); a str
-    column is cold, warm, or a gather of a warm column whose dictionary
-    holds values it does not."""
+    column is built on its own heap, gathered from a column whose heap
+    holds values it does not, or appended onto such a heap."""
     if atom_name == "void":
         return VoidColumn(draw(st.integers(0, 2**40)), draw(st.integers(0, 24)))
     values = draw(_nil_heavy(VALUES[atom_name]))
     column = column_from_values(atom_name, values)
-    warmth = draw(st.sampled_from(["cold", "warm", "gathered"]))
-    if atom_name != "str" or warmth == "cold":
+    shape = draw(st.sampled_from(["built", "gathered", "extended"]))
+    if atom_name != "str" or shape == "built":
         return column
-    if warmth == "warm":
-        column.encoding()
-        return column
-    parent = column_from_values("str", ["only in the parent", *values, None])
-    parent.encoding()
-    return parent.take(np.arange(1, len(values) + 1))
+    if shape == "gathered":
+        parent = column_from_values("str", ["only in the parent", *values, None])
+        return parent.take(np.arange(1, len(values) + 1))
+    base = BAT(VoidColumn(0, 2), column_from_values("str", ["only in the base", None]))
+    return base.append(tails=values).tail.window(2, 2 + len(values))
 
 
 def _buns(values):
@@ -124,14 +124,19 @@ def _over_the_wire(bat: BAT, binary: bool):
 @given(data=st.data())
 def test_every_path_holds_the_same_buns(atom_name, data):
     column = data.draw(columns(atom_name))
-    cold = not column.is_void and column._encoding is None
+    before = _state(column)
     expected = _buns(column_to_list(column))
     bat = _bat(column)
     side = "head" if column.is_void else "tail"
 
     spec, parts = codec.encode(column)
-    assert _buns(column_to_list(codec.decode(spec, parts, side))) == expected
-    assert not cold or column._encoding is None  # encoding warmed nothing
+    decoded = codec.decode(spec, parts, side)
+    assert _buns(column_to_list(decoded)) == expected
+    assert_codes_decode(decoded, atom_name)
+    if atom_name == "str":
+        # Only the heap values the codes use ship.
+        assert len(parts[2]) - 1 == len({v for v in expected if v is not None})
+    assert _state(column) == before  # encoding changed nothing
     for fragmented in (False, True):
         loaded = getattr(_saved_and_loaded(bat, fragmented), side)
         assert _buns(column_to_list(loaded)) == expected
@@ -139,7 +144,15 @@ def test_every_path_holds_the_same_buns(atom_name, data):
     for binary in (True, False):
         decoded = _over_the_wire(bat, binary)
         assert _buns(getattr(decoded, side)) == expected
-    assert not cold or column._encoding is None  # saving and serving neither
+    assert _state(column) == before  # saving and serving neither
+
+
+def _state(column) -> tuple:
+    """What encoding a column could change: a str column's codes and
+    its heap's length."""
+    if isinstance(column, StrColumn):
+        return column.codes.tolist(), len(column.heap)
+    return ()
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.monet import aggregates as agg
 from repro.monet import fragments as fr
 from repro.monet import kernel
 from repro.monet.atoms import atom
-from repro.monet.bat import BAT, Column, VoidColumn, encode_jointly
+from repro.monet.bat import BAT, Column, StrHeap, VoidColumn, column_from_values
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import KernelError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
@@ -82,7 +82,7 @@ def _random_bat(rng: np.random.Generator, ttype: str, *, nils: bool = True) -> B
                 values[i] = None
             else:
                 values[i] = str(rng.choice(words)) + ("x" if rng.random() < 0.3 else "")
-        tail = Column("str", values)
+        tail = column_from_values("str", values)
     else:  # pragma: no cover - test config error
         raise ValueError(ttype)
     return BAT(VoidColumn(seqbase, n), tail)
@@ -414,12 +414,12 @@ def test_join_differential(seed):
     n = int(rng.choice([0, 1, 30, 90]))
     if seed % 3 == 2:
         # Object-dtype (string) join, NILs (None) on both sides: NIL
-        # has no dictionary code, so NIL never matches NIL.
+        # has no heap code, so NIL never matches NIL.
         words = ["ape", "bat", "cat", "dog", "eel"]
-        left = BAT(VoidColumn(0, n), Column("str", _random_words(rng, n, words)))
+        left = BAT(VoidColumn(0, n), column_from_values("str", _random_words(rng, n, words)))
         m = int(rng.integers(0, 12))
         right = BAT(
-            Column("str", _random_words(rng, m, words)),
+            column_from_values("str", _random_words(rng, m, words)),
             Column("int", rng.integers(0, 9, m)),
         )
     elif seed % 3 == 1:
@@ -478,49 +478,48 @@ def _random_words(rng, n: int, words) -> np.ndarray:
 
 
 def _check_str_join_arms(rng) -> None:
-    """One str join with the dictionary-encoding accelerator cold,
-    warm, and inherited through ``take``/``window`` from a warm column.
+    """One str join of two columns on heaps of their own, repeated, and
+    over ``take``/``window`` gathers that share their column's heap.
     Duplicates and ``None`` on both sides, empty sides, a word only the
     probe side has and one only the build side has."""
     n = int(rng.choice([0, 1, 30, 90]))
     m = int(rng.integers(0, 12))
     left = BAT(
         VoidColumn(0, n),
-        Column("str", _random_words(rng, n, ["ape", "bat", "cat", "dog", "elk"])),
+        column_from_values("str", _random_words(rng, n, ["ape", "bat", "cat", "dog", "elk"])),
     )
     right = BAT(
-        Column("str", _random_words(rng, m, ["bat", "cat", "dog", "elk", "fox"])),
+        column_from_values("str", _random_words(rng, m, ["bat", "cat", "dog", "elk", "fox"])),
         Column("int", rng.integers(0, 9, m)),
     )
-    assert left.tail._encoding is None and right.head._encoding is None  # cold
+    heaps = len(left.tail.heap), len(right.head.heap)
     _check_join(left, right)
-    if n and m:
-        assert left.tail._encoding is not None  # warm: the same columns again
-        assert right.head._encoding is not None
-    _check_join(left, right)
-    # Inherited: gathers and windows of the warm probe and build sides.
-    left.tail.encoding()
-    right.head.encoding()
+    _check_join(left, right)  # the same columns again
+    assert (len(left.tail.heap), len(right.head.heap)) == heaps  # a join extends no heap
+    # Gathers and windows of the probe and build sides share their heaps.
     for gathered in (
         left.take_positions(rng.permutation(n)[: n // 2]),
         left.slice(n // 4, n),
         kernel.select(left, "bat", "dog"),
     ):
-        assert gathered.tail._encoding[1] is left.tail._encoding[1]
+        assert gathered.tail.heap is left.tail.heap
         _check_join(gathered, right)
         _check_join(gathered, right.slice(1, m))
-    assert right.slice(1, m).head._encoding[1] is right.head._encoding[1]
-    # A cold probe against the warm build, and the other way round.
-    _check_join(BAT(left.head, Column("str", left.tail.values.copy())), right)
-    _check_join(left, BAT(Column("str", right.head.values.copy()), right.tail))
+    assert right.slice(1, m).head.heap is right.head.heap
+    # The same values on a heap of their own, on either side.
+    _check_join(BAT(left.head, column_from_values("str", left.tail.materialize())), right)
+    _check_join(left, BAT(column_from_values("str", right.head.materialize()), right.tail))
     # A build over a wider vocabulary than the probe's: the index is in
     # the build's code space and the probe's values are translated.
     wide = BAT(
-        Column("str", _random_words(rng, 60, [f"w{i}" for i in range(40)] + ["bat", "dog"])),
+        column_from_values("str", _random_words(rng, 60, [f"w{i}" for i in range(40)] + ["bat", "dog"])),
         Column("int", rng.integers(0, 9, 60)),
     )
     _check_join(left, wide)
-    _check_join(BAT(VoidColumn(0, min(n, 3)), Column("str", left.tail.values[:3].copy())), wide)
+    _check_join(
+        BAT(VoidColumn(0, min(n, 3)), column_from_values("str", left.tail.materialize()[:3])),
+        wide,
+    )
 
 
 def _check_positional_join_arms(rng) -> None:
@@ -592,9 +591,9 @@ def test_nil_join_never_matches():
             (0, 8), (1, None), (2, None), (3, None)
         ]
     # str NIL (None) likewise never matches None.
-    sleft = BAT(VoidColumn(0, 2), Column("str", np.array(["a", None], dtype=object)))
+    sleft = BAT(VoidColumn(0, 2), column_from_values("str", np.array(["a", None], dtype=object)))
     sright = BAT(
-        Column("str", np.array([None, "a"], dtype=object)),
+        column_from_values("str", np.array([None, "a"], dtype=object)),
         Column("int", np.array([1, 2], dtype=np.int64)),
     )
     assert kernel.join(sleft, sright).to_pairs() == [(0, 2)]
@@ -602,11 +601,11 @@ def test_nil_join_never_matches():
     # Head membership (semijoin/kdiff) follows the same rule: a NIL
     # head is never a member, even of a NIL-containing right side.
     hleft = BAT(
-        Column("str", np.array(["a", None, "b"], dtype=object)),
+        column_from_values("str", np.array(["a", None, "b"], dtype=object)),
         Column("int", np.array([1, 2, 3], dtype=np.int64)),
     )
     hright = BAT(
-        Column("str", np.array([None, "a"], dtype=object)),
+        column_from_values("str", np.array([None, "a"], dtype=object)),
         Column("int", np.array([0, 0], dtype=np.int64)),
     )
     assert kernel.semijoin(hleft, hright).to_pairs() == [("a", 1)]
@@ -899,7 +898,7 @@ def _headed_bat(rng: np.random.Generator, htype: str, n: int, *, nils=True) -> B
                 heads[i] = None
             else:
                 heads[i] = str(rng.choice(words))
-        head = Column("str", heads)
+        head = column_from_values("str", heads)
     else:  # pragma: no cover - test config error
         raise ValueError(htype)
     tails = rng.integers(-4, 4, n).astype(np.int64)
@@ -958,7 +957,7 @@ def test_sort_unique_edge_shapes(htype, shape):
         bat = _headed_bat(rng, htype, n, nils=False)
         value = bat.head_values()[0]
         if htype == "str":
-            head = Column("str", np.full(n, value, dtype=object))
+            head = column_from_values("str", np.full(n, value, dtype=object))
         else:
             head = Column(
                 bat.head.atom_type,
@@ -1000,7 +999,7 @@ def _order_head(rng, shape: str, n: int) -> Column:
     if shape == "dbl":
         return Column("dbl", rng.choice([0.0, -0.0, np.nan, 1.5, -2.25], n))
     assert shape == "str", shape
-    return Column("str", rng.choice(np.array(["ape", "bat", None], dtype=object), n))
+    return column_from_values("str", rng.choice(np.array(["ape", "bat", None], dtype=object), n))
 
 
 @pytest.mark.parametrize("layout", ["one", *STRATEGIES])
@@ -1044,7 +1043,7 @@ def test_nil_dedup_identity_rule():
     assert kernel.unique(nan_heads).to_pairs() == [(None, 7), (1.0, 8)]
     assert kernel.kunique(nan_heads).to_pairs() == [(None, 7), (1.0, 8)]
     none_heads = BAT(
-        Column("str", np.array([None, "a", None], dtype=object)),
+        column_from_values("str", np.array([None, "a", None], dtype=object)),
         Column("int", np.array([1, 2, 1], dtype=np.int64)),
     )
     assert kernel.unique(none_heads).to_pairs() == [(None, 1), ("a", 2)]
@@ -1076,7 +1075,7 @@ def test_refine_differential(seed):
             words[i] = None if rng.random() < 0.2 else str(
                 rng.choice(["x", "y", "z"])
             )
-        values = BAT(VoidColumn(0, n), Column("str", words))
+        values = BAT(VoidColumn(0, n), column_from_values("str", words))
     grouping = group(keys)
     mono = refine(grouping, values)
 
@@ -1276,7 +1275,7 @@ _ALL_EQUAL_HEAD = {
     "int": lambda n: Column("int", np.full(n, 5, dtype=np.int64)),
     "oid": lambda n: Column("oid", np.full(n, 3, dtype=np.int64)),
     "dbl": lambda n: Column("dbl", np.full(n, 0.5)),
-    "str": lambda n: Column("str", np.array(["cat"] * n, dtype=object)),
+    "str": lambda n: column_from_values("str", np.array(["cat"] * n, dtype=object)),
 }
 
 
@@ -1360,11 +1359,11 @@ def _join_case(rng, flavor: str, n: int, m: int):
         probe_vals = np.empty(n, dtype=object)
         for i in range(n):
             probe_vals[i] = None if rng.random() < 0.2 else str(rng.choice(words))
-        left = BAT(VoidColumn(0, n), Column("str", probe_vals))
+        left = BAT(VoidColumn(0, n), column_from_values("str", probe_vals))
         build_vals = np.empty(m, dtype=object)
         for i in range(m):
             build_vals[i] = None if rng.random() < 0.2 else str(rng.choice(words))
-        right = BAT(Column("str", build_vals), Column("int", rng.integers(0, 9, m)))
+        right = BAT(column_from_values("str", build_vals), Column("int", rng.integers(0, 9, m)))
     elif flavor == "dbl":
         probe_vals = np.round(rng.random(n) * 8, 0)
         if n:
@@ -1387,7 +1386,7 @@ def _join_case(rng, flavor: str, n: int, m: int):
             tails = np.empty(m, dtype=object)
             for i in range(m):
                 tails[i] = None if rng.random() < 0.3 else str(rng.choice(words))
-            tail = Column("str", tails)
+            tail = column_from_values("str", tails)
         else:
             tail = Column("int", rng.integers(-4, 4, m))
         right = BAT(keys, tail)
@@ -1711,10 +1710,10 @@ def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():
     assert fr.join(fb, right).to_bat().to_pairs() == []
     assert fr.topn(fb, 3).to_pairs() == []
     assert fr.group(fb).to_bat().to_pairs() == []
-    sempty = BAT(VoidColumn(0, 0), Column("str", np.empty(0, dtype=object)))
+    sempty = BAT(VoidColumn(0, 0), column_from_values("str", np.empty(0, dtype=object)))
     sfb = fragment_bat(sempty, FragmentationPolicy(target_size=4))
     sright = BAT(
-        Column("str", np.array(["a"], dtype=object)),
+        column_from_values("str", np.array(["a"], dtype=object)),
         Column("int", np.array([1], dtype=np.int64)),
     )
     assert fr.join(sfb, sright).to_bat().to_pairs() == []
@@ -1754,8 +1753,8 @@ def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The str code space: one key space across fragments, whatever
-# dictionaries the fragments hold
+# The str code space: one key space across fragments, whatever heaps
+# the fragments hold
 # ----------------------------------------------------------------------
 
 
@@ -1787,54 +1786,53 @@ def _str_ops(m, group_fn, refine_fn, reverse):
 
 def _recoded(fb: FragmentedBAT) -> FragmentedBAT:
     """*fb* with every fragment's str head a fresh column, encoded on
-    its own."""
+    a heap of its own."""
     fragments = [
-        BAT(Column("str", frag.head.values.copy()), frag.tail) for frag in fb.fragments
+        BAT(column_from_values("str", frag.head.materialize()), frag.tail)
+        for frag in fb.fragments
     ]
-    for frag in fragments:
-        frag.head.encoding()
     return FragmentedBAT(fragments, policy=fb.policy)
 
 
 def _str_states(seed: int, strategy: str):
-    """The same [str, int] operand and partner in three dictionary
-    states, as (state, monolithic, partner, fragmented, fragmented
-    partner): ``cold`` (never encoded: fragments encode inside the
-    operator), ``shared`` (windows of one warm column, and a partner
-    gathered from it: one dictionary object) and ``disjoint`` (every
-    fragment encoded on its own, numbering its values by its own first
-    appearance)."""
+    """The same [str, int] operand and partner in three heap states, as
+    (state, monolithic, partner, fragmented, fragmented partner):
+    ``shared`` (windows of one column, and a partner gathered from it:
+    one heap), ``gathered`` (a gather of a column whose heap holds a
+    value the operand lacks and numbers the rest in reverse) and
+    ``disjoint`` (every fragment on a heap of its own, numbering its
+    values by its own first appearance)."""
     rng = np.random.default_rng(3300 + seed)
     n = int(rng.choice([0, 1, 5, 40, 120]))
     source = _headed_bat(rng, "str", n)
+    values = source.head.materialize().tolist()
     partner_positions = rng.permutation(n)[: n // 2]
 
-    def operands():
-        bat = BAT(Column("str", source.head.values.copy()), source.tail)
+    def operands(column):
+        bat = BAT(column, source.tail)
         return bat, bat.take_positions(partner_positions)
 
-    bat, partner = operands()
-    yield "cold", bat, partner, _fragment(bat, strategy), _fragment(partner, strategy)
-    bat, _ = operands()
-    dictionary = bat.head.encoding()[1]
-    partner = bat.take_positions(partner_positions)
+    bat, partner = operands(column_from_values("str", values))
     fb, fb_partner = _fragment(bat, strategy), _fragment(partner, strategy)
     for frag in fb.fragments + fb_partner.fragments:
-        assert frag.head._encoding[1] is dictionary
+        assert frag.head.heap is bat.head.heap
     yield "shared", bat, partner, fb, fb_partner
-    bat, partner = operands()
+    parent = column_from_values("str", ["only in the parent", *values[::-1]])
+    bat, partner = operands(parent.take(np.arange(n, 0, -1)))
+    yield "gathered", bat, partner, _fragment(bat, strategy), _fragment(partner, strategy)
+    bat, partner = operands(column_from_values("str", values))
     fb = _recoded(_fragment(bat, strategy))
     if fb.nfragments > 1:
-        assert len({id(f.head._encoding[1]) for f in fb.fragments}) == fb.nfragments
+        assert len({id(f.head.heap) for f in fb.fragments}) == fb.nfragments
     yield "disjoint", bat, partner, fb, _recoded(_fragment(partner, strategy))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", range(20))
 def test_str_code_space_dictionary_states(seed, strategy):
-    """Cold, shared and disjoint dictionaries give BUN-identical results
+    """Shared, gathered and disjoint heaps give BUN-identical results
     for every operator reading a str column through its codes,
-    monolithic (cold, then warm) and fragmented alike."""
+    monolithic (twice) and fragmented alike."""
     from repro.monet.groups import refine
 
     mono_ops = _str_ops(kernel, group, refine, lambda b: b.reverse())
@@ -1865,6 +1863,11 @@ def test_str_code_space_dictionary_states(seed, strategy):
 #: from NIL and from each other: the empty string, a NUL-led
 #: ``"\x00NIL"``, a lone surrogate, a non-BMP and a non-ASCII word.
 _PAYLOAD_WORDS = ("ape", "bat", "", "\x00NIL", "\ud800x", "\U0001f600", "caf\xe9")
+#: Heap states of a fragmented str payload (the ids are stable test
+#: ids): ``shared`` windows of one column, ``disjoint`` fragments each on
+#: a heap of its own, ``cold`` a first fragment plus appended deltas,
+#: whose values the appends numbered into its heap after the first
+#: fragment was cut.
 _PAYLOAD_STATES = ("shared", "disjoint", "cold")
 
 
@@ -1877,17 +1880,22 @@ def _payload_words(rng, n: int) -> np.ndarray:
 
 def _payload_layout(head, values: np.ndarray, state: str, target: int) -> FragmentedBAT:
     """A [head, str] operand over *values* in fragments of *target*
-    BUNs, its str column in one dictionary state: ``shared`` (windows
-    of one warm column), ``disjoint`` (a first fragment plus appended
-    delta fragments, each encoded on its own) or ``cold`` (windows of a
-    column never encoded)."""
+    BUNs, its str column in one heap state (:data:`_PAYLOAD_STATES`)."""
     policy = FragmentationPolicy(target_size=target)
-    if state != "disjoint":
-        column = Column("str", values.copy())
-        if state == "shared":
-            column.encoding()
-        return fragment_bat(BAT(head, column), policy)
-    first = BAT(head.window(0, min(target, len(values))), Column("str", values[:target]))
+    if state == "shared":
+        return fragment_bat(BAT(head, column_from_values("str", values)), policy)
+    if state == "disjoint":
+        return FragmentedBAT(
+            [
+                BAT(
+                    head.window(lo, min(lo + target, len(values))),
+                    column_from_values("str", values[lo: lo + target]),
+                )
+                for lo in range(0, len(values), target)
+            ],
+            policy=policy,
+        )
+    first = BAT(head.window(0, min(target, len(values))), column_from_values("str", values[:target]))
     fb = FragmentedBAT([first], policy=policy)
     for lo in range(target, len(values), target):
         chunk = values[lo: lo + target].tolist()
@@ -1895,20 +1903,18 @@ def _payload_layout(head, values: np.ndarray, state: str, target: int) -> Fragme
             fb = fb.append(tails=chunk)
         else:
             fb = fb.append(list(zip(head.materialize()[lo: lo + target].tolist(), chunk)))
-    for frag in fb.fragments:
-        frag.tail.encoding()
     return fb
 
 
 def _payload_case(op: str, rng, state: str, target: int, held: bool):
-    """(monolithic result, fragmented result, which side is str) of one
-    gather-carrying operator over a str operand in *state*; a join's
-    right operand is named, as the pool names what it holds, when
-    *held*."""
+    """(monolithic result, fragmented result, which side is str, the
+    fragmented str operand's fragments) of one gather-carrying operator
+    over a str operand in *state*; a join's right operand is named, as
+    the pool names what it holds, when *held*."""
     m = 40
     values = _payload_words(rng, m)
     if op.startswith("fetchjoin"):
-        right = BAT(VoidColumn(3, m), Column("str", values.copy()))
+        right = BAT(VoidColumn(3, m), column_from_values("str", values.copy()))
         if op == "fetchjoin":
             targets = rng.integers(0, m + 6, 90).astype(np.int64)
             targets[rng.random(90) < 0.1] = atom("oid").nil
@@ -1917,27 +1923,30 @@ def _payload_case(op: str, rng, state: str, target: int, held: bool):
             probe = BAT(VoidColumn(0, 50), VoidColumn(10, 50))
         fright = _payload_layout(right.head, values, state, target)
         fright.name = "payload" if held else None
-        return kernel.fetchjoin(probe, right), fr.fetchjoin(_fragment(probe, "ragged"), fright), "tail"
+        result = fr.fetchjoin(_fragment(probe, "ragged"), fright)
+        return kernel.fetchjoin(probe, right), result, "tail", fright.fragments
     if op.startswith(("join", "outerjoin")):
         spread = 1000 if op.endswith(("radix", "spill")) else 1
         keys = Column("int", rng.integers(0, 15, m).astype(np.int64) * spread)
         probes = rng.integers(0, 20, 90).astype(np.int64) * spread
         probes[rng.random(90) < 0.2] = atom("int").nil
         probe = BAT(VoidColumn(0, 90), Column("int", probes))
-        right = BAT(keys, Column("str", values.copy()))
+        right = BAT(keys, column_from_values("str", values.copy()))
         fright = _payload_layout(keys, values, state, target)
         fright.name = "payload" if held else None
         kernel_op, frag_op = (
             (kernel.join, fr.join) if op.startswith("join") else (kernel.outerjoin, fr.outerjoin)
         )
-        return kernel_op(probe, right), frag_op(_fragment(probe, "range"), fright), "tail"
+        result = frag_op(_fragment(probe, "range"), fright)
+        return kernel_op(probe, right), result, "tail", fright.fragments
     heads = Column("int", rng.integers(0, 12, m).astype(np.int64))
     fb = _payload_layout(heads, values, state, target)
-    mono = BAT(heads, Column("str", values.copy()))
+    mono = BAT(heads, column_from_values("str", values.copy()))
     if op == "sort-tail":
-        return kernel.sort(mono), fr.sort(fb), "tail"
+        return kernel.sort(mono), fr.sort(fb), "tail", fb.fragments
     assert op == "sort-head"
-    return kernel.sort(mono.reverse()), fr.sort(fr.reverse(fb)), "head"
+    reverse = fr.reverse(fb)
+    return kernel.sort(mono.reverse()), fr.sort(reverse), "head", reverse.fragments
 
 
 _PAYLOAD_OPS = (
@@ -1954,53 +1963,50 @@ def test_str_payload_gathers_carry_codes(
     op, state, layout, held, monkeypatch, tuning_override
 ):
     """fetchjoin, join, outerjoin and sort over a str payload in one
-    right fragment or many, its dictionary shared, disjoint or cold:
-    BUN-identical to the monolithic kernel, and every warm result
-    column's codes decode to its values (NIL exactly at -1).  Windows
-    of one warm column gather warm; so does a cold or disjoint join
-    payload the pool holds, which the gather warms over one
-    dictionary.  An intermediate's payload is never warmed for it."""
+    right fragment or many, on one heap, disjoint heaps or one heap
+    extended by appends, held by the pool or not: BUN-identical to the
+    monolithic kernel, and every result column's codes decode to its
+    values (NIL exactly at -1).  A payload on one heap gathers onto that
+    heap, and no operator extends it."""
     if op == "join-spill":
         tuning_override(join_spill=0)
         monkeypatch.setattr(fr, "JOIN_PARTITION_MIN_BUNS", 1)
     rng = np.random.default_rng(4100 + _PAYLOAD_OPS.index(op))
     target = 40 if layout == "one" else 8
-    expected, result, side = _payload_case(op, rng, state, target, held)
+    expected, result, side, payload = _payload_case(op, rng, state, target, held)
+    heaps = {id(getattr(frag, side).heap): len(getattr(frag, side).heap) for frag in payload}
     coalesced = result.to_bat()
     assert_pairs_equal(coalesced, _raw_pairs(expected))
     assert_flags_sound(coalesced)
-    joins = "join" in op
-    warm_expected = state == "shared" or (joins and held)
-    cold_expected = state == "cold" and joins and not held
     for bat in (coalesced, *result.fragments):
         assert_flags_sound(bat)
         str_column = getattr(bat, side)
         assert_codes_decode(str_column)
-        if warm_expected:
-            assert str_column._encoding is not None, f"{op} [{state}]: gathered cold"
-        if cold_expected:
-            assert str_column._encoding is None, f"{op} [{state}]: warmed an intermediate"
+        if len(heaps) == 1:
+            assert id(str_column.heap) in heaps, f"{op} [{state}]: gathered off its heap"
+    for frag in payload:
+        column = getattr(frag, side)
+        assert len(column.heap) == heaps[id(column.heap)], f"{op} [{state}]: heap grew"
     if op == "fetchjoin-run" and layout == "one":
         # A run fetched from one right fragment is a window (a view) of
         # it, not a gathered copy.
         for frag in result.fragments:
             if len(frag):
-                assert frag.tail.values.base is not None, "run fetch copied"
+                assert frag.tail.codes.base is not None, "run fetch copied"
 
 
 @pytest.mark.parametrize("op", ["fetchjoin", "join"])
-def test_appended_payload_gathers_warm_again(op):
-    """A stored multi-fragment str payload warmed by one query, then
-    appended to (the prefix fragments keep their dictionary, the new
-    delta is cold): the next join over the new state re-encodes the
-    fragments over one dictionary, so the gather spanning prefix and
-    delta comes out warm, not cold for every later query."""
+def test_appended_payload_gathers_warm_again(op, monkeypatch):
+    """A stored multi-fragment str payload, queried, then appended to:
+    the append numbers only its batch's values into the stored heap, so
+    prefix and delta fragments share one heap, and the next join's
+    gather spanning them carries codes on it and encodes nothing."""
     pool = BATBufferPool()
     rng = np.random.default_rng(4200)
     values = _payload_words(rng, 40)
     keys = VoidColumn(0, 40) if op == "fetchjoin" else Column("int", np.arange(40))
     stored = fragment_bat(
-        BAT(keys, Column("str", values)), FragmentationPolicy(target_size=8)
+        BAT(keys, column_from_values("str", values)), FragmentationPolicy(target_size=8)
     )
     pool.register_fragmented("payload", stored)
     probe_atom = "oid" if op == "fetchjoin" else "int"
@@ -2010,74 +2016,93 @@ def test_appended_payload_gathers_warm_again(op):
     run, reference = (
         (fr.fetchjoin, kernel.fetchjoin) if op == "fetchjoin" else (fr.join, kernel.join)
     )
-    run(probe, pool.lookup_fragments("payload"))  # warm-up
+    run(probe, pool.lookup_fragments("payload"))
+    encoded = []
+    real_encode = StrHeap.encode
+    monkeypatch.setattr(
+        StrHeap, "encode", lambda heap, values: encoded.append(len(values)) or real_encode(heap, values)
+    )
     batch = _payload_words(rng, 8).tolist()
     if op == "fetchjoin":
         pool.append("payload", tails=batch)
     else:
         pool.append("payload", list(zip(range(40, 48), batch)))
+    assert encoded == [len(batch)]
     current = pool.lookup_fragments("payload")
-    assert current.nfragments > 1 and current.fragments[-1].tail._encoding is None
+    heap = stored.fragments[0].tail.heap
+    assert current.nfragments > 1
+    assert all(frag.tail.heap is heap for frag in current.fragments)
     result = run(probe, current)
+    assert encoded == [len(batch)], "the query encoded a str column"
+    monkeypatch.undo()
     expected = reference(probe.to_bat(), current.to_bat())
     assert_pairs_equal(result.to_bat(), _raw_pairs(expected))
     for frag in result.fragments:
-        assert frag.tail._encoding is not None, "the gather across the delta is cold"
+        assert frag.tail.heap is heap, "the gather across the delta left the heap"
         assert_codes_decode(frag.tail)
-    dictionaries = {id(frag.tail._encoding[1]) for frag in current.fragments}
-    assert len(dictionaries) == 1
 
 
 def test_racing_joint_encodings_settle_on_one_dictionary():
-    """Threads warming the same cold fragments at once leave every
-    fragment on one dictionary: the check and the publish are one
-    critical section.  A tiny switch interval interleaves the
-    publishing loops often enough to show a mix without the lock."""
+    """Threads appending overlapping new values into one shared heap at
+    once leave it holding each value once, and every column they built
+    decodes to its values: the check for a value and its numbering are
+    one critical section under the heap's lock.  A tiny switch interval
+    interleaves the appends often enough to show a duplicate without
+    the lock."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            columns = [
-                Column("str", np.array([f"w{j % 5}", None, f"v{j}"] * 50, dtype=object))
-                for j in range(64)
-            ]
+            heap = column_from_values("str", ["w0", None]).heap
+            batches = [[f"w{j % 5}", None, f"v{j % 16}"] * 50 for j in range(64)]
+            columns: list = [None] * len(batches)
             barrier = threading.Barrier(4)
 
-            def warm():
+            def append(worker: int):
                 barrier.wait()
-                encode_jointly(columns)
+                for index in range(worker, len(batches), 4):
+                    columns[index] = column_from_values("str", batches[index], heap)
 
-            threads = [threading.Thread(target=warm) for _ in range(4)]
+            threads = [threading.Thread(target=append, args=(w,)) for w in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            assert len({id(column._encoding[1]) for column in columns}) == 1
-            for column in columns:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(heap) == 5 + 16
+            assert sorted(heap.index.values()) == list(range(len(heap)))
+            for column, batch in zip(columns, batches):
+                assert column.heap is heap
+                assert column.materialize().tolist() == batch
                 assert_codes_decode(column)
     finally:
         sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------
-# Str order keys: the fragmented sort gathers its str key column warm
+# Str order keys: the fragmented sort gathers its str key column's codes
 # ----------------------------------------------------------------------
 
 
 def _str_key_layout(values: np.ndarray, state: str, target: int) -> FragmentedBAT:
     """A [void, str] operand over *values* in fragments of *target*
-    BUNs, its str column ``cold`` (windows of a column never encoded),
-    ``shared`` (windows of one warm column) or ``appended`` (a warm
-    stored prefix beside the cold delta fragment an append leaves)."""
+    BUNs, its str column ``shared`` (windows of one column),
+    ``appended`` (a stored prefix beside the delta fragment an append
+    leaves, on the prefix's heap) or ``cold`` (every fragment on a heap
+    of its own; the id is a stable test id)."""
     policy = FragmentationPolicy(target_size=target)
-    if state != "appended":
-        column = Column("str", values.copy())
-        if state == "shared":
-            column.encoding()
-        return fragment_bat(BAT(VoidColumn(0, len(values)), column), policy)
+    if state == "shared":
+        return fragment_bat(BAT(VoidColumn(0, len(values)), column_from_values("str", values)), policy)
+    if state == "cold":
+        return FragmentedBAT(
+            [
+                BAT(VoidColumn(lo, len(values[lo: lo + target])), column_from_values("str", values[lo: lo + target]))
+                for lo in range(0, len(values), target)
+            ],
+            policy=policy,
+        )
     split = len(values) - len(values) // 4
-    prefix = Column("str", values[:split].copy())
-    prefix.encoding()
+    prefix = column_from_values("str", values[:split])
     stored = fragment_bat(BAT(VoidColumn(0, split), prefix), policy)
     return stored.append(tails=values[split:].tolist())
 
@@ -2087,19 +2112,18 @@ def _str_key_layout(values: np.ndarray, state: str, target: int) -> FragmentedBA
 @pytest.mark.parametrize("op", ["sort", "tsort"])
 def test_str_key_order_gathers_warm(op, state, layout):
     """sort over a str head and tsort over a str tail, in one fragment
-    or many, cold, shared or a warm prefix beside a cold appended
-    delta: BUN-identical to the kernel, and the ordered str column of
-    the result and of every output fragment warm, its codes decoding to
-    its values -- the key fragments are warmed over one dictionary
-    before their order keys are taken, so the merged gather keeps the
-    codes and the next keyed operator re-encodes nothing."""
+    or many, on one heap, on a prefix's heap extended by an append, or
+    on a heap per fragment: BUN-identical to the kernel, and the ordered
+    str column of the result and of every output fragment carries
+    codes decoding to its values -- on the operand's heap when it has
+    one, so the next keyed operator translates nothing."""
     rng = np.random.default_rng(4300)
     values = _payload_words(rng, 48)
     fb = _str_key_layout(values, state, 64 if layout == "one" else 8)
     assert (fb.nfragments > 1) == (layout == "many")
-    if state == "appended":
-        assert fb.fragments[-1].tail._encoding is None
-    mono = BAT(VoidColumn(0, len(values)), Column("str", values.copy()))
+    heaps = {id(frag.tail.heap) for frag in fb.fragments}
+    assert (len(heaps) == 1) == (state != "cold" or layout == "one")
+    mono = BAT(VoidColumn(0, len(values)), column_from_values("str", values.copy()))
     if op == "sort":
         expected, result, side = kernel.sort(mono.reverse()), fr.sort(fr.reverse(fb)), "head"
     else:
@@ -2109,5 +2133,6 @@ def test_str_key_order_gathers_warm(op, state, layout):
     for bat in (coalesced, *result.fragments):
         assert_flags_sound(bat)
         keys = getattr(bat, side)
-        assert keys._encoding is not None, f"{op} [{state}, {layout}]: ordered keys cold"
+        if len(heaps) == 1:
+            assert id(keys.heap) in heaps, f"{op} [{state}, {layout}]: ordered keys off the heap"
         assert_codes_decode(keys, f"{op} [{state}, {layout}]")

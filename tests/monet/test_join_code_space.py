@@ -1,10 +1,10 @@
-"""A str join translates the side with the smaller dictionary.
+"""A str join translates the side with the smaller heap.
 
 The compiled belief plan looks its k query terms up in the bound
 statistics' vocabulary (``query.outerjoin(stats_idf)``).  The join
-indexes in the code space of the side with the larger dictionary and
+indexes in the code space of the side with the larger heap and
 translates only the distinct values the other side uses, so that lookup
-costs k dictionary probes, not one per vocabulary term.  Checked by a
+costs k heap probes, not one per vocabulary term.  Checked by a
 spy on :meth:`repro.monet.kernel.CodeSpace.codes` (every translation
 goes through it), monolithic and fragmented, against the oracle and
 against the index built in the probe's code space.
@@ -26,19 +26,17 @@ QUERY = ["t000005", "t123456", "nosuchterm"]
 
 @pytest.fixture(scope="module")
 def idf() -> tuple:
-    """A 200 000-term statistics object and its (warm) idf BAT."""
+    """A 200 000-term statistics object and its idf BAT."""
     terms = [f"t{i:06d}" for i in range(VOCABULARY)]
     stats = CollectionStats(
         VOCABULARY, 10.0, {term: 1 + i % 50 for i, term in enumerate(terms)}
     )
-    bat = stats.idf_bat()
-    bat.head.encoding()
-    return stats, bat
+    return stats, stats.idf_bat()
 
 
 @pytest.fixture
 def translated(monkeypatch) -> list:
-    """Every value translated into another dictionary's code space."""
+    """Every value translated into another heap's code space."""
     seen: list = []
     codes = kernel.CodeSpace.codes
 
@@ -60,7 +58,7 @@ def _in_probe_space(query: BAT, build: BAT) -> list:
     (every build value translated): the join's result before the
     smaller side was the translated one."""
     probe_positions, build_positions = kernel.probe_match_index(
-        query.tail, kernel.build_match_index([build.head], query.tail.encoding()[1])
+        query.tail, kernel.build_match_index([build.head], query.tail.heap)
     )
     tails = np.full(len(query), np.nan)
     tails[probe_positions] = build.tail_values()[build_positions]

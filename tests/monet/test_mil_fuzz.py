@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.monet.bat import BAT, Column, VoidColumn
+from repro.monet.bat import BAT, Column, VoidColumn, column_from_values
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.mil import run_program
@@ -58,7 +58,7 @@ _FLAVORS = ("plain", "nil-heavy", "nil-heavy", "all-equal", "presorted")
 def _head_column(rng, htype: str, n: int, flavor: str) -> Column:
     if flavor == "all-equal":
         if htype == "str":
-            return Column("str", np.array(["cat"] * n, dtype=object))
+            return column_from_values("str", np.array(["cat"] * n, dtype=object))
         return Column(htype, np.full(n, 4, dtype=np.int64) if htype != "dbl"
                       else np.full(n, 2.5))
     nil_rate = 0.25 if flavor == "nil-heavy" else 0.08
@@ -79,7 +79,7 @@ def _head_column(rng, htype: str, n: int, flavor: str) -> Column:
                 values[i] = str(rng.choice(words)) + (
                     "x" if rng.random() < 0.3 else ""
                 )
-        return Column("str", values)
+        return column_from_values("str", values)
     values = rng.integers(-8, 8, n).astype(np.int64)
     if n:
         values[rng.random(n) < nil_rate] = np.iinfo(np.int64).min
@@ -250,19 +250,18 @@ def _join_data(rng) -> dict:
     nil = np.iinfo(np.int64).min
     compact = np.append(span[span != nil], (24, -3, 24))
     wide = np.append(span, (nil, 1 << 61, nil))
-    # Str payloads: one NIL-heavy word column in three dictionary
-    # states (see _pools) behind dense heads, and behind compact and
-    # sparse int keys.
+    # Str payloads: one NIL-heavy word column in three heap states
+    # (see _pools) behind dense heads, and behind compact and sparse
+    # int keys.
     words = np.empty(m, dtype=object)
     for i in range(m):
         words[i] = None if rng.random() < 0.3 else str(rng.choice(_PAYLOAD_WORDS))
-    shared = Column("str", words)
-    shared.encoding()
+    shared = column_from_values("str", words)
     keys = rng.integers(0, 15, m).astype(np.int64)
     return {
         "jshared": BAT(VoidColumn(0, m), shared),
-        "jcold": BAT(VoidColumn(0, m), Column("str", words.copy())),
-        "jdelta": BAT(VoidColumn(0, m), Column("str", words.copy())),
+        "jcold": BAT(VoidColumn(0, m), column_from_values("str", words.copy())),
+        "jdelta": BAT(VoidColumn(0, m), column_from_values("str", words.copy())),
         "jkeyed": BAT(Column("int", keys), shared),
         "jkeyed_sparse": BAT(Column("int", keys * 1000), shared),
         "jvoid": BAT(VoidColumn(seqbase, m), tails),
@@ -282,13 +281,14 @@ _DENSE_TWINS = ("jvoid", "jdense", "jplain")
 #: apart from NIL and from each other (empty, NUL-led, a lone
 #: surrogate, non-BMP).
 _PAYLOAD_WORDS = ("ape", "bat", "", "\x00NIL", "\ud800x", "\U0001f600")
-#: The str payload rights: windows of one warm column, cold windows,
-#: and appended delta fragments encoded on their own (disjoint).
+#: The str payload rights: windows of one column (one heap), windows of
+#: a second column built apart (its own heap), and fragments each on a
+#: heap of its own (disjoint).
 _PAYLOAD_RIGHTS = ("jshared", "jcold", "jdelta")
 
-#: Appended to every generated pipeline.  ``s*``: str joins with the
-#: column accelerator cold (``s1``), warm (``s2``: the same columns
-#: again) and inherited through a gather (``s3``, ``s6``), NIL and
+#: Appended to every generated pipeline.  ``s*``: str joins (``s2``
+#: repeats ``s1``: a join leaves its operands as they were), on codes
+#: gathered from a column (``s3``, ``s6``), NIL and
 #: duplicates on both sides, each side holding words the other lacks
 #: (the ``x`` suffixes), roles swapped (``s5``).  ``d*``/``i*``: dbl
 #: (NaN, fractional) and int (negative, out-of-range, NIL) probes
@@ -313,7 +313,7 @@ _JOIN_EPILOGUE = "\n".join(
         'v0 := mark(bat("ai"), 1);',
         # The str code space on every seed: order (ranks of codes),
         # identity and comparison (codes), over fragments whose
-        # dictionaries are disjoint (cold windows, encoded separately).
+        # heaps are disjoint (columns encoded separately).
         'c0 := topn(s0, 7);',
         'c1 := topn(s0, 7, false);',
         'c2 := select(s0, "b", "m");',
@@ -436,8 +436,8 @@ pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")
 
 def _assert_twins_agree(env: dict, context: str) -> None:
     """A void, a provably dense and an unflagged head over the same oid
-    run give identical BUNs, and so do the cold and the warm str join."""
-    _assert_bats_equal(env["s2"], env["s1"], f"{context}: warm vs cold str join")
+    run give identical BUNs, and so does a str join run twice."""
+    _assert_bats_equal(env["s2"], env["s1"], f"{context}: repeated str join")
     for probe in "dihv":
         for op in ("join", "outerjoin"):
             reference = env[f"{probe}_{op}_jplain"]
@@ -449,17 +449,20 @@ def _assert_twins_agree(env: dict, context: str) -> None:
 
 
 def _delta_layout(bat: BAT, policy: FragmentationPolicy) -> FragmentedBAT:
-    """A [void, str] *bat* as its first fragment plus appended delta
-    fragments, every one encoded on its own: disjoint dictionaries."""
+    """A [void, str] *bat* as target-sized fragments, every one encoded
+    on its own: disjoint heaps."""
     target = policy.target_size
-    values = bat.tail.values
-    first = BAT(bat.head.window(0, min(target, len(bat))), Column("str", values[:target]))
-    fb = FragmentedBAT([first], policy=policy)
-    for lo in range(target, len(values), target):
-        fb = fb.append(tails=values[lo: lo + target].tolist())
-    for fragment in fb.fragments:
-        fragment.tail.encoding()
-    return fb
+    values = bat.tail.materialize()
+    return FragmentedBAT(
+        [
+            BAT(
+                bat.head.window(lo, min(lo + target, len(bat))),
+                column_from_values("str", values[lo: lo + target]),
+            )
+            for lo in range(0, max(len(bat), 1), target)
+        ],
+        policy=policy,
+    )
 
 
 def _pools(data: dict, strategy: str):
@@ -506,8 +509,9 @@ def test_mil_pipeline_fuzz(seed, strategy):
                     _assert_flags_sound(fragment, context)
                     _assert_codes_decode(fragment, context)
                 if name.endswith("_jshared") and not name.startswith("p4"):
-                    # Gathered from windows of one warm column: warm.
-                    assert all(f.tail._encoding is not None for f in got.fragments), context
+                    # Gathered from windows of one column: on its heap.
+                    heap = data["jshared"].tail.heap
+                    assert all(f.tail.heap is heap for f in got.fragments), context
                 got = got.to_bat()
             _assert_flags_sound(got, context)
             _assert_codes_decode(got, context)

@@ -32,7 +32,7 @@ from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_b
 from repro.monet.mil import run_program
 from repro.service.session import Session
 from repro.workloads import SECTION3_QUERY, build_text_db
-from tests.conftest import fragment_layout
+from tests.conftest import assert_codes_decode, fragment_layout
 
 _FUZZ_PATH = Path(__file__).parent.parent / "monet" / "test_mil_fuzz.py"
 _spec = importlib.util.spec_from_file_location("mil_fuzz_corpus", _FUZZ_PATH)
@@ -184,9 +184,9 @@ def test_concurrent_identical_script_single_bat(fan_out_on_tiny_inputs):
 
 def test_concurrent_first_query_on_a_cold_collection(tmp_path):
     """All sessions fire the *first* ranking query at a freshly loaded
-    collection at once: every one may find the term column cold and
-    build its dictionary encoding, which is published by one unlocked
-    attribute store (racing builders compute equal encodings).  Every
+    collection at once.  The term column loads as codes on its heap,
+    and readers never extend a heap (they take no lock), so the racing
+    queries leave the column and its heap as they found them.  Every
     answer must equal the serial one."""
     db, stats, _ = build_text_db(400, seed=7)
     params = {"query": stats.vocabulary()[:4], "stats": stats}
@@ -199,7 +199,9 @@ def test_concurrent_first_query_on_a_cold_collection(tmp_path):
     try:
         for round_no in range(ROUNDS):
             loaded = MirrorDBMS.load(tmp_path)
-            assert loaded.pool.lookup(term).tail._encoding is None  # cold
+            tail = loaded.pool.lookup(term).tail
+            assert_codes_decode(tail)
+            heap_length = len(tail.heap)
             sessions = [Session(f"c{round_no}-{i}", loaded) for i in range(N_SESSIONS)]
             outputs: list = [None] * N_SESSIONS
             errors: list = []
@@ -223,6 +225,7 @@ def test_concurrent_first_query_on_a_cold_collection(tmp_path):
             assert not errors, errors[:3]
             for i, got in enumerate(outputs):
                 assert got == pytest.approx(expected, abs=1e-9), f"session {i}"
-            assert loaded.pool.lookup(term).tail._encoding is not None
+            assert loaded.pool.lookup(term).tail is tail
+            assert len(tail.heap) == heap_length
     finally:
         sys.setswitchinterval(switch_interval)
