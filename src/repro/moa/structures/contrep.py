@@ -15,6 +15,13 @@ This module demonstrates the full extension recipe of the paper:
    physical level: the belief formula becomes a pipeline of multiplexed
    BAT arithmetic inside the generated MIL plan.
 
+The inverted file is used as an index, not scanned: the plan probes
+the ``term`` column's held index with the k query terms
+(:func:`repro.monet.kernel.held_match_index`, built at the column
+version's first query) and reads ``owner``, ``tf`` and ``doclen`` at
+the matched postings only (:func:`_term_first_matches`), so a query
+costs O(matches + documents), not O(postings).
+
 Nothing in the Moa kernel mentions CONTREP -- it is wired in entirely
 through the registries, exactly the open-system claim of section 2.
 """
@@ -34,6 +41,7 @@ from repro.ir.tokenize import analyze, analyze_many
 from repro.moa.compiler import (
     AtomCol,
     Compiler,
+    ContrepCols,
     ContrepLazy,
     NestedSet,
     register_attr_rep,
@@ -301,29 +309,73 @@ def _contrep_attr_rep(compiler: Compiler, prefix: str, ty: ContrepType, gather: 
 register_attr_rep("ContrepType", _contrep_attr_rep)
 
 
+def _term_first_matches(compiler: Compiler, rep, qvar: str):
+    """Emit the term-first match of a CONTREP attribute against the
+    query: ``(bown, btf, bdl, rows)``, one BUN per matched posting of a
+    document in the current collection -- its document position, tf,
+    document length and (*rows*, an expression) matched query row --
+    in posting order.
+
+    The query's k terms probe the term column's held index
+    (``query.join(term.reverse)``, :func:`repro.monet.kernel.held_match_index`),
+    and ``.reverse.sort`` puts the matches back in posting order (a
+    stable sort: a posting matched by a duplicated query term keeps its
+    query rows in order), which is the order the old whole-column scan
+    produced and the ``{sum}`` pump adds in.  ``owner``, ``tf`` and
+    ``doclen`` are then read at the matched positions only.  An
+    unforced attribute (:class:`ContrepLazy`) maps the matched owners
+    through the gather's reverse, which drops the postings of documents
+    outside the current collection; a forced one (:class:`ContrepCols`)
+    is already restricted to it."""
+    emit = compiler.emit
+    if isinstance(rep, ContrepCols):
+        term, owner, tf, doclen = rep.term, rep.owner, rep.tf, rep.doclen
+    elif isinstance(rep, ContrepLazy):
+        term, owner, tf, doclen = (
+            f'bat("{rep.prefix}.{suffix}")' for suffix in ("term", "owner", "tf", "doclen")
+        )
+    else:
+        raise MoaCompileError("getBL applied to a non-CONTREP attribute")
+    matches = emit(f"{qvar}.join({term}.reverse)", "m")
+    by_posting = emit(f"{matches}.reverse.sort", "mp")
+    sel = emit(f"{by_posting}.mark(oid(0)).reverse", "sel")
+    rows = f"{by_posting}.number(oid(0))"
+    if isinstance(rep, ContrepCols):
+        bown = emit(f"{sel}.join({owner})", "bown")
+        btf = emit(f"{sel}.join({tf})", "btf")
+        bdl = emit(f"{bown}.join({doclen})", "bdl")
+        return bown, btf, bdl, rows
+    owned = emit(f"{sel}.join({owner}).join({rep.gather}.reverse)", "ow")
+    bown = emit(f"{owned}.number(oid(0))", "bown")
+    keep = emit(f"{owned}.mirror.mark(oid(0)).reverse", "keep")
+    btf = emit(f"{keep}.join({sel}).join({tf})", "btf")
+    bdl = emit(f"{bown}.join({rep.gather}).join({doclen})", "bdl")
+    return bown, btf, bdl, f"{keep}.join({rows})"
+
+
 def _compile_getbl(compiler: Compiler, cc, node):
     """Emit the getBL belief pipeline into the MIL plan.
 
-    Produces a NestedSet of beliefs per document: postings matching the
-    query are selected with a term join, and the InQuery belief formula
-    runs as multiplexed BAT arithmetic -- identical numerics to
+    Produces a NestedSet of beliefs per document: the postings matching
+    the query come from a term-first probe of the inverted file
+    (:func:`_term_first_matches`: no statement reads a whole posting
+    column), and the InQuery belief formula runs as multiplexed BAT
+    arithmetic -- identical numerics to
     :func:`repro.ir.beliefs.beliefs_array`.
 
     The idf is a function of the query term alone, so it is looked up
     once per query term: ``qidf`` outer-joins the k query rows with
-    ``<stats>_idf`` (:meth:`repro.ir.stats.CollectionStats.idf_bat`),
-    a term the stats never saw getting idf 0 as in
-    :meth:`~repro.ir.stats.CollectionStats.idf`.  ``nidf`` spreads it
-    over the matches *by position*: ``m``'s tail is the matched query
-    row, so ``m.number(oid(0))`` joins ``qidf``'s dense head
-    positionally, aligned with ``sel``.  (A re-join of the matches'
-    terms by value was measured no faster.)  No str column is gathered
+    ``<stats>_idf`` (:meth:`repro.ir.stats.CollectionStats.idf_bat`,
+    whose head's held index answers the probe), a term the stats never
+    saw getting idf 0 as in
+    :meth:`~repro.ir.stats.CollectionStats.idf`.  The outer join keeps
+    the query's void head, so ``nidf`` spreads it over the matches *by
+    position* from each match's query row.  No str column is gathered
     after the term match.
     """
     from repro.moa import ast as moa_ast
 
     contrep_rep = compiler.compile_elem(node.args[0], cc)
-    cols = compiler.force_contrep(contrep_rep, cc)
     query_node = node.args[1]
     stats_node = node.args[2]
     if not isinstance(query_node, moa_ast.VarRef):
@@ -335,17 +387,13 @@ def _compile_getbl(compiler: Compiler, cc, node):
 
     params = DEFAULT_PARAMETERS
     alpha = params.default_belief
-    # Match postings against the query terms (duplicates keep weighted
-    # queries working: each occurrence contributes once).
-    matches = compiler.emit(f"{cols.term}.join({qvar}.reverse)", "m")
-    sel = compiler.emit(f"{matches}.mirror.mark(oid(0)).reverse", "sel")
-    btf = compiler.emit(f"{sel}.join({cols.tf})", "btf")
-    bown = compiler.emit(f"{sel}.join({cols.owner})", "bown")
-    bdl = compiler.emit(f"{bown}.join({cols.doclen})", "bdl")
+    # Duplicated query terms keep weighted queries working: each
+    # occurrence matches, and contributes, once.
+    bown, btf, bdl, rows = _term_first_matches(compiler, contrep_rep, qvar)
     # nidf per query term (0 when unseen), spread over the matches.
     qidf = compiler.emit(f"{qvar}.outerjoin({stats_name}_idf)", "qidf")
     qidf = compiler.emit(f"[ifthenelse]([isnil]({qidf}), 0.0, {qidf})", "qidf")
-    nidf = compiler.emit(f"{matches}.number(oid(0)).join({qidf})", "nidf")
+    nidf = compiler.emit(f"{rows}.join({qidf})", "nidf")
     # ntf = tf / (tf + k + w * dl / avgdl)
     tf_dbl = compiler.emit(f"[dbl]({btf})", "v")
     dl_term = compiler.emit(

@@ -226,9 +226,15 @@ class Column:
 class StrColumn:
     """A str column: int64 *codes* (NIL -1) into a shared, append-only
     :class:`StrHeap` (see the module docstring).  The codes stay int64
-    in memory, where they index tables; the codec narrows them."""
+    in memory, where they index tables; the codec narrows them.
 
-    __slots__ = ("codes", "heap")
+    *match_index* is the column's held join index in its own heap
+    (:func:`repro.monet.kernel.held_match_index`), built the first time
+    the column is a join build side.  A column's codes never change,
+    so the index is valid for the column's life and dies with it: a
+    copy-on-write successor, a window or a gather starts without one."""
+
+    __slots__ = ("codes", "heap", "match_index")
 
     atom_type = _STR
     is_void = False
@@ -236,6 +242,7 @@ class StrColumn:
     def __init__(self, codes: np.ndarray, heap: StrHeap):
         self.codes = codes
         self.heap = heap
+        self.match_index = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -380,9 +387,15 @@ class BAT:
     the update layer's entry point :meth:`append` is copy-on-write --
     it returns a *new* BAT sharing nothing mutable with the receiver,
     so any snapshot holding the old object keeps reading the old BUNs.
+
+    *windows* caches :func:`repro.monet.fragments.fold_tail`'s
+    target-sized view fragments of this BAT, so every fold of an
+    oversized fragment -- by every query and every later version that
+    still shares the fragment -- hands out the same view objects (and
+    with them their columns' held join indexes).
     """
 
-    __slots__ = ("head", "tail", "hsorted", "tsorted", "hkey", "tkey", "name")
+    __slots__ = ("head", "tail", "hsorted", "tsorted", "hkey", "tkey", "name", "windows")
 
     def __init__(
         self,
@@ -407,6 +420,7 @@ class BAT:
         self.tsorted = tsorted or tail.is_void
         self.tkey = tkey or tail.is_void
         self.name = name
+        self.windows = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -540,12 +554,20 @@ class BAT:
         """Tail value for the first BUN whose head equals *head_value*
         (Monet ``find``); raises :class:`BATError` when absent.  A NIL
         needle matches nothing, for every atom (the comparison rule of
-        ``select(b, nil)``, :func:`column_equal`)."""
+        ``select(b, nil)``, :func:`column_equal`).  On a void head the
+        needle becomes a position as in the positional join
+        (:func:`repro.monet.kernel.fetch_positions`): only an integral,
+        in-range number finds a BUN, so ``1.5`` or NaN finds none."""
         if self.head.is_void:
-            if head_value is not None:
-                position = int(head_value) - self.head.seqbase
-                if 0 <= position < len(self):
-                    return self.tail.python_value(position)
+            from repro.monet.kernel import fetch_positions
+
+            needle = np.asarray([head_value])
+            if needle.dtype.kind == "u":
+                needle = needle.astype(np.float64)
+            if needle.dtype.kind in "if":
+                _, targets = fetch_positions(needle, self.head.seqbase, len(self))
+                if len(targets):
+                    return self.tail.python_value(int(targets[0]))
         else:
             matches = np.flatnonzero(column_equal(self.head, head_value))
             if len(matches):

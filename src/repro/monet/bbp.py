@@ -809,13 +809,25 @@ class BATBufferPool:
     def _attach_locked(self, directory: Path) -> None:
         directory = Path(directory)
         with self._wal_io:
-            if self._directory != directory and self._wal_file is not None:
-                try:
-                    self._wal_file.close()
-                except OSError:  # pragma: no cover - close best-effort
-                    pass
-                self._wal_file = None
+            if self._directory != directory:
+                self._close_wal_file()
             self._directory = directory
+
+    def close(self) -> None:
+        """Close the WAL file handle, if one is open.  Idempotent; the
+        pool stays attached and usable -- its next logged mutation
+        reopens ``wal.jsonl`` for appending."""
+        with self._wal_io:
+            self._close_wal_file()
+
+    def _close_wal_file(self) -> None:
+        """Close the WAL handle (under ``_wal_io``)."""
+        if self._wal_file is not None:
+            try:
+                self._wal_file.close()
+            except OSError:  # pragma: no cover - close best-effort
+                pass
+            self._wal_file = None
 
     def _wal_log(self, record: dict) -> None:
         """Group-commit one mutation intent record.
@@ -930,12 +942,7 @@ class BATBufferPool:
 
     def _wal_truncate_locked(self) -> None:
         with self._wal_io:
-            if self._wal_file is not None:
-                try:
-                    self._wal_file.close()
-                except OSError:  # pragma: no cover - close best-effort
-                    pass
-                self._wal_file = None
+            self._close_wal_file()
             if self._directory is not None:
                 (self._directory / "wal.jsonl").unlink(missing_ok=True)
 

@@ -91,7 +91,7 @@ from repro.monet.bat import (
     _normalize_positions,
     concat_columns,
 )
-from repro.monet.errors import InvalidMutationBatch, KernelError
+from repro.monet.errors import BATError, InvalidMutationBatch, KernelError
 
 #: Worker floor: even on a single-core host we keep two threads so the
 #: fragment fan-out code path is always exercised.
@@ -455,10 +455,18 @@ class FragmentedBAT:
         return self.to_bat().items()
 
     def find(self, head_value) -> Any:
-        return self.to_bat().find(head_value)
+        """:meth:`BAT.find` fragment by fragment, in BUN order: the
+        first fragment that finds the needle answers, and nothing
+        coalesces."""
+        for frag in self.fragments:
+            try:
+                return frag.find(head_value)
+            except BATError:
+                continue
+        raise BATError(f"head value {head_value!r} not found")
 
     def exists(self, head_value) -> bool:
-        return self.to_bat().exists(head_value)
+        return any(frag.exists(head_value) for frag in self.fragments)
 
 
 def _aligned_updates(
@@ -803,10 +811,13 @@ def _shared_index_matches(
     """One code-space index over the whole build side, probed by every
     fragment.  A str index is built in the probe side's code space when
     all probe fragments share one heap (the fragments of one stored
-    column) at least as large as the build's, so no probe translates
-    anything (:func:`~repro.monet.kernel.larger_code_space`); otherwise
-    in the build's own, and each probe fragment translates its distinct
-    values."""
+    column), other than the build's and at least as large, so no probe
+    translates anything (:func:`~repro.monet.kernel.larger_code_space`).
+    When the build fragments share the heap indexed in, the index is
+    their held indexes (:func:`~repro.monet.kernel.held_match_index`:
+    built once per fragment version, not per query), and each probe
+    fragment translates its distinct values once for all of them;
+    otherwise it is built in the build's largest heap."""
     code_space = None
     if probe_object:
         probes = [frag.tail for frag in fb.fragments]
@@ -1296,7 +1307,9 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
         def one(frag: BAT) -> BAT:
             left_positions, tail = _kernel.outerjoin_parts(frag, right)
             return BAT(
-                frag.head.take(left_positions), tail, hkey=frag.hkey and right.hkey
+                _kernel.outer_head(frag.head, left_positions),
+                tail,
+                hkey=frag.hkey and right.hkey,
             )
 
         return _per_fragment(fb, one)
@@ -1307,7 +1320,11 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
     for frag, (probe_positions, tail) in zip(fb.fragments, matches):
         positions, tail = _kernel.pad_unmatched(len(frag), probe_positions, tail)
         fragments.append(
-            BAT(frag.head.take(positions), tail, hkey=frag.hkey and right_hkey)
+            BAT(
+                _kernel.outer_head(frag.head, positions),
+                tail,
+                hkey=frag.hkey and right_hkey,
+            )
         )
     return FragmentedBAT(fragments, policy=fb.policy)
 
@@ -1742,7 +1759,9 @@ def fold_tail(
 
     * every fragment larger than twice the policy target (the residue
       of bulk appends) is sliced into target-sized view fragments
-      (numpy views -- no data copy);
+      (numpy views -- no data copy), made once per fragment and target
+      (:attr:`BAT.windows <repro.monet.bat.BAT>`): a fragment shared by
+      later versions keeps its views, and their held join indexes;
     * with ``compact=True``, runs of adjacent *starved* fragments (the
       residue of tombstone deletes shrinking fragments below half the
       target) are concatenated back up to at most target size -- a
@@ -1768,10 +1787,13 @@ def fold_tail(
         if len(fragment) <= 2 * target:
             out.append(fragment)
             continue
-        for start in range(0, len(fragment), target):
-            out.append(
+        if fragment.windows is None or fragment.windows[0] != target:
+            views = [
                 _slice_view(fragment, start, min(start + target, len(fragment)))
-            )
+                for start in range(0, len(fragment), target)
+            ]
+            fragment.windows = (target, views)
+        out.extend(fragment.windows[1])
     if starved:
         out = _compact_starved(out, target)
     if len(out) == len(fb.fragments) and all(

@@ -59,6 +59,14 @@ either side str               code space: the heap codes  one shared index in
                               into them (``"code"``,      fragment translates
                               :func:`larger_code_space`)  only its distinct
                                                           values
+-- and the build's heap is    held: the build column's    the build fragments'
+the code space                own index, built at its     held indexes, one per
+                              first join and kept on the  fragment version
+                              column version              (*parts*), probed
+                              (:func:`held_match_index`;  with one translation
+                              ``CollectionStats.idf_bat`` of the probe
+                              and a stored term column    fragment's distinct
+                              are indexed once)           values
 numeric keys, non-NIL build   code space ``key - lo``     one shared index
 keys integral and spanning    (``"span"``): a probe       over the build
 ``hi - lo < 2 * count``       has a code only if it is    fragments in BUN
@@ -72,6 +80,9 @@ otherwise (numeric)           stable sort of the build    radix-partitioned
                                                           ``join_spill``
 a value arm, right head key,  the result head is          --
 as many matches as left BUNs  ``left.head`` itself
+``outerjoin``: as many left   the result head is          per probe fragment,
+positions as left BUNs (each  ``left.head`` itself        too
+comes out exactly once)       (:func:`outer_head`)
 ============================  ==========================  ====================
 
 Every arm, monolithic or fragmented, gathers the right tail (the
@@ -574,6 +585,16 @@ def run_cut_points(keys: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     return np.searchsorted(keys, pivots, side="left")
 
 
+#: From this many build positions per matched probe on average,
+#: :func:`_expand_matches` copies each probe's run as a slice of the
+#: order instead of computing every position's index (a 2-core x86
+#: host: slices take 0.85-0.9 of the vectorised time at 128 per probe
+#: and a third at 1 024, but 1.2-1.6 times it at 64 once 64 or more
+#: probes hit).  The k query terms against an inverted file are far
+#: above it; a relational join's short runs are below.
+_SLICE_RUN = 128
+
+
 def _expand_matches(
     hit: np.ndarray, order: np.ndarray, first: np.ndarray, counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -585,6 +606,9 @@ def _expand_matches(
     if len(hit) == 0 or int(counts.max()) == 1:
         return hit, order[first]
     total = int(counts.sum())
+    if total >= _SLICE_RUN * len(hit):
+        runs = [order[f : f + c] for f, c in zip(first.tolist(), counts.tolist())]
+        return np.repeat(hit, counts), np.concatenate(runs)
     offsets = np.cumsum(counts) - counts
     intra = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     return np.repeat(hit, counts), order[np.repeat(first, counts) + intra]
@@ -604,6 +628,24 @@ def _code_index(codes: np.ndarray, ncodes: int):
     return order, np.cumsum(counts) - counts, counts
 
 
+def _code_runs(codes: np.ndarray):
+    """Build-side index over the codes a column uses: the coded build
+    positions grouped by code (ascending position within a code), the
+    distinct codes ascending -- closed by a sentinel above every code,
+    so a probe's insertion slot always reads a key -- and each code's
+    run start and length.  The tables grow with the column's distinct
+    codes, not with its heap."""
+    positions = np.nonzero(codes >= 0)[0]
+    coded = codes[positions]
+    grouped = stable_order(coded)
+    order = positions[grouped]
+    coded = coded[grouped]
+    starts = np.flatnonzero(np.diff(coded, prepend=-1))
+    counts = np.diff(np.append(starts, len(coded)))
+    keys = np.append(coded[starts], np.iinfo(np.int64).max)
+    return order, keys, starts, counts
+
+
 @dataclass(frozen=True)
 class MatchIndex:
     """A join build side indexed once, probed by any number of probe
@@ -615,16 +657,41 @@ class MatchIndex:
     ``key - lo``) or ``"sorted"`` (the build positions in stable key
     order, *keys* the build keys in that order).  The two code-space arms share the tables of
     :func:`_code_index`: *order* grouped by code, each code's run
-    *starts* and *counts*."""
+    *starts* and *counts*, indexed by code.  A held index
+    (:func:`held_match_index`) is a ``"code"`` index whose tables are
+    indexed by slot in *keys*, the distinct codes its column uses
+    (:func:`_code_runs`).  A build of several str columns on one heap
+    (the fragments of one stored column) is a ``"code"`` index without
+    tables: *parts* holds each column's held index with the BUN offset
+    of its column."""
 
     arm: str
-    order: np.ndarray
+    order: Optional[np.ndarray]
     starts: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
     keys: Optional[np.ndarray] = None
     code_space: Optional[CodeSpace] = None
     lo: int = 0
     hi: int = -1
+    parts: Tuple[Tuple[int, "MatchIndex"], ...] = ()
+
+
+def held_match_index(column: StrColumn) -> MatchIndex:
+    """*column*'s held ``"code"`` index in its own heap: built the first
+    time the column is a join build side and kept in its
+    :attr:`~repro.monet.bat.StrColumn.match_index` slot, so every later
+    join against the same column version probes it.  Its tables cover
+    the codes the column uses (:func:`_code_runs`), so the fragments of
+    one stored column, all on its one heap, hold O(postings) between
+    them however far the heap has grown."""
+    index = column.match_index
+    if index is None:
+        order, keys, starts, counts = _code_runs(column.codes)
+        index = MatchIndex(
+            "code", order, starts, counts, keys=keys, code_space=CodeSpace(column.heap)
+        )
+        column.match_index = index
+    return index
 
 
 def _key_bounds(column: AnyColumn) -> Optional[Tuple[int, int, int]]:
@@ -725,10 +792,14 @@ def build_match_index(
     fragments.  The arm follows the selection table in the module
     docstring:
 
-    * str keys: the ``"code"`` arm, in *code_space* when given (a probe
-      side's heap, :func:`larger_code_space`: build values it lacks can
-      match nothing there) and otherwise in the build's own heap,
-      extended across columns that do not share one;
+    * str keys on one heap, indexed in that heap: the build columns'
+      held ``"code"`` indexes (:func:`held_match_index`), built once
+      per column version -- one column's own index, or several
+      columns' (a fragmented head) as *parts*;
+    * other str keys: the ``"code"`` arm, in *code_space* when given (a
+      probe side's larger heap, :func:`larger_code_space`: build values
+      it lacks can match nothing there) and otherwise in the build's
+      largest heap, extended across columns that do not share one;
     * integral keys with a compact span (:func:`span_bounds`): the
       ``"span"`` arm;
     * anything else: the ``"sorted"`` arm.
@@ -736,6 +807,18 @@ def build_match_index(
     NIL build keys are never indexed: they have no code, and the sorted
     arm leaves them out."""
     if _is_str(build[0]):
+        heap = build[0].heap
+        if (code_space is None or code_space is heap) and all(
+            column.heap is heap for column in build
+        ):
+            if len(build) == 1:
+                return held_match_index(build[0])
+            offsets = np.cumsum([0] + [len(column) for column in build[:-1]])
+            parts = tuple(
+                (int(offset), held_match_index(column))
+                for offset, column in zip(offsets, build)
+            )
+            return MatchIndex("code", None, code_space=CodeSpace(heap), parts=parts)
         if code_space is None:
             space, keys_of = str_code_space(build)
         else:
@@ -777,11 +860,35 @@ def probe_match_index(
         codes = index.code_space.encode(probe)
     else:
         codes = _span_codes(probe, index.lo, index.hi)
-    hit = np.nonzero(index.counts[codes] > 0)[0]
-    hit_codes = codes[hit]
-    return _expand_matches(
-        hit, index.order, index.starts[hit_codes], index.counts[hit_codes]
-    )
+    if not index.parts:
+        return _probe_codes(codes, index)
+    # One probe encoding for every part.  Parts come in BUN order, so
+    # a stable order on probe position keeps each probe's matches in
+    # build order.
+    matches = []
+    for offset, part in index.parts:
+        probe_positions, build_positions = _probe_codes(codes, part)
+        matches.append((probe_positions, build_positions + offset))
+    probe_positions = np.concatenate([pp for pp, _ in matches])
+    build_positions = np.concatenate([bp for _, bp in matches])
+    order = stable_order(probe_positions)
+    return probe_positions[order], build_positions[order]
+
+
+def _probe_codes(
+    codes: np.ndarray, index: MatchIndex
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The matches of probe *codes* (-1: no code) in a code-space
+    index's tables: indexed by code, or -- a held index -- by the
+    code's slot in its *keys*."""
+    if index.keys is None:
+        slots = codes
+        hit = np.nonzero(index.counts[codes] > 0)[0]
+    else:
+        slots = np.searchsorted(index.keys, codes)
+        hit = np.nonzero(index.keys[slots] == codes)[0]
+    slots = slots[hit]
+    return _expand_matches(hit, index.order, index.starts[slots], index.counts[slots])
 
 
 def _match_columns(
@@ -1038,9 +1145,9 @@ def fetch_positions(
     probes are the probe side itself, in order.
 
     This is the one place a value becomes a position, for void,
-    provably dense and fragmented dense build heads alike: only an
-    integral, non-NIL, in-range probe hits (a dbl probe of 1.5 or NaN
-    equals no oid)."""
+    provably dense and fragmented dense build heads and
+    :meth:`BAT.find` on a void head alike: only an integral, non-NIL,
+    in-range probe hits (a dbl probe of 1.5 or NaN equals no oid)."""
     targets = probe - seqbase
     valid = (targets >= 0) & (targets < count)
     if probe.dtype.kind == "f":
@@ -1137,10 +1244,20 @@ def pad_unmatched(
     return positions[order], tail.take(order)
 
 
+def outer_head(head: AnyColumn, left_positions: np.ndarray) -> AnyColumn:
+    """The outer join's result head from its left BUN positions: every
+    left BUN comes out at least once, in order, so as many positions as
+    left BUNs means each exactly once and the head is *head* itself (a
+    void head stays void, as in :func:`join`)."""
+    if len(left_positions) == len(head):
+        return head
+    return head.take(left_positions)
+
+
 def outerjoin(left: BAT, right: BAT) -> BAT:
     """Left outer join: unmatched left BUNs survive with NIL tails."""
     left_positions, tail = outerjoin_parts(left, right)
-    head = left.head.take(left_positions)
+    head = outer_head(left.head, left_positions)
     return BAT(head, tail, hkey=left.hkey and right.hkey)
 
 

@@ -217,12 +217,14 @@ def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(
 ):
     """After a first query and a commit, the Sec. 3 plan over
     multi-fragment registrations encodes no str column longer than the
-    query BAT: the commit numbers only its appended values, and the term
-    payload reaches every keyed operator as the stored column's codes,
-    through fetchjoin, join and the concatenation of gathers from
-    several fragments.  The ``codes-dropped`` run is the sensitivity
-    check: with ``concat_columns`` re-encoding its result onto a fresh
-    heap, the plan encodes a gathered payload, and the spy sees it."""
+    query BAT: the commit numbers only its appended values, the
+    term-first plan probes the stored term column's fragments in their
+    heap, and the eager plan's gathered term payload reaches every keyed
+    operator as the stored column's codes, through fetchjoin, join and
+    the concatenation of gathers from several fragments.  The
+    ``codes-dropped`` run is the sensitivity check: with
+    ``concat_columns`` re-encoding its result onto a fresh heap, the
+    eager plan encodes a gathered payload, and the spy sees it."""
     from repro.monet import bat as bat_module
     from repro.monet import fragments, kernel
 
@@ -245,10 +247,14 @@ def test_warm_fragmented_plan_encodes_nothing_longer_than_the_query(
         for module in (fragments, kernel):
             monkeypatch.setattr(module, "concat_columns", lambda parts: _recoded(real(parts)))
     encoded.clear()
-    answers = [db.query(SECTION3_QUERY, p).value for p in params]
+    answers = [
+        db.query(SECTION3_QUERY, p, **modes).value
+        for p in params
+        for modes in ({}, {"optimize": False, "eager_columns": True})
+    ]
     seen = list(encoded)
     monkeypatch.undo()
-    for answer, p in zip(answers, params):
+    for answer, p in zip(answers, [p for p in params for _ in range(2)]):
         assert answer == pytest.approx(db.query_interpreted(SECTION3_QUERY, p), abs=1e-9)
     assert seen  # the query BAT itself is encoded
     if concat == "coded":

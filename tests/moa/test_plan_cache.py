@@ -341,8 +341,8 @@ def _check_parsed_once(compiled) -> None:
 def test_ranking_plans_match_their_golden(plan, golden):
     compiled = plan()
     assert compiled.program == (GOLDEN / golden).read_text()
-    assert compiled.statements == 24
-    assert len(compiled.program_ast.statements) == 24
+    assert compiled.statements == 19
+    assert len(compiled.program_ast.statements) == 19
     _check_parsed_once(compiled)
 
 

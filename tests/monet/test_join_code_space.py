@@ -17,7 +17,7 @@ import pytest
 
 from repro.ir.stats import CollectionStats
 from repro.monet import fragments, kernel
-from repro.monet.bat import BAT, VoidColumn, dense_bat
+from repro.monet.bat import BAT, StrColumn, VoidColumn, dense_bat
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
 
 VOCABULARY = 200_000
@@ -112,3 +112,49 @@ def test_larger_probe_dictionary_keeps_the_probe_space(idf, translated):
     result = kernel.join(probe, build)
     assert len(translated) <= len(QUERY)
     assert _pairs(result) == [(5, 7), (123456, 8)]
+
+
+@pytest.mark.parametrize(
+    "layout", ["monolithic", "fragmented probe", "fragmented build"]
+)
+def test_idf_lookup_keeps_the_query_head_and_probes_a_held_index(idf, layout, monkeypatch):
+    """``query.outerjoin(stats_idf)`` -- every query row comes out
+    exactly once -- keeps the query's void head (so the plan's ``nidf``
+    joins it by position) and is BUN-identical to the outer join with a
+    gathered head; the vocabulary's held index is built at the first
+    lookup and probed, not rebuilt, by every later one."""
+    stats, build = idf
+    query = dense_bat("str", QUERY)
+    positions, tail = kernel.outerjoin_parts(query, build)
+    materialized = BAT(query.head.take(positions), tail)
+    # A fresh head column, which holds no index yet.
+    build = BAT(StrColumn(build.head.codes, build.head.heap), build.tail)
+    if layout == "fragmented build":
+        build = fragment_bat(build, FragmentationPolicy(target_size=VOCABULARY // 4))
+    builds: list = []
+    real = kernel._code_runs
+    monkeypatch.setattr(
+        kernel, "_code_runs", lambda codes: builds.append(len(codes)) or real(codes)
+    )
+    for _ in range(3):
+        if layout == "monolithic":
+            result = kernel.outerjoin(query, build)
+            heads = [result.head]
+        else:
+            probe = fragment_bat(query, FragmentationPolicy(target_size=1))
+            if layout == "fragmented build":
+                probe = fragment_bat(query)
+            result = fragments.outerjoin(probe, build)
+            heads = [frag.head for frag in result.fragments]
+        assert all(head.is_void for head in heads)
+        _same(_pairs(result), _pairs(materialized))
+    assert sum(builds) == VOCABULARY  # one build, at the first lookup
+
+
+def test_outerjoin_with_a_repeated_left_bun_gathers_its_head():
+    """A left BUN matching twice comes out twice: the head is gathered."""
+    left = dense_bat("str", ["a", "b", "z"])
+    right = BAT(dense_bat("str", ["a", "a", "b"]).tail, dense_bat("int", [1, 2, 3]).tail)
+    result = kernel.outerjoin(left, right)
+    assert not result.head.is_void
+    assert result.to_pairs() == [(0, 1), (0, 2), (1, 3), (2, None)]

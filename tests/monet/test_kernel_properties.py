@@ -57,6 +57,28 @@ def test_join_matches_nested_loop(left_pairs, right_pairs):
     assert kernel.join(left, right).to_pairs() == expected
 
 
+@pytest.mark.parametrize("atom", ["str", "int"])
+@pytest.mark.parametrize("run", [kernel._SLICE_RUN - 1, kernel._SLICE_RUN])
+def test_join_with_long_runs_matches_nested_loop(atom, run):
+    """A few probes, each matching a run of build BUNs just below and
+    at the length from which the matcher copies runs as slices: the
+    nested loop's pairs, in its order (a str build in its own heap
+    probes its held index; int keys take the span arm)."""
+    values = ["a", "b", "c"] if atom == "str" else [3, 1, 2]
+    rng = np.random.default_rng(run)
+    build = [values[i] for i in rng.permutation(np.repeat([0, 1, 2], run))]
+    probe = [values[2], values[0], None if atom == "str" else 99, values[1], values[2]]
+    left = bat_from_pairs("oid", atom, list(enumerate(probe)))
+    right = bat_from_pairs(atom, "oid", [(v, h) for h, v in enumerate(build)])
+    expected = [
+        (lh, rh)
+        for lh, lv in enumerate(probe)
+        for rh, rv in enumerate(build)
+        if lv is not None and lv == rv
+    ]
+    assert kernel.join(left, right).to_pairs() == expected
+
+
 @given(_pairs_int, _pairs_int)
 def test_semijoin_matches_membership(left_pairs, right_pairs):
     left = bat_from_pairs("oid", "int", left_pairs)

@@ -6,6 +6,7 @@ head (the NIL-semantics table in :mod:`repro.monet.kernel`).  Checked on
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.monet.bat import bat_from_pairs, dense_bat
@@ -59,3 +60,20 @@ def test_nil_needle_on_a_void_head():
     with pytest.raises(BATError):
         bat.find(None)
     assert bat.find(1) == 20
+
+
+@pytest.mark.parametrize("layout", ["monolithic", "fragmented"])
+def test_void_head_needle_becomes_a_position_as_in_the_positional_join(layout):
+    """On a void head a needle is a position only if it is integral and
+    in range (:func:`repro.monet.kernel.fetch_positions`): 1.5 and NaN
+    find nothing -- they equal no oid -- and neither do -1 or a needle
+    past the end."""
+    bat = dense_bat("int", [10, 20, 30])
+    value = fragment_bat(bat, FragmentationPolicy(target_size=1)) if layout == "fragmented" else bat
+    for needle in (1.5, float("nan"), -1, 3, 10**30, "1", True):
+        assert value.exists(needle) is False, needle
+        with pytest.raises(BATError):
+            value.find(needle)
+    for needle, expected in ((1, 20), (2.0, 30), (np.int64(0), 10), (np.uint8(2), 30)):
+        assert value.exists(needle) is True
+        assert value.find(needle) == expected

@@ -7,7 +7,10 @@ monolithic and fragmented.  After every step:
 * every pinned snapshot still reads exactly what it read when pinned
   (values, and a str column's codes);
 * a stored str column has one heap across its fragments;
-* a pinned str column holds only codes below the heap length it saw.
+* a pinned str column holds only codes below the heap length it saw;
+* a held join index (built by a join against a stored str column)
+  answers exactly its own column version's codes, however far the
+  shared heap has grown since.
 
 ``POOL_STATE_MACHINE_EXAMPLES`` raises the example count (CI's
 write-path job runs more than tier-1 does).
@@ -20,9 +23,11 @@ import shutil
 import tempfile
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.monet import kernel
 from repro.monet.bat import StrColumn, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, fragment_bat
@@ -61,6 +66,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.saved = False
 
     def teardown(self):
+        self.pool.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     def _draw_name(self, data):
@@ -130,6 +136,7 @@ class PoolMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.saved)
     @rule()
     def load(self):
+        self.pool.close()
         self.pool = BATBufferPool.load(self.directory)
 
     @rule()
@@ -143,6 +150,46 @@ class PoolMachine(RuleBasedStateMachine):
                 [(c.codes.copy(), len(c.heap)) for c in columns],
             )
         self.pinned.append((snapshot, seen))
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def join_against(self, data):
+        """Probe a str registration as a join build side, which builds
+        (or reuses) its fragments' held indexes; the matches are the
+        model's."""
+        name = data.draw(st.sampled_from(sorted(self.model)))
+        if NAMES[name] != "str":
+            return
+        probe = dense_bat("str", data.draw(st.lists(VALUES["str"], max_size=4)))
+        value = self.pool.lookup_fragments(name)
+        heads = [frag.tail for frag in value.fragments]
+        pairs = kernel.probe_match_index(probe.tail, kernel.build_match_index(heads))
+        rows = self.model[name]
+        assert list(zip(*(p.tolist() for p in pairs))) == [
+            (i, j)
+            for i, needle in enumerate(probe.tail_list())
+            for j, row in enumerate(rows)
+            if needle is not None and row == needle
+        ], name
+
+    @invariant()
+    def held_indexes_answer_their_own_codes(self):
+        readers = [(self.pool, self.model)] + self.pinned
+        for reader, names in readers:
+            for name in names:
+                for column in _str_columns(reader.lookup_fragments(name)):
+                    index = column.match_index
+                    if index is None:
+                        continue
+                    every_value = StrColumn(np.arange(len(column.heap)), column.heap)
+                    probe_positions, build_positions = kernel.probe_match_index(
+                        every_value, index
+                    )
+                    codes = column.codes
+                    expected = np.flatnonzero(codes >= 0)
+                    expected = expected[kernel.stable_order(codes[expected])]
+                    assert probe_positions.tolist() == codes[expected].tolist(), name
+                    assert build_positions.tolist() == expected.tolist(), name
 
     @invariant()
     def buns_equal_the_model(self):

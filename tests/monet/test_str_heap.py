@@ -235,3 +235,6 @@ def test_load_stats_and_a_query_after_a_commit_encode_no_stored_value(
     query = stats.vocabulary()[:3]
     loaded.query(SECTION3_QUERY, {"query": query, "stats": loaded_stats})
     assert encoded and max(encoded) <= len(query)
+    for pool in (db.pool, loaded.pool):
+        pool.close()
+        pool.close()  # idempotent
