@@ -514,13 +514,19 @@ class BAT:
         )
 
     def slice(self, start: int, stop: int) -> "BAT":
-        """BUN-positional slice [start, stop) (Monet ``slice``)."""
-        start = max(0, start)
-        stop = min(len(self), stop)
-        if stop < start:
-            stop = start
-        positions = np.arange(start, stop, dtype=np.int64)
-        return self.take_positions(positions)
+        """BUN-positional slice [start, stop) (Monet ``slice``), clipped
+        to the BAT: a window view sharing the receiver's arrays, with its
+        four property flags."""
+        start = min(max(0, start), len(self))
+        stop = max(start, min(len(self), stop))
+        return BAT(
+            self.head.window(start, stop),
+            self.tail.window(start, stop),
+            hsorted=self.hsorted,
+            tsorted=self.tsorted,
+            hkey=self.hkey,
+            tkey=self.tkey,
+        )
 
     def take_positions(self, positions: np.ndarray) -> "BAT":
         """Gather BUNs at the given positions, preserving order-derived

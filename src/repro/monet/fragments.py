@@ -1,30 +1,11 @@
-"""Horizontal BAT fragmentation with fragment-parallel kernel operators.
+"""Horizontal BAT fragmentation and the fragment rules' drivers.
 
 A :class:`FragmentedBAT` represents one logical BAT as an ordered list
 of horizontal *fragments*, each a normal (usually void-headed)
 :class:`repro.monet.bat.BAT`.  Fragmentation is the classic physical
-lever for parallelism: the logical algebra is untouched, while the hot
-kernel operators fan out over fragments on a shared
-:class:`~concurrent.futures.ThreadPoolExecutor` (numpy releases the GIL
-on its bulk paths) and the results are recombined in BUN order.
-
-**One executor, one fan-out rule.**  Every operator fans out through
-:func:`map_fragments` over one lazily created, shared thread pool, and
-that function alone decides serial or parallel: the pool runs the tasks
-when the operator's receiver holds at least
-``tuning.current().parallel_min`` BUNs, the calling thread otherwise.
-No operator takes a worker count.  numpy releases the GIL on its bulk
-paths, so the numeric work runs in parallel, while a str predicate
-or translation (once per distinct value in use; see
-:mod:`repro.monet.kernel`) runs under the GIL and serializes on it.
-There is no second executor for str work because the one tried (it
-predates the code space) did not pay: on the 2-core
-reference host a process pool over shared-memory column exports
-measured thread ms / process ms (above 1 = processes ahead) of 0.92
-(``likeselect``), 0.82 (``select(str=)``),
-1.14 (``kintersect(str)``), 1.07 (``join(oid)``) and 0.98
-(``join(str)``) at 1M BUNs and 0.44-0.62 at 50k -- a wash at best,
-twice as slow on small inputs; many-core hosts are unmeasured.
+lever for parallelism: the logical algebra is untouched, while the
+operators fan out over fragments and the results recombine in BUN
+order.
 
 **One physical layout.**  A BAT splits into contiguous BUN ranges of
 at most ``FragmentationPolicy.target_size`` BUNs, and *fragment order
@@ -34,33 +15,50 @@ or derived: fragment ``k`` holds the global BUN positions
 so recombination is plain concatenation and a fragment's range is
 meaningful to anything that prunes or places fragments by position.
 
-Every operator here is the exact fragment-parallel counterpart of a
-:mod:`repro.monet.kernel`, :mod:`repro.monet.groups` or
-:mod:`repro.monet.aggregates` operator;
+**One executor, one fan-out rule.**  Every operator fans out through
+:func:`map_fragments` over one lazily created, shared thread pool,
+which runs the tasks when the receiver holds at least
+``tuning.current().parallel_min`` BUNs, the calling thread otherwise.
+No operator takes a worker count.  numpy releases the GIL on its bulk
+paths; a str predicate or translation (once per distinct value in use)
+serializes on it.  A process pool over shared-memory column exports
+(tried before the code space) measured a wash at 1M BUNs on a 2-core
+host and twice as slow at 50k, so there is no second executor.
+
+What the module holds, each the exact fragment-parallel counterpart of
+a :mod:`repro.monet.kernel`, :mod:`~repro.monet.groups` or
+:mod:`~repro.monet.aggregates` operator (the builtin table,
+:mod:`repro.monet.mil.builtins`, names which):
+
+* the handle and its copy-on-write mutators (:meth:`FragmentedBAT.append`,
+  ``delete``, ``update``), :func:`fragment_bat`, and the re-fragmentation
+  of drifted intermediates (:func:`fold_tail`, :func:`refragment`);
+* the drivers of the rules that are data: *per fragment*
+  (:func:`per_fragment`), *aligned* (:func:`align`,
+  :func:`map_aligned`) and *reduce with a combiner* (:func:`reduce`);
+* the bodies of the rules that have an algorithm: *build-probe* --
+  :func:`join`, :func:`outerjoin`, :func:`fetchjoin` (one shared index
+  in code space, radix partitions, spilled partitions, seqbase
+  windows), :func:`semijoin`, :func:`kdiff`; *membership* --
+  :func:`kintersect`, :func:`kunion` (one shared head build,
+  :func:`_member_subset`); *order* -- :func:`sort`, :func:`tsort`,
+  :func:`topn` (the sample-sort merge, :func:`_sample_sort_merge`);
+  *identity* -- :func:`unique`, :func:`kunique`, :func:`tunique`,
+  :func:`group`, :func:`refine` (the first-occurrence merge).
+
 ``tests/monet/test_fragment_differential.py`` asserts BUN-for-BUN
-identity against the monolithic kernel and against naive pure-Python
-references, ``tests/monet/test_mil_fragments.py`` does the same for
-whole MIL programs, and ``tests/monet/test_mil_fuzz.py`` fuzzes the
-composition space with randomized pipelines.  The operator set covers
-everything the MIL builtin table (:mod:`repro.monet.mil.builtins`)
-routes here -- including the order-sensitive operators
-(``sort``/``tsort``, ``unique``/``kunique``/``tunique``, ``refine``),
-whose per-fragment parallel passes meet in a **sample-sort merge**
-(pivots cut the key space so every output partition builds
-independently, in parallel; :func:`_sample_sort_merge`) or a
-candidate-set resolution, and the set operators
-(``kunion``/``kintersect``, plus the ``semijoin``/``kdiff`` fast
-path), which probe a shared head-membership build
-(:func:`_member_subset`) per fragment -- so a pipeline like
-``select -> kunion -> sort -> unique -> aggregate`` runs
-fragment-parallel end-to-end with at most one coalesce at result
-return.
+identity against the monolithic kernel and naive references,
+``tests/monet/test_builtin_rules.py`` runs every builtin row's rule
+against its monolithic row, ``tests/monet/test_mil_fragments.py``
+compares whole MIL programs and ``tests/monet/test_mil_fuzz.py``
+fuzzes their composition.  A pipeline like ``select -> kunion -> sort
+-> unique -> aggregate`` runs fragment-parallel end to end, with at
+most one coalesce at result return.
 
 **Tuning.**  Every physical knob read here (fragment size, serial
 floor, merge/join fan-outs, spill threshold) is a field of the one
 live :class:`repro.monet.tuning.Tuning` record, read at use as
-``tuning.current().<field>``; how a knob gets its value (override >
-environment > cores-derived default) is that module's business alone.
+``tuning.current().<field>``.
 
 Property flags on recombined results are maintained *conservatively*:
 a flag is only ``True`` when the concatenation provably preserves it
@@ -74,6 +72,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -359,7 +358,7 @@ class FragmentedBAT:
             return self
         kept = self.fragments[:-1]
         if len(last) >= self.policy.target_size:
-            kept, last = self.fragments, _slice_view(last, len(last), len(last))
+            kept, last = self.fragments, last.slice(len(last), len(last))
         delta = last.append(tails=tails) if tails is not None else last.append(list(pairs))
         return FragmentedBAT([*kept, delta], policy=self.policy, name=self.name)
 
@@ -538,42 +537,139 @@ def fragment_bat(bat: BAT, policy: Optional[FragmentationPolicy] = None) -> Frag
     if n <= policy.target_size:
         return FragmentedBAT([bat], policy=policy, name=bat.name)
     fragments = [
-        _slice_view(bat, start, min(n, start + policy.target_size))
+        bat.slice(start, start + policy.target_size)
         for start in range(0, n, policy.target_size)
     ]
     return FragmentedBAT(fragments, policy=policy, name=bat.name)
 
 
-def _slice_view(bat: BAT, start: int, stop: int) -> BAT:
-    """Contiguous fragment sharing the parent's arrays (numpy slicing
-    views; no copy, unlike ``BAT.slice``'s positional gather)."""
-    return BAT(
-        bat.head.window(start, stop),
-        bat.tail.window(start, stop),
-        hsorted=bat.hsorted,
-        tsorted=bat.tsorted,
-        hkey=bat.hkey,
-        tkey=bat.tkey,
-    )
-
-
 # ----------------------------------------------------------------------
-# Fragment-parallel operators: selections
+# The rule drivers: per fragment, aligned, reduce with a combiner
+#
+# A builtin row (mil/builtins.BUILTINS) whose operator needs no
+# algorithm of its own across fragments names one of these rules, and
+# the rule runs the row's kernel function: on every fragment, on every
+# fragment's aligned operands, or as the partials of an aggregate.
 # ----------------------------------------------------------------------
 
 
-def _per_fragment(
+def per_fragment(
+    fn: Callable[..., BAT],
     fb: FragmentedBAT,
-    one: Callable[[Any], BAT],
-    items: Optional[Iterable[Any]] = None,
+    *args: Any,
+    dense: Optional[str] = None,
+    window: bool = False,
+    inline: bool = False,
+    **kwargs: Any,
 ) -> FragmentedBAT:
-    """The per-fragment map shape: *one* builds one output fragment
-    per input fragment of *fb* (or per entry of *items*, when the task
-    needs more than the fragment itself), under the receiver's policy."""
-    return FragmentedBAT(
-        map_fragments(one, fb.fragments if items is None else items, len(fb)),
-        policy=fb.policy,
-    )
+    """The *per fragment* rule: ``fn(fragment, *args, **kwargs)`` on
+    every fragment of *fb*, in BUN order, under its policy.  Two
+    declarations make a position global:
+
+    * ``dense="head"`` or ``"tail"``: that result column is a dense run
+      *fn* numbers from its base, and each fragment's run starts after
+      the result BUNs of the fragments before it (``mark``, ``number``,
+      ``uselect``);
+    * ``window=True``: the first two operands after the receiver are a
+      global BUN window ``[start, stop)``, shifted to each fragment and
+      clipped there by *fn*; fragments outside it drop out (``slice``).
+
+    ``inline=True`` declares *fn* an O(1) view (``reverse``, ``mark``),
+    which no pool dispatch pays off: the calling thread runs it.
+    """
+    tasks = [(frag, args) for frag in fb.fragments]
+    if window:
+        start, stop, *rest = args
+        tasks = [
+            (frag, (start - offset, stop - offset, *rest))
+            for frag, offset in zip(fb.fragments, fb.fragment_offsets())
+            if max(start, offset) < min(stop, offset + len(frag))
+        ] or [(fb.fragments[0], (0, 0, *rest))]
+    buns = 0 if inline else len(fb)
+    results = map_fragments(lambda task: fn(task[0], *task[1], **kwargs), tasks, buns)
+    if dense is not None:
+        renumber = _kernel.number if dense == "head" else _kernel.mark
+        at = 0
+        for index, bat in enumerate(results):
+            if at:
+                results[index] = renumber(bat, getattr(bat, dense).seqbase + at)
+            at += len(bat)
+    return FragmentedBAT(results, policy=fb.policy)
+
+
+def same_fragmentation(a: FragmentedBAT, b: FragmentedBAT) -> bool:
+    """True when *a* and *b* cover the same BUNs with identical
+    fragment boundaries (the precondition for per-fragment positional
+    alignment)."""
+    return a.fragment_offsets() == b.fragment_offsets()
+
+
+def coalesce(value: Any) -> Any:
+    """FragmentedBAT -> monolithic BAT; anything else passes through."""
+    return value.to_bat() if isinstance(value, FragmentedBAT) else value
+
+
+def align(operands: Sequence[Any]) -> Optional[Tuple[FragmentedBAT, List[List[Any]]]]:
+    """The *aligned* rule's precondition, for ``[op]`` multiplex, the
+    aggregates and ``refine``: the first fragmented operand and, per
+    fragment, *operands* with every BAT operand cut to that fragment.
+    A fragmented operand must have :func:`same_fragmentation`, and a
+    monolithic BAT of equal length is cut into windows (views).
+    Anything else gives ``None``: the caller coalesces, so the
+    monolithic operator's own alignment guards apply (a length or
+    seqbase mismatch must keep raising)."""
+    reference = next(x for x in operands if isinstance(x, FragmentedBAT))
+    offsets = reference.fragment_offsets()
+    columns = []
+    for operand in operands:
+        if isinstance(operand, FragmentedBAT):
+            if not same_fragmentation(reference, operand):
+                return None
+            columns.append(operand.fragments)
+        elif isinstance(operand, BAT):
+            if len(operand) != len(reference):
+                return None
+            columns.append([operand.slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])])
+        else:
+            columns.append([operand] * reference.nfragments)
+    return reference, [list(part) for part in zip(*columns)]
+
+
+def map_aligned(fn: Callable[..., BAT], *operands: Any) -> Union[BAT, FragmentedBAT]:
+    """The *aligned* rule: *fn* on every fragment's operands, aligned by
+    :func:`align` (``[op]`` multiplex); misaligned operands coalesce."""
+    aligned = align(operands)
+    if aligned is None:
+        return fn(*(coalesce(x) for x in operands))
+    reference, parts = aligned
+    results = map_fragments(lambda part: fn(*part), parts, len(reference))
+    return FragmentedBAT(results, policy=reference.policy)
+
+
+def reduce(aggregate: _agg.Aggregate, *operands: Any) -> Any:
+    """The *reduce with a combiner* rule: the partial of *aggregate*
+    (:class:`repro.monet.aggregates.Aggregate`) on every fragment's
+    operands, aligned by :func:`align` and fanned out, then its combine
+    and finish.  Misaligned operands, and a pump whose fragments'
+    heads are not positionally equal, coalesce."""
+    aligned = align(operands)
+    if aligned is not None:
+        reference, parts = aligned
+        result = aggregate.over(
+            parts, lambda fn, items: map_fragments(fn, items, len(reference))
+        )
+        if result is not _agg.UNALIGNED:
+            return result
+    return aggregate(*(coalesce(x) for x in operands))
+
+
+# Forced vestiges: the frozen benchmark (benchmarks/mirrorbench/layers.py
+# and wl_frag_relational.py, under BENCHMARK.json ``paths``) calls these
+# four fragmented twins by name.  Each is its builtin row's rule, bound.
+select = partial(per_fragment, _kernel.select)
+reverse = partial(per_fragment, BAT.reverse, inline=True)
+sum_ = partial(reduce, _agg.sum_)
+max_ = partial(reduce, _agg.max_)
 
 
 def _subset_op(
@@ -581,47 +677,7 @@ def _subset_op(
 ) -> FragmentedBAT:
     """Generic row-subset operator: evaluate a predicate mask per
     fragment in parallel and keep the qualifying BUNs."""
-    return _per_fragment(
-        fb, lambda frag: frag.take_positions(np.nonzero(mask_fn(frag))[0])
-    )
-
-
-def select(
-    fb: FragmentedBAT,
-    low: Any,
-    high: Any = _kernel._UNSET,
-    *,
-    include_low: bool = True,
-    include_high: bool = True,
-) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.select`."""
-    if high is _kernel._UNSET:
-        return _subset_op(fb, lambda frag: _kernel.equal_mask(frag, low))
-    return _subset_op(
-        fb,
-        lambda frag: _kernel.range_mask(frag, low, high, include_low, include_high),
-    )
-
-
-def uselect(
-    fb: FragmentedBAT,
-    low: Any,
-    high: Any = _kernel._UNSET,
-    *,
-    include_low: bool = True,
-    include_high: bool = True,
-) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.uselect`: qualifying
-    heads with the tail replaced by a dense oid sequence in BUN order."""
-    selected = select(
-        fb, low, high, include_low=include_low, include_high=include_high
-    )
-    return _renumber_tails(selected, 0)
-
-
-def likeselect(fb: FragmentedBAT, pattern: str) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.likeselect`."""
-    return _subset_op(fb, lambda frag: _kernel.like_mask(frag, pattern))
+    return per_fragment(lambda frag: frag.take_positions(np.nonzero(mask_fn(frag))[0]), fb)
 
 
 # ----------------------------------------------------------------------
@@ -658,21 +714,23 @@ def _gather_windows(
 
 def _dense_window_starts(right: FragmentedBAT) -> Optional[List[int]]:
     """Per-fragment seqbase starts (plus the global end) of a
-    fragmented right operand whose void heads form one contiguous
-    ascending sequence -- exactly the case where its coalesced head
-    would fuse back into a single void column -- or ``None`` when
-    seqbase routing does not apply."""
+    fragmented right operand whose heads are provably dense
+    (:attr:`BAT.hseqbase`, as in :func:`repro.monet.kernel.join`) and
+    form one contiguous ascending sequence -- exactly the case where
+    its coalesced head would be the dense run too -- or ``None`` when
+    seqbase routing does not apply.  An empty fragment proves nothing
+    and owns no position: it starts where the one before it ends."""
+    nonempty = [frag for frag in right.fragments if len(frag)]
+    start = nonempty[0].hseqbase if nonempty else None
+    if start is None:
+        return None
     starts: List[int] = []
-    expected: Optional[int] = None
     for frag in right.fragments:
-        if not frag.hdense:
+        if len(frag) and frag.hseqbase != start:
             return None
-        seqbase = frag.head.seqbase
-        if expected is not None and seqbase != expected:
-            return None
-        starts.append(seqbase)
-        expected = seqbase + len(frag)
-    starts.append(expected)
+        starts.append(start)
+        start += len(frag)
+    starts.append(start)
     return starts
 
 
@@ -680,19 +738,16 @@ def fetchjoin(
     fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> FragmentedBAT:
     """Fragment-parallel positional join against a shared void-headed
-    right operand.  A fragmented dense right stays fragmented: seqbase
+    right operand.  A fragmented void right stays fragmented: seqbase
     arithmetic routes every probe to its owning right fragment, so
     neither side coalesces."""
     if isinstance(right, FragmentedBAT):
         starts = _dense_window_starts(right)
-        if starts is not None:
+        if starts is not None and all(frag.hdense for frag in right.fragments):
             return _fetchjoin_fragmented(fb, right, starts)
-        # Non-contiguous rights coalesce (and may then legitimately
-        # fail the voidness check below).
+        # Anything else coalesces; the kernel insists on a void head.
         right = right.to_bat()
-    if not right.hdense:
-        raise KernelError("fetchjoin requires a void-headed right operand")
-    return _per_fragment(fb, lambda frag: _kernel.fetchjoin(frag, right))
+    return per_fragment(_kernel.fetchjoin, fb, right)
 
 
 def _fetchjoin_fragmented(
@@ -731,7 +786,7 @@ def _fetchjoin_fragmented(
         head = frag.head if keep is None else frag.head.take(keep)
         return BAT(head, _gather_windows(tails, offsets, targets), hkey=frag.hkey)
 
-    return _per_fragment(fb, one)
+    return per_fragment(one, fb)
 
 
 # ----------------------------------------------------------------------
@@ -877,20 +932,16 @@ def _radix_matches(
     nothing = np.empty(0, dtype=np.int64)
     no_match = (nothing, tails[0].take(nothing))
 
-    def probe_parts(frag: BAT) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys, valid = _kernel.join_keys(frag.tail, keyspace)
-        positions = np.nonzero(valid)[0]
-        ids = _kernel.join_partition_ids(keys, fanout)[positions]
-        return keys, positions, ids
+    def probe_parts(frag: BAT) -> Tuple[np.ndarray, List[np.ndarray]]:
+        return _kernel.join_partition_positions(frag.tail, keyspace, fanout)
 
     if spill:
         return _radix_matches_spilled(
             fb, heads, tails, keyspace, fanout, probe_parts, no_match
         )
-    build_keys = [_kernel.join_keys(head, keyspace)[0] for head in heads]
-    # Per-fragment radix splits: NIL-free local positions grouped by
-    # partition.
-    build_parts = map_fragments(
+    # Per-fragment radix splits: keys, and NIL-free local positions
+    # grouped by partition.
+    build = map_fragments(
         lambda head: _kernel.join_partition_positions(head, keyspace, fanout),
         heads,
         len(fb),
@@ -898,7 +949,7 @@ def _radix_matches(
 
     def one_partition(partition: int):
         key_chunks, tail_chunks = [], []
-        for keys, tail, parts in zip(build_keys, tails, build_parts):
+        for (keys, parts), tail in zip(build, tails):
             sel = parts[partition]
             if len(sel):
                 key_chunks.append(keys[sel])
@@ -910,14 +961,10 @@ def _radix_matches(
     def probe_one(frag: BAT) -> Tuple[np.ndarray, AnyColumn]:
         if len(frag) == 0 or build_n == 0:
             return no_match
-        keys, positions, ids = probe_parts(frag)
+        keys, parts = probe_parts(frag)
         position_chunks, tail_chunks = [], []
-        for partition in range(fanout):
-            part = partitions[partition]
-            if part is None:
-                continue
-            sel = positions[ids == partition]
-            if len(sel) == 0:
+        for part, sel in zip(partitions, parts):
+            if part is None or len(sel) == 0:
                 continue
             index, part_tails = part
             pp, bp = _kernel.probe_sorted(keys[sel], index)
@@ -951,11 +998,8 @@ def _radix_matches_spilled(
     units: List[List] = [[] for _ in range(fanout)]  # (build tail, path)
     try:
         for head, tail in zip(heads, tails):
-            keys, valid = _kernel.join_keys(head, keyspace)
-            positions = np.nonzero(valid)[0]
-            ids = _kernel.join_partition_ids(keys, fanout)[positions]
-            for partition in range(fanout):
-                sel = positions[ids == partition]
+            keys, parts = _kernel.join_partition_positions(head, keyspace, fanout)
+            for partition, sel in enumerate(parts):
                 if len(sel) == 0:
                     continue
                 path = _bbp.write_spill_unit(
@@ -964,7 +1008,7 @@ def _radix_matches_spilled(
                     positions=sel,
                 )
                 units[partition].append((tail, path))
-            del keys, valid, positions, ids
+            del keys, parts
         probe_data = map_fragments(probe_parts, fb.fragments, len(fb))
         accum: List[Tuple[List[np.ndarray], List[AnyColumn]]] = [
             ([], []) for _ in fb.fragments
@@ -982,8 +1026,8 @@ def _radix_matches_spilled(
             index, part_tails = part
 
             def probe_into(fragment_index: int):
-                keys, positions, ids = probe_data[fragment_index]
-                sel = positions[ids == partition]
+                keys, parts = probe_data[fragment_index]
+                sel = parts[partition]
                 if len(sel) == 0:
                     return None
                 pp, bp = _kernel.probe_sorted(keys[sel], index)
@@ -1024,15 +1068,41 @@ def join(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     _kernel.check_join_types(fb.ttype, right.htype)
     if isinstance(right, BAT) and right.hseqbase is not None:
         # Positional per fragment: there is no build to share.
-        return _per_fragment(fb, lambda frag: _kernel.join(frag, right))
-    if isinstance(right, FragmentedBAT) and _dense_window_starts(right) is not None:
-        return fetchjoin(fb, right)
+        return per_fragment(_kernel.join, fb, right)
+    if isinstance(right, FragmentedBAT):
+        starts = _dense_window_starts(right)
+        if starts is not None:
+            return _fetchjoin_fragmented(fb, right, starts)
     matches = _grace_matches(fb, right)
     right_hkey = _right_hkey(right)
     fragments = [
         BAT(frag.head.take(probe_positions), tail, hkey=frag.hkey and right_hkey)
         for frag, (probe_positions, tail) in zip(fb.fragments, matches)
     ]
+    return FragmentedBAT(fragments, policy=fb.policy)
+
+
+def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
+    """Fragment-parallel :func:`repro.monet.kernel.outerjoin`:
+    unmatched left BUNs keep NIL tails per fragment, with the matches
+    coming from the shared grace-join build, partitioned and indexed
+    once for the whole probe side; a fragmented right never coalesces.
+    Against a monolithic dense right it runs per fragment: there is no
+    build to share."""
+    if isinstance(right, BAT) and right.hseqbase is not None:
+        return per_fragment(_kernel.outerjoin, fb, right)
+    matches = _grace_matches(fb, right)
+    right_hkey = _right_hkey(right)
+    fragments = []
+    for frag, (probe_positions, tail) in zip(fb.fragments, matches):
+        positions, tail = _kernel.pad_unmatched(len(frag), probe_positions, tail)
+        fragments.append(
+            BAT(
+                _kernel.outer_head(frag.head, positions),
+                tail,
+                hkey=frag.hkey and right_hkey,
+            )
+        )
     return FragmentedBAT(fragments, policy=fb.policy)
 
 
@@ -1102,7 +1172,7 @@ def semijoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedB
     keys partition per fragment, each partition dedupes in parallel,
     and probe fragments test partition-locally."""
     if isinstance(right, BAT) and right.hdense:
-        return _subset_op(fb, lambda frag: _kernel.semijoin_mask(frag, right))
+        return per_fragment(_kernel.semijoin, fb, right)
     return _partitioned_semijoin(fb, right)
 
 
@@ -1121,18 +1191,15 @@ def _partitioned_semijoin(
     fanout = _join_fanout(build_n)
 
     def keyed_parts(column: AnyColumn) -> Tuple[np.ndarray, List[np.ndarray]]:
-        keys, valid = _kernel.join_keys(column, keyspace)
-        positions = np.nonzero(valid)[0]
-        ids = _kernel.join_partition_ids(keys, fanout)[positions]
-        return keys, [positions[ids == partition] for partition in range(fanout)]
+        return _kernel.join_partition_positions(column, keyspace, fanout)
 
-    per_fragment = map_fragments(keyed_parts, columns, len(fb))
-    empty_keys = per_fragment[0][0][:0] if per_fragment else np.empty(0, np.int64)
+    keyed = map_fragments(keyed_parts, columns, len(fb))
+    empty_keys = keyed[0][0][:0] if keyed else np.empty(0, np.int64)
 
     def one_partition(partition: int) -> np.ndarray:
         chunks = [
             keys[parts[partition]]
-            for keys, parts in per_fragment
+            for keys, parts in keyed
             if len(parts[partition])
         ]
         if not chunks:
@@ -1145,11 +1212,8 @@ def _partitioned_semijoin(
         mask = np.zeros(len(frag), dtype=bool)
         if len(frag) == 0 or build_n == 0:
             return mask
-        keys, valid = _kernel.join_keys(frag.head, keyspace)
-        positions = np.nonzero(valid)[0]
-        ids = _kernel.join_partition_ids(keys, fanout)[positions]
-        for partition in range(fanout):
-            sel = positions[ids == partition]
+        keys, parts = _kernel.join_partition_positions(frag.head, keyspace, fanout)
+        for partition, sel in enumerate(parts):
             if len(sel) and len(members[partition]):
                 hits = np.isin(keys[sel], members[partition])
                 mask[sel[hits]] = True
@@ -1163,7 +1227,7 @@ def kdiff(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     (anti-semijoin, comparison NIL rule: NIL heads always survive, so
     the shared build is probed with NIL probes masked out)."""
     if isinstance(right, BAT) and right.hdense:
-        return _subset_op(fb, lambda frag: ~_kernel.semijoin_mask(frag, right))
+        return per_fragment(_kernel.kdiff, fb, right)
     return _member_subset(fb, right, nil_member=False, invert=True)
 
 
@@ -1194,139 +1258,6 @@ def kunion(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT
     if not survivors:
         return fb
     return FragmentedBAT(fb.fragments + survivors, policy=fb.policy)
-
-
-# ----------------------------------------------------------------------
-# Fragment-parallel operators: reconstruction
-# ----------------------------------------------------------------------
-
-
-def mark(fb: FragmentedBAT, base: int = 0) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.mark`: the tail
-    becomes ``base + global BUN position``, continuous across
-    fragments."""
-    return _renumber_tails(fb, base)
-
-
-def _renumber_tails(fb: FragmentedBAT, base: int) -> FragmentedBAT:
-    fragments = [
-        BAT(
-            frag.head,
-            VoidColumn(base + offset, len(frag)),
-            hsorted=frag.hsorted,
-            hkey=frag.hkey,
-        )
-        for frag, offset in zip(fb.fragments, fb.fragment_offsets())
-    ]
-    return FragmentedBAT(fragments, policy=fb.policy)
-
-
-def number(fb: FragmentedBAT, base: int = 0) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.number`: the head
-    becomes ``base + global BUN position`` (``mark`` flipped)."""
-    base = int(base)
-    fragments = [
-        BAT(
-            VoidColumn(base + offset, len(frag)),
-            frag.tail,
-            tsorted=frag.tsorted,
-            tkey=frag.tkey,
-        )
-        for frag, offset in zip(fb.fragments, fb.fragment_offsets())
-    ]
-    return FragmentedBAT(fragments, policy=fb.policy)
-
-
-def reverse(fb: FragmentedBAT) -> FragmentedBAT:
-    """Per-fragment :meth:`repro.monet.bat.BAT.reverse` (O(1) views);
-    fragment boundaries are head/tail-agnostic, so no data moves."""
-    return FragmentedBAT([frag.reverse() for frag in fb.fragments], policy=fb.policy)
-
-
-def mirror(fb: FragmentedBAT) -> FragmentedBAT:
-    """Per-fragment :meth:`repro.monet.bat.BAT.mirror` (O(1) views)."""
-    return FragmentedBAT([frag.mirror() for frag in fb.fragments], policy=fb.policy)
-
-
-def slice_(fb: FragmentedBAT, start: int, stop: int) -> FragmentedBAT:
-    """Fragment-aware :func:`repro.monet.kernel.slice_bat`: the global
-    BUN window [start, stop), intersected with every fragment's range
-    (zero-copy views)."""
-    start = max(0, int(start))
-    stop = max(start, min(len(fb), int(stop)))
-    fragments: List[BAT] = []
-    for frag, offset in zip(fb.fragments, fb.fragment_offsets()):
-        lo = max(start - offset, 0)
-        hi = min(stop - offset, len(frag))
-        if lo < hi:
-            fragments.append(_slice_view(frag, lo, hi))
-    if not fragments:
-        fragments = [_slice_view(fb.fragments[0], 0, 0)]
-    return FragmentedBAT(fragments, policy=fb.policy)
-
-
-def topn(fb: FragmentedBAT, n: int, descending: bool = True) -> BAT:
-    """Fragment-parallel :func:`repro.monet.kernel.topn`.
-
-    Every global top-*n* BUN is a top-*n* BUN of its own fragment, so
-    the candidate selection (the O(count) part) fans out per fragment
-    and only ``nfragments * n`` candidates meet the final monolithic
-    ``topn`` (which also restores the monolithic tie-break by global
-    BUN position).  The result is a small monolithic BAT: top-n ends
-    the fragment-parallel part of a plan by construction."""
-    if n < 0:
-        raise KernelError("topn needs a non-negative n")
-    n = int(n)
-
-    def one(frag: BAT) -> BAT:
-        pos = _kernel.topn_positions(frag, min(n, len(frag)), descending=descending)
-        # Candidates back in BUN order: the final topn's tie-break is
-        # positional.
-        return frag.take_positions(np.sort(pos))
-
-    candidates = _concat_fragments(map_fragments(one, fb.fragments, len(fb)))
-    return _kernel.topn(candidates, n, descending=descending)
-
-
-def const(fb: FragmentedBAT, atom_name: str, value: Any) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.const_bat`."""
-    return _per_fragment(fb, lambda frag: _kernel.const_bat(frag, atom_name, value))
-
-
-def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.outerjoin`:
-    unmatched left BUNs keep NIL tails per fragment, with the matches
-    coming from the shared grace-join build.  The build is partitioned
-    and indexed once for the whole probe side (the previous
-    per-fragment ``outerjoin_parts`` calls re-indexed the right operand
-    once per probe fragment), and a fragmented right never coalesces.
-    A monolithic dense right keeps the direct seqbase path: it has no
-    build to share."""
-    if isinstance(right, BAT) and right.hseqbase is not None:
-
-        def one(frag: BAT) -> BAT:
-            left_positions, tail = _kernel.outerjoin_parts(frag, right)
-            return BAT(
-                _kernel.outer_head(frag.head, left_positions),
-                tail,
-                hkey=frag.hkey and right.hkey,
-            )
-
-        return _per_fragment(fb, one)
-
-    matches = _grace_matches(fb, right)
-    right_hkey = _right_hkey(right)
-    fragments = []
-    for frag, (probe_positions, tail) in zip(fb.fragments, matches):
-        positions, tail = _kernel.pad_unmatched(len(frag), probe_positions, tail)
-        fragments.append(
-            BAT(
-                _kernel.outer_head(frag.head, positions),
-                tail,
-                hkey=frag.hkey and right_hkey,
-            )
-        )
-    return FragmentedBAT(fragments, policy=fb.policy)
 
 
 # ----------------------------------------------------------------------
@@ -1365,7 +1296,7 @@ def _first_appearance_ids(keys: Sequence[np.ndarray], gpos: np.ndarray) -> np.nd
 
 def _relabel(
     fb: FragmentedBAT,
-    per_fragment: List[Tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]],
+    reports: List[Tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]],
 ) -> FragmentedBAT:
     """The serial merge and parallel relabel shared by :func:`group` and
     :func:`refine`: every fragment reports its distinct keys, their
@@ -1373,17 +1304,18 @@ def _relabel(
     (``(keys, gpos, codes)``); the merge numbers the distinct keys by
     first global appearance and each fragment maps its codes."""
     ids = _first_appearance_ids(
-        [np.concatenate(parts) for parts in zip(*(keys for keys, _, _ in per_fragment))],
-        np.concatenate([gpos for _, gpos, _ in per_fragment]),
+        [np.concatenate(parts) for parts in zip(*(keys for keys, _, _ in reports))],
+        np.concatenate([gpos for _, gpos, _ in reports]),
     )
-    bounds = np.cumsum([0] + [len(gpos) for _, gpos, _ in per_fragment])
+    bounds = np.cumsum([0] + [len(gpos) for _, gpos, _ in reports])
 
     def assign(indexed: Tuple[int, BAT]) -> BAT:
         index, frag = indexed
-        local = ids[bounds[index]: bounds[index + 1]][per_fragment[index][2]]
+        local = ids[bounds[index]: bounds[index + 1]][reports[index][2]]
         return BAT(frag.head, Column("oid", local), hsorted=frag.hsorted, hkey=frag.hkey)
 
-    return _per_fragment(fb, assign, enumerate(fb.fragments))
+    results = map_fragments(assign, enumerate(fb.fragments), len(fb))
+    return FragmentedBAT(results, policy=fb.policy)
 
 
 def group(fb: FragmentedBAT) -> FragmentedBAT:
@@ -1553,6 +1485,29 @@ def tsort(fb: FragmentedBAT) -> FragmentedBAT:
     return reverse(sort(reverse(fb)))
 
 
+def topn(fb: FragmentedBAT, n: int, descending: bool = True) -> BAT:
+    """Fragment-parallel :func:`repro.monet.kernel.topn`.
+
+    Every global top-*n* BUN is a top-*n* BUN of its own fragment, so
+    the candidate selection (the O(count) part) fans out per fragment
+    and only ``nfragments * n`` candidates meet the final monolithic
+    ``topn`` (which also restores the monolithic tie-break by global
+    BUN position).  The result is a small monolithic BAT: top-n ends
+    the fragment-parallel part of a plan by construction."""
+    if n < 0:
+        raise KernelError("topn needs a non-negative n")
+    n = int(n)
+
+    def one(frag: BAT) -> BAT:
+        pos = _kernel.topn_positions(frag, min(n, len(frag)), descending=descending)
+        # Candidates back in BUN order: the final topn's tie-break is
+        # positional.
+        return frag.take_positions(np.sort(pos))
+
+    candidates = _concat_fragments(map_fragments(one, fb.fragments, len(fb)))
+    return _kernel.topn(candidates, n, descending=descending)
+
+
 def _nondecreasing(values: np.ndarray) -> bool:
     """Cheap actual-sortedness check (a NaN anywhere fails it, which
     just means the fragment sorts -- correctness over shortcut)."""
@@ -1611,8 +1566,8 @@ def _first_global_occurrences(
         gpos = fb.global_positions(index)
         return [key[firsts] for key in keys] + [gpos[firsts]]
 
-    per_fragment = map_fragments(candidates, enumerate(fb.fragments), len(fb))
-    *key_arrays, gpos = [np.concatenate(parts) for parts in zip(*per_fragment)]
+    reports = map_fragments(candidates, enumerate(fb.fragments), len(fb))
+    *key_arrays, gpos = [np.concatenate(parts) for parts in zip(*reports)]
     order, new_block = _distinct_blocks(key_arrays, gpos)
     return np.sort(gpos[order[new_block]])
 
@@ -1628,116 +1583,39 @@ def _keep_positions(fb: FragmentedBAT, keep: np.ndarray) -> FragmentedBAT:
         hi = np.searchsorted(keep, offsets[index + 1], side="left")
         return frag.take_positions(keep[lo:hi] - offsets[index])
 
-    return _per_fragment(fb, one, enumerate(fb.fragments))
+    results = map_fragments(one, enumerate(fb.fragments), len(fb))
+    return FragmentedBAT(results, policy=fb.policy)
 
 
 def refine(
-    grouping: FragmentedBAT, bat: Union[BAT, FragmentedBAT]
+    grouping: Union[BAT, FragmentedBAT], bat: Union[BAT, FragmentedBAT]
 ) -> Union[BAT, FragmentedBAT]:
     """Fragment-parallel :func:`repro.monet.groups.refine`: the same
     two parallel passes around a tiny serial merge as :func:`group`,
-    over (old group id, value) pairs.  A monolithic *bat* operand is
-    window-sliced to the grouping's fragments; anything misaligned
-    falls back to the monolithic refine over coalesced views."""
+    over (old group id, value) pairs of the operands aligned by
+    :func:`align`; misaligned operands fall back to the monolithic
+    refine over coalesced views."""
     from repro.monet import groups as _groups
 
-    if isinstance(bat, BAT):
-        if len(bat) == len(grouping):
-            offsets = grouping.fragment_offsets()
-            bat = FragmentedBAT(
-                [
-                    _slice_view(bat, offsets[k], offsets[k + 1])
-                    for k in range(grouping.nfragments)
-                ],
-                policy=grouping.policy,
-            )
-        else:
-            return _groups.refine(coalesce(grouping), bat)
-    if not same_fragmentation(grouping, bat):
+    aligned = align([grouping, bat])
+    if aligned is None:
         return _groups.refine(coalesce(grouping), coalesce(bat))
-    keys_of = _kernel.key_space(*(frag.tail for frag in bat.fragments))
+    reference, parts = aligned
+    keys_of = _kernel.key_space(*(value_frag.tail for _, value_frag in parts))
 
-    def local(indexed: Tuple[int, Tuple[BAT, BAT]]):
-        index, (group_frag, value_frag) = indexed
+    def local(index: int):
+        group_frag, value_frag = parts[index]
         old = group_frag.tail_values().astype(np.int64, copy=False)
-        value_keys = keys_of(value_frag.tail)
-        order = np.lexsort((value_keys, old))
-        sorted_old = old[order]
-        sorted_values = value_keys[order]
-        new_block = np.zeros(len(order), dtype=bool)
-        new_block[:1] = True
-        new_block[1:] = (sorted_old[1:] != sorted_old[:-1]) | (
-            sorted_values[1:] != sorted_values[:-1]
-        )
-        starts = np.nonzero(new_block)[0]
+        keys = (old, keys_of(value_frag.tail))
+        gpos = reference.global_positions(index)
+        order, new_block = _distinct_blocks(keys, gpos)
         codes = np.empty(len(order), dtype=np.int64)
         codes[order] = np.cumsum(new_block) - 1
-        # Stable lexsort keeps each block in local (therefore global)
-        # position order, so the block start is the minimal position.
-        gpos = grouping.global_positions(index)[order[starts]]
-        return (sorted_old[starts], sorted_values[starts]), gpos, codes
+        firsts = order[new_block]
+        return tuple(key[firsts] for key in keys), gpos[firsts], codes
 
-    return _relabel(
-        grouping,
-        map_fragments(
-            local, enumerate(zip(grouping.fragments, bat.fragments)), len(grouping)
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-# Fragment-parallel multiplex
-# ----------------------------------------------------------------------
-
-
-def same_fragmentation(a: FragmentedBAT, b: FragmentedBAT) -> bool:
-    """True when *a* and *b* cover the same BUNs with identical
-    fragment boundaries (the precondition for per-fragment positional
-    alignment)."""
-    return a.fragment_offsets() == b.fragment_offsets()
-
-
-def coalesce(value: Any) -> Any:
-    """FragmentedBAT -> monolithic BAT; anything else passes through."""
-    return value.to_bat() if isinstance(value, FragmentedBAT) else value
-
-
-def multiplex(op: str, *operands: Any):
-    """Fragment-parallel :func:`repro.monet.multiplex.multiplex`.
-
-    Runs per fragment when every FragmentedBAT operand shares one
-    fragmentation; monolithic BAT operands are positionally sliced to
-    the fragment windows.  Any misalignment falls back to the
-    monolithic multiplex over coalesced operands."""
-    from repro.monet.multiplex import multiplex as monolithic_multiplex
-
-    fbs = [x for x in operands if isinstance(x, FragmentedBAT)]
-    if not fbs:
-        return monolithic_multiplex(op, *operands)
-    ref = fbs[0]
-    aligned = all(same_fragmentation(ref, fb) for fb in fbs[1:])
-    plain_bats = [x for x in operands if isinstance(x, BAT)]
-    # Monolithic operands are positionally window-sliced, which is only
-    # meaningful for equal lengths; anything else coalesces so the
-    # monolithic multiplex applies its own alignment guards
-    # (length/seqbase mismatches must keep raising).
-    sliceable = all(len(x) == len(ref) for x in plain_bats)
-    if not aligned or not sliceable:
-        return monolithic_multiplex(op, *(coalesce(x) for x in operands))
-    offsets = ref.fragment_offsets()
-
-    def one(k: int) -> BAT:
-        frag_operands = []
-        for x in operands:
-            if isinstance(x, FragmentedBAT):
-                frag_operands.append(x.fragments[k])
-            elif isinstance(x, BAT):
-                frag_operands.append(_slice_view(x, offsets[k], offsets[k + 1]))
-            else:
-                frag_operands.append(x)
-        return monolithic_multiplex(op, *frag_operands)
-
-    return _per_fragment(ref, one, range(ref.nfragments))
+    grouping = FragmentedBAT([group_frag for group_frag, _ in parts], policy=reference.policy)
+    return _relabel(grouping, map_fragments(local, range(len(parts)), len(reference)))
 
 
 # ----------------------------------------------------------------------
@@ -1789,7 +1667,7 @@ def fold_tail(
             continue
         if fragment.windows is None or fragment.windows[0] != target:
             views = [
-                _slice_view(fragment, start, min(start + target, len(fragment)))
+                fragment.slice(start, start + target)
                 for start in range(0, len(fragment), target)
             ]
             fragment.windows = (target, views)
@@ -1854,194 +1732,3 @@ def refragment(
     if folded.nfragments <= max(4, 4 * ideal):
         return folded
     return fragment_bat(folded.to_bat(), policy)
-
-
-# ----------------------------------------------------------------------
-# Fragment-parallel aggregates
-# ----------------------------------------------------------------------
-
-
-def count(fb: FragmentedBAT) -> int:
-    """Fragment count aggregate (trivially the sum of fragment sizes)."""
-    return len(fb)
-
-
-def sum_(fb: FragmentedBAT) -> Any:
-    """Fragment-parallel :func:`repro.monet.aggregates.sum_`."""
-    total = sum(map_fragments(_agg.sum_, fb.fragments, len(fb)))
-    return float(total) if fb.ttype == "dbl" else int(total)
-
-
-def max_(fb: FragmentedBAT) -> Any:
-    """Fragment-parallel :func:`repro.monet.aggregates.max_`."""
-    return _scalar_extreme(fb, maximum=True)
-
-
-def min_(fb: FragmentedBAT) -> Any:
-    """Fragment-parallel :func:`repro.monet.aggregates.min_`."""
-    return _scalar_extreme(fb, maximum=False)
-
-
-def _scalar_extreme(fb: FragmentedBAT, *, maximum: bool) -> Any:
-    monolithic = _agg.max_ if maximum else _agg.min_
-    partials = [
-        p for p in map_fragments(monolithic, fb.fragments, len(fb)) if p is not None
-    ]
-    if not partials:
-        return None
-    if fb.ttype == "dbl":
-        # np.max/np.min propagate NaN (dbl NIL) like the monolithic
-        # kernel; Python's max()/min() would drop it order-dependently.
-        reduced = np.max(np.asarray(partials, dtype=np.float64)) if maximum else np.min(
-            np.asarray(partials, dtype=np.float64)
-        )
-        return float(reduced)
-    return max(partials) if maximum else min(partials)
-
-
-def avg(fb: FragmentedBAT) -> Optional[float]:
-    """Fragment-parallel :func:`repro.monet.aggregates.avg` via partial
-    (sum, count) pairs."""
-    _agg._require_numeric(fb.fragments[0], "avg")
-
-    def one(frag: BAT) -> Tuple[float, int]:
-        tails = frag.tail_values()
-        return (float(tails.sum()) if len(tails) else 0.0, len(tails))
-
-    partials = map_fragments(one, fb.fragments, len(fb))
-    total = sum(p[0] for p in partials)
-    n = sum(p[1] for p in partials)
-    return total / n if n else None
-
-
-def _pump(
-    values: FragmentedBAT,
-    grouping: FragmentedBAT,
-    n_groups: Optional[int],
-    partial: Callable[[BAT, BAT, int], Any],
-    combine: Callable[[List[Any]], np.ndarray],
-    atom_name: Optional[str] = None,
-) -> BAT:
-    """The partial-and-combine shape of the pump aggregates:
-    ``partial(value fragment, group fragment, n_groups)`` per aligned
-    fragment pair, ``combine(partials)`` into one value per group.
-    The result tail is *atom_name*, by default the values' own kind
-    (``int`` stays ``int`` -- a NaN, the empty group, becomes the int
-    NIL -- anything else is ``dbl``)."""
-    if not same_fragmentation(values, grouping):
-        raise KernelError(
-            "fragmented pump aggregate requires identically fragmented "
-            "values and grouping"
-        )
-    size = n_groups
-    if size is None:
-        size = 1 + max(
-            map_fragments(
-                lambda frag: int(frag.tail_values().max()) if len(frag) else -1,
-                grouping.fragments,
-                len(values),
-            )
-        )
-    out = combine(
-        map_fragments(
-            lambda pair: partial(*pair, size),
-            zip(values.fragments, grouping.fragments),
-            len(values),
-        )
-    )
-    if (atom_name or values.ttype) == "int":
-        ints = np.where(np.isnan(out), np.iinfo(np.int64).min, out).astype(np.int64)
-        return BAT(VoidColumn(0, size), Column("int", ints))
-    return BAT(VoidColumn(0, size), Column("dbl", np.asarray(out, dtype=np.float64)))
-
-
-def _add(partials: List[np.ndarray]) -> np.ndarray:
-    return np.sum(partials, axis=0)
-
-
-def grouped_sum(
-    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
-) -> BAT:
-    """Fragment-parallel ``{sum}``: per-fragment partial sums combined
-    by addition."""
-    return _pump(
-        values,
-        grouping,
-        n_groups,
-        lambda v, g, size: _agg.grouped_sum(v, g, size).tail_values(),
-        _add,
-    )
-
-
-def grouped_count(
-    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
-) -> BAT:
-    """Fragment-parallel ``{count}``."""
-    return _pump(
-        values,
-        grouping,
-        n_groups,
-        lambda v, g, size: _agg.grouped_count(v, g, size).tail_values(),
-        _add,
-        "int",
-    )
-
-
-def grouped_max(
-    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
-) -> BAT:
-    """Fragment-parallel ``{max}``; empty groups keep their NIL."""
-    return _grouped_extreme(values, grouping, n_groups, np.maximum, -np.inf)
-
-
-def grouped_min(
-    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
-) -> BAT:
-    """Fragment-parallel ``{min}``; empty groups keep their NIL."""
-    return _grouped_extreme(values, grouping, n_groups, np.minimum, np.inf)
-
-
-def _grouped_extreme(values, grouping, n_groups, ufunc, identity) -> BAT:
-    _agg._require_numeric(values.fragments[0], "{extreme}")
-
-    # Partials mirror the monolithic kernel exactly: an NaN member
-    # poisons its group (np.maximum/np.minimum propagate it, unlike
-    # fmax/fmin), and a group empty everywhere stays at the +-inf
-    # identity, which the monolithic isinf -> NIL rule then catches.
-    def partial(value_frag: BAT, group_frag: BAT, size: int) -> np.ndarray:
-        ids = _agg._aligned_group_ids(value_frag, group_frag)
-        out = np.full(size, identity, dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # NaN members poison their group
-            ufunc.at(out, ids, value_frag.tail_values().astype(np.float64))
-        return out
-
-    def combine(partials: List[np.ndarray]) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            out = ufunc.reduce(partials, axis=0)
-        out[np.isinf(out)] = np.nan  # empty group -> dbl NIL
-        return out
-
-    return _pump(values, grouping, n_groups, partial, combine)
-
-
-def grouped_avg(
-    values: FragmentedBAT, grouping: FragmentedBAT, n_groups: Optional[int] = None
-) -> BAT:
-    """Fragment-parallel ``{avg}`` via partial (sum, count) pairs."""
-    _agg._require_numeric(values.fragments[0], "{avg}")
-
-    def partial(value_frag: BAT, group_frag: BAT, size: int):
-        ids = _agg._aligned_group_ids(value_frag, group_frag)
-        tails = value_frag.tail_values().astype(np.float64)
-        return (
-            np.bincount(ids, weights=tails, minlength=size),
-            np.bincount(ids, minlength=size),
-        )
-
-    def combine(partials) -> np.ndarray:
-        sums = np.sum([p[0] for p in partials], axis=0)
-        counts = np.sum([p[1] for p in partials], axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return sums / counts
-
-    return _pump(values, grouping, n_groups, partial, combine, "dbl")

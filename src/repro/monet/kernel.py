@@ -33,13 +33,14 @@ padding) picks its algorithm from what the operands already *prove* --
 property flags and column kinds, O(1) to read, plus by-products of work
 the chosen arm does anyway (the range check, the match count) -- never
 from a knob.  First matching row wins; the last column is what the
-fragmented join (:func:`repro.monet.fragments.join`) does on the same
-row, with the arm chosen once from the whole build side:
+fragmented join (:func:`repro.monet.fragments.join`, the body of the
+``BUILD_PROBE`` rule in :mod:`repro.monet.mil.builtins`) does on the
+same row, with the arm chosen once from the whole build side:
 
 ============================  ==========================  ====================
 condition                     arm                         fragmented join
 ============================  ==========================  ====================
-right head provably dense     positional: the build       per probe fragment;
+right head provably dense     positional: the build       ``PER_FRAGMENT``;
 (:attr:`BAT.hseqbase`: void,  position is                 a fragmented dense
 or int/oid flagged sorted +   ``value - seqbase``         right routes by
 key with span == count - 1)   (:func:`fetch_positions`)   seqbase windows
@@ -64,9 +65,9 @@ the code space                own index, built at its     held indexes, one per
                               first join and kept on the  fragment version
                               column version              (*parts*), probed
                               (:func:`held_match_index`;  with one translation
-                              ``CollectionStats.idf_bat`` of the probe
-                              and a stored term column    fragment's distinct
-                              are indexed once)           values
+                              the stats' ``idf_bat`` and  of the probe
+                              a stored term column are    fragment's distinct
+                              indexed once)               values
 numeric keys, non-NIL build   code space ``key - lo``     one shared index
 keys integral and spanning    (``"span"``): a probe       over the build
 ``hi - lo < 2 * count``       has a code only if it is    fragments in BUN
@@ -111,18 +112,19 @@ integer key per value, chosen by the atom alone: a str column is read
 only through its codes into its heap
 (:class:`~repro.monet.bat.StrColumn`), never value by value.  This
 table and the join table above are the one place an operator's sort,
-dedup or predicate arm is declared:
+dedup or predicate arm is declared; its last column names the fragment
+rule (:class:`repro.monet.mil.builtins.Rule`) each family maps to:
 
 =====================  ==========================  ========================
 operator family        key                         fragmented
 =====================  ==========================  ========================
-order: ``sort``,       numbers: the value          per-fragment sorted runs
-``tsort``, ``topn``    (:func:`_topn_sort_keys`    meet in the sample-sort
-                       its total-order image);     merge over the same
-                       str: the rank of the code   keys: runs and partition
-                       (:func:`order_keys`: the    merges by the same
-                       values in use sorted once   primitive; topn
-                       per call), NIL ranked       candidates per fragment
+order: ``sort``,       numbers: the value          ``RECEIVER`` rule, the
+``tsort``, ``topn``    (:func:`_topn_sort_keys`    sample-sort merge: runs
+                       its total-order image);     sorted per fragment,
+                       str: the rank of the code   partitions merged by the
+                       (:func:`order_keys`: the    same keys and primitive;
+                       values in use sorted once   topn candidates per
+                       per call), NIL ranked       fragment
                        above every string.  A
                        stable order is always
                        :func:`stable_order`: int
@@ -135,24 +137,26 @@ order: ``sort``,       numbers: the value          per-fragment sorted runs
                        unstable sort; the rest
                        (dbl, a wider span) by
                        the stable argsort
-identity: ``unique``,  numbers: the value's        distinct keys per
-``kunique``,           integer image, all NaN one  fragment, one serial
-``tunique``,           key (:func:`dedup_keys`);   merge by first global
-``group``,             str: the code, NIL -1       position; membership
-``refine``,                                        builds once
-``kunion``,
-``kintersect``, pump
-alignment
-comparison:            numbers: the values;        per fragment: the mask
-``select``,            str: the predicate once     needs no shared key
-``uselect``,           per distinct value,         space
+identity: ``unique``,  numbers: the value's        ``RECEIVER`` rule, the
+``kunique``,           integer image, all NaN one  first-occurrence merge:
+``tunique``,           key (:func:`dedup_keys`);   distinct keys per
+``group``,             str: the code, NIL -1       fragment, one serial
+``refine``,                                        merge by first global
+``kunion``,                                        position (membership
+``kintersect``, pump                               builds once); ``refine``
+alignment                                          ``ALIGNED``; the pumps
+                                                   ``REDUCE``
+comparison:            numbers: the values;        ``PER_FRAGMENT`` rule:
+``select``,            str: the predicate once     the mask needs no
+``uselect``,           per distinct value,         shared key space
 ``likeselect``         gathered by code; NIL
                        never qualifies, not even
                        an open range
                        (:func:`nil_mask`)
-comparison:            the identity keys above,    radix-partitioned
-``semijoin``,          NIL masked on both sides    keys (semijoin); one
-``kdiff``                                          shared build (kdiff)
+comparison:            the identity keys above,    ``BUILD_PROBE`` rule:
+``semijoin``,          NIL masked on both sides    radix-partitioned keys
+``kdiff``                                          (semijoin); one shared
+                                                   build (kdiff)
 =====================  ==========================  ========================
 
 For str there is **one heap per stored column; two heaps translate
@@ -965,14 +969,14 @@ def join_partition_ids(keys: np.ndarray, fanout: int) -> np.ndarray:
 
 def join_partition_positions(
     column: AnyColumn, keys_of: KeyFunction, fanout: int
-) -> List[np.ndarray]:
-    """Radix split of one fragment: the fragment's local BUN positions
-    grouped by join-key partition, NIL keys dropped up front
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Radix split of one fragment: its join keys, and its local BUN
+    positions grouped by join-key partition, NIL keys dropped up front
     (comparison rule)."""
     keys, valid = join_keys(column, keys_of)
     positions = np.nonzero(valid)[0].astype(np.int64)
     ids = join_partition_ids(keys, fanout)[positions]
-    return [positions[ids == partition] for partition in range(fanout)]
+    return keys, [positions[ids == partition] for partition in range(fanout)]
 
 
 # ----------------------------------------------------------------------
@@ -999,15 +1003,17 @@ def select(
     a ``None`` bound means unbounded on that side).
     """
     if high is _UNSET:
-        return _select_equal(bat, low)
-    return _select_range(bat, low, high, include_low, include_high)
+        mask = equal_mask(bat, low)
+    else:
+        mask = range_mask(bat, low, high, include_low, include_high)
+    return bat.take_positions(np.nonzero(mask)[0])
 
 
 def equal_mask(bat: BAT, value: Any) -> np.ndarray:
     """Boolean mask of BUNs whose tail equals *value* (the predicate of
-    the equality :func:`select`, reusable by fragmented execution).
-    NIL equals nothing, a NIL *value* included: a str NIL has no code,
-    and a numeric one matches no BUN by construction."""
+    the equality :func:`select`).  NIL equals nothing, a NIL *value*
+    included: a str NIL has no code, and a numeric one matches no BUN
+    by construction."""
     if value is _UNSET:
         raise KernelError("select needs a value or range")
     if len(bat) == 0:
@@ -1052,22 +1058,7 @@ def range_mask(
     return mask
 
 
-def like_mask(bat: BAT, pattern: str) -> np.ndarray:
-    """Boolean mask of BUNs whose str tail contains *pattern* (tested
-    once per distinct value)."""
-    if bat.ttype != "str":
-        raise KernelError("likeselect requires a str tail")
-    return _str_mask(
-        bat.tail,
-        lambda values: np.fromiter(
-            map(operator.contains, values, itertools.repeat(pattern)),
-            dtype=bool,
-            count=len(values),
-        ),
-    )
-
-
-def semijoin_mask(left: BAT, right: BAT) -> np.ndarray:
+def _semijoin_mask(left: BAT, right: BAT) -> np.ndarray:
     """Boolean mask of left BUNs whose head occurs among right's heads
     (shared predicate of :func:`semijoin` and :func:`kdiff`)."""
     if right.hdense and not _is_str(left.head):
@@ -1078,18 +1069,6 @@ def semijoin_mask(left: BAT, right: BAT) -> np.ndarray:
     return member_mask(left.head, right.head, nil_member=False)
 
 
-def _select_equal(bat: BAT, value: Any) -> BAT:
-    return bat.take_positions(np.nonzero(equal_mask(bat, value))[0])
-
-
-def _select_range(
-    bat: BAT, low: Any, high: Any, include_low: bool, include_high: bool
-) -> BAT:
-    return bat.take_positions(
-        np.nonzero(range_mask(bat, low, high, include_low, include_high))[0]
-    )
-
-
 def uselect(
     bat: BAT,
     low: Any,
@@ -1098,27 +1077,31 @@ def uselect(
     include_low: bool = True,
     include_high: bool = True,
 ) -> BAT:
-    """Like :func:`select` but the result tail is void (head-set result).
+    """Like :func:`select` but the result tail is void (head-set
+    result): ``select`` then ``mark(0)``.
 
     Monet uses ``uselect`` when only the qualifying heads matter; the
     caller typically follows with ``.mirror()`` and a join.
     """
-    if high is _UNSET:
-        selected = _select_equal(bat, low)
-    else:
-        selected = _select_range(bat, low, high, include_low, include_high)
-    return BAT(
-        selected.head,
-        VoidColumn(0, len(selected)),
-        hsorted=selected.hsorted,
-        hkey=selected.hkey,
+    return mark(
+        select(bat, low, high, include_low=include_low, include_high=include_high)
     )
 
 
 def likeselect(bat: BAT, pattern: str) -> BAT:
     """Substring selection on string tails (Monet's ``likeselect`` with a
-    ``%pattern%`` shape)."""
-    return bat.take_positions(np.nonzero(like_mask(bat, pattern))[0])
+    ``%pattern%`` shape); each distinct value is tested once."""
+    if bat.ttype != "str":
+        raise KernelError("likeselect requires a str tail")
+    mask = _str_mask(
+        bat.tail,
+        lambda values: np.fromiter(
+            map(operator.contains, values, itertools.repeat(pattern)),
+            dtype=bool,
+            count=len(values),
+        ),
+    )
+    return bat.take_positions(np.nonzero(mask)[0])
 
 
 # ----------------------------------------------------------------------
@@ -1207,26 +1190,6 @@ def fetchjoin(left: BAT, right: BAT) -> BAT:
     return _positional_join(left, right, right.head.seqbase)
 
 
-def outerjoin_parts(left: BAT, right: BAT) -> Tuple[np.ndarray, AnyColumn]:
-    """The (left BUN positions, tail column) of the left outer join in
-    output order.  Exposed separately so fragmented execution can
-    gather each fragment's result heads from its left rows;
-    :func:`outerjoin` is the plain packaging.
-
-    NIL probes (NaN/None left tails) never match and therefore survive
-    with NIL tails, like any other unmatched left BUN.
-    """
-    seqbase = right.hseqbase
-    if seqbase is not None:
-        kept, build_positions = fetch_positions(
-            left.tail_values(), seqbase, len(right)
-        )
-        probe_positions = _positions(len(left)) if kept is None else kept
-    else:
-        probe_positions, build_positions = _match_columns(left.tail, right.head)
-    return pad_unmatched(len(left), probe_positions, right.tail.take(build_positions))
-
-
 def pad_unmatched(
     count: int, probe_positions: np.ndarray, matched: AnyColumn
 ) -> Tuple[np.ndarray, AnyColumn]:
@@ -1255,8 +1218,22 @@ def outer_head(head: AnyColumn, left_positions: np.ndarray) -> AnyColumn:
 
 
 def outerjoin(left: BAT, right: BAT) -> BAT:
-    """Left outer join: unmatched left BUNs survive with NIL tails."""
-    left_positions, tail = outerjoin_parts(left, right)
+    """Left outer join: unmatched left BUNs survive with NIL tails.
+
+    NIL probes (NaN/None left tails) never match and therefore survive
+    with NIL tails, like any other unmatched left BUN.
+    """
+    seqbase = right.hseqbase
+    if seqbase is not None:
+        kept, build_positions = fetch_positions(
+            left.tail_values(), seqbase, len(right)
+        )
+        probe_positions = _positions(len(left)) if kept is None else kept
+    else:
+        probe_positions, build_positions = _match_columns(left.tail, right.head)
+    left_positions, tail = pad_unmatched(
+        len(left), probe_positions, right.tail.take(build_positions)
+    )
     head = outer_head(left.head, left_positions)
     return BAT(head, tail, hkey=left.hkey and right.hkey)
 
@@ -1264,13 +1241,13 @@ def outerjoin(left: BAT, right: BAT) -> BAT:
 def semijoin(left: BAT, right: BAT) -> BAT:
     """BUNs of *left* whose **head** occurs among *right*'s heads
     (Monet ``semijoin``)."""
-    return left.take_positions(np.nonzero(semijoin_mask(left, right))[0])
+    return left.take_positions(np.nonzero(_semijoin_mask(left, right))[0])
 
 
 def kdiff(left: BAT, right: BAT) -> BAT:
     """BUNs of *left* whose head does **not** occur in *right*'s heads
     (Monet ``kdiff``; the anti-semijoin)."""
-    return left.take_positions(np.nonzero(~semijoin_mask(left, right))[0])
+    return left.take_positions(np.nonzero(~_semijoin_mask(left, right))[0])
 
 
 def kintersect(left: BAT, right: BAT) -> BAT:

@@ -3,36 +3,49 @@
 Each builtin is a row of :data:`BUILTINS` under its MIL name and may be
 invoked both function-style (``join(a, b)``) and method-style
 (``a.join(b)``); the receiver becomes the first operand, exactly like
-MIL.  The pump aggregates are rows too, under the name MIL spells them
-with (``{sum}``).  A row says everything the system knows about its
+MIL.  The pump aggregates are rows under the name MIL spells them with
+(``{sum}``), and multiplex is the row ``[op]``, the operator name its
+first operand.  A row says everything the system knows about its
 operator: the signature text of the arity error, how many operands are
 required and what each accepted operand must be (a BAT, a scalar to
-coerce, anything), the monolithic implementation
-(:mod:`repro.monet.kernel` / ``groups`` / ``aggregates``), the
-fragment-parallel one in :mod:`repro.monet.fragments` (or ``None``),
-and when the fragment-parallel one applies.  Adding an operator is
-adding a row.
+coerce, anything), its kernel function, and its fragment rule -- how it
+runs when an operand is a :class:`~repro.monet.fragments.FragmentedBAT`
+(:class:`Rule`; the condition under which each runs in brackets):
+
+* *per fragment* (a fragmented receiver): the kernel function on every
+  fragment (:func:`~repro.monet.fragments.per_fragment`), with the
+  row's declaration of a global position -- a result column numbered
+  across fragments (``mark``, ``number``, ``uselect``) or a BUN window
+  clipped per fragment (``slice``); a *view* row's kernel function is
+  an O(1) view and runs on the calling thread (``reverse``, ``mirror``,
+  ``mark``, ``number``, ``slice``);
+* *aligned* (operands cut alike, :func:`~repro.monet.fragments.align`):
+  the kernel function on every fragment's operands (``[op]``), or the
+  row's body over them (``refine``);
+* *reduce* (operands cut alike, and a pump's value and grouping heads
+  equal position by position): the row's
+  :class:`~repro.monet.aggregates.Aggregate`, partial per fragment,
+  combine, finish (:func:`~repro.monet.fragments.reduce`);
+* *build-probe* (any fragmented operand; a monolithic receiver is
+  fragmented on the fly, because the grace-join family consumes a
+  fragmented right operand without coalescing it): the row's body in
+  :mod:`repro.monet.fragments`;
+* *fragmented receiver*: the row's body -- the order and identity
+  merges, ``insert``'s delta tail;
+* *monolithic only* (``group_sizes``, ``{prod}``, the scalar
+  functions).
 
 :func:`invoke_builtin` is the one driver.  It checks arity, type-checks
 the BAT operands and coerces the scalars *before* choosing a path -- so
-a mistake raises the same :class:`MILRuntimeError` whether the receiver
+a mistake raises the same :class:`MILRuntimeError` whether an operand
 is monolithic or fragmented, never a bare ``TypeError``/``ValueError``/
-``AttributeError`` from inside an implementation -- then routes: to the
-fragment-parallel implementation when the row has one and its ``when``
-condition holds (re-fragmenting a drifted
-:class:`~repro.monet.fragments.FragmentedBAT` result under the active
-:class:`~repro.monet.fragments.FragmentationPolicy`), otherwise to the
-monolithic one over coalesced operands (cached, at most once per BAT),
-so every MIL program stays valid over fragmented BATs.  The
-order-sensitive operators (``sort``/``tsort``,
-``unique``/``kunique``/``tunique``, ``refine``) and the set operators
-have fragment-parallel rows, so a pipeline containing them still
-coalesces only at result return; the few without one
-(``group_sizes``, ``group_representatives``, ``{prod}``, ...) coalesce.
-
-The policy says how BATs split, never where they run: every
-fragment-parallel implementation fans out through
-:func:`repro.monet.fragments.map_fragments`.
+``AttributeError`` from inside an implementation -- then fans a call
+with a fragmented operand out through :func:`fan_out` (re-fragmenting
+a drifted result under the active
+:class:`~repro.monet.fragments.FragmentationPolicy`).  Where the rule's
+condition does not hold, the kernel function runs on coalesced operands
+(cached, at most once per BAT), so every MIL program stays valid over
+fragmented BATs.
 """
 
 from __future__ import annotations
@@ -45,16 +58,39 @@ from repro.monet import aggregates, fragments, groups, kernel
 from repro.monet.bat import BAT, bat_from_pairs, empty_bat
 from repro.monet.errors import MILRuntimeError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
+from repro.monet.multiplex import multiplex
 
-#: ``Builtin.when`` -- the condition under which the fragment-parallel
-#: implementation runs.  RECEIVER: the receiver is fragmented (every
-#: implementation accepts monolithic or fragmented right operands).
-#: ANY_OPERAND: any BAT operand is -- a monolithic receiver is
-#: fragmented on the fly, because the grace-join family consumes a
-#: fragmented *right* operand without coalescing it.  ALIGNED: every
-#: BAT operand is, identically (the shape a fragment-parallel ``group``
-#: hands to a pump).
-RECEIVER, ANY_OPERAND, ALIGNED = "receiver", "any operand", "aligned"
+
+class Rule(NamedTuple):
+    """A row's fragment rule (see the module docstring).  *body* is the
+    fragmented algorithm of a build-probe, fragmented-receiver or
+    aligned row whose operator has one; *dense* and *window* are a
+    per-fragment row's declaration of a global position, and *inline*
+    that its kernel function is an O(1) view
+    (:func:`repro.monet.fragments.per_fragment`)."""
+
+    kind: str
+    body: Optional[Callable[..., Any]] = None
+    dense: Optional[str] = None
+    window: bool = False
+    inline: bool = False
+
+
+MONOLITHIC = Rule("monolithic only")
+PER_FRAGMENT = Rule("per fragment")
+VIEW = PER_FRAGMENT._replace(inline=True)
+ALIGNED = Rule("aligned")
+REDUCE = Rule("reduce")
+BUILD_PROBE = Rule("build-probe")
+RECEIVER = Rule("fragmented receiver")
+
+
+def _build_probe(body: Callable[..., Any]) -> Rule:
+    return BUILD_PROBE._replace(body=body)
+
+
+def _receiver(body: Callable[..., Any]) -> Rule:
+    return RECEIVER._replace(body=body)
 
 
 class Builtin(NamedTuple):
@@ -63,15 +99,15 @@ class Builtin(NamedTuple):
     a BAT, monolithic or fragmented), a scalar coercion (``int``,
     ``str``, ``bool``), or ``None`` (passed through as is); the first
     ``required`` of them are mandatory.  ``signature`` is the text of
-    the arity error."""
+    the arity error; ``mono`` is the kernel function and ``rule`` its
+    fragment rule."""
 
     name: str
     signature: str
     required: int
     operands: Tuple[Any, ...]
     mono: Callable[..., Any]
-    frag: Optional[Callable[..., Any]] = None
-    when: str = RECEIVER
+    rule: Rule = MONOLITHIC
 
 
 def _insert(bat, head, tail):
@@ -94,53 +130,58 @@ _PUMP = (BAT, BAT, int)
 
 BUILTINS: Tuple[Builtin, ...] = tuple(Builtin(*row) for row in (
     ("select", "select(bat, value) or select(bat, low, high)", 2, (BAT, None, None),
-     kernel.select, fragments.select),
+     kernel.select, PER_FRAGMENT),
     ("uselect", "uselect(bat, value) or uselect(bat, low, high)", 2, (BAT, None, None),
-     kernel.uselect, fragments.uselect),
+     kernel.uselect, PER_FRAGMENT._replace(dense="tail")),
     ("likeselect", "likeselect(bat, pattern)", 2, (BAT, str),
-     kernel.likeselect, fragments.likeselect),
-    ("join", "join(left, right)", 2, (BAT, BAT), kernel.join, fragments.join, ANY_OPERAND),
+     kernel.likeselect, PER_FRAGMENT),
+    ("join", "join(left, right)", 2, (BAT, BAT), kernel.join, _build_probe(fragments.join)),
     ("leftjoin", "leftjoin(left, right)", 2, (BAT, BAT),
-     kernel.join, fragments.join, ANY_OPERAND),
+     kernel.join, _build_probe(fragments.join)),
     ("fetchjoin", "fetchjoin(left, right)", 2, (BAT, BAT),
-     kernel.fetchjoin, fragments.fetchjoin, ANY_OPERAND),
+     kernel.fetchjoin, _build_probe(fragments.fetchjoin)),
     ("outerjoin", "outerjoin(left, right)", 2, (BAT, BAT),
-     kernel.outerjoin, fragments.outerjoin, ANY_OPERAND),
+     kernel.outerjoin, _build_probe(fragments.outerjoin)),
     ("semijoin", "semijoin(left, right)", 2, (BAT, BAT),
-     kernel.semijoin, fragments.semijoin, ANY_OPERAND),
+     kernel.semijoin, _build_probe(fragments.semijoin)),
     ("kdiff", "kdiff(left, right)", 2, (BAT, BAT),
-     kernel.kdiff, fragments.kdiff, ANY_OPERAND),
-    ("kunion", "kunion(left, right)", 2, (BAT, BAT), kernel.kunion, fragments.kunion),
+     kernel.kdiff, _build_probe(fragments.kdiff)),
+    ("kunion", "kunion(left, right)", 2, (BAT, BAT),
+     kernel.kunion, _receiver(fragments.kunion)),
     ("kintersect", "kintersect(left, right)", 2, (BAT, BAT),
-     kernel.kintersect, fragments.kintersect),
-    ("reverse", "reverse(bat)", 1, (BAT,), BAT.reverse, fragments.reverse),
-    ("mirror", "mirror(bat)", 1, (BAT,), BAT.mirror, fragments.mirror),
-    ("mark", "mark(bat[, base])", 1, (BAT, int), kernel.mark, fragments.mark),
-    ("number", "number(bat[, base])", 1, (BAT, int), kernel.number, fragments.number),
-    ("sort", "sort(bat)", 1, (BAT,), kernel.sort, fragments.sort),
-    ("tsort", "tsort(bat)", 1, (BAT,), kernel.tsort, fragments.tsort),
-    ("unique", "unique(bat)", 1, (BAT,), kernel.unique, fragments.unique),
-    ("kunique", "kunique(bat)", 1, (BAT,), kernel.kunique, fragments.kunique),
-    ("tunique", "tunique(bat)", 1, (BAT,), kernel.tunique, fragments.tunique),
+     kernel.kintersect, _receiver(fragments.kintersect)),
+    ("reverse", "reverse(bat)", 1, (BAT,), BAT.reverse, VIEW),
+    ("mirror", "mirror(bat)", 1, (BAT,), BAT.mirror, VIEW),
+    ("mark", "mark(bat[, base])", 1, (BAT, int), kernel.mark, VIEW._replace(dense="tail")),
+    ("number", "number(bat[, base])", 1, (BAT, int),
+     kernel.number, VIEW._replace(dense="head")),
+    ("sort", "sort(bat)", 1, (BAT,), kernel.sort, _receiver(fragments.sort)),
+    ("tsort", "tsort(bat)", 1, (BAT,), kernel.tsort, _receiver(fragments.tsort)),
+    ("unique", "unique(bat)", 1, (BAT,), kernel.unique, _receiver(fragments.unique)),
+    ("kunique", "kunique(bat)", 1, (BAT,), kernel.kunique, _receiver(fragments.kunique)),
+    ("tunique", "tunique(bat)", 1, (BAT,), kernel.tunique, _receiver(fragments.tunique)),
     ("slice", "slice(bat, start, stop)", 3, (BAT, int, int),
-     kernel.slice_bat, fragments.slice_),
-    ("topn", "topn(bat, n[, descending])", 2, (BAT, int, bool), kernel.topn, fragments.topn),
-    ("group", "group(bat)", 1, (BAT,), groups.group, fragments.group),
-    ("refine", "refine(grouping, bat)", 2, (BAT, BAT), groups.refine, fragments.refine),
+     kernel.slice_bat, VIEW._replace(window=True)),
+    ("topn", "topn(bat, n[, descending])", 2, (BAT, int, bool),
+     kernel.topn, _receiver(fragments.topn)),
+    ("group", "group(bat)", 1, (BAT,), groups.group, _receiver(fragments.group)),
+    ("refine", "refine(grouping, bat)", 2, (BAT, BAT),
+     groups.refine, ALIGNED._replace(body=fragments.refine)),
     ("group_sizes", "group_sizes(grouping)", 1, (BAT,), groups.group_sizes),
     ("group_representatives", "group_representatives(grouping, bat)", 2, (BAT, BAT),
      groups.group_representatives),
-    ("count", "count(bat)", 1, (BAT,), aggregates.count, fragments.count),
-    ("sum", "sum(bat)", 1, (BAT,), aggregates.sum_, fragments.sum_),
-    ("max", "max(bat)", 1, (BAT,), aggregates.max_, fragments.max_),
-    ("min", "min(bat)", 1, (BAT,), aggregates.min_, fragments.min_),
-    ("avg", "avg(bat)", 1, (BAT,), aggregates.avg, fragments.avg),
+    ("count", "count(bat)", 1, (BAT,), aggregates.count, REDUCE),
+    ("sum", "sum(bat)", 1, (BAT,), aggregates.sum_, REDUCE),
+    ("max", "max(bat)", 1, (BAT,), aggregates.max_, REDUCE),
+    ("min", "min(bat)", 1, (BAT,), aggregates.min_, REDUCE),
+    ("avg", "avg(bat)", 1, (BAT,), aggregates.avg, REDUCE),
     ("exist", "exist(bat, head_value)", 2, (BAT, None), kernel.exist),
     ("find", "find(bat, head_value)", 2, (BAT, None), BAT.find),
     ("const", "const(bat, atom_name, value)", 3, (BAT, str, None),
-     kernel.const_bat, fragments.const),
+     kernel.const_bat, PER_FRAGMENT),
     ("new", "new(head_type, tail_type)", 2, (str, str), empty_bat),
-    ("insert", "insert(bat, head, tail)", 3, (BAT, None, None), _insert, _insert_fragmented),
+    ("insert", "insert(bat, head, tail)", 3, (BAT, None, None),
+     _insert, _receiver(_insert_fragmented)),
     # scalar casts -- MIL writes oid(0), dbl(x), ...
     ("oid", "oid(value)", 1, (None,), int),
     ("int", "int(value)", 1, (None,), int),
@@ -153,17 +194,16 @@ BUILTINS: Tuple[Builtin, ...] = tuple(Builtin(*row) for row in (
     ("log", "log(value)", 1, (None,), math.log),
     ("exp", "exp(value)", 1, (None,), math.exp),
     ("sqrt", "sqrt(value)", 1, (None,), math.sqrt),
+    # multiplex, MIL's [op](operands), with the operator name first
+    ("[op]", "[op](operand[, operand[, operand]])", 2, (str, None, None, None),
+     multiplex, ALIGNED),
     # pump aggregates, under the name MIL spells them with
-    ("{sum}", "{sum}(values, groups[, n_groups])", 2, _PUMP,
-     aggregates.grouped_sum, fragments.grouped_sum, ALIGNED),
+    ("{sum}", "{sum}(values, groups[, n_groups])", 2, _PUMP, aggregates.grouped_sum, REDUCE),
     ("{count}", "{count}(values, groups[, n_groups])", 2, _PUMP,
-     aggregates.grouped_count, fragments.grouped_count, ALIGNED),
-    ("{max}", "{max}(values, groups[, n_groups])", 2, _PUMP,
-     aggregates.grouped_max, fragments.grouped_max, ALIGNED),
-    ("{min}", "{min}(values, groups[, n_groups])", 2, _PUMP,
-     aggregates.grouped_min, fragments.grouped_min, ALIGNED),
-    ("{avg}", "{avg}(values, groups[, n_groups])", 2, _PUMP,
-     aggregates.grouped_avg, fragments.grouped_avg, ALIGNED),
+     aggregates.grouped_count, REDUCE),
+    ("{max}", "{max}(values, groups[, n_groups])", 2, _PUMP, aggregates.grouped_max, REDUCE),
+    ("{min}", "{min}(values, groups[, n_groups])", 2, _PUMP, aggregates.grouped_min, REDUCE),
+    ("{avg}", "{avg}(values, groups[, n_groups])", 2, _PUMP, aggregates.grouped_avg, REDUCE),
     ("{prod}", "{prod}(values, groups[, n_groups])", 2, _PUMP, aggregates.grouped_prod),
 ))
 
@@ -211,26 +251,43 @@ def invoke_builtin(
     if row is None:
         raise MILRuntimeError(f"unknown MIL operation {name!r}")
     args = _checked_operands(row, args)
-    if any(isinstance(a, FragmentedBAT) for a in args):
-        if row.frag is not None:
-            if row.when == ANY_OPERAND and isinstance(args[0], BAT):
-                args[0] = fragments.fragment_bat(args[0], policy or FragmentationPolicy())
-            if isinstance(args[0], FragmentedBAT) and (
-                row.when != ALIGNED or _aligned(row, args)
-            ):
-                result = row.frag(*args)
-                if isinstance(result, FragmentedBAT):
-                    result = fragments.refragment(result, policy)
-                return result
-        args = [fragments.coalesce(a) for a in args]
-    return row.mono(*args)
+    if not any(isinstance(a, FragmentedBAT) for a in args):
+        return row.mono(*args)
+    result = fan_out(name, *args, policy=policy)
+    # An aligned row's result is cut exactly like its operands.
+    if isinstance(result, FragmentedBAT) and row.rule.kind != ALIGNED.kind:
+        result = fragments.refragment(result, policy)
+    return result
 
 
-def _aligned(row: Builtin, args: list) -> bool:
-    """True when every BAT operand is fragmented exactly like the
-    (fragmented) receiver."""
-    return all(
-        isinstance(a, FragmentedBAT) and fragments.same_fragmentation(args[0], a)
-        for a, kind in zip(args, row.operands)
-        if kind is BAT
-    )
+def fan_out(
+    name: str, *args: Any, policy: Optional[FragmentationPolicy] = None, **kwargs: Any
+) -> Any:
+    """Builtin *name* over operands of which at least one is
+    fragmented: its rule's driver where the rule's condition holds,
+    else its kernel function over coalesced operands.  Keyword operands
+    (``select``'s ``include_low``/``include_high``) pass through to the
+    kernel function or the body; MIL passes none."""
+    row = _BY_NAME[name]
+    rule = row.rule
+    if rule.kind == BUILD_PROBE.kind and isinstance(args[0], BAT):
+        args = (fragments.fragment_bat(args[0], policy or FragmentationPolicy()), *args[1:])
+    if rule.kind == ALIGNED.kind:
+        if rule.body is not None:
+            return rule.body(*args, **kwargs)
+        return fragments.map_aligned(row.mono, *args)
+    if rule.kind == REDUCE.kind:
+        return fragments.reduce(row.mono, *args)
+    if isinstance(args[0], FragmentedBAT):
+        if rule.kind == PER_FRAGMENT.kind:
+            return fragments.per_fragment(
+                row.mono,
+                *args,
+                dense=rule.dense,
+                window=rule.window,
+                inline=rule.inline,
+                **kwargs,
+            )
+        if rule.body is not None:
+            return rule.body(*args, **kwargs)
+    return row.mono(*(fragments.coalesce(a) for a in args), **kwargs)

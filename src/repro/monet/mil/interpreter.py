@@ -8,13 +8,13 @@ method calls, scalar arithmetic, ``print``).
 Execution is *fragment-aware*: ``bat("name")`` resolves a fragmented
 registration to its :class:`~repro.monet.fragments.FragmentedBAT`
 handle (``pool.lookup_fragments``) instead of coalescing, and every
-operator call (pump aggregates included) goes through the one driver
-of :mod:`repro.monet.mil.builtins`, which routes to the
-fragment-parallel kernel when the receiver is fragmented.  A whole
-pipeline (``select -> join -> group -> aggregate``) therefore runs
-fragment-parallel end-to-end; coalescing happens at most once, when the
-final result (or an operator with no fragment-parallel counterpart)
-actually needs the monolithic BAT.
+operator call (``[op]`` multiplex and the pump aggregates included)
+goes through the one driver of :mod:`repro.monet.mil.builtins`, which
+fans out through the row's fragment rule when an operand is
+fragmented.  A whole pipeline (``select -> join -> group ->
+aggregate``) therefore runs fragment-parallel end-to-end; coalescing
+happens at most once, when the final result (or an operator with no
+fragment-parallel counterpart) actually needs the monolithic BAT.
 
 Execution results are collected in :class:`MILResult`:
 
@@ -176,7 +176,7 @@ class MILInterpreter:
         if isinstance(node, ast.Multiplex):
             args = [self._eval(a, result) for a in node.args]
             result.stats[f"[{node.op}]"] += 1
-            return fragments.multiplex(node.op, *args)
+            return invoke_builtin("[op]", [node.op, *args], self.fragment_policy)
         if isinstance(node, ast.Pump):
             args = [self._eval(a, result) for a in node.args]
             name = f"{{{node.agg}}}"

@@ -6,8 +6,9 @@ vertical composition of colored bands (sky/horizon/ground), a
 characteristic texture (orientation + frequency of a sinusoidal
 grating, so the Gabor/texture extractors genuinely discriminate), and
 an annotation vocabulary.  Ground truth (the generating class) travels
-with every image, which is what lets EXPERIMENTS.md measure retrieval
-quality (precision@k) instead of eyeballing screenshots.
+with every image, which is what lets :mod:`repro.evaluation` and
+``benchmarks/bench_feedback.py`` measure retrieval quality
+(precision@k) instead of eyeballing screenshots.
 
 Determinism: everything derives from an integer seed through
 ``numpy.random.default_rng``; the same seed reproduces the same

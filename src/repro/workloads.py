@@ -1,8 +1,9 @@
 """Workload generators for the benchmark harness (deliverable d).
 
-Every experiment in EXPERIMENTS.md draws its data from these
-generators so numbers across benches are comparable.  All generation is
-seeded and deterministic:
+The benchmark (``BENCHMARK.json``, ``benchmarks/mirrorbench``) and the
+``benchmarks/bench_*.py`` sweeps draw their data from these generators
+so numbers across benches are comparable.  All generation is seeded
+and deterministic:
 
 * :func:`synth_annotations` -- annotated-image rows with Zipf-ish term
   frequencies (the text side of the library);

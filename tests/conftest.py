@@ -14,7 +14,6 @@ from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import (
     FragmentationPolicy,
     FragmentedBAT,
-    _slice_view,
     fragment_bat,
 )
 
@@ -42,7 +41,7 @@ def fragment_layout(
     while bounds[-1] < n:
         bounds.append(min(n, bounds[-1] + target))
     return FragmentedBAT(
-        [_slice_view(bat, lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        [bat.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
         policy=policy,
         name=bat.name,
     )

@@ -160,7 +160,9 @@ def test_belief_plan_does_per_term_work_per_query_term(case, monkeypatch):
         return spied
 
     monkeypatch.setitem(
-        builtins._BY_NAME, "outerjoin", row._replace(mono=spy(row.mono), frag=spy(row.frag))
+        builtins._BY_NAME,
+        "outerjoin",
+        row._replace(mono=spy(row.mono), rule=row.rule._replace(body=spy(row.rule.body))),
     )
     compiled = db.query(query_text, params).value
     assert seen == [len(terms)]

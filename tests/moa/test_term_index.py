@@ -197,6 +197,29 @@ def test_held_indexes_are_built_once_per_column_version(layout, index_builds):
     assert _built(index_builds, after + held) == fresh
 
 
+def test_dense_fragmented_right_builds_no_index_per_query(monkeypatch):
+    """In the ragged layout the plan joins a fragmented right operand
+    whose materialized oid heads are proven dense (sorted + key) and
+    which has an empty fragment: the fragmented join routes it by
+    seqbase windows, as ``kernel.join`` does a monolithic one, so a
+    repeated query builds no code index."""
+    db = _db("ragged")
+    stats = db.stats("Docs", "body")
+    params = {"query": list(_queries(stats).values())[0], "stats": stats}
+    db.query(RANKED, params)
+    builds = []
+    real = kernel._code_index
+
+    def spy(codes, ncodes):
+        builds.append(len(codes))
+        return real(codes, ncodes)
+
+    monkeypatch.setattr(kernel, "_code_index", spy)
+    for _ in range(3):
+        db.query(RANKED, params)
+    assert builds == []
+
+
 def _table_entries(index) -> int:
     return len(index.order) + len(index.keys) + len(index.starts) + len(index.counts)
 

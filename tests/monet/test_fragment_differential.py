@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +39,13 @@ from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import KernelError
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
 from repro.monet.groups import group
+from repro.monet.mil.builtins import BUILTINS, fan_out
 from tests.conftest import STRATEGIES, assert_codes_decode, fragment_layout
+
+#: Every builtin row by name, run through its fragment rule
+#: (``builtins.fan_out``): the fragmented side of an operator whose
+#: fragmented twin became a rule row.
+_ROWS = SimpleNamespace(**{row.name: partial(fan_out, row.name) for row in BUILTINS})
 
 N_CASES = 60
 #: The seeds of the three suites that also ran on the process backend
@@ -309,7 +317,7 @@ def test_select_family_differential(seed):
         _check_op(
             kernel.likeselect(bat, pattern),
             _ref_likeselect(pairs, pattern),
-            [fr.likeselect(fb, pattern) for fb in fbs],
+            [fan_out("likeselect", fb, pattern) for fb in fbs],
         )
         low, high = "b", "f"
     else:
@@ -336,9 +344,9 @@ def test_select_family_differential(seed):
     _check_op(
         kernel.uselect(bat, low, high, **flags),
         _ref_mark(_ref_select_range(pairs, low, high, include_low, include_high), 0),
-        [fr.uselect(fb, low, high, **flags) for fb in fbs],
+        [fan_out("uselect", fb, low, high, **flags) for fb in fbs],
     )
-    for uselect, operand in ((kernel.uselect, bat), (fr.uselect, fbs[0])):
+    for uselect, operand in ((kernel.uselect, bat), (partial(fan_out, "uselect"), fbs[0])):
         with pytest.raises(TypeError, match="inclde_low"):
             uselect(operand, low, high, inclde_low=False)
     # Open-ended range on one side.
@@ -359,13 +367,13 @@ def test_uselect_and_mark_differential(seed):
     _check_op(
         kernel.uselect(bat, -10, 10),
         _ref_mark(selected, 0),
-        [fr.uselect(fb, -10, 10) for fb in fbs],
+        [fan_out("uselect", fb, -10, 10) for fb in fbs],
     )
     base = int(rng.integers(0, 100))
     _check_op(
         kernel.mark(bat, base),
         _ref_mark(pairs, base),
-        [fr.mark(fb, base) for fb in fbs],
+        [fan_out("mark", fb, base) for fb in fbs],
     )
 
 
@@ -707,11 +715,11 @@ def test_scalar_aggregates_differential(seed):
     _assert_scalar_close(agg.sum_(bat), ref_sum)
     _assert_scalar_close(agg.avg(bat), ref_avg)
     for fb in fbs:
-        assert fr.count(fb) == ref_count
+        assert fan_out("count", fb) == ref_count
         assert fr.max_(fb) == ref_max
-        assert fr.min_(fb) == ref_min
+        assert fan_out("min", fb) == ref_min
         _assert_scalar_close(fr.sum_(fb), ref_sum)
-        _assert_scalar_close(fr.avg(fb), ref_avg)
+        _assert_scalar_close(fan_out("avg", fb), ref_avg)
 
 
 def _assert_scalar_close(got, expected):
@@ -758,11 +766,11 @@ def test_grouped_aggregates_differential(seed):
         fv = fragment_layout(values, strategy, policy)
         fg = fragment_layout(grouping, strategy, policy)
         frag = {
-            "sum": fr.grouped_sum(fv, fg),
-            "count": fr.grouped_count(fv, fg),
-            "max": fr.grouped_max(fv, fg),
-            "min": fr.grouped_min(fv, fg),
-            "avg": fr.grouped_avg(fv, fg),
+            "sum": fan_out("{sum}", fv, fg),
+            "count": fan_out("{count}", fv, fg),
+            "max": fan_out("{max}", fv, fg),
+            "min": fan_out("{min}", fv, fg),
+            "avg": fan_out("{avg}", fv, fg),
         }
         _assert_grouped(frag, ref_sum, ref_count, ref_max, ref_min, ref_avg)
 
@@ -790,8 +798,8 @@ def test_nan_extremes_match_monolithic():
         fv = fragment_layout(values, strategy, policy)
         fg = fragment_layout(grouping, strategy, policy)
         for mono_fn, frag_fn in (
-            (agg.grouped_max, fr.grouped_max),
-            (agg.grouped_min, fr.grouped_min),
+            (agg.grouped_max, partial(fan_out, "{max}")),
+            (agg.grouped_min, partial(fan_out, "{min}")),
         ):
             mono = mono_fn(values, grouping).tail_list()
             frag = frag_fn(fv, fg).tail_list()
@@ -802,11 +810,11 @@ def test_nan_extremes_match_monolithic():
         assert math.isnan(agg.max_(values))
         assert math.isnan(fr.max_(fv))
         assert math.isnan(agg.min_(values))
-        assert math.isnan(fr.min_(fv))
+        assert math.isnan(fan_out("min", fv))
     # NaN in the *last* fragment too (order dependence of Python max()).
     tail_nan = BAT(VoidColumn(0, 4), Column("dbl", np.array([5.0, 1.0, 2.0, np.nan])))
     ft = fragment_bat(tail_nan, FragmentationPolicy(target_size=2))
-    assert math.isnan(fr.max_(ft)) and math.isnan(fr.min_(ft))
+    assert math.isnan(fr.max_(ft)) and math.isnan(fan_out("min", ft))
 
 
 # ----------------------------------------------------------------------
@@ -1723,17 +1731,24 @@ def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
     """A fragmented dense right operand routes by seqbase windows (no
-    coalesce), ragged windows (empty and 1-BUN) included; one whose
-    windows are not contiguous coalesces and keeps the monolithic
-    error behaviour."""
+    coalesce, no join index), ragged windows (empty and 1-BUN)
+    included -- for ``join`` also when the heads are materialized but
+    proven dense (:attr:`BAT.hseqbase`), as in ``kernel.join``; one
+    whose windows are not contiguous coalesces and keeps the monolithic
+    error behaviour, and ``fetchjoin`` still insists on void heads."""
     rng = np.random.default_rng(55)
     n = 160
     left = BAT(VoidColumn(0, n), Column("oid", rng.integers(0, 90, n)))
     dense = BAT(VoidColumn(10, 60), Column("dbl", np.round(rng.random(60), 3)))
+    materialized = BAT(
+        Column("oid", dense.head_values()), dense.tail, hsorted=True, hkey=True
+    )
     expected = kernel.fetchjoin(left, dense)
+    assert_pairs_equal(kernel.join(left, materialized), _raw_pairs(expected))
     fleft = _fragment(left, strategy)
-    fdense = fragment_layout(
-        dense, strategy, FragmentationPolicy(target_size=16)
+    fdense, fmaterialized = (
+        fragment_layout(right, strategy, FragmentationPolicy(target_size=16))
+        for right in (dense, materialized)
     )
     # FragmentedBAT uses __slots__, so the no-coalesce tripwire patches
     # the class; undo before coalescing the *results* for comparison.
@@ -1742,10 +1757,19 @@ def test_fetchjoin_fragmented_dense_right(strategy, monkeypatch):
         "to_bat",
         lambda self: (_ for _ in ()).throw(AssertionError("coalesced")),
     )
-    results = (fr.fetchjoin(fleft, fdense), fr.join(fleft, fdense))
+    monkeypatch.setattr(
+        fr, "_grace_matches", lambda *_: (_ for _ in ()).throw(AssertionError("indexed"))
+    )
+    results = (
+        fr.fetchjoin(fleft, fdense),
+        fr.join(fleft, fdense),
+        fr.join(fleft, fmaterialized),
+    )
     monkeypatch.undo()
     for result in results:
         assert_pairs_equal(result.to_bat(), _raw_pairs(expected))
+    with pytest.raises(KernelError):
+        fr.fetchjoin(fleft, fmaterialized)
     # Void windows with a gap between them are not one dense head.
     gapped = FragmentedBAT([fdense.fragments[0], fdense.fragments[-1]])
     with pytest.raises(KernelError):
@@ -1836,7 +1860,7 @@ def test_str_code_space_dictionary_states(seed, strategy):
     from repro.monet.groups import refine
 
     mono_ops = _str_ops(kernel, group, refine, lambda b: b.reverse())
-    frag_ops = _str_ops(fr, fr.group, fr.refine, fr.reverse)
+    frag_ops = _str_ops(_ROWS, fr.group, fr.refine, fr.reverse)
     for name, mono_op in mono_ops.items():
         reference = None
         for state, bat, partner, fb, fb_partner in _str_states(seed, strategy):

@@ -11,7 +11,7 @@ import pytest
 from repro.core.mirror import MirrorDBMS
 from repro.moa import mapping
 from repro.monet import fragments as fr
-from repro.monet import kernel, tuning
+from repro.monet import aggregates, kernel, tuning
 from repro.monet.bat import BAT, Column, VoidColumn, dense_bat
 from repro.monet.bbp import BATBufferPool
 from repro.monet.errors import BBPError, KernelError
@@ -139,11 +139,16 @@ def test_fragment_offsets_are_the_cached_prefix_sums():
     assert fb.to_bat().hdense
 
 
-def test_grouped_aggregate_requires_aligned_layout():
-    values = fragment_bat(_ints(40), FragmentationPolicy(target_size=10))
-    grouping = fragment_bat(_ints(40), FragmentationPolicy(target_size=13))
-    with pytest.raises(KernelError):
-        fr.grouped_sum(values, grouping)
+def test_misaligned_grouped_aggregate_coalesces():
+    """The aligned rule cuts a monolithic operand of equal length into
+    the other's windows, and coalesces operands fragmented unlike each
+    other: either way the pump equals the monolithic one."""
+    values, grouping = _ints(40), _ints(40, seed=1)
+    expected = aggregates.grouped_sum(values, grouping).to_pairs()
+    fv = fragment_bat(values, FragmentationPolicy(target_size=10))
+    fg = fragment_bat(grouping, FragmentationPolicy(target_size=13))
+    for operands in ((fv, fg), (fv, grouping), (values, fg)):
+        assert fr.reduce(aggregates.grouped_sum, *operands).to_pairs() == expected
 
 
 def test_explicit_worker_counts_agree():

@@ -538,8 +538,8 @@ def test_fragmented_multiplex_keeps_alignment_guards():
     """A monolithic operand of the wrong length must raise the same
     KernelError as the monolithic multiplex -- window-slicing may not
     silently truncate it."""
-    from repro.monet import fragments as fragments_module
     from repro.monet.errors import KernelError
+    from repro.monet.mil.builtins import fan_out
 
     short = fragment_bat(
         dense_bat("int", list(range(100))),
@@ -547,7 +547,7 @@ def test_fragmented_multiplex_keeps_alignment_guards():
     )
     long = dense_bat("int", list(range(150)))
     with pytest.raises(KernelError, match="length mismatch"):
-        fragments_module.multiplex("+", short, long)
+        fan_out("[op]", "+", short, long)
 
 
 def test_bbp_lookup_fragments_caches_on_the_fly_split():
