@@ -15,6 +15,16 @@ This module demonstrates the full extension recipe of the paper:
    physical level: the belief formula becomes a pipeline of multiplexed
    BAT arithmetic inside the generated MIL plan.
 
+The inverted file is written from token codes: a batch of values is
+analyzed once into (document, term code) arrays over the batch's
+sorted vocabulary (:func:`repro.ir.tokenize.analyze_coded`), and the
+postings are one ``np.unique`` of ``doc * V + code`` with its counts
+(:func:`_postings`), the lengths a ``bincount``; the term column
+reaches the pool as codes on a heap of the batch's vocabulary, which
+the stored column's heap absorbs in O(distinct).  No per-document
+object is built; :class:`ContentRepresentation` is the value the
+interpreter and a reconstruction see, not a step of the write path.
+
 The inverted file is used as an index, not scanned: the plan probes
 the ``term`` column's held index with the k query terms
 (:func:`repro.monet.kernel.held_match_index`, built at the column
@@ -28,16 +38,15 @@ through the registries, exactly the open-system claim of section 2.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.ir.beliefs import DEFAULT_PARAMETERS, belief_list
 from repro.ir.stats import CollectionStats
-from repro.ir.tokenize import analyze, analyze_many
+from repro.ir.tokenize import analyze, analyze_coded, code_tokens
 from repro.moa.compiler import (
     AtomCol,
     Compiler,
@@ -61,6 +70,8 @@ from repro.moa.types import (
     StatsType,
     register_structure,
 )
+from repro.monet.bat import StrColumn, StrHeap
+from repro.monet.kernel import stable_order
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +122,15 @@ class ContentRepresentation:
         self.length = int(length) if length is not None else sum(self.terms.values())
 
     @classmethod
+    def of_checked(cls, terms: Dict[str, int], length: int) -> "ContentRepresentation":
+        """The representation of *terms* as given: every tf already a
+        positive ``int`` (postings read back from the BATs)."""
+        rep = cls.__new__(cls)
+        rep.terms = terms
+        rep.length = length
+        return rep
+
+    @classmethod
     def from_value(cls, value: Any, media: str) -> "ContentRepresentation":
         if isinstance(value, ContentRepresentation):
             return value
@@ -150,47 +170,147 @@ class ContentRepresentation:
 # ----------------------------------------------------------------------
 
 
-#: The posting BATs under a CONTREP prefix, in :func:`_postings` order.
+#: The posting BATs under a CONTREP prefix, in :class:`Postings` order.
 _POSTINGS = ("owner", "term", "tf")
 
 
-def _reps(values, ty: ContrepType) -> List[ContentRepresentation]:
-    """One representation per value of a batch; the ``Text`` media's
-    strings are analyzed together, by one :func:`analyze_many`."""
-    values = list(values)
-    if ty.media == "Text":
-        analyzed = iter(analyze_many(v for v in values if isinstance(v, str)))
-        values = [next(analyzed) if isinstance(v, str) else v for v in values]
-    return [ContentRepresentation.from_value(v, ty.media) for v in values]
+class Postings(NamedTuple):
+    """The columns one batch adds: ``owner``/``term``/``tf`` one BUN
+    per (document, distinct term), each document's terms in sorted
+    order -- ``owner`` oids (int64), ``term`` a str column of codes on a
+    batch heap holding only the batch's terms (:func:`_by_first_posting`),
+    ``tf`` int64 -- and ``doclen``, one int64 per document."""
+
+    owner: np.ndarray
+    term: StrColumn
+    tf: np.ndarray
+    doclen: np.ndarray
 
 
-def _postings(owners: Sequence[int], reps: Sequence[ContentRepresentation]):
-    """The posting columns ``(owner, term, tf)`` of one representation
-    per owner oid, as arrays of their atoms, each document's terms in
-    sorted order."""
-    per_doc = [sorted(rep.terms.items()) for rep in reps]
-    counts = np.fromiter(map(len, per_doc), dtype=np.int64, count=len(per_doc))
-    owner = np.repeat(np.asarray(owners, dtype=np.int64), counts)
-    flat = list(itertools.chain.from_iterable(per_doc))
-    term = np.empty(len(flat), dtype=object)
-    term[:] = [t for t, _ in flat]
-    tf = np.fromiter((f for _, f in flat), dtype=np.int64, count=len(flat))
-    return owner, term, tf
+def _postings(values: Sequence[Any], media: str, owners: np.ndarray) -> Postings:
+    """The :class:`Postings` of one batch, *owners* naming each value's
+    parent oid, set-at-a-time.
+
+    One pass sorts the values into three coded parts
+    (:class:`repro.ir.tokenize.CodedTerms`): the ``Text`` media's
+    strings, analyzed by one :func:`analyze_coded`; token lists and the
+    other media's strings (split on whitespace), by the identity
+    analyzer :func:`code_tokens`; term -> tf mappings, a
+    representation's included, as weighted rows (a tf <= 0 dropped).
+    The parts' vocabularies merge into one sorted vocabulary of ``V``
+    terms, and (owner, term, tf) is one ``np.unique(doc * V + code,
+    return_counts=True)`` over the counted occurrences plus the
+    weighted rows; ``doclen`` is a ``bincount`` of the occurrences,
+    or a mapping's tf sum, or a representation's own ``length``.  A
+    value of no CONTREP shape is a :class:`MoaTypeError`, raised before
+    the caller touches a BAT."""
+    texts: List[str] = []
+    text_docs: List[int] = []
+    token_lists: List[Sequence[str]] = []
+    token_docs: List[int] = []
+    mapped: List[List[str]] = []
+    mapped_docs: List[int] = []
+    weights: List[int] = []
+    lengths: List[int] = []
+    for doc, value in enumerate(values):
+        if value is None:
+            continue
+        if isinstance(value, str) and media == "Text":
+            texts.append(value)
+            text_docs.append(doc)
+        elif isinstance(value, (str, list, tuple)):
+            token_lists.append(value.split() if isinstance(value, str) else value)
+            token_docs.append(doc)
+        elif isinstance(value, (Mapping, ContentRepresentation)):
+            given = isinstance(value, ContentRepresentation)
+            tfs = {t: int(f) for t, f in (value.terms if given else value).items()}
+            kept = [t for t, f in tfs.items() if f > 0]
+            mapped.append(kept)
+            mapped_docs.append(doc)
+            weights.extend(map(tfs.__getitem__, kept))
+            lengths.append(value.length if given else sum(map(tfs.__getitem__, kept)))
+        else:
+            raise MoaTypeError(
+                f"cannot build a CONTREP value from {type(value).__name__}"
+            )
+    coders = (
+        (analyze_coded, texts, text_docs),
+        (code_tokens, token_lists, token_docs),
+        (code_tokens, mapped, mapped_docs),  # last: its keys are weighted
+    )
+    try:
+        parts = [
+            (code(items), np.asarray(docs, dtype=np.int64))
+            for code, items, docs in coders
+            if docs
+        ]
+    except TypeError as exc:
+        raise MoaTypeError(f"a CONTREP term must be a str: {exc}") from None
+    vocabulary = sorted(set().union(*(coded.vocabulary for coded, _ in parts)))
+    code_of = dict(zip(vocabulary, range(len(vocabulary))))
+    width = max(len(vocabulary), 1)
+    keys = []
+    for coded, docs in parts:
+        key = docs[coded.doc]
+        key *= width
+        key += np.fromiter(
+            map(code_of.__getitem__, coded.vocabulary), dtype=np.int64,
+            count=len(coded.vocabulary),
+        )[coded.code]
+        keys.append(key)
+    weighted = keys.pop() if mapped_docs else None
+    counted = keys[0] if len(keys) == 1 else np.concatenate(keys or [np.empty(0, np.int64)])
+    key, tf = np.unique(counted, return_counts=True)
+    doclen = np.bincount(counted // width, minlength=len(values))
+    if weighted is not None:
+        key = np.concatenate([key, weighted])
+        tf = np.concatenate([tf, np.asarray(weights, dtype=np.int64)])
+        order = np.argsort(key)
+        key, tf = key[order], tf[order]
+        doclen[mapped_docs] = lengths
+    return Postings(
+        owners[key // width],
+        _by_first_posting(key % width, vocabulary),
+        tf.astype(np.int64, copy=False),
+        doclen.astype(np.int64, copy=False),
+    )
+
+
+def _by_first_posting(codes: np.ndarray, vocabulary: List[str]) -> StrColumn:
+    """The term run *codes* (into *vocabulary*) as a str column on a
+    batch heap numbering the terms in order of first posting -- the
+    order a list of the values would number them in, so the stored
+    heap that absorbs the run gives every term the code a list append
+    would."""
+    first = np.full(len(vocabulary), len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes), dtype=np.int64))
+    used = np.flatnonzero(first < len(codes))
+    used = used[np.argsort(first[used])]
+    number = np.empty(len(vocabulary), dtype=np.int64)
+    number[used] = np.arange(len(used), dtype=np.int64)
+    return StrColumn(number[codes], StrHeap([vocabulary[c] for c in used.tolist()]))
 
 
 def contrep_values(
     owners: Sequence[int], terms: Sequence[str], tfs: Sequence[int],
     doclens: Sequence[int],
 ) -> List[ContentRepresentation]:
-    """Inverse of :func:`_postings`: one representation per document,
-    ``doclens`` giving each its length (the mapper's reconstruction and
-    the compiled plan's ``ContrepCols`` both rebuild through here)."""
-    per_doc: List[Dict[str, int]] = [dict() for _ in range(len(doclens))]
-    for owner, term, tf in zip(owners, terms, tfs):
-        per_doc[int(owner)][term] = int(tf)
+    """The representation of each document from its postings (any
+    order; a document's terms in posting order), ``doclens`` giving each
+    its length (the mapper's reconstruction and the compiled plan's
+    ``ContrepCols`` both rebuild through here).  The postings with a
+    positive tf are grouped by owner with one stable order, and each
+    document's dict is built from its slice."""
+    tf = np.asarray(tfs, dtype=np.int64)
+    owner = np.asarray(owners, dtype=np.int64)
+    kept = np.flatnonzero(tf > 0)
+    order = kept[stable_order(owner[kept])]
+    term = np.asarray(terms, dtype=object)[order].tolist()
+    bounds = np.searchsorted(owner[order], np.arange(len(doclens) + 1)).tolist()
+    tf = tf[order].tolist()
     return [
-        ContentRepresentation(doc, int(length))
-        for doc, length in zip(per_doc, doclens)
+        ContentRepresentation.of_checked(dict(zip(term[lo:hi], tf[lo:hi])), int(length))
+        for lo, hi, length in zip(bounds, bounds[1:], doclens)
     ]
 
 
@@ -204,27 +324,35 @@ class ContrepMapper(StructureMapper):
     owners, an update replaces a document's postings (the new ones at
     the end, so ``owner`` is sorted only until the first update) and
     patches its ``doclen``.
+
+    A batch is written set-at-a-time from codes (:func:`_postings`):
+    its values are analyzed into (document, term code) arrays once, and
+    the pool receives column arrays -- ``term`` as codes on a heap of
+    the batch's vocabulary, which the stored column's heap absorbs in
+    O(distinct) (:func:`repro.monet.bat.rebase`).  No per-document
+    object is built on the way.
     """
 
     def append(self, pool, prefix, ty: ContrepType, values, offset):
-        reps = _reps(values, ty)
-        self._append_postings(pool, prefix, range(offset, offset + len(reps)), reps)
-        append_attribute(
-            pool, f"{prefix}.doclen", np.array([r.length for r in reps], dtype=np.int64)
-        )
+        values = list(values)
+        owners = np.arange(offset, offset + len(values), dtype=np.int64)
+        postings = _postings(values, ty.media, owners)
+        self._append_postings(pool, prefix, postings)
+        append_attribute(pool, f"{prefix}.doclen", postings.doclen)
 
     def delete(self, pool, prefix, ty: ContrepType, positions):
         self._drop_postings(pool, prefix, positions, renumber=positions)
         pool.delete(f"{prefix}.doclen", positions)
 
     def update(self, pool, prefix, ty: ContrepType, positions, values):
-        reps = _reps(values, ty)
+        owners = np.asarray(positions, dtype=np.int64)
+        postings = _postings(list(values), ty.media, owners)
         self._drop_postings(pool, prefix, positions, renumber=None)
-        self._append_postings(pool, prefix, positions, reps)
-        pool.update(f"{prefix}.doclen", positions, [r.length for r in reps])
+        self._append_postings(pool, prefix, postings)
+        pool.update(f"{prefix}.doclen", owners, postings.doclen)
 
-    def _append_postings(self, pool, prefix, owners, reps) -> None:
-        for suffix, column in zip(_POSTINGS, _postings(owners, reps)):
+    def _append_postings(self, pool, prefix, postings: Postings) -> None:
+        for suffix, column in zip(_POSTINGS, postings):
             append_attribute(pool, f"{prefix}.{suffix}", column)
 
     def _drop_postings(self, pool, prefix, owners, renumber) -> None:
@@ -234,9 +362,9 @@ class ContrepMapper(StructureMapper):
         pool.delete(f"{prefix}.tf", doomed)
 
     def reconstruct(self, pool, prefix, ty: ContrepType, count):
-        owner = pool.lookup(f"{prefix}.owner").tail_list()
-        term = pool.lookup(f"{prefix}.term").tail_list()
-        tf = pool.lookup(f"{prefix}.tf").tail_list()
+        owner, term, tf = (
+            pool.lookup(f"{prefix}.{suffix}").tail_values() for suffix in _POSTINGS
+        )
         doclen = pool.lookup(f"{prefix}.doclen").tail_list()
         if len(doclen) != count:
             raise MoaTypeError(

@@ -751,10 +751,11 @@ class BAT:
     def update_positions(
         self,
         positions: Union[np.ndarray, Sequence[int]],
-        values: Sequence[Any],
+        values: Union[Sequence[Any], np.ndarray],
     ) -> "BAT":
         """A new BAT with the tail values at *positions* replaced by
-        *values* (position-aligned; duplicate positions: last wins).
+        *values* (position-aligned; duplicate positions: last wins):
+        Python values, or a column array (:func:`column_from_values`).
 
         Copy-on-write: the receiver is untouched.  The head column is
         shared by reference, so ``hsorted``/``hkey`` survive untouched.
@@ -765,15 +766,16 @@ class BAT:
         since local inspection cannot re-prove global uniqueness.
         """
         positions = _normalize_positions(positions, len(self), unique=False)
-        value_list = list(values)
-        if len(value_list) != len(positions):
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        if len(values) != len(positions):
             raise InvalidMutationBatch(
                 f"update needs one value per position: "
-                f"{len(value_list)} values for {len(positions)} positions"
+                f"{len(values)} values for {len(positions)} positions"
             )
         if len(positions) == 0:
             return self
-        patch = _run_like(self.tail, value_list)
+        patch = _run_like(self.tail, values)
         if isinstance(patch, StrColumn):
             codes = self.tail.codes.copy()
             codes[positions] = patch.codes
@@ -896,8 +898,17 @@ def column_from_values(
     hold ``str`` and ``None`` alone, a ``bit`` array only -1 (NIL), 0
     and 1.  An ndarray of any other dtype is coerced per value, as its
     list would be.  A str column's values are encoded into *heap*
-    (extending it), or into a fresh heap when none is given."""
+    (extending it), or into a fresh heap when none is given.
+
+    A :class:`StrColumn` is a str run already in codes (a batch heap
+    holding its values): it is rebased onto *heap*, one encode of the
+    distinct values it uses (:func:`rebase`), or taken as it is when
+    no heap is given."""
     atom_type = atom(atom_name)
+    if isinstance(values, StrColumn):
+        if atom_type is not _STR:
+            raise BATError(f"a str column cannot be a {atom_name} run")
+        return values if heap is None else StrColumn(rebase(values, heap), heap)
     if isinstance(values, np.ndarray) and values.dtype == atom_type.dtype:
         if values.ndim != 1:
             raise BATError("column values must be one-dimensional")

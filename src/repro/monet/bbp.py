@@ -480,9 +480,10 @@ class BATBufferPool:
         ``pairs`` is a sequence of (head, tail) Python pairs; ``tails``
         appends tail values under a densely extended void head (the
         shape of every Moa attribute BAT): Python values, coerced one
-        by one, or a column array (:func:`~repro.monet.bat.column_from_values`;
-        its record carries the same Python values, NIL as ``null``, as
-        the list would).  Raises
+        by one, or a column -- an array or a str run in codes
+        (:func:`~repro.monet.bat.column_from_values`; its record
+        carries the same Python values, NIL as ``null``, as the list
+        would, decoded only when a WAL is armed).  Raises
         :class:`~repro.monet.errors.MutationError` subclasses.
         """
         # Materialize once up front: the batch is iterated by the
@@ -491,7 +492,7 @@ class BATBufferPool:
         # sequences (the live pool would diverge from recovery).
         if pairs is not None:
             pairs = list(pairs)
-        if tails is not None and not isinstance(tails, np.ndarray):
+        if tails is not None and not isinstance(tails, _COLUMN_FORMS):
             tails = list(tails)
         tail_atom = None
 
@@ -507,14 +508,7 @@ class BATBufferPool:
                 return {
                     "pairs": [[_wal_value(h), _wal_value(t)] for h, t in pairs]
                 }
-            if isinstance(tails, np.ndarray):
-                # compute() accepted the array, so it is the in-column
-                # form of its atom (str: str and None only).
-                values = tails.tolist() if tail_atom == "str" else column_to_list(
-                    Column(tail_atom, tails)
-                )
-            else:
-                values = tails
+            values = _python_values(tails, tail_atom)
             return {"tails": [_wal_value(t) for t in values]}
 
         def bump(new):
@@ -584,11 +578,19 @@ class BATBufferPool:
         :meth:`append`: the intent record (``{"update": [...],
         "values": [...]}``) group-commits before the publish and is
         generation-fenced at replay.
+
+        *values* are Python values or, as :meth:`append` takes its
+        ``tails``, an array of the atom's dtype (the in-column form,
+        NIL as the sentinel), logged as the same Python values.
         """
         positions = [int(p) for p in positions]
-        values = list(values)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        tail_atom = None
 
         def compute(current):
+            nonlocal tail_atom
+            tail_atom = current.ttype
             if isinstance(current, FragmentedBAT):
                 return current.update(positions, values)
             return current.update_positions(positions, values)
@@ -596,13 +598,14 @@ class BATBufferPool:
         def record_fields() -> dict:
             return {
                 "update": positions,
-                "values": [_wal_value(v) for v in values],
+                "values": [_wal_value(v) for v in _python_values(values, tail_atom)],
             }
 
         def bump(new):
             if new.ttype == "oid":
                 top = max(
-                    (int(v) for v in values if v is not None), default=-1
+                    (int(v) for v in _python_values(values, "oid") if v is not None),
+                    default=-1,
                 )
                 if top >= 0:
                     self.oid_generator.bump_past(top)
@@ -1237,6 +1240,25 @@ def _sweep_unreferenced(
         except OSError:  # pragma: no cover - concurrent sweep
             pass
     return removed
+
+
+#: The column forms a batch may take besides a list: an array of the
+#: atom's dtype, or a str run in codes.
+_COLUMN_FORMS = (np.ndarray, StrColumn)
+
+
+def _python_values(values, atom_name: str):
+    """The Python values of a batch's list form, NIL as ``None``, for a
+    batch given in a column form (:data:`_COLUMN_FORMS`) -- the values
+    a WAL record carries.  The mutation already accepted the column,
+    so an array is the in-column form of *atom_name*."""
+    if isinstance(values, StrColumn):
+        return values.materialize().tolist()
+    if not isinstance(values, np.ndarray):
+        return values
+    if atom_name == "str":
+        return values.tolist()
+    return column_to_list(Column(atom_name, values))
 
 
 def _wal_value(value):

@@ -470,26 +470,30 @@ class FragmentedBAT:
 
 def _aligned_updates(
     positions, values, count: int
-) -> Tuple[np.ndarray, List[Any]]:
+) -> Tuple[np.ndarray, Union[List[Any], np.ndarray]]:
     """Normalize an update batch: positions validated against *count*,
-    values aligned, duplicates resolved last-wins, result sorted by
-    position (the shape the per-fragment searchsorted mapping needs)."""
+    values (a list, or a column array) aligned, duplicates resolved
+    last-wins, result sorted by position (the shape the per-fragment
+    searchsorted mapping needs)."""
     arr = _normalize_positions(positions, count, unique=False)
-    value_list = list(values)
-    if len(value_list) != len(arr):
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    if len(values) != len(arr):
         raise InvalidMutationBatch(
             f"update needs one value per position: "
-            f"{len(value_list)} values for {len(arr)} positions"
+            f"{len(values)} values for {len(arr)} positions"
         )
     if len(arr) == 0:
-        return arr, []
+        return arr, values[:0]
     order = _kernel.stable_order(arr)
     sorted_pos = arr[order]
     keep = np.empty(len(sorted_pos), dtype=bool)
     keep[:-1] = sorted_pos[1:] != sorted_pos[:-1]
     keep[-1] = True
     kept = order[keep]
-    return arr[kept], [value_list[i] for i in kept]
+    if isinstance(values, np.ndarray):
+        return arr[kept], values[kept]
+    return arr[kept], [values[i] for i in kept]
 
 
 def _concat_fragments(frags: Sequence[BAT], name: Optional[str] = None) -> BAT:

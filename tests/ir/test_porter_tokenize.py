@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 import importlib
 import re
 
+import numpy as np
+
 from repro.ir.porter import stem
 from repro.ir.tokenize import (
     STOPWORDS,
     analyze,
+    analyze_coded,
     analyze_many,
     analyze_terms,
+    code_tokens,
     tokenize,
 )
 from repro.workloads import VOCABULARY
@@ -222,6 +226,36 @@ class TestAnalyzeMany:
             _analyze_per_text(text, stopwords=stopwords, stemming=stemming)
             for text in texts
         ]
+
+    @given(
+        texts=st.lists(_TEXTS, max_size=8),
+        stopwords=_STOP_SETS,
+        stemming=st.booleans(),
+    )
+    def test_coded_form_decodes_to_the_per_text_lists(self, texts, stopwords, stemming):
+        coded = analyze_coded(texts, stopwords=stopwords, stemming=stemming)
+        assert coded.doc.dtype == coded.code.dtype == np.int64
+        assert coded.vocabulary == sorted(set(coded.vocabulary))
+        assert len(coded.doc) == len(coded.code)
+        assert np.all(np.diff(coded.doc) >= 0)
+        assert coded.decode(len(texts)) == [
+            _analyze_per_text(text, stopwords=stopwords, stemming=stemming)
+            for text in texts
+        ]
+        # Every vocabulary term occurs: the codes cover it.
+        assert set(coded.code.tolist()) == set(range(len(coded.vocabulary)))
+
+    def test_identity_analyzer_counts_tokens_as_given(self):
+        coded = code_tokens([["rgb_3", "Sea", "rgb_3"], [], ("Sea",)])
+        assert coded.vocabulary == ["Sea", "rgb_3"]
+        assert coded.doc.tolist() == [0, 0, 0, 2]
+        assert coded.code.tolist() == [1, 0, 1, 0]
+        assert coded.decode(3) == [["rgb_3", "Sea", "rgb_3"], [], ["Sea"]]
+
+    @pytest.mark.parametrize("tokens", [["sea", 3], ["sea", None], [b"sea"]])
+    def test_identity_analyzer_refuses_a_token_that_is_not_a_str(self, tokens):
+        with pytest.raises(TypeError, match="must be a str"):
+            code_tokens([tokens])
 
     @given(text=_TEXTS, stemming=st.booleans())
     def test_analyze_is_the_one_text_case(self, text, stemming):
