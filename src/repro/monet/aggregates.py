@@ -28,16 +28,12 @@ import numpy as np
 
 from repro.monet.bat import BAT, Column, VoidColumn
 from repro.monet.errors import KernelError
-from repro.monet.kernel import key_space, stable_order
+from repro.monet.kernel import each, key_space, stable_order
 
 
 #: What :meth:`Aggregate.over` gives for runs whose heads are not
 #: positionally equal.
 UNALIGNED = object()
-
-
-def _each(fn: Callable[[Any], Any], items) -> List[Any]:
-    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class Aggregate:
     def __call__(self, *operands: Any) -> Any:
         return self.over([operands])
 
-    def over(self, parts: Sequence[Sequence[Any]], mapper=_each) -> Any:
+    def over(self, parts: Sequence[Sequence[Any]], mapper=each) -> Any:
         """The aggregate of *parts*, the operands of its BUN runs in BUN
         order (a pump's group count, if any, read from the first).
         ``mapper(fn, items)`` applies *fn* to every item in order; one

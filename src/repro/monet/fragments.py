@@ -35,16 +35,20 @@ a :mod:`repro.monet.kernel`, :mod:`~repro.monet.groups` or
   of drifted intermediates (:func:`fold_tail`, :func:`refragment`);
 * the drivers of the rules that are data: *per fragment*
   (:func:`per_fragment`), *aligned* (:func:`align`,
-  :func:`map_aligned`) and *reduce with a combiner* (:func:`reduce`);
+  :func:`map_aligned`) and *reduce with a combiner* (:func:`reduce`,
+  over an aggregate or an operator of the identity family, whose
+  record -- :class:`repro.monet.kernel.Identity` -- merges the
+  fragments' distinct keys with the kernel's one first-occurrence
+  primitive);
 * the bodies of the rules that have an algorithm: *build-probe* --
   :func:`join`, :func:`outerjoin`, :func:`fetchjoin` (one shared index
   in code space, radix partitions, spilled partitions, seqbase
-  windows), :func:`semijoin`, :func:`kdiff`; *membership* --
-  :func:`kintersect`, :func:`kunion` (one shared head build,
-  :func:`_member_subset`); *order* -- :func:`sort`, :func:`tsort`,
-  :func:`topn` (the sample-sort merge, :func:`_sample_sort_merge`);
-  *identity* -- :func:`unique`, :func:`kunique`, :func:`tunique`,
-  :func:`group`, :func:`refine` (the first-occurrence merge).
+  windows), :func:`semijoin`, :func:`kdiff` (a monolithic dense right
+  runs the kernel operator per fragment, one check in the rule's
+  dispatch); *membership* -- :func:`kintersect`, :func:`kunion` (one
+  shared head build, :func:`_member_subset`); *order* -- :func:`sort`,
+  :func:`tsort`, :func:`topn` (the sample-sort merge,
+  :func:`_sample_sort_merge`).
 
 ``tests/monet/test_fragment_differential.py`` asserts BUN-for-BUN
 identity against the monolithic kernel and naive references,
@@ -650,30 +654,38 @@ def map_aligned(fn: Callable[..., BAT], *operands: Any) -> Union[BAT, Fragmented
     return FragmentedBAT(results, policy=reference.policy)
 
 
-def reduce(aggregate: _agg.Aggregate, *operands: Any) -> Any:
-    """The *reduce with a combiner* rule: the partial of *aggregate*
-    (:class:`repro.monet.aggregates.Aggregate`) on every fragment's
-    operands, aligned by :func:`align` and fanned out, then its combine
-    and finish.  Misaligned operands, and a pump whose fragments'
-    heads are not positionally equal, coalesce."""
+def reduce(
+    record: Union[_agg.Aggregate, _kernel.Identity], *operands: Any
+) -> Any:
+    """The *reduce with a combiner* rule, for an aggregate
+    (:class:`repro.monet.aggregates.Aggregate`) or an operator of the
+    identity family (:class:`repro.monet.kernel.Identity`): the
+    record's per-run pass on every fragment's operands, aligned by
+    :func:`align` and fanned out, then its combine and finish -- one
+    value, or an identity operator's result fragment per fragment.
+    Misaligned operands, and a pump whose fragments' heads are not
+    positionally equal, coalesce."""
     aligned = align(operands)
     if aligned is not None:
         reference, parts = aligned
-        result = aggregate.over(
+        result = record.over(
             parts, lambda fn, items: map_fragments(fn, items, len(reference))
         )
+        if isinstance(result, list):
+            return FragmentedBAT(result, policy=reference.policy)
         if result is not _agg.UNALIGNED:
             return result
-    return aggregate(*(coalesce(x) for x in operands))
+    return record(*(coalesce(x) for x in operands))
 
 
 # Forced vestiges: the frozen benchmark (benchmarks/mirrorbench/layers.py
 # and wl_frag_relational.py, under BENCHMARK.json ``paths``) calls these
-# four fragmented twins by name.  Each is its builtin row's rule, bound.
+# five fragmented twins by name.  Each is its builtin row's rule, bound.
 select = partial(per_fragment, _kernel.select)
 reverse = partial(per_fragment, BAT.reverse, inline=True)
 sum_ = partial(reduce, _agg.sum_)
 max_ = partial(reduce, _agg.max_)
+kunique = partial(reduce, _kernel.kunique)
 
 
 def _subset_op(
@@ -741,17 +753,16 @@ def _dense_window_starts(right: FragmentedBAT) -> Optional[List[int]]:
 def fetchjoin(
     fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
 ) -> FragmentedBAT:
-    """Fragment-parallel positional join against a shared void-headed
-    right operand.  A fragmented void right stays fragmented: seqbase
-    arithmetic routes every probe to its owning right fragment, so
-    neither side coalesces."""
+    """Fragment-parallel positional join.  A fragmented void right
+    stays fragmented: seqbase arithmetic routes every probe to its
+    owning right fragment, so neither side coalesces.  Any other right
+    runs the kernel operator per fragment, which insists on a void
+    head."""
     if isinstance(right, FragmentedBAT):
         starts = _dense_window_starts(right)
         if starts is not None and all(frag.hdense for frag in right.fragments):
             return _fetchjoin_fragmented(fb, right, starts)
-        # Anything else coalesces; the kernel insists on a void head.
-        right = right.to_bat()
-    return per_fragment(_kernel.fetchjoin, fb, right)
+    return per_fragment(_kernel.fetchjoin, fb, coalesce(right))
 
 
 def _fetchjoin_fragmented(
@@ -1070,9 +1081,6 @@ def join(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     operand ever coalesces -- a fragmented right contributes its
     fragments in BUN order."""
     _kernel.check_join_types(fb.ttype, right.htype)
-    if isinstance(right, BAT) and right.hseqbase is not None:
-        # Positional per fragment: there is no build to share.
-        return per_fragment(_kernel.join, fb, right)
     if isinstance(right, FragmentedBAT):
         starts = _dense_window_starts(right)
         if starts is not None:
@@ -1090,11 +1098,7 @@ def outerjoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> Fragmented
     """Fragment-parallel :func:`repro.monet.kernel.outerjoin`:
     unmatched left BUNs keep NIL tails per fragment, with the matches
     coming from the shared grace-join build, partitioned and indexed
-    once for the whole probe side; a fragmented right never coalesces.
-    Against a monolithic dense right it runs per fragment: there is no
-    build to share."""
-    if isinstance(right, BAT) and right.hseqbase is not None:
-        return per_fragment(_kernel.outerjoin, fb, right)
+    once for the whole probe side; a fragmented right never coalesces."""
     matches = _grace_matches(fb, right)
     right_hkey = _right_hkey(right)
     fragments = []
@@ -1174,19 +1178,10 @@ def semijoin(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedB
     The keys -- numbers, or a str head's codes in one code space --
     route through the grace-join radix split: the right side's head
     keys partition per fragment, each partition dedupes in parallel,
-    and probe fragments test partition-locally."""
-    if isinstance(right, BAT) and right.hdense:
-        return per_fragment(_kernel.semijoin, fb, right)
-    return _partitioned_semijoin(fb, right)
-
-
-def _partitioned_semijoin(
-    fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]
-) -> FragmentedBAT:
-    """Semijoin through the grace-join partitioned build.  NIL build
-    and probe keys drop with the :func:`kernel.join_keys` mask
-    (comparison rule: NIL is never a member), so the per-partition
-    member arrays carry comparison keys only."""
+    and probe fragments test partition-locally.  NIL build and probe
+    keys drop with the :func:`kernel.join_keys` mask (comparison rule:
+    NIL is never a member), so the per-partition member arrays carry
+    comparison keys only."""
     columns = _head_columns(right)
     keyspace = _kernel.key_space(*columns, *_head_columns(fb))
     if keyspace is None:  # a str equals no number
@@ -1230,8 +1225,6 @@ def kdiff(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT:
     """Fragment-parallel :func:`repro.monet.kernel.kdiff`
     (anti-semijoin, comparison NIL rule: NIL heads always survive, so
     the shared build is probed with NIL probes masked out)."""
-    if isinstance(right, BAT) and right.hdense:
-        return per_fragment(_kernel.kdiff, fb, right)
     return _member_subset(fb, right, nil_member=False, invert=True)
 
 
@@ -1265,97 +1258,13 @@ def kunion(fb: FragmentedBAT, right: Union[BAT, FragmentedBAT]) -> FragmentedBAT
 
 
 # ----------------------------------------------------------------------
-# Fragment-parallel grouping
-# ----------------------------------------------------------------------
-
-
-def _distinct_blocks(
-    keys: Sequence[np.ndarray], gpos: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidates sorted by key combination, then global BUN position:
-    ``(order, new_block)`` with ``new_block`` flagging, in that order,
-    the first -- minimal-position -- candidate of every distinct key."""
-    order = np.lexsort((gpos, *reversed(keys)))
-    new_block = np.zeros(len(order), dtype=bool)
-    new_block[:1] = True
-    for key in keys:
-        sorted_key = key[order]
-        new_block[1:] |= sorted_key[1:] != sorted_key[:-1]
-    return order, new_block
-
-
-def _first_appearance_ids(keys: Sequence[np.ndarray], gpos: np.ndarray) -> np.ndarray:
-    """Dense id of every candidate's key combination, numbered in order
-    of first global appearance: the monolithic first-appearance
-    group-oid assignment, reproduced exactly from every fragment's
-    ``(keys, minimal global position)`` reports."""
-    order, new_block = _distinct_blocks(keys, gpos)
-    firsts = gpos[order[new_block]]
-    rank = np.empty(len(firsts), dtype=np.int64)
-    rank[np.argsort(firsts)] = np.arange(len(firsts), dtype=np.int64)
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = rank[np.cumsum(new_block) - 1]
-    return ids
-
-
-def _relabel(
-    fb: FragmentedBAT,
-    reports: List[Tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]],
-) -> FragmentedBAT:
-    """The serial merge and parallel relabel shared by :func:`group` and
-    :func:`refine`: every fragment reports its distinct keys, their
-    minimal global positions and each BUN's index into them
-    (``(keys, gpos, codes)``); the merge numbers the distinct keys by
-    first global appearance and each fragment maps its codes."""
-    ids = _first_appearance_ids(
-        [np.concatenate(parts) for parts in zip(*(keys for keys, _, _ in reports))],
-        np.concatenate([gpos for _, gpos, _ in reports]),
-    )
-    bounds = np.cumsum([0] + [len(gpos) for _, gpos, _ in reports])
-
-    def assign(indexed: Tuple[int, BAT]) -> BAT:
-        index, frag = indexed
-        local = ids[bounds[index]: bounds[index + 1]][reports[index][2]]
-        return BAT(frag.head, Column("oid", local), hsorted=frag.hsorted, hkey=frag.hkey)
-
-    results = map_fragments(assign, enumerate(fb.fragments), len(fb))
-    return FragmentedBAT(results, policy=fb.policy)
-
-
-def group(fb: FragmentedBAT) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.groups.group`.
-
-    Two parallel passes around one small serial merge over identity
-    keys in one key space (a str tail's codes on the fragments' shared
-    heap, else in one code space): (1) each fragment reports its
-    distinct keys with their minimal global BUN position, (2) the merge
-    numbers the distinct keys by first global appearance -- reproducing
-    the monolithic first-appearance group-oid assignment exactly -- and
-    (3) each fragment relabels its tails with the global ids.  The
-    result is fragmented identically to the input, so a following pump
-    aggregate stays fragment-parallel."""
-    keys_of = _kernel.key_space(*(frag.tail for frag in fb.fragments))
-
-    def local(indexed: Tuple[int, BAT]):
-        index, frag = indexed
-        uniq, first, codes = np.unique(
-            keys_of(frag.tail), return_index=True, return_inverse=True
-        )
-        return (uniq,), fb.global_positions(index)[first], codes.ravel()
-
-    return _relabel(fb, map_fragments(local, enumerate(fb.fragments), len(fb)))
-
-
-# ----------------------------------------------------------------------
-# Fragment-parallel order-sensitive operators: sort / unique / refine
+# Fragment-parallel order: sort / tsort / topn
 #
-# These were the last operators forcing a coalesce inside fragmented
-# plans.  The shared shape is two parallel passes around one small
-# serial merge: per-fragment work (sort / dedup / local grouping) fans
-# out on the thread pool, the merge resolves cross-fragment order or
-# duplicates on already-reduced data, and the result is emitted as
-# range-partitioned fragments so downstream operators keep running
-# fragment-parallel.
+# Two parallel passes around one small serial step: every fragment
+# sorts (or picks its top-n candidates) in its own thread, and the
+# sample-sort merge resolves cross-fragment order on already-sorted
+# runs, emitting range-partitioned fragments so downstream operators
+# keep running fragment-parallel.
 # ----------------------------------------------------------------------
 
 
@@ -1518,108 +1427,6 @@ def _nondecreasing(values: np.ndarray) -> bool:
     if len(values) <= 1:
         return True
     return bool(np.all(values[1:] >= values[:-1]))
-
-
-def unique(fb: FragmentedBAT) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.unique`: each
-    fragment dedupes locally in its thread, the merge resolves
-    cross-fragment duplicates on the reduced candidate set only
-    (winner = smallest global BUN position, preserving first-seen
-    order), and a parallel filter drops the losers in place -- the
-    fragmentation shape survives."""
-    return _keep_positions(fb, _first_global_occurrences(fb, heads=True, tails=True))
-
-
-def kunique(fb: FragmentedBAT) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.kunique` (duplicate
-    *head* elimination, first BUN per head wins)."""
-    if fb.nfragments == 1 and fb.fragments[0].hkey:
-        return fb
-    result = _keep_positions(fb, _first_global_occurrences(fb, heads=True, tails=False))
-    fragments = [
-        BAT(f.head, f.tail, hsorted=f.hsorted, tsorted=f.tsorted, hkey=True,
-            tkey=f.tkey)
-        for f in result.fragments
-    ]
-    return FragmentedBAT(fragments, policy=fb.policy)
-
-
-def tunique(fb: FragmentedBAT) -> FragmentedBAT:
-    """Fragment-parallel :func:`repro.monet.kernel.tunique`
-    (``reverse . kunique . reverse``)."""
-    return reverse(kunique(reverse(fb)))
-
-
-def _first_global_occurrences(
-    fb: FragmentedBAT, *, heads: bool, tails: bool
-) -> np.ndarray:
-    """Sorted global BUN positions of the first occurrence of every
-    distinct key (head, tail, or both).  NILs dedupe under the identity
-    rule -- one NaN/None survives -- matching the monolithic kernel
-    (see the NIL semantics note in :mod:`repro.monet.kernel`)."""
-    sides = [side for side, wanted in (("head", heads), ("tail", tails)) if wanted]
-    keys_of = {
-        side: _kernel.key_space(*(getattr(frag, side) for frag in fb.fragments))
-        for side in sides
-    }
-
-    def candidates(indexed: Tuple[int, BAT]) -> List[np.ndarray]:
-        index, frag = indexed
-        keys = [keys_of[side](getattr(frag, side)) for side in sides]
-        firsts = _kernel.first_occurrences(*keys)
-        gpos = fb.global_positions(index)
-        return [key[firsts] for key in keys] + [gpos[firsts]]
-
-    reports = map_fragments(candidates, enumerate(fb.fragments), len(fb))
-    *key_arrays, gpos = [np.concatenate(parts) for parts in zip(*reports)]
-    order, new_block = _distinct_blocks(key_arrays, gpos)
-    return np.sort(gpos[order[new_block]])
-
-
-def _keep_positions(fb: FragmentedBAT, keep: np.ndarray) -> FragmentedBAT:
-    """Filter *fb* to the rows whose global BUN positions are in the
-    sorted *keep* array, fragment-parallel and shape-preserving."""
-    offsets = fb.fragment_offsets()
-
-    def one(indexed: Tuple[int, BAT]) -> BAT:
-        index, frag = indexed
-        lo = np.searchsorted(keep, offsets[index], side="left")
-        hi = np.searchsorted(keep, offsets[index + 1], side="left")
-        return frag.take_positions(keep[lo:hi] - offsets[index])
-
-    results = map_fragments(one, enumerate(fb.fragments), len(fb))
-    return FragmentedBAT(results, policy=fb.policy)
-
-
-def refine(
-    grouping: Union[BAT, FragmentedBAT], bat: Union[BAT, FragmentedBAT]
-) -> Union[BAT, FragmentedBAT]:
-    """Fragment-parallel :func:`repro.monet.groups.refine`: the same
-    two parallel passes around a tiny serial merge as :func:`group`,
-    over (old group id, value) pairs of the operands aligned by
-    :func:`align`; misaligned operands fall back to the monolithic
-    refine over coalesced views."""
-    from repro.monet import groups as _groups
-
-    aligned = align([grouping, bat])
-    if aligned is None:
-        return _groups.refine(coalesce(grouping), coalesce(bat))
-    reference, parts = aligned
-    keys_of = _kernel.key_space(*(value_frag.tail for _, value_frag in parts))
-
-    def local(index: int):
-        group_frag, value_frag = parts[index]
-        old = group_frag.tail_values().astype(np.int64, copy=False)
-        keys = (old, keys_of(value_frag.tail))
-        gpos = reference.global_positions(index)
-        order, new_block = _distinct_blocks(keys, gpos)
-        codes = np.empty(len(order), dtype=np.int64)
-        codes[order] = np.cumsum(new_block) - 1
-        firsts = order[new_block]
-        return tuple(key[firsts] for key in keys), gpos[firsts], codes
-
-    grouping = FragmentedBAT([group_frag for group_frag, _ in parts], policy=reference.policy)
-    return _relabel(grouping, map_fragments(local, range(len(parts)), len(reference)))
 
 
 # ----------------------------------------------------------------------

@@ -40,10 +40,15 @@ same row, with the arm chosen once from the whole build side:
 ============================  ==========================  ====================
 condition                     arm                         fragmented join
 ============================  ==========================  ====================
-right head provably dense     positional: the build       ``PER_FRAGMENT``;
-(:attr:`BAT.hseqbase`: void,  position is                 a fragmented dense
-or int/oid flagged sorted +   ``value - seqbase``         right routes by
-key with span == count - 1)   (:func:`fetch_positions`)   seqbase windows
+right head provably dense     positional: the build       a monolithic right:
+(:attr:`BAT.hseqbase`: void,  position is                 per fragment, one
+or int/oid flagged sorted +   ``value - seqbase``         check in ``fan_out``
+key with span == count - 1)   (:func:`fetch_positions`)   for the family
+                                                          (``semijoin`` and
+                                                          ``kdiff`` too); a
+                                                          fragmented dense
+                                                          right routes by
+                                                          seqbase windows
 -- and the left tail is void  no gather: head and tail    windows of the
                               are windows (views); a      owning right
                               window that covers the      fragments
@@ -137,15 +142,20 @@ order: ``sort``,       numbers: the value          ``RECEIVER`` rule, the
                        unstable sort; the rest
                        (dbl, a wider span) by
                        the stable argsort
-identity: ``unique``,  numbers: the value's        ``RECEIVER`` rule, the
-``kunique``,           integer image, all NaN one  first-occurrence merge:
-``tunique``,           key (:func:`dedup_keys`);   distinct keys per
-``group``,             str: the code, NIL -1       fragment, one serial
-``refine``,                                        merge by first global
-``kunion``,                                        position (membership
-``kintersect``, pump                               builds once); ``refine``
-alignment                                          ``ALIGNED``; the pumps
-                                                   ``REDUCE``
+identity: ``unique``,  numbers: the value's        ``IDENTITY`` rule: one
+``kunique``,           integer image, all NaN one  record per operator
+``tunique``,           key (:func:`key_space`);    (:class:`Identity`: key
+``group``,             str: the code, NIL -1.      sides and a keep or
+``refine``             :func:`first_occurrences`   label finish); each
+                       numbers them, one key by    fragment reports its
+                       :func:`stable_order`,       distinct keys, the same
+                       several by lexsort          primitive merges the
+                                                   reports in fragment
+                                                   order, the finish runs
+                                                   per fragment
+``kunion``,            the identity keys above     ``RECEIVER`` rule: one
+``kintersect``, pump                               membership build; the
+alignment                                          pumps ``REDUCE``
 comparison:            numbers: the values;        ``PER_FRAGMENT`` rule:
 ``select``,            str: the predicate once     the mask needs no
 ``uselect``,           per distinct value,         shared key space
@@ -154,9 +164,11 @@ comparison:            numbers: the values;        ``PER_FRAGMENT`` rule:
                        an open range
                        (:func:`nil_mask`)
 comparison:            the identity keys above,    ``BUILD_PROBE`` rule:
-``semijoin``,          NIL masked on both sides    radix-partitioned keys
-``kdiff``                                          (semijoin); one shared
-                                                   build (kdiff)
+``semijoin``,          NIL masked on both sides;   radix-partitioned keys
+``kdiff``              by position against a       (semijoin); one shared
+                       provably dense right head,  build (kdiff); per
+                       as in ``join``              fragment against a
+                       (:func:`fetch_positions`)   monolithic dense right
 =====================  ==========================  ========================
 
 For str there is **one heap per stored column; two heaps translate
@@ -259,6 +271,7 @@ from repro.monet.atoms import coerce_value
 from repro.monet.bat import (
     BAT,
     AnyColumn,
+    Column,
     StrColumn,
     StrHeap,
     VoidColumn,
@@ -445,22 +458,123 @@ def dedup_keys(column: AnyColumn) -> np.ndarray:
     return key_space(column)(column)
 
 
-def first_occurrences(*keys: np.ndarray) -> np.ndarray:
-    """Positions of the first row of every distinct key combination,
-    ascending -- the vectorized core of ``unique``/``kunique``
-    (lexsort + block-boundary detection instead of a per-BUN Python
-    loop).  Shared with the fragmented kernel, which applies it per
-    fragment before its cross-fragment merge."""
+def first_occurrences(
+    *keys: np.ndarray, label: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The one first-occurrence primitive of the identity family:
+    ``(firsts, ids)``, the positions of the first row of every distinct
+    key combination, ascending, and -- with *label* -- every row's id,
+    the rank of its combination's first row (dense, numbered in order
+    of first appearance).
+
+    One key is ordered by :func:`stable_order`, several by lexsort.
+    Both are stable, so a block of equal keys starts at its first row,
+    and rows given in position order need no position key: the merge
+    of the fragmented identity rule (:class:`Identity`) reads its
+    fragments' reports exactly so."""
     n = len(keys[0])
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort(tuple(reversed(keys)))
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty if label else None
+    order = stable_order(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     new_block = np.zeros(n, dtype=bool)
     new_block[0] = True
     for key in keys:
         sorted_key = key[order]
         new_block[1:] |= sorted_key[1:] != sorted_key[:-1]
-    return np.sort(order[new_block])
+    starts = order[new_block]
+    if not label:
+        starts.sort()
+        return starts, None
+    by_first = stable_order(starts)
+    rank = np.empty(len(starts), dtype=np.int64)
+    rank[by_first] = np.arange(len(starts), dtype=np.int64)
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = rank[np.cumsum(new_block) - 1]
+    return starts[by_first], ids
+
+
+def each(fn: Callable[[Any], Any], items) -> List[Any]:
+    """``[fn(item) for item in items]``: the serial mapper of the
+    records the fragment rules fan out (:class:`Identity`,
+    :class:`repro.monet.aggregates.Aggregate`)."""
+    return [fn(item) for item in items]
+
+
+#: A key side of an :class:`Identity` record: the column of one operand.
+HEAD, TAIL = (0, "head"), (0, "tail")
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One operator of the identity family, defined once: its key
+    *sides* (columns of its operands, read through one identity key
+    space each, :func:`key_space`) and its *finish* -- ``"keep"`` the
+    first BUN of every distinct key (``unique``, ``kunique``,
+    ``tunique``) or ``"label"`` every BUN with the dense id of its key,
+    numbered by first appearance (``group``, ``refine``; the result is
+    ``[first operand's head, oid]``).
+
+    :meth:`over` runs it on the operands of BUN runs in BUN order:
+    every run reports its distinct keys, their first positions and its
+    local ids (:func:`first_occurrences`); the reports, concatenated in
+    run order -- position order -- are merged by the same primitive;
+    the finish keeps or relabels per run.  Calling the record is the
+    monolithic operator, the one-run case, which needs no merge.  A
+    fragmented operand runs it per fragment
+    (:func:`repro.monet.fragments.reduce`)."""
+
+    name: str
+    sides: Tuple[Tuple[int, str], ...]
+    finish: str
+
+    def __call__(self, *operands: Any) -> BAT:
+        return self.over([operands])[0]
+
+    def over(self, parts: Sequence[Sequence[BAT]], mapper=each) -> List[BAT]:
+        """The result BAT of every run, in order.  ``mapper(fn, items)``
+        applies *fn* to every item in order."""
+        if any(len(bat) != len(part[0]) for part in parts for bat in part[1:]):
+            raise KernelError(f"{self.name} requires positionally aligned inputs")
+        label, merge = self.finish == "label", len(parts) > 1
+        # The receiver's key flags ("hkey", "tkey") of the sides: one
+        # proves every BUN distinct; a keep finish on one side sets it.
+        flags = [column[0] + "key" for at, column in self.sides if at == 0]
+        if not (label or merge) and any(getattr(parts[0][0], f) for f in flags):
+            return [parts[0][0]]
+        columns = [[getattr(part[at], column) for part in parts] for at, column in self.sides]
+        spaces = [key_space(*side) for side in columns]
+
+        def report(index: int) -> Tuple[List[np.ndarray], np.ndarray, Any]:
+            keys = [keys_of(side[index]) for keys_of, side in zip(spaces, columns)]
+            firsts, ids = first_occurrences(*keys, label=label)
+            return [key[firsts] for key in keys] if merge else [], firsts, ids
+
+        reports = mapper(report, range(len(parts)))
+        if merge:
+            bounds = np.cumsum([0] + [len(firsts) for _, firsts, _ in reports])
+            kept, merged_ids = first_occurrences(
+                *map(np.concatenate, zip(*(keys for keys, _, _ in reports))), label=label
+            )
+
+        def finish(index: int) -> BAT:
+            bat = parts[index][0]
+            _, firsts, ids = reports[index]
+            if merge:
+                lo, hi = bounds[index], bounds[index + 1]
+                if label:
+                    ids = merged_ids[lo:hi][ids]
+                else:
+                    won = kept[np.searchsorted(kept, lo): np.searchsorted(kept, hi)]
+                    firsts = firsts[won - lo]
+            if label:
+                return BAT(bat.head, Column("oid", ids), hsorted=bat.hsorted, hkey=bat.hkey)
+            result = bat.take_positions(firsts)
+            if len(self.sides) == 1:
+                setattr(result, flags[0], True)
+            return result
+
+        return mapper(finish, range(len(parts)))
 
 
 def nil_mask(column: AnyColumn) -> np.ndarray:
@@ -1060,13 +1174,15 @@ def range_mask(
 
 def _semijoin_mask(left: BAT, right: BAT) -> np.ndarray:
     """Boolean mask of left BUNs whose head occurs among right's heads
-    (shared predicate of :func:`semijoin` and :func:`kdiff`)."""
-    if right.hdense and not _is_str(left.head):
-        heads = left.head_values()
-        return (heads >= right.head.seqbase) & (
-            heads < right.head.seqbase + len(right)
-        )
-    return member_mask(left.head, right.head, nil_member=False)
+    (shared predicate of :func:`semijoin` and :func:`kdiff`): by
+    position against a provably dense right head, as in :func:`join`."""
+    seqbase = right.hseqbase
+    if seqbase is None or _is_str(left.head):
+        return member_mask(left.head, right.head, nil_member=False)
+    kept, _ = fetch_positions(left.head_values(), seqbase, len(right))
+    mask = np.zeros(len(left), dtype=bool)
+    mask[slice(None) if kept is None else kept] = True
+    return mask
 
 
 def uselect(
@@ -1331,30 +1447,14 @@ def tsort(bat: BAT) -> BAT:
     return sort(bat.reverse()).reverse()
 
 
-def unique(bat: BAT) -> BAT:
-    """Duplicate BUN elimination; keeps the first occurrence, preserves
-    first-seen order (Monet ``unique``).  NILs dedupe under the
-    identity rule (one NaN/None survives; see the module docstring)."""
-    if bat.hkey or bat.tkey:
-        return bat
-    return bat.take_positions(
-        first_occurrences(dedup_keys(bat.head), dedup_keys(bat.tail))
-    )
-
-
-def kunique(bat: BAT) -> BAT:
-    """Duplicate *head* elimination; first BUN per head wins.  NIL
-    heads dedupe under the identity rule (one survives)."""
-    if bat.hkey:
-        return bat
-    result = bat.take_positions(first_occurrences(dedup_keys(bat.head)))
-    return BAT(result.head, result.tail, hsorted=result.hsorted, hkey=True,
-               tkey=result.tkey)
-
-
-def tunique(bat: BAT) -> BAT:
-    """Duplicate *tail* elimination; first BUN per tail wins."""
-    return kunique(bat.reverse()).reverse()
+#: Duplicate BUN elimination; keeps the first occurrence, preserves
+#: first-seen order (Monet ``unique``).  NILs dedupe under the identity
+#: rule (one NaN/None survives; see the module docstring).
+unique = Identity("unique", (HEAD, TAIL), "keep")
+#: Duplicate *head* elimination; first BUN per head wins.
+kunique = Identity("kunique", (HEAD,), "keep")
+#: Duplicate *tail* elimination; first BUN per tail wins.
+tunique = Identity("tunique", (TAIL,), "keep")
 
 
 def slice_bat(bat: BAT, start: int, stop: int) -> BAT:

@@ -20,18 +20,28 @@ runs when an operand is a :class:`~repro.monet.fragments.FragmentedBAT`
   an O(1) view and runs on the calling thread (``reverse``, ``mirror``,
   ``mark``, ``number``, ``slice``);
 * *aligned* (operands cut alike, :func:`~repro.monet.fragments.align`):
-  the kernel function on every fragment's operands (``[op]``), or the
-  row's body over them (``refine``);
+  the kernel function on every fragment's operands (``[op]``);
 * *reduce* (operands cut alike, and a pump's value and grouping heads
   equal position by position): the row's
   :class:`~repro.monet.aggregates.Aggregate`, partial per fragment,
   combine, finish (:func:`~repro.monet.fragments.reduce`);
+* *identity* (operands cut alike): the row's
+  :class:`~repro.monet.kernel.Identity` -- its key sides (head, tail,
+  both, or grouping id and tail) and its finish (keep: ``unique``,
+  ``kunique``, ``tunique``; label: ``group``, ``refine``) -- through
+  the same driver: every fragment reports its distinct keys, their
+  first positions and its local ids, one first-occurrence primitive
+  merges the reports in fragment order, and the finish keeps or
+  relabels per fragment;
 * *build-probe* (any fragmented operand; a monolithic receiver is
   fragmented on the fly, because the grace-join family consumes a
-  fragmented right operand without coalescing it): the row's body in
-  :mod:`repro.monet.fragments`;
-* *fragmented receiver*: the row's body -- the order and identity
-  merges, ``insert``'s delta tail;
+  fragmented right operand without coalescing it): against a
+  monolithic right with a provably dense head
+  (:attr:`~repro.monet.bat.BAT.hseqbase`), the kernel function per
+  fragment -- there is no build to share -- and otherwise the row's
+  body in :mod:`repro.monet.fragments`;
+* *fragmented receiver*: the row's body -- the order merges, the
+  membership builds, ``insert``'s delta tail;
 * *monolithic only* (``group_sizes``, ``{prod}``, the scalar
   functions).
 
@@ -63,11 +73,10 @@ from repro.monet.multiplex import multiplex
 
 class Rule(NamedTuple):
     """A row's fragment rule (see the module docstring).  *body* is the
-    fragmented algorithm of a build-probe, fragmented-receiver or
-    aligned row whose operator has one; *dense* and *window* are a
-    per-fragment row's declaration of a global position, and *inline*
-    that its kernel function is an O(1) view
-    (:func:`repro.monet.fragments.per_fragment`)."""
+    fragmented algorithm of a build-probe or fragmented-receiver row;
+    *dense* and *window* are a per-fragment row's declaration of a
+    global position, and *inline* that its kernel function is an O(1)
+    view (:func:`repro.monet.fragments.per_fragment`)."""
 
     kind: str
     body: Optional[Callable[..., Any]] = None
@@ -81,6 +90,7 @@ PER_FRAGMENT = Rule("per fragment")
 VIEW = PER_FRAGMENT._replace(inline=True)
 ALIGNED = Rule("aligned")
 REDUCE = Rule("reduce")
+IDENTITY = Rule("identity")
 BUILD_PROBE = Rule("build-probe")
 RECEIVER = Rule("fragmented receiver")
 
@@ -157,16 +167,15 @@ BUILTINS: Tuple[Builtin, ...] = tuple(Builtin(*row) for row in (
      kernel.number, VIEW._replace(dense="head")),
     ("sort", "sort(bat)", 1, (BAT,), kernel.sort, _receiver(fragments.sort)),
     ("tsort", "tsort(bat)", 1, (BAT,), kernel.tsort, _receiver(fragments.tsort)),
-    ("unique", "unique(bat)", 1, (BAT,), kernel.unique, _receiver(fragments.unique)),
-    ("kunique", "kunique(bat)", 1, (BAT,), kernel.kunique, _receiver(fragments.kunique)),
-    ("tunique", "tunique(bat)", 1, (BAT,), kernel.tunique, _receiver(fragments.tunique)),
+    ("unique", "unique(bat)", 1, (BAT,), kernel.unique, IDENTITY),
+    ("kunique", "kunique(bat)", 1, (BAT,), kernel.kunique, IDENTITY),
+    ("tunique", "tunique(bat)", 1, (BAT,), kernel.tunique, IDENTITY),
     ("slice", "slice(bat, start, stop)", 3, (BAT, int, int),
      kernel.slice_bat, VIEW._replace(window=True)),
     ("topn", "topn(bat, n[, descending])", 2, (BAT, int, bool),
      kernel.topn, _receiver(fragments.topn)),
-    ("group", "group(bat)", 1, (BAT,), groups.group, _receiver(fragments.group)),
-    ("refine", "refine(grouping, bat)", 2, (BAT, BAT),
-     groups.refine, ALIGNED._replace(body=fragments.refine)),
+    ("group", "group(bat)", 1, (BAT,), groups.group, IDENTITY),
+    ("refine", "refine(grouping, bat)", 2, (BAT, BAT), groups.refine, IDENTITY),
     ("group_sizes", "group_sizes(grouping)", 1, (BAT,), groups.group_sizes),
     ("group_representatives", "group_representatives(grouping, bat)", 2, (BAT, BAT),
      groups.group_representatives),
@@ -270,13 +279,17 @@ def fan_out(
     kernel function or the body; MIL passes none."""
     row = _BY_NAME[name]
     rule = row.rule
-    if rule.kind == BUILD_PROBE.kind and isinstance(args[0], BAT):
-        args = (fragments.fragment_bat(args[0], policy or FragmentationPolicy()), *args[1:])
+    if rule.kind == BUILD_PROBE.kind:
+        left, right = args
+        if isinstance(left, BAT):
+            left = fragments.fragment_bat(left, policy or FragmentationPolicy())
+        if isinstance(right, BAT) and right.hseqbase is not None:
+            # Positional: there is no build to share.
+            return fragments.per_fragment(row.mono, left, right, **kwargs)
+        args = (left, right)
     if rule.kind == ALIGNED.kind:
-        if rule.body is not None:
-            return rule.body(*args, **kwargs)
         return fragments.map_aligned(row.mono, *args)
-    if rule.kind == REDUCE.kind:
+    if rule.kind in (REDUCE.kind, IDENTITY.kind):
         return fragments.reduce(row.mono, *args)
     if isinstance(args[0], FragmentedBAT):
         if rule.kind == PER_FRAGMENT.kind:

@@ -296,6 +296,24 @@ def test_value_of_no_contrep_shape_leaves_every_contrep_bat_untouched(op, bad):
     assert {name: db.pool.lookup(name) for name in names} == before
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="A(2): a tuple's fields append one after another, each with its own "
+    "WAL record, so a later field's MoaTypeError leaves the earlier fields "
+    "appended; fixed by one record per commit",
+)
+def test_value_of_no_contrep_shape_leaves_every_tuple_field_untouched():
+    db = MirrorDBMS()
+    db.define("define C as SET<TUPLE<Atomic<str>: k, CONTREP<Text>: s>>;")
+    db.insert("C", [{"k": "x", "s": "red"}])
+    before = db.contents("C")
+    with pytest.raises(MoaTypeError):
+        db.insert("C", [{"k": "y", "s": "blue"}, {"k": "z", "s": 3.5}])
+    assert len(db.pool.lookup("C.k")) == 1
+    assert db.contents("C") == before
+
+
 # ----------------------------------------------------------------------
 # Golden: the seed-1 workloads' postings and contents
 # ----------------------------------------------------------------------

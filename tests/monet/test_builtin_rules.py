@@ -10,7 +10,9 @@ sums to 1e-9), and a monolithic error is the fragmented one.
 
 A row's cases come from :data:`CASES` by row name, so a new row with a
 rule fails here until it has cases: the table is covered by
-construction.
+construction.  An identity row declares its key sides and finish once,
+for both paths, so its result is also checked against the
+plain-Python model of ``tests/monet/test_identity.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.monet.atoms import INT_NIL
 from repro.monet.bat import BAT, Column, VoidColumn, column_from_values
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT
 from repro.monet.groups import group
-from repro.monet.mil.builtins import BUILTINS, MONOLITHIC, invoke_builtin
+from repro.monet.mil.builtins import BUILTINS, IDENTITY, MONOLITHIC, invoke_builtin
 from tests.conftest import STRATEGIES, fragment_layout
 from tests.monet.test_fragment_differential import (
     _raw_pairs,
@@ -32,6 +34,7 @@ from tests.monet.test_fragment_differential import (
     assert_flags_sound,
     assert_pairs_equal,
 )
+from tests.monet.test_identity import _expected
 
 pytestmark = pytest.mark.usefixtures("fan_out_on_tiny_inputs")
 
@@ -188,3 +191,15 @@ def test_row_rule_matches_the_monolithic_row(name, kind, strategy):
                     f"{name} [{kind}, {strategy}, seed {seed}, case {case}, "
                     f"fragmented operands {chosen}]",
                 )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", [row.name for row in BUILTINS if row.rule == IDENTITY])
+def test_identity_row_is_the_dict_order_model(name, kind):
+    """An identity row's key sides and finish are declared once, for
+    both paths, so the row differential cannot see a wrong declaration:
+    the row's result is checked against the plain-Python model."""
+    for seed in range(3):
+        operands = Operands(kind, seed)
+        for args in CASES[name](operands):
+            assert_pairs_equal(_run(name, args), _expected(name, args))

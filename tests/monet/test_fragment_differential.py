@@ -935,12 +935,12 @@ def test_unique_family_differential(seed):
     bat = _headed_bat(rng, htype, n)
     pairs = _raw_pairs(bat)
     fbs = [_fragment(bat, s) for s in STRATEGIES]
-    _check_op(kernel.unique(bat), _ref_unique(pairs), [fr.unique(fb) for fb in fbs])
+    _check_op(kernel.unique(bat), _ref_unique(pairs), [_ROWS.unique(fb) for fb in fbs])
     _check_op(
-        kernel.kunique(bat), _ref_kunique(pairs), [fr.kunique(fb) for fb in fbs]
+        kernel.kunique(bat), _ref_kunique(pairs), [_ROWS.kunique(fb) for fb in fbs]
     )
     _check_op(
-        kernel.tunique(bat), _ref_tunique(pairs), [fr.tunique(fb) for fb in fbs]
+        kernel.tunique(bat), _ref_tunique(pairs), [_ROWS.tunique(fb) for fb in fbs]
     )
 
 
@@ -981,7 +981,7 @@ def test_sort_unique_edge_shapes(htype, shape):
     pairs = _raw_pairs(bat)
     fbs = [_fragment(bat, s) for s in STRATEGIES]
     _check_op(kernel.sort(bat), _ref_sort(pairs), [fr.sort(fb) for fb in fbs])
-    _check_op(kernel.unique(bat), _ref_unique(pairs), [fr.unique(fb) for fb in fbs])
+    _check_op(kernel.unique(bat), _ref_unique(pairs), [_ROWS.unique(fb) for fb in fbs])
 
 
 def _order_head(rng, shape: str, n: int) -> Column:
@@ -1059,9 +1059,9 @@ def test_nil_dedup_identity_rule():
     for bat in (nan_heads, none_heads):
         for strategy in STRATEGIES:
             fb = _fragment(bat, strategy)
-            assert fr.unique(fb).to_bat().to_pairs() == kernel.unique(bat).to_pairs()
+            assert _ROWS.unique(fb).to_bat().to_pairs() == kernel.unique(bat).to_pairs()
             assert (
-                fr.kunique(fb).to_bat().to_pairs() == kernel.kunique(bat).to_pairs()
+                _ROWS.kunique(fb).to_bat().to_pairs() == kernel.kunique(bat).to_pairs()
             )
 
 
@@ -1100,7 +1100,7 @@ def test_refine_differential(seed):
 
     for strategy in STRATEGIES:
         policy = FragmentationPolicy(target_size=max(1, -(-n // 4)))
-        fragmented = fr.refine(
+        fragmented = _ROWS.refine(
             fragment_layout(grouping, strategy, policy),
             fragment_layout(values, strategy, policy),
         )
@@ -1117,7 +1117,7 @@ def test_sort_after_subset_chain(strategy):
     rng = np.random.default_rng(9)
     bat = _headed_bat(rng, "oid", 120, nils=False)
     fb = _fragment(bat, strategy)
-    chained = fr.sort(fr.unique(fb)).to_bat()
+    chained = fr.sort(_ROWS.unique(fb)).to_bat()
     expected = kernel.sort(kernel.unique(bat))
     assert chained.to_pairs() == expected.to_pairs()
     assert_flags_sound(chained)
@@ -1136,7 +1136,7 @@ def test_sort_output_stays_fragmented(strategy):
     result = fr.sort(fb)
     assert isinstance(result, FragmentedBAT)
     assert max(result.fragment_sizes()) <= 32
-    deduped = fr.unique(fb)
+    deduped = _ROWS.unique(fb)
     assert isinstance(deduped, FragmentedBAT)
     assert deduped.nfragments == fb.nfragments  # dedup keeps the shape
 
@@ -1321,7 +1321,7 @@ def test_sample_sort_empty_and_single_fragments(htype):
     _check_op(
         kernel.unique(bat),
         _ref_unique(pairs),
-        [fr.unique(holey), fr.unique(single)],
+        [_ROWS.unique(holey), _ROWS.unique(single)],
     )
 
 
@@ -1717,7 +1717,7 @@ def test_fragmented_bat_requires_fragments_and_tolerates_empty_ones():
     )
     assert fr.join(fb, right).to_bat().to_pairs() == []
     assert fr.topn(fb, 3).to_pairs() == []
-    assert fr.group(fb).to_bat().to_pairs() == []
+    assert _ROWS.group(fb).to_bat().to_pairs() == []
     sempty = BAT(VoidColumn(0, 0), column_from_values("str", np.empty(0, dtype=object)))
     sfb = fragment_bat(sempty, FragmentationPolicy(target_size=4))
     sright = BAT(
@@ -1860,7 +1860,7 @@ def test_str_code_space_dictionary_states(seed, strategy):
     from repro.monet.groups import refine
 
     mono_ops = _str_ops(kernel, group, refine, lambda b: b.reverse())
-    frag_ops = _str_ops(_ROWS, fr.group, fr.refine, fr.reverse)
+    frag_ops = _str_ops(_ROWS, _ROWS.group, _ROWS.refine, fr.reverse)
     for name, mono_op in mono_ops.items():
         reference = None
         for state, bat, partner, fb, fb_partner in _str_states(seed, strategy):

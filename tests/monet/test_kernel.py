@@ -164,6 +164,18 @@ class TestSemijoinFamily:
         right = dense_bat("int", [1, 2, 3])
         assert kernel.semijoin(left, right).head_list() == [0]
 
+    def test_dense_right_members_are_positions(self):
+        """A dense right head holds integral values only: a dbl head of
+        1.5 or NaN is no member, as against the same heads
+        materialized."""
+        left = bat_from_pairs("dbl", "int", [(1.5, 1), (2.0, 2), (None, 3)])
+        for right in (
+            dense_bat("int", [7, 8, 9, 10]),
+            BAT(Column("oid", np.arange(4)), Column("int", np.arange(4))),
+        ):
+            assert kernel.semijoin(left, right).to_pairs() == [(2.0, 2)]
+            assert kernel.kdiff(left, right).to_pairs() == [(1.5, 1), (None, 3)]
+
     def test_kdiff(self):
         left = bat_from_pairs("oid", "str", [(0, "a"), (1, "b")])
         right = bat_from_pairs("oid", "int", [(0, 9)])
@@ -538,8 +550,17 @@ class TestKunionTypeGuard:
     + [("fragments", name) for name in (
         "_sort_object", "_object_pivots", "_group_key", "_member_build",
         "_ids_by_first_appearance", "_first_positions", "_rows_in_order",
+        # The identity family runs through kernel.Identity.
+        "unique", "tunique", "group", "refine", "_distinct_blocks",
+        "_first_appearance_ids", "_relabel", "_first_global_occurrences",
+        "_keep_positions",
+        # semijoin is its partitioned build, with no positional arm.
+        "_partitioned_semijoin",
     )]
-    + [("groups", name) for name in ("_dense_group_ids_from_keys", "_codes")]
+    + [("groups", name) for name in (
+        "_dense_group_ids_from_keys", "_codes", "_dense_group_ids",
+        "_first_appearance_relabel",
+    )]
     + [("aggregates", "_aligned_group_ids_fallback")],
 )
 def test_per_bun_object_paths_are_deleted(module_name, name):

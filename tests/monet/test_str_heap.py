@@ -18,6 +18,7 @@ from repro.monet import codec, fragments, groups, kernel
 from repro.monet.bat import BAT, StrHeap, VoidColumn, column_from_values, column_to_list
 from repro.monet.bbp import BATBufferPool
 from repro.monet.fragments import FragmentationPolicy, FragmentedBAT, fragment_bat
+from repro.monet.mil.builtins import fan_out
 from repro.workloads import SECTION3_QUERY, TRADITIONAL_DDL, synth_annotations
 from tests.conftest import assert_codes_decode
 
@@ -115,7 +116,7 @@ def test_built_loaded_extended_gathered_are_bun_identical(case, state, tmp_path)
     # Fragment-parallel operators over the fragmented form too.
     fb = _fragmented(values, state)
     assert fragments.tsort(fb).to_bat().to_pairs() == reference["tsort"]
-    assert fragments.tunique(fb).to_bat().to_pairs() == reference["tunique"]
+    assert fan_out("tunique", fb).to_bat().to_pairs() == reference["tunique"]
 
 
 def test_a_gather_ships_only_the_values_it_uses():
